@@ -4,17 +4,34 @@
 //! are parameterised with in Table 4 of the paper.
 
 use crate::policy::{PageId, ReplacementPolicy};
-use std::collections::{BTreeSet, HashMap};
 
-/// Least-recently-used replacement, O(log n) per operation.
+/// Node index of the list's sentinel; page `p` is node `p + 1`.
+const SENTINEL: u32 = 0;
+/// Link value of a node that is not in the recency list.
+const UNLINKED: u32 = u32::MAX;
+
+/// Least-recently-used replacement, O(1) per operation.
 ///
-/// Recency is tracked with a logical reference stamp; the eviction index is
-/// an ordered set of `(stamp, page)` pairs.
-#[derive(Debug, Default)]
+/// Recency is an intrusive doubly-linked list threaded through
+/// page-indexed `prev`/`next` arrays, least recently used first: a
+/// reference moves the page to the tail and the victim is the head. The
+/// arrays grow on demand to the highest page seen (page ids are dense disk
+/// ids), so steady-state operation allocates nothing.
+#[derive(Debug)]
 pub struct LruPolicy {
-    stamp_of: HashMap<PageId, u64>,
-    by_stamp: BTreeSet<(u64, PageId)>,
-    next_stamp: u64,
+    // Node links; the sentinel (node 0) closes the list into a ring, so
+    // `next[0]` is the least recently used page and `prev[0]` the most.
+    prev: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl Default for LruPolicy {
+    fn default() -> Self {
+        LruPolicy {
+            prev: vec![SENTINEL],
+            next: vec![SENTINEL],
+        }
+    }
 }
 
 impl LruPolicy {
@@ -23,14 +40,32 @@ impl LruPolicy {
         Self::default()
     }
 
+    fn node(page: PageId) -> usize {
+        page as usize + 1
+    }
+
+    fn unlink(&mut self, node: usize) {
+        let (prev, next) = (self.prev[node], self.next[node]);
+        self.next[prev as usize] = next;
+        self.prev[next as usize] = prev;
+        self.prev[node] = UNLINKED;
+        self.next[node] = UNLINKED;
+    }
+
+    /// Makes `page` the most recently used page.
     fn touch(&mut self, page: PageId) {
-        if let Some(old) = self.stamp_of.get(&page).copied() {
-            self.by_stamp.remove(&(old, page));
+        let node = Self::node(page);
+        if node >= self.next.len() {
+            self.prev.resize(node + 1, UNLINKED);
+            self.next.resize(node + 1, UNLINKED);
+        } else if self.next[node] != UNLINKED {
+            self.unlink(node);
         }
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.stamp_of.insert(page, stamp);
-        self.by_stamp.insert((stamp, page));
+        let tail = self.prev[SENTINEL as usize];
+        self.next[tail as usize] = node as u32;
+        self.prev[node] = tail;
+        self.next[node] = SENTINEL;
+        self.prev[SENTINEL as usize] = node as u32;
     }
 }
 
@@ -48,15 +83,15 @@ impl ReplacementPolicy for LruPolicy {
     }
 
     fn select_victim(&mut self) -> PageId {
-        self.by_stamp
-            .first()
-            .map(|&(_, page)| page)
-            .expect("LRU victim requested on empty pool")
+        let head = self.next[SENTINEL as usize];
+        assert_ne!(head, SENTINEL, "LRU victim requested on empty pool");
+        head - 1
     }
 
     fn on_evict(&mut self, page: PageId) {
-        if let Some(stamp) = self.stamp_of.remove(&page) {
-            self.by_stamp.remove(&(stamp, page));
+        let node = Self::node(page);
+        if self.next.get(node).is_some_and(|&next| next != UNLINKED) {
+            self.unlink(node);
         }
     }
 }

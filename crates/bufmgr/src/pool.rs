@@ -8,7 +8,13 @@
 //! validation see the identical replacement behaviour.
 
 use crate::policy::{PageId, PolicyKind, ReplacementPolicy};
-use std::collections::BTreeMap;
+
+/// Residency-table entry of a page not in the pool.
+const ABSENT: u8 = 0;
+/// Entry of a resident page with nothing to write back.
+const CLEAN: u8 = 1;
+/// Entry of a resident page that costs a write-back on eviction.
+const DIRTY: u8 = 2;
 
 /// Result of a page access against the pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,11 +63,17 @@ impl BufferStats {
 }
 
 /// A buffer pool of `frames` page frames under a replacement policy.
+///
+/// Residency costs O(1) per operation: a table indexed by page id, grown
+/// on demand (page ids are dense disk ids, and reorganisations append
+/// pages), so steady-state operation allocates nothing.
 pub struct BufferPool {
     frames: usize,
-    // page → dirty; a BTreeMap so every residency scan (flush_all,
-    // resident_pages) is in page order, independent of any hash seed.
-    resident: BTreeMap<PageId, bool>,
+    // Residency by page id: ABSENT, CLEAN or DIRTY. Scans (flush_all,
+    // resident_pages) walk it in ascending page order, independent of any
+    // hash seed.
+    state: Vec<u8>,
+    resident: usize,
     policy: Box<dyn ReplacementPolicy>,
     stats: BufferStats,
 }
@@ -75,7 +87,8 @@ impl BufferPool {
         assert!(frames > 0, "buffer pool needs at least one frame");
         BufferPool {
             frames,
-            resident: BTreeMap::new(),
+            state: Vec::new(),
+            resident: 0,
             policy: policy.build(),
             stats: BufferStats::default(),
         }
@@ -88,12 +101,14 @@ impl BufferPool {
 
     /// Number of resident pages.
     pub fn resident_count(&self) -> usize {
-        self.resident.len()
+        self.resident
     }
 
     /// Is `page` resident?
     pub fn contains(&self, page: PageId) -> bool {
-        self.resident.contains_key(&page)
+        self.state
+            .get(page as usize)
+            .is_some_and(|&state| state != ABSENT)
     }
 
     /// The accounting counters.
@@ -109,30 +124,21 @@ impl BufferPool {
     /// Accesses `page`; `write` marks the page dirty. Returns whether the
     /// access hit and which page (if any) was evicted.
     pub fn access(&mut self, page: PageId, write: bool) -> AccessOutcome {
-        if let Some(dirty) = self.resident.get_mut(&page) {
-            *dirty |= write;
+        if let Some(state) = self
+            .state
+            .get_mut(page as usize)
+            .filter(|state| **state != ABSENT)
+        {
+            if write {
+                *state = DIRTY;
+            }
             self.policy.on_access(page);
             self.stats.hits += 1;
             return AccessOutcome::Hit;
         }
         self.stats.misses += 1;
-        let evicted = if self.resident.len() >= self.frames {
-            let victim = self.policy.select_victim();
-            let dirty = self
-                .resident
-                .remove(&victim)
-                .expect("policy returned a non-resident victim");
-            self.policy.on_evict(victim);
-            self.stats.evictions += 1;
-            if dirty {
-                self.stats.dirty_evictions += 1;
-            }
-            Some((victim, dirty))
-        } else {
-            None
-        };
-        self.resident.insert(page, write);
-        self.policy.on_admit(page);
+        let evicted = self.evict_if_full();
+        self.admit(page, write);
         self.policy.on_access(page);
         AccessOutcome::Miss { evicted }
     }
@@ -141,26 +147,11 @@ impl BufferPool {
     /// Returns the eviction performed, if any; `None` also when the page
     /// was already resident.
     pub fn prefetch(&mut self, page: PageId) -> Option<(PageId, bool)> {
-        if self.resident.contains_key(&page) {
+        if self.contains(page) {
             return None;
         }
-        let evicted = if self.resident.len() >= self.frames {
-            let victim = self.policy.select_victim();
-            let dirty = self
-                .resident
-                .remove(&victim)
-                .expect("policy returned a non-resident victim");
-            self.policy.on_evict(victim);
-            self.stats.evictions += 1;
-            if dirty {
-                self.stats.dirty_evictions += 1;
-            }
-            Some((victim, dirty))
-        } else {
-            None
-        };
-        self.resident.insert(page, false);
-        self.policy.on_admit(page);
+        let evicted = self.evict_if_full();
+        self.admit(page, false);
         evicted
     }
 
@@ -168,40 +159,87 @@ impl BufferPool {
     /// whose loading side-effect modified the page, e.g. Texas's pointer
     /// swizzling). No-op for non-resident pages.
     pub fn mark_dirty(&mut self, page: PageId) {
-        if let Some(dirty) = self.resident.get_mut(&page) {
-            *dirty = true;
+        if let Some(state) = self
+            .state
+            .get_mut(page as usize)
+            .filter(|state| **state != ABSENT)
+        {
+            *state = DIRTY;
         }
     }
 
     /// Drops `page` from the pool (reorganisation invalidation). Returns
     /// whether the dropped page was dirty.
     pub fn invalidate(&mut self, page: PageId) -> Option<bool> {
-        let dirty = self.resident.remove(&page)?;
+        let dirty = self.remove(page)?;
         self.policy.on_evict(page);
         Some(dirty)
     }
 
     /// Empties the pool, returning the dirty pages that would need a
-    /// write-back.
+    /// write-back, in ascending page order.
     pub fn flush_all(&mut self) -> Vec<PageId> {
-        let pages: Vec<PageId> = self.resident.keys().copied().collect();
         let mut dirty_pages = Vec::new();
-        for page in pages {
-            if let Some(dirty) = self.resident.remove(&page) {
-                self.policy.on_evict(page);
-                if dirty {
-                    dirty_pages.push(page);
+        for (page, state) in self.state.iter_mut().enumerate() {
+            if *state != ABSENT {
+                self.policy.on_evict(page as PageId);
+                if *state == DIRTY {
+                    dirty_pages.push(page as PageId);
                 }
+                *state = ABSENT;
             }
         }
-        // `resident` iterates in page order, so `dirty_pages` is already
-        // sorted — kept explicit that callers may rely on it.
+        self.resident = 0;
         dirty_pages
     }
 
     /// Resident pages, in ascending page order.
     pub fn resident_pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.resident.keys().copied()
+        self.state
+            .iter()
+            .enumerate()
+            .filter(|&(_, &state)| state != ABSENT)
+            .map(|(page, _)| page as PageId)
+    }
+
+    /// Evicts the policy's victim when every frame is taken.
+    fn evict_if_full(&mut self) -> Option<(PageId, bool)> {
+        if self.resident < self.frames {
+            return None;
+        }
+        let victim = self.policy.select_victim();
+        let dirty = self
+            .remove(victim)
+            .expect("policy returned a non-resident victim");
+        self.policy.on_evict(victim);
+        self.stats.evictions += 1;
+        if dirty {
+            self.stats.dirty_evictions += 1;
+        }
+        Some((victim, dirty))
+    }
+
+    /// Makes the non-resident `page` resident and tells the policy.
+    fn admit(&mut self, page: PageId, dirty: bool) {
+        let index = page as usize;
+        if index >= self.state.len() {
+            self.state.resize(index + 1, ABSENT);
+        }
+        self.state[index] = if dirty { DIRTY } else { CLEAN };
+        self.resident += 1;
+        self.policy.on_admit(page);
+    }
+
+    /// Drops `page` from the table: whether it was dirty, or `None` when
+    /// it was not resident.
+    fn remove(&mut self, page: PageId) -> Option<bool> {
+        let state = self.state.get_mut(page as usize)?;
+        let was = std::mem::replace(state, ABSENT);
+        if was == ABSENT {
+            return None;
+        }
+        self.resident -= 1;
+        Some(was == DIRTY)
     }
 }
 

@@ -67,12 +67,14 @@
 //! transaction's monotone submission serial, never its recycled slot
 //! index, so slot reuse is invisible to every observer.
 //!
-//! Simplifications vs. a full concurrency-control model, documented here
-//! deliberately: lock *conflicts* are not simulated (the paper charges
-//! only GETLOCK/RELLOCK CPU time; the scheduler's multiprogramming level
-//! is the concurrency limiter, per Table 1), and a page fetched by one
-//! transaction is immediately visible to others (no in-flight fetch
-//! queue).
+//! Concurrency control has two modes ([`ConcurrencyControl`]). Under the
+//! paper's `TimedOnly`, lock *conflicts* are not simulated: the model
+//! charges only GETLOCK/RELLOCK CPU time, and the scheduler's
+//! multiprogramming level is the concurrency limiter, per Table 1.
+//! `TwoPhase` simulates them: shared/exclusive object locks with FIFO
+//! waits, and deadlock victims (wait-die or cycle detection) restart
+//! after a backoff. In both modes a page fetched by one transaction is
+//! immediately visible to others (no in-flight fetch queue).
 
 use crate::admission::{AdmissionRing, PendingArrival};
 use crate::bman::BufferingManager;

@@ -11,8 +11,8 @@
 //! This engine reproduces those mechanisms concretely:
 //!
 //! * a **centralized** architecture (Table 4: `SYSCLASS = Centralized`);
-//! * page-fault-driven loading through a VM frame table with LRU
-//!   replacement;
+//! * page-fault-driven loading through a VM frame table: an LRU
+//!   [`BufferPool`], the pool the simulator's Buffering Manager runs too;
 //! * **pointer swizzling on fault**: loading a page rewrites the pointers
 //!   it contains into their in-memory form — so every faulted page is
 //!   *dirty* and its eviction is a swap **write**. Under memory pressure
@@ -27,9 +27,10 @@ use crate::disk::{DiskTimings, IoCounts, VirtualDisk};
 use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
 use crate::storage::{materialize, payload_oid, payload_refs};
+use bufmgr::{AccessOutcome, BufferPool, PolicyKind};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
 use ocb::{ObjectBase, Transaction};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Pages of usable frame memory per MB of machine memory.
 ///
@@ -99,68 +100,6 @@ impl TexasConfig {
     }
 }
 
-/// State of one VM frame: loaded content plus its dirty flag (a swizzled
-/// page is always dirty — its pointers were rewritten in memory).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct FrameState {
-    dirty: bool,
-}
-
-/// The VM frame table: page states plus LRU ordering.
-#[derive(Debug, Default)]
-struct VmBuffer {
-    state: HashMap<PageId, (FrameState, u64)>,
-    lru: BTreeSet<(u64, PageId)>,
-    next_stamp: u64,
-}
-
-impl VmBuffer {
-    fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    fn get(&self, page: PageId) -> Option<FrameState> {
-        self.state.get(&page).map(|&(s, _)| s)
-    }
-
-    fn touch(&mut self, page: PageId) {
-        if let Some((_, stamp)) = self.state.get(&page).copied() {
-            self.lru.remove(&(stamp, page));
-            let new = self.next_stamp;
-            self.next_stamp += 1;
-            self.lru.insert((new, page));
-            self.state.get_mut(&page).expect("present").1 = new;
-        }
-    }
-
-    fn insert(&mut self, page: PageId, state: FrameState) {
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        if let Some((_, old)) = self.state.insert(page, (state, stamp)) {
-            self.lru.remove(&(old, page));
-        }
-        self.lru.insert((stamp, page));
-    }
-
-    fn set_state(&mut self, page: PageId, state: FrameState) {
-        if let Some(entry) = self.state.get_mut(&page) {
-            entry.0 = state;
-        }
-    }
-
-    fn evict_lru(&mut self) -> Option<(PageId, FrameState)> {
-        let &(stamp, page) = self.lru.first()?;
-        self.lru.remove(&(stamp, page));
-        let (state, _) = self.state.remove(&page).expect("lru/state in sync");
-        Some((page, state))
-    }
-
-    fn clear(&mut self) {
-        self.state.clear();
-        self.lru.clear();
-    }
-}
-
 /// Running counters specific to the Texas engine.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TexasCounters {
@@ -184,7 +123,9 @@ pub struct TexasEngine<'a> {
     phys_of: Vec<PhysicalOid>,
     /// First page of the ext2 indirect-block region.
     meta_start: PageId,
-    vm: VmBuffer,
+    /// The VM frame table. A swizzled page is dirty: its pointers were
+    /// rewritten in memory.
+    vm: BufferPool,
     strategy: Box<dyn ClusteringStrategy>,
     counters: TexasCounters,
     /// Last page that took a fault, for the OS read-ahead heuristic.
@@ -209,13 +150,14 @@ impl<'a> TexasEngine<'a> {
         }
         let disk = VirtualDisk::new(pages, config.page_size, config.timings);
         let strategy = config.clustering.build();
+        let vm = BufferPool::new(config.memory_pages, PolicyKind::Lru);
         TexasEngine {
             base,
             config,
             disk,
             phys_of,
             meta_start,
-            vm: VmBuffer::default(),
+            vm,
             strategy,
             counters: TexasCounters::default(),
             last_fault: None,
@@ -230,16 +172,24 @@ impl<'a> TexasEngine<'a> {
         self.meta_start + (page / EXT2_INDIRECT_COVERAGE).min(meta_count.saturating_sub(1))
     }
 
-    /// Faults a metadata page through the VM (no swizzle, never dirty).
-    fn touch_meta(&mut self, page: PageId) {
-        match self.vm.get(page) {
-            Some(_) => self.vm.touch(page),
-            None => {
-                self.make_room();
-                self.disk.read(page);
-                self.counters.faults += 1;
-                self.vm.insert(page, FrameState { dirty: false });
-            }
+    /// References `page` through the VM (`write` dirties it). A fault
+    /// swaps the LRU victim out before reading the page. Returns whether
+    /// the reference faulted.
+    fn fault(&mut self, page: PageId, write: bool) -> bool {
+        let AccessOutcome::Miss { evicted } = self.vm.access(page, write) else {
+            return false;
+        };
+        self.swap_out(evicted);
+        self.disk.read(page);
+        self.counters.faults += 1;
+        true
+    }
+
+    /// Writes back a page that lost its frame, if it was dirty.
+    fn swap_out(&mut self, evicted: Option<(PageId, bool)>) {
+        if let Some((victim, true)) = evicted {
+            self.disk.write_back(victim);
+            self.counters.swap_outs += 1;
         }
     }
 
@@ -270,7 +220,7 @@ impl<'a> TexasEngine<'a> {
 
     /// Pages currently occupying VM frames.
     pub fn mapped_pages(&self) -> usize {
-        self.vm.len()
+        self.vm.resident_count()
     }
 
     /// Direct access to the clustering strategy (experiment drivers force
@@ -297,19 +247,7 @@ impl<'a> TexasEngine<'a> {
     }
 
     pub(crate) fn clear_vm(&mut self) {
-        self.vm.clear();
-    }
-
-    /// Makes room for one more frame, swapping out dirty pages.
-    fn make_room(&mut self) {
-        while self.vm.len() >= self.config.memory_pages {
-            let (victim, state) = self.vm.evict_lru().expect("buffer not empty");
-            if state.dirty {
-                // Swap-out: the persistent store writes the page back.
-                self.disk.write_back(victim);
-                self.counters.swap_outs += 1;
-            }
-        }
+        self.vm = BufferPool::new(self.config.memory_pages, PolicyKind::Lru);
     }
 
     /// Distinct pages referenced by the live objects of `page`.
@@ -335,7 +273,7 @@ impl<'a> TexasEngine<'a> {
             return;
         }
         self.counters.reservations += self.referenced_pages(page).len() as u64;
-        self.vm.set_state(page, FrameState { dirty: true });
+        self.vm.mark_dirty(page);
     }
 
     /// OS read-ahead: on a sequential fault pattern, the kernel stages the
@@ -347,12 +285,12 @@ impl<'a> TexasEngine<'a> {
             return;
         }
         let next = faulted + 1;
-        if next < self.disk.page_count() && self.vm.get(next).is_none() {
-            self.make_room();
-            self.disk.read(next);
+        if next < self.disk.page_count() && !self.vm.contains(next) {
             // Staged by the OS, not yet touched by Texas: clean until the
             // first access swizzles it.
-            self.vm.insert(next, FrameState { dirty: false });
+            let evicted = self.vm.prefetch(next);
+            self.swap_out(evicted);
+            self.disk.read(next);
         }
     }
 
@@ -360,27 +298,16 @@ impl<'a> TexasEngine<'a> {
     fn touch_page(&mut self, page: PageId, write: bool) {
         // File-system metadata: a data-page read goes through the ext2
         // indirect block, itself cached in the same memory.
-        if self.config.fs_metadata && self.vm.get(page).is_none() {
+        if self.config.fs_metadata && !self.vm.contains(page) {
             let meta = self.meta_page_of(page);
-            self.touch_meta(meta);
+            self.fault(meta, false);
         }
-        match self.vm.get(page) {
-            Some(state) => {
-                self.vm.touch(page);
-                if (write || self.config.swizzle) && !state.dirty {
-                    // First touch of an OS-staged page: Texas swizzles it
-                    // now (or the application writes it).
-                    self.vm.set_state(page, FrameState { dirty: true });
-                }
-            }
-            None => {
-                self.make_room();
-                self.disk.read(page);
-                self.counters.faults += 1;
-                self.vm.insert(page, FrameState { dirty: write });
-                self.swizzle(page);
-                self.readahead(page);
-            }
+        if self.fault(page, write) {
+            self.swizzle(page);
+            self.readahead(page);
+        } else if self.config.swizzle {
+            // First touch of an OS-staged page: Texas swizzles it now.
+            self.vm.mark_dirty(page);
         }
     }
 }
@@ -422,20 +349,12 @@ impl StorageEngine for TexasEngine<'_> {
     }
 
     fn flush_memory(&mut self) {
-        // Swap out dirty pages, then drop every frame (cold restart).
-        let mut dirty: Vec<PageId> = self
-            .vm
-            .state
-            .iter() // audit: sorted — sort_unstable below, before any write-back
-            .filter(|(_, &(s, _))| s.dirty)
-            .map(|(&p, _)| p)
-            .collect();
-        dirty.sort_unstable();
-        for page in dirty {
+        // Swap out dirty pages in page order; flush_all also drops every
+        // frame (cold restart).
+        for page in self.vm.flush_all() {
             self.disk.write_back(page);
             self.counters.swap_outs += 1;
         }
-        self.vm.clear();
     }
 }
 
@@ -443,6 +362,7 @@ impl StorageEngine for TexasEngine<'_> {
 mod tests {
     use super::*;
     use crate::engine::run_workload;
+    use clustering::DstcParams;
     use ocb::{DatabaseParams, WorkloadGenerator, WorkloadParams};
 
     fn small_base() -> ObjectBase {
@@ -594,6 +514,69 @@ mod tests {
             run_workload(&mut engine, &txs).total_ios()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn counters_and_disk_time_pinned_at_3_and_64_mb() {
+        // Values recorded with the engine's earlier private LRU frame
+        // table. The disk time pins the order of every swap-out against
+        // every read (contiguous and random accesses cost differently).
+        let base = ObjectBase::generate(
+            &DatabaseParams {
+                objects: 4_000,
+                ..DatabaseParams::default()
+            },
+            31,
+        );
+        let params = WorkloadParams {
+            hot_transactions: 400,
+            p_write: 0.2,
+            ..WorkloadParams::default()
+        };
+        let txs: Vec<Transaction> = {
+            let mut generator = WorkloadGenerator::new(&base, params, 17);
+            (0..400).map(|_| generator.next_transaction()).collect()
+        };
+        // Swizzle, read-ahead and fs-metadata on; DSTC reorganises between
+        // the two runs, appending pages the VM has not seen yet.
+        let observe = |memory_mb: usize| {
+            let config = TexasConfig {
+                clustering: ClusteringKind::Dstc(DstcParams {
+                    observation_period: 2_000,
+                    tfa: 2.0,
+                    tfc: 1.0,
+                    tfe: 2.0,
+                    w: 0.8,
+                    max_unit_size: 32,
+                    trigger_threshold: 100,
+                }),
+                ..TexasConfig::with_memory_mb(memory_mb)
+            };
+            let mut engine = TexasEngine::new(&base, config);
+            run_workload(&mut engine, &txs);
+            engine.reorganize();
+            engine.flush_memory();
+            run_workload(&mut engine, &txs);
+            engine.flush_memory();
+            let c = engine.counters();
+            let io = engine.io_counts();
+            (
+                c.faults,
+                c.swap_outs,
+                c.reservations,
+                io.reads,
+                io.writes,
+                engine.elapsed_ms(),
+            )
+        };
+        assert_eq!(
+            observe(3),
+            (20513, 19827, 324477, 21709, 20034, 490123.40000031976)
+        );
+        assert_eq!(
+            observe(64),
+            (2314, 1160, 38029, 3500, 1367, 32210.000000001277)
+        );
     }
 
     #[test]
