@@ -39,8 +39,10 @@
 //! ([`ocb::UserModel`]): the **per-user** oracle (one `Submit` event and
 //! one MPL wait-queue entry per user — the paper's literal sub-model)
 //! and the **cohort** representation, which carries the whole
-//! population as per-cohort wake heaps (one armed [`Event::CohortWake`]
-//! each), an O(1) [`AdmissionRing`] of submitted-but-unadmitted users,
+//! population as per-cohort wake queues — the initial wakes in one
+//! sorted run, resubmissions in a heap — with one live
+//! [`Event::CohortWake`] each, an O(1) [`AdmissionRing`] of
+//! submitted-but-unadmitted users,
 //! and a *deferred pull*: a waiting user is two machine words, not a
 //! slab slot plus a queued continuation event, so a million waiting
 //! users cost megabytes instead of gigabytes. Both representations draw
@@ -176,7 +178,10 @@ pub enum Event {
     },
     /// A cohort's earliest pending think time elapses (cohort user
     /// model): every wake due now submits in (time, insertion) order,
-    /// then the cohort re-arms at its new minimum.
+    /// then the cohort re-arms at its new minimum. One wake per cohort
+    /// is live; one superseded by an earlier arm is dropped when it
+    /// fires. Initial wakes come from a sorted run, resubmissions from
+    /// a heap.
     CohortWake {
         /// Index into the resolved cohort table.
         cohort: u32,
@@ -304,31 +309,112 @@ enum OpenArrival {
 
 /// Wake state of one user cohort (cohort user model).
 ///
-/// `pending` holds one packed `(time_key(wake_ms) << 64) | seq` entry
-/// per thinking user — the same total order the engine dispatches in,
-/// so draining the heap submits users exactly as the per-user oracle
-/// would dispatch their `Submit` events.
+/// Every thinking user is one packed `(time_key(wake_ms) << 64) | seq`
+/// ord — the same total order the engine dispatches in, so popping in
+/// ord order submits users exactly as the per-user oracle would
+/// dispatch their `Submit` events. The phase's initial wakes, drawn
+/// all at once, sit in one sorted run; resubmissions go to a min-heap;
+/// [`Self::peek`]/[`Self::pop`] merge the two heads.
 #[derive(Default)]
 struct CohortClock {
-    /// Pending wake instants (min-heap via `Reverse`).
+    /// Initial wakes, sorted descending: the earliest is last.
+    initial: Vec<u128>,
+    /// Resubmission wakes (min-heap via `Reverse`).
     pending: BinaryHeap<Reverse<u128>>,
     /// Insertion tiebreak counter, reset per phase.
     seq: u64,
     /// Bumped on phase reload; in-flight wakes with an old epoch are
     /// no-ops.
     epoch: u32,
-    /// The earliest packed ord an engine wake is currently armed for.
-    /// Re-arming earlier leaves the old wake in flight; it drains
-    /// whatever is due when it fires (possibly nothing).
+    /// The earliest packed ord an engine wake is currently armed for —
+    /// always the minimum pending ord. Re-arming earlier leaves the old
+    /// wake in flight; a superseded wake is dropped when it fires.
     armed: Option<u128>,
 }
 
 impl CohortClock {
     /// Phase reload: forget pending wakes and orphan armed ones.
     fn reset(&mut self) {
+        self.initial.clear();
         self.pending.clear();
         self.seq = 0;
         self.epoch = self.epoch.wrapping_add(1);
+        self.armed = None;
+    }
+
+    /// Packs a wake at `at` with the next insertion sequence number.
+    fn next_ord(&mut self, at: SimTime) -> u128 {
+        let ord = (u128::from(time_key(at.as_ms())) << 64) | u128::from(self.seq);
+        self.seq += 1;
+        ord
+    }
+
+    /// Loads the phase's initial wakes, in draw order, as one sorted run.
+    fn load_initial(&mut self, wakes: impl ExactSizeIterator<Item = SimTime>) {
+        self.initial.reserve(wakes.len());
+        for at in wakes {
+            let ord = self.next_ord(at);
+            self.initial.push(ord);
+        }
+        // Ords are unique (distinct seqs), so an unstable sort is exact.
+        self.initial.sort_unstable_by(|a, b| b.cmp(a));
+    }
+
+    /// Queues one resubmission wake at `at`.
+    fn push(&mut self, at: SimTime) {
+        let ord = self.next_ord(at);
+        self.pending.push(Reverse(ord));
+    }
+
+    /// The earliest pending ord.
+    fn peek(&self) -> Option<u128> {
+        let run = self.initial.last().copied();
+        let heap = self.pending.peek().map(|&Reverse(ord)| ord);
+        match (run, heap) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Removes the earliest pending ord.
+    fn pop(&mut self) -> Option<u128> {
+        let min = self.peek()?;
+        if self.initial.last() == Some(&min) {
+            self.initial.pop();
+            // Give back the run's memory as it drains, so the heap that
+            // absorbs the resubmissions never doubles the population.
+            if self.initial.len() < self.initial.capacity() / 4 {
+                self.initial.shrink_to(self.initial.len() * 2);
+            }
+        } else {
+            self.pending.pop();
+        }
+        Some(min)
+    }
+
+    /// Records an arm at the earliest pending ord and returns its
+    /// instant, or `None` when nothing is pending or the armed wake
+    /// already covers the minimum.
+    fn arm(&mut self) -> Option<SimTime> {
+        let min = self.peek()?;
+        if self.armed.is_some_and(|armed| armed <= min) {
+            return None;
+        }
+        self.armed = Some(min);
+        Some(key_time((min >> 64) as u64))
+    }
+
+    /// Whether a wake firing at time key `now_key` is the armed one —
+    /// the first cohort wake dispatched at the armed instant. Any other
+    /// was superseded by an earlier arm.
+    fn is_armed_at(&self, now_key: u64) -> bool {
+        self.armed
+            .is_some_and(|armed| (armed >> 64) as u64 == now_key)
+    }
+
+    /// Clears the arm after a drain, so the next [`Self::arm`] schedules
+    /// the new minimum.
+    fn disarm(&mut self) {
         self.armed = None;
     }
 }
@@ -763,9 +849,9 @@ impl<'a> VoodbModel<'a> {
     /// One think-time draw with mean `mean_ms`. A zero mean draws
     /// nothing from the stream, so zero-think cohorts stay
     /// bit-compatible with the historical `think_time_ms == 0` path.
-    fn draw_think(&mut self, mean_ms: f64) -> f64 {
+    fn draw_think(stream: &mut RandomStream, mean_ms: f64) -> f64 {
         if mean_ms > 0.0 {
-            self.think_stream.expo(mean_ms)
+            stream.expo(mean_ms)
         } else {
             0.0
         }
@@ -818,40 +904,19 @@ impl<'a> VoodbModel<'a> {
         true
     }
 
-    /// Inserts a wake for one user of cohort `c` at absolute `at`,
-    /// re-arming the cohort if this lowers its earliest pending wake.
-    fn queue_cohort_wake<P: Probe, Q: QueueKind>(
-        &mut self,
-        c: usize,
-        at: SimTime,
-        ctx: &mut Context<'_, Event, P, Q>,
-    ) {
-        let clock = &mut self.clocks[c];
-        let ord = (u128::from(time_key(at.as_ms())) << 64) | u128::from(clock.seq);
-        clock.seq += 1;
-        clock.pending.push(Reverse(ord));
-        self.arm_cohort(c, ctx);
-    }
-
     /// Arms one engine [`Event::CohortWake`] at cohort `c`'s earliest
     /// pending instant, unless an armed wake already covers it.
     fn arm_cohort<P: Probe, Q: QueueKind>(&mut self, c: usize, ctx: &mut Context<'_, Event, P, Q>) {
         let clock = &mut self.clocks[c];
-        let Some(&Reverse(min)) = clock.pending.peek() else {
-            return;
-        };
-        if clock.armed.is_some_and(|armed| armed <= min) {
-            return;
+        if let Some(at) = clock.arm() {
+            ctx.schedule_at(
+                at,
+                Event::CohortWake {
+                    cohort: c as u32,
+                    epoch: clock.epoch,
+                },
+            );
         }
-        clock.armed = Some(min);
-        let at = key_time((min >> 64) as u64);
-        ctx.schedule_at(
-            at,
-            Event::CohortWake {
-                cohort: c as u32,
-                epoch: clock.epoch,
-            },
-        );
     }
 
     /// One user of cohort `c` submits now: grab an MPL seat if one is
@@ -928,7 +993,8 @@ impl<'a> VoodbModel<'a> {
     /// Users activity after a commit (or a reorganisation) in a closed
     /// phase: the user thinks, then submits its next transaction. In
     /// cohort mode `user` carries the cohort index and the wake joins
-    /// the cohort's heap instead of costing its own `Submit` event.
+    /// the cohort's resubmission heap instead of costing its own
+    /// `Submit` event.
     fn resubmit_user<P: Probe, Q: QueueKind>(
         &mut self,
         user: usize,
@@ -937,16 +1003,17 @@ impl<'a> VoodbModel<'a> {
         match self.user_model {
             UserModel::PerUser => {
                 let mean = self.cohorts[self.cohort_of_user(user)].think_time_ms;
-                let delay = self.draw_think(mean);
+                let delay = Self::draw_think(&mut self.think_stream, mean);
                 ctx.schedule(delay, Event::Submit { user });
             }
             UserModel::Cohort => {
                 let mean = self.cohorts[user].think_time_ms;
-                let delay = self.draw_think(mean);
+                let delay = Self::draw_think(&mut self.think_stream, mean);
                 // `now + delay`: the identical float op `ctx.schedule`
                 // applies, so wake instants match the oracle bitwise.
                 let at = ctx.now() + delay;
-                self.queue_cohort_wake(user, at, ctx);
+                self.clocks[user].push(at);
+                self.arm_cohort(user, ctx);
             }
         }
     }
@@ -1172,7 +1239,7 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                 UserModel::PerUser => {
                     for user in 0..self.user_total {
                         let mean = self.cohorts[self.cohort_of_user(user)].think_time_ms;
-                        let delay = self.draw_think(mean);
+                        let delay = Self::draw_think(&mut self.think_stream, mean);
                         ctx.schedule(delay, Event::Submit { user });
                     }
                 }
@@ -1180,13 +1247,17 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                     // Cohorts are contiguous user ranges, so drawing
                     // cohort by cohort consumes the think stream in the
                     // exact order the per-user loop above would.
+                    // One arm per cohort, after its whole run is loaded.
+                    let now = ctx.now();
                     for c in 0..self.cohorts.len() {
-                        for _ in 0..self.cohorts[c].size {
-                            let mean = self.cohorts[c].think_time_ms;
-                            let delay = self.draw_think(mean);
-                            let at = ctx.now() + delay;
-                            self.queue_cohort_wake(c, at, ctx);
-                        }
+                        let UserCohort {
+                            size,
+                            think_time_ms: mean,
+                        } = self.cohorts[c];
+                        let stream = &mut self.think_stream;
+                        self.clocks[c]
+                            .load_initial((0..size).map(|_| now + Self::draw_think(stream, mean)));
+                        self.arm_cohort(c, ctx);
                     }
                 }
             }
@@ -1217,21 +1288,24 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
             }
             Event::CohortWake { cohort, epoch } => {
                 let c = cohort as usize;
-                if self.clocks[c].epoch != epoch {
+                let now_key = time_key(ctx.now().as_ms());
+                // A wake from an old phase or a superseded arm is
+                // dropped: the first wake dispatched at the armed
+                // instant drains, and only it re-arms.
+                if self.clocks[c].epoch != epoch || !self.clocks[c].is_armed_at(now_key) {
                     return;
                 }
                 // Batch-drain every wake due now, in (time, insertion)
                 // order — the order the per-user oracle would dispatch
                 // the same users' `Submit` events.
-                let now_key = u128::from(time_key(ctx.now().as_ms()));
-                while let Some(&Reverse(ord)) = self.clocks[c].pending.peek() {
-                    if (ord >> 64) > now_key {
-                        break;
-                    }
-                    self.clocks[c].pending.pop();
+                while self.clocks[c]
+                    .peek()
+                    .is_some_and(|ord| (ord >> 64) as u64 <= now_key)
+                {
+                    self.clocks[c].pop();
                     self.submit_from_cohort(cohort, ctx);
                 }
-                self.clocks[c].armed = None;
+                self.clocks[c].disarm();
                 self.arm_cohort(c, ctx);
             }
             Event::MeasureStart => {
@@ -2140,5 +2214,85 @@ mod tests {
             let result = model.phase_result(outcome.events_dispatched);
             assert_eq!(result.transactions, 30);
         }
+    }
+
+    #[test]
+    fn cohort_clock_merges_run_and_heap_in_ord_order() {
+        let at = SimTime::from_ms;
+        let mut clock = CohortClock::default();
+        clock.load_initial([3.0, 1.0, 2.0, 1.0].into_iter().map(at));
+        clock.push(at(1.5));
+        clock.push(at(1.0));
+        let mut popped = Vec::new();
+        while let Some(ord) = clock.pop() {
+            popped.push((key_time((ord >> 64) as u64).as_ms(), ord as u64));
+        }
+        // (time, insertion seq): ties at 1.0 keep insertion order across
+        // the run (seqs 1, 3) and the heap (seq 5).
+        assert_eq!(
+            popped,
+            [(1.0, 1), (1.0, 3), (1.0, 5), (1.5, 4), (2.0, 2), (3.0, 0)]
+        );
+        assert_eq!(clock.peek(), None);
+    }
+
+    #[test]
+    fn cohort_wakes_never_duplicate() {
+        // A large closed horizon phase: the initial load draws ~H(n)
+        // new minima per cohort, and none of those superseded arms may
+        // survive as a duplicate wake. The per-user oracle dispatches
+        // one `Submit` per wake; cohort mode may exceed it by at most
+        // one wake per commit (a resubmission supersedes at most one
+        // arm) plus one per cohort.
+        let base = base();
+        let cohorts = [
+            UserCohort {
+                size: 15_000,
+                think_time_ms: 400.0,
+            },
+            UserCohort {
+                size: 5_000,
+                think_time_ms: 900.0,
+            },
+        ];
+        let params = VoodbParams {
+            multiprogramming_level: 8,
+            ..small_params()
+        };
+        // Short transactions, so the window sees plenty of commits.
+        let workload = WorkloadParams {
+            p_set: 0.0,
+            p_simple: 0.0,
+            p_hierarchy: 0.0,
+            p_stochastic: 1.0,
+            stochastic_depth: 5,
+            ..WorkloadParams::default()
+        };
+        let run = |user_model| {
+            let generator = WorkloadGenerator::new(&base, workload.clone(), 5);
+            let mut simulation = crate::experiment::Simulation::new(&base, params.clone(), 0.0, 5);
+            simulation.configure_users(user_model, &cohorts);
+            simulation
+                .run_phase_source_on::<_, desp::CalendarKind>(
+                    Box::new(ocb::LazySource::unbounded(generator)),
+                    PhaseMode::Horizon {
+                        duration_ms: 2_000.0,
+                        warmup_ms: 0.0,
+                    },
+                    Arrival::Closed,
+                    desp::NoProbe,
+                )
+                .0
+        };
+        let oracle = run(UserModel::PerUser);
+        let cohort = run(UserModel::Cohort);
+        assert_results_bit_identical(&oracle, &cohort);
+        let bound = oracle.events + cohort.transactions as u64 + cohorts.len() as u64;
+        assert!(
+            cohort.events <= bound,
+            "cohort mode dispatched {} events, oracle {} (bound {bound})",
+            cohort.events,
+            oracle.events
+        );
     }
 }

@@ -235,7 +235,7 @@ impl<E> Scheduler<E> for EventHeap<E> {
 /// Maps an event time to a `u64` whose unsigned order equals
 /// [`f64::total_cmp`] order — the scheduler compares integers, not
 /// floats, on the hot path. Public so other order-packed queues (the
-/// model's cohort wake heap) share the exact same total order.
+/// model's cohort wake queues) share the exact same total order.
 #[inline]
 pub fn time_key(t: f64) -> u64 {
     let b = t.to_bits();

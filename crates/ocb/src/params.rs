@@ -288,7 +288,7 @@ pub enum UserModel {
     #[default]
     PerUser,
     /// Users sharing think-time parameters collapse into cohorts: a
-    /// per-cohort wake heap plus a flat admission ring. Event-queue
+    /// per-cohort wake queue plus a flat admission ring. Event-queue
     /// population is O(in-flight + cohorts), scaling NUSERS to 1M.
     Cohort,
 }

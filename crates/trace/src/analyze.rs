@@ -210,6 +210,12 @@ pub const DIRECTION_RULES: &[DirectionRule] = &[
         MetricPattern::Contains("_tx_per_sec"),
         Direction::LowerWorse,
     ),
+    // Simulated population per host second: the event-count-free rate
+    // of the million-user phase.
+    rule(
+        MetricPattern::Contains("_users_per_sec"),
+        Direction::LowerWorse,
+    ),
     rule(
         MetricPattern::Suffix("_overhead_pct"),
         Direction::HigherWorse,
@@ -486,6 +492,10 @@ mod tests {
             direction_of("stream_slab_peak_slots"),
             Direction::HigherWorse
         );
+        assert_eq!(
+            direction_of("users_1m_users_per_sec"),
+            Direction::LowerWorse
+        );
         assert_eq!(direction_of("users_1m_peak_rss_mb"), Direction::HigherWorse);
         assert_eq!(direction_of("traced_spans_per_run"), Direction::Neutral);
     }
@@ -507,7 +517,7 @@ mod tests {
             ("workload_gen_tx_per_sec", Direction::LowerWorse),
             ("stream_phase_tx_per_sec", Direction::LowerWorse),
             ("stream_slab_peak_slots", Direction::HigherWorse),
-            ("users_1m_events_per_sec", Direction::LowerWorse),
+            ("users_1m_users_per_sec", Direction::LowerWorse),
             ("users_1m_peak_rss_mb", Direction::HigherWorse),
         ];
         for (metric, direction) in expected {
