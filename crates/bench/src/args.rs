@@ -1,8 +1,8 @@
-//! Minimal `--key value` argument parsing for the harness binaries.
+//! Minimal `--key value` argument parsing for the bench binaries.
 //!
 //! No external CLI crate is sanctioned for this reproduction, and the
-//! binaries only need a handful of numeric overrides (`--reps`,
-//! `--classes`, `--objects`, `--seed`), so a tiny parser suffices.
+//! binaries only need a handful of overrides such as `--reps`, `--seed`,
+//! `--out` and `--smoke`, so a tiny parser suffices.
 //!
 //! Supported forms:
 //!

@@ -2,118 +2,50 @@
 //!
 //! §5: "Future work concerning this study is first performing intensive
 //! simulation experiments with DSTC … it would be interesting to know the
-//! right value for DSTC's parameters in various conditions." This sweep
-//! runs the Table 6 protocol through the simulator across the tunable
-//! axes (elementary threshold `Tfa`, extraction threshold `Tfe`, ageing
-//! `w`, maximum unit size) and reports gain, overhead and cluster shape
-//! for each setting.
+//! right value for DSTC's parameters in various conditions." This study
+//! runs the Table 6 protocol through the simulator on the base
+//! configuration of `crates/bench/scenarios/dstc_sweep.toml`, then once
+//! per `[[sweep]]` axis of that file (elementary threshold `Tfa`,
+//! extraction threshold `Tfe`, ageing `w`, maximum unit size, observation
+//! period) with the other axes at their base values, reporting overhead,
+//! post-clustering usage, cluster shape and gain for each setting.
 //!
 //! ```text
-//! cargo run --release -p voodb-bench --bin dstc_sweep -- \
-//!     [--reps 5] [--seed 42] [--objects 5000]
+//! cargo run --release -p voodb-bench --bin dstc_sweep -- [--reps 5] [--seed 42]
 //! ```
 
-use clustering::DstcParams;
-use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
-use voodb_bench::{dstc_mean, dstc_sim_once, Args, COMMON_KEYS};
-
-fn base_params() -> DstcParams {
-    DstcParams {
-        observation_period: 10_000,
-        tfa: 1.0,
-        tfc: 0.5,
-        tfe: 1.0,
-        w: 0.8,
-        max_unit_size: 64,
-        trigger_threshold: usize::MAX,
-    }
-}
+use desp::MetricSet;
+use scenario::{run_sweep_jobs, Scenario};
+use voodb_bench::{
+    dstc_sim_job, print_report, push_ratio, run_options, scenarios, Args, COMMON_KEYS,
+};
 
 fn main() {
     let args = Args::from_env();
     if args.help_requested() {
-        let mut keys = COMMON_KEYS.to_vec();
-        keys.extend([("objects", "instances in the object base (default 5000)")]);
-        return Args::print_help("dstc_sweep", &keys);
+        return Args::print_help("dstc_sweep", &COMMON_KEYS);
     }
-    let reps = args.get("reps", 5usize);
-    let seed = args.get("seed", 42u64);
-    let objects = args.get("objects", 5_000usize);
-    let db = DatabaseParams {
-        objects,
-        ..DatabaseParams::default()
-    };
-    let base = ObjectBase::generate(&db, seed);
-    // Fewer transactions than the Table 6 protocol: link counts stay low
-    // enough that the filtering thresholds actually discriminate.
-    let workload = WorkloadParams {
-        hot_transactions: 250,
-        ..WorkloadParams::dstc_favorable()
-    };
-
-    println!("# DSTC parameter study (simulated, {objects} objects, favorable workload)");
-    println!(
-        "{:<26} {:>8} {:>10} {:>10} {:>9} {:>10}",
-        "setting", "gain", "overhead", "post I/Os", "clusters", "obj/clust"
-    );
-
-    let row = |label: String, dstc: DstcParams| {
-        let side = dstc_mean(reps, seed + 1, |s| {
-            dstc_sim_once(&base, &workload, 64, dstc.clone(), s)
-        });
-        println!(
-            "{:<26} {:>8.2} {:>10.1} {:>10.1} {:>9.1} {:>10.2}",
-            label,
-            side.gain(),
-            side.overhead,
-            side.post,
-            side.clusters,
-            side.objects_per_cluster
-        );
-    };
-
-    row("baseline".into(), base_params());
-    for tfa in [2.0, 4.0] {
-        row(
-            format!("tfa={tfa}"),
-            DstcParams {
-                tfa,
-                ..base_params()
-            },
-        );
-    }
-    for tfe in [2.0, 5.0] {
-        row(
-            format!("tfe={tfe}"),
-            DstcParams {
-                tfe,
-                ..base_params()
-            },
-        );
-    }
-    for w in [0.2, 0.5, 1.0] {
-        row(format!("w={w}"), DstcParams { w, ..base_params() });
-    }
-    for unit in [8, 16, 128] {
-        row(
-            format!("max_unit={unit}"),
-            DstcParams {
-                max_unit_size: unit,
-                ..base_params()
-            },
-        );
-    }
-    for period in [2_000, 50_000] {
-        row(
-            format!("obs_period={period}"),
-            DstcParams {
-                observation_period: period,
-                ..base_params()
-            },
-        );
+    let options = run_options(&args);
+    let study = Scenario::parse(scenarios::DSTC_SWEEP).expect("embedded scenario parses");
+    let one_at_a_time =
+        std::iter::once(Vec::new()).chain(study.sweep.iter().map(|a| vec![a.clone()]));
+    for sweep in one_at_a_time {
+        let scenario = Scenario {
+            sweep,
+            ..study.clone()
+        };
+        let (mut result, _) = run_sweep_jobs(
+            &scenario,
+            &options,
+            |_, base, point, seed| dstc_sim_job(base, point, seed),
+            MetricSet::clone,
+        )
+        .expect("embedded scenario validates");
+        push_ratio(&mut result, "gain", "pre_ios", "post_ios");
+        print_report(&result, None);
     }
     println!(
-        "\nreading: higher thresholds cluster less (lower overhead, lower gain); \
+        "reading: higher thresholds cluster less (lower overhead, lower gain); \
          ageing w trades adaptivity against stability; unit size trades \
          intra-cluster locality against packing."
     );

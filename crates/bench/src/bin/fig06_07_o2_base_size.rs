@@ -2,67 +2,24 @@
 //! instances (O2, 20 and 50 classes).
 //!
 //! Sweep: NO ∈ {500, 1000, 2000, 5000, 10000, 20000}, Table 5 workload,
-//! O2 parameterised per Table 4 (page server, 16 MB cache, LRU).
+//! O2 parameterised per Table 4 (page server, 16 MB cache, LRU), on the
+//! page-server engine and in the model
+//! (`crates/bench/scenarios/fig06_o2_base_size_20c.toml`,
+//! `scenarios/o2_base_size.toml`).
 //!
 //! ```text
-//! cargo run --release -p voodb-bench --bin fig06_07_o2_base_size -- \
-//!     [--classes 20|50] [--reps 10] [--seed 42]
+//! cargo run --release -p voodb-bench --bin fig06_07_o2_base_size -- [--reps 10] [--seed 42]
 //! ```
-//! Without `--classes`, both figures (20 then 50 classes) are produced.
 
-use ocb::{DatabaseParams, WorkloadParams};
-use voodb_bench::{
-    check_same_tendency, measure_point, o2_bench_ios, o2_sim_ios, print_sweep, Args, COMMON_KEYS,
-    INSTANCE_SWEEP,
-};
-
-fn run_figure(classes: usize, reps: usize, seed: u64) {
-    let workload = WorkloadParams::default();
-    let points: Vec<_> = INSTANCE_SWEEP
-        .iter()
-        .map(|&objects| {
-            let db = DatabaseParams {
-                classes,
-                objects,
-                ..DatabaseParams::default()
-            };
-            measure_point(
-                objects as f64,
-                &db,
-                reps,
-                seed,
-                |base, s| o2_bench_ios(base, &workload, 16, s),
-                |base, s| o2_sim_ios(base, &workload, 16, s),
-            )
-        })
-        .collect();
-    let figure = if classes == 20 { 6 } else { 7 };
-    print_sweep(
-        &format!("Figure {figure}: mean I/Os vs instances (O2, {classes} classes)"),
-        "instances",
-        &points,
-    );
-    if let Err(e) = check_same_tendency(&points, 0.10) {
-        eprintln!("WARNING: tendency check failed: {e}");
-    }
-}
+use voodb_bench::{figure, print_report, run_options, scenarios, Args, COMMON_KEYS};
 
 fn main() {
     let args = Args::from_env();
     if args.help_requested() {
-        let mut keys = COMMON_KEYS.to_vec();
-        keys.extend([(
-            "classes",
-            "run only this class count (20 or 50; default: both figures)",
-        )]);
-        return Args::print_help("fig06_07_o2_base_size", &keys);
+        return Args::print_help("fig06_07_o2_base_size", &COMMON_KEYS);
     }
-    let reps = args.get("reps", 10usize);
-    let seed = args.get("seed", 42u64);
-    if args.has("classes") {
-        run_figure(args.get("classes", 20usize), reps, seed);
-    } else {
-        run_figure(20, reps, seed);
-        run_figure(50, reps, seed);
+    let options = run_options(&args);
+    for text in [scenarios::FIG06, scenarios::FIG07] {
+        print_report(&figure(text, &options), None);
     }
 }

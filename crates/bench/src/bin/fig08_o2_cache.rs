@@ -2,55 +2,21 @@
 //! (O2).
 //!
 //! Sweep: cache ∈ {8, 12, 16, 24, 32, 64} MB on a fixed mid-sized base
-//! (NC = 50, NO = 20 000, ~20 MB), Table 5 workload. The paper's shape:
-//! performance degrades once the database outgrows the cache, roughly
-//! linearly in the shortfall.
+//! (NC = 50, NO = 20 000, ~20 MB), Table 5 workload, on the page-server
+//! engine and in the model (`scenarios/o2_cache.toml`). The paper's
+//! shape: performance degrades once the database outgrows the cache,
+//! roughly linearly in the shortfall.
 //!
 //! ```text
-//! cargo run --release -p voodb-bench --bin fig08_o2_cache -- \
-//!     [--reps 10] [--seed 42] [--objects 20000]
+//! cargo run --release -p voodb-bench --bin fig08_o2_cache -- [--reps 10] [--seed 42]
 //! ```
 
-use ocb::{DatabaseParams, WorkloadParams};
-use voodb_bench::{
-    check_same_tendency, measure_point, o2_bench_ios, o2_sim_ios, print_sweep, Args, COMMON_KEYS,
-    MEMORY_SWEEP_MB,
-};
+use voodb_bench::{figure, print_report, run_options, scenarios, Args, COMMON_KEYS};
 
 fn main() {
     let args = Args::from_env();
     if args.help_requested() {
-        let mut keys = COMMON_KEYS.to_vec();
-        keys.extend([("objects", "instances in the object base (default 20000)")]);
-        return Args::print_help("fig08_o2_cache", &keys);
+        return Args::print_help("fig08_o2_cache", &COMMON_KEYS);
     }
-    let reps = args.get("reps", 10usize);
-    let seed = args.get("seed", 42u64);
-    let db = DatabaseParams {
-        classes: 50,
-        objects: args.get("objects", 20_000usize),
-        ..DatabaseParams::default()
-    };
-    let workload = WorkloadParams::default();
-    let points: Vec<_> = MEMORY_SWEEP_MB
-        .iter()
-        .map(|&cache_mb| {
-            measure_point(
-                cache_mb as f64,
-                &db,
-                reps,
-                seed,
-                |base, s| o2_bench_ios(base, &workload, cache_mb, s),
-                |base, s| o2_sim_ios(base, &workload, cache_mb, s),
-            )
-        })
-        .collect();
-    print_sweep(
-        "Figure 8: mean I/Os vs server cache size (O2, 50 classes, 20000 instances)",
-        "cache(MB)",
-        &points,
-    );
-    if let Err(e) = check_same_tendency(&points, 0.10) {
-        eprintln!("WARNING: tendency check failed: {e}");
-    }
+    print_report(&figure(scenarios::FIG08, &run_options(&args)), None);
 }

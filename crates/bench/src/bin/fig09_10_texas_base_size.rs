@@ -3,66 +3,23 @@
 //!
 //! Sweep: NO ∈ {500, 1000, 2000, 5000, 10000, 20000}, Table 5 workload,
 //! Texas parameterised per Table 4 (centralized, 64 MB host, LRU-replaced
-//! VM frames, page reservation on swizzle).
+//! VM frames, page reservation on swizzle), on the Texas engine and in
+//! the model (`crates/bench/scenarios/fig09_texas_base_size_20c.toml`,
+//! `scenarios/texas_base_size.toml`).
 //!
 //! ```text
-//! cargo run --release -p voodb-bench --bin fig09_10_texas_base_size -- \
-//!     [--classes 20|50] [--reps 10] [--seed 42]
+//! cargo run --release -p voodb-bench --bin fig09_10_texas_base_size -- [--reps 10] [--seed 42]
 //! ```
 
-use ocb::{DatabaseParams, WorkloadParams};
-use voodb_bench::{
-    check_same_tendency, measure_point, print_sweep, texas_bench_ios, texas_sim_ios, Args,
-    COMMON_KEYS, INSTANCE_SWEEP,
-};
-
-fn run_figure(classes: usize, reps: usize, seed: u64) {
-    let workload = WorkloadParams::default();
-    let points: Vec<_> = INSTANCE_SWEEP
-        .iter()
-        .map(|&objects| {
-            let db = DatabaseParams {
-                classes,
-                objects,
-                ..DatabaseParams::default()
-            };
-            measure_point(
-                objects as f64,
-                &db,
-                reps,
-                seed,
-                |base, s| texas_bench_ios(base, &workload, 64, s),
-                |base, s| texas_sim_ios(base, &workload, 64, s),
-            )
-        })
-        .collect();
-    let figure = if classes == 20 { 9 } else { 10 };
-    print_sweep(
-        &format!("Figure {figure}: mean I/Os vs instances (Texas, {classes} classes)"),
-        "instances",
-        &points,
-    );
-    if let Err(e) = check_same_tendency(&points, 0.10) {
-        eprintln!("WARNING: tendency check failed: {e}");
-    }
-}
+use voodb_bench::{figure, print_report, run_options, scenarios, Args, COMMON_KEYS};
 
 fn main() {
     let args = Args::from_env();
     if args.help_requested() {
-        let mut keys = COMMON_KEYS.to_vec();
-        keys.extend([(
-            "classes",
-            "run only this class count (20 or 50; default: both figures)",
-        )]);
-        return Args::print_help("fig09_10_texas_base_size", &keys);
+        return Args::print_help("fig09_10_texas_base_size", &COMMON_KEYS);
     }
-    let reps = args.get("reps", 10usize);
-    let seed = args.get("seed", 42u64);
-    if args.has("classes") {
-        run_figure(args.get("classes", 20usize), reps, seed);
-    } else {
-        run_figure(20, reps, seed);
-        run_figure(50, reps, seed);
+    let options = run_options(&args);
+    for text in [scenarios::FIG09, scenarios::FIG10] {
+        print_report(&figure(text, &options), None);
     }
 }

@@ -2,62 +2,32 @@
 //! (Texas).
 //!
 //! Sweep: memory ∈ {8, 12, 16, 24, 32, 64} MB on the mid-sized base
-//! (NC = 50, NO = 20 000), Table 5 workload. The paper's shape: once the
-//! memory falls below the database size, Texas's page-reservation loading
-//! policy balloons the working set and I/Os grow super-linearly ("clearly
-//! exponential … a costly swap", §4.3.2).
+//! (NC = 50, NO = 20 000), Table 5 workload, on the Texas engine and in
+//! the model (`scenarios/texas_memory.toml`). The paper's shape: once the
+//! memory falls below the database size, Texas's page-reservation
+//! loading policy balloons the working set and I/Os grow super-linearly
+//! ("clearly exponential … a costly swap", §4.3.2).
 //!
 //! ```text
-//! cargo run --release -p voodb-bench --bin fig11_texas_memory -- \
-//!     [--reps 10] [--seed 42] [--objects 20000]
+//! cargo run --release -p voodb-bench --bin fig11_texas_memory -- [--reps 10] [--seed 42]
 //! ```
 
-use ocb::{DatabaseParams, WorkloadParams};
-use voodb_bench::{
-    check_same_tendency, measure_point, print_sweep, texas_bench_ios, texas_sim_ios, Args,
-    COMMON_KEYS, MEMORY_SWEEP_MB,
-};
+use voodb_bench::{figure, mean_of, print_report, run_options, scenarios, Args, COMMON_KEYS};
 
 fn main() {
     let args = Args::from_env();
     if args.help_requested() {
-        let mut keys = COMMON_KEYS.to_vec();
-        keys.extend([("objects", "instances in the object base (default 20000)")]);
-        return Args::print_help("fig11_texas_memory", &keys);
+        return Args::print_help("fig11_texas_memory", &COMMON_KEYS);
     }
-    let reps = args.get("reps", 10usize);
-    let seed = args.get("seed", 42u64);
-    let db = DatabaseParams {
-        classes: 50,
-        objects: args.get("objects", 20_000usize),
-        ..DatabaseParams::default()
-    };
-    let workload = WorkloadParams::default();
-    let points: Vec<_> = MEMORY_SWEEP_MB
-        .iter()
-        .map(|&memory_mb| {
-            measure_point(
-                memory_mb as f64,
-                &db,
-                reps,
-                seed,
-                |base, s| texas_bench_ios(base, &workload, memory_mb, s),
-                |base, s| texas_sim_ios(base, &workload, memory_mb, s),
-            )
-        })
-        .collect();
-    print_sweep(
-        "Figure 11: mean I/Os vs available memory (Texas, 50 classes, 20000 instances)",
-        "memory(MB)",
-        &points,
-    );
-    if let Err(e) = check_same_tendency(&points, 0.10) {
-        eprintln!("WARNING: tendency check failed: {e}");
-    }
+    let result = figure(scenarios::FIG11, &run_options(&args));
+    print_report(&result, None);
     // The exponential blow-up: the 8 MB point must dwarf the 64 MB point.
-    if let (Some(first), Some(last)) = (points.first(), points.last()) {
-        let bench_blowup = first.bench.mean / last.bench.mean.max(1.0);
-        let sim_blowup = first.sim.mean / last.sim.mean.max(1.0);
-        println!("blow-up factor 8MB/64MB: bench {bench_blowup:.1}x, sim {sim_blowup:.1}x");
+    if let (Some(first), Some(last)) = (result.points.first(), result.points.last()) {
+        let blowup = |name| mean_of(first, name) / mean_of(last, name).max(1.0);
+        println!(
+            "blow-up factor 8MB/64MB: bench {:.1}x, sim {:.1}x",
+            blowup("bench_ios"),
+            blowup("sim_ios")
+        );
     }
 }

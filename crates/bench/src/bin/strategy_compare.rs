@@ -3,149 +3,35 @@
 //! §5: "The ultimate goal is to compare different clustering strategies,
 //! to determine which one performs best in a given set of conditions."
 //! This binary does exactly that through the simulator: the same object
-//! base and transaction stream run under every built-in strategy (None,
-//! DSTC, the static reference-graph baseline), across two memory regimes,
-//! reporting usage I/Os, reorganisation overhead, and gain.
+//! base and transaction stream run the §4.4 protocol under every
+//! built-in strategy (None, DSTC, the static reference-graph baseline),
+//! across two memory regimes, reporting usage I/Os, reorganisation
+//! overhead, and gain (`crates/bench/scenarios/strategy_compare.toml`).
 //!
 //! ```text
-//! cargo run --release -p voodb-bench --bin strategy_compare -- \
-//!     [--reps 5] [--seed 42] [--objects 5000]
+//! cargo run --release -p voodb-bench --bin strategy_compare -- [--reps 5] [--seed 42]
 //! ```
 
-use clustering::{ClusteringKind, DstcParams};
-use desp::Welford;
-use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
-use voodb::{Simulation, VoodbParams};
-use voodb_bench::{generate_workload, replicate_map, Args, COMMON_KEYS};
-
-/// One strategy's outcome in one memory regime.
-#[derive(Clone, Copy, Debug, Default)]
-struct Row {
-    pre: f64,
-    overhead: f64,
-    post: f64,
-}
-
-impl Row {
-    fn gain(&self) -> f64 {
-        if self.post == 0.0 {
-            f64::INFINITY
-        } else {
-            self.pre / self.post
-        }
-    }
-}
-
-fn run_strategy(
-    base: &ObjectBase,
-    workload: &WorkloadParams,
-    kind: &ClusteringKind,
-    buffer_pages: usize,
-    reps: usize,
-    seed: u64,
-) -> Row {
-    let rows: Vec<Row> = replicate_map(reps, seed, |s| {
-        let (transactions, cold) = generate_workload(base, workload, s);
-        let mut system = VoodbParams::texas(64);
-        system.buffer_pages = buffer_pages;
-        system.clustering = kind.clone();
-        let mut simulation = Simulation::new(base, system, workload.think_time_ms, s);
-        let pre = simulation.run_phase(transactions.clone(), cold);
-        let reorg = simulation.external_reorganize();
-        simulation.flush_buffers();
-        let post = simulation.run_phase(transactions, cold);
-        Row {
-            pre: pre.total_ios() as f64,
-            overhead: reorg.io.total() as f64,
-            post: post.total_ios() as f64,
-        }
-    });
-    let mut acc = [Welford::new(), Welford::new(), Welford::new()];
-    for row in &rows {
-        acc[0].add(row.pre);
-        acc[1].add(row.overhead);
-        acc[2].add(row.post);
-    }
-    Row {
-        pre: acc[0].mean(),
-        overhead: acc[1].mean(),
-        post: acc[2].mean(),
-    }
-}
+use desp::MetricSet;
+use voodb_bench::{
+    dstc_sim_job, print_report, push_ratio, run, run_options, scenarios, Args, COMMON_KEYS,
+};
 
 fn main() {
     let args = Args::from_env();
     if args.help_requested() {
-        let mut keys = COMMON_KEYS.to_vec();
-        keys.extend([
-            ("objects", "instances in the object base (default 5000)"),
-            ("tight", "tight-memory buffer frames (default 96)"),
-        ]);
-        return Args::print_help("strategy_compare", &keys);
+        return Args::print_help("strategy_compare", &COMMON_KEYS);
     }
-    let reps = args.get("reps", 5usize);
-    let seed = args.get("seed", 42u64);
-    let objects = args.get("objects", 5_000usize);
-    let db = DatabaseParams {
-        objects,
-        ..DatabaseParams::default()
-    };
-    let base = ObjectBase::generate(&db, seed);
-    let workload = WorkloadParams::dstc_favorable();
-
-    let strategies: [(&str, ClusteringKind); 3] = [
-        ("None", ClusteringKind::None),
-        (
-            "DSTC",
-            ClusteringKind::Dstc(DstcParams {
-                observation_period: 10_000,
-                tfa: 1.0,
-                tfc: 0.5,
-                tfe: 1.0,
-                w: 0.8,
-                max_unit_size: 64,
-                trigger_threshold: usize::MAX,
-            }),
-        ),
-        (
-            "StaticGraph",
-            ClusteringKind::StaticGraph {
-                max_cluster_size: 64,
-            },
-        ),
-    ];
-
-    println!("# Clustering strategies compared (simulated, {objects} objects, favorable workload)");
-    // Tight = roughly half the pre-clustering working set, so the base
-    // no longer fits and page replacement dominates (the Table 8 regime).
-    let ample_frames = 64 * 230;
-    let tight_frames = args.get("tight", 96usize);
-    for (regime, buffer_pages) in [
-        ("ample memory (64 MB of frames)", ample_frames),
-        (
-            "tight memory (working set exceeds the buffer)",
-            tight_frames,
-        ),
-    ] {
-        println!("\n## {regime} — {buffer_pages} frames");
-        println!(
-            "{:<14} {:>10} {:>10} {:>10} {:>8}",
-            "strategy", "pre I/Os", "overhead", "post I/Os", "gain"
-        );
-        for (name, kind) in &strategies {
-            let row = run_strategy(&base, &workload, kind, buffer_pages, reps, seed + 1);
-            println!(
-                "{:<14} {:>10.1} {:>10.1} {:>10.1} {:>8.2}",
-                name,
-                row.pre,
-                row.overhead,
-                row.post,
-                row.gain()
-            );
-        }
-    }
+    let (mut result, _) = run(
+        scenarios::STRATEGY_COMPARE,
+        &run_options(&args),
+        dstc_sim_job,
+        MetricSet::clone,
+    );
+    push_ratio(&mut result, "gain", "pre_ios", "post_ios");
+    print_report(&result, None);
     println!(
-        "\nreading: DSTC clusters what the workload actually touches; the \
+        "reading: DSTC clusters what the workload actually touches; the \
          static baseline clusters the whole reference graph blindly (huge \
          overhead, diluted benefit); under tight memory the differences \
          amplify — the comparison the paper set out to enable."

@@ -5,60 +5,28 @@
 //! shrinking the memory until the working set no longer fit (64 MB →
 //! 8 MB for their ~1890-page working set, §4.4). Our favorable workload
 //! touches ~1170 pages, so the equivalent pressure point with our
-//! frames-per-MB calibration is 3 MB (the default here; override with
-//! `--memory`). Same protocol as Table 6; clustering overhead is not
-//! repeated (the paper reused the clustered base). Expected shape: the
-//! gain grows by several-fold because page replacements make good
-//! clustering far more valuable.
+//! frames-per-MB calibration is 3 MB
+//! (`crates/bench/scenarios/tab08_dstc_large.toml`). Same protocol as
+//! Table 6. Expected shape: the gain grows by several-fold because page
+//! replacements make good clustering far more valuable.
 //!
 //! ```text
-//! cargo run --release -p voodb-bench --bin tab08_dstc_large -- \
-//!     [--reps 10] [--seed 42] [--memory 3]
+//! cargo run --release -p voodb-bench --bin tab08_dstc_large -- [--reps 10] [--seed 42]
 //! ```
 
-use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
-use voodb_bench::{dstc_bench_once, dstc_mean, dstc_sim_once, print_dstc_table, Args, COMMON_KEYS};
+use voodb_bench::{dstc_table, mean_of, print_report, run_options, scenarios, Args, COMMON_KEYS};
 
 fn main() {
     let args = Args::from_env();
     if args.help_requested() {
-        let mut keys = COMMON_KEYS.to_vec();
-        keys.extend([("memory", "Texas host memory in MB (default 3)")]);
-        return Args::print_help("tab08_dstc_large", &keys);
+        return Args::print_help("tab08_dstc_large", &COMMON_KEYS);
     }
-    let reps = args.get("reps", 10usize);
-    let seed = args.get("seed", 42u64);
-    let memory_mb = args.get("memory", 3usize);
-    let db = DatabaseParams::mid_sized();
-    let base = ObjectBase::generate(&db, seed);
-    let workload = WorkloadParams::dstc_favorable();
-    // Same tuning as the Table 6 study.
-    let dstc = clustering::DstcParams {
-        observation_period: 10_000,
-        tfa: 1.0,
-        tfc: 0.5,
-        tfe: 1.0,
-        w: 0.8,
-        max_unit_size: 64,
-        trigger_threshold: usize::MAX,
-    };
-
-    let bench = dstc_mean(reps, seed + 1, |s| {
-        dstc_bench_once(&base, &workload, memory_mb, dstc.clone(), s)
-    });
-    let sim = dstc_mean(reps, seed + 1, |s| {
-        dstc_sim_once(&base, &workload, memory_mb, dstc.clone(), s)
-    });
-
-    print_dstc_table(
-        &format!("Table 8: effects of DSTC (mean I/Os) — \"large\" base ({memory_mb} MB memory)"),
-        &bench,
-        &sim,
-        false,
-    );
+    let result = dstc_table(scenarios::TAB08, &run_options(&args));
+    print_report(&result, None);
+    let point = &result.points[0];
     println!(
         "gain under memory pressure: bench {:.1}x, sim {:.1}x (paper: 29.5x / 28.4x)",
-        bench.gain(),
-        sim.gain()
+        mean_of(point, "bench_gain"),
+        mean_of(point, "sim_gain")
     );
 }

@@ -1,4 +1,4 @@
-//! Benchmark-vs-simulation experiment plumbing.
+//! Benchmark-vs-simulation jobs for the scenario runner.
 //!
 //! Every validation artifact of the paper compares two columns measured
 //! under the *same* OCB workload:
@@ -7,98 +7,33 @@
 //!   Texas-like store, counting actual virtual-disk I/Os;
 //! * **Sim** — the VOODB model (`voodb`) parameterised per Table 4.
 //!
-//! Methodology notes, mirroring §4 of the paper:
+//! Each artifact is a scenario (its system, base, workload and sweep)
+//! run by [`scenario::run_sweep_jobs`] with one of the jobs below, so the
+//! bench binaries share the runner's threads, seeding and confidence
+//! intervals with `voodb run`. The methodology notes of §4 hold by
+//! construction:
 //!
-//! * the **object base is generated once per experiment point** (the real
-//!   O2/Texas databases were built once); replications vary only the
-//!   transaction stream, so confidence intervals measure workload noise,
-//!   not schema-generation noise;
+//! * the object base is generated once per configuration from the
+//!   scenario seed, and replications vary only the transaction stream;
 //! * one replication runs both sides on the **identical transaction
 //!   stream** ("the objective here was to use the same workload model in
-//!   both sets of experiments", §4.1);
-//! * intervals are 95% Student-t over replications (§4.2.2), computed by
-//!   `desp`'s output-analysis machinery;
-//! * replications are distributed over scoped std threads.
+//!   both sets of experiments", §4.1), generated once;
+//! * the engine twin is built from the point's own simulated system
+//!   (system class, buffer frames, clustering), so the simulation column
+//!   of a figure is exactly what `voodb run` prints for its scenario.
 
-use desp::{ConfidenceInterval, Welford};
-use ocb::{DatabaseParams, ObjectBase, Transaction, WorkloadGenerator, WorkloadParams};
+use desp::MetricSet;
+use ocb::{ObjectBase, Transaction, WorkloadGenerator, WorkloadParams};
 use oostore::{
     run_workload, PageServerConfig, PageServerEngine, StorageEngine, TexasConfig, TexasEngine,
 };
-use voodb::{Simulation, VoodbParams};
+use scenario::runner::{run_replication_probed, WORKLOAD_SEED_SALT};
+use scenario::{MetricEstimate, PointSummary, SweepPoint, SweepResult};
+use voodb::{run_dstc_study, ExperimentConfig, PhaseResult, Simulation, SystemClass, VoodbParams};
+use vtrace::{Histogram, RecorderConfig};
 
-/// Salt decorrelating workload seeds from database seeds.
-pub const WORKLOAD_SEED_SALT: u64 = 0x0C0B_57A7_15EC_5EED;
-
-/// Confidence level used throughout (the paper's c = 0.95).
-pub const CONFIDENCE: f64 = 0.95;
-
-/// One measured quantity with its confidence interval.
-#[derive(Clone, Copy, Debug)]
-pub struct Estimate {
-    /// Sample mean.
-    pub mean: f64,
-    /// 95% half-width.
-    pub half_width: f64,
-    /// Replications.
-    pub n: usize,
-}
-
-impl Estimate {
-    /// Builds from raw replication samples.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        let ci = ConfidenceInterval::from_samples(samples, CONFIDENCE);
-        Estimate {
-            mean: ci.mean,
-            half_width: ci.half_width,
-            n: ci.n,
-        }
-    }
-}
-
-/// Runs `reps` replications of `f(seed)` across threads, returning the
-/// samples in seed order (deterministic output regardless of scheduling).
-pub fn replicate<F>(reps: usize, base_seed: u64, f: F) -> Vec<f64>
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    replicate_map(reps, base_seed, f)
-}
-
-/// Generic parallel replication helper returning arbitrary per-replication
-/// values in seed order.
-pub fn replicate_map<T, F>(reps: usize, base_seed: u64, f: F) -> Vec<T>
-where
-    T: Send + Default,
-    F: Fn(u64) -> T + Sync,
-{
-    assert!(reps > 0);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(reps);
-    let slots: Vec<std::sync::Mutex<T>> = (0..reps)
-        .map(|_| std::sync::Mutex::new(T::default()))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= reps {
-                    break;
-                }
-                *slots[i].lock().expect("replication slot poisoned") = f(base_seed + i as u64);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("replication slot poisoned"))
-        .collect()
-}
-
-/// Generates the workload run for one replication seed over a shared base.
+/// Generates the workload run for one replication seed over a shared
+/// base: the whole cold + hot stream, and the cold count.
 pub fn generate_workload(
     base: &ObjectBase,
     wl: &WorkloadParams,
@@ -112,205 +47,130 @@ pub fn generate_workload(
     (transactions, cold_count)
 }
 
-/// The validated system a measurement instantiates (Table 4 columns).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Preset {
-    /// The O2-like page server; the knob is the server cache in MB.
-    O2,
-    /// The Texas-like centralized store (swizzling on load); the knob is
-    /// host memory in MB.
-    Texas,
-}
-
-impl Preset {
-    /// The real mini-engine of this preset, sized by `mb` (the
-    /// Benchmark column's system).
-    pub fn engine(self, base: &ObjectBase, mb: usize) -> Box<dyn StorageEngine + '_> {
-        match self {
-            Preset::O2 => Box::new(PageServerEngine::new(
-                base,
-                PageServerConfig::with_cache_mb(mb),
-            )),
-            Preset::Texas => Box::new(TexasEngine::new(base, TexasConfig::with_memory_mb(mb))),
-        }
-    }
-
-    /// The VOODB parameterisation of this preset, sized by `mb` (the
-    /// Simulation column's system).
-    pub fn params(self, mb: usize) -> VoodbParams {
-        match self {
-            Preset::O2 => VoodbParams::o2(mb),
-            Preset::Texas => VoodbParams::texas(mb),
-        }
+/// The Texas engine configuration twinning `system`: its buffer frames
+/// become the host's VM frames, its clustering the engine's.
+fn texas_config(system: &VoodbParams) -> TexasConfig {
+    TexasConfig {
+        memory_pages: system.buffer_pages,
+        clustering: system.clustering.clone(),
+        ..TexasConfig::paper_default()
     }
 }
 
-/// Which column of the paper's comparison a run measures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Side {
-    /// The real mini-engine (`oostore`), counting virtual-disk I/Os.
-    Bench,
-    /// The VOODB model (`voodb`), counting simulated I/Os.
-    Sim,
-}
-
-/// One replication of either column of either preset: generate the
-/// stream, run the cold transactions, measure the warm run, return its
-/// total I/Os. The single runner behind the four `*_ios` helpers.
-pub fn preset_ios(
-    preset: Preset,
-    side: Side,
-    base: &ObjectBase,
-    wl: &WorkloadParams,
-    mb: usize,
-    seed: u64,
-) -> f64 {
-    let (transactions, cold_count) = generate_workload(base, wl, seed);
-    match side {
-        Side::Bench => {
-            let mut engine = preset.engine(base, mb);
-            run_workload(engine.as_mut(), &transactions[..cold_count]);
-            engine.reset_counters();
-            let report = run_workload(engine.as_mut(), &transactions[cold_count..]);
-            report.total_ios() as f64
-        }
-        Side::Sim => {
-            let mut simulation = Simulation::new(base, preset.params(mb), wl.think_time_ms, seed);
-            let result = simulation.run_phase(transactions, cold_count);
-            result.total_ios() as f64
-        }
+/// The real mini-engine twinning `system`: Texas for a centralized
+/// system, the O2 page server for a page server.
+///
+/// # Panics
+/// Panics on a system class without an engine twin.
+fn engine_twin<'a>(base: &'a ObjectBase, system: &VoodbParams) -> Box<dyn StorageEngine + 'a> {
+    match system.system_class {
+        SystemClass::Centralized => Box::new(TexasEngine::new(base, texas_config(system))),
+        SystemClass::PageServer => Box::new(PageServerEngine::new(
+            base,
+            PageServerConfig {
+                buffer_pages: system.buffer_pages,
+                clustering: system.clustering.clone(),
+                ..PageServerConfig::paper_default()
+            },
+        )),
+        ref other => panic!("no engine twin for system class {other:?}"),
     }
 }
 
-/// One replication of the O2 *benchmark* column: total I/Os of the warm
-/// run on the page-server engine.
-pub fn o2_bench_ios(base: &ObjectBase, wl: &WorkloadParams, cache_mb: usize, seed: u64) -> f64 {
-    preset_ios(Preset::O2, Side::Bench, base, wl, cache_mb, seed)
-}
-
-/// One replication of the O2 *simulation* column (VOODB, Table 4 preset).
-pub fn o2_sim_ios(base: &ObjectBase, wl: &WorkloadParams, cache_mb: usize, seed: u64) -> f64 {
-    preset_ios(Preset::O2, Side::Sim, base, wl, cache_mb, seed)
-}
-
-/// One replication of the Texas *benchmark* column.
-pub fn texas_bench_ios(base: &ObjectBase, wl: &WorkloadParams, memory_mb: usize, seed: u64) -> f64 {
-    preset_ios(Preset::Texas, Side::Bench, base, wl, memory_mb, seed)
-}
-
-/// One replication of the Texas *simulation* column (VOODB, Table 4
-/// preset, VM-reservation module on).
-pub fn texas_sim_ios(base: &ObjectBase, wl: &WorkloadParams, memory_mb: usize, seed: u64) -> f64 {
-    preset_ios(Preset::Texas, Side::Sim, base, wl, memory_mb, seed)
-}
-
-/// Measures one bench-vs-sim sweep point of `preset` at knob value `mb`
-/// (the shape every figure binary sweeps).
-pub fn measure_preset_point(
-    preset: Preset,
-    x: f64,
-    db: &DatabaseParams,
-    wl: &WorkloadParams,
-    mb: usize,
-    reps: usize,
-    base_seed: u64,
-) -> Point {
-    measure_point(
-        x,
-        db,
-        reps,
-        base_seed,
-        |base, seed| preset_ios(preset, Side::Bench, base, wl, mb, seed),
-        |base, seed| preset_ios(preset, Side::Sim, base, wl, mb, seed),
-    )
-}
-
-/// A bench-vs-sim point of a sweep.
+/// The outcome of one [`twin_job`].
 #[derive(Clone, Debug)]
-pub struct Point {
-    /// The sweep coordinate (instances, MB of cache, …).
-    pub x: f64,
-    /// Benchmark estimate.
-    pub bench: Estimate,
-    /// Simulation estimate.
-    pub sim: Estimate,
+pub struct Twin {
+    /// `bench_ios` and `sim_ios`: total I/Os of the measured run on the
+    /// engine twin and in the model.
+    pub metrics: MetricSet,
+    /// The model's response-time histogram over the phase.
+    pub latency: Histogram,
 }
 
-impl Point {
-    /// Benchmark / simulation mean ratio (the paper's consistency check).
-    pub fn ratio(&self) -> f64 {
-        if self.sim.mean == 0.0 {
-            f64::INFINITY
-        } else {
-            self.bench.mean / self.sim.mean
-        }
+/// One replication of a figure point on both columns: the stream is
+/// generated once, replayed on the engine twin (cold run, counters
+/// reset, measured run) and run through the model with a recorder
+/// attached (probes only observe, so the I/Os are the untraced ones).
+pub fn twin_job(base: &ObjectBase, point: &SweepPoint, seed: u64) -> Twin {
+    let workload = &point.config.workload;
+    let system = point.config.effective_system();
+    let (transactions, cold_count) = generate_workload(base, workload, seed);
+    let mut engine = engine_twin(base, &system);
+    run_workload(engine.as_mut(), &transactions[..cold_count]);
+    engine.reset_counters();
+    let bench = run_workload(engine.as_mut(), &transactions[cold_count..]);
+    let mut simulation = Simulation::new(base, system, workload.think_time_ms, seed);
+    let (sim, recorder) =
+        simulation.run_phase_probed(transactions, cold_count, RecorderConfig::new().build());
+    let metrics = [
+        ("bench_ios", bench.total_ios() as f64),
+        ("sim_ios", sim.total_ios() as f64),
+    ]
+    .into_iter()
+    .collect();
+    Twin {
+        metrics,
+        latency: response_histogram(recorder),
     }
 }
 
-/// Measures one sweep point: builds the object base once from
-/// `db`+`base_seed`, then runs `reps` replications of each side over it.
-pub fn measure_point<B, S>(
-    x: f64,
-    db: &DatabaseParams,
-    reps: usize,
-    base_seed: u64,
-    bench: B,
-    sim: S,
-) -> Point
-where
-    B: Fn(&ObjectBase, u64) -> f64 + Sync,
-    S: Fn(&ObjectBase, u64) -> f64 + Sync,
-{
-    let base = ObjectBase::generate(db, base_seed);
-    let bench_samples = replicate(reps, base_seed + 1, |seed| bench(&base, seed));
-    let sim_samples = replicate(reps, base_seed + 1, |seed| sim(&base, seed));
-    Point {
-        x,
-        bench: Estimate::from_samples(&bench_samples),
-        sim: Estimate::from_samples(&sim_samples),
-    }
+/// One simulated replication, as `voodb run` runs it, with the model's
+/// response-time histogram.
+pub fn latency_job(base: &ObjectBase, point: &SweepPoint, seed: u64) -> (PhaseResult, Histogram) {
+    let (result, recorder) =
+        run_replication_probed(base, point, seed, RecorderConfig::new().build());
+    (result, response_histogram(recorder))
 }
 
-/// The four-row DSTC comparison of Tables 6/8 for one side
-/// (pre-clustering usage, clustering overhead, post-clustering usage,
-/// gain) plus the Table 7 cluster statistics.
+fn response_histogram(mut recorder: vtrace::TraceRecorder) -> Histogram {
+    recorder.flush();
+    recorder
+        .stage_histograms()
+        .get("response_ms")
+        .cloned()
+        .unwrap_or_default()
+}
+
+/// One side of one §4.4 replication: pre-clustering usage, clustering
+/// overhead, post-clustering usage (Tables 6 and 8) and the cluster
+/// statistics (Table 7).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DstcSide {
-    /// Mean I/Os of the pre-clustering run.
+    /// I/Os of the pre-clustering run.
     pub pre: f64,
-    /// Mean I/Os of the reorganisation.
+    /// I/Os of the reorganisation.
     pub overhead: f64,
-    /// Mean I/Os of the post-clustering run.
+    /// I/Os of the post-clustering run.
     pub post: f64,
-    /// Mean number of clusters built.
+    /// Clusters built.
     pub clusters: f64,
     /// Mean objects per cluster.
     pub objects_per_cluster: f64,
 }
 
 impl DstcSide {
-    /// pre/post gain factor.
-    pub fn gain(&self) -> f64 {
-        if self.post == 0.0 {
-            f64::INFINITY
-        } else {
-            self.pre / self.post
+    /// Adds the side's rows to `metrics` as `<prefix>pre_ios`,
+    /// `<prefix>overhead_ios`, `<prefix>post_ios`, `<prefix>clusters` and
+    /// `<prefix>objects_per_cluster`.
+    pub fn push_metrics(&self, prefix: &str, metrics: &mut MetricSet) {
+        for (name, value) in [
+            ("pre_ios", self.pre),
+            ("overhead_ios", self.overhead),
+            ("post_ios", self.post),
+            ("clusters", self.clusters),
+            ("objects_per_cluster", self.objects_per_cluster),
+        ] {
+            metrics.insert(format!("{prefix}{name}"), value);
         }
     }
 }
 
-/// One replication of the §4.4 protocol on the Texas *engine*.
-pub fn dstc_bench_once(
-    base: &ObjectBase,
-    wl: &WorkloadParams,
-    memory_mb: usize,
-    dstc: clustering::DstcParams,
-    seed: u64,
-) -> DstcSide {
-    let (transactions, cold_count) = generate_workload(base, wl, seed);
-    let mut config = TexasConfig::with_memory_mb(memory_mb);
-    config.clustering = clustering::ClusteringKind::Dstc(dstc);
-    let mut engine = TexasEngine::new(base, config);
+/// One replication of the §4.4 protocol on the Texas *engine* twinning
+/// `config`'s system: pre-clustering run, reorganisation, cold restart,
+/// post-clustering run of the same transactions.
+pub fn dstc_bench_once(base: &ObjectBase, config: &ExperimentConfig, seed: u64) -> DstcSide {
+    let (transactions, cold_count) = generate_workload(base, &config.workload, seed);
+    let mut engine = TexasEngine::new(base, texas_config(&config.effective_system()));
     run_workload(&mut engine, &transactions[..cold_count]);
     engine.reset_counters();
     let pre = run_workload(&mut engine, &transactions[cold_count..]);
@@ -328,163 +188,141 @@ pub fn dstc_bench_once(
     }
 }
 
-/// One replication of the §4.4 protocol on the VOODB *simulation*.
-pub fn dstc_sim_once(
-    base: &ObjectBase,
-    wl: &WorkloadParams,
-    memory_mb: usize,
-    dstc: clustering::DstcParams,
-    seed: u64,
-) -> DstcSide {
-    let (transactions, cold_count) = generate_workload(base, wl, seed);
-    let mut system = VoodbParams::texas(memory_mb);
-    system.clustering = clustering::ClusteringKind::Dstc(clustering::DstcParams {
-        // External demand only, as in the engine protocol.
-        trigger_threshold: usize::MAX,
-        ..dstc
-    });
-    let mut simulation = Simulation::new(base, system, wl.think_time_ms, seed);
-    let pre = simulation.run_phase(transactions.clone(), cold_count);
-    let reorg = simulation.external_reorganize();
-    simulation.flush_buffers();
-    let post = simulation.run_phase(transactions, cold_count);
+/// One replication of the §4.4 protocol in the VOODB *simulation*
+/// ([`voodb::run_dstc_study`]).
+pub fn dstc_sim_once(base: &ObjectBase, config: &ExperimentConfig, seed: u64) -> DstcSide {
+    let study = run_dstc_study(base, config, seed);
     DstcSide {
-        pre: pre.total_ios() as f64,
-        overhead: reorg.io.total() as f64,
-        post: post.total_ios() as f64,
-        clusters: reorg.cluster_count as f64,
-        objects_per_cluster: reorg.mean_cluster_size,
+        pre: study.pre.total_ios() as f64,
+        overhead: study.reorg.io.total() as f64,
+        post: study.post.total_ios() as f64,
+        clusters: study.reorg.cluster_count as f64,
+        objects_per_cluster: study.reorg.mean_cluster_size,
     }
 }
 
-/// Averages `reps` replications of a [`DstcSide`] protocol over a shared
-/// base.
-pub fn dstc_mean<F>(reps: usize, base_seed: u64, f: F) -> DstcSide
-where
-    F: Fn(u64) -> DstcSide + Sync,
-{
-    let sides = replicate_map(reps, base_seed, f);
-    let mut acc = [
-        Welford::new(),
-        Welford::new(),
-        Welford::new(),
-        Welford::new(),
-        Welford::new(),
-    ];
-    for side in &sides {
-        acc[0].add(side.pre);
-        acc[1].add(side.overhead);
-        acc[2].add(side.post);
-        acc[3].add(side.clusters);
-        acc[4].add(side.objects_per_cluster);
-    }
-    DstcSide {
-        pre: acc[0].mean(),
-        overhead: acc[1].mean(),
-        post: acc[2].mean(),
-        clusters: acc[3].mean(),
-        objects_per_cluster: acc[4].mean(),
-    }
+/// One replication of a DSTC table point on both columns: the
+/// [`DstcSide`] rows prefixed `bench_` and `sim_`.
+pub fn dstc_twin_job(base: &ObjectBase, point: &SweepPoint, seed: u64) -> MetricSet {
+    let mut metrics = MetricSet::new();
+    dstc_bench_once(base, &point.config, seed).push_metrics("bench_", &mut metrics);
+    dstc_sim_once(base, &point.config, seed).push_metrics("sim_", &mut metrics);
+    metrics
 }
 
-/// One traced replication of a preset's *simulation* column: the
-/// response-time histogram of the warm run (cold transactions excluded
-/// from neither — the trace covers the whole phase, like the recorder).
-pub fn preset_latency_once(
-    preset: Preset,
-    base: &ObjectBase,
-    wl: &WorkloadParams,
-    mb: usize,
-    seed: u64,
-) -> vtrace::Histogram {
-    let (transactions, cold_count) = generate_workload(base, wl, seed);
-    let mut simulation = Simulation::new(base, preset.params(mb), wl.think_time_ms, seed);
-    let (_, mut recorder) = simulation.run_phase_probed(
-        transactions,
-        cold_count,
-        vtrace::RecorderConfig::new().build(),
-    );
-    recorder.flush();
-    recorder
-        .stage_histograms()
-        .get("response_ms")
-        .cloned()
-        .unwrap_or_default()
+/// One simulated replication of the §4.4 protocol: the unprefixed
+/// [`DstcSide`] rows.
+pub fn dstc_sim_job(base: &ObjectBase, point: &SweepPoint, seed: u64) -> MetricSet {
+    let mut metrics = MetricSet::new();
+    dstc_sim_once(base, &point.config, seed).push_metrics("", &mut metrics);
+    metrics
 }
 
-/// Merged response-time histogram over `reps` traced replications
-/// (parallel, deterministic in seed order — histograms merge
-/// commutatively but we merge in index order anyway).
-pub fn preset_latency(
-    preset: Preset,
-    base: &ObjectBase,
-    wl: &WorkloadParams,
-    mb: usize,
-    reps: usize,
-    base_seed: u64,
-) -> vtrace::Histogram {
-    let hists = replicate_map(reps, base_seed, |seed| {
-        preset_latency_once(preset, base, wl, mb, seed)
+/// The replication mean of metric `name` at `point`.
+///
+/// # Panics
+/// Panics if the point has no such metric.
+pub fn mean_of(point: &PointSummary, name: &str) -> f64 {
+    point
+        .metrics
+        .iter()
+        .find(|m| m.name == name)
+        .unwrap_or_else(|| panic!("no metric '{name}' at point '{}'", point.label))
+        .mean
+}
+
+/// Appends a derived column without an interval (its half-width is NaN)
+/// to one point.
+fn push_derived(point: &mut PointSummary, replications: usize, name: &str, value: f64) {
+    point.metrics.push(MetricEstimate {
+        name: name.to_owned(),
+        mean: value,
+        half_width: f64::NAN,
+        n: replications,
     });
-    let mut merged = vtrace::Histogram::new();
-    for hist in &hists {
-        merged.merge(hist);
-    }
-    merged
 }
 
-/// The database sizes swept by Figs. 6/7/9/10.
-pub const INSTANCE_SWEEP: [usize; 6] = [500, 1_000, 2_000, 5_000, 10_000, 20_000];
+/// Appends `name` = mean of `numerator` / mean of `denominator` to every
+/// point: the paper's bench/sim ratio and pre/post gain are ratios of
+/// means, not means of ratios.
+pub fn push_ratio(result: &mut SweepResult, name: &str, numerator: &str, denominator: &str) {
+    let reps = result.replications;
+    for point in &mut result.points {
+        let den = mean_of(point, denominator);
+        let ratio = if den == 0.0 {
+            f64::INFINITY
+        } else {
+            mean_of(point, numerator) / den
+        };
+        push_derived(point, reps, name, ratio);
+    }
+}
 
-/// The memory/cache sizes swept by Figs. 8/11 (MB).
-pub const MEMORY_SWEEP_MB: [usize; 6] = [8, 12, 16, 24, 32, 64];
+/// Appends response-time columns (`response_p50_ms` … `response_max_ms`,
+/// `response_mean_ms`) to every point, each from the merge of the point's
+/// replication histograms (`latencies`, in job order).
+pub fn push_latency<'a>(
+    result: &mut SweepResult,
+    latencies: impl IntoIterator<Item = &'a Histogram>,
+) {
+    let reps = result.replications;
+    let mut latencies = latencies.into_iter();
+    for point in &mut result.points {
+        let mut merged = Histogram::new();
+        for hist in latencies.by_ref().take(reps) {
+            merged.merge(hist);
+        }
+        for (name, value) in [
+            ("response_p50_ms", merged.p50()),
+            ("response_p90_ms", merged.p90()),
+            ("response_p99_ms", merged.p99()),
+            ("response_max_ms", merged.max_or_zero()),
+            ("response_mean_ms", merged.mean()),
+        ] {
+            push_derived(point, reps, name, value);
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scenario::{run_sweep_jobs, RunOptions, Scenario};
 
-    fn tiny_base() -> ObjectBase {
-        ObjectBase::generate(&DatabaseParams::small(), 7)
+    const O2_1MB: &str =
+        "system_class = \"page-server\"\nnetwork_throughput_mbps = inf\ncache_mb = 1\ndisk = \"o2\"";
+    const TEXAS_1MB: &str = "system_class = \"centralized\"\nmemory_mb = 1\ndisk = \"texas\"\n\
+                             multiprogramming_level = 1\nswizzle = true";
+
+    /// A 500-object base under 30 Table 5 transactions on `system`.
+    fn tiny(system: &str) -> Scenario {
+        Scenario::parse(&format!(
+            "[scenario]\nname = \"tiny\"\nreplications = 3\nseed = 11\n\n[system]\n{system}\n\n\
+             [database]\nclasses = 10\nobjects = 500\n\n[workload]\nhot_transactions = 30\n"
+        ))
+        .unwrap()
     }
 
-    fn tiny_wl() -> WorkloadParams {
-        WorkloadParams {
-            hot_transactions: 30,
-            ..WorkloadParams::default()
-        }
+    fn twins(scenario: &Scenario, options: &RunOptions) -> (SweepResult, Vec<Twin>) {
+        run_sweep_jobs(
+            scenario,
+            options,
+            |_, base, point, seed| twin_job(base, point, seed),
+            |t: &Twin| t.metrics.clone(),
+        )
+        .unwrap()
     }
 
-    #[test]
-    fn replicate_is_deterministic_and_ordered() {
-        let samples = replicate(8, 100, |seed| seed as f64);
-        assert_eq!(samples, (100..108).map(|s| s as f64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn generic_runner_matches_wrappers() {
-        let base = tiny_base();
-        let wl = tiny_wl();
-        assert_eq!(
-            preset_ios(Preset::O2, Side::Bench, &base, &wl, 2, 5),
-            o2_bench_ios(&base, &wl, 2, 5)
-        );
-        assert_eq!(
-            preset_ios(Preset::Texas, Side::Sim, &base, &wl, 2, 5),
-            texas_sim_ios(&base, &wl, 2, 5)
-        );
-        let point = measure_preset_point(Preset::O2, 500.0, &DatabaseParams::small(), &wl, 1, 3, 9);
-        assert_eq!(point.bench.n, 3);
-        assert!(point.bench.mean > 0.0 && point.sim.mean > 0.0);
+    fn twin_means(system: &str) -> (f64, f64) {
+        let (result, _) = twins(&tiny(system), &RunOptions::default());
+        let point = &result.points[0];
+        (mean_of(point, "bench_ios"), mean_of(point, "sim_ios"))
     }
 
     #[test]
     fn bench_and_sim_columns_are_comparable() {
-        let base = tiny_base();
-        let wl = tiny_wl();
-        let bench = o2_bench_ios(&base, &wl, 1, 7);
-        let sim = o2_sim_ios(&base, &wl, 1, 7);
-        assert!(bench > 0.0);
-        assert!(sim > 0.0);
+        let (bench, sim) = twin_means(O2_1MB);
+        assert!(bench > 0.0 && sim > 0.0);
         // Same workload, independent implementations: within 3× of each
         // other (the paper's "lightly different in absolute value").
         let ratio = bench / sim;
@@ -493,10 +331,7 @@ mod tests {
 
     #[test]
     fn texas_columns_are_comparable() {
-        let base = tiny_base();
-        let wl = tiny_wl();
-        let bench = texas_bench_ios(&base, &wl, 1, 9);
-        let sim = texas_sim_ios(&base, &wl, 1, 9);
+        let (bench, sim) = twin_means(TEXAS_1MB);
         assert!(bench > 0.0 && sim > 0.0);
         let ratio = bench / sim;
         assert!((0.25..4.0).contains(&ratio), "bench/sim ratio {ratio}");
@@ -506,53 +341,104 @@ mod tests {
     fn engine_metadata_ios_separate_bench_from_sim() {
         // With the persistent OID table, the benchmark column must sit
         // strictly above the simulation column on the same stream.
-        let base = tiny_base();
-        let wl = tiny_wl();
-        let bench = o2_bench_ios(&base, &wl, 4, 11);
-        let sim = o2_sim_ios(&base, &wl, 4, 11);
+        let (bench, sim) = twin_means(&O2_1MB.replace("cache_mb = 1", "cache_mb = 4"));
         assert!(bench > sim, "bench {bench} should exceed sim {sim}");
     }
 
     #[test]
+    fn generic_runner_matches_wrappers() {
+        // The twin's simulation column is `voodb run`'s `ios`, bit for
+        // bit, and its latency columns are the traced runner's.
+        for system in [O2_1MB, TEXAS_1MB] {
+            let scenario = tiny(system);
+            let options = RunOptions::default();
+            let (mut twin, outcomes) = twins(&scenario, &options);
+            let plain = scenario::run_sweep(&scenario, &options).unwrap();
+            assert_eq!(
+                mean_of(&twin.points[0], "sim_ios").to_bits(),
+                mean_of(&plain.points[0], "ios").to_bits()
+            );
+            let (mut traced, latencies) = run_sweep_jobs(
+                &scenario,
+                &options,
+                |_, base, point, seed| latency_job(base, point, seed),
+                |(phase, _)| phase.to_metrics(),
+            )
+            .unwrap();
+            push_latency(&mut twin, outcomes.iter().map(|t| &t.latency));
+            push_latency(&mut traced, latencies.iter().map(|(_, hist)| hist));
+            let p99 = |r: &SweepResult| mean_of(&r.points[0], "response_p99_ms");
+            assert_eq!(p99(&twin).to_bits(), p99(&traced).to_bits());
+            assert!(p99(&twin) > 0.0);
+        }
+    }
+
+    #[test]
     fn measure_point_produces_intervals() {
-        let wl = tiny_wl();
-        let db = DatabaseParams::small();
-        let point = measure_point(
-            500.0,
-            &db,
-            5,
-            11,
-            |base, seed| o2_bench_ios(base, &wl, 1, seed),
-            |base, seed| o2_sim_ios(base, &wl, 1, seed),
-        );
-        assert_eq!(point.bench.n, 5);
-        assert!(point.bench.mean > 0.0);
-        assert!(point.sim.half_width.is_finite());
-        assert!(point.ratio() > 0.0);
+        let options = RunOptions {
+            reps: Some(5),
+            ..RunOptions::default()
+        };
+        let (mut result, _) = twins(&tiny(O2_1MB), &options);
+        push_ratio(&mut result, "ratio", "bench_ios", "sim_ios");
+        let point = &result.points[0];
+        for m in &point.metrics {
+            assert_eq!(m.n, 5, "{}", m.name);
+        }
+        let ratio = point.metrics.last().unwrap();
+        assert_eq!(ratio.name, "ratio");
+        assert!(ratio.mean > 0.0 && ratio.half_width.is_nan());
+        assert!(point.metrics[0].half_width.is_finite());
     }
 
     #[test]
     fn dstc_protocol_runs_both_sides() {
-        let base = tiny_base();
-        let wl = WorkloadParams {
-            hot_transactions: 200,
-            ..WorkloadParams::dstc_favorable()
-        };
-        let dstc = clustering::DstcParams {
-            observation_period: 2_000,
-            tfa: 2.0,
-            tfc: 1.0,
-            tfe: 2.0,
-            w: 0.8,
-            max_unit_size: 32,
-            trigger_threshold: usize::MAX,
-        };
-        let bench = dstc_bench_once(&base, &wl, 64, dstc.clone(), 13);
-        let sim = dstc_sim_once(&base, &wl, 64, dstc, 13);
+        let scenario = Scenario::parse(
+            r#"
+[scenario]
+name = "tiny_dstc"
+replications = 1
+seed = 13
+
+[system]
+system_class = "centralized"
+memory_mb = 64
+disk = "texas"
+multiprogramming_level = 1
+get_lock_ms = 0.0
+release_lock_ms = 0.0
+swizzle = true
+clustering = "dstc"
+dstc_observation_period = 2000
+dstc_tfa = 2.0
+dstc_tfc = 1.0
+dstc_tfe = 2.0
+dstc_w = 0.8
+dstc_max_unit_size = 32
+
+[database]
+classes = 10
+objects = 500
+
+[workload]
+hot_transactions = 200
+p_set = 0.0
+p_simple = 0.0
+p_hierarchy = 1.0
+p_stochastic = 0.0
+hierarchy_depth = 3
+root_dist = "hotset-0.015-1.0"
+"#,
+        )
+        .unwrap();
+        let point = &scenario.grid()[0];
+        let base = ObjectBase::generate(&point.config.database, 7);
+        let bench = dstc_bench_once(&base, &point.config, 13);
+        let sim = dstc_sim_once(&base, &point.config, 13);
         assert!(bench.clusters > 0.0);
         assert!(sim.clusters > 0.0);
-        assert!(bench.gain() > 1.0, "bench gain {}", bench.gain());
-        assert!(sim.gain() > 1.0, "sim gain {}", sim.gain());
+        assert!(bench.pre > bench.post, "bench {bench:?}");
+        assert!(sim.pre > sim.post, "sim {sim:?}");
         // The Table 6 anomaly: physical-OID overhead ≫ logical-OID
         // overhead.
         assert!(
@@ -560,6 +446,12 @@ mod tests {
             "bench overhead {} should dwarf sim overhead {}",
             bench.overhead,
             sim.overhead
+        );
+        let metrics = dstc_twin_job(&base, point, 13);
+        assert_eq!(metrics.get("bench_pre_ios"), Some(bench.pre));
+        assert_eq!(
+            metrics.get("sim_objects_per_cluster"),
+            Some(sim.objects_per_cluster)
         );
     }
 }

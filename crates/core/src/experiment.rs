@@ -14,6 +14,7 @@ use crate::cman::SimReorgReport;
 use crate::model::{PhaseMode, VoodbModel};
 use crate::params::VoodbParams;
 use crate::results::PhaseResult;
+use clustering::ClusteringKind;
 use desp::{
     CalendarKind, Engine, HeapKind, MetricSet, NoProbe, Probe, QueueKind, ReplicationPolicy,
     ReplicationReport, Replicator, SchedulerKind, SimTime, WheelKind,
@@ -23,8 +24,10 @@ use ocb::{
     WorkloadGenerator, WorkloadParams,
 };
 
-/// Seed decorrelation constant between database and workload streams.
-const WORKLOAD_SEED_SALT: u64 = 0x0C0B_57A7_15EC_5EED;
+/// Salt decorrelating a replication's workload stream from its model
+/// stream: the workload generator of seed `s` runs on
+/// `s ^ WORKLOAD_SEED_SALT`.
+pub const WORKLOAD_SEED_SALT: u64 = 0x0C0B_57A7_15EC_5EED;
 
 /// The streamed phase a workload prescribes: a time-horizon phase when
 /// `duration_ms > 0`, else the classic `COLDN + HOTN` count-based run —
@@ -90,21 +93,8 @@ impl<'a> Simulation<'a> {
         cold_count: usize,
         probe: P,
     ) -> (PhaseResult, P) {
-        self.run_phase_probed_on::<P, CalendarKind>(transactions, cold_count, probe)
-    }
-
-    /// [`Self::run_phase_probed`] on a statically chosen scheduler kind.
-    /// Schedulers dispatch in the identical total order, so the result
-    /// is bit-identical whichever kind runs it (asserted by the
-    /// scheduler differential tests).
-    pub fn run_phase_probed_on<P: Probe, Q: QueueKind>(
-        &mut self,
-        transactions: Vec<Transaction>,
-        cold_count: usize,
-        probe: P,
-    ) -> (PhaseResult, P) {
         assert!(cold_count <= transactions.len());
-        self.run_phase_source_on::<P, Q>(
+        self.run_phase_source_on::<P, CalendarKind>(
             Box::new(ocb::MaterializedSource::new(transactions)),
             PhaseMode::Count { cold: cold_count },
             Arrival::Closed,
@@ -139,27 +129,6 @@ impl<'a> Simulation<'a> {
         let result = model.phase_result(outcome.events_dispatched);
         self.model = Some(model);
         (result, probe)
-    }
-
-    /// [`Self::run_phase_probed`] on a runtime-selected scheduler kind.
-    pub fn run_phase_sched<P: Probe>(
-        &mut self,
-        transactions: Vec<Transaction>,
-        cold_count: usize,
-        probe: P,
-        sched: SchedulerKind,
-    ) -> (PhaseResult, P) {
-        match sched {
-            SchedulerKind::Calendar => {
-                self.run_phase_probed_on::<P, CalendarKind>(transactions, cold_count, probe)
-            }
-            SchedulerKind::Heap => {
-                self.run_phase_probed_on::<P, HeapKind>(transactions, cold_count, probe)
-            }
-            SchedulerKind::Wheel => {
-                self.run_phase_probed_on::<P, WheelKind>(transactions, cold_count, probe)
-            }
-        }
     }
 
     /// [`Self::run_phase_source_on`] on a runtime-selected scheduler kind.
@@ -340,30 +309,27 @@ impl DstcStudyResult {
     }
 }
 
-/// Runs one replication of the §4.4 protocol: a cold pre-clustering run
-/// (during which the strategy observes), an external clustering demand,
-/// a cold restart, and a post-clustering re-run of the *same*
-/// transactions.
-pub fn run_dstc_study(config: &ExperimentConfig, seed: u64) -> DstcStudyResult {
+/// Runs one replication of the §4.4 protocol over `base`: a cold
+/// pre-clustering run (during which the strategy observes), an external
+/// clustering demand, a cold restart, and a post-clustering re-run of the
+/// *same* transactions. The automatic trigger is disarmed, so the
+/// external demand is the protocol's only reorganisation. Without a
+/// clustering strategy the demand builds nothing: the no-clustering
+/// baseline of a strategy comparison.
+pub fn run_dstc_study(base: &ObjectBase, config: &ExperimentConfig, seed: u64) -> DstcStudyResult {
     config.validate().expect("invalid experiment configuration");
-    assert!(
-        !config.system.clustering.is_none(),
-        "the DSTC study needs a clustering strategy (CLUSTP)"
-    );
-    let base = ObjectBase::generate(&config.database, seed);
     let mut generator =
-        WorkloadGenerator::new(&base, config.workload.clone(), seed ^ WORKLOAD_SEED_SALT);
+        WorkloadGenerator::new(base, config.workload.clone(), seed ^ WORKLOAD_SEED_SALT);
     let (cold, hot) = generator.generate_run();
     let cold_count = cold.len();
     let mut transactions = cold;
     transactions.extend(hot);
 
-    let mut simulation = Simulation::new(
-        &base,
-        config.effective_system(),
-        config.workload.think_time_ms,
-        seed,
-    );
+    let mut system = config.effective_system();
+    if let ClusteringKind::Dstc(params) = &mut system.clustering {
+        params.trigger_threshold = usize::MAX;
+    }
+    let mut simulation = Simulation::new(base, system, config.workload.think_time_ms, seed);
     simulation.configure_users(config.workload.user_model, &config.workload.cohorts);
     let pre = simulation.run_phase(transactions.clone(), cold_count);
     // External demand on the warm state, as after the paper's first run.
@@ -378,7 +344,7 @@ pub fn run_dstc_study(config: &ExperimentConfig, seed: u64) -> DstcStudyResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clustering::{ClusteringKind, DstcParams};
+    use clustering::DstcParams;
 
     fn small_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -510,7 +476,8 @@ mod tests {
                 ..WorkloadParams::dstc_favorable()
             },
         };
-        let study = run_dstc_study(&config, 21);
+        let base = ObjectBase::generate(&config.database, 21);
+        let study = run_dstc_study(&base, &config, 21);
         assert!(study.reorg.cluster_count > 0, "clusters must form");
         assert!(
             study.gain() > 1.0,
@@ -531,8 +498,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs a clustering strategy")]
-    fn dstc_study_requires_clustering() {
-        let _ = run_dstc_study(&small_config(), 1);
+    fn dstc_study_without_clustering_builds_nothing() {
+        let config = small_config();
+        let base = ObjectBase::generate(&config.database, 1);
+        let study = run_dstc_study(&base, &config, 1);
+        assert_eq!(study.reorg.cluster_count, 0);
+        assert_eq!(study.reorg.io.total(), 0);
+        assert!(study.pre.total_ios() > 0 && study.post.total_ios() > 0);
     }
 }

@@ -61,7 +61,7 @@ pub use bman::{BmanStats, BufferDemand, BufferingManager};
 pub use cman::{ClusteringManager, SimReorgReport};
 pub use experiment::{
     run_dstc_study, run_once, run_once_probed, run_once_sched, run_replicated, workload_phase,
-    DstcStudyResult, ExperimentConfig, Simulation,
+    DstcStudyResult, ExperimentConfig, Simulation, WORKLOAD_SEED_SALT,
 };
 pub use hazards::{HazardKind, HazardModule, HazardParams, HazardReport};
 pub use iosub::{IoSubsystem, SimIoCounts};

@@ -5,8 +5,7 @@
 //! voodb run <file.toml> [--threads N] [--reps N] [--seed S] [--out DIR]
 //!           [--trace] [--trace-shards N] [--trace-sample N]
 //!           [--watch] [--watch-jsonl PATH] [--watch-interval MS]
-//!           [--scheduler calendar|heap|wheel]
-//!           [--duration MS] [--warmup MS] [--arrival SPEC] [--materialized]
+//!           [--duration MS] [--warmup MS] [--arrival SPEC]
 //! voodb analyze <run-dir>
 //! voodb compare <run-dir-a> <run-dir-b> [--threshold 0.10]
 //! voodb bench-summary <BENCH_engine.json> --out <dir>
@@ -40,7 +39,7 @@
 
 use scenario::{
     library_listing, params_help_text, run_sweep, run_sweep_traced_with, write_sweep_reports,
-    write_trace_reports, RunOptions, Scenario, SchedulerKind, DEFAULT_OUT_DIR,
+    write_trace_reports, RunOptions, Scenario, DEFAULT_OUT_DIR,
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -57,8 +56,7 @@ USAGE:
     voodb run <file.toml> [--threads N] [--reps N] [--seed S] [--out DIR]
               [--trace] [--trace-shards N] [--trace-sample N]
               [--watch] [--watch-jsonl PATH] [--watch-interval MS]
-              [--scheduler calendar|heap|wheel]
-              [--duration MS] [--warmup MS] [--arrival SPEC] [--materialized]
+              [--duration MS] [--warmup MS] [--arrival SPEC]
     voodb analyze <run-dir>
     voodb compare <run-dir-a> <run-dir-b> [--threshold 0.10]
     voodb bench-summary <BENCH_engine.json> --out <dir>
@@ -128,10 +126,6 @@ OPTIONS (run):
     --watch-interval MS
                   Minimum simulated ms between watch samples
                   (default 100).
-    --scheduler K Event-list implementation: calendar (default), heap, or
-                  wheel. Results are bit-identical across kinds; heap is
-                  the differential-testing oracle, wheel the far-future
-                  think-time fast path.
     --duration MS Override workload.duration_ms: run each point as a
                   time-horizon phase of MS simulated ms (streamed; memory
                   stays O(in-flight) however long the phase).
@@ -139,10 +133,6 @@ OPTIONS (run):
                   of a time-horizon phase).
     --arrival A   Override workload.arrival: closed | poisson-RATE (tx/s)
                   | deterministic-MS (fixed interarrival).
-    --materialized
-                  Materialize each replication's workload up front (the
-                  pre-streaming oracle; count-based phases only). Results
-                  are bit-identical to streamed runs — CI diffs the CSVs.
 
 OPTIONS (compare):
     --threshold T Relative regression threshold (default 0.10 = 10%).
@@ -255,7 +245,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
             "reps",
             "seed",
             "out",
-            "scheduler",
             "duration",
             "warmup",
             "arrival",
@@ -264,7 +253,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             "watch-jsonl",
             "watch-interval",
         ],
-        &["trace", "materialized", "watch"],
+        &["trace", "watch"],
     ) {
         Ok(split) => split,
         Err(e) => return fail(&e),
@@ -272,10 +261,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let [file] = files[..] else {
         return fail("'run' takes exactly one scenario file");
     };
-    let mut run_options = RunOptions {
-        materialized: flags.contains(&"materialized"),
-        ..RunOptions::default()
-    };
+    let mut run_options = RunOptions::default();
     let mut out_dir = PathBuf::from(DEFAULT_OUT_DIR);
     let mut trace_shards = 1usize;
     let mut trace_sample: Option<usize> = None;
@@ -289,9 +275,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
             "duration" => parse_opt(name, raw).map(|v| run_options.duration_ms = Some(v)),
             "warmup" => parse_opt(name, raw).map(|v| run_options.warmup_ms = Some(v)),
             "arrival" => scenario::parse_arrival(raw).map(|v| run_options.arrival = Some(v)),
-            "scheduler" => raw
-                .parse::<SchedulerKind>()
-                .map(|v| run_options.scheduler = v),
             "out" => {
                 out_dir = PathBuf::from(raw);
                 Ok(())

@@ -36,12 +36,15 @@
 //!   (every settable key is also a sweep axis), validation, and the
 //!   cartesian sweep grid;
 //! * [`runner`] — the parallel sweep runner: shards the
-//!   (point × replication) grid over std scoped threads with purely
-//!   index-derived seeds, so results are **identical at any thread
-//!   count**;
+//!   (point × replication) grid over std scoped threads, seeding by
+//!   configuration (every base from the scenario seed `s`, replication
+//!   `r` on `s + 1 + r`), so equal configurations get equal results and
+//!   results are **identical at any thread count**; any per-replication
+//!   job (the bench twins, the differential oracles) runs on it through
+//!   [`run_sweep_jobs`];
 //! * [`report`] — deterministic CSV/JSON writers
-//!   (`target/voodb-out/<scenario>.{csv,json}`), also reused by the
-//!   bench harness for its figure artifacts;
+//!   (`target/voodb-out/<scenario>.{csv,json}`), also the output of the
+//!   bench binaries;
 //! * [`tracing`] — `--trace` support: runs every job under a
 //!   `voodb-trace` recorder and writes the trace directory
 //!   (`<scenario>.trace/` with span JSONL, series CSV and
@@ -65,8 +68,8 @@ pub use desp::SchedulerKind;
 pub use listing::library_listing;
 pub use report::{sweep_table, write_sweep_reports, Cell, ReportTable, DEFAULT_OUT_DIR};
 pub use runner::{
-    run_sweep, run_sweep_traced, run_sweep_traced_with, JobTrace, MetricEstimate, PointSummary,
-    RunOptions, SweepResult, CONFIDENCE,
+    run_sweep, run_sweep_jobs, run_sweep_traced, run_sweep_traced_with, JobTrace, MetricEstimate,
+    PointSummary, RunOptions, SweepResult, CONFIDENCE,
 };
 pub use spec::{
     apply_param, arrival_to_string, params_help_text, parse_arrival, Scenario, SweepAxis,

@@ -7,18 +7,28 @@
 //! sweep keeps every core busy even when points cost wildly different
 //! amounts.
 //!
+//! ## Seeding
+//!
+//! Seeds follow the configuration, not the grid position. Every point's
+//! object base is generated from the scenario seed `s`, and replication
+//! `r` of every point runs on seed `s + 1 + r` (its workload stream on
+//! that seed `^` [`WORKLOAD_SEED_SALT`]). So points that differ only in
+//! `[system]` or `[workload]` keys share one base and common random
+//! streams: a cache sweep compares caches, not databases. Replications
+//! still vary only the transaction stream (the paper's §4
+//! methodology), and the twin jobs of `crates/bench` use the same
+//! scheme, so `voodb run` on a figure's preset prints that figure's
+//! simulation column.
+//!
 //! ## Determinism
 //!
 //! Results are **identical at any thread count** because no random state
 //! crosses jobs:
 //!
-//! * the seed of point `p`, replication `r` is derived purely from the
-//!   scenario seed and the indices (SplitMix64 mixing — see
-//!   [`point_seed`] / [`replication_seed`]);
-//! * the object base of a point is generated once from the point seed
-//!   (the paper's §4 methodology: replications vary only the transaction
-//!   stream), lazily via a per-point `OnceLock` so whichever thread gets
-//!   there first builds the identical base;
+//! * seeds are pure functions of the scenario seed and the replication
+//!   index;
+//! * each point's base is built lazily via a per-point `OnceLock`, so
+//!   whichever thread gets there first builds the identical base;
 //! * every job writes into its own pre-allocated slot, and aggregation
 //!   walks the slots in index order.
 //!
@@ -26,16 +36,14 @@
 //! output for `threads = 1` vs `threads = 8`.
 
 use crate::spec::{Scenario, SweepPoint};
-use desp::{ConfidenceInterval, NoProbe, Probe, SchedulerKind};
+use desp::{ConfidenceInterval, MetricSet, NoProbe, Probe, SchedulerKind};
 use ocb::{Arrival, ObjectBase, WorkloadGenerator};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use voodb::{workload_phase, PhaseResult, Simulation};
 use vtrace::{RecorderConfig, TraceRecorder};
 
-/// Salt decorrelating workload seeds from database seeds (the same
-/// constant the bench harness uses, so scenario runs are comparable).
-pub const WORKLOAD_SEED_SALT: u64 = 0x0C0B_57A7_15EC_5EED;
+pub use voodb::WORKLOAD_SEED_SALT;
 
 /// Confidence level of the reported intervals (the paper's c = 0.95).
 pub const CONFIDENCE: f64 = 0.95;
@@ -49,9 +57,6 @@ pub struct RunOptions {
     pub reps: Option<usize>,
     /// Override the scenario's base seed.
     pub seed: Option<u64>,
-    /// Event-list implementation (`--scheduler`); results are
-    /// bit-identical across kinds, so this is a perf/differential knob.
-    pub scheduler: SchedulerKind,
     /// Override the base `workload.duration_ms` (`--duration`): a
     /// positive value turns every point into a time-horizon phase.
     pub duration_ms: Option<f64>,
@@ -59,11 +64,6 @@ pub struct RunOptions {
     pub warmup_ms: Option<f64>,
     /// Override the base `workload.arrival` (`--arrival`).
     pub arrival: Option<Arrival>,
-    /// Materialize each replication's workload up front instead of
-    /// streaming it (`--materialized`) — the memory-hungry oracle path;
-    /// results are bit-identical to streamed runs, which CI asserts by
-    /// diffing the CSVs. Requires count-based phases.
-    pub materialized: bool,
 }
 
 /// One metric's replication estimate at one sweep point.
@@ -116,12 +116,15 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Seed of sweep point `point_index` (also seeds its object base).
+/// A seed decorrelated per grid index, for callers that want a distinct
+/// base for every point of a grid (the end-to-end benchmark's jobs).
+/// The sweep runner itself seeds by configuration (see the module
+/// docs).
 pub fn point_seed(base_seed: u64, point_index: usize) -> u64 {
     splitmix64(base_seed ^ splitmix64(0x5CE2_A810_0000_0000 ^ point_index as u64))
 }
 
-/// Seed of replication `rep` within a point.
+/// A replication seed decorrelated per index within a [`point_seed`].
 pub fn replication_seed(point_seed: u64, rep: usize) -> u64 {
     splitmix64(point_seed ^ splitmix64(0x7E11_CA7E_0000_0000 ^ rep as u64))
 }
@@ -146,9 +149,8 @@ pub fn run_replication_probed<P: Probe>(
 }
 
 /// [`run_replication_probed`] on an explicit scheduler kind, streaming
-/// the workload (phase memory is O(in-flight) transactions; see
-/// [`run_replication_materialized`] for the oracle). The kind cannot
-/// change the result — schedulers dispatch in the identical total
+/// the workload (phase memory is O(in-flight) transactions). The kind
+/// cannot change the result — schedulers dispatch in the identical total
 /// order — which the differential test (`tests/sched_differential.rs`)
 /// asserts over the whole smoke scenario.
 pub fn run_replication_sched<P: Probe>(
@@ -171,47 +173,6 @@ pub fn run_replication_sched<P: Probe>(
     simulation.run_phase_source_sched(source, mode, workload.arrival, probe, sched)
 }
 
-/// The materialized oracle behind `--materialized`: generates the whole
-/// count-based run up front (the pre-streaming implementation) and
-/// replays it. Bit-identical to [`run_replication_sched`] — asserted by
-/// `tests/stream_differential.rs` and the CI CSV diff.
-///
-/// # Panics
-/// Panics on a time-horizon point (an unbounded stream cannot be
-/// materialized); the sweep runner rejects that combination up front.
-pub fn run_replication_materialized<P: Probe>(
-    base: &ObjectBase,
-    point: &SweepPoint,
-    seed: u64,
-    probe: P,
-    sched: SchedulerKind,
-) -> (PhaseResult, P) {
-    let workload = &point.config.workload;
-    assert!(
-        workload.duration_ms == 0.0,
-        "cannot materialize a time-horizon phase"
-    );
-    let mut generator = WorkloadGenerator::new(base, workload.clone(), seed ^ WORKLOAD_SEED_SALT);
-    let (cold, hot) = generator.generate_run();
-    let cold_count = cold.len();
-    let mut transactions = cold;
-    transactions.extend(hot);
-    let mut simulation = Simulation::new(
-        base,
-        point.config.effective_system(),
-        workload.think_time_ms,
-        seed,
-    );
-    simulation.configure_users(workload.user_model, &workload.cohorts);
-    simulation.run_phase_source_sched(
-        Box::new(ocb::MaterializedSource::new(transactions)),
-        voodb::PhaseMode::Count { cold: cold_count },
-        workload.arrival,
-        probe,
-        sched,
-    )
-}
-
 /// The telemetry of one traced (point × replication) job.
 #[derive(Clone, Debug)]
 pub struct JobTrace {
@@ -227,13 +188,18 @@ pub struct JobTrace {
     pub recorder: TraceRecorder,
 }
 
-/// Runs the whole sweep. See the module docs for the determinism
-/// contract.
+/// Runs the whole sweep. See the module docs for the seeding and
+/// determinism contract.
 ///
 /// # Errors
 /// Returns the first validation error; the run itself cannot fail.
 pub fn run_sweep(scenario: &Scenario, options: &RunOptions) -> Result<SweepResult, String> {
-    let (result, _probes) = run_sweep_probed(scenario, options, |_| NoProbe)?;
+    let (result, _) = run_sweep_jobs(
+        scenario,
+        options,
+        |_, base, point, seed| run_replication(base, point, seed),
+        PhaseResult::to_metrics,
+    )?;
     Ok(result)
 }
 
@@ -264,9 +230,16 @@ pub fn run_sweep_traced_with(
     options: &RunOptions,
     config: &RecorderConfig,
 ) -> Result<(SweepResult, Vec<JobTrace>), String> {
-    let (result, probes) = run_sweep_probed(scenario, options, |job| config.build_for_job(job))?;
+    let (result, outcomes) = run_sweep_jobs(
+        scenario,
+        options,
+        |job, base, point, seed| {
+            run_replication_probed(base, point, seed, config.build_for_job(job))
+        },
+        |(phase, _)| phase.to_metrics(),
+    )?;
     let reps = result.replications;
-    let traces = probes
+    let traces = outcomes
         .into_iter()
         .enumerate()
         .map(|(job, (phase, mut recorder))| {
@@ -284,17 +257,31 @@ pub fn run_sweep_traced_with(
     Ok((result, traces))
 }
 
-/// The generic sweep engine behind [`run_sweep`] / [`run_sweep_traced`]:
-/// shards the (point × replication) job grid over scoped threads,
-/// attaching a fresh probe from `make_probe(job_index)` to every job.
-fn run_sweep_probed<P, F>(
+/// The sweep engine behind [`run_sweep`] and [`run_sweep_traced`], open
+/// to any per-replication job: shards the (point × replication) grid
+/// over scoped threads and calls `job(index, base, point, seed)` once
+/// per job, where `index` is the job's (point × replication) position
+/// (for per-job state such as a recorder's sampling seed), `base` the
+/// point's object base and `seed` the replication seed. `metrics` maps
+/// each outcome to the metrics aggregated into the [`SweepResult`]. The
+/// outcomes come back in job order (point-major).
+///
+/// The bench binaries pass twin jobs (engine and simulation on one
+/// stream); the differential tests pass oracle jobs (another scheduler,
+/// a materialized workload).
+///
+/// # Errors
+/// Returns the first validation error.
+pub fn run_sweep_jobs<T, J, M>(
     scenario: &Scenario,
     options: &RunOptions,
-    make_probe: F,
-) -> Result<(SweepResult, Vec<(PhaseResult, P)>), String>
+    job: J,
+    metrics: M,
+) -> Result<(SweepResult, Vec<T>), String>
 where
-    P: Probe + Send,
-    F: Fn(usize) -> P + Sync,
+    T: Send,
+    J: Fn(usize, &ObjectBase, &SweepPoint, u64) -> T + Sync,
+    M: Fn(&T) -> MetricSet,
 {
     let mut scenario = scenario.clone();
     if let Some(reps) = options.reps {
@@ -316,15 +303,6 @@ where
     let reps = scenario.replications;
     let base_seed = scenario.seed;
     let grid = scenario.grid();
-    if options.materialized {
-        if let Some(point) = grid.iter().find(|p| p.config.workload.duration_ms > 0.0) {
-            return Err(format!(
-                "--materialized requires count-based phases, but point '{}' \
-                 has duration_ms > 0 (an unbounded stream cannot be materialized)",
-                point.label()
-            ));
-        }
-    }
     let jobs = grid.len() * reps;
     let threads = options
         .threads
@@ -338,37 +316,25 @@ where
 
     // Per-point lazily generated object bases and per-job result slots.
     let bases: Vec<OnceLock<ObjectBase>> = (0..grid.len()).map(|_| OnceLock::new()).collect();
-    let slots: Vec<Mutex<Option<(PhaseResult, P)>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let job = next.fetch_add(1, Ordering::Relaxed);
-                if job >= jobs {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= jobs {
                     break;
                 }
-                let (p, r) = (job / reps, job % reps);
+                let (p, r) = (index / reps, index % reps);
                 let point = &grid[p];
-                let p_seed = point_seed(base_seed, p);
-                let base =
-                    bases[p].get_or_init(|| ObjectBase::generate(&point.config.database, p_seed));
-                let run = if options.materialized {
-                    run_replication_materialized
-                } else {
-                    run_replication_sched
-                };
-                let result = run(
-                    base,
-                    point,
-                    replication_seed(p_seed, r),
-                    make_probe(job),
-                    options.scheduler,
-                );
-                *slots[job].lock().expect("job slot poisoned") = Some(result);
+                let base = bases[p]
+                    .get_or_init(|| ObjectBase::generate(&point.config.database, base_seed));
+                let outcome = job(index, base, point, base_seed.wrapping_add(1 + r as u64));
+                *slots[index].lock().expect("job slot poisoned") = Some(outcome);
             });
         }
     });
-    let outcomes: Vec<(PhaseResult, P)> = slots
+    let outcomes: Vec<T> = slots
         .into_iter()
         .map(|s| {
             s.into_inner()
@@ -376,18 +342,18 @@ where
                 .expect("every job ran")
         })
         .collect();
-    let results: Vec<&PhaseResult> = outcomes.iter().map(|(result, _)| result).collect();
 
     // Aggregate replications into per-metric estimates, in index order.
     let points = grid
         .iter()
         .enumerate()
         .map(|(p, point)| {
-            let metric_sets: Vec<_> = (0..reps)
-                .map(|r| results[p * reps + r].to_metrics())
+            let metric_sets: Vec<MetricSet> = outcomes[p * reps..(p + 1) * reps]
+                .iter()
+                .map(&metrics)
                 .collect();
             let names: Vec<String> = metric_sets[0].iter().map(|(n, _)| n.to_owned()).collect();
-            let metrics = names
+            let estimates = names
                 .iter()
                 .map(|name| {
                     let samples: Vec<f64> = metric_sets
@@ -412,7 +378,7 @@ where
                     })
                     .collect(),
                 label: point.label(),
-                metrics,
+                metrics: estimates,
             }
         })
         .collect();
@@ -530,5 +496,49 @@ values = [32, 256]
         assert_ne!(p0, p1);
         assert_ne!(replication_seed(p0, 0), replication_seed(p0, 1));
         assert_ne!(replication_seed(p0, 0), replication_seed(p1, 0));
+    }
+
+    fn ios_means(result: &SweepResult) -> Vec<f64> {
+        result
+            .points
+            .iter()
+            .map(|p| p.metrics.iter().find(|m| m.name == "ios").unwrap().mean)
+            .collect()
+    }
+
+    #[test]
+    fn points_with_equal_configurations_get_identical_results() {
+        // Equal configurations share their base and streams, whatever
+        // their grid position.
+        let text = TINY.replace(
+            "param = \"system.buffer_pages\"\nvalues = [32, 256]",
+            "param = \"system.multiprogramming_level\"\nvalues = [10, 10]",
+        );
+        let scenario = Scenario::parse(&text).unwrap();
+        let result = run_sweep(&scenario, &RunOptions::default()).unwrap();
+        let [a, b] = &result.points[..] else {
+            panic!("two points expected");
+        };
+        for (ma, mb) in a.metrics.iter().zip(&b.metrics) {
+            assert_eq!(ma.name, mb.name);
+            assert_eq!(ma.mean.to_bits(), mb.mean.to_bits(), "{}", ma.name);
+            assert_eq!(ma.half_width.to_bits(), mb.half_width.to_bits());
+        }
+    }
+
+    #[test]
+    fn o2_cache_ios_do_not_grow_with_the_cache() {
+        let mut scenario =
+            Scenario::parse(include_str!("../../../scenarios/o2_cache.toml")).unwrap();
+        scenario.shrink_for_smoke(20_000, 100, 6);
+        let options = RunOptions {
+            reps: Some(2),
+            ..RunOptions::default()
+        };
+        let ios = ios_means(&run_sweep(&scenario, &options).unwrap());
+        assert_eq!(ios.len(), 6);
+        for pair in ios.windows(2) {
+            assert!(pair[1] <= pair[0], "more cache cost more I/Os: {ios:?}");
+        }
     }
 }

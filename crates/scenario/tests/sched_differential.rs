@@ -1,61 +1,33 @@
 //! End-to-end scheduler differential fuzz: the full smoke scenario —
 //! object-base generation, workload streams, the complete VOODB model
 //! with buffering, locking, clustering and telemetry — run under the
-//! calendar-queue scheduler and under the binary-heap oracle must
-//! produce bit-identical sweep results. Any divergence means the
-//! calendar queue reordered at least one event pair somewhere in the
-//! millions of dispatches behind these numbers.
+//! production calendar-queue scheduler and under the binary-heap oracle
+//! (passed to the sweep runner as a job) must produce byte-identical
+//! CSV and JSON reports. Any divergence means the calendar queue
+//! reordered at least one event pair somewhere in the millions of
+//! dispatches behind these numbers.
 
-use scenario::{run_sweep, RunOptions, Scenario, SchedulerKind};
-use std::path::PathBuf;
+mod support;
 
-fn smoke() -> Scenario {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/smoke.toml");
-    let text = std::fs::read_to_string(&path).expect("smoke scenario readable");
-    Scenario::parse(&text).expect("smoke scenario valid")
-}
-
-fn options(sched: SchedulerKind, seed: u64) -> RunOptions {
-    RunOptions {
-        threads: Some(2),
-        reps: Some(2),
-        seed: Some(seed),
-        scheduler: sched,
-        ..RunOptions::default()
-    }
-}
+use scenario::{RunOptions, SchedulerKind};
+use support::{preset, sched_job, tables, tables_with};
 
 #[test]
 fn smoke_scenario_is_bit_identical_across_schedulers() {
-    let scenario = smoke();
+    let scenario = preset("smoke.toml");
     // Several seeds: different seeds drive different lock contention,
     // restart hazards and clustering decisions through the kernel.
     for seed in [11u64, 42, 97] {
-        let calendar =
-            run_sweep(&scenario, &options(SchedulerKind::Calendar, seed)).expect("calendar run");
-        let heap = run_sweep(&scenario, &options(SchedulerKind::Heap, seed)).expect("heap run");
-        assert_eq!(calendar.points.len(), heap.points.len());
-        for (a, b) in calendar.points.iter().zip(&heap.points) {
-            assert_eq!(a.label, b.label);
-            for (ma, mb) in a.metrics.iter().zip(&b.metrics) {
-                assert_eq!(ma.name, mb.name);
-                assert_eq!(
-                    ma.mean.to_bits(),
-                    mb.mean.to_bits(),
-                    "seed {seed}, {} / {}: calendar {} vs heap {}",
-                    a.label,
-                    ma.name,
-                    ma.mean,
-                    mb.mean
-                );
-                assert_eq!(
-                    ma.half_width.to_bits(),
-                    mb.half_width.to_bits(),
-                    "seed {seed}, {} / {} (half-width)",
-                    a.label,
-                    ma.name
-                );
-            }
-        }
+        let options = RunOptions {
+            threads: Some(2),
+            reps: Some(2),
+            seed: Some(seed),
+            ..RunOptions::default()
+        };
+        let (calendar_csv, calendar_json) = tables(&scenario, &options);
+        let (heap_csv, heap_json) =
+            tables_with(&scenario, &options, sched_job(SchedulerKind::Heap));
+        assert_eq!(calendar_csv, heap_csv, "seed {seed}: heap CSV diverged");
+        assert_eq!(calendar_json, heap_json, "seed {seed}: heap JSON diverged");
     }
 }

@@ -1,19 +1,15 @@
-//! Streaming differential tests, in the style of the PR 4 scheduler
+//! Streaming differential tests, in the style of the scheduler
 //! oracle: the streamed workload pipeline (lazy generation into a
 //! recycled transaction slab) must be **bit-identical** to the
 //! materialized oracle (the pre-streaming implementation: the whole
-//! run built as a `Vec<Transaction>` up front) on every configuration
-//! where both exist — count-based phases — across sweep points,
-//! replications, schedulers and thread counts.
+//! run built as a `Vec<Transaction>` up front, in `support`) on every
+//! configuration where both exist — count-based phases — across sweep
+//! points, replications, schedulers and thread counts.
 
-use scenario::{run_sweep, sweep_table, RunOptions, Scenario, SchedulerKind};
-use std::path::PathBuf;
+mod support;
 
-fn preset(name: &str) -> Scenario {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../scenarios/{name}"));
-    let text = std::fs::read_to_string(&path).expect("scenario readable");
-    Scenario::parse(&text).expect("scenario valid")
-}
+use scenario::{run_sweep, sweep_table, RunOptions, SchedulerKind};
+use support::{preset, run_replication_materialized, sched_job, tables, tables_with};
 
 #[test]
 fn streamed_sweep_is_bit_identical_to_materialized_oracle() {
@@ -22,25 +18,16 @@ fn streamed_sweep_is_bit_identical_to_materialized_oracle() {
     // contention and clustering decisions.
     let scenario = preset("smoke.toml");
     for seed in [11u64, 42, 97] {
-        let run = |materialized: bool| {
-            let result = run_sweep(
-                &scenario,
-                &RunOptions {
-                    threads: Some(2),
-                    reps: Some(2),
-                    seed: Some(seed),
-                    materialized,
-                    ..RunOptions::default()
-                },
-            )
-            .expect("sweep runs");
-            (
-                sweep_table(&result).to_csv(),
-                sweep_table(&result).to_json(),
-            )
+        let options = RunOptions {
+            threads: Some(2),
+            reps: Some(2),
+            seed: Some(seed),
+            ..RunOptions::default()
         };
-        let (streamed_csv, streamed_json) = run(false);
-        let (oracle_csv, oracle_json) = run(true);
+        let (streamed_csv, streamed_json) = tables(&scenario, &options);
+        let (oracle_csv, oracle_json) = tables_with(&scenario, &options, |base, point, seed| {
+            run_replication_materialized(base, point, seed, SchedulerKind::default())
+        });
         assert_eq!(
             streamed_csv, oracle_csv,
             "seed {seed}: streamed CSV diverged from the materialized oracle"
@@ -52,36 +39,33 @@ fn streamed_sweep_is_bit_identical_to_materialized_oracle() {
 #[test]
 fn streamed_oracle_equivalence_holds_on_the_heap_scheduler_too() {
     let scenario = preset("smoke.toml");
-    let run = |materialized: bool| {
-        let result = run_sweep(
-            &scenario,
-            &RunOptions {
-                reps: Some(2),
-                seed: Some(7),
-                scheduler: SchedulerKind::Heap,
-                materialized,
-                ..RunOptions::default()
-            },
-        )
-        .expect("sweep runs");
-        sweep_table(&result).to_csv()
+    let options = RunOptions {
+        reps: Some(2),
+        seed: Some(7),
+        ..RunOptions::default()
     };
-    assert_eq!(run(false), run(true));
+    let streamed = tables_with(&scenario, &options, sched_job(SchedulerKind::Heap));
+    let oracle = tables_with(&scenario, &options, |base, point, seed| {
+        run_replication_materialized(base, point, seed, SchedulerKind::Heap)
+    });
+    assert_eq!(streamed, oracle);
 }
 
 #[test]
 fn materializing_a_horizon_phase_is_rejected() {
     let scenario = preset("open_arrival.toml");
-    let err = run_sweep(
-        &scenario,
-        &RunOptions {
-            reps: Some(1),
-            materialized: true,
-            ..RunOptions::default()
-        },
-    )
-    .expect_err("horizon phases cannot be materialized");
-    assert!(err.contains("materialized"), "{err}");
+    let point = &scenario.grid()[0];
+    let base = ocb::ObjectBase::generate(&point.config.database, 1);
+    let outcome = std::panic::catch_unwind(|| {
+        run_replication_materialized(&base, point, 2, SchedulerKind::default())
+    });
+    let payload = outcome.expect_err("horizon phases cannot be materialized");
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|m| m.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    assert!(message.contains("materialize"), "{message}");
 }
 
 #[test]

@@ -6,15 +6,11 @@
 //! every closed configuration, across sweep points, replications, seeds,
 //! schedulers and thread counts.
 
-use ocb::{UserCohort, UserModel};
-use scenario::{run_sweep, sweep_table, RunOptions, Scenario, SchedulerKind};
-use std::path::PathBuf;
+mod support;
 
-fn preset(name: &str) -> Scenario {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../scenarios/{name}"));
-    let text = std::fs::read_to_string(&path).expect("scenario readable");
-    Scenario::parse(&text).expect("scenario valid")
-}
+use ocb::{UserCohort, UserModel};
+use scenario::{RunOptions, Scenario, SchedulerKind};
+use support::{preset, sched_job, tables, tables_with};
 
 /// The smoke sweep, reshaped into a closed multi-user workload: more
 /// users than MPL seats so the admission ring actually queues, and a
@@ -25,14 +21,6 @@ fn closed_smoke(user_model: UserModel) -> Scenario {
     scenario.config.workload.think_time_ms = 25.0;
     scenario.config.workload.user_model = user_model;
     scenario
-}
-
-fn tables(scenario: &Scenario, options: &RunOptions) -> (String, String) {
-    let result = run_sweep(scenario, options).expect("sweep runs");
-    (
-        sweep_table(&result).to_csv(),
-        sweep_table(&result).to_json(),
-    )
 }
 
 #[test]
@@ -56,15 +44,19 @@ fn cohort_sweep_is_bit_identical_to_per_user_oracle() {
 
 #[test]
 fn user_model_equivalence_holds_on_every_scheduler() {
+    let options = RunOptions {
+        reps: Some(2),
+        seed: Some(7),
+        ..RunOptions::default()
+    };
     for sched in SchedulerKind::ALL {
-        let options = RunOptions {
-            reps: Some(2),
-            seed: Some(7),
-            scheduler: sched,
-            ..RunOptions::default()
-        };
-        let oracle = tables(&closed_smoke(UserModel::PerUser), &options).0;
-        let cohort = tables(&closed_smoke(UserModel::Cohort), &options).0;
+        let oracle = tables_with(
+            &closed_smoke(UserModel::PerUser),
+            &options,
+            sched_job(sched),
+        )
+        .0;
+        let cohort = tables_with(&closed_smoke(UserModel::Cohort), &options, sched_job(sched)).0;
         assert_eq!(
             cohort,
             oracle,

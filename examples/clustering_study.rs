@@ -34,16 +34,17 @@ fn main() {
         trigger_threshold: usize::MAX, // external demand, as in §4.4
     };
     let seed = 7;
+    let base = ObjectBase::generate(&database, seed);
 
     // ----- simulation side (logical OIDs) ------------------------------
     let mut system = VoodbParams::texas(64);
     system.clustering = ClusteringKind::Dstc(dstc.clone());
     let config = ExperimentConfig {
         system,
-        database: database.clone(),
+        database,
         workload: workload.clone(),
     };
-    let study = run_dstc_study(&config, seed);
+    let study = run_dstc_study(&base, &config, seed);
     println!("VOODB simulation (logical OIDs):");
     println!("  pre-clustering I/Os   {:>8}", study.pre.total_ios());
     println!("  clustering overhead   {:>8}", study.reorg.io.total());
@@ -55,7 +56,6 @@ fn main() {
     );
 
     // ----- benchmark side (Texas engine, physical OIDs) ----------------
-    let base = ObjectBase::generate(&database, seed);
     let mut generator = WorkloadGenerator::new(&base, workload.clone(), seed ^ 0xC0B);
     let transactions: Vec<_> = (0..workload.hot_transactions)
         .map(|_| generator.next_transaction())

@@ -254,6 +254,6 @@ fn clustering_gain_holds_on_both_sides() {
         database: db,
         workload,
     };
-    let study = voodb::run_dstc_study(&config, 13);
+    let study = voodb::run_dstc_study(&base, &config, 13);
     assert!(study.gain() > 1.0, "sim gain {}", study.gain());
 }
