@@ -22,9 +22,10 @@
 //! and Simulation columns with 95% confidence intervals, mirroring the
 //! paper's figures. The figure tables add the bench/sim ratio of means
 //! and the model's response-time percentiles. Every other knob lives in
-//! the scenario file. Criterion benches (`cargo bench`) cover kernel
-//! throughput and scaled-down versions of the same experiments;
-//! `engine_bench` and `schedbench` measure the kernel.
+//! the scenario file. `engine_bench` measures kernel and model
+//! throughput for the CI perf gate; the end-to-end benchmark of record
+//! (per-layer costs, scheduler hold times, timed figure points) is the
+//! standalone `e2ebench/` package.
 
 pub mod args;
 pub mod harness;

@@ -5,7 +5,9 @@
 //! Other}`, with *Optimized Sequential* the default and the setting used
 //! for both O2 and Texas in Table 4. A [`Placement`] is the (logical) map
 //! from objects to disk pages; the real engines materialise it in slotted
-//! pages, the simulator carries it as model state (DESIGN.md decision 1).
+//! pages, the simulator carries it as model state, because the page
+//! reference string — and so the I/O count — depends on the exact
+//! placement rather than on a probabilistic page model.
 //!
 //! Objects never span pages (OCB objects are at most ~2 KB against 4 KB
 //! pages); an object larger than the page size is rejected at build time.

@@ -3,7 +3,7 @@
 //! Knowledge-model role (Fig. 4): "requests the page from the Buffering
 //! Manager that checks if the page is present in the memory buffer. If
 //! not, it requests the page from the I/O Subsystem." The buffer is
-//! simulated exactly (DESIGN.md decision 1): residency, the replacement
+//! simulated exactly rather than approximated: residency, the replacement
 //! policy and dirty flags evolve page by page, so the simulated I/O count
 //! is a deterministic function of the reference string — like the real
 //! engines, unlike an independent-reference approximation.

@@ -4,8 +4,9 @@
 //! Transaction Manager to the Object Manager that finds out which disk
 //! page contains the object". In the evaluation model that is the logical
 //! OID → page map — carried as model state because the headline metric
-//! (I/O count) is determined by the exact page-reference string (DESIGN.md
-//! decision 1). VOODB uses logical OIDs throughout; the map absorbs
+//! (I/O count) is determined by the exact page-reference string, so the
+//! model tracks real pages instead of drawing page hits from a probability.
+//! VOODB uses logical OIDs throughout; the map absorbs
 //! reorganisations cheaply (the contrast with physical-OID Texas).
 
 use clustering::{PageId, Placement, PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};

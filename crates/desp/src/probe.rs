@@ -13,8 +13,10 @@
 //! [`Context`](crate::engine::Context), defaulting to [`NoProbe`] whose
 //! hook bodies are empty: monomorphisation compiles every call site out
 //! of untraced runs, so enabling the hook seam costs ~zero when unused
-//! (asserted by the `trace_overhead` criterion bench). A recording
-//! implementation lives in the `voodb-trace` crate.
+//! (measured, not asserted: `engine_bench` reports the model's event
+//! rate under [`NoProbe`] and under the recorder, and CI caps
+//! `trace_recorder_overhead_pct` at 10%). A recording implementation
+//! lives in the `voodb-trace` crate.
 //!
 //! All instants are simulated milliseconds ([`SimTime::as_ms`]
 //! values); the kernel never hands a probe wall-clock time.

@@ -8,9 +8,9 @@
 //! fail.
 //!
 //! The simulation models here also serve as the canonical usage examples of
-//! [`Engine`]/[`Resource`] and as the workload for the `kernel` criterion
-//! bench (event throughput — the property that made the authors abandon
-//! QNAP2 for a compiled kernel).
+//! [`Engine`]/[`Resource`] and as the workload of `engine_bench`'s
+//! `kernel_mm1_events_per_sec` (event throughput — the property that
+//! made the authors abandon QNAP2 for a compiled kernel).
 
 use crate::engine::{Context, Engine, Model};
 use crate::probe::NoProbe;

@@ -565,7 +565,8 @@ impl RandomStream {
 ///
 /// Stream identifiers are stable: `(seed, id)` always yields the same
 /// stream, which is what makes a replication reproducible from its seed
-/// alone (DESIGN.md decision 2).
+/// alone: every random draw in the model comes from a stream of the
+/// replication's seed, never from an unseeded or shared source.
 #[derive(Clone, Debug)]
 pub struct StreamFamily {
     seed: u64,

@@ -8,7 +8,9 @@
 //! 1988) and puts both behind the [`Scheduler`] trait so the engine can
 //! be instantiated with either — the heap stays around as the oracle
 //! for differential tests and the `engine_bench` heap-vs-calendar
-//! column.
+//! column. The hierarchical [`TimerWheel`] serves far-future-heavy
+//! schedules; the end-to-end benchmark (`e2ebench/`) times all three
+//! queues on a hold pattern (`desp.hold_ns.{calendar,heap,wheel}.*`).
 //!
 //! ## Determinism contract
 //!
@@ -356,13 +358,6 @@ pub struct CalendarQueue<E> {
     seq: u64,
     /// Retired bucket storage, recycled on the next grow.
     spare: Vec<Vec<Slot<E>>>,
-    /// Lifetime count of [`CalendarQueue::resize`] calls (diagnostic).
-    resizes: u64,
-    /// Lifetime count of events parked on the overflow heap, from any
-    /// path (push beyond the horizon, or a shrink moving the horizon
-    /// below a ring event). Diagnostic: `schedbench` reports it so the
-    /// wheel-vs-calendar crossover is measurable, not asserted.
-    overflow_pushes: u64,
 }
 
 impl<E> Default for CalendarQueue<E> {
@@ -383,8 +378,6 @@ impl<E> Default for CalendarQueue<E> {
             overflow_min_ord: u128::MAX,
             seq: 0,
             spare: Vec::new(),
-            resizes: 0,
-            overflow_pushes: 0,
         }
     }
 }
@@ -408,17 +401,6 @@ impl<E> CalendarQueue<E> {
     /// Events parked on the overflow list (diagnostic).
     pub fn overflow_len(&self) -> usize {
         self.overflow.len()
-    }
-
-    /// Lifetime resize count (diagnostic; `schedbench` column).
-    pub fn resize_count(&self) -> u64 {
-        self.resizes
-    }
-
-    /// Lifetime count of events that took the overflow heap
-    /// (diagnostic; `schedbench` column).
-    pub fn overflow_push_count(&self) -> u64 {
-        self.overflow_pushes
     }
 
     /// Day index of instant `t` under the current width. Monotone in
@@ -558,7 +540,6 @@ impl<E> CalendarQueue<E> {
     #[cold]
     fn resize(&mut self, nbuckets: usize) {
         debug_assert!(nbuckets.is_power_of_two());
-        self.resizes += 1;
         let mut all: Vec<Slot<E>> = Vec::with_capacity(self.ring_len + self.overflow.len());
         for bucket in &mut self.buckets {
             all.append(bucket);
@@ -623,7 +604,6 @@ impl<E> CalendarQueue<E> {
             let day = self.slot_day(slot.ord);
             if day >= self.horizon_day {
                 self.overflow.push(OverflowSlot(slot));
-                self.overflow_pushes += 1;
                 continue;
             }
             let bucket = &mut self.buckets[(day as usize) & self.mask];
@@ -702,7 +682,6 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
         let day = self.day_of(time.as_ms());
         if day >= self.horizon_day {
             self.overflow.push(OverflowSlot(Slot { ord, event }));
-            self.overflow_pushes += 1;
             if ord < self.overflow_min_ord {
                 self.overflow_min_ord = ord;
             }
@@ -1496,21 +1475,6 @@ mod tests {
         // A later push behind the cursor must still pop first.
         q.push(SimTime::from_ms(2.0), 2);
         assert_eq!(drain(&mut q), vec![(2.0, 2), (1000.0, 1)]);
-    }
-
-    #[test]
-    fn calendar_counts_resizes_and_overflow() {
-        let mut q = CalendarQueue::new();
-        for i in 0..4096u32 {
-            q.push(SimTime::from_ms(i as f64 * 0.37), i);
-        }
-        assert!(q.resize_count() > 0, "leaving collapsed mode is a resize");
-        assert!(
-            q.overflow_push_count() > 0,
-            "pushes beyond the horizon must register"
-        );
-        drain(&mut q);
-        assert!(q.is_empty());
     }
 
     #[test]

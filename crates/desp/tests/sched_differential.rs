@@ -1,13 +1,14 @@
-//! Differential and property tests of the calendar-queue scheduler.
+//! Differential and property tests of the calendar-queue and
+//! timer-wheel schedulers.
 //!
-//! The binary heap is the oracle: both schedulers promise dispatch in
+//! The binary heap is the oracle: every scheduler promises dispatch in
 //! ascending `(time, seq)` order, so on *any* schedule — random batches,
 //! same-timestamp bursts, events scheduled mid-run, far-future overflow
-//! events, interleaved pops that drive resizes — the two must produce
-//! identical pop sequences and engines built on them identical
-//! dispatch traces.
+//! events, interleaved pops that drive resizes, hold patterns from a
+//! handful to 100 000 pending events — they must produce identical pop
+//! sequences and engines built on them identical dispatch traces.
 
-use desp::sched::{CalendarQueue, EventHeap, Scheduler};
+use desp::sched::{CalendarQueue, EventHeap, Scheduler, TimerWheel};
 use desp::{Context, Engine, HeapKind, Model, NoProbe, QueueKind, RandomStream, SimTime};
 use proptest::prelude::*;
 
@@ -70,12 +71,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The core differential property: identical total order on any
-    /// monotone push/pop interleaving, including overflow traffic.
+    /// monotone push/pop interleaving, including overflow traffic, for
+    /// the calendar queue and the timer wheel alike.
     #[test]
     fn calendar_pop_order_matches_heap(ops in prop::collection::vec(op_strategy(), 1..300)) {
-        let calendar = run_ops::<CalendarQueue<u32>>(&ops);
         let heap = run_ops::<EventHeap<u32>>(&ops);
-        prop_assert_eq!(calendar, heap);
+        let calendar = run_ops::<CalendarQueue<u32>>(&ops);
+        let wheel = run_ops::<TimerWheel<u32>>(&ops);
+        prop_assert_eq!(&calendar, &heap);
+        prop_assert_eq!(&wheel, &heap);
     }
 
     /// Same-timestamp bursts pop in FIFO (sequence-number) order.
@@ -140,6 +144,54 @@ proptest! {
         }
         prop_assert_eq!(q.len(), 0);
         prop_assert!(q.is_empty());
+    }
+}
+
+/// The classic hold pattern: `pending` events stay queued while each of
+/// `holds` pops schedules its successor an exponential hold ahead. Returns
+/// the whole pop sequence (times as bits), drained to empty at the end.
+fn hold_pattern<S: Scheduler<u64>>(pending: usize, mean_ms: f64, holds: usize) -> Vec<(u64, u64)> {
+    let mut q = S::default();
+    let mut rng = RandomStream::new(42);
+    for id in 0..pending as u64 {
+        q.push(SimTime::from_ms(rng.expo(mean_ms)), id);
+    }
+    let mut trace = Vec::with_capacity(pending + holds);
+    for id in pending as u64..(pending + holds) as u64 {
+        let (t, e) = q.pop().expect("the hold pattern keeps the queue populated");
+        trace.push((t.as_ms().to_bits(), e));
+        q.push(SimTime::from_ms(t.as_ms() + rng.expo(mean_ms)), id);
+    }
+    while let Some((t, e)) = q.pop() {
+        trace.push((t.as_ms().to_bits(), e));
+    }
+    trace
+}
+
+/// Calendar queue, heap and timer wheel pop the same sequence on the hold
+/// pattern. Tight 1.11 ms holds pile events onto each other (ring and
+/// collapse pressure); 50 s think times are the far-future regime the
+/// wheel's staging levels serve. Populations run from the paper's few
+/// users to a 100 000-event think-time deluge.
+#[test]
+fn hold_pattern_pops_identically_on_all_schedulers() {
+    const HOLDS: usize = 50_000;
+    for mean_ms in [1.11, 50_000.0] {
+        for pending in [3usize, 1024, 100_000] {
+            let heap = hold_pattern::<EventHeap<u64>>(pending, mean_ms, HOLDS);
+            let calendar = hold_pattern::<CalendarQueue<u64>>(pending, mean_ms, HOLDS);
+            let wheel = hold_pattern::<TimerWheel<u64>>(pending, mean_ms, HOLDS);
+            for (name, trace) in [("calendar", calendar), ("wheel", wheel)] {
+                assert_eq!(trace.len(), heap.len(), "{name}: pop count");
+                if let Some(i) = trace.iter().zip(&heap).position(|(a, b)| a != b) {
+                    panic!(
+                        "{name} diverges from the heap at pop {i} \
+                         (mean hold {mean_ms} ms, {pending} pending): {:?} vs {:?}",
+                        trace[i], heap[i]
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -11,7 +11,8 @@
 //! Defaults follow the OCB defaults quoted in the paper where the paper
 //! states them (NC = 50, NO = 20 000, Table 5's mix and depths), and
 //! documented interpretations elsewhere (the full OCB parameter list is not
-//! reproduced in the VOODB paper; DESIGN.md records each interpretation).
+//! reproduced in the VOODB paper; each interpretation is documented on the
+//! field it sets).
 
 /// Distribution used for skewed random selections.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -1,10 +1,10 @@
 //! Recorder construction: the [`RecorderConfig`] builder.
 //!
-//! `TraceRecorder::new()` grew by accretion — every knob (shard count,
-//! sampling, series decimation, watch sinks) would have meant another
-//! constructor variant. This builder is the one construction path used
-//! by the library, the scenario runner and the `voodb` CLI alike; the
-//! old constructor survives as a thin deprecated shim for one release.
+//! Every recorder knob (shard count, sampling, series decimation, watch
+//! sinks) is a builder method rather than another constructor variant.
+//! This builder is the one construction path used by the library, the
+//! scenario runner and the `voodb` CLI alike; `TraceRecorder::default()`
+//! is shorthand for `RecorderConfig::new().build()`.
 
 use crate::recorder::TraceRecorder;
 use crate::series;

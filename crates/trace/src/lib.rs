@@ -22,7 +22,9 @@
 //!   rebuilt from JSONL, and regression flagging between two runs.
 //!
 //! Untraced runs pay nothing: the kernel's hooks are monomorphised away
-//! under [`desp::NoProbe`] (see the `trace_overhead` criterion bench).
+//! under [`desp::NoProbe`]. `engine_bench` measures what a recording
+//! run costs (`trace_recorder_overhead_pct`, capped in CI), and the
+//! end-to-end benchmark reports it as `bench.trace_overhead_x`.
 
 #![warn(missing_docs)]
 

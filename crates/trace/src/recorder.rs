@@ -265,12 +265,6 @@ impl TraceRecorder {
     /// default; see [`RecorderConfig::dispatch_sample_every`]).
     pub const DISPATCH_SAMPLE_EVERY: u64 = 64;
 
-    /// A fresh recorder with the default configuration.
-    #[deprecated(since = "0.2.0", note = "use RecorderConfig::new().build()")]
-    pub fn new() -> Self {
-        RecorderConfig::new().build()
-    }
-
     pub(crate) fn from_config(
         shards: usize,
         sample: Option<usize>,
@@ -911,17 +905,6 @@ mod tests {
         assert_eq!(r.events_scheduled(), 300);
         let pending = r.series_named("pending_events").unwrap();
         assert_eq!(pending.offered(), sampled);
-    }
-
-    #[test]
-    fn deprecated_constructor_matches_default_config() {
-        // The shim stays one release for external callers.
-        #[allow(deprecated)] // exercising the compatibility shim itself
-        let mut r = TraceRecorder::new();
-        emit(&mut r, 1, SpanPoint::Submit, 0.0);
-        emit(&mut r, 1, SpanPoint::Committed, 2.0);
-        assert_eq!(r.spans().len(), 1);
-        assert_eq!(r.spans_offered(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Full-stack determinism: every replication is a pure function of its
-//! seed (DESIGN.md decision 2 — the prerequisite for the paper's
-//! replication-based output analysis).
+//! seed, because every random draw comes from a seeded stream (the
+//! prerequisite for the paper's replication-based output analysis).
 
 use ocb::{DatabaseParams, ObjectBase, WorkloadGenerator, WorkloadParams};
 use oostore::{run_workload, PageServerConfig, PageServerEngine, TexasConfig, TexasEngine};
