@@ -47,7 +47,6 @@ pub mod admission;
 pub mod bman;
 pub mod cman;
 pub mod experiment;
-pub mod hazards;
 pub mod iosub;
 pub mod lockmgr;
 pub mod model;
@@ -63,7 +62,6 @@ pub use experiment::{
     run_dstc_study, run_once, run_once_probed, run_once_sched, run_replicated, workload_phase,
     DstcStudyResult, ExperimentConfig, Simulation, WORKLOAD_SEED_SALT,
 };
-pub use hazards::{HazardKind, HazardModule, HazardParams, HazardReport};
 pub use iosub::{IoSubsystem, SimIoCounts};
 pub use lockmgr::{DeadlockPolicy, LockManager, LockMode, LockOutcome, LockStats};
 pub use model::{Event, PhaseMode, VoodbModel};

@@ -23,15 +23,15 @@
 //! The Users component **pulls** transactions from an
 //! [`ocb::TransactionSource`] one at a time instead of materializing a
 //! phase up front: per-transaction state lives in a recycled
-//! [`crate::txslab::TxSlab`], so a phase holds O(in-flight) transaction
-//! state — bounded by the user count (closed workloads) or the arrival
-//! backlog (open workloads) — no matter how many transactions it
-//! executes. Two arrival regimes ([`ocb::Arrival`]) drive submissions:
-//! the paper's **closed** think-time loop (`NUSERS` users cycling
-//! think → submit → wait-for-commit) and **open** arrivals (Poisson or
-//! deterministic interarrival, independent of completions). Phases
-//! terminate either on a transaction **count** or on a simulated **time
-//! horizon** with a warm-up window ([`PhaseMode`]).
+//! transaction slab ([`crate::txslab`]), so a phase holds O(in-flight)
+//! transaction state — bounded by the user count (closed workloads) or
+//! the arrival backlog (open workloads) — no matter how many
+//! transactions it executes. Two arrival regimes ([`ocb::Arrival`])
+//! drive submissions: the paper's **closed** think-time loop (`NUSERS`
+//! users cycling think → submit → wait-for-commit) and **open** arrivals
+//! (Poisson or deterministic interarrival, independent of completions).
+//! Phases terminate either on a transaction **count** or on a simulated
+//! **time horizon** with a warm-up window ([`PhaseMode`]).
 //!
 //! ### Scaling the user population
 //!
@@ -47,22 +47,19 @@
 //! slab slot plus a queued continuation event, so a million waiting
 //! users cost megabytes instead of gigabytes. Both representations draw
 //! the think stream in the identical order, so they produce
-//! bit-identical [`PhaseResult`]s (event counts aside) whenever wake
-//! instants don't collide across users — guaranteed for continuously
-//! distributed think times; the zero-think degenerate case is pinned
-//! separately by the differential tests. The one observable skew:
-//! cohort mode discovers source exhaustion at the (deferred) admission
-//! instead of at submission, so a hazard re-arm racing the very last
-//! pulls may observe work the per-user oracle would not — differential
-//! guarantees hold for hazard-free configurations.
+//! bit-identical [`PhaseResult`]s (event counts aside), under either
+//! concurrency control, whenever wake instants don't collide across
+//! users — guaranteed for continuously distributed think times; the
+//! zero-think degenerate case is pinned separately by the differential
+//! tests.
 //!
 //! ### Determinism
 //!
 //! A phase is a pure function of `(base, params, seed)` regardless of
-//! how it is driven: the workload stream, the think/arrival stream and
-//! the hazard stream are decorrelated [`RandomStream`]s, so lazy
-//! generation interleaving with model events cannot perturb any draw —
-//! streamed and materialized runs are bit-identical where they overlap
+//! how it is driven: the workload stream and the think/arrival stream
+//! are decorrelated [`RandomStream`]s, so lazy generation interleaving
+//! with model events cannot perturb any draw — streamed and
+//! materialized runs are bit-identical where they overlap
 //! (count-based phases), as are traced and untraced runs (probes only
 //! observe) and both event-list implementations (differential tests
 //! assert all three). Trace spans and lock-manager timestamps use each
@@ -81,7 +78,6 @@
 use crate::admission::{AdmissionRing, PendingArrival};
 use crate::bman::BufferingManager;
 use crate::cman::{ClusteringManager, SimReorgReport};
-use crate::hazards::{HazardKind, HazardModule, HazardReport};
 use crate::iosub::{IoSubsystem, SimIoCounts};
 use crate::lockmgr::{LockManager, LockMode, LockOutcome, LockStats};
 use crate::oman::ObjectManager;
@@ -194,12 +190,6 @@ pub enum Event {
     LockResume(usize),
     /// A deadlock victim restarts from its first access.
     TxRestart(Tid),
-    /// A hazard strikes (requests the disk to seize it).
-    HazardStrike(HazardKind),
-    /// The hazard holds the disk; the outage begins.
-    HazardSeized(HazardKind),
-    /// The outage is over; the disk resumes.
-    HazardCleared(HazardKind),
 }
 
 /// The VOODB evaluation model, generic over the Table 3 parameters.
@@ -259,7 +249,6 @@ pub struct VoodbModel<'a> {
     measure_start: SimTime,
     phase_end: SimTime,
     reorgs: Vec<SimReorgReport>,
-    hazards: HazardModule,
     locks: LockManager,
     aborts: u64,
     /// Probe series handles, re-interned at every phase start (probes
@@ -447,7 +436,6 @@ impl<'a> VoodbModel<'a> {
             .collect();
         let cman = ClusteringManager::new(&params.clustering);
         let prefetcher = params.prefetch.build();
-        let hazards = HazardModule::new(params.hazards, seed);
         VoodbModel {
             base,
             scheduler: Resource::new("scheduler", params.multiprogramming_level),
@@ -487,7 +475,6 @@ impl<'a> VoodbModel<'a> {
             measure_start: SimTime::ZERO,
             phase_end: SimTime::ZERO,
             reorgs: Vec::new(),
-            hazards,
             locks: LockManager::new(),
             aborts: 0,
             series_ids: SeriesIds::default(),
@@ -568,7 +555,7 @@ impl<'a> VoodbModel<'a> {
         let needs_lock_time = t.lock(oid);
         if ctx.tracing() {
             // Grant instant minus the request instant saved at
-            // StartAccess — the operands a point-pairing probe folds.
+            // StartAccess; emitted as the LockWait stage at commit.
             let waited = ctx.now().as_ms() - t.marks.lock_req_ms;
             t.marks.lock_wait_ms += waited;
         }
@@ -600,37 +587,6 @@ impl<'a> VoodbModel<'a> {
         t.locked.clear();
         t.pending_io = None;
         ctx.schedule(backoff_ms, Event::TxRestart(tid));
-    }
-
-    /// The hazard module's accumulated report.
-    pub fn hazard_report(&self) -> HazardReport {
-        self.hazards.report()
-    }
-
-    /// True while the phase still has work (hazards re-arm only then, so
-    /// the event list drains when a bounded workload completes; unbounded
-    /// sources always have work and rely on the horizon to stop the run).
-    fn work_remaining(&self) -> bool {
-        let source_has_more = !self.exhausted && self.source.remaining() != Some(0);
-        source_has_more || !self.slab.is_empty()
-    }
-
-    /// Arms the next strike of `kind`, if configured and work remains.
-    fn arm_hazard<P: Probe, Q: QueueKind>(
-        &mut self,
-        kind: HazardKind,
-        ctx: &mut Context<'_, Event, P, Q>,
-    ) {
-        if !self.work_remaining() {
-            return;
-        }
-        let delay = match kind {
-            HazardKind::Benign => self.hazards.next_benign_ms(),
-            HazardKind::Serious => self.hazards.next_serious_ms(),
-        };
-        if let Some(delay) = delay {
-            ctx.schedule(delay, Event::HazardStrike(kind));
-        }
     }
 
     /// The model parameters.
@@ -1267,8 +1223,6 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
             // is measured (init events outrank same-time later ones).
             ctx.schedule(warmup_ms, Event::MeasureStart);
         }
-        self.arm_hazard(HazardKind::Benign, ctx);
-        self.arm_hazard(HazardKind::Serious, ctx);
     }
 
     fn handle(&mut self, event: Event, ctx: &mut Context<'_, Event, P, Q>) {
@@ -1505,34 +1459,6 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                 if self.arrival.is_closed() {
                     self.resubmit_user(user, ctx);
                 }
-            }
-            Event::HazardStrike(kind) => {
-                if self.work_remaining() {
-                    self.disks[0].request(Event::HazardSeized(kind), ctx);
-                } // else: the phase is over, let the event list drain.
-            }
-            Event::HazardSeized(kind) => {
-                let mut outage = self.hazards.strike(kind);
-                if kind == HazardKind::Serious {
-                    // The crash loses every buffered page; dirty pages are
-                    // redone from the log (one write each, counted like
-                    // any other I/O and added to the outage).
-                    let mut redo_writes = 0u64;
-                    for site in 0..self.bman.len() {
-                        let lost_dirty = self.bman[site].flush_all();
-                        for page in lost_dirty {
-                            outage += self.iosub[site].write(page);
-                            redo_writes += 1;
-                        }
-                    }
-                    self.hazards.record_recovery(redo_writes);
-                }
-                self.hazards.record_downtime(outage);
-                ctx.schedule(outage, Event::HazardCleared(kind));
-            }
-            Event::HazardCleared(kind) => {
-                self.disks[0].release(ctx);
-                self.arm_hazard(kind, ctx);
             }
         }
     }
@@ -2050,9 +1976,35 @@ mod tests {
         assert!(locky.mean_response_ms > free.mean_response_ms);
     }
 
-    /// Runs one closed, streamed, count-bounded phase under the given
-    /// user representation. Returns the result, the slab high water and
-    /// the admission-ring high water.
+    /// Runs one closed, streamed, count-bounded phase of `wl` under the
+    /// given user representation. Returns the finished model and the
+    /// number of events dispatched.
+    fn run_closed_workload<'a>(
+        base: &'a ObjectBase,
+        params: VoodbParams,
+        think_time_ms: f64,
+        user_model: UserModel,
+        cohorts: &[UserCohort],
+        wl: WorkloadParams,
+        seed: u64,
+    ) -> (VoodbModel<'a>, u64) {
+        let n = wl.hot_transactions;
+        let generator = WorkloadGenerator::new(base, wl, seed);
+        let mut model = VoodbModel::new(base, params, think_time_ms, seed);
+        model.set_user_population(user_model, cohorts);
+        model.load_phase_streamed(
+            Box::new(ocb::LazySource::bounded(generator, n)),
+            PhaseMode::Count { cold: 0 },
+            Arrival::Closed,
+        );
+        let mut engine = Engine::with_probe(model, desp::NoProbe);
+        let outcome = engine.run_to_completion();
+        (engine.into_parts().0, outcome.events_dispatched)
+    }
+
+    /// [`run_closed_workload`] of `n` read-only transactions. Returns
+    /// the result, the slab high water and the admission-ring high
+    /// water.
     fn run_closed_with_model(
         base: &ObjectBase,
         params: VoodbParams,
@@ -2066,19 +2018,10 @@ mod tests {
             hot_transactions: n,
             ..WorkloadParams::default()
         };
-        let generator = WorkloadGenerator::new(base, wl, seed);
-        let mut model = VoodbModel::new(base, params, think_time_ms, seed);
-        model.set_user_population(user_model, cohorts);
-        model.load_phase_streamed(
-            Box::new(ocb::LazySource::bounded(generator, n)),
-            PhaseMode::Count { cold: 0 },
-            Arrival::Closed,
-        );
-        let mut engine = Engine::with_probe(model, desp::NoProbe);
-        let outcome = engine.run_to_completion();
-        let model = engine.model();
+        let (model, events) =
+            run_closed_workload(base, params, think_time_ms, user_model, cohorts, wl, seed);
         (
-            model.phase_result(outcome.events_dispatched),
+            model.phase_result(events),
             model.tx_slab_high_water(),
             model.admission_high_water(),
         )
@@ -2123,6 +2066,54 @@ mod tests {
             assert!(cohort_slab <= 3, "cohort slab {cohort_slab} > MPL");
             assert!(oracle_slab > 3, "oracle slab should hold waiters");
             assert!(ring_high > 0, "users > MPL must exercise the ring");
+        }
+    }
+
+    #[test]
+    fn cohort_users_match_the_per_user_oracle_under_two_phase_locking() {
+        // Wait-die only: under cycle detection the per-user oracle can
+        // livelock on this setup (see `lockmgr`).
+        let base = base();
+        let params = VoodbParams {
+            users: 8,
+            multiprogramming_level: 3,
+            concurrency: ConcurrencyControl::TwoPhase {
+                restart_backoff_ms: 5.0,
+                deadlock: crate::lockmgr::DeadlockPolicy::WaitDie,
+            },
+            ..small_params()
+        };
+        let wl = WorkloadParams {
+            hot_transactions: 80,
+            p_write: 0.3,
+            ..WorkloadParams::default()
+        };
+        for seed in [7, 11, 42, 97] {
+            let run = |user_model| {
+                let (model, events) = run_closed_workload(
+                    &base,
+                    params.clone(),
+                    25.0,
+                    user_model,
+                    &[],
+                    wl.clone(),
+                    seed,
+                );
+                (
+                    model.phase_result(events),
+                    model.aborts(),
+                    model.lock_stats(),
+                )
+            };
+            let (oracle, oracle_aborts, oracle_locks) = run(UserModel::PerUser);
+            let (cohort, cohort_aborts, cohort_locks) = run(UserModel::Cohort);
+            assert!(
+                oracle_aborts > 0,
+                "seed {seed}: no lock conflicts exercised"
+            );
+            assert_results_bit_identical(&oracle, &cohort);
+            assert_eq!(oracle_aborts, cohort_aborts, "seed {seed}");
+            assert_eq!(oracle_locks, cohort_locks, "seed {seed}");
         }
     }
 

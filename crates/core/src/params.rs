@@ -145,9 +145,6 @@ pub struct VoodbParams {
     /// interchangeable "Other" module that lets VOODB mimic Texas's
     /// super-linear degradation (§4.3.2 / Fig. 11). Off by default.
     pub swizzle: bool,
-    /// Random hazards: failure injection and recovery (§5's "random
-    /// hazards" extension module). Disabled by default.
-    pub hazards: crate::hazards::HazardParams,
     /// Concurrency control (§5's extension): the paper's base model
     /// charges only lock *times*; `TwoPhase` adds a real object lock
     /// manager with conflicts, deadlock detection and restarts.
@@ -189,7 +186,6 @@ impl Default for VoodbParams {
             release_lock_ms: 0.5,
             users: 1,
             swizzle: false,
-            hazards: crate::hazards::HazardParams::disabled(),
             concurrency: ConcurrencyControl::TimedOnly,
         }
     }
@@ -214,7 +210,6 @@ impl VoodbParams {
             release_lock_ms: 0.5,
             users: 1,
             swizzle: false,
-            hazards: crate::hazards::HazardParams::disabled(),
             concurrency: ConcurrencyControl::TimedOnly,
         }
     }
@@ -241,7 +236,6 @@ impl VoodbParams {
             release_lock_ms: 0.0,
             users: 1,
             swizzle: true,
-            hazards: crate::hazards::HazardParams::disabled(),
             concurrency: ConcurrencyControl::TimedOnly,
         }
     }
@@ -277,7 +271,6 @@ impl VoodbParams {
                 return Err("hybrid system needs at least one server".into());
             }
         }
-        self.hazards.validate()?;
         if let ConcurrencyControl::TwoPhase {
             restart_backoff_ms, ..
         } = self.concurrency

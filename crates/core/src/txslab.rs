@@ -2,18 +2,18 @@
 //!
 //! DESP-C++ kept its simulation resources preallocated rather than
 //! allocating per event; the evaluation model does the same for its
-//! per-transaction bookkeeping. A [`TxSlab`] owns every [`ActiveTx`]
+//! per-transaction bookkeeping. A `TxSlab` owns every `ActiveTx`
 //! slot; a transaction's identity **during its lifetime** is its slot
 //! index (the model's `Tid`), and slots are recycled through a free list
 //! when transactions commit. All the slot's buffers — the access vector
 //! the workload source fills, the sorted lock set — keep their capacity
 //! across reuse, so a streamed phase performs no steady-state allocation
 //! and holds O(in-flight) = O(MPL + admission queue) transaction state
-//! no matter how many transactions it executes ([`TxSlab::high_water`]
+//! no matter how many transactions it executes (`TxSlab::high_water`
 //! records the peak, asserted by tests and reported by `engine_bench`).
 //!
 //! Because slot indices are recycled, everything that needs a *monotone*
-//! transaction identity uses [`ActiveTx::serial`] instead: trace spans
+//! transaction identity uses `ActiveTx::serial` instead: trace spans
 //! (so a recycled slot never merges two transactions' spans) and the
 //! lock manager (whose wait-die policy orders transactions by age;
 //! restarts keep their serial, preserving its livelock-freedom
@@ -35,16 +35,10 @@ pub type Tid = usize;
 /// values) and per-stage running totals the model keeps so it can emit
 /// each lifecycle stage as a *single* valued delta (`desp::SpanStage`)
 /// at commit, instead of a raw point stream along the way — a handful
-/// of probe calls per transaction where the point encoding needed two
-/// or three per access. Written only on traced runs
-/// (`Context::tracing()` guards every store), so untraced runs never
-/// touch these fields.
-///
-/// Bit-identity with the point encoding holds because every increment
-/// is `now − mark` with exactly the instants a point-pairing probe
-/// would have folded, accumulated in the same (chronological) order —
-/// and a `+0.0`-seeded left-to-right float sum is the same whether the
-/// probe or the model performs it.
+/// of probe calls per transaction rather than two or three per access.
+/// Written only on traced runs (`Context::tracing()` guards every
+/// store), so untraced runs never touch these fields. Every increment
+/// is `now − mark`, accumulated in chronological order.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct TraceMarks {
     /// Instant of the current lock request (overwritten per access; a
@@ -172,12 +166,6 @@ impl TxSlab {
     #[inline]
     pub fn live(&self) -> usize {
         self.live
-    }
-
-    /// True when no transaction is live.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 
     /// Peak simultaneous live transactions since the last [`Self::reset`].
@@ -326,7 +314,7 @@ mod tests {
         assert_eq!(slab.get(b).serial, 1);
         slab.release(b);
         slab.release(c);
-        assert!(slab.is_empty());
+        assert_eq!(slab.live(), 0);
         assert_eq!(slab.capacity(), 2, "memory is O(peak), not O(total)");
     }
 

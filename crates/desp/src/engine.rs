@@ -147,9 +147,7 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
 
     /// Emits one accumulated lifecycle-stage value for the transaction
     /// in `slot` — milliseconds for duration stages, a count for
-    /// [`SpanStage::Accesses`]. One valued call replaces a
-    /// `Request`/`Start`/`End` point group on the per-access hot path
-    /// (see [`Probe::on_span_stage`]).
+    /// [`SpanStage::Accesses`] (see [`Probe::on_span_stage`]).
     #[inline]
     pub fn emit_span_stage(&mut self, slot: u32, serial: u64, stage: SpanStage, delta: f64) {
         self.probe.on_span_stage(slot, serial, stage, delta);
@@ -618,9 +616,10 @@ mod tests {
 
     #[test]
     fn probe_sees_schedules_dispatches_and_spans() {
-        use crate::probe::{CountingProbe, Probe, SpanPoint};
+        use crate::probe::{CountingProbe, Probe, SpanPoint, SpanStage};
 
-        /// A probed chain: each event emits a span point and reschedules.
+        /// A probed chain: each event emits a span point, a span stage
+        /// and a sample, and reschedules.
         struct Chain {
             remaining: u32,
         }
@@ -631,7 +630,8 @@ mod tests {
             }
             fn handle(&mut self, _: (), ctx: &mut Context<'_, (), P>) {
                 if ctx.tracing() {
-                    ctx.emit_span(7, 7, SpanPoint::AccessDone);
+                    ctx.emit_span(7, 7, SpanPoint::Admitted);
+                    ctx.emit_span_stage(7, 7, SpanStage::Accesses, 1.0);
                     ctx.emit_sample_named("depth", self.remaining as f64);
                 }
                 if self.remaining > 0 {
@@ -647,6 +647,7 @@ mod tests {
         assert_eq!(probe.schedules, 5); // init + 4 reschedules
         assert_eq!(probe.dispatches, 5);
         assert_eq!(probe.spans, 5);
+        assert_eq!(probe.span_stages, 5);
         assert_eq!(probe.samples, 5);
 
         // The same model under the default NoProbe runs identically.

@@ -5,8 +5,8 @@
 //! time) meant editing the kernel. This module inverts that: the kernel
 //! and the model call a [`Probe`] at its interesting instants —
 //! event scheduling, event dispatch, resource waits and grants, model
-//! lifecycle span points, and ad-hoc time-series samples — and the
-//! probe decides what to retain.
+//! lifecycle span points and stages, and ad-hoc time-series samples —
+//! and the probe decides what to retain.
 //!
 //! The probe is a *static* type parameter of
 //! [`Engine`](crate::engine::Engine) and
@@ -23,13 +23,14 @@
 //!
 //! [`SimTime::as_ms`]: crate::time::SimTime::as_ms
 
-/// A point in a traced transaction's lifecycle (the Fig. 4 pipeline:
-/// arrive → admission → lock → CPU → buffer/disk → network → done).
+/// A point in a traced transaction's lifecycle: the instants that open,
+/// split, restart and close a span. What happens between admission and
+/// commit (the Fig. 4 pipeline: lock → CPU → buffer/disk → network)
+/// arrives as accumulated [`SpanStage`] values instead.
 ///
 /// Models emit these through
 /// [`Context::emit_span`](crate::engine::Context::emit_span), keyed by a
-/// caller-chosen transaction id. `Request`/`Start` pairs separate
-/// queueing delay from service time; a probe that only cares about
+/// caller-chosen transaction id; a probe that only cares about
 /// end-to-end latency can watch `Submit` and `Committed` alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpanPoint {
@@ -37,28 +38,6 @@ pub enum SpanPoint {
     Submit,
     /// The MPL scheduler admitted it.
     Admitted,
-    /// A lock was requested (possibly parking the transaction).
-    LockRequest,
-    /// The requested lock is held.
-    LockGranted,
-    /// The CPU was granted (lock bookkeeping begins).
-    CpuStart,
-    /// The CPU was released.
-    CpuEnd,
-    /// A disk I/O batch was requested.
-    DiskRequest,
-    /// The disk was granted; service begins.
-    DiskStart,
-    /// The I/O batch completed.
-    DiskEnd,
-    /// A network transfer was requested.
-    NetRequest,
-    /// The network was granted; the transfer begins.
-    NetStart,
-    /// The transfer completed.
-    NetEnd,
-    /// One object access completed.
-    AccessDone,
     /// The transaction was aborted and will restart (deadlock victim).
     Restart,
     /// The transaction committed; the span is complete.
@@ -69,15 +48,12 @@ pub enum SpanPoint {
 /// *valued* duration via
 /// [`Context::emit_span_stage`](crate::engine::Context::emit_span_stage).
 ///
-/// The [`SpanPoint`] stream describes a lifecycle as raw instants and
-/// leaves the probe to pair them up (`Request`/`Start`/`End`). A model
-/// that already knows both endpoints can instead emit one
-/// `on_span_stage` carrying the elapsed duration — one hook call where
-/// the point stream needed two or three, which is what keeps the
-/// recording overhead in budget on the per-access hot path. Models
-/// emitting stages must compute the delta as `now − saved_instant`
-/// with exactly the instants a point-pairing probe would have seen, so
-/// both encodings fold to bit-identical spans.
+/// The model knows both endpoints of each stage (request → grant,
+/// grant → completion), so it accumulates the elapsed durations itself
+/// and reports each stage as one `on_span_stage` call carrying the
+/// total — a handful of hook calls per transaction instead of two or
+/// three per access, which is what keeps the recording overhead in
+/// budget on the per-access hot path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpanStage {
     /// Time parked waiting for a lock (request → grant).
@@ -195,8 +171,7 @@ pub trait Probe {
 
     /// Transaction in slab slot `slot` (tagged with `serial`) accumulated
     /// `delta` of lifecycle stage `stage` — milliseconds for duration
-    /// stages, a count for [`SpanStage::Accesses`]. A single valued call
-    /// replacing a `Request`/`Start`/`End` point group; models skip
+    /// stages, a count for [`SpanStage::Accesses`]. Models skip
     /// zero-valued deltas entirely (adding `+0.0` is a bitwise no-op on
     /// the non-negative accumulators, so the folded span is identical).
     fn on_span_stage(&mut self, slot: u32, serial: u64, stage: SpanStage, delta: f64) {

@@ -28,9 +28,8 @@
 //! [`QueueKind`] implementor selects the queue type per event type via
 //! a generic associated type, so the hot path monomorphises with zero
 //! dispatch overhead, exactly like the [`Probe`](crate::probe::Probe)
-//! seam. [`SchedulerKind`] is the runtime token (`--scheduler` on the
-//! CLI); callers match on it once per run and enter the matching
-//! monomorphisation.
+//! seam. [`SchedulerKind`] is the runtime token; callers match on it
+//! once per run and enter the matching monomorphisation.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -94,8 +93,8 @@ impl QueueKind for WheelKind {
     type Queue<E> = TimerWheel<E>;
 }
 
-/// Runtime scheduler selector (`voodb run --scheduler`, bench flags).
-/// Match on it once per run, then enter the statically-typed engine.
+/// Runtime scheduler selector (differential tests, benchmarks). Match
+/// on it once per run, then enter the statically-typed engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// The calendar queue (default).
@@ -115,33 +114,12 @@ impl SchedulerKind {
         SchedulerKind::Wheel,
     ];
 
-    /// The CLI spelling.
+    /// Short lowercase name (test and benchmark labels).
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::Calendar => "calendar",
             SchedulerKind::Heap => "heap",
             SchedulerKind::Wheel => "wheel",
-        }
-    }
-}
-
-impl std::fmt::Display for SchedulerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for SchedulerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "calendar" => Ok(SchedulerKind::Calendar),
-            "heap" => Ok(SchedulerKind::Heap),
-            "wheel" => Ok(SchedulerKind::Wheel),
-            other => Err(format!(
-                "unknown scheduler '{other}' (known: calendar, heap, wheel)"
-            )),
         }
     }
 }
@@ -806,7 +784,7 @@ const WHEEL_RECAL_BASE: usize = 4 * WHEEL_L0_SLOTS;
 ///   same distance rule, so next-epoch aliases simply re-stage and the
 ///   slot invariants self-heal — including after a cursor rewind
 ///   (a push behind a peeked cursor), where the cold
-///   [`TimerWheel::reanchor`] search is the backstop.
+///   `reanchor` search is the backstop.
 /// * Like the calendar queue it is born *collapsed* (one sorted
 ///   vector); the tick width is estimated from the pending set when
 ///   the population outgrows that, and the wheel collapses back when

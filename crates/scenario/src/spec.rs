@@ -755,7 +755,7 @@ fn parse_system_class(raw: &str) -> Result<SystemClass, String> {
 }
 
 /// Canonical string for a [`SystemClass`] (inverse of
-/// [`parse_system_class`]).
+/// `parse_system_class`).
 pub fn system_class_to_string(class: &SystemClass) -> String {
     match class {
         SystemClass::Centralized => "centralized".into(),

@@ -15,8 +15,9 @@ use support::{preset, sched_job, tables, tables_with};
 #[test]
 fn smoke_scenario_is_bit_identical_across_schedulers() {
     let scenario = preset("smoke.toml");
-    // Several seeds: different seeds drive different lock contention,
-    // restart hazards and clustering decisions through the kernel.
+    // Several seeds: each draws a different object base and transaction
+    // stream, so buffer hits, I/O batches and resource queueing (the
+    // event interleavings the kernel orders) differ.
     for seed in [11u64, 42, 97] {
         let options = RunOptions {
             threads: Some(2),

@@ -18,8 +18,8 @@
 //!
 //! Both formats carry [`SCHEMA_VERSION`] since v2: `summary.json` as a
 //! leading `"schema_version"` member, span JSONL as a header record
-//! (`{"schema_version":2,"spans_offered":…,"spans_recorded":…,
-//! "shards":…}` — the header also reports the sampling loss). Readers
+//! (`{"schema_version":2,"spans_offered":…,"spans_recorded":…}` — the
+//! header also reports the sampling loss). Readers
 //! accept v1 documents (no version marker) and v2, and error cleanly on
 //! anything newer, so old traces stay comparable and unknown futures
 //! fail loudly instead of misparsing.
@@ -122,11 +122,10 @@ pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {
 /// reported reservoir loss; zero without sampling).
 pub fn trace_header_jsonl(recorder: &TraceRecorder) -> String {
     format!(
-        "{{\"schema_version\":{},\"spans_offered\":{},\"spans_recorded\":{},\"shards\":{}}}\n",
+        "{{\"schema_version\":{},\"spans_offered\":{},\"spans_recorded\":{}}}\n",
         SCHEMA_VERSION,
         recorder.spans_offered(),
-        recorder.spans_recorded(),
-        recorder.shard_count()
+        recorder.spans_recorded()
     )
 }
 
@@ -436,7 +435,7 @@ mod tests {
     use super::*;
     use crate::config::RecorderConfig;
     use crate::recorder::TraceRecorder;
-    use desp::{Probe, SpanPoint};
+    use desp::{Probe, SpanPoint, SpanStage};
 
     fn demo_recorder() -> TraceRecorder {
         let mut r = RecorderConfig::new().build();
@@ -446,10 +445,9 @@ mod tests {
             let slot = tid as u32;
             r.on_span(slot, tid, SpanPoint::Submit, base);
             r.on_span(slot, tid, SpanPoint::Admitted, base + 1.0);
-            r.on_span(slot, tid, SpanPoint::DiskRequest, base + 1.0);
-            r.on_span(slot, tid, SpanPoint::DiskStart, base + 2.0);
-            r.on_span(slot, tid, SpanPoint::DiskEnd, base + 7.0);
-            r.on_span(slot, tid, SpanPoint::AccessDone, base + 7.0);
+            r.on_span_stage(slot, tid, SpanStage::DiskWait, 1.0);
+            r.on_span_stage(slot, tid, SpanStage::DiskService, 5.0);
+            r.on_span_stage(slot, tid, SpanStage::Accesses, 1.0);
             r.on_span(slot, tid, SpanPoint::Committed, base + 8.0);
         }
         r.on_sample(hit, 5.0, 0.5);
@@ -475,7 +473,7 @@ mod tests {
         let recorder = demo_recorder();
         assert_eq!(
             trace_header_jsonl(&recorder),
-            "{\"schema_version\":2,\"spans_offered\":3,\"spans_recorded\":3,\"shards\":1}\n"
+            "{\"schema_version\":2,\"spans_offered\":3,\"spans_recorded\":3}\n"
         );
     }
 

@@ -6,12 +6,12 @@
 //! is the recording side of the `desp` kernel's [`Probe`](desp::Probe)
 //! seam:
 //!
-//! * [`TraceRecorder`] — a sharded probe assembling per-transaction
-//!   lifecycle [`SpanRecord`]s (arrive → admission → lock → CPU → disk
-//!   → network → done) plus per-stage latency [`Histogram`]s,
-//!   resource-wait histograms and bounded [`TimeSeries`], built via the
-//!   [`RecorderConfig`] builder (shards, bounded-loss sampling,
-//!   decimation, live [`watch`] sinks);
+//! * [`TraceRecorder`] — a probe assembling per-transaction lifecycle
+//!   [`SpanRecord`]s (arrive → admission → lock → CPU → disk → network
+//!   → done) plus per-stage latency [`Histogram`]s, resource-wait
+//!   histograms and bounded [`TimeSeries`], built via the
+//!   [`RecorderConfig`] builder (bounded-loss sampling, live [`watch`]
+//!   sinks);
 //! * [`hist::Histogram`] — log-bucketed (≤ 9% relative error)
 //!   p50/p90/p99/max estimation with exact count/mean/min/max;
 //! * [`series::TimeSeries`] — deterministic decimating samplers for

@@ -4,7 +4,7 @@
 //! A [`TraceRecorder`] plugs into `desp::Engine::with_probe` and
 //! receives every kernel hook and model emission:
 //!
-//! * [`SpanPoint`] streams keyed by (slab slot, serial) are folded into
+//! * span points and stages keyed by (slab slot, serial) are folded into
 //!   [`SpanRecord`]s — one per committed transaction, splitting the
 //!   response time into admission wait, lock wait, CPU, disk wait, disk
 //!   service and network time;
@@ -16,38 +16,24 @@
 //!   path never touches a string key;
 //! * dispatch/schedule counts measure raw engine activity, with the
 //!   pending-event count sampled once every
-//!   [`TraceRecorder::DISPATCH_SAMPLE_EVERY`] dispatches (configurable
-//!   via [`RecorderConfig::dispatch_sample_every`]).
+//!   [`TraceRecorder::DISPATCH_SAMPLE_EVERY`] dispatches.
 //!
-//! # v2 architecture
+//! # Span folding
 //!
-//! Two span encodings share one open-span table:
+//! A span arrives through two hooks:
 //!
 //! * **Lifecycle points** ([`Probe::on_span`]): `Submit` opens a span,
-//!   `Committed` finalizes it, `Restart` counts and clears in-flight
-//!   marks — and the full `Request`/`Start`/`End` point pairs still
-//!   fold (the v1 wire format; external models and the unit tests
-//!   use it unchanged).
-//! * **Valued stages** ([`Probe::on_span_stage`]): a model that knows
-//!   both endpoints of a stage emits one accumulated delta instead of
-//!   a point pair — one hook call and one `+=` where the point stream
-//!   needed two or three calls and an `Option` state machine. This is
-//!   what the VOODB model emits on its per-access hot path.
+//!   `Admitted` fixes its admission wait, `Restart` counts a deadlock
+//!   restart and `Committed` finalizes it.
+//! * **Valued stages** ([`Probe::on_span_stage`]): the model knows both
+//!   endpoints of every stage, so it emits one accumulated delta per
+//!   stage — one hook call and one `+=` each.
 //!
-//! Both encodings fold *eagerly* — each hook updates the open span in
-//! place, no buffering — into a dense slot-indexed table (the kernel
-//! hands us the slab slot), tagged with the transaction serial so a
-//! recycled slot can never corrupt a stale span.
-//!
-//! Spans route to shards by `serial & (shards − 1)`. Committed records
-//! land in one *global* list in commit order, so shard count never
-//! perturbs span export order, and per-shard stage histograms merge
-//! (order-invariantly — bucket counts are integers) at
-//! [`TraceRecorder::flush`]. With the default single shard the recorder
-//! is byte-compatible with v1 output; above one shard only the
-//! floating-point `sum`/mean of a stage histogram may differ in the
-//! last ulp (the merge adds partial sums in shard order), never the
-//! percentiles.
+//! Both fold *eagerly* — each hook updates the open span in place, no
+//! buffering — into a dense slot-indexed table (the kernel hands us the
+//! slab slot), tagged with the transaction serial so a recycled slot can
+//! never corrupt a stale span. Committed records land in one list in
+//! commit order.
 //!
 //! Optional [reservoir sampling](RecorderConfig::sample) bounds the
 //! retained raw records with *reported* loss: histograms still see
@@ -56,13 +42,12 @@
 //!
 //! Recording never perturbs the simulation: the recorder only observes,
 //! so a traced replication produces bit-identical results to an
-//! untraced one (asserted by the scenario-runner tests at 1, 2 and 8
-//! shards).
+//! untraced one (asserted by the scenario-runner tests).
 //!
 //! [`Probe::intern_series`]: desp::Probe::intern_series
 //! [`Probe::intern_resource`]: desp::Probe::intern_resource
 //! [`Probe::on_span`]: desp::Probe::on_span
-//! [`RecorderConfig::dispatch_sample_every`]: crate::RecorderConfig::dispatch_sample_every
+//! [`Probe::on_span_stage`]: desp::Probe::on_span_stage
 //! [`RecorderConfig::sample`]: crate::RecorderConfig::sample
 
 use crate::config::RecorderConfig;
@@ -103,47 +88,16 @@ pub struct SpanRecord {
     pub restarts: u64,
 }
 
-/// In-flight span state; folded into a [`SpanRecord`] on `Committed`.
-#[derive(Clone, Debug, Default)]
-struct OpenSpan {
-    record: SpanRecord,
-    admitted: bool,
-    lock_req: Option<f64>,
-    cpu_start: Option<f64>,
-    disk_req: Option<f64>,
-    disk_start: Option<f64>,
-    net_req: Option<f64>,
-    net_start: Option<f64>,
-}
-
-/// One slot of a shard's open-span table. The table is indexed by slab
-/// slot; `serial` tags the occupant so a stale point for a previous
-/// occupant of the same slot is dropped, not misfolded.
+/// One slot of the open-span table. The table is indexed by slab slot;
+/// `serial` tags the occupant so a stale point for a previous occupant
+/// of the same slot is dropped, not misfolded. `record` is folded into
+/// the committed list on `Committed`.
 #[derive(Clone, Debug, Default)]
 struct OpenSlot {
     occupied: bool,
     serial: u64,
-    span: OpenSpan,
-}
-
-/// One span shard: the open-span table plus the stage histograms its
-/// commits feed.
-#[derive(Clone, Debug)]
-struct Shard {
-    open: Vec<OpenSlot>,
-    open_count: usize,
-    /// Indexed in [`STAGE_METRICS`] order.
-    stage_hists: [Histogram; STAGE_METRICS.len()],
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            open: Vec::new(),
-            open_count: 0,
-            stage_hists: std::array::from_fn(|_| Histogram::new()),
-        }
-    }
+    admitted: bool,
+    record: SpanRecord,
 }
 
 /// Reservoir-sampling state (Algorithm R over commit order).
@@ -219,19 +173,19 @@ fn stage_values(record: &SpanRecord) -> [f64; STAGE_METRICS.len()] {
 
 /// A recording [`Probe`]: spans, histograms, series and counters.
 /// Built by [`RecorderConfig`]; call [`TraceRecorder::flush`] after the
-/// run (the scenario runner does) before reading merged histograms.
+/// run (the scenario runner does) before reading stage histograms.
 #[derive(Clone, Debug)]
 pub struct TraceRecorder {
-    shards: Vec<Shard>,
-    /// `shards.len() - 1`; shard routing is `serial & shard_mask`.
-    shard_mask: u64,
-    /// Committed spans in commit order — global across shards (every
-    /// point folds eagerly), so shard count never affects export order.
+    /// Open spans, indexed by slab slot.
+    open: Vec<OpenSlot>,
+    open_count: usize,
+    /// Indexed in [`STAGE_METRICS`] order.
+    stage_hists: [Histogram; STAGE_METRICS.len()],
+    /// Committed spans in commit order.
     finished: Vec<SpanRecord>,
     /// Handle-indexed series storage; `series_index` maps names.
     series: Vec<TimeSeries>,
     series_index: BTreeMap<String, u32>,
-    series_capacity: usize,
     /// Handle-indexed resource wait histograms + queue series.
     resources: Vec<ResourceEntry>,
     resource_index: BTreeMap<String, u32>,
@@ -239,9 +193,6 @@ pub struct TraceRecorder {
     pending_events_series: u32,
     events_dispatched: u64,
     events_scheduled: u64,
-    dispatch_sample_every: u64,
-    /// Countdown to the next `pending_events` sample — a decrement
-    /// per dispatch instead of a runtime modulo on the hot path.
     sample: Option<Reservoir>,
     /// Spans finalized (committed), whether or not retained.
     spans_offered: u64,
@@ -249,8 +200,8 @@ pub struct TraceRecorder {
     /// Exact response-time histogram feeding the watch p99 (recorded
     /// only while a watch sink is attached).
     watch_response: Histogram,
-    /// Stage histograms merged across shards by [`TraceRecorder::flush`].
-    merged_stage_hists: BTreeMap<String, Histogram>,
+    /// `stage_hists` keyed by name, published by [`TraceRecorder::flush`].
+    stage_hists_by_name: BTreeMap<String, Histogram>,
     flushed: bool,
 }
 
@@ -261,33 +212,27 @@ impl Default for TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// `pending_events` is sampled once per this many dispatches (the
-    /// default; see [`RecorderConfig::dispatch_sample_every`]).
+    /// `pending_events` is sampled once per this many dispatches.
     pub const DISPATCH_SAMPLE_EVERY: u64 = 64;
 
     pub(crate) fn from_config(
-        shards: usize,
         sample: Option<usize>,
         sample_seed: u64,
-        series_capacity: usize,
-        dispatch_sample_every: u64,
         watch: Option<WatchSink>,
         job: usize,
     ) -> Self {
-        debug_assert!(shards.is_power_of_two());
         let mut recorder = TraceRecorder {
-            shards: (0..shards).map(|_| Shard::new()).collect(),
-            shard_mask: shards as u64 - 1,
+            open: Vec::new(),
+            open_count: 0,
+            stage_hists: std::array::from_fn(|_| Histogram::new()),
             finished: Vec::new(),
             series: Vec::new(),
             series_index: BTreeMap::new(),
-            series_capacity,
             resources: Vec::new(),
             resource_index: BTreeMap::new(),
             pending_events_series: 0,
             events_dispatched: 0,
             events_scheduled: 0,
-            dispatch_sample_every,
             sample: sample.map(|cap| Reservoir {
                 cap,
                 rng: sample_seed,
@@ -302,7 +247,7 @@ impl TraceRecorder {
                 last_t_ms: 0.0,
             }),
             watch_response: Histogram::new(),
-            merged_stage_hists: BTreeMap::new(),
+            stage_hists_by_name: BTreeMap::new(),
             flushed: false,
         };
         recorder.pending_events_series = recorder.intern_series_id("pending_events");
@@ -319,7 +264,7 @@ impl TraceRecorder {
     /// Transactions submitted but not yet committed (non-empty only when
     /// a run was cut short).
     pub fn open_spans(&self) -> usize {
-        self.shards.iter().map(|s| s.open_count).sum()
+        self.open_count
     }
 
     /// Spans finalized during the run, retained or not. Equal to
@@ -335,11 +280,11 @@ impl TraceRecorder {
     }
 
     /// The per-stage histograms ([`STAGE_METRICS`] keys; a stage no span
-    /// exercised has count 0), merged across shards. Requires a prior
+    /// exercised has count 0). Requires a prior
     /// [`TraceRecorder::flush`].
     pub fn stage_histograms(&self) -> &BTreeMap<String, Histogram> {
         debug_assert!(self.flushed, "flush() before reading stage histograms");
-        &self.merged_stage_hists
+        &self.stage_hists_by_name
     }
 
     /// Queueing-delay histogram for one resource name.
@@ -372,11 +317,6 @@ impl TraceRecorder {
             .collect()
     }
 
-    /// Number of span shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Events dispatched while recording.
     pub fn events_dispatched(&self) -> u64 {
         self.events_dispatched
@@ -387,23 +327,18 @@ impl TraceRecorder {
         self.events_scheduled
     }
 
-    /// Merges the per-shard stage histograms (shard index order) and
-    /// closes the watch stream. Idempotent; called by the scenario
-    /// runner after each job. New span activity after a flush re-arms
-    /// it.
+    /// Publishes the stage histograms by name and closes the watch
+    /// stream. Idempotent; called by the scenario runner after each
+    /// job. New span activity after a flush re-arms it.
     pub fn flush(&mut self) {
         if self.flushed {
             return;
         }
-        let mut merged = BTreeMap::new();
-        for (i, &metric) in STAGE_METRICS.iter().enumerate() {
-            let mut hist = Histogram::new();
-            for shard in &self.shards {
-                hist.merge(&shard.stage_hists[i]);
-            }
-            merged.insert(metric.to_owned(), hist);
-        }
-        self.merged_stage_hists = merged;
+        self.stage_hists_by_name = STAGE_METRICS
+            .iter()
+            .zip(&self.stage_hists)
+            .map(|(&metric, hist)| (metric.to_owned(), hist.clone()))
+            .collect();
         // Dropping the sender ends the watcher's drain loop.
         self.watch = None;
         self.flushed = true;
@@ -415,8 +350,7 @@ impl TraceRecorder {
             return i;
         }
         let i = self.series.len() as u32;
-        self.series
-            .push(TimeSeries::with_capacity(name, self.series_capacity));
+        self.series.push(TimeSeries::new(name));
         self.series_index.insert(name.to_owned(), i);
         i
     }
@@ -426,118 +360,51 @@ impl TraceRecorder {
         self.series_named(name).map_or(0.0, TimeSeries::current)
     }
 
-    /// Folds one span point into its shard's open-span table; the fold
-    /// semantics match the v1 recorder exactly (only `Submit` opens a
-    /// span; points for an absent or mismatched occupant are dropped).
-    fn apply(&mut self, s: usize, slot: usize, serial: u64, point: SpanPoint, now: f64) {
-        if point == SpanPoint::Submit {
-            let shard = &mut self.shards[s];
-            if shard.open.len() <= slot {
-                shard.open.resize_with(slot + 1, OpenSlot::default);
-            }
-            let entry = &mut shard.open[slot];
-            if !entry.occupied {
-                shard.open_count += 1;
-            }
-            entry.occupied = true;
-            entry.serial = serial;
-            entry.span = OpenSpan::default();
-            entry.span.record.submit_ms = now;
-            return;
+    /// The open span in `slot` if `serial` occupies it; points and
+    /// stages for an absent or mismatched occupant are dropped.
+    fn occupant(&mut self, slot: u32, serial: u64) -> Option<&mut OpenSlot> {
+        self.open
+            .get_mut(slot as usize)
+            .filter(|entry| entry.occupied && entry.serial == serial)
+    }
+
+    /// Opens `serial`'s span in `slot` (only `Submit` opens a span).
+    fn open_span(&mut self, slot: u32, serial: u64, now: f64) {
+        let slot = slot as usize;
+        if self.open.len() <= slot {
+            self.open.resize_with(slot + 1, OpenSlot::default);
         }
-        if point == SpanPoint::Committed {
-            let record = {
-                let shard = &mut self.shards[s];
-                let Some(entry) = shard.open.get_mut(slot) else {
-                    return; // Committed without Submit: nothing recorded.
-                };
-                if !entry.occupied || entry.serial != serial {
-                    return;
-                }
-                entry.occupied = false;
-                shard.open_count -= 1;
-                let mut open = std::mem::take(&mut entry.span);
-                // Close a CPU hold the model did not bracket
-                // (commit-time releases schedule Committed directly).
-                if let Some(start) = open.cpu_start.take() {
-                    open.record.cpu_ms += now - start;
-                }
-                let mut record = open.record;
-                record.tid = serial;
-                record.end_ms = now;
-                record.response_ms = now - record.submit_ms;
-                for (hist, value) in shard.stage_hists.iter_mut().zip(stage_values(&record)) {
-                    hist.record(value);
-                }
-                record
-            };
-            self.offer(record, now);
-            return;
+        let entry = &mut self.open[slot];
+        if !entry.occupied {
+            self.open_count += 1;
         }
-        let shard = &mut self.shards[s];
-        let Some(entry) = shard.open.get_mut(slot) else {
-            return;
+        *entry = OpenSlot {
+            occupied: true,
+            serial,
+            admitted: false,
+            record: SpanRecord {
+                submit_ms: now,
+                ..SpanRecord::default()
+            },
         };
-        if !entry.occupied || entry.serial != serial {
-            return;
+    }
+
+    /// Finalizes `serial`'s span in `slot`: records its stages and
+    /// offers the record.
+    fn commit_span(&mut self, slot: u32, serial: u64, now: f64) {
+        let Some(entry) = self.occupant(slot, serial) else {
+            return; // Committed without Submit: nothing recorded.
+        };
+        entry.occupied = false;
+        let mut record = std::mem::take(&mut entry.record);
+        self.open_count -= 1;
+        record.tid = serial;
+        record.end_ms = now;
+        record.response_ms = now - record.submit_ms;
+        for (hist, value) in self.stage_hists.iter_mut().zip(stage_values(&record)) {
+            hist.record(value);
         }
-        let span = &mut entry.span;
-        match point {
-            SpanPoint::Submit | SpanPoint::Committed => unreachable!("handled above"),
-            SpanPoint::Admitted => {
-                if !span.admitted {
-                    span.admitted = true;
-                    span.record.admission_wait_ms = now - span.record.submit_ms;
-                }
-            }
-            SpanPoint::LockRequest => span.lock_req = Some(now),
-            SpanPoint::LockGranted => {
-                if let Some(at) = span.lock_req.take() {
-                    span.record.lock_wait_ms += now - at;
-                }
-            }
-            SpanPoint::CpuStart => span.cpu_start = Some(now),
-            SpanPoint::CpuEnd => {
-                if let Some(at) = span.cpu_start.take() {
-                    span.record.cpu_ms += now - at;
-                }
-            }
-            SpanPoint::DiskRequest => span.disk_req = Some(now),
-            SpanPoint::DiskStart => {
-                if let Some(at) = span.disk_req.take() {
-                    span.record.disk_wait_ms += now - at;
-                }
-                span.disk_start = Some(now);
-            }
-            SpanPoint::DiskEnd => {
-                if let Some(at) = span.disk_start.take() {
-                    span.record.disk_service_ms += now - at;
-                }
-            }
-            SpanPoint::NetRequest => span.net_req = Some(now),
-            SpanPoint::NetStart => {
-                if let Some(at) = span.net_req.take() {
-                    span.record.net_wait_ms += now - at;
-                }
-                span.net_start = Some(now);
-            }
-            SpanPoint::NetEnd => {
-                if let Some(at) = span.net_start.take() {
-                    span.record.net_service_ms += now - at;
-                }
-            }
-            SpanPoint::AccessDone => span.record.accesses += 1,
-            SpanPoint::Restart => {
-                span.record.restarts += 1;
-                // The victim dropped everything it held or waited for.
-                span.lock_req = None;
-                span.cpu_start = None;
-                span.disk_req = None;
-                span.disk_start = None;
-                span.net_req = None;
-                span.net_start = None;
-            }
-        }
+        self.offer(record, now);
     }
 
     /// Offers one finalized record to the retained list (or reservoir)
@@ -644,13 +511,13 @@ impl Probe for TraceRecorder {
 
     #[inline]
     fn dispatch_interval(&self) -> u64 {
-        self.dispatch_sample_every
+        Self::DISPATCH_SAMPLE_EVERY
     }
 
     #[inline]
     fn on_dispatch(&mut self, now: f64, pending: usize) {
         // The engine already decimates to every
-        // `dispatch_sample_every`-th dispatch (see
+        // `DISPATCH_SAMPLE_EVERY`-th dispatch (see
         // [`desp::Probe::dispatch_interval`]); every call is a sample.
         let i = self.pending_events_series as usize;
         self.series[i].record(now, pending as f64);
@@ -675,21 +542,32 @@ impl Probe for TraceRecorder {
     #[inline]
     fn on_span(&mut self, slot: u32, serial: u64, point: SpanPoint, now: f64) {
         self.flushed = false;
-        let s = (serial & self.shard_mask) as usize;
-        self.apply(s, slot as usize, serial, point, now);
+        match point {
+            SpanPoint::Submit => self.open_span(slot, serial, now),
+            SpanPoint::Admitted => {
+                if let Some(entry) = self.occupant(slot, serial) {
+                    if !entry.admitted {
+                        entry.admitted = true;
+                        entry.record.admission_wait_ms = now - entry.record.submit_ms;
+                    }
+                }
+            }
+            SpanPoint::Restart => {
+                if let Some(entry) = self.occupant(slot, serial) {
+                    entry.record.restarts += 1;
+                }
+            }
+            SpanPoint::Committed => self.commit_span(slot, serial, now),
+        }
     }
 
     #[inline]
     fn on_span_stage(&mut self, slot: u32, serial: u64, stage: SpanStage, delta: f64) {
         self.flushed = false;
-        let s = (serial & self.shard_mask) as usize;
-        let Some(entry) = self.shards[s].open.get_mut(slot as usize) else {
+        let Some(entry) = self.occupant(slot, serial) else {
             return;
         };
-        if !entry.occupied || entry.serial != serial {
-            return;
-        }
-        let record = &mut entry.span.record;
+        let record = &mut entry.record;
         match stage {
             SpanStage::LockWait => record.lock_wait_ms += delta,
             SpanStage::Cpu => record.cpu_ms += delta,
@@ -734,17 +612,13 @@ mod tests {
         let mut r = RecorderConfig::new().build();
         emit(&mut r, 1, SpanPoint::Submit, 0.0);
         emit(&mut r, 1, SpanPoint::Admitted, 2.0);
-        emit(&mut r, 1, SpanPoint::LockRequest, 2.0);
-        emit(&mut r, 1, SpanPoint::LockGranted, 5.0);
-        emit(&mut r, 1, SpanPoint::CpuStart, 5.0);
-        emit(&mut r, 1, SpanPoint::CpuEnd, 6.0);
-        emit(&mut r, 1, SpanPoint::DiskRequest, 6.0);
-        emit(&mut r, 1, SpanPoint::DiskStart, 8.0);
-        emit(&mut r, 1, SpanPoint::DiskEnd, 18.0);
-        emit(&mut r, 1, SpanPoint::NetRequest, 18.0);
-        emit(&mut r, 1, SpanPoint::NetStart, 18.0);
-        emit(&mut r, 1, SpanPoint::NetEnd, 21.0);
-        emit(&mut r, 1, SpanPoint::AccessDone, 21.0);
+        // The stage deltas a model emits (zero-valued ones skipped).
+        r.on_span_stage(1, 1, SpanStage::LockWait, 5.0 - 2.0);
+        r.on_span_stage(1, 1, SpanStage::Cpu, 6.0 - 5.0);
+        r.on_span_stage(1, 1, SpanStage::DiskWait, 8.0 - 6.0);
+        r.on_span_stage(1, 1, SpanStage::DiskService, 18.0 - 8.0);
+        r.on_span_stage(1, 1, SpanStage::NetService, 21.0 - 18.0);
+        r.on_span_stage(1, 1, SpanStage::Accesses, 1.0);
         emit(&mut r, 1, SpanPoint::Committed, 22.0);
         r.flush();
 
@@ -767,49 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn valued_stages_fold_identically_to_point_pairs() {
-        // The point-pair encoding (v1 wire format)…
-        let mut pairs = RecorderConfig::new().build();
-        emit(&mut pairs, 1, SpanPoint::Submit, 0.0);
-        emit(&mut pairs, 1, SpanPoint::Admitted, 2.0);
-        emit(&mut pairs, 1, SpanPoint::LockRequest, 2.0);
-        emit(&mut pairs, 1, SpanPoint::LockGranted, 5.0);
-        emit(&mut pairs, 1, SpanPoint::CpuStart, 5.0);
-        emit(&mut pairs, 1, SpanPoint::CpuEnd, 6.0);
-        emit(&mut pairs, 1, SpanPoint::DiskRequest, 6.0);
-        emit(&mut pairs, 1, SpanPoint::DiskStart, 8.0);
-        emit(&mut pairs, 1, SpanPoint::DiskEnd, 18.0);
-        emit(&mut pairs, 1, SpanPoint::NetRequest, 18.0);
-        emit(&mut pairs, 1, SpanPoint::NetStart, 18.0);
-        emit(&mut pairs, 1, SpanPoint::NetEnd, 21.0);
-        emit(&mut pairs, 1, SpanPoint::AccessDone, 21.0);
-        emit(&mut pairs, 1, SpanPoint::Committed, 22.0);
-        pairs.flush();
-
-        // …and the valued-stage encoding a hot-path model emits
-        // (zero-valued deltas skipped) fold to the same record.
-        let mut stages = RecorderConfig::new().build();
-        stages.on_span(1, 1, SpanPoint::Submit, 0.0);
-        stages.on_span(1, 1, SpanPoint::Admitted, 2.0);
-        stages.on_span_stage(1, 1, SpanStage::LockWait, 5.0 - 2.0);
-        stages.on_span_stage(1, 1, SpanStage::Cpu, 6.0 - 5.0);
-        stages.on_span_stage(1, 1, SpanStage::DiskWait, 8.0 - 6.0);
-        stages.on_span_stage(1, 1, SpanStage::DiskService, 18.0 - 8.0);
-        stages.on_span_stage(1, 1, SpanStage::NetService, 21.0 - 18.0);
-        stages.on_span_stage(1, 1, SpanStage::Accesses, 1.0);
-        stages.on_span(1, 1, SpanPoint::Committed, 22.0);
-        stages.flush();
-
-        assert_eq!(pairs.spans(), stages.spans());
-        for metric in STAGE_METRICS {
-            let a = &pairs.stage_histograms()[*metric];
-            let b = &stages.stage_histograms()[*metric];
-            assert_eq!(a.count(), b.count(), "{metric}");
-            assert_eq!(a.p99().to_bits(), b.p99().to_bits(), "{metric}");
-        }
-    }
-
-    #[test]
     fn stage_for_absent_or_stale_occupant_is_dropped() {
         let mut r = RecorderConfig::new().build();
         r.on_span_stage(0, 1, SpanStage::Cpu, 5.0); // no Submit yet
@@ -822,21 +653,22 @@ mod tests {
     }
 
     #[test]
-    fn restart_clears_open_marks() {
+    fn restarts_are_counted_on_the_open_span() {
         let mut r = RecorderConfig::new().build();
         emit(&mut r, 3, SpanPoint::Submit, 0.0);
         emit(&mut r, 3, SpanPoint::Admitted, 0.0);
-        emit(&mut r, 3, SpanPoint::LockRequest, 1.0);
         emit(&mut r, 3, SpanPoint::Restart, 4.0);
-        emit(&mut r, 3, SpanPoint::LockRequest, 6.0);
-        emit(&mut r, 3, SpanPoint::LockGranted, 7.0);
+        emit(&mut r, 3, SpanPoint::Restart, 5.0);
+        r.on_span_stage(3, 3, SpanStage::LockWait, 1.0);
         emit(&mut r, 3, SpanPoint::Committed, 9.0);
+        // A restart for a foreign serial in the same slot is dropped.
+        r.on_span(3, 4, SpanPoint::Restart, 9.5);
         let s = &r.spans()[0];
-        // Only the post-restart wait counts (the first request was
-        // abandoned, not granted).
+        assert_eq!(s.restarts, 2);
         assert_eq!(s.lock_wait_ms, 1.0);
-        assert_eq!(s.restarts, 1);
+        assert_eq!(s.admission_wait_ms, 0.0);
         assert_eq!(s.response_ms, 9.0);
+        assert_eq!(r.open_spans(), 0);
     }
 
     #[test]
@@ -844,7 +676,7 @@ mod tests {
         let mut r = RecorderConfig::new().build();
         // A foreign/partial stream: no Submit for tid 9.
         emit(&mut r, 9, SpanPoint::Admitted, 1.0);
-        emit(&mut r, 9, SpanPoint::AccessDone, 2.0);
+        emit(&mut r, 9, SpanPoint::Restart, 2.0);
         emit(&mut r, 9, SpanPoint::Committed, 3.0);
         r.flush();
         assert_eq!(r.spans().len(), 0, "no phantom span");
@@ -859,14 +691,16 @@ mod tests {
         r.on_span(0, 1, SpanPoint::Submit, 0.0);
         r.on_span(0, 1, SpanPoint::Committed, 5.0);
         r.on_span(0, 9, SpanPoint::Submit, 6.0);
-        // A stale point for the previous occupant must not fold into
+        // Stale emissions for the previous occupant must not fold into
         // serial 9's span.
-        r.on_span(0, 1, SpanPoint::AccessDone, 7.0);
+        r.on_span(0, 1, SpanPoint::Restart, 7.0);
+        r.on_span_stage(0, 1, SpanStage::Accesses, 1.0);
         r.on_span(0, 9, SpanPoint::Committed, 8.0);
         r.flush();
         assert_eq!(r.spans().len(), 2);
         assert_eq!(r.spans()[1].tid, 9);
         assert_eq!(r.spans()[1].accesses, 0);
+        assert_eq!(r.spans()[1].restarts, 0);
     }
 
     #[test]
@@ -905,28 +739,6 @@ mod tests {
         assert_eq!(r.events_scheduled(), 300);
         let pending = r.series_named("pending_events").unwrap();
         assert_eq!(pending.offered(), sampled);
-    }
-
-    #[test]
-    fn sharded_spans_keep_commit_order() {
-        let mut one = RecorderConfig::new().build();
-        let mut eight = RecorderConfig::new().shards(8).build();
-        for r in [&mut one, &mut eight] {
-            for serial in 0..32u64 {
-                let slot = (serial % 4) as u32;
-                r.on_span(slot, serial, SpanPoint::Submit, serial as f64);
-                r.on_span(slot, serial, SpanPoint::AccessDone, serial as f64 + 0.25);
-                r.on_span(slot, serial, SpanPoint::Committed, serial as f64 + 0.5);
-            }
-            r.flush();
-        }
-        assert_eq!(one.spans(), eight.spans());
-        for metric in STAGE_METRICS {
-            let a = &one.stage_histograms()[*metric];
-            let b = &eight.stage_histograms()[*metric];
-            assert_eq!(a.count(), b.count(), "{metric}");
-            assert_eq!(a.p99().to_bits(), b.p99().to_bits(), "{metric}");
-        }
     }
 
     #[test]
