@@ -1,24 +1,23 @@
 //! Minimal `--key value` argument parsing for the bench binaries.
 //!
 //! No external CLI crate is sanctioned for this reproduction, and the
-//! binaries only need a handful of overrides such as `--reps`, `--seed`,
-//! `--out` and `--smoke`, so a tiny parser suffices.
+//! binaries only need a handful of overrides such as `--reps`, `--seed`
+//! and `--out`, so a tiny parser suffices.
 //!
 //! Supported forms:
 //!
 //! * `--key value` — a valued option, read with [`Args::get`];
-//! * `--flag` — a bare boolean (the next token, if any, must itself
-//!   start with `--`), read with [`Args::flag`]. Reading a bare flag
-//!   through `get` still panics ("needs a value"), so forgetting the
-//!   value of a valued option fails loudly instead of silently parsing
-//!   a stringly-typed default;
+//! * `--key` with no value (the next token, if any, starts with `--`)
+//!   — seen by [`Args::has`]; reading it through `get` panics ("needs a
+//!   value"), so forgetting the value of a valued option fails loudly
+//!   instead of silently parsing a stringly-typed default;
 //! * `--help` / `-h` — sets [`Args::help_requested`]; binaries print
 //!   their known keys via [`Args::print_help`] and exit instead of
 //!   panicking.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Parsed `--key value` pairs and bare `--flag`s.
+/// Parsed `--key value` pairs and bare `--key`s.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     values: BTreeMap<String, String>,
@@ -47,8 +46,8 @@ impl Args {
             let Some(name) = key.strip_prefix("--") else {
                 panic!("unexpected argument '{key}' (expected --key [value])");
             };
-            // A valued option when the next token is not itself a flag;
-            // otherwise a bare boolean.
+            // A valued option when the next token is not itself a key;
+            // otherwise a bare key, whose value was forgotten.
             match iter.peek() {
                 Some(next) if !next.starts_with("--") => {
                     values.insert(name.to_owned(), iter.next().expect("just peeked"));
@@ -65,7 +64,7 @@ impl Args {
     ///
     /// # Panics
     /// Panics if the value does not parse as `T`, or if the key was
-    /// given as a bare flag (i.e. its value was forgotten).
+    /// given bare (i.e. its value was forgotten).
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T
     where
         T::Err: std::fmt::Display,
@@ -79,15 +78,6 @@ impl Args {
                 .parse()
                 .unwrap_or_else(|e| panic!("--{name} {raw}: {e}")),
         }
-    }
-
-    /// Whether a bare boolean flag was supplied (also accepts the
-    /// explicit forms `--flag true` / `--flag false`).
-    ///
-    /// # Panics
-    /// Panics on an explicit value that is not a boolean.
-    pub fn flag(&self, name: &str) -> bool {
-        self.bare.contains(name) || self.get(name, false)
     }
 
     /// Whether the key was supplied at all (valued or bare).
@@ -155,12 +145,9 @@ mod tests {
     fn bare_flags_are_booleans() {
         let a = args(&["--verbose", "--reps", "5", "--trailing"]);
         assert!(a.has("verbose"));
-        assert!(a.flag("verbose"));
         assert_eq!(a.get("reps", 10usize), 5);
-        assert!(a.flag("trailing"));
-        assert!(!a.flag("absent"));
-        assert!(!args(&["--explicit", "false"]).flag("explicit"));
-        assert!(args(&["--explicit", "true"]).flag("explicit"));
+        assert!(a.has("trailing"));
+        assert!(!a.has("absent"));
         assert!(!a.help_requested());
     }
 

@@ -22,10 +22,10 @@
 //! and Simulation columns with 95% confidence intervals, mirroring the
 //! paper's figures. The figure tables add the bench/sim ratio of means
 //! and the model's response-time percentiles. Every other knob lives in
-//! the scenario file. `engine_bench` measures kernel and model
-//! throughput for the CI perf gate; the end-to-end benchmark of record
-//! (per-layer costs, scheduler hold times, timed figure points) is the
-//! standalone `e2ebench/` package.
+//! the scenario file. Timing lives in one place: the standalone
+//! `e2ebench/` package, the end-to-end benchmark of record (job times,
+//! peak RSS, per-layer costs, scheduler hold times, recorder overhead),
+//! which CI also runs as its base-vs-head perf gate.
 
 pub mod args;
 pub mod harness;

@@ -210,42 +210,13 @@ impl ExperimentConfig {
     }
 }
 
-/// Runs one replication of the standard experiment: generate the base and
-/// the workload from `seed`, execute `COLDN` cold + `HOTN` measured
-/// transactions, return the phase result.
+/// Runs one replication of the standard experiment: generate the base
+/// from `seed` and **stream** the workload through a single phase
+/// (count-based `COLDN` cold + `HOTN` measured transactions, or
+/// time-horizon per the workload's `duration_ms`; bit-identical to the
+/// materialized oracle on count-based phases, asserted by the
+/// differential tests), then return the phase result.
 pub fn run_once(config: &ExperimentConfig, seed: u64) -> PhaseResult {
-    run_once_probed(config, seed, NoProbe).0
-}
-
-/// [`run_once`] with a trace probe attached (e.g. a `voodb-trace`
-/// recorder). Probes only observe, so the [`PhaseResult`] is
-/// bit-identical to the untraced run.
-pub fn run_once_probed<P: Probe>(
-    config: &ExperimentConfig,
-    seed: u64,
-    probe: P,
-) -> (PhaseResult, P) {
-    run_once_with(config, seed, probe, SchedulerKind::default())
-}
-
-/// [`run_once`] on a runtime-selected scheduler kind (the
-/// heap-vs-calendar surface of `engine_bench` and the differential
-/// tests; results are bit-identical across kinds).
-pub fn run_once_sched(config: &ExperimentConfig, seed: u64, sched: SchedulerKind) -> PhaseResult {
-    run_once_with(config, seed, NoProbe, sched).0
-}
-
-/// The shared body behind every `run_once` variant: generate the base
-/// from `seed` and **stream** the workload through the single phase with
-/// the given probe on the given scheduler (count-based or time-horizon
-/// per the workload's `duration_ms`; bit-identical to the materialized
-/// oracle on count-based phases, asserted by the differential tests).
-fn run_once_with<P: Probe>(
-    config: &ExperimentConfig,
-    seed: u64,
-    probe: P,
-    sched: SchedulerKind,
-) -> (PhaseResult, P) {
     config.validate().expect("invalid experiment configuration");
     let base = ObjectBase::generate(&config.database, seed);
     let generator =
@@ -258,7 +229,15 @@ fn run_once_with<P: Probe>(
         seed,
     );
     simulation.configure_users(config.workload.user_model, &config.workload.cohorts);
-    simulation.run_phase_source_sched(source, mode, config.workload.arrival, probe, sched)
+    simulation
+        .run_phase_source_sched(
+            source,
+            mode,
+            config.workload.arrival,
+            NoProbe,
+            SchedulerKind::default(),
+        )
+        .0
 }
 
 /// Runs the experiment under the replication protocol, returning per-metric

@@ -59,8 +59,8 @@ pub use admission::{AdmissionRing, PendingArrival};
 pub use bman::{BmanStats, BufferDemand, BufferingManager};
 pub use cman::{ClusteringManager, SimReorgReport};
 pub use experiment::{
-    run_dstc_study, run_once, run_once_probed, run_once_sched, run_replicated, workload_phase,
-    DstcStudyResult, ExperimentConfig, Simulation, WORKLOAD_SEED_SALT,
+    run_dstc_study, run_once, run_replicated, workload_phase, DstcStudyResult, ExperimentConfig,
+    Simulation, WORKLOAD_SEED_SALT,
 };
 pub use iosub::{IoSubsystem, SimIoCounts};
 pub use lockmgr::{DeadlockPolicy, LockManager, LockMode, LockOutcome, LockStats};

@@ -10,7 +10,8 @@
 //! across reuse, so a streamed phase performs no steady-state allocation
 //! and holds O(in-flight) = O(MPL + admission queue) transaction state
 //! no matter how many transactions it executes (`TxSlab::high_water`
-//! records the peak, asserted by tests and reported by `engine_bench`).
+//! records the peak, asserted by tests and by the end-to-end benchmark's
+//! `users_1m` output check: peak ≤ MPL).
 //!
 //! Because slot indices are recycled, everything that needs a *monotone*
 //! transaction identity uses `ActiveTx::serial` instead: trace spans

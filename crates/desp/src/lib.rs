@@ -14,8 +14,8 @@
 //!   the [`Engine`] clock/event-list, and passive [`Resource`]s with
 //!   reserve/release semantics (Table 1 and Table 2 of the paper);
 //! * **efficiency** — a compiled, allocation-light event loop; the
-//!   `engine_bench` binary's `kernel_mm1_events_per_sec` (gated in CI)
-//!   measures its throughput.
+//!   end-to-end benchmark (`e2ebench/`) measures it as
+//!   `desp.events_per_s` and `desp.hold_ns.*`.
 //!
 //! On top of the kernel sit the pieces every random-simulation study needs:
 //! reproducible random [`streams`](random::StreamFamily) with the usual

@@ -13,9 +13,9 @@
 //! [`Context`](crate::engine::Context), defaulting to [`NoProbe`] whose
 //! hook bodies are empty: monomorphisation compiles every call site out
 //! of untraced runs, so enabling the hook seam costs ~zero when unused
-//! (measured, not asserted: `engine_bench` reports the model's event
-//! rate under [`NoProbe`] and under the recorder, and CI caps
-//! `trace_recorder_overhead_pct` at 10%). A recording implementation
+//! (measured, not asserted: the end-to-end benchmark's
+//! `vtrace.overhead_pct` prices a traced sweep against an untraced one,
+//! and CI caps it at 10%). A recording implementation
 //! lives in the `voodb-trace` crate.
 //!
 //! All instants are simulated milliseconds ([`SimTime::as_ms`]

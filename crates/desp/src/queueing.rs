@@ -8,15 +8,15 @@
 //! fail.
 //!
 //! The simulation models here also serve as the canonical usage examples of
-//! [`Engine`]/[`Resource`] and as the workload of `engine_bench`'s
-//! `kernel_mm1_events_per_sec` (event throughput — the property that
-//! made the authors abandon QNAP2 for a compiled kernel).
+//! [`Engine`]/[`Resource`], and pin the event queues against each other:
+//! an M/M/1 or M/M/c run gives bit-identical results, event count
+//! included, on every [`QueueKind`].
 
 use crate::engine::{Context, Engine, Model};
 use crate::probe::NoProbe;
 use crate::random::RandomStream;
 use crate::resource::Resource;
-use crate::sched::{CalendarKind, QueueKind, SchedulerKind};
+use crate::sched::{CalendarKind, QueueKind};
 use crate::stats::{TimeWeighted, Welford};
 use crate::time::SimTime;
 
@@ -217,12 +217,13 @@ pub struct QueueSimResult {
     pub utilization: f64,
     /// Customers counted in the response-time statistic.
     pub served: u64,
-    /// Events dispatched (for throughput benchmarking).
+    /// Events dispatched.
     pub events: u64,
 }
 
 /// [`simulate_mmc`] on a statically chosen scheduler kind — the
-/// differential surface for heap-vs-calendar benchmarking and testing.
+/// differential surface across event queues: the result, `events`
+/// included, is the same bits on every [`QueueKind`].
 pub fn simulate_mmc_on<Q: QueueKind>(
     lambda: f64,
     mu: f64,
@@ -281,28 +282,6 @@ pub fn simulate_mm1(
     seed: u64,
 ) -> QueueSimResult {
     simulate_mmc(lambda, mu, 1, horizon_ms, warmup_ms, seed)
-}
-
-/// [`simulate_mm1`] on a runtime-selected scheduler kind.
-pub fn simulate_mm1_sched(
-    lambda: f64,
-    mu: f64,
-    horizon_ms: f64,
-    warmup_ms: f64,
-    seed: u64,
-    sched: SchedulerKind,
-) -> QueueSimResult {
-    match sched {
-        SchedulerKind::Calendar => {
-            simulate_mmc_on::<CalendarKind>(lambda, mu, 1, horizon_ms, warmup_ms, seed)
-        }
-        SchedulerKind::Heap => {
-            simulate_mmc_on::<crate::sched::HeapKind>(lambda, mu, 1, horizon_ms, warmup_ms, seed)
-        }
-        SchedulerKind::Wheel => {
-            simulate_mmc_on::<crate::sched::WheelKind>(lambda, mu, 1, horizon_ms, warmup_ms, seed)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -380,6 +359,35 @@ mod tests {
         let light = simulate_mm1(0.3, 1.0, 200_000.0, 20_000.0, 5);
         let heavy = simulate_mm1(0.8, 1.0, 200_000.0, 20_000.0, 5);
         assert!(heavy.mean_response > light.mean_response * 2.0);
+    }
+
+    /// Every field of a result as bits, so two runs compare exactly.
+    fn bits(r: &QueueSimResult) -> [u64; 5] {
+        [
+            r.mean_response.to_bits(),
+            r.mean_in_system.to_bits(),
+            r.utilization.to_bits(),
+            r.served,
+            r.events,
+        ]
+    }
+
+    #[test]
+    fn results_are_bit_identical_on_every_queue() {
+        use crate::sched::{HeapKind, WheelKind};
+        // (servers, lambda): M/M/1 and M/M/3, both at utilisation 0.8.
+        for (servers, lambda) in [(1, 0.8), (3, 2.4)] {
+            for seed in [7, 42, 999] {
+                let run = |f: fn(f64, f64, usize, f64, f64, u64) -> QueueSimResult| {
+                    bits(&f(lambda, 1.0, servers, 50_000.0, 5_000.0, seed))
+                };
+                let calendar = run(simulate_mmc_on::<CalendarKind>);
+                assert!(calendar[4] > 10_000, "a non-trivial run");
+                let case = format!("M/M/{servers}, seed {seed}");
+                assert_eq!(calendar, run(simulate_mmc_on::<HeapKind>), "heap, {case}");
+                assert_eq!(calendar, run(simulate_mmc_on::<WheelKind>), "wheel, {case}");
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! Queue Implementation for the Simulation Event Set Problem*, CACM
 //! 1988) and puts both behind the [`Scheduler`] trait so the engine can
 //! be instantiated with either — the heap stays around as the oracle
-//! for differential tests and the `engine_bench` heap-vs-calendar
-//! column. The hierarchical [`TimerWheel`] serves far-future-heavy
-//! schedules; the end-to-end benchmark (`e2ebench/`) times all three
-//! queues on a hold pattern (`desp.hold_ns.{calendar,heap,wheel}.*`).
+//! for differential tests. The hierarchical [`TimerWheel`] serves
+//! far-future-heavy schedules; the end-to-end benchmark (`e2ebench/`)
+//! times all three queues on a hold pattern
+//! (`desp.hold_ns.{calendar,heap,wheel}.*`).
 //!
 //! ## Determinism contract
 //!

@@ -8,8 +8,6 @@
 //!           [--duration MS] [--warmup MS] [--arrival SPEC]
 //! voodb analyze <run-dir>
 //! voodb compare <run-dir-a> <run-dir-b> [--threshold 0.10]
-//! voodb bench-summary <BENCH_engine.json> --out <dir>
-//!           [--assert-max NAME=VALUE]
 //! voodb watch-check <watch.jsonl>
 //! voodb validate <file.toml>...
 //! voodb list [--dir scenarios]
@@ -44,10 +42,7 @@ use scenario::{
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use vtrace::{
-    direction_of, Direction, Json, RecorderConfig, RunSummary, TraceAnalysis, WatchSample,
-    WatchSink,
-};
+use vtrace::{Json, RecorderConfig, RunSummary, TraceAnalysis, WatchSample, WatchSink};
 
 const USAGE: &str = "\
 voodb — declarative VOODB experiments
@@ -59,8 +54,6 @@ USAGE:
               [--duration MS] [--warmup MS] [--arrival SPEC]
     voodb analyze <run-dir>
     voodb compare <run-dir-a> <run-dir-b> [--threshold 0.10]
-    voodb bench-summary <BENCH_engine.json> --out <dir>
-              [--assert-max NAME=VALUE]
     voodb watch-check <watch.jsonl>
     voodb validate <file.toml>...
     voodb list [--dir scenarios]
@@ -77,12 +70,6 @@ COMMANDS:
     compare    Diff two trace directories' summary metrics; exits
                non-zero iff a metric regresses beyond the threshold
                (the summary line names each offending metric and delta).
-    bench-summary
-               Convert an engine_bench JSON file into a trace-summary
-               directory, so two bench runs can be diffed with
-               `voodb compare` (the CI perf gate does exactly this).
-               `--assert-max` additionally enforces hard ceilings on
-               named measurements and exits 2 on a breach.
     watch-check
                Validate a `--watch-jsonl` stream: every line must be a
                well-formed watch sample with numeric fields and
@@ -133,16 +120,6 @@ OPTIONS (run):
 OPTIONS (compare):
     --threshold T Relative regression threshold (default 0.10 = 10%).
 
-OPTIONS (bench-summary):
-    --out DIR     Directory to write summary.json into (required).
-    --metrics L   Comma-separated keep-list of measurement names; the CI
-                  perf gate uses this to compare only the mode-robust
-                  throughput metrics.
-    --assert-max NAME=VALUE
-                  Fail (exit 2) if measurement NAME exceeds VALUE; may
-                  be repeated. The CI perf gate caps
-                  trace_recorder_overhead_pct with this.
-
 OPTIONS (audit):
     --root DIR    Workspace root to scan (default: current directory).
     --json        Emit the machine-readable single-line JSON report
@@ -156,7 +133,6 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
-        Some("bench-summary") => cmd_bench_summary(&args[1..]),
         Some("watch-check") => cmd_watch_check(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
         Some("list") => cmd_list(&args[1..]),
@@ -549,93 +525,6 @@ fn cmd_compare(args: &[String]) -> ExitCode {
         ExitCode::from(2)
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-fn cmd_bench_summary(args: &[String]) -> ExitCode {
-    let (files, options, _) = match split_args(args, &["out", "metrics", "assert-max"], &[]) {
-        Ok(split) => split,
-        Err(e) => return fail(&e),
-    };
-    let [file] = files[..] else {
-        return fail("'bench-summary' takes exactly one engine_bench JSON file");
-    };
-    let Some((_, out)) = options.iter().find(|(name, _)| *name == "out") else {
-        return fail("'bench-summary' requires --out <dir>");
-    };
-    let keep: Option<Vec<&str>> = options
-        .iter()
-        .find(|(name, _)| *name == "metrics")
-        .map(|(_, list)| list.split(',').map(str::trim).collect());
-    let text = match std::fs::read_to_string(file) {
-        Ok(text) => text,
-        Err(e) => return fail(&format!("{file}: {e}")),
-    };
-    let mut summary = match RunSummary::from_bench_json(&text) {
-        Ok(summary) => summary,
-        Err(e) => return fail(&format!("{file}: {e}")),
-    };
-    // Hard ceilings run against the unfiltered measurements, so a
-    // --metrics keep-list can't accidentally un-gate an assertion.
-    let mut breached = false;
-    for (_, spec) in options.iter().filter(|(name, _)| *name == "assert-max") {
-        let Some((name, raw_max)) = spec.split_once('=') else {
-            return fail(&format!("--assert-max: expected NAME=VALUE, got '{spec}'"));
-        };
-        let max: f64 = match parse_opt("assert-max", raw_max) {
-            Ok(v) => v,
-            Err(e) => return fail(&e),
-        };
-        let Some(value) = summary.runs.iter().find_map(|r| r.metrics.get(name)) else {
-            return fail(&format!(
-                "--assert-max: no measurement named '{name}' in {file}"
-            ));
-        };
-        let marker = match direction_of(name) {
-            Direction::HigherWorse => "",
-            // A ceiling on a metric where higher is good (or neutral)
-            // is usually a misread gate — flag it in the output.
-            Direction::LowerWorse => " [note: lower is worse for this metric]",
-            Direction::Neutral => " [note: direction-neutral metric]",
-        };
-        if *value > max {
-            eprintln!("assert-max: {name} = {value} exceeds ceiling {max}{marker}");
-            breached = true;
-        } else {
-            println!("assert-max: {name} = {value} within ceiling {max}{marker}");
-        }
-    }
-    if let Some(keep) = keep {
-        // A listed name that matches nothing is a gate misconfiguration
-        // (typo, renamed measurement) — fail loudly rather than silently
-        // un-gating that metric.
-        for name in &keep {
-            if !summary.runs.iter().any(|r| r.metrics.contains_key(*name)) {
-                return fail(&format!(
-                    "--metrics: no measurement named '{name}' in {file}"
-                ));
-            }
-        }
-        for run in &mut summary.runs {
-            run.metrics.retain(|name, _| keep.contains(&name.as_str()));
-        }
-    }
-    match summary.write(Path::new(out)) {
-        Ok(path) => {
-            println!(
-                "wrote {} ({} metrics) — diff with `voodb compare`",
-                path.display(),
-                summary.runs[0].metrics.len()
-            );
-            if breached {
-                // Distinct from the generic-error exit code 1, like
-                // `compare`'s regression exit.
-                ExitCode::from(2)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => fail(&e),
     }
 }
 

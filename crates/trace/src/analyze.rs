@@ -148,9 +148,6 @@ pub enum MetricPattern {
     Exact(&'static str),
     /// The name ends with the pattern.
     Suffix(&'static str),
-    /// The name contains the pattern anywhere. (Used where a trailing
-    /// qualifier follows the unit, e.g. `…_events_per_sec_heap`.)
-    Contains(&'static str),
 }
 
 impl MetricPattern {
@@ -159,7 +156,6 @@ impl MetricPattern {
         match self {
             MetricPattern::Exact(p) => metric == *p,
             MetricPattern::Suffix(p) => metric.ends_with(p),
-            MetricPattern::Contains(p) => metric.contains(p),
         }
     }
 }
@@ -178,12 +174,9 @@ const fn rule(pattern: MetricPattern, direction: Direction) -> DirectionRule {
 }
 
 /// The one metric-direction registry, in priority order (first match
-/// wins): consumed by `voodb compare`, `voodb bench-summary` and the CI
-/// perf gate alike, so a metric can never regress in one tool's
-/// direction and improve in another's. Latencies and I/O counts regress
-/// upwards; hit ratio, throughput and speedups regress downwards;
-/// bookkeeping counts are neutral. Unmatched names are
-/// [`Direction::Neutral`].
+/// wins), consumed by `voodb compare`. Latencies and I/O counts regress
+/// upwards; hit ratio and throughput regress downwards; bookkeeping
+/// counts are neutral. Unmatched names are [`Direction::Neutral`].
 pub const DIRECTION_RULES: &[DirectionRule] = &[
     rule(MetricPattern::Exact("hit_ratio"), Direction::LowerWorse),
     rule(
@@ -192,44 +185,7 @@ pub const DIRECTION_RULES: &[DirectionRule] = &[
     ),
     rule(MetricPattern::Exact("spans"), Direction::Neutral),
     rule(MetricPattern::Exact("transactions"), Direction::Neutral),
-    rule(
-        MetricPattern::Exact("traced_spans_per_run"),
-        Direction::Neutral,
-    ),
     rule(MetricPattern::Suffix("_ms"), Direction::HigherWorse),
-    // engine_bench measurements (see `RunSummary::from_bench_json`):
-    // throughput regresses downwards, overhead and speedup have their
-    // natural directions. `Contains`, not `Suffix`: the scheduler
-    // variants ("..._events_per_sec_heap"/"_noop") carry a trailing
-    // qualifier.
-    rule(
-        MetricPattern::Contains("_events_per_sec"),
-        Direction::LowerWorse,
-    ),
-    rule(
-        MetricPattern::Contains("_tx_per_sec"),
-        Direction::LowerWorse,
-    ),
-    // Simulated population per host second: the event-count-free rate
-    // of the million-user phase.
-    rule(
-        MetricPattern::Contains("_users_per_sec"),
-        Direction::LowerWorse,
-    ),
-    rule(
-        MetricPattern::Suffix("_overhead_pct"),
-        Direction::HigherWorse,
-    ),
-    rule(MetricPattern::Suffix("_speedup_x"), Direction::LowerWorse),
-    // Streaming-pipeline memory: peak in-flight transaction slots
-    // growing means the O(MPL) guarantee is eroding.
-    rule(MetricPattern::Suffix("_peak_slots"), Direction::HigherWorse),
-    // Process high-water memory (the million-user phase's witness that
-    // cohort state stays O(in-flight + cohorts), not O(NUSERS) events).
-    rule(
-        MetricPattern::Suffix("_peak_rss_mb"),
-        Direction::HigherWorse,
-    ),
     rule(MetricPattern::Exact("ios"), Direction::HigherWorse),
     rule(MetricPattern::Exact("reads"), Direction::HigherWorse),
     rule(MetricPattern::Exact("writes"), Direction::HigherWorse),
@@ -459,104 +415,24 @@ mod tests {
     }
 
     #[test]
-    fn bench_metric_directions() {
-        assert_eq!(
-            direction_of("kernel_mm1_events_per_sec"),
-            Direction::LowerWorse
-        );
-        assert_eq!(
-            direction_of("kernel_mm1_events_per_sec_heap"),
-            Direction::LowerWorse
-        );
-        assert_eq!(
-            direction_of("voodb_model_events_per_sec_noop"),
-            Direction::LowerWorse
-        );
-        assert_eq!(
-            direction_of("trace_recorder_overhead_pct"),
-            Direction::HigherWorse
-        );
-        assert_eq!(
-            direction_of("kernel_calendar_speedup_x"),
-            Direction::LowerWorse
-        );
-        assert_eq!(
-            direction_of("workload_gen_tx_per_sec"),
-            Direction::LowerWorse
-        );
-        assert_eq!(
-            direction_of("stream_phase_tx_per_sec"),
-            Direction::LowerWorse
-        );
-        assert_eq!(
-            direction_of("stream_slab_peak_slots"),
-            Direction::HigherWorse
-        );
-        assert_eq!(
-            direction_of("users_1m_users_per_sec"),
-            Direction::LowerWorse
-        );
-        assert_eq!(direction_of("users_1m_peak_rss_mb"), Direction::HigherWorse);
-        assert_eq!(direction_of("traced_spans_per_run"), Direction::Neutral);
-    }
-
-    #[test]
-    fn registry_covers_every_bench_engine_metric() {
-        // Every metric engine_bench emits into BENCH_engine.json, with
-        // the direction the CI perf gate relies on. A new bench metric
-        // must be added here (and to DIRECTION_RULES if a fresh shape).
-        let expected = [
-            ("kernel_mm1_events_per_sec", Direction::LowerWorse),
-            ("kernel_mm1_events_per_sec_heap", Direction::LowerWorse),
-            ("kernel_calendar_speedup_x", Direction::LowerWorse),
-            ("voodb_model_events_per_sec_noop", Direction::LowerWorse),
-            ("voodb_model_events_per_sec_heap", Direction::LowerWorse),
-            ("voodb_model_events_per_sec_traced", Direction::LowerWorse),
-            ("trace_recorder_overhead_pct", Direction::HigherWorse),
-            ("traced_spans_per_run", Direction::Neutral),
-            ("workload_gen_tx_per_sec", Direction::LowerWorse),
-            ("stream_phase_tx_per_sec", Direction::LowerWorse),
-            ("stream_slab_peak_slots", Direction::HigherWorse),
-            ("users_1m_users_per_sec", Direction::LowerWorse),
-            ("users_1m_peak_rss_mb", Direction::HigherWorse),
-        ];
-        for (metric, direction) in expected {
-            assert_eq!(direction_of(metric), direction, "{metric}");
-            assert!(
-                DIRECTION_RULES
-                    .iter()
-                    .any(|rule| rule.pattern.matches(metric)),
-                "{metric} must match a registry rule"
-            );
-        }
-    }
-
-    #[test]
     fn first_matching_rule_wins() {
-        // A name matching several rules takes the earliest: the "_ms"
-        // suffix rule precedes "_overhead_pct", and exact names precede
-        // every pattern rule.
-        assert_eq!(direction_of("x_overhead_pct_ms"), Direction::HigherWorse);
+        // Resolution walks the registry in order; a name no rule
+        // matches is neutral.
+        assert_eq!(direction_of("response_p99_ms"), Direction::HigherWorse);
         assert_eq!(direction_of("spans"), Direction::Neutral);
         assert_eq!(direction_of("unknown_metric"), Direction::Neutral);
     }
 
     #[test]
     fn summary_line_names_offending_metrics() {
-        let a = summary(
-            "a",
-            &[("response_ms", 100.0), ("kernel_mm1_events_per_sec", 3e7)],
-        );
-        let b = summary(
-            "b",
-            &[("response_ms", 130.0), ("kernel_mm1_events_per_sec", 1e7)],
-        );
+        let a = summary("a", &[("response_ms", 100.0), ("throughput_tps", 30.0)]);
+        let b = summary("b", &[("response_ms", 130.0), ("throughput_tps", 10.0)]);
         let report = compare(&a, &b, 0.10);
         assert_eq!(report.regressions, 2);
         let rendered = report.render();
         let last = rendered.trim_end().lines().last().unwrap();
         assert!(
-            last.contains("kernel_mm1_events_per_sec -66.7%"),
+            last.contains("throughput_tps -66.7%"),
             "summary line must carry the metric and delta: {last}"
         );
         assert!(

@@ -340,48 +340,6 @@ impl RunSummary {
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         Self::from_json_text(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
-
-    /// Converts an `engine_bench` measurement file (a JSON array of
-    /// `{name, value, unit}` objects — `BENCH_engine.json`) into
-    /// trace-summary form, so the CI perf gate can diff a fresh bench
-    /// run against the committed baseline with the ordinary
-    /// `voodb compare` machinery ([`crate::analyze::direction_of`]
-    /// knows the bench metric suffixes).
-    ///
-    /// # Errors
-    /// Returns a message naming the malformed element.
-    pub fn from_bench_json(text: &str) -> Result<Self, String> {
-        let doc = parse(text)?;
-        let entries = doc
-            .as_arr()
-            .ok_or("bench json: expected a top-level array")?;
-        let mut metrics = BTreeMap::new();
-        for entry in entries {
-            let name = entry
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("bench json: entry without 'name'")?;
-            let value = entry
-                .get("value")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("bench json: '{name}' has no numeric 'value'"))?;
-            metrics.insert(name.to_owned(), value);
-        }
-        if metrics.is_empty() {
-            return Err("bench json: no measurements".into());
-        }
-        Ok(RunSummary {
-            scenario: "engine_bench".into(),
-            seed: 0,
-            replications: 1,
-            runs: vec![RunMetrics {
-                point: 0,
-                rep: 0,
-                label: "bench".into(),
-                metrics,
-            }],
-        })
-    }
 }
 
 /// File stem of one traced job inside a trace directory.
@@ -414,24 +372,6 @@ pub fn write_job_trace(
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn bench_json_converts_to_summary() {
-        let text = r#"[{"name":"kernel_mm1_events_per_sec","value":31000000.0,"unit":"events/s"},{"name":"trace_recorder_overhead_pct","value":13.3,"unit":"%"}]"#;
-        let summary = RunSummary::from_bench_json(text).unwrap();
-        assert_eq!(summary.scenario, "engine_bench");
-        assert_eq!(summary.runs.len(), 1);
-        let agg = summary.aggregate();
-        assert_eq!(agg["kernel_mm1_events_per_sec"], 31_000_000.0);
-        assert_eq!(agg["trace_recorder_overhead_pct"], 13.3);
-        // Round-trips through the ordinary summary.json machinery.
-        let json = summary.to_json().to_string_compact();
-        assert_eq!(RunSummary::from_json_text(&json).unwrap(), summary);
-
-        assert!(RunSummary::from_bench_json("{}").is_err());
-        assert!(RunSummary::from_bench_json("[]").is_err());
-        assert!(RunSummary::from_bench_json(r#"[{"name":"x"}]"#).is_err());
-    }
-
     use super::*;
     use crate::config::RecorderConfig;
     use crate::recorder::TraceRecorder;

@@ -22,9 +22,10 @@
 //!   rebuilt from JSONL, and regression flagging between two runs.
 //!
 //! Untraced runs pay nothing: the kernel's hooks are monomorphised away
-//! under [`desp::NoProbe`]. `engine_bench` measures what a recording
-//! run costs (`trace_recorder_overhead_pct`, capped in CI), and the
-//! end-to-end benchmark reports it as `bench.trace_overhead_x`.
+//! under [`desp::NoProbe`]. The end-to-end benchmark (`e2ebench/`)
+//! measures what a recording run costs: `vtrace.overhead_pct` times a
+//! traced `voodb run` sweep against an untraced one, and CI caps it at
+//! 10%.
 
 #![warn(missing_docs)]
 
