@@ -5,12 +5,23 @@
 //! and `DISKTRA` (transfer time), with the refinement of Fig. 5: **a page
 //! contiguous to the previously loaded page skips search and latency** and
 //! pays only the transfer time. [`VirtualDisk`] implements exactly that
-//! model over an in-memory vector of [`SlottedPage`]s, counting every read
-//! and write — the "mean number of I/Os" of every figure and table in the
-//! paper's evaluation comes from counters like these.
+//! model, counting every read and write — the "mean number of I/Os" of
+//! every figure and table in the paper's evaluation comes from counters
+//! like these.
+//!
+//! Counting and timing need no page content, so an engine's disk holds
+//! its data pages as a **recipe** (the object base, the initial placement
+//! and its physical-OID map) and builds them, all in one pass, on the
+//! first access to their bytes — much as Texas's mapped store exists in
+//! memory only once a page faults. A run that never looks inside a page
+//! (the O2 engine without clustering) never builds the image.
 
+use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
-use clustering::PageId;
+use crate::storage::serialize_pages;
+use clustering::{PageId, Placement};
+use ocb::ObjectBase;
+use std::cell::OnceCell;
 
 /// Disk timing parameters, in milliseconds (Table 3 / Table 4).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -83,10 +94,30 @@ impl IoCounts {
     }
 }
 
-/// An in-memory disk of slotted pages with the Fig. 5 cost model.
+/// What an engine's data pages are built from: pass 2 of
+/// materialisation over the initial placement.
 #[derive(Debug)]
-pub struct VirtualDisk {
-    pages: Vec<SlottedPage>,
+struct Recipe<'a> {
+    base: &'a ObjectBase,
+    placement: Placement,
+    /// The initial logical → physical map (the engine mutates its own
+    /// copy as objects move).
+    phys_of: Vec<PhysicalOid>,
+}
+
+/// A disk of slotted pages with the Fig. 5 cost model.
+///
+/// Pages `0..data_pages` are the data region, built from the recipe on
+/// the first [`peek`](VirtualDisk::peek) or
+/// [`peek_mut`](VirtualDisk::peek_mut) of one of them. The pages after it
+/// (trailing pages given at construction, then appended pages) are held
+/// built.
+#[derive(Debug)]
+pub struct VirtualDisk<'a> {
+    data: OnceCell<Vec<SlottedPage>>,
+    recipe: Option<Recipe<'a>>,
+    data_pages: u32,
+    tail: Vec<SlottedPage>,
     page_size: u32,
     timings: DiskTimings,
     counts: IoCounts,
@@ -94,12 +125,15 @@ pub struct VirtualDisk {
     last_page: Option<PageId>,
 }
 
-impl VirtualDisk {
-    /// Creates a disk holding `pages` (the materialised database).
+impl<'a> VirtualDisk<'a> {
+    /// Creates a disk holding `pages`, every one already built.
     pub fn new(pages: Vec<SlottedPage>, page_size: u32, timings: DiskTimings) -> Self {
         debug_assert!(pages.iter().all(|p| p.page_size() == page_size));
         VirtualDisk {
-            pages,
+            data_pages: pages.len() as u32,
+            data: OnceCell::from(pages),
+            recipe: None,
+            tail: Vec::new(),
             page_size,
             timings,
             counts: IoCounts::default(),
@@ -108,9 +142,52 @@ impl VirtualDisk {
         }
     }
 
+    /// Creates a disk whose data region is `placement`'s pages, serialised
+    /// from `base` with the physical map `phys_of` on first content
+    /// access, followed by the built `trailing` pages.
+    pub(crate) fn deferred(
+        base: &'a ObjectBase,
+        placement: Placement,
+        phys_of: Vec<PhysicalOid>,
+        trailing: Vec<SlottedPage>,
+        timings: DiskTimings,
+    ) -> Self {
+        let page_size = placement.page_size();
+        debug_assert!(trailing.iter().all(|p| p.page_size() == page_size));
+        VirtualDisk {
+            data: OnceCell::new(),
+            data_pages: placement.page_count(),
+            recipe: Some(Recipe {
+                base,
+                placement,
+                phys_of,
+            }),
+            tail: trailing,
+            page_size,
+            timings,
+            counts: IoCounts::default(),
+            elapsed_ms: 0.0,
+            last_page: None,
+        }
+    }
+
+    /// The data region, built in one pass on the first call.
+    fn data(&self) -> &[SlottedPage] {
+        self.data.get_or_init(|| {
+            let recipe = self.recipe.as_ref().expect("unbuilt data has a recipe");
+            serialize_pages(recipe.base, &recipe.placement, &recipe.phys_of)
+        })
+    }
+
+    /// Data pages built so far: none, or all of them.
+    #[cfg(test)]
+    pub(crate) fn built_data_pages(&self) -> usize {
+        self.data.get().map_or(0, Vec::len)
+    }
+
     /// Number of pages.
     pub fn page_count(&self) -> u32 {
-        self.pages.len() as u32
+        self.data_pages + self.tail.len() as u32
     }
 
     /// Page size in bytes.
@@ -149,33 +226,21 @@ impl VirtualDisk {
         self.last_page = Some(page);
     }
 
-    /// Performs (and counts) a page read, returning the page content.
+    /// Performs (and counts) a page read. The content is reached through
+    /// [`VirtualDisk::peek`].
     ///
     /// # Panics
     /// Panics if `page` is out of range.
-    pub fn read(&mut self, page: PageId) -> &SlottedPage {
-        assert!((page as usize) < self.pages.len(), "read past end of disk");
+    pub fn read(&mut self, page: PageId) {
+        assert!(page < self.page_count(), "read past end of disk");
         self.counts.reads += 1;
         self.account(page);
-        &self.pages[page as usize]
-    }
-
-    /// Performs (and counts) a page write, replacing the page content.
-    ///
-    /// # Panics
-    /// Panics if `page` is out of range or the sizes mismatch.
-    pub fn write(&mut self, page: PageId, content: SlottedPage) {
-        assert!((page as usize) < self.pages.len(), "write past end of disk");
-        assert_eq!(content.page_size(), self.page_size);
-        self.counts.writes += 1;
-        self.account(page);
-        self.pages[page as usize] = content;
     }
 
     /// Performs (and counts) a write of the page's current in-memory image
     /// (used after patching via [`VirtualDisk::peek_mut`]).
     pub fn write_back(&mut self, page: PageId) {
-        assert!((page as usize) < self.pages.len(), "write past end of disk");
+        assert!(page < self.page_count(), "write past end of disk");
         self.counts.writes += 1;
         self.account(page);
     }
@@ -183,32 +248,33 @@ impl VirtualDisk {
     /// Uncounted access to a page image — models reading from a frame that
     /// already holds the page. Callers must have counted the fetch.
     pub fn peek(&self, page: PageId) -> &SlottedPage {
-        &self.pages[page as usize]
+        match page.checked_sub(self.data_pages) {
+            None => &self.data()[page as usize],
+            Some(i) => &self.tail[i as usize],
+        }
     }
 
     /// Uncounted mutable access (buffered modification; the write is
     /// counted when the frame is flushed).
     pub fn peek_mut(&mut self, page: PageId) -> &mut SlottedPage {
-        &mut self.pages[page as usize]
+        match page.checked_sub(self.data_pages) {
+            None => {
+                self.data();
+                &mut self.data.get_mut().expect("data region is built")[page as usize]
+            }
+            Some(i) => &mut self.tail[i as usize],
+        }
     }
 
     /// Appends a fresh page at the end of the store (counted as one write),
     /// returning its id.
     pub fn append_page(&mut self, content: SlottedPage) -> PageId {
         assert_eq!(content.page_size(), self.page_size);
-        let id = self.pages.len() as PageId;
-        self.pages.push(content);
+        let id = self.page_count();
+        self.tail.push(content);
         self.counts.writes += 1;
         self.account(id);
         id
-    }
-
-    /// Replaces the entire page array (database reorganisation result).
-    /// Not counted: the reorganiser accounts its own I/Os.
-    pub fn replace_all(&mut self, pages: Vec<SlottedPage>) {
-        debug_assert!(pages.iter().all(|p| p.page_size() == self.page_size));
-        self.pages = pages;
-        self.last_page = None;
     }
 }
 
@@ -216,7 +282,7 @@ impl VirtualDisk {
 mod tests {
     use super::*;
 
-    fn disk(n: u32) -> VirtualDisk {
+    fn disk(n: u32) -> VirtualDisk<'static> {
         let pages = (0..n).map(|_| SlottedPage::new(4096)).collect();
         VirtualDisk::new(pages, 4096, DiskTimings::table3_default())
     }
@@ -226,7 +292,7 @@ mod tests {
         let mut d = disk(10);
         d.read(0);
         d.read(5);
-        d.write(3, SlottedPage::new(4096));
+        d.write_back(3);
         assert_eq!(
             d.counts(),
             IoCounts {
@@ -290,7 +356,8 @@ mod tests {
         let mut d = disk(2);
         let mut page = SlottedPage::new(4096);
         page.insert(b"data");
-        d.write(0, page.clone());
+        d.peek_mut(0).insert(b"data");
+        d.write_back(0);
         d.reset_counters();
         assert_eq!(d.counts().total(), 0);
         assert_eq!(d.elapsed_ms(), 0.0);

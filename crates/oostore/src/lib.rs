@@ -16,7 +16,11 @@
 //!   pluggable replacement policy, page shipping, **logical OIDs** whose
 //!   reorganisation needs no database scan;
 //! * [`VirtualDisk`] — slotted pages plus the Fig. 5 timing model
-//!   (search + latency + transfer, short-circuited for contiguous reads);
+//!   (search + latency + transfer, short-circuited for contiguous reads).
+//!   An engine's data pages are built in one pass on the first access to
+//!   their content: counting I/Os needs none, so an O2 run without
+//!   clustering never serialises the base, and Texas builds the image at
+//!   its first swizzle fault;
 //! * the [`StorageEngine`] trait and [`run_workload`] driver shared by the
 //!   bench harness.
 //!
@@ -49,5 +53,7 @@ pub use oid::PhysicalOid;
 pub use page::{SlotId, SlottedPage};
 pub use pageserver::{PageServerConfig, PageServerCounters, PageServerEngine, O2_FRAMES_PER_MB};
 pub use reorg::ReorgReport;
-pub use storage::{materialize, patch_ref, payload_oid, payload_refs, serialize_object};
+pub use storage::{
+    assign_physical_oids, patch_ref, payload_oid, payload_refs, serialize_object, serialize_pages,
+};
 pub use texas::{TexasConfig, TexasCounters, TexasEngine, TEXAS_FRAMES_PER_MB};

@@ -13,7 +13,7 @@ use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
 use crate::reorg::ReorgReport;
-use crate::storage::{materialize, payload_oid, serialize_object};
+use crate::storage::{assign_physical_oids, payload_oid, serialize_object};
 use bufmgr::{AccessOutcome, BufferPool, PolicyKind};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
 use clustering::{PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
@@ -76,7 +76,7 @@ pub struct PageServerCounters {
 pub struct PageServerEngine<'a> {
     base: &'a ObjectBase,
     config: PageServerConfig,
-    disk: VirtualDisk,
+    disk: VirtualDisk<'a>,
     /// Logical OID table: logical → physical. The in-memory image; the
     /// table is also **persistent** (`oid_pages` on disk), faulted through
     /// the same server buffer — a real system cost the simulation's
@@ -93,28 +93,22 @@ pub struct PageServerEngine<'a> {
 }
 
 impl<'a> PageServerEngine<'a> {
-    /// Builds the server: places objects, materialises pages (data first,
-    /// then the persistent OID table), mounts the disk and allocates the
-    /// buffer.
+    /// Builds the server: places objects, mounts the disk (data pages,
+    /// built on first content access, then the persistent OID table) and
+    /// allocates the buffer.
     pub fn new(base: &'a ObjectBase, config: PageServerConfig) -> Self {
         let placement = config.initial_placement.build(base, config.page_size);
-        let (mut pages, oid_table) = materialize(base, &placement);
-        let oid_pages_start = pages.len() as PageId;
-        // Persistent OID table: fixed 8-byte entries packed into one big
-        // payload per page.
-        let entry_bytes = PhysicalOid::WIRE_BYTES as u32;
-        let oid_entries_per_page =
-            (config.page_size - PAGE_HEADER_BYTES - SLOT_ENTRY_BYTES) / entry_bytes;
-        for chunk in oid_table.chunks(oid_entries_per_page as usize) {
-            let mut payload = vec![0u8; chunk.len() * entry_bytes as usize];
-            for (i, phys) in chunk.iter().enumerate() {
-                phys.encode(&mut payload[i * 8..(i + 1) * 8]);
-            }
-            let mut page = SlottedPage::new(config.page_size);
-            page.insert(&payload);
-            pages.push(page);
-        }
-        let disk = VirtualDisk::new(pages, config.page_size, config.timings);
+        let oid_table = assign_physical_oids(base, &placement);
+        let oid_pages_start = placement.page_count();
+        let oid_entries_per_page = oid_entries_per_page(config.page_size);
+        let oid_pages = oid_table_pages(&oid_table, config.page_size);
+        let disk = VirtualDisk::deferred(
+            base,
+            placement,
+            oid_table.clone(),
+            oid_pages,
+            config.timings,
+        );
         let buffer = BufferPool::new(config.buffer_pages, config.policy);
         let strategy = config.clustering.build();
         PageServerEngine {
@@ -182,7 +176,7 @@ impl<'a> PageServerEngine<'a> {
     }
 
     /// Read-only view of the virtual disk.
-    pub fn disk_ref(&self) -> &VirtualDisk {
+    pub fn disk_ref(&self) -> &VirtualDisk<'a> {
         &self.disk
     }
 
@@ -316,6 +310,30 @@ impl<'a> PageServerEngine<'a> {
             outcome,
         }
     }
+}
+
+/// Persistent OID-table entries per page: the page's one payload holds
+/// fixed 8-byte entries.
+fn oid_entries_per_page(page_size: u32) -> u32 {
+    (page_size - PAGE_HEADER_BYTES - SLOT_ENTRY_BYTES) / PhysicalOid::WIRE_BYTES as u32
+}
+
+/// The persistent OID table's pages: the entries of `oid_table` packed
+/// into one big payload per page.
+pub(crate) fn oid_table_pages(oid_table: &[PhysicalOid], page_size: u32) -> Vec<SlottedPage> {
+    let entry_bytes = PhysicalOid::WIRE_BYTES;
+    oid_table
+        .chunks(oid_entries_per_page(page_size) as usize)
+        .map(|chunk| {
+            let mut payload = vec![0u8; chunk.len() * entry_bytes];
+            for (i, phys) in chunk.iter().enumerate() {
+                phys.encode(&mut payload[i * entry_bytes..(i + 1) * entry_bytes]);
+            }
+            let mut page = SlottedPage::new(page_size);
+            page.insert(&payload);
+            page
+        })
+        .collect()
 }
 
 impl StorageEngine for PageServerEngine<'_> {
@@ -503,6 +521,35 @@ mod tests {
         let writes_before = engine.io_counts().writes;
         engine.flush_memory();
         assert_eq!(engine.io_counts().writes, writes_before + 1);
+    }
+
+    #[test]
+    fn new_leaves_the_image_unbuilt_until_first_peek() {
+        let base = small_base();
+        let mut engine = PageServerEngine::new(&base, config(100));
+        let data_pages = engine.oid_pages_start;
+        assert_eq!(engine.disk.built_data_pages(), 0);
+        engine.disk.read(0);
+        engine.disk.write_back(1);
+        engine.disk.peek(data_pages); // an OID-table page: always built
+        assert_eq!(engine.disk.built_data_pages(), 0, "I/O needs no content");
+        engine.disk.peek(0);
+        assert_eq!(engine.disk.built_data_pages(), data_pages as usize);
+    }
+
+    #[test]
+    fn run_without_clustering_builds_the_image_only_in_debug() {
+        let base = small_base();
+        let mut engine = PageServerEngine::new(&base, config(64));
+        let txs: Vec<Transaction> = {
+            let mut g = WorkloadGenerator::new(&base, WorkloadParams::small(), 13);
+            (0..50).map(|_| g.next_transaction()).collect()
+        };
+        assert!(run_workload(&mut engine, &txs).total_ios() > 0);
+        engine.flush_memory();
+        // Only the debug build's payload check in `execute` reads content.
+        let built = engine.disk.built_data_pages() > 0;
+        assert_eq!(built, cfg!(debug_assertions));
     }
 
     #[test]

@@ -169,7 +169,6 @@ impl TexasEngine<'_> {
         // ----- phase 2: the physical-OID patch scan ------------------------
         // Every page is read; pages holding references to relocated objects
         // are patched and written back.
-        let total_pages = self.disk_mut().page_count();
         let mut pages_scanned = 0u64;
         let mut pages_patched = 0u64;
         for page in 0..old_page_count {
@@ -198,7 +197,6 @@ impl TexasEngine<'_> {
                 pages_patched += 1;
             }
         }
-        let _ = total_pages;
 
         // ----- install the new root table and drop the VM cache ------------
         for (&oid, &phys) in &new_phys {
@@ -363,5 +361,47 @@ mod tests {
                 "cluster pages not contiguous: {pages:?}"
             );
         }
+    }
+
+    #[test]
+    fn forced_and_deferred_images_reorganise_identically() {
+        let base = ObjectBase::generate(&DatabaseParams::small(), 10);
+        let txs = hierarchy_workload(&base, 300, 46);
+        let observe = |force: bool| {
+            let config = TexasConfig {
+                memory_pages: 64,
+                os_readahead: true,
+                fs_metadata: true,
+                ..dstc_config()
+            };
+            let mut engine = TexasEngine::new(&base, config);
+            if force {
+                engine.disk_ref().peek(0);
+            }
+            run_workload(&mut engine, &txs);
+            let report = engine.reorganize();
+            engine.flush_memory();
+            run_workload(&mut engine, &txs);
+            engine.flush_memory();
+            let c = engine.counters();
+            let pages: Vec<SlottedPage> = (0..engine.page_count())
+                .map(|page| engine.disk_ref().peek(page).clone())
+                .collect();
+            (
+                (c.faults, c.reservations, c.swap_outs),
+                (
+                    report.io,
+                    report.moved_objects,
+                    report.pages_scanned,
+                    report.pages_patched,
+                ),
+                engine.io_counts(),
+                engine.elapsed_ms().to_bits(),
+                pages,
+            )
+        };
+        let forced = observe(true);
+        assert!(forced.1 .1 > 0, "DSTC moved no object");
+        assert_eq!(forced, observe(false));
     }
 }

@@ -67,16 +67,14 @@ pub fn patch_ref(payload: &mut [u8], index: usize, new_target: PhysicalOid) {
     new_target.encode(&mut payload[at..at + PhysicalOid::WIRE_BYTES]);
 }
 
-/// Materialises a database: builds the slotted pages for `placement` and
-/// the logical → physical OID map.
+/// Pass 1 of materialisation: the logical → physical OID map of
+/// `placement`.
 ///
-/// Two passes: slots are assigned first (page layout is fully determined by
-/// the placement), then payloads are written with the final physical OIDs
-/// of their reference targets.
-pub fn materialize(
-    base: &ObjectBase,
-    placement: &Placement,
-) -> (Vec<SlottedPage>, Vec<PhysicalOid>) {
+/// Page layout is fully determined by the placement, so every object's
+/// page and slot are known before any payload is written. Engines need
+/// this map at construction; the pages themselves come from
+/// [`serialize_pages`].
+pub fn assign_physical_oids(base: &ObjectBase, placement: &Placement) -> Vec<PhysicalOid> {
     let mut phys_of = vec![
         PhysicalOid {
             page: u32::MAX,
@@ -84,7 +82,6 @@ pub fn materialize(
         };
         base.len()
     ];
-    // Pass 1: assign physical OIDs in placement order.
     for page in 0..placement.page_count() {
         for (slot, &oid) in placement.objects_in(page).iter().enumerate() {
             phys_of[oid as usize] = PhysicalOid {
@@ -93,7 +90,17 @@ pub fn materialize(
             };
         }
     }
-    // Pass 2: serialise.
+    phys_of
+}
+
+/// Pass 2 of materialisation: the slotted pages of `placement`, every
+/// payload written with the physical OIDs `phys_of` (from
+/// [`assign_physical_oids`]) of its reference targets.
+pub fn serialize_pages(
+    base: &ObjectBase,
+    placement: &Placement,
+    phys_of: &[PhysicalOid],
+) -> Vec<SlottedPage> {
     let mut pages = Vec::with_capacity(placement.page_count() as usize);
     for page in 0..placement.page_count() {
         let mut slotted = SlottedPage::new(placement.page_size());
@@ -110,14 +117,17 @@ pub fn materialize(
         }
         pages.push(slotted);
     }
-    (pages, phys_of)
+    pages
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pageserver::{oid_table_pages, PageServerConfig, PageServerEngine};
+    use crate::texas::{TexasConfig, TexasEngine, EXT2_INDIRECT_COVERAGE};
     use clustering::InitialPlacement;
     use ocb::DatabaseParams;
+    use proptest::prelude::*;
 
     fn setup() -> (ObjectBase, Placement) {
         let base = ObjectBase::generate(&DatabaseParams::small(), 11);
@@ -160,7 +170,8 @@ mod tests {
     #[test]
     fn materialize_places_every_object_where_placement_says() {
         let (base, placement) = setup();
-        let (pages, phys_of) = materialize(&base, &placement);
+        let phys_of = assign_physical_oids(&base, &placement);
+        let pages = serialize_pages(&base, &placement, &phys_of);
         assert_eq!(pages.len(), placement.page_count() as usize);
         for (oid, _) in base.iter() {
             let phys = phys_of[oid as usize];
@@ -174,7 +185,8 @@ mod tests {
     #[test]
     fn materialized_refs_point_at_targets() {
         let (base, placement) = setup();
-        let (pages, phys_of) = materialize(&base, &placement);
+        let phys_of = assign_physical_oids(&base, &placement);
+        let pages = serialize_pages(&base, &placement, &phys_of);
         for (oid, object) in base.iter().take(100) {
             let phys = phys_of[oid as usize];
             let payload = pages[phys.page as usize].get(phys.slot).unwrap();
@@ -186,6 +198,37 @@ mod tests {
                 // the target's logical OID.
                 let target_payload = pages[stored.page as usize].get(stored.slot).unwrap();
                 assert_eq!(payload_oid(target_payload), logical_target);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Both engines' demand-built disks hold, page for page, what the
+        /// two passes build eagerly, trailing pages included.
+        #[test]
+        fn deferred_images_equal_eager_pass_two(seed in 0u64..10_000) {
+            let base = ObjectBase::generate(&DatabaseParams::small(), seed);
+            let placement = InitialPlacement::OptimizedSequential.build(&base, 4096);
+            let phys_of = assign_physical_oids(&base, &placement);
+            let data = serialize_pages(&base, &placement, &phys_of);
+
+            let o2 = PageServerEngine::new(&base, PageServerConfig::with_cache_mb(1));
+            let mut expected = data.clone();
+            expected.extend(oid_table_pages(&phys_of, 4096));
+            prop_assert_eq!(o2.page_count() as usize, expected.len());
+            for (page, eager) in expected.iter().enumerate() {
+                prop_assert_eq!(o2.disk_ref().peek(page as u32), eager);
+            }
+
+            let texas = TexasEngine::new(&base, TexasConfig::with_memory_mb(1));
+            let meta_pages = (data.len() as u32).div_ceil(EXT2_INDIRECT_COVERAGE);
+            let mut expected = data;
+            expected.extend((0..meta_pages).map(|_| SlottedPage::new(4096)));
+            prop_assert_eq!(texas.page_count() as usize, expected.len());
+            for (page, eager) in expected.iter().enumerate() {
+                prop_assert_eq!(texas.disk_ref().peek(page as u32), eager);
             }
         }
     }

@@ -26,7 +26,8 @@
 use crate::disk::{DiskTimings, IoCounts, VirtualDisk};
 use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
-use crate::storage::{materialize, payload_oid, payload_refs};
+use crate::page::SlottedPage;
+use crate::storage::{assign_physical_oids, payload_oid, payload_refs};
 use bufmgr::{AccessOutcome, BufferPool, PolicyKind};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
 use ocb::{ObjectBase, Transaction};
@@ -118,7 +119,7 @@ pub struct TexasCounters {
 pub struct TexasEngine<'a> {
     base: &'a ObjectBase,
     config: TexasConfig,
-    disk: VirtualDisk,
+    disk: VirtualDisk<'a>,
     /// Logical → physical map (the engine's persistent root table).
     phys_of: Vec<PhysicalOid>,
     /// First page of the ext2 indirect-block region.
@@ -133,22 +134,25 @@ pub struct TexasEngine<'a> {
 }
 
 impl<'a> TexasEngine<'a> {
-    /// Builds the store: places objects, materialises pages, mounts the
-    /// virtual disk.
+    /// Builds the store: places objects and mounts the virtual disk, whose
+    /// data pages are built on first content access (in practice the
+    /// first swizzle fault).
     pub fn new(base: &'a ObjectBase, config: TexasConfig) -> Self {
         assert!(config.memory_pages >= 2, "need at least two VM frames");
         let placement = config.initial_placement.build(base, config.page_size);
-        let (mut pages, phys_of) = materialize(base, &placement);
-        let meta_start = pages.len() as PageId;
-        if config.fs_metadata {
-            // ext2 indirect blocks for the store file, appended after the
-            // data region.
-            let meta_count = (meta_start as u32).div_ceil(EXT2_INDIRECT_COVERAGE).max(1);
-            for _ in 0..meta_count {
-                pages.push(crate::page::SlottedPage::new(config.page_size));
-            }
-        }
-        let disk = VirtualDisk::new(pages, config.page_size, config.timings);
+        let phys_of = assign_physical_oids(base, &placement);
+        let meta_start = placement.page_count();
+        // ext2 indirect blocks for the store file, after the data region.
+        let meta_count = if config.fs_metadata {
+            meta_start.div_ceil(EXT2_INDIRECT_COVERAGE).max(1)
+        } else {
+            0
+        };
+        let meta_pages = (0..meta_count)
+            .map(|_| SlottedPage::new(config.page_size))
+            .collect();
+        let disk =
+            VirtualDisk::deferred(base, placement, phys_of.clone(), meta_pages, config.timings);
         let strategy = config.clustering.build();
         let vm = BufferPool::new(config.memory_pages, PolicyKind::Lru);
         TexasEngine {
@@ -230,11 +234,11 @@ impl<'a> TexasEngine<'a> {
     }
 
     /// Read-only view of the virtual disk (inspection and tests).
-    pub fn disk_ref(&self) -> &VirtualDisk {
+    pub fn disk_ref(&self) -> &VirtualDisk<'a> {
         &self.disk
     }
 
-    pub(crate) fn disk_mut(&mut self) -> &mut VirtualDisk {
+    pub(crate) fn disk_mut(&mut self) -> &mut VirtualDisk<'a> {
         &mut self.disk
     }
 
@@ -577,6 +581,34 @@ mod tests {
             observe(64),
             (2314, 1160, 38029, 3500, 1367, 32210.000000001277)
         );
+    }
+
+    #[test]
+    fn new_leaves_the_image_unbuilt_until_first_fault() {
+        let base = small_base();
+        let config = TexasConfig {
+            fs_metadata: true,
+            ..config(100, true)
+        };
+        let mut engine = TexasEngine::new(&base, config);
+        let data_pages = engine.meta_start;
+        assert_eq!(engine.disk.built_data_pages(), 0);
+        engine.disk.read(0);
+        engine.disk.write_back(0);
+        engine.disk.peek(data_pages); // an ext2 metadata page: always built
+        assert_eq!(engine.disk.built_data_pages(), 0, "I/O needs no content");
+        // The first fault swizzles the page, reading its references.
+        let t = Transaction {
+            kind: ocb::TransactionKind::SetOriented,
+            root: 4,
+            accesses: vec![ocb::Access {
+                oid: 4,
+                parent: None,
+                write: false,
+            }],
+        };
+        engine.execute(&t);
+        assert_eq!(engine.disk.built_data_pages(), data_pages as usize);
     }
 
     #[test]
