@@ -1,10 +1,11 @@
 //! Golden tests over the shipped `scenarios/` library, plus the
 //! thread-count determinism guarantee.
 //!
-//! Every preset must (a) parse and validate as committed, and (b) run
-//! end-to-end. Full-size presets would take minutes in debug builds, so
-//! the run check uses [`Scenario::shrink_for_smoke`] — same axes, same
-//! machinery, smaller base/run — while validation covers the files
+//! Every preset must (a) parse and validate as committed, (b) run
+//! end-to-end, and (c) reproduce its committed report in `golden/`
+//! byte for byte. Full-size presets would take minutes in debug builds,
+//! so the run checks use [`Scenario::shrink_for_smoke`] — same axes,
+//! same machinery, smaller base/run — while validation covers the files
 //! exactly as shipped.
 
 use scenario::{run_sweep, sweep_table, RunOptions, Scenario};
@@ -72,18 +73,23 @@ fn library_is_present_and_valid() {
     }
 }
 
+/// `scenario` cut to test size, one replication at its own seed.
+fn shrunk_smoke(file: &str, mut scenario: Scenario) -> (Scenario, RunOptions) {
+    scenario.shrink_for_smoke(400, 20, 2);
+    scenario
+        .validate()
+        .unwrap_or_else(|e| panic!("{file} invalid after shrink: {e}"));
+    let options = RunOptions {
+        reps: Some(1),
+        ..RunOptions::default()
+    };
+    (scenario, options)
+}
+
 #[test]
 fn every_preset_runs_one_replication_deterministically() {
     for (file, scenario) in all_scenarios() {
-        let mut shrunk = scenario;
-        shrunk.shrink_for_smoke(400, 20, 2);
-        shrunk
-            .validate()
-            .unwrap_or_else(|e| panic!("{file} invalid after shrink: {e}"));
-        let options = RunOptions {
-            reps: Some(1),
-            ..RunOptions::default()
-        };
+        let (shrunk, options) = shrunk_smoke(&file, scenario);
         let a = run_sweep(&shrunk, &options).unwrap_or_else(|e| panic!("{file} run failed: {e}"));
         assert_eq!(a.points.len(), shrunk.grid().len(), "{file}: grid size");
         for point in &a.points {
@@ -141,4 +147,32 @@ fn sweep_is_thread_count_invariant() {
         assert_eq!(csv1, csv8, "{name}: CSV differs between 1 and 8 threads");
         assert_eq!(json1, json8, "{name}: JSON differs between 1 and 8 threads");
     }
+}
+
+/// The committed reports: a change to how the model dispatches events
+/// (not what it simulates) must leave every preset's CSV untouched, in
+/// debug and release builds alike. When a change is meant to move the
+/// results, regenerate the files from the new output and review the
+/// diff.
+#[test]
+fn every_preset_matches_its_committed_csv() {
+    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let scenarios = all_scenarios();
+    for (file, scenario) in &scenarios {
+        let (shrunk, options) = shrunk_smoke(file, scenario.clone());
+        let result = run_sweep(&shrunk, &options).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let path = golden_dir.join(file.replace(".toml", ".csv"));
+        let golden =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(
+            sweep_table(&result).to_csv(),
+            golden,
+            "{file}: report differs from {}",
+            path.display()
+        );
+    }
+    let goldens = std::fs::read_dir(&golden_dir)
+        .expect("golden/ directory exists")
+        .count();
+    assert_eq!(goldens, scenarios.len(), "one golden CSV per preset");
 }
