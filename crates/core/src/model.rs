@@ -39,19 +39,36 @@
 //! ([`ocb::UserModel`]): the **per-user** oracle (one `Submit` event and
 //! one MPL wait-queue entry per user — the paper's literal sub-model)
 //! and the **cohort** representation, which carries the whole
-//! population as per-cohort wake queues — the initial wakes in one
-//! sorted run, resubmissions in a heap — with one live
-//! [`Event::CohortWake`] each, an O(1) [`AdmissionRing`] of
+//! population as per-cohort wake queues of 8-byte time keys — the
+//! initial wakes in one sorted run, resubmissions in a heap — with one
+//! live [`Event::CohortWake`] each, an O(1) [`AdmissionRing`] of
 //! submitted-but-unadmitted users,
 //! and a *deferred pull*: a waiting user is two machine words, not a
 //! slab slot plus a queued continuation event, so a million waiting
-//! users cost megabytes instead of gigabytes. Both representations draw
+//! users cost megabytes instead of gigabytes. A wake is dispatched only
+//! while an MPL seat can be free: once the ring is non-empty, every
+//! wake before the next pending event joins it in the same pass, so a
+//! saturated million-user phase dispatches thousands of events, not a
+//! million. Both representations draw
 //! the think stream in the identical order, so they produce
 //! bit-identical [`PhaseResult`]s (event counts aside), under either
 //! concurrency control, whenever wake instants don't collide across
 //! users — guaranteed for continuously distributed think times; the
 //! zero-think degenerate case is pinned separately by the differential
 //! tests.
+//!
+//! ### Events that decide nothing
+//!
+//! Following DESP-C++, every functioning rule is an event, but an
+//! event certain to be dispatched next that only does bookkeeping is
+//! not put on the event list: [`desp::Context::next_event_time`] proves
+//! it is next. Two sites use this. Saturated cohort wakes join the
+//! admission ring in one pass (above). The zero-delay
+//! [`Event::AccessDone`] → [`Event::StartAccess`] hops of an object
+//! access run inline, in a loop, while no other event is due at the
+//! current instant — an all-hit traversal runs as one dispatch. Either
+//! way the simulation is unchanged: only [`PhaseResult::events`] counts
+//! fewer dispatches.
 //!
 //! ### Determinism
 //!
@@ -98,6 +115,10 @@ use std::collections::BinaryHeap;
 
 /// `user` value marking open-arrival transactions (no user to resubmit).
 pub(crate) const OPEN_USER: usize = usize::MAX;
+
+/// Decorrelates the users' think/arrival stream from the workload
+/// stream drawn under the same seed.
+const THINK_SEED_SALT: u64 = 0x7454_494E_4B45_5221;
 
 /// How a phase terminates and which window it measures.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -173,11 +194,14 @@ pub enum Event {
         user: usize,
     },
     /// A cohort's earliest pending think time elapses (cohort user
-    /// model): every wake due now submits in (time, insertion) order,
-    /// then the cohort re-arms at its new minimum. One wake per cohort
-    /// is live; one superseded by an earlier arm is dropped when it
-    /// fires. Initial wakes come from a sorted run, resubmissions from
-    /// a heap.
+    /// model): every wake due now submits in time order, initial wakes
+    /// before resubmissions. If every MPL seat is then busy (the
+    /// admission ring is non-empty), the wakes before the next pending
+    /// event join the ring in the same pass, each stamped with its own
+    /// instant. The cohort then re-arms at its new minimum. One wake
+    /// per cohort is live; one superseded by an earlier arm is dropped
+    /// when it fires. Initial wakes come from a sorted run,
+    /// resubmissions from a heap.
     CohortWake {
         /// Index into the resolved cohort table.
         cohort: u32,
@@ -190,6 +214,16 @@ pub enum Event {
     LockResume(usize),
     /// A deadlock victim restarts from its first access.
     TxRestart(Tid),
+}
+
+/// A zero-delay step of one object access, run inline when it is
+/// certain to be dispatched next (see `VoodbModel::run_hops`).
+#[derive(Clone, Copy, Debug)]
+enum AccessHop {
+    /// [`Event::StartAccess`]: the next access (or the commit) starts.
+    StartAccess,
+    /// [`Event::AccessDone`]: the current access completed.
+    AccessDone,
 }
 
 /// The VOODB evaluation model, generic over the Table 3 parameters.
@@ -298,27 +332,28 @@ enum OpenArrival {
 
 /// Wake state of one user cohort (cohort user model).
 ///
-/// Every thinking user is one packed `(time_key(wake_ms) << 64) | seq`
-/// ord — the same total order the engine dispatches in, so popping in
-/// ord order submits users exactly as the per-user oracle would
-/// dispatch their `Submit` events. The phase's initial wakes, drawn
-/// all at once, sit in one sorted run; resubmissions go to a min-heap;
-/// [`Self::peek`]/[`Self::pop`] merge the two heads.
+/// Users of one cohort are interchangeable — a waiting user is just
+/// its cohort index — so a thinking user is one 8-byte
+/// [`time_key`] of its wake instant. Wakes pop in time order, an
+/// initial wake before a resubmission at the same instant: the order
+/// in which the per-user oracle dispatches the same users' `Submit`
+/// events, whose initial ones are all scheduled before any
+/// resubmission. The phase's initial wakes, drawn all at once, sit in
+/// one sorted run; resubmissions go to a min-heap; [`Self::peek`]/
+/// [`Self::pop`] merge the two heads.
 #[derive(Default)]
 struct CohortClock {
-    /// Initial wakes, sorted descending: the earliest is last.
-    initial: Vec<u128>,
-    /// Resubmission wakes (min-heap via `Reverse`).
-    pending: BinaryHeap<Reverse<u128>>,
-    /// Insertion tiebreak counter, reset per phase.
-    seq: u64,
+    /// Initial wake keys, sorted descending: the earliest is last.
+    initial: Vec<u64>,
+    /// Resubmission wake keys (min-heap via `Reverse`).
+    pending: BinaryHeap<Reverse<u64>>,
     /// Bumped on phase reload; in-flight wakes with an old epoch are
     /// no-ops.
     epoch: u32,
-    /// The earliest packed ord an engine wake is currently armed for —
-    /// always the minimum pending ord. Re-arming earlier leaves the old
-    /// wake in flight; a superseded wake is dropped when it fires.
-    armed: Option<u128>,
+    /// The key an engine wake is currently armed for — always the
+    /// earliest pending key. Re-arming earlier leaves the old wake in
+    /// flight; a superseded wake is dropped when it fires.
+    armed: Option<u64>,
 }
 
 impl CohortClock {
@@ -326,47 +361,37 @@ impl CohortClock {
     fn reset(&mut self) {
         self.initial.clear();
         self.pending.clear();
-        self.seq = 0;
         self.epoch = self.epoch.wrapping_add(1);
         self.armed = None;
     }
 
-    /// Packs a wake at `at` with the next insertion sequence number.
-    fn next_ord(&mut self, at: SimTime) -> u128 {
-        let ord = (u128::from(time_key(at.as_ms())) << 64) | u128::from(self.seq);
-        self.seq += 1;
-        ord
-    }
-
-    /// Loads the phase's initial wakes, in draw order, as one sorted run.
+    /// Loads the phase's initial wakes as one sorted run.
     fn load_initial(&mut self, wakes: impl ExactSizeIterator<Item = SimTime>) {
         self.initial.reserve(wakes.len());
-        for at in wakes {
-            let ord = self.next_ord(at);
-            self.initial.push(ord);
-        }
-        // Ords are unique (distinct seqs), so an unstable sort is exact.
+        self.initial.extend(wakes.map(|at| time_key(at.as_ms())));
+        // Equal keys are interchangeable users, so an unstable sort is
+        // exact.
         self.initial.sort_unstable_by(|a, b| b.cmp(a));
     }
 
     /// Queues one resubmission wake at `at`.
     fn push(&mut self, at: SimTime) {
-        let ord = self.next_ord(at);
-        self.pending.push(Reverse(ord));
+        self.pending.push(Reverse(time_key(at.as_ms())));
     }
 
-    /// The earliest pending ord.
-    fn peek(&self) -> Option<u128> {
+    /// The earliest pending wake key.
+    fn peek(&self) -> Option<u64> {
         let run = self.initial.last().copied();
-        let heap = self.pending.peek().map(|&Reverse(ord)| ord);
+        let heap = self.pending.peek().map(|&Reverse(key)| key);
         match (run, heap) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
     }
 
-    /// Removes the earliest pending ord.
-    fn pop(&mut self) -> Option<u128> {
+    /// Removes the earliest pending wake key, from the initial run on a
+    /// tie.
+    fn pop(&mut self) -> Option<u64> {
         let min = self.peek()?;
         if self.initial.last() == Some(&min) {
             self.initial.pop();
@@ -381,7 +406,7 @@ impl CohortClock {
         Some(min)
     }
 
-    /// Records an arm at the earliest pending ord and returns its
+    /// Records an arm at the earliest pending key and returns its
     /// instant, or `None` when nothing is pending or the armed wake
     /// already covers the minimum.
     fn arm(&mut self) -> Option<SimTime> {
@@ -390,15 +415,14 @@ impl CohortClock {
             return None;
         }
         self.armed = Some(min);
-        Some(key_time((min >> 64) as u64))
+        Some(key_time(min))
     }
 
     /// Whether a wake firing at time key `now_key` is the armed one —
     /// the first cohort wake dispatched at the armed instant. Any other
     /// was superseded by an earlier arm.
     fn is_armed_at(&self, now_key: u64) -> bool {
-        self.armed
-            .is_some_and(|armed| (armed >> 64) as u64 == now_key)
+        self.armed == Some(now_key)
     }
 
     /// Clears the arm after a drain, so the next [`Self::arm`] schedules
@@ -447,7 +471,7 @@ impl<'a> VoodbModel<'a> {
             iosub,
             disks,
             prefetcher,
-            think_stream: RandomStream::new(seed ^ 0x7454_494E_4B45_5221),
+            think_stream: RandomStream::new(seed ^ THINK_SEED_SALT),
             think_time_ms,
             user_model: UserModel::default(),
             cohorts: vec![UserCohort {
@@ -544,12 +568,14 @@ impl<'a> VoodbModel<'a> {
     }
 
     /// Continues an access once its lock is held: GETLOCK CPU on first
-    /// touch, then the storage pipeline.
+    /// touch, then the storage pipeline. Returns true when the access
+    /// completed at this instant (see [`Self::access_storage`]).
+    #[must_use]
     fn after_lock_granted<P: Probe, Q: QueueKind>(
         &mut self,
         tid: Tid,
         ctx: &mut Context<'_, Event, P, Q>,
-    ) {
+    ) -> bool {
         let t = self.slab.get_mut(tid);
         let oid = t.current().oid;
         let needs_lock_time = t.lock(oid);
@@ -561,8 +587,9 @@ impl<'a> VoodbModel<'a> {
         }
         if needs_lock_time && self.params.get_lock_ms > 0.0 {
             self.cpu.request(Event::LockCpu(tid), ctx);
+            false
         } else {
-            self.access_storage(tid, ctx);
+            self.access_storage(tid, ctx)
         }
     }
 
@@ -897,6 +924,41 @@ impl<'a> VoodbModel<'a> {
         }
     }
 
+    /// Queues cohort `c`'s wakes that would otherwise each cost a
+    /// [`Event::CohortWake`] that only joins the admission ring. While
+    /// the ring is non-empty every MPL seat is busy, so a wake
+    /// dispatched before anything else happens fails its `try_acquire`
+    /// (which records nothing) and joins the ring. That holds for every
+    /// wake strictly before the next pending event (an event already
+    /// pending at the same instant outranks a re-armed wake) and no
+    /// later than a horizon phase's end (the engine never dispatches
+    /// past it). Each joins stamped with its own instant, so response
+    /// times and spans are those of the wake-by-wake dispatch.
+    fn queue_saturated_wakes<P: Probe, Q: QueueKind>(
+        &mut self,
+        c: usize,
+        ctx: &mut Context<'_, Event, P, Q>,
+    ) {
+        if self.ring.is_empty() || self.exhausted {
+            return;
+        }
+        let before = ctx
+            .next_event_time()
+            .map_or(u64::MAX, |at| time_key(at.as_ms()));
+        let last = match self.mode {
+            PhaseMode::Horizon { duration_ms, .. } => time_key(duration_ms),
+            PhaseMode::Count { .. } => u64::MAX,
+        };
+        let clock = &mut self.clocks[c];
+        while let Some(key) = clock.peek().filter(|&key| key < before && key <= last) {
+            clock.pop();
+            self.ring.push_back(PendingArrival {
+                cohort: c as u32,
+                submitted: key_time(key),
+            });
+        }
+    }
+
     /// Admission of a cohort user that holds a freshly acquired MPL
     /// seat: pull the next transaction into a slab slot and start it.
     /// The `Submit` span is back-dated to the submission instant and
@@ -975,11 +1037,15 @@ impl<'a> VoodbModel<'a> {
     }
 
     /// Buffering Manager + I/O Subsystem step for the current access.
+    /// Returns true when the access completed at this instant (a hit
+    /// needing no transfer): the caller owes it the
+    /// [`AccessHop::AccessDone`] hop.
+    #[must_use]
     fn access_storage<P: Probe, Q: QueueKind>(
         &mut self,
         tid: Tid,
         ctx: &mut Context<'_, Event, P, Q>,
-    ) {
+    ) -> bool {
         let (oid, write) = {
             let t = self.slab.get(tid);
             (t.current().oid, t.current().write)
@@ -1001,7 +1067,7 @@ impl<'a> VoodbModel<'a> {
             }
         }
         if writes.is_empty() && reads.is_empty() {
-            self.leave_storage(tid, page, ctx);
+            self.leave_storage(tid, ctx)
         } else {
             let t = self.slab.get_mut(tid);
             t.pending_io = Some((writes, reads, site));
@@ -1009,17 +1075,19 @@ impl<'a> VoodbModel<'a> {
                 t.marks.disk_req_ms = ctx.now().as_ms();
             }
             self.disks[site].request(Event::DiskGranted(tid), ctx);
+            false
         }
     }
 
     /// After the page is available: network shipping for client-server
-    /// classes, then the access completes.
+    /// classes, then the access completes. Returns true when no
+    /// transfer is needed, so the access completed at this instant.
+    #[must_use]
     fn leave_storage<P: Probe, Q: QueueKind>(
         &mut self,
         tid: Tid,
-        _page: u32,
         ctx: &mut Context<'_, Event, P, Q>,
-    ) {
+    ) -> bool {
         let bytes = match self.params.system_class {
             SystemClass::Centralized => 0,
             SystemClass::PageServer | SystemClass::HybridMultiServer { .. } => {
@@ -1038,8 +1106,123 @@ impl<'a> VoodbModel<'a> {
                 t.marks.net_req_ms = ctx.now().as_ms();
             }
             self.network.request(Event::NetGranted(tid), ctx);
+            false
         } else {
-            ctx.schedule_now(Event::AccessDone(tid));
+            true
+        }
+    }
+
+    /// The transaction's next access, or its commit once all are done.
+    /// Returns true when the access completed at this instant.
+    #[must_use]
+    fn start_access<P: Probe, Q: QueueKind>(
+        &mut self,
+        tid: Tid,
+        ctx: &mut Context<'_, Event, P, Q>,
+    ) -> bool {
+        let (serial, done) = {
+            let t = self.slab.get(tid);
+            (t.serial, t.pos >= t.tx.accesses.len())
+        };
+        if done {
+            self.begin_commit(tid, ctx);
+            return false;
+        }
+        if ctx.tracing() {
+            self.slab.get_mut(tid).marks.lock_req_ms = ctx.now().as_ms();
+        }
+        match self.params.concurrency {
+            ConcurrencyControl::TimedOnly => self.after_lock_granted(tid, ctx),
+            ConcurrencyControl::TwoPhase {
+                restart_backoff_ms,
+                deadlock,
+            } => {
+                let (oid, mode) = {
+                    let t = self.slab.get(tid);
+                    let access = t.current();
+                    (
+                        access.oid,
+                        if access.write {
+                            LockMode::Exclusive
+                        } else {
+                            LockMode::Shared
+                        },
+                    )
+                };
+                // The lock manager speaks serials: monotone, so
+                // wait-die's age order survives slot recycling.
+                match self.locks.request(serial, oid, mode, deadlock) {
+                    LockOutcome::Granted => self.after_lock_granted(tid, ctx),
+                    LockOutcome::Queued => {
+                        // Parked: resumed by a LockResume when the
+                        // conflicting holder releases.
+                        false
+                    }
+                    LockOutcome::Deadlock => {
+                        self.abort_and_restart(tid, restart_backoff_ms, ctx);
+                        false
+                    }
+                }
+            }
+        }
+    }
+
+    /// The object access is complete: advance to the next one and let
+    /// the Clustering Manager observe the traversal.
+    fn finish_access<P: Probe, Q: QueueKind>(
+        &mut self,
+        tid: Tid,
+        ctx: &mut Context<'_, Event, P, Q>,
+    ) {
+        let (parent, oid) = {
+            let t = self.slab.get_mut(tid);
+            let access = *t.current();
+            t.pos += 1;
+            if ctx.tracing() {
+                // Counted, not emitted: the total goes out as one
+                // Accesses stage right before Committed.
+                t.marks.accesses += 1;
+            }
+            (access.parent, access.oid)
+        };
+        self.cman.observe(parent, oid);
+    }
+
+    /// Runs `tid`'s zero-delay access hops, starting with `hop`, inline
+    /// for as long as no other event is due now. Such a hop is certain
+    /// to be the next event dispatched, so running it here is the same
+    /// simulation with one event-list round trip fewer. The first hop
+    /// that would queue behind a pending event goes through the event
+    /// list; a hop that waits on a resource, a lock or a commit ends
+    /// the chain. A loop, not recursion: an all-hit transaction chains
+    /// two hops per access, however many accesses it has.
+    fn run_hops<P: Probe, Q: QueueKind>(
+        &mut self,
+        tid: Tid,
+        mut hop: AccessHop,
+        ctx: &mut Context<'_, Event, P, Q>,
+    ) {
+        loop {
+            let now = ctx.now();
+            if ctx.next_event_time().is_some_and(|at| at <= now) {
+                ctx.schedule_now(match hop {
+                    AccessHop::StartAccess => Event::StartAccess(tid),
+                    AccessHop::AccessDone => Event::AccessDone(tid),
+                });
+                return;
+            }
+            match hop {
+                AccessHop::StartAccess => {
+                    if !self.start_access(tid, ctx) {
+                        return;
+                    }
+                    hop = AccessHop::AccessDone;
+                }
+                AccessHop::AccessDone => {
+                    self.finish_access(tid, ctx);
+                    hop = AccessHop::StartAccess;
+                }
+            }
         }
     }
 
@@ -1249,16 +1432,14 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                 if self.clocks[c].epoch != epoch || !self.clocks[c].is_armed_at(now_key) {
                     return;
                 }
-                // Batch-drain every wake due now, in (time, insertion)
-                // order — the order the per-user oracle would dispatch
-                // the same users' `Submit` events.
-                while self.clocks[c]
-                    .peek()
-                    .is_some_and(|ord| (ord >> 64) as u64 <= now_key)
-                {
+                // Batch-drain every wake due now, in the order the
+                // per-user oracle would dispatch the same users'
+                // `Submit` events (see `CohortClock`).
+                while self.clocks[c].peek().is_some_and(|key| key <= now_key) {
                     self.clocks[c].pop();
                     self.submit_from_cohort(cohort, ctx);
                 }
+                self.queue_saturated_wakes(c, ctx);
                 self.clocks[c].disarm();
                 self.arm_cohort(c, ctx);
             }
@@ -1278,51 +1459,11 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                     self.measure_start = ctx.now();
                 }
                 ctx.emit_span(tid as u32, serial as u64, SpanPoint::Admitted);
-                ctx.schedule_now(Event::StartAccess(tid));
+                self.run_hops(tid, AccessHop::StartAccess, ctx);
             }
             Event::StartAccess(tid) => {
-                let (serial, done) = {
-                    let t = self.slab.get(tid);
-                    (t.serial, t.pos >= t.tx.accesses.len())
-                };
-                if done {
-                    self.begin_commit(tid, ctx);
-                    return;
-                }
-                if ctx.tracing() {
-                    self.slab.get_mut(tid).marks.lock_req_ms = ctx.now().as_ms();
-                }
-                match self.params.concurrency {
-                    ConcurrencyControl::TimedOnly => self.after_lock_granted(tid, ctx),
-                    ConcurrencyControl::TwoPhase {
-                        restart_backoff_ms,
-                        deadlock,
-                    } => {
-                        let (oid, mode) = {
-                            let t = self.slab.get(tid);
-                            let access = t.current();
-                            (
-                                access.oid,
-                                if access.write {
-                                    LockMode::Exclusive
-                                } else {
-                                    LockMode::Shared
-                                },
-                            )
-                        };
-                        // The lock manager speaks serials: monotone, so
-                        // wait-die's age order survives slot recycling.
-                        match self.locks.request(serial, oid, mode, deadlock) {
-                            LockOutcome::Granted => self.after_lock_granted(tid, ctx),
-                            LockOutcome::Queued => {
-                                // Parked: resumed by a LockResume when the
-                                // conflicting holder releases.
-                            }
-                            LockOutcome::Deadlock => {
-                                self.abort_and_restart(tid, restart_backoff_ms, ctx)
-                            }
-                        }
-                    }
+                if self.start_access(tid, ctx) {
+                    self.run_hops(tid, AccessHop::AccessDone, ctx);
                 }
             }
             Event::LockResume(serial) => {
@@ -1332,11 +1473,11 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                     .slot_of_serial(serial)
                     // audit: commit/abort purge the serial's lock entries first
                     .expect("resumed transaction is live");
-                self.after_lock_granted(tid, ctx);
+                if self.after_lock_granted(tid, ctx) {
+                    self.run_hops(tid, AccessHop::AccessDone, ctx);
+                }
             }
-            Event::TxRestart(tid) => {
-                ctx.schedule_now(Event::StartAccess(tid));
-            }
+            Event::TxRestart(tid) => self.run_hops(tid, AccessHop::StartAccess, ctx),
             Event::LockCpu(tid) => {
                 let t = self.slab.get_mut(tid);
                 t.holding_cpu = true;
@@ -1353,7 +1494,9 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                     t.marks.cpu_ms += held;
                 }
                 self.cpu.release(ctx);
-                self.access_storage(tid, ctx);
+                if self.access_storage(tid, ctx) {
+                    self.run_hops(tid, AccessHop::AccessDone, ctx);
+                }
             }
             Event::DiskGranted(tid) => {
                 if ctx.tracing() {
@@ -1389,11 +1532,9 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                     .expect("site marker")
                     .2;
                 self.disks[site].release(ctx);
-                let page = {
-                    let t = self.slab.get(tid);
-                    self.oman.page_of(t.current().oid)
-                };
-                self.leave_storage(tid, page, ctx);
+                if self.leave_storage(tid, ctx) {
+                    self.run_hops(tid, AccessHop::AccessDone, ctx);
+                }
             }
             Event::NetGranted(tid) => {
                 let t = self.slab.get_mut(tid);
@@ -1413,22 +1554,11 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                     t.marks.net_service_ms += now_ms - t.marks.net_start_ms;
                 }
                 self.network.release(ctx);
-                ctx.schedule_now(Event::AccessDone(tid));
+                self.run_hops(tid, AccessHop::AccessDone, ctx);
             }
             Event::AccessDone(tid) => {
-                let (parent, oid) = {
-                    let t = self.slab.get_mut(tid);
-                    let access = *t.current();
-                    t.pos += 1;
-                    if ctx.tracing() {
-                        // Counted, not emitted: the total goes out as one
-                        // Accesses stage right before Committed.
-                        t.marks.accesses += 1;
-                    }
-                    (access.parent, access.oid)
-                };
-                self.cman.observe(parent, oid);
-                ctx.schedule_now(Event::StartAccess(tid));
+                self.finish_access(tid, ctx);
+                self.run_hops(tid, AccessHop::StartAccess, ctx);
             }
             Event::CommitCpu(tid) => {
                 let t = self.slab.get_mut(tid);
@@ -2214,17 +2344,253 @@ mod tests {
         clock.load_initial([3.0, 1.0, 2.0, 1.0].into_iter().map(at));
         clock.push(at(1.5));
         clock.push(at(1.0));
+        clock.push(at(0.5));
         let mut popped = Vec::new();
-        while let Some(ord) = clock.pop() {
-            popped.push((key_time((ord >> 64) as u64).as_ms(), ord as u64));
+        while let Some(key) = clock.pop() {
+            popped.push(key_time(key).as_ms());
         }
-        // (time, insertion seq): ties at 1.0 keep insertion order across
-        // the run (seqs 1, 3) and the heap (seq 5).
-        assert_eq!(
-            popped,
-            [(1.0, 1), (1.0, 3), (1.0, 5), (1.5, 4), (2.0, 2), (3.0, 0)]
-        );
+        assert_eq!(popped, [0.5, 1.0, 1.0, 1.0, 1.5, 2.0, 3.0]);
         assert_eq!(clock.peek(), None);
+
+        // At equal instants every initial wake pops before any
+        // resubmission: the per-user oracle schedules all initial
+        // `Submit`s before the first resubmission.
+        let mut clock = CohortClock::default();
+        clock.load_initial([1.0, 1.0].into_iter().map(at));
+        clock.push(at(1.0));
+        for run_left in [1, 0, 0] {
+            assert_eq!(clock.pop().map(|key| key_time(key).as_ms()), Some(1.0));
+            assert_eq!(clock.initial.len(), run_left);
+        }
+        assert_eq!(clock.pending.len(), 0);
+    }
+
+    /// A closed horizon phase of `cohorts` under `user_model`, with short
+    /// transactions. Returns the result and the users still waiting
+    /// for an MPL seat at the horizon (the admission ring in cohort
+    /// mode, the scheduler's wait queue per user).
+    fn run_horizon_population(
+        base: &ObjectBase,
+        params: VoodbParams,
+        user_model: UserModel,
+        cohorts: &[UserCohort],
+        window: (f64, f64),
+        seed: u64,
+    ) -> (PhaseResult, usize) {
+        let (warmup_ms, duration_ms) = window;
+        let workload = WorkloadParams {
+            p_set: 0.0,
+            p_simple: 0.0,
+            p_hierarchy: 0.0,
+            p_stochastic: 1.0,
+            stochastic_depth: 5,
+            ..WorkloadParams::default()
+        };
+        let generator = WorkloadGenerator::new(base, workload, seed);
+        let mut model = VoodbModel::new(base, params, 0.0, seed);
+        model.set_user_population(user_model, cohorts);
+        model.load_phase_streamed(
+            Box::new(ocb::LazySource::unbounded(generator)),
+            PhaseMode::Horizon {
+                duration_ms,
+                warmup_ms,
+            },
+            Arrival::Closed,
+        );
+        let mut engine = Engine::with_probe(model, desp::NoProbe);
+        let outcome = engine.run_until(SimTime::from_ms(duration_ms));
+        let mut model = engine.into_model();
+        model.finalize_phase(outcome.end_time);
+        let waiting = model.ring.len() + model.scheduler.queue_len();
+        (model.phase_result(outcome.events_dispatched), waiting)
+    }
+
+    #[test]
+    fn saturated_wakes_on_the_warmup_and_horizon_instants_match_the_oracle() {
+        // Wakes exactly at the warm-up instant (where MeasureStart is
+        // pending) and at the horizon (the last instant the engine
+        // dispatches) are the edges of the saturated drain: the first
+        // must wait for MeasureStart, the second must still join the
+        // ring, and nothing after it may.
+        let base = base();
+        let seed = 21;
+        // The busy cohort keeps the ring full; the slow one spreads its
+        // initial wakes over seconds, so some land late in the phase.
+        let cohorts = [
+            UserCohort {
+                size: 1_500,
+                think_time_ms: 20.0,
+            },
+            UserCohort {
+                size: 200,
+                think_time_ms: 2_000.0,
+            },
+        ];
+        // The initial wake instants, drawn exactly as `init` draws them.
+        let mut stream = RandomStream::new(seed ^ THINK_SEED_SALT);
+        let wakes: Vec<f64> = cohorts
+            .iter()
+            .flat_map(|cohort| vec![cohort.think_time_ms; cohort.size])
+            .map(|mean| (SimTime::ZERO + stream.expo(mean)).as_ms())
+            .collect();
+        let first_after = |ms: f64| {
+            wakes
+                .iter()
+                .copied()
+                .filter(|&at| at >= ms)
+                .min_by(f64::total_cmp)
+                .expect("a wake that late")
+        };
+        let window = (first_after(200.0), first_after(1_500.0));
+        // A system whose window sees commits, and one whose 0.001 MB/s
+        // network keeps the first page transfer (~3.9 s) in flight past
+        // the horizon, so only the horizon bounds the last drain.
+        let fast = VoodbParams {
+            multiprogramming_level: 2,
+            ..small_params()
+        };
+        let slow = VoodbParams {
+            network_throughput_mbps: 0.001,
+            ..fast.clone()
+        };
+        for (params, commits) in [(fast, true), (slow, false)] {
+            let run = |user_model| {
+                run_horizon_population(&base, params.clone(), user_model, &cohorts, window, seed)
+            };
+            let (oracle, oracle_waiting) = run(UserModel::PerUser);
+            let (cohort, cohort_waiting) = run(UserModel::Cohort);
+            assert_results_bit_identical(&oracle, &cohort);
+            assert_eq!(oracle.transactions > 0, commits, "commits in the window");
+            assert_eq!(
+                cohort_waiting, oracle_waiting,
+                "users waiting at the horizon"
+            );
+            assert!(
+                cohort_waiting > 1_000,
+                "the phase must be saturated, {cohort_waiting} waiting"
+            );
+            // The oracle dispatches one `Submit` per wake, and more
+            // than 1,500 users wake inside the phase; saturated cohort
+            // wakes join the ring without an event.
+            assert!(
+                cohort.events + 1_000 < oracle.events,
+                "saturated wakes must not be dispatched: cohort {} vs oracle {} events",
+                cohort.events,
+                oracle.events
+            );
+        }
+    }
+
+    #[test]
+    fn inline_hops_keep_the_parents_same_instant_order() {
+        // Zero think time, a tiny buffer and no network: transactions
+        // meet at the same instants, and the order in which their
+        // accesses reach the buffer decides its evictions. An access
+        // hop run inline past an event already pending at that instant
+        // reorders them. The expected values are the results of the
+        // implementation that dispatched every hop as an event.
+        let base = base();
+        let params = VoodbParams {
+            system_class: SystemClass::Centralized,
+            buffer_pages: 8,
+            multiprogramming_level: 4,
+            users: 8,
+            ..VoodbParams::default()
+        };
+        let wl = WorkloadParams {
+            hot_transactions: 60,
+            p_write: 0.3,
+            ..WorkloadParams::default()
+        };
+        for user_model in [UserModel::PerUser, UserModel::Cohort] {
+            let (model, events) =
+                run_closed_workload(&base, params.clone(), 0.0, user_model, &[], wl.clone(), 5);
+            let result = model.phase_result(events);
+            assert_eq!(result.transactions, 60);
+            assert_eq!(result.total_ios(), 9_638, "{user_model:?}");
+            assert_eq!(
+                result.mean_response_ms.to_bits(),
+                0x40cd_60c9_62fc_926e,
+                "{user_model:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn saturated_cohort_phase_dispatches_per_commit_not_per_user() {
+        // 100k users against 4 seats: every wake after the first few
+        // joins the admission ring. The phase dispatches the commits'
+        // events, not one wake per user.
+        let base = base();
+        let users = 100_000;
+        let cohorts = [UserCohort {
+            size: users,
+            think_time_ms: 50.0,
+        }];
+        let params = VoodbParams {
+            multiprogramming_level: 4,
+            ..small_params()
+        };
+        let (result, waiting) = run_horizon_population(
+            &base,
+            params,
+            UserModel::Cohort,
+            &cohorts,
+            (0.0, 2_000.0),
+            3,
+        );
+        assert!(result.transactions > 0);
+        assert!(waiting > users / 2, "saturated: {waiting} waiting");
+        // Per commit: admission, ≤ 6 accesses of ≤ 6 events each (lock
+        // CPU, disk, network grants and completions), the commit, and a
+        // cohort wake per event at most; plus the transactions cut at
+        // the horizon, MeasureStart and the first wake.
+        let per_commit = 2 * (1 + 6 * 6 + 2);
+        let bound = per_commit * (result.transactions as u64 + 4) + 2;
+        assert!(
+            result.events <= bound,
+            "{} events for {} commits (bound {bound})",
+            result.events,
+            result.transactions
+        );
+    }
+
+    #[test]
+    fn a_long_all_hit_transaction_runs_in_a_small_stack() {
+        // Access hops run inline in a loop: one transaction of 100k
+        // buffer hits must not grow the stack per access.
+        let accesses = 100_000;
+        let outcome = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let base = base();
+                let root = make_transactions(&base, 1, 7)[0].accesses[0].oid;
+                let access = ocb::Access {
+                    oid: root,
+                    parent: None,
+                    write: false,
+                };
+                let transaction = Transaction {
+                    kind: ocb::TransactionKind::SimpleTraversal,
+                    root,
+                    accesses: vec![access; accesses],
+                };
+                let params = VoodbParams {
+                    system_class: SystemClass::Centralized,
+                    ..small_params()
+                };
+                run_phase(&base, params, vec![transaction])
+            })
+            .expect("thread spawns")
+            .join()
+            .expect("the transaction completes");
+        assert_eq!(outcome.transactions, 1);
+        assert!(outcome.hit_ratio > 0.99);
+        assert!(
+            outcome.events < 20,
+            "all-hit accesses must not be dispatched: {} events",
+            outcome.events
+        );
     }
 
     #[test]

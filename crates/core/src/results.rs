@@ -26,7 +26,12 @@ pub struct PhaseResult {
     pub hit_ratio: f64,
     /// Simulated duration of the measurement window, in ms.
     pub sim_elapsed_ms: f64,
-    /// Events the kernel dispatched for the phase.
+    /// Events the kernel dispatched for the phase. The one field that
+    /// is not part of the simulated result: the model runs events
+    /// certain to be dispatched next without the event list (see
+    /// [`crate::model`]), and cohort mode dispatches fewer events than
+    /// the per-user oracle, so the count reflects the implementation,
+    /// not the system simulated.
     pub events: u64,
     /// Reorganisations automatically triggered during the phase.
     pub reorgs: Vec<SimReorgReport>,

@@ -120,6 +120,16 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
         self.events.len()
     }
 
+    /// The instant of the earliest pending event, `None` when nothing
+    /// is pending. Read-only for the timeline: no event moves, the queue
+    /// may only settle its cursor (hence `&mut`). A model uses it to
+    /// prove that work it would otherwise schedule is certain to be
+    /// dispatched next, and to do that work now instead.
+    #[inline]
+    pub fn next_event_time(&mut self) -> Option<SimTime> {
+        self.events.peek_time()
+    }
+
     /// True when a recording probe is attached. Models guard span/sample
     /// argument computation behind this so untraced runs pay nothing.
     #[inline]
@@ -530,6 +540,42 @@ mod tests {
         );
         heap.run_to_completion();
         assert_eq!(calendar.model().fired, heap.model().fired);
+    }
+
+    /// Records, at each dispatch, the earliest instant still pending.
+    struct Peeker {
+        seen: Vec<(u32, Option<f64>)>,
+    }
+
+    impl<Q: QueueKind> Model<NoProbe, Q> for Peeker {
+        type Event = u32;
+        fn init(&mut self, ctx: &mut Context<'_, u32, NoProbe, Q>) {
+            ctx.schedule(2.0, 1);
+            ctx.schedule(2.0, 2);
+            ctx.schedule(5.0, 3);
+        }
+        fn handle(&mut self, event: u32, ctx: &mut Context<'_, u32, NoProbe, Q>) {
+            if event == 1 {
+                // Scheduled behind the peeked cursor: still found.
+                ctx.schedule(1.0, 4);
+            }
+            let next = ctx.next_event_time().map(SimTime::as_ms);
+            self.seen.push((event, next));
+        }
+    }
+
+    fn peeks_on<Q: QueueKind>() -> Vec<(u32, Option<f64>)> {
+        let mut engine = Engine::<_, NoProbe, Q>::with_probe_on(Peeker { seen: vec![] }, NoProbe);
+        engine.run_to_completion();
+        engine.into_model().seen
+    }
+
+    #[test]
+    fn next_event_time_peeks_without_dispatching() {
+        let expected = vec![(1, Some(2.0)), (2, Some(3.0)), (4, Some(5.0)), (3, None)];
+        assert_eq!(peeks_on::<CalendarKind>(), expected);
+        assert_eq!(peeks_on::<HeapKind>(), expected);
+        assert_eq!(peeks_on::<crate::sched::WheelKind>(), expected);
     }
 
     /// A model that reschedules itself forever (stopped via horizon/budget).

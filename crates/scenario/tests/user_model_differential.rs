@@ -100,3 +100,54 @@ fn explicit_cohort_partition_matches_across_representations() {
         assert_eq!(cohort_json, oracle_json, "seed {seed}: JSON diverged");
     }
 }
+
+/// A saturated closed horizon phase: far more users than MPL seats,
+/// thinking briefly, so the admission ring is never empty after the
+/// first instants and cohort mode queues whole runs of wakes without
+/// dispatching them. Two cohorts with different think times interleave
+/// their wakes, and a warm-up cuts the window.
+fn saturated_horizon(user_model: UserModel) -> Scenario {
+    let mut scenario = closed_smoke(user_model);
+    let workload = &mut scenario.config.workload;
+    workload.duration_ms = 1_500.0;
+    workload.warmup_ms = 300.0;
+    workload.cohorts = vec![
+        UserCohort {
+            size: 300,
+            think_time_ms: 5.0,
+        },
+        UserCohort {
+            size: 500,
+            think_time_ms: 40.0,
+        },
+    ];
+    scenario
+}
+
+#[test]
+fn saturated_horizon_cohorts_match_the_per_user_oracle_on_every_scheduler() {
+    for seed in [11u64, 42] {
+        let options = RunOptions {
+            reps: Some(2),
+            seed: Some(seed),
+            ..RunOptions::default()
+        };
+        let production = tables(&saturated_horizon(UserModel::Cohort), &options);
+        for sched in SchedulerKind::ALL {
+            let oracle = tables_with(
+                &saturated_horizon(UserModel::PerUser),
+                &options,
+                sched_job(sched),
+            );
+            let cohort = tables_with(
+                &saturated_horizon(UserModel::Cohort),
+                &options,
+                sched_job(sched),
+            );
+            let what = format!("seed {seed}, scheduler {}", sched.name());
+            assert_eq!(cohort.0, oracle.0, "{what}: cohort CSV diverged");
+            assert_eq!(cohort.1, oracle.1, "{what}: cohort JSON diverged");
+            assert_eq!(production, cohort, "{what}: run_sweep diverged");
+        }
+    }
+}
