@@ -1,11 +1,13 @@
 //! The unified `voodb` CLI: run, trace, analyze, compare, list, and
-//! validate declarative scenario files.
+//! validate declarative scenario files, and reproduce the paper's
+//! evaluation.
 //!
 //! ```text
 //! voodb run <file.toml> [--threads N] [--reps N] [--seed S] [--out DIR]
 //!           [--trace] [--trace-sample N]
 //!           [--watch] [--watch-jsonl PATH] [--watch-interval MS]
 //!           [--duration MS] [--warmup MS] [--arrival SPEC]
+//! voodb repro [ARTIFACT...] [--reps N] [--seed S] [--out DIR] [--threads N]
 //! voodb analyze <run-dir>
 //! voodb compare <run-dir-a> <run-dir-b> [--threshold 0.10]
 //! voodb watch-check <watch.jsonl>
@@ -24,6 +26,9 @@
 //! `summary.json`). `--watch` / `--watch-jsonl` stream decimated live
 //! telemetry (throughput, p99, MPL queue, hit ratio) out of the running
 //! jobs — to the terminal or a JSONL file — and imply `--trace`.
+//! `repro` runs the named entries (default: all) of the artifact table
+//! ([`scenario::paper`]): each prints its CSV table and writes
+//! `<out>/<stem>.csv` + `.json`.
 //! `analyze` prints the percentile table of a trace directory;
 //! `compare` diffs two trace directories and exits non-zero iff a
 //! metric regresses beyond the threshold. `watch-check` validates a
@@ -36,8 +41,9 @@
 //! determinism invariants").
 
 use scenario::{
-    library_listing, params_help_text, run_sweep, run_sweep_traced_with, write_sweep_reports,
-    write_trace_reports, RunOptions, Scenario, DEFAULT_OUT_DIR,
+    check_same_tendency, library_listing, params_help_text, run_sweep, run_sweep_traced_with,
+    sweep_table, write_sweep_reports, write_trace_reports, JobKind, Report, RunOptions, Scenario,
+    ARTIFACTS, DEFAULT_OUT_DIR,
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -52,6 +58,7 @@ USAGE:
               [--trace] [--trace-sample N]
               [--watch] [--watch-jsonl PATH] [--watch-interval MS]
               [--duration MS] [--warmup MS] [--arrival SPEC]
+    voodb repro [ARTIFACT...] [--reps N] [--seed S] [--out DIR] [--threads N]
     voodb analyze <run-dir>
     voodb compare <run-dir-a> <run-dir-b> [--threshold 0.10]
     voodb watch-check <watch.jsonl>
@@ -65,6 +72,13 @@ COMMANDS:
     run        Run a scenario: expand its sweep grid, simulate
                (points x replications) jobs across threads, print the
                per-point summary, and write CSV + JSON reports.
+    repro      Reproduce the paper's Figures 6-11 and Tables 6-8 (the
+               real mini-engine and the model on one workload), then
+               three simulated studies: policy_sweep, strategy_compare,
+               dstc_sweep. Runs the named artifacts (e.g. fig08_o2_cache;
+               default: all), prints each CSV table and writes
+               <out>/<stem>.csv + .json. --reps, --seed, --out and
+               --threads work as for `run`.
     analyze    Print the p50/p90/p99/max latency table of a trace
                directory written by `run --trace`.
     compare    Diff two trace directories' summary metrics; exits
@@ -131,6 +145,7 @@ fn main() -> ExitCode {
     let command = args.first().map(String::as_str);
     match command {
         Some("run") => cmd_run(&args[1..]),
+        Some("repro") => cmd_repro(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         Some("watch-check") => cmd_watch_check(&args[1..]),
@@ -209,6 +224,26 @@ fn fail(message: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Applies an option `run` and `repro` share to `run_options` or
+/// `out_dir`; `None` when `name` is not one of them.
+fn apply_common_option(
+    name: &str,
+    raw: &str,
+    run_options: &mut RunOptions,
+    out_dir: &mut PathBuf,
+) -> Option<Result<(), String>> {
+    Some(match name {
+        "threads" => parse_opt(name, raw).map(|v| run_options.threads = Some(v)),
+        "reps" => parse_opt(name, raw).map(|v| run_options.reps = Some(v)),
+        "seed" => parse_opt(name, raw).map(|v| run_options.seed = Some(v)),
+        "out" => {
+            *out_dir = PathBuf::from(raw);
+            Ok(())
+        }
+        _ => return None,
+    })
+}
+
 fn cmd_run(args: &[String]) -> ExitCode {
     let (files, options, flags) = match split_args(
         args,
@@ -238,17 +273,16 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let mut watch_jsonl: Option<PathBuf> = None;
     let mut watch_interval = 100.0f64;
     for (name, raw) in options {
+        if let Some(result) = apply_common_option(name, raw, &mut run_options, &mut out_dir) {
+            if let Err(e) = result {
+                return fail(&e);
+            }
+            continue;
+        }
         let result = match name {
-            "threads" => parse_opt(name, raw).map(|v| run_options.threads = Some(v)),
-            "reps" => parse_opt(name, raw).map(|v| run_options.reps = Some(v)),
-            "seed" => parse_opt(name, raw).map(|v| run_options.seed = Some(v)),
             "duration" => parse_opt(name, raw).map(|v| run_options.duration_ms = Some(v)),
             "warmup" => parse_opt(name, raw).map(|v| run_options.warmup_ms = Some(v)),
             "arrival" => scenario::parse_arrival(raw).map(|v| run_options.arrival = Some(v)),
-            "out" => {
-                out_dir = PathBuf::from(raw);
-                Ok(())
-            }
             "trace-sample" => parse_opt(name, raw).map(|v| trace_sample = Some(v)),
             "watch-jsonl" => {
                 watch_jsonl = Some(PathBuf::from(raw));
@@ -366,6 +400,64 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 );
             }
             Err(e) => return fail(&e),
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+fn cmd_repro(args: &[String]) -> ExitCode {
+    let (names, options, _) = match split_args(args, &["reps", "seed", "out", "threads"], &[]) {
+        Ok(split) => split,
+        Err(e) => return fail(&e),
+    };
+    if let Some(unknown) = names
+        .iter()
+        .find(|name| !ARTIFACTS.iter().any(|a| a.stem == **name))
+    {
+        let known: Vec<&str> = ARTIFACTS.iter().map(|a| a.stem).collect();
+        return fail(&format!(
+            "unknown artifact '{unknown}' (known: {})",
+            known.join(", ")
+        ));
+    }
+    let mut run_options = RunOptions::default();
+    let mut out_dir = PathBuf::from(DEFAULT_OUT_DIR);
+    for (name, raw) in options {
+        let applied = apply_common_option(name, raw, &mut run_options, &mut out_dir);
+        if let Err(e) = applied.expect("validated by split_args") {
+            return fail(&e);
+        }
+    }
+    // Table order, whatever the order on the command line.
+    let selected = ARTIFACTS
+        .iter()
+        .filter(|a| names.is_empty() || names.contains(&a.stem));
+    let mut done: Vec<Report> = Vec::new();
+    for artifact in selected {
+        let reports = match artifact.run(&run_options) {
+            Ok(reports) => reports,
+            Err(e) => return fail(&e),
+        };
+        for report in &reports {
+            if artifact.job == JobKind::Figure {
+                if let Err(e) = check_same_tendency(&report.result, 0.10) {
+                    eprintln!(
+                        "WARNING [{}]: tendency check failed: {e}",
+                        report.result.scenario
+                    );
+                }
+            }
+            let table = sweep_table(&report.result);
+            println!("{}", table.to_csv());
+            match table.write(&out_dir, &report.stem) {
+                Ok((csv, json)) => println!("wrote {} and {}\n", csv.display(), json.display()),
+                Err(e) => return fail(&e),
+            }
+        }
+        done.extend(reports);
+        let note = artifact.note.lines(&done);
+        if !note.is_empty() {
+            println!("{}\n", note.join("\n"));
         }
     }
     ExitCode::SUCCESS

@@ -8,10 +8,10 @@
 //! * **Sim** — the VOODB model (`voodb`) parameterised per Table 4.
 //!
 //! Each artifact is a scenario (its system, base, workload and sweep)
-//! run by [`scenario::run_sweep_jobs`] with one of the jobs below, so the
-//! bench binaries share the runner's threads, seeding and confidence
-//! intervals with `voodb run`. The methodology notes of §4 hold by
-//! construction:
+//! run by [`crate::run_sweep_jobs`] with one of the jobs below (see
+//! [`crate::paper`]), so `voodb repro` shares the runner's threads,
+//! seeding and confidence intervals with `voodb run`. The methodology
+//! notes of §4 hold by construction:
 //!
 //! * the object base is generated once per configuration from the
 //!   scenario seed, and replications vary only the transaction stream;
@@ -22,13 +22,13 @@
 //!   (system class, buffer frames, clustering), so the simulation column
 //!   of a figure is exactly what `voodb run` prints for its scenario.
 
+use crate::runner::{run_replication_probed, WORKLOAD_SEED_SALT};
+use crate::{MetricEstimate, PointSummary, SweepPoint, SweepResult};
 use desp::MetricSet;
 use ocb::{ObjectBase, Transaction, WorkloadGenerator, WorkloadParams};
 use oostore::{
     run_workload, PageServerConfig, PageServerEngine, StorageEngine, TexasConfig, TexasEngine,
 };
-use scenario::runner::{run_replication_probed, WORKLOAD_SEED_SALT};
-use scenario::{MetricEstimate, PointSummary, SweepPoint, SweepResult};
 use voodb::{run_dstc_study, ExperimentConfig, PhaseResult, Simulation, SystemClass, VoodbParams};
 use vtrace::{Histogram, RecorderConfig};
 
@@ -287,7 +287,7 @@ pub fn push_latency<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scenario::{run_sweep_jobs, RunOptions, Scenario};
+    use crate::{run_sweep_jobs, RunOptions, Scenario};
 
     const O2_1MB: &str =
         "system_class = \"page-server\"\nnetwork_throughput_mbps = inf\ncache_mb = 1\ndisk = \"o2\"";
@@ -353,7 +353,7 @@ mod tests {
             let scenario = tiny(system);
             let options = RunOptions::default();
             let (mut twin, outcomes) = twins(&scenario, &options);
-            let plain = scenario::run_sweep(&scenario, &options).unwrap();
+            let plain = crate::run_sweep(&scenario, &options).unwrap();
             assert_eq!(
                 mean_of(&twin.points[0], "sim_ios").to_bits(),
                 mean_of(&plain.points[0], "ios").to_bits()

@@ -40,11 +40,15 @@
 //!   configuration (every base from the scenario seed `s`, replication
 //!   `r` on `s + 1 + r`), so equal configurations get equal results and
 //!   results are **identical at any thread count**; any per-replication
-//!   job (the bench twins, the differential oracles) runs on it through
-//!   [`run_sweep_jobs`];
+//!   job (the bench-vs-sim twins, the differential oracles) runs on it
+//!   through [`run_sweep_jobs`];
+//! * [`harness`] — the bench-vs-sim twin jobs: the `oostore` engine and
+//!   the model on one transaction stream;
+//! * [`paper`] — the artifact table `voodb repro` runs: every figure and
+//!   table of the paper's evaluation, plus three simulated studies;
 //! * [`report`] — deterministic CSV/JSON writers
-//!   (`target/voodb-out/<scenario>.{csv,json}`), also the output of the
-//!   bench binaries;
+//!   (`target/voodb-out/<scenario>.{csv,json}`), also the output of
+//!   `voodb repro`;
 //! * [`tracing`] — `--trace` support: runs every job under a
 //!   `voodb-trace` recorder and writes the trace directory
 //!   (`<scenario>.trace/` with span JSONL, series CSV and
@@ -57,7 +61,9 @@
 
 #![warn(missing_docs)]
 
+pub mod harness;
 pub mod listing;
+pub mod paper;
 pub mod report;
 pub mod runner;
 pub mod spec;
@@ -66,7 +72,10 @@ pub mod tracing;
 
 pub use desp::SchedulerKind;
 pub use listing::library_listing;
-pub use report::{sweep_table, write_sweep_reports, Cell, ReportTable, DEFAULT_OUT_DIR};
+pub use paper::{Artifact, JobKind, Report, ARTIFACTS};
+pub use report::{
+    check_same_tendency, sweep_table, write_sweep_reports, Cell, ReportTable, DEFAULT_OUT_DIR,
+};
 pub use runner::{
     run_sweep, run_sweep_jobs, run_sweep_traced, run_sweep_traced_with, JobTrace, MetricEstimate,
     PointSummary, RunOptions, SweepResult, CONFIDENCE,

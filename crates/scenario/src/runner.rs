@@ -16,7 +16,7 @@
 //! `[system]` or `[workload]` keys share one base and common random
 //! streams: a cache sweep compares caches, not databases. Replications
 //! still vary only the transaction stream (the paper's §4
-//! methodology), and the twin jobs of `crates/bench` use the same
+//! methodology), and the twin jobs of [`crate::harness`] use the same
 //! scheme, so `voodb run` on a figure's preset prints that figure's
 //! simulation column.
 //!
@@ -266,7 +266,7 @@ pub fn run_sweep_traced_with(
 /// each outcome to the metrics aggregated into the [`SweepResult`]. The
 /// outcomes come back in job order (point-major).
 ///
-/// The bench binaries pass twin jobs (engine and simulation on one
+/// `voodb repro` passes twin jobs (engine and simulation on one
 /// stream); the differential tests pass oracle jobs (another scheduler,
 /// a materialized workload).
 ///

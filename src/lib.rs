@@ -10,13 +10,13 @@
 //! | [`clustering`] | Clustering strategies incl. DSTC, and object placement |
 //! | [`oostore`] | Miniature *real* engines standing in for O2 / Texas (§4.2.1) |
 //! | [`voodb`] | The generic evaluation model itself (§3) |
-//! | [`scenario`] | Declarative experiment specs, the parallel sweep runner, and the `voodb` CLI |
+//! | [`scenario`] | Declarative experiment specs, the parallel sweep runner, the paper's artifact table, and the `voodb` CLI |
 //! | [`vtrace`] | Telemetry: trace recorder, latency histograms, time-series, `voodb analyze`/`compare` |
 //! | [`audit`] | Determinism auditor: the static-analysis pass behind `voodb audit` and the CI gate |
 //!
-//! See `examples/` for runnable studies, `crates/bench` for the harness
-//! that regenerates every table and figure of the paper's evaluation, and
-//! `scenarios/` for declarative experiment presets runnable with
+//! See `examples/` for runnable studies, `voodb repro` for every table
+//! and figure of the paper's evaluation, and `scenarios/` for
+//! declarative experiment presets runnable with
 //! `cargo run --release --bin voodb -- run <file>`.
 
 pub use audit;
