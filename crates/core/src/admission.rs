@@ -3,11 +3,15 @@
 //! In cohort mode (see [`crate::model`]) a submitted user that finds
 //! every MPL slot busy is *not* materialized as a transaction — no
 //! slab slot, no workload pull, no scheduler waiter carrying a whole
-//! event. It is two machine words on this ring: the cohort it belongs
-//! to and the instant it submitted. At one million waiting users that
-//! is ~16 MB of flat storage and exactly one push plus one pop of ring
-//! traffic per transaction, where the per-user path would hold a
-//! million slab slots and a million queued continuation events.
+//! event. An entry of this ring is either one waiting user (its cohort
+//! and the instant it submitted) or a *run*: "the next `n` queued users
+//! of cohort `c`". A run's submission instants are the time keys its
+//! cohort's wake clock keeps queued until admission, so a saturated
+//! cohort drain appends one entry however many users it queues. At one
+//! million waiting users the ring holds a few hundred 16-byte entries,
+//! and a waiting user costs its 8-byte wake key in the clock, where the
+//! per-user path would hold a million slab slots and a million queued
+//! continuation events.
 //!
 //! The ring is a plain power-of-two circular buffer: FIFO order is the
 //! determinism contract (admission order ≡ submission order, which is
@@ -36,18 +40,32 @@ impl Default for PendingArrival {
     }
 }
 
-/// A power-of-two FIFO ring of [`PendingArrival`] entries with O(1)
-/// push/pop and amortised O(1) growth (entries are `Copy`, so growth
-/// is a flat re-layout, not a per-node relink).
+/// One ring entry, 16 bytes either way.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    cohort: u32,
+    /// 0: one user, stamped `submitted`. `n > 0`: a run of `n` users
+    /// whose stamps the cohort's clock holds (`submitted` unused).
+    queued: u32,
+    submitted: SimTime,
+}
+
+/// A power-of-two FIFO ring of waiting users with O(1) push/pop and
+/// amortised O(1) growth (entries are `Copy`, so growth is a flat
+/// re-layout, not a per-node relink). Entries are single
+/// [`PendingArrival`]s or runs of queued users; [`Self::len`] and
+/// [`Self::high_water`] count users, not entries.
 #[derive(Debug, Default)]
 pub struct AdmissionRing {
     /// Backing storage; length is zero or a power of two.
-    buf: Vec<PendingArrival>,
-    /// Index of the front entry (valid when `len > 0`).
+    buf: Vec<Slot>,
+    /// Index of the front entry (valid when `entries > 0`).
     head: usize,
     /// Live entries.
-    len: usize,
-    /// Peak `len` over the ring's lifetime (memory telemetry).
+    entries: usize,
+    /// Waiting users over all live entries.
+    users: usize,
+    /// Peak `users` over the ring's lifetime (memory telemetry).
     high_water: usize,
 }
 
@@ -57,51 +75,111 @@ impl AdmissionRing {
         Self::default()
     }
 
-    /// Live entries.
+    /// Waiting users.
     pub fn len(&self) -> usize {
-        self.len
+        self.users
     }
 
     /// True when no user is waiting.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.users == 0
     }
 
-    /// Peak population the ring ever held.
+    /// Peak number of users the ring ever held.
     pub fn high_water(&self) -> usize {
         self.high_water
     }
 
-    /// Drops all entries (phase reload); capacity is retained.
+    /// Drops all entries (phase reload, or a source that ran dry);
+    /// capacity is retained. The clocks' queued keys behind any runs
+    /// are the caller's to drop.
     pub fn clear(&mut self) {
         self.head = 0;
-        self.len = 0;
+        self.entries = 0;
+        self.users = 0;
     }
 
     /// Appends a waiting user at the back.
     #[inline]
     pub fn push_back(&mut self, entry: PendingArrival) {
-        if self.len == self.buf.len() {
-            self.grow();
+        self.push_slot(Slot {
+            cohort: entry.cohort,
+            queued: 0,
+            submitted: entry.submitted,
+        });
+        self.add_users(1);
+    }
+
+    /// Appends `users` queued users of `cohort` at the back, as one run
+    /// (nothing for zero users). Their stamps are the next `users`
+    /// queued keys of the cohort's clock, which [`Self::pop_front_with`]
+    /// asks for.
+    pub fn push_run(&mut self, cohort: u32, users: usize) {
+        let mut left = users;
+        while left > 0 {
+            let chunk = left.min(u32::MAX as usize);
+            self.push_slot(Slot {
+                cohort,
+                queued: chunk as u32,
+                submitted: SimTime::ZERO,
+            });
+            left -= chunk;
         }
-        let mask = self.buf.len() - 1;
-        self.buf[(self.head + self.len) & mask] = entry;
-        self.len += 1;
-        if self.len > self.high_water {
-            self.high_water = self.len;
+        self.add_users(users);
+    }
+
+    /// Removes and returns the front (longest-waiting) user. A run
+    /// yields its cohort's next user, stamped by `run_stamp(cohort)`:
+    /// the submission instant of that cohort's earliest queued user.
+    #[inline]
+    pub fn pop_front_with(
+        &mut self,
+        run_stamp: impl FnOnce(u32) -> SimTime,
+    ) -> Option<PendingArrival> {
+        if self.entries == 0 {
+            return None;
+        }
+        let slot = &mut self.buf[self.head];
+        let cohort = slot.cohort;
+        let submitted = if slot.queued == 0 {
+            slot.submitted
+        } else {
+            slot.queued -= 1;
+            run_stamp(cohort)
+        };
+        if slot.queued == 0 {
+            self.head = (self.head + 1) & (self.buf.len() - 1);
+            self.entries -= 1;
+        }
+        self.users -= 1;
+        Some(PendingArrival { cohort, submitted })
+    }
+
+    /// Removes and returns the front (longest-waiting) user of a ring
+    /// holding single users only.
+    ///
+    /// # Panics
+    /// Panics if the front entry is a run: use [`Self::pop_front_with`].
+    #[inline]
+    pub fn pop_front(&mut self) -> Option<PendingArrival> {
+        self.pop_front_with(|cohort| panic!("cohort {cohort}'s run needs pop_front_with"))
+    }
+
+    fn add_users(&mut self, users: usize) {
+        self.users += users;
+        if self.users > self.high_water {
+            self.high_water = self.users;
         }
     }
 
-    /// Removes and returns the front (longest-waiting) user.
     #[inline]
-    pub fn pop_front(&mut self) -> Option<PendingArrival> {
-        if self.len == 0 {
-            return None;
+    fn push_slot(&mut self, slot: Slot) {
+        if self.entries == self.buf.len() {
+            self.grow();
         }
-        let entry = self.buf[self.head];
-        self.head = (self.head + 1) & (self.buf.len() - 1);
-        self.len -= 1;
-        Some(entry)
+        let mask = self.buf.len() - 1;
+        self.buf[(self.head + self.entries) & mask] = slot;
+        self.entries += 1;
     }
 
     /// Doubles the backing storage, re-laying the live window out flat
@@ -110,8 +188,8 @@ impl AdmissionRing {
     fn grow(&mut self) {
         let old_cap = self.buf.len();
         let new_cap = (old_cap * 2).max(8);
-        let mut next = vec![PendingArrival::default(); new_cap];
-        for (i, slot) in next.iter_mut().enumerate().take(self.len) {
+        let mut next = vec![Slot::default(); new_cap];
+        for (i, slot) in next.iter_mut().enumerate().take(self.entries) {
             *slot = self.buf[(self.head + i) & (old_cap.max(1) - 1)];
         }
         self.buf = next;
@@ -203,5 +281,42 @@ mod tests {
             }
             assert!(ring.is_empty());
         }
+    }
+
+    #[test]
+    fn runs_count_users_and_take_their_stamps_from_the_cohort() {
+        // Users of a run are stamped at pop time by the caller; each
+        // cohort's stamps here are 100·cohort + its pop count.
+        let mut ring = AdmissionRing::new();
+        let mut popped = [0u32; 3];
+        let mut stamp = |cohort: u32| {
+            popped[cohort as usize] += 1;
+            SimTime::from_ms(f64::from(100 * cohort + popped[cohort as usize]))
+        };
+        ring.push_run(1, 2);
+        ring.push_run(1, 1);
+        ring.push_back(entry(0, 7.0));
+        ring.push_run(2, 2);
+        ring.push_run(2, 0); // no users, no entry
+        assert_eq!(ring.len(), 6);
+        assert_eq!(ring.entries, 4);
+        assert_eq!(ring.high_water(), 6);
+        let mut order = Vec::new();
+        while let Some(e) = ring.pop_front_with(&mut stamp) {
+            order.push((e.cohort, e.submitted.as_ms()));
+        }
+        assert_eq!(
+            order,
+            [
+                (1, 101.0),
+                (1, 102.0),
+                (1, 103.0),
+                (0, 7.0),
+                (2, 201.0),
+                (2, 202.0)
+            ]
+        );
+        assert!(ring.is_empty());
+        assert_eq!(ring.high_water(), 6);
     }
 }

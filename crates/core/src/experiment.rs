@@ -193,7 +193,12 @@ impl ExperimentConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.system.validate()?;
         self.database.validate()?;
-        self.workload.validate()
+        self.workload.validate()?;
+        // The workload checked its own `users`; the population that runs
+        // may be the system's NUSERS instead.
+        self.workload
+            .check_wake_run(self.effective_system().users)
+            .map_err(|e| e.to_string())
     }
 
     /// The system parameters with the user population reconciled: a

@@ -54,6 +54,7 @@ pub mod oman;
 pub mod params;
 pub mod results;
 pub mod txslab;
+mod wakes;
 
 pub use admission::{AdmissionRing, PendingArrival};
 pub use bman::{BmanStats, BufferDemand, BufferingManager};

@@ -39,17 +39,20 @@
 //! ([`ocb::UserModel`]): the **per-user** oracle (one `Submit` event and
 //! one MPL wait-queue entry per user — the paper's literal sub-model)
 //! and the **cohort** representation, which carries the whole
-//! population as per-cohort wake queues of 8-byte time keys — the
-//! initial wakes in one sorted run, resubmissions in a heap — with one
-//! live [`Event::CohortWake`] each, an O(1) [`AdmissionRing`] of
-//! submitted-but-unadmitted users,
-//! and a *deferred pull*: a waiting user is two machine words, not a
-//! slab slot plus a queued continuation event, so a million waiting
-//! users cost megabytes instead of gigabytes. A wake is dispatched only
-//! while an MPL seat can be free: once the ring is non-empty, every
-//! wake before the next pending event joins it in the same pass, so a
-//! saturated million-user phase dispatches thousands of events, not a
-//! million. Both representations draw
+//! population as per-cohort wake clocks of 8-byte time keys — the
+//! initial wakes in one run scattered into buckets by instant and
+//! ordered lazily, resubmissions in a heap — with one live
+//! [`Event::CohortWake`] each, an O(1) [`AdmissionRing`] of
+//! submitted-but-unadmitted users, and a *deferred pull*: a waiting
+//! user is not a slab slot plus a queued continuation event. A wake is
+//! dispatched only while an MPL seat can be free: once users wait,
+//! every wake before the next pending event is marked queued in its
+//! clock and joins the ring as part of one run entry ("the next `n`
+//! queued users of cohort `c`"), so a saturated million-user phase
+//! dispatches thousands of events, not a million, and a waiting user
+//! costs its 8-byte key. Buckets a split passes over are counted, never
+//! sorted: a `users_1m` phase orders a few hundred of its million
+//! initial wakes. Both representations draw
 //! the think stream in the identical order, so they produce
 //! bit-identical [`PhaseResult`]s (event counts aside), under either
 //! concurrency control, whenever wake instants don't collide across
@@ -63,7 +66,7 @@
 //! event certain to be dispatched next that only does bookkeeping is
 //! not put on the event list: [`desp::Context::next_event_time`] proves
 //! it is next. Two sites use this. Saturated cohort wakes join the
-//! admission ring in one pass (above). The zero-delay
+//! admission ring as one run (above). The zero-delay
 //! [`Event::AccessDone`] → [`Event::StartAccess`] hops of an object
 //! access run inline, in a loop, while no other event is due at the
 //! current instant — an all-hit traversal runs as one dispatch. Either
@@ -92,7 +95,7 @@
 //! after a backoff. In both modes a page fetched by one transaction is
 //! immediately visible to others (no in-flight fetch queue).
 
-use crate::admission::{AdmissionRing, PendingArrival};
+use crate::admission::AdmissionRing;
 use crate::bman::BufferingManager;
 use crate::cman::{ClusteringManager, SimReorgReport};
 use crate::iosub::{IoSubsystem, SimIoCounts};
@@ -102,6 +105,7 @@ use crate::params::ConcurrencyControl;
 use crate::params::{SystemClass, VoodbParams};
 use crate::results::PhaseResult;
 use crate::txslab::{Tid, TxSlab};
+use crate::wakes::CohortClock;
 use bufmgr::PrefetchPolicy;
 use desp::{
     key_time, time_key, Context, Model, Probe, QueueKind, RandomStream, Resource, SeriesId,
@@ -110,8 +114,6 @@ use desp::{
 use ocb::{
     Arrival, MaterializedSource, ObjectBase, Transaction, TransactionSource, UserCohort, UserModel,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// `user` value marking open-arrival transactions (no user to resubmit).
 pub(crate) const OPEN_USER: usize = usize::MAX;
@@ -330,108 +332,6 @@ enum OpenArrival {
     },
 }
 
-/// Wake state of one user cohort (cohort user model).
-///
-/// Users of one cohort are interchangeable — a waiting user is just
-/// its cohort index — so a thinking user is one 8-byte
-/// [`time_key`] of its wake instant. Wakes pop in time order, an
-/// initial wake before a resubmission at the same instant: the order
-/// in which the per-user oracle dispatches the same users' `Submit`
-/// events, whose initial ones are all scheduled before any
-/// resubmission. The phase's initial wakes, drawn all at once, sit in
-/// one sorted run; resubmissions go to a min-heap; [`Self::peek`]/
-/// [`Self::pop`] merge the two heads.
-#[derive(Default)]
-struct CohortClock {
-    /// Initial wake keys, sorted descending: the earliest is last.
-    initial: Vec<u64>,
-    /// Resubmission wake keys (min-heap via `Reverse`).
-    pending: BinaryHeap<Reverse<u64>>,
-    /// Bumped on phase reload; in-flight wakes with an old epoch are
-    /// no-ops.
-    epoch: u32,
-    /// The key an engine wake is currently armed for — always the
-    /// earliest pending key. Re-arming earlier leaves the old wake in
-    /// flight; a superseded wake is dropped when it fires.
-    armed: Option<u64>,
-}
-
-impl CohortClock {
-    /// Phase reload: forget pending wakes and orphan armed ones.
-    fn reset(&mut self) {
-        self.initial.clear();
-        self.pending.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        self.armed = None;
-    }
-
-    /// Loads the phase's initial wakes as one sorted run.
-    fn load_initial(&mut self, wakes: impl ExactSizeIterator<Item = SimTime>) {
-        self.initial.reserve(wakes.len());
-        self.initial.extend(wakes.map(|at| time_key(at.as_ms())));
-        // Equal keys are interchangeable users, so an unstable sort is
-        // exact.
-        self.initial.sort_unstable_by(|a, b| b.cmp(a));
-    }
-
-    /// Queues one resubmission wake at `at`.
-    fn push(&mut self, at: SimTime) {
-        self.pending.push(Reverse(time_key(at.as_ms())));
-    }
-
-    /// The earliest pending wake key.
-    fn peek(&self) -> Option<u64> {
-        let run = self.initial.last().copied();
-        let heap = self.pending.peek().map(|&Reverse(key)| key);
-        match (run, heap) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Removes the earliest pending wake key, from the initial run on a
-    /// tie.
-    fn pop(&mut self) -> Option<u64> {
-        let min = self.peek()?;
-        if self.initial.last() == Some(&min) {
-            self.initial.pop();
-            // Give back the run's memory as it drains, so the heap that
-            // absorbs the resubmissions never doubles the population.
-            if self.initial.len() < self.initial.capacity() / 4 {
-                self.initial.shrink_to(self.initial.len() * 2);
-            }
-        } else {
-            self.pending.pop();
-        }
-        Some(min)
-    }
-
-    /// Records an arm at the earliest pending key and returns its
-    /// instant, or `None` when nothing is pending or the armed wake
-    /// already covers the minimum.
-    fn arm(&mut self) -> Option<SimTime> {
-        let min = self.peek()?;
-        if self.armed.is_some_and(|armed| armed <= min) {
-            return None;
-        }
-        self.armed = Some(min);
-        Some(key_time(min))
-    }
-
-    /// Whether a wake firing at time key `now_key` is the armed one —
-    /// the first cohort wake dispatched at the armed instant. Any other
-    /// was superseded by an earlier arm.
-    fn is_armed_at(&self, now_key: u64) -> bool {
-        self.armed == Some(now_key)
-    }
-
-    /// Clears the arm after a drain, so the next [`Self::arm`] schedules
-    /// the new minimum.
-    fn disarm(&mut self) {
-        self.armed = None;
-    }
-}
-
 impl<'a> VoodbModel<'a> {
     /// Builds the model over `base` with the Table 3 parameters and the
     /// users' think time (OCB `THINKTIME`).
@@ -561,8 +461,8 @@ impl<'a> VoodbModel<'a> {
     }
 
     /// Peak number of users simultaneously waiting for an MPL seat in
-    /// the cohort admission ring (cohort user model) — the O(waiting)
-    /// two-words-per-user half of the memory guarantee.
+    /// the cohort admission ring (cohort user model). A waiting user
+    /// costs its 8-byte wake key, kept queued in its cohort's clock.
     pub fn admission_high_water(&self) -> usize {
         self.ring.high_water()
     }
@@ -902,44 +802,55 @@ impl<'a> VoodbModel<'a> {
         }
     }
 
-    /// One user of cohort `c` submits now: grab an MPL seat if one is
-    /// free (the pull is deferred — the transaction materializes only
-    /// at admission) or join the admission ring as two machine words.
-    fn submit_from_cohort<P: Probe, Q: QueueKind>(
+    /// Handles cohort `c`'s wakes due at `now_key`, in the order the
+    /// per-user oracle would dispatch the same users' `Submit` events
+    /// (see `CohortClock`). Each takes a free MPL seat, if one is left
+    /// (the pull is deferred — the transaction materializes only at
+    /// admission); the rest join the admission ring.
+    fn drain_cohort_wakes<P: Probe, Q: QueueKind>(
         &mut self,
-        c: u32,
+        c: usize,
+        now_key: u64,
         ctx: &mut Context<'_, Event, P, Q>,
     ) {
-        if self.exhausted {
-            return;
-        }
         let now = ctx.now();
-        if self.scheduler.try_acquire(now) {
-            self.admit_cohort_user(c, now, ctx);
+        while !self.exhausted
+            && self.clocks[c].peek().is_some_and(|key| key <= now_key)
+            && self.scheduler.try_acquire(now)
+        {
+            self.clocks[c].pop();
+            self.admit_cohort_user(c as u32, now, ctx);
+        }
+        if self.exhausted {
+            // Nobody will be admitted: the due wakes are dropped.
+            while self.clocks[c].peek().is_some_and(|key| key <= now_key) {
+                self.clocks[c].pop();
+            }
         } else {
-            self.ring.push_back(PendingArrival {
-                cohort: c,
-                submitted: now,
-            });
+            self.queue_saturated_wakes(c, now_key, ctx);
         }
     }
 
     /// Queues cohort `c`'s wakes that would otherwise each cost a
-    /// [`Event::CohortWake`] that only joins the admission ring. While
-    /// the ring is non-empty every MPL seat is busy, so a wake
-    /// dispatched before anything else happens fails its `try_acquire`
-    /// (which records nothing) and joins the ring. That holds for every
-    /// wake strictly before the next pending event (an event already
-    /// pending at the same instant outranks a re-armed wake) and no
-    /// later than a horizon phase's end (the engine never dispatches
-    /// past it). Each joins stamped with its own instant, so response
-    /// times and spans are those of the wake-by-wake dispatch.
+    /// [`Event::CohortWake`] that only joins the admission ring, as one
+    /// ring run; their keys stay queued in the clock until admitted.
+    /// While users wait, every MPL seat is busy, so a wake dispatched
+    /// before anything else happens fails its `try_acquire` (which
+    /// records nothing) and joins the ring. That holds for the wakes due
+    /// now that found no seat, and for every wake strictly before the
+    /// next pending event (an event already pending at the same instant
+    /// outranks a re-armed wake) and no later than a horizon phase's end
+    /// (the engine never dispatches past it). Each is stamped with its
+    /// own instant at admission, so response times and spans are those
+    /// of the wake-by-wake dispatch.
     fn queue_saturated_wakes<P: Probe, Q: QueueKind>(
         &mut self,
         c: usize,
+        now_key: u64,
         ctx: &mut Context<'_, Event, P, Q>,
     ) {
-        if self.ring.is_empty() || self.exhausted {
+        let due_now = self.clocks[c].peek().is_some_and(|key| key <= now_key);
+        if self.ring.is_empty() && !due_now {
             return;
         }
         let before = ctx
@@ -949,14 +860,9 @@ impl<'a> VoodbModel<'a> {
             PhaseMode::Horizon { duration_ms, .. } => time_key(duration_ms),
             PhaseMode::Count { .. } => u64::MAX,
         };
-        let clock = &mut self.clocks[c];
-        while let Some(key) = clock.peek().filter(|&key| key < before && key <= last) {
-            clock.pop();
-            self.ring.push_back(PendingArrival {
-                cohort: c as u32,
-                submitted: key_time(key),
-            });
-        }
+        let bound = before.max(now_key + 1).min(last.saturating_add(1));
+        let users = self.clocks[c].queue_below(bound);
+        self.ring.push_run(c as u32, users);
     }
 
     /// Admission of a cohort user that holds a freshly acquired MPL
@@ -976,7 +882,12 @@ impl<'a> VoodbModel<'a> {
             self.slab.abandon(tid);
             self.exhausted = true;
             self.scheduler.release(ctx);
+            // Every waiting user is unservable: drop the ring's entries
+            // and the queued keys behind its runs.
             self.ring.clear();
+            for clock in &mut self.clocks {
+                clock.drop_queued();
+            }
             return;
         }
         let serial = self.next_serial;
@@ -993,14 +904,16 @@ impl<'a> VoodbModel<'a> {
     }
 
     /// A commit freed an MPL seat (cohort user model): admit the
-    /// longest-waiting ring entry, if any — FIFO, exactly as the
-    /// per-user wait queue would grant it.
+    /// longest-waiting user, if any — FIFO, exactly as the per-user wait
+    /// queue would grant it. A run's next user is its cohort's earliest
+    /// queued key. (The ring is empty once the source ran dry.)
     fn admit_from_ring<P: Probe, Q: QueueKind>(&mut self, ctx: &mut Context<'_, Event, P, Q>) {
-        if self.exhausted {
-            self.ring.clear();
-            return;
-        }
-        let Some(entry) = self.ring.pop_front() else {
+        let clocks = &mut self.clocks;
+        let Some(entry) = self.ring.pop_front_with(|c| {
+            let key = clocks[c as usize].pop_queued();
+            // audit: a run's users are queued keys of its cohort until popped here
+            key_time(key.expect("a ring run's cohort holds its queued keys"))
+        }) else {
             return;
         };
         let granted = self.scheduler.try_acquire(ctx.now());
@@ -1432,14 +1345,7 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                 if self.clocks[c].epoch != epoch || !self.clocks[c].is_armed_at(now_key) {
                     return;
                 }
-                // Batch-drain every wake due now, in the order the
-                // per-user oracle would dispatch the same users'
-                // `Submit` events (see `CohortClock`).
-                while self.clocks[c].peek().is_some_and(|key| key <= now_key) {
-                    self.clocks[c].pop();
-                    self.submit_from_cohort(cohort, ctx);
-                }
-                self.queue_saturated_wakes(c, ctx);
+                self.drain_cohort_wakes(c, now_key, ctx);
                 self.clocks[c].disarm();
                 self.arm_cohort(c, ctx);
             }
@@ -2360,9 +2266,9 @@ mod tests {
         clock.push(at(1.0));
         for run_left in [1, 0, 0] {
             assert_eq!(clock.pop().map(|key| key_time(key).as_ms()), Some(1.0));
-            assert_eq!(clock.initial.len(), run_left);
+            assert_eq!(clock.initial_left(), run_left);
         }
-        assert_eq!(clock.pending.len(), 0);
+        assert_eq!(clock.peek(), None);
     }
 
     /// A closed horizon phase of `cohorts` under `user_model`, with short

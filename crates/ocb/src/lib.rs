@@ -39,7 +39,8 @@ pub mod workload;
 
 pub use database::{Object, ObjectBase, Oid};
 pub use params::{
-    Arrival, DatabaseParams, Selection, TransactionKind, UserCohort, UserModel, WorkloadParams,
+    Arrival, DatabaseParams, PopulationTooLarge, Selection, TransactionKind, UserCohort, UserModel,
+    WorkloadParams, MAX_WAKE_RUN_BYTES, WAKE_KEY_BYTES,
 };
 pub use schema::{Class, ClassId, ClassRef, RefType, Schema, BYTES_PER_REF, OBJECT_HEADER_BYTES};
 pub use source::{LazySource, MaterializedSource, TransactionSource};

@@ -354,6 +354,41 @@ impl UserCohort {
     }
 }
 
+/// Bytes a closed phase holds per user for its initial wakes: one
+/// 8-byte time key (the cohort model's wake run; the per-user oracle
+/// holds a whole pending event instead, so this is a floor for it).
+pub const WAKE_KEY_BYTES: u64 = 8;
+
+/// Pre-flight bound on a closed phase's initial-wake run: 4 GiB, i.e.
+/// 2^29 = 536,870,912 users. That is over 500 times the largest shipped
+/// population (1M); loading the run briefly needs twice its size, and a
+/// population past the bound would otherwise end in an allocation abort
+/// instead of an error.
+pub const MAX_WAKE_RUN_BYTES: u64 = 4 << 30;
+
+/// A closed population whose initial wakes exceed
+/// [`MAX_WAKE_RUN_BYTES`]: refused before anything is allocated.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PopulationTooLarge {
+    /// Users in the closed population.
+    pub users: u128,
+    /// Estimated bytes of their initial wakes.
+    pub bytes: u128,
+}
+
+impl std::fmt::Display for PopulationTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "closed population of {} users needs an estimated {} bytes of initial wakes \
+             ({WAKE_KEY_BYTES} bytes per user), over the {MAX_WAKE_RUN_BYTES}-byte limit",
+            self.users, self.bytes
+        )
+    }
+}
+
+impl std::error::Error for PopulationTooLarge {}
+
 /// Parameters of the transaction workload (OCB workload half).
 #[derive(Clone, Debug)]
 pub struct WorkloadParams {
@@ -542,6 +577,29 @@ impl WorkloadParams {
         if self.cohorts.len() > u32::MAX as usize {
             return Err("too many cohorts".into());
         }
+        self.check_wake_run(self.users).map_err(|e| e.to_string())
+    }
+
+    /// Pre-flight memory bound of a closed phase: the initial wakes of
+    /// its population (the cohort sizes' sum, else `users`, which the
+    /// caller resolves against the system's NUSERS) must fit
+    /// [`MAX_WAKE_RUN_BYTES`]. Open arrivals hold no users.
+    ///
+    /// # Errors
+    /// The population and its estimated bytes, when over the bound.
+    pub fn check_wake_run(&self, users: usize) -> Result<(), PopulationTooLarge> {
+        if !self.arrival.is_closed() {
+            return Ok(());
+        }
+        let users = if self.cohorts.is_empty() {
+            users as u128
+        } else {
+            self.cohorts.iter().map(|c| c.size as u128).sum()
+        };
+        let bytes = users * u128::from(WAKE_KEY_BYTES);
+        if bytes > u128::from(MAX_WAKE_RUN_BYTES) {
+            return Err(PopulationTooLarge { users, bytes });
+        }
         Ok(())
     }
 }
@@ -569,6 +627,46 @@ mod tests {
         assert_eq!(wl.hierarchy_depth, 5);
         assert_eq!(wl.stochastic_depth, 50);
         assert_eq!(wl.mix_weights(), [0.25; 4]);
+    }
+
+    #[test]
+    fn closed_populations_past_the_wake_run_bound_are_refused() {
+        let limit = (MAX_WAKE_RUN_BYTES / WAKE_KEY_BYTES) as usize;
+        let workload = WorkloadParams {
+            users: limit,
+            user_model: UserModel::Cohort,
+            ..WorkloadParams::default()
+        };
+        workload.validate().unwrap();
+        let over = WorkloadParams {
+            users: limit + 1,
+            ..workload.clone()
+        };
+        let err = over.check_wake_run(over.users).unwrap_err();
+        assert_eq!(err.users, limit as u128 + 1);
+        assert_eq!(err.bytes, u128::from(MAX_WAKE_RUN_BYTES + WAKE_KEY_BYTES));
+        assert!(over.validate().unwrap_err().contains("4294967304 bytes"));
+        // Cohort sizes override `users`, and their sum cannot overflow.
+        let cohorts = WorkloadParams {
+            cohorts: vec![
+                UserCohort {
+                    size: usize::MAX,
+                    think_time_ms: 1.0,
+                };
+                2
+            ],
+            ..workload.clone()
+        };
+        assert_eq!(
+            cohorts.check_wake_run(1).unwrap_err().users,
+            2 * usize::MAX as u128
+        );
+        // Open arrivals hold no users.
+        let open = WorkloadParams {
+            arrival: Arrival::Poisson { rate_per_sec: 10.0 },
+            ..over
+        };
+        open.validate().unwrap();
     }
 
     #[test]

@@ -1,0 +1,48 @@
+//! `voodb validate` and `voodb run` refuse a closed population whose
+//! initial wakes cannot fit the pre-flight memory bound, before
+//! allocating anything: exit 1 with an error naming the estimated bytes.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn voodb(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_voodb"))
+        .args(args)
+        .output()
+        .expect("voodb runs")
+}
+
+/// A scenario file of 10^11 cohort users (800 GB of wake keys).
+fn absurd_population() -> PathBuf {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("absurd_population.toml");
+    std::fs::write(
+        &path,
+        "[scenario]\n\
+         name = \"absurd_population\"\n\
+         \n\
+         [workload]\n\
+         user_model = \"cohort\"\n\
+         users = 100000000000\n\
+         think_time_ms = 50.0\n\
+         duration_ms = 100.0\n",
+    )
+    .expect("scenario file written");
+    path
+}
+
+#[test]
+fn validate_and_run_refuse_an_absurd_cohort_population() {
+    let path = absurd_population();
+    let file = path.to_str().expect("UTF-8 path");
+    for command in ["validate", "run"] {
+        let out = voodb(&[command, file]);
+        assert_eq!(out.status.code(), Some(1), "{command}: {out:?}");
+        assert!(out.stdout.is_empty(), "{command}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("closed population of 100000000000 users")
+                && stderr.contains("estimated 800000000000 bytes"),
+            "{command}: {stderr}"
+        );
+    }
+}
