@@ -8,9 +8,10 @@
 //! The algorithm runs in phases:
 //!
 //! 1. **Observation** — during an observation period of `observation_period`
-//!    object accesses, elementary statistics are collected: per-object
-//!    access counts and per-link transition counts (object `i` reached
-//!    through a reference from object `j`).
+//!    object accesses, elementary statistics are collected: per-link
+//!    transition counts (object `i` reached through a reference from
+//!    object `j`). Bullat & Schneider also count accesses per object;
+//!    no phase below reads those counts, so they are not kept.
 //! 2. **Selection/consolidation** — at the end of each period, links whose
 //!    elementary count passes the elementary threshold `tfa` are folded
 //!    into the *consolidated matrix* with ageing
@@ -111,8 +112,6 @@ pub struct Dstc {
     /// Consolidation iterates these, so the map must be link-ordered for
     /// replay determinism (float accumulation order reaches the weights).
     observation: BTreeMap<(Oid, Oid), u32>,
-    /// Elementary per-object access counts (point lookups only).
-    access_counts: HashMap<Oid, u32>,
     /// Consolidated link weights, link-ordered for the same reason.
     consolidated: BTreeMap<(Oid, Oid), f64>,
     /// Objects whose consolidated neighbourhood changed since the last
@@ -132,7 +131,6 @@ impl Dstc {
         Dstc {
             params,
             observation: BTreeMap::new(),
-            access_counts: HashMap::new(),
             consolidated: BTreeMap::new(),
             flagged: BTreeSet::new(),
             accesses_this_period: 0,
@@ -183,7 +181,6 @@ impl Dstc {
         let tfc = self.params.tfc;
         self.consolidated.retain(|_, weight| *weight >= tfc);
         self.observation.clear();
-        self.access_counts.clear();
         self.accesses_this_period = 0;
     }
 
@@ -254,7 +251,6 @@ impl ClusteringStrategy for Dstc {
     fn on_access(&mut self, parent: Option<Oid>, oid: Oid) {
         self.counters.accesses_observed += 1;
         self.accesses_this_period += 1;
-        *self.access_counts.entry(oid).or_insert(0) += 1;
         if let Some(from) = parent {
             if from != oid {
                 match self.observation.entry((from, oid)) {

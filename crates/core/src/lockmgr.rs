@@ -25,9 +25,18 @@
 //!   never dies, so it always completes and global progress follows) —
 //!   provided a restarted victim keeps its original timestamp, which the
 //!   model guarantees by reusing the transaction id.
+//!
+//! Replay determinism rests on three orders. An object's holders are a
+//! tid-sorted list, so the wait-die scan and the deadlock search walk
+//! them by ascending tid. Waiters queue FIFO. A transaction's held
+//! objects are kept in grant order and sorted when it releases them, so
+//! queued waiters are promoted object by object in ascending oid order.
+//! The maps keyed by oid or tid are only point-looked-up; they hash the
+//! integer key with one multiplication instead of SipHash.
 
 use ocb::Oid;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Transaction identifier (matches the model's `Tid`).
 pub type Tid = usize;
@@ -68,15 +77,82 @@ pub enum LockOutcome {
     Deadlock,
 }
 
+/// Hashes one integer key with a multiplication (Fibonacci hashing):
+/// oids and tids are the program's own dense integers, and the maps
+/// keyed by them are only point-looked-up, never iterated.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+type IntHash = BuildHasherDefault<IntHasher>;
+
 /// One object's lock state.
 #[derive(Debug, Default)]
 struct ObjectLock {
-    /// Current holders and their modes (multiple ⇒ all Shared). The
-    /// deadlock search and wait-die scan iterate holders, so the map is
-    /// tid-ordered to keep those walks replay-deterministic.
-    holders: BTreeMap<Tid, LockMode>,
+    /// Current holders and their modes (multiple ⇒ all Shared), sorted by
+    /// tid: the deadlock search and the wait-die scan walk holders in
+    /// that order.
+    holders: Vec<(Tid, LockMode)>,
     /// FIFO wait queue.
     waiters: VecDeque<(Tid, LockMode)>,
+}
+
+impl ObjectLock {
+    /// `tid`'s position in `holders`, or where it would be inserted.
+    fn find(&self, tid: Tid) -> Result<usize, usize> {
+        self.holders
+            .binary_search_by_key(&tid, |&(holder, _)| holder)
+    }
+
+    fn mode_of(&self, tid: Tid) -> Option<LockMode> {
+        self.find(tid).ok().map(|at| self.holders[at].1)
+    }
+
+    /// Grants `mode` to `tid`: a new holder, or an upgrade of its entry.
+    /// Returns whether `tid` is a new holder.
+    fn grant(&mut self, tid: Tid, mode: LockMode) -> bool {
+        match self.find(tid) {
+            Ok(at) => {
+                self.holders[at].1 = mode;
+                false
+            }
+            Err(at) => {
+                self.holders.insert(at, (tid, mode));
+                true
+            }
+        }
+    }
+
+    fn compatible_with_holders(&self, mode: LockMode) -> bool {
+        self.holders.iter().all(|&(_, held)| held.compatible(mode))
+    }
+
+    fn holder_tids(&self) -> impl Iterator<Item = Tid> + '_ {
+        self.holders.iter().map(|&(holder, _)| holder)
+    }
 }
 
 /// Accounting counters.
@@ -93,12 +169,12 @@ pub struct LockStats {
 /// The lock manager.
 #[derive(Debug, Default)]
 pub struct LockManager {
-    objects: HashMap<Oid, ObjectLock>,
-    /// Objects held per transaction (for release-all, which walks the
-    /// set — BTreeSet so releases promote waiters in oid order).
-    held: HashMap<Tid, BTreeSet<Oid>>,
+    objects: HashMap<Oid, ObjectLock, IntHash>,
+    /// Objects held per transaction, in grant order (an upgrade adds
+    /// nothing). Release sorts them, so waiters are promoted in oid order.
+    held: HashMap<Tid, Vec<Oid>, IntHash>,
     /// The object each parked transaction is waiting on.
-    waiting_on: HashMap<Tid, Oid>,
+    waiting_on: HashMap<Tid, Oid, IntHash>,
     stats: LockStats,
 }
 
@@ -115,7 +191,7 @@ impl LockManager {
 
     /// Number of objects a transaction currently holds.
     pub fn held_count(&self, tid: Tid) -> usize {
-        self.held.get(&tid).map_or(0, BTreeSet::len)
+        self.held.get(&tid).map_or(0, Vec::len)
     }
 
     /// Is the transaction parked on a lock?
@@ -132,9 +208,9 @@ impl LockManager {
         let mut stack: Vec<Tid> = self
             .objects
             .get(&oid)
-            .map(|l| l.holders.keys().copied().filter(|&h| h != tid).collect())
+            .map(|l| l.holder_tids().filter(|&h| h != tid).collect())
             .unwrap_or_default();
-        let mut visited: HashSet<Tid> = HashSet::new();
+        let mut visited: HashSet<Tid, IntHash> = HashSet::default();
         while let Some(current) = stack.pop() {
             if current == tid {
                 return true;
@@ -144,7 +220,7 @@ impl LockManager {
             }
             if let Some(&blocked_on) = self.waiting_on.get(&current) {
                 if let Some(lock) = self.objects.get(&blocked_on) {
-                    stack.extend(lock.holders.keys().copied());
+                    stack.extend(lock.holder_tids());
                 }
             }
         }
@@ -165,27 +241,24 @@ impl LockManager {
     ) -> LockOutcome {
         let lock = self.objects.entry(oid).or_default();
         // Re-entrant / upgrade handling.
-        if let Some(&held_mode) = lock.holders.get(&tid) {
+        if let Some(held_mode) = lock.mode_of(tid) {
             if held_mode == LockMode::Exclusive || mode == LockMode::Shared {
                 self.stats.immediate_grants += 1;
                 return LockOutcome::Granted; // Already sufficient.
             }
             // S → X upgrade: immediate if sole holder.
             if lock.holders.len() == 1 {
-                lock.holders.insert(tid, LockMode::Exclusive);
+                lock.grant(tid, LockMode::Exclusive);
                 self.stats.immediate_grants += 1;
                 return LockOutcome::Granted;
             }
             // Conflicting upgrade: falls through to the wait path.
-        } else {
-            let compatible_with_holders = lock.holders.values().all(|&h| h.compatible(mode));
+        } else if lock.compatible_with_holders(mode) && lock.waiters.is_empty() {
             // Fairness: don't jump over queued waiters.
-            if compatible_with_holders && lock.waiters.is_empty() {
-                lock.holders.insert(tid, mode);
-                self.held.entry(tid).or_default().insert(oid);
-                self.stats.immediate_grants += 1;
-                return LockOutcome::Granted;
-            }
+            lock.grant(tid, mode);
+            self.held.entry(tid).or_default().push(oid);
+            self.stats.immediate_grants += 1;
+            return LockOutcome::Granted;
         }
         // Must wait — unless the policy says abort.
         let must_abort = match policy {
@@ -195,10 +268,9 @@ impl LockManager {
                 // (holders and queued waiters other than ourselves): wait
                 // edges then only run old → young, so no cycle can form.
                 let lock = self.objects.get(&oid).expect("entry created above");
-                lock.holders
-                    .keys()
-                    .chain(lock.waiters.iter().map(|(w, _)| w))
-                    .any(|&other| other != tid && other < tid)
+                lock.holder_tids()
+                    .chain(lock.waiters.iter().map(|&(w, _)| w))
+                    .any(|other| other != tid && other < tid)
             }
         };
         if must_abort {
@@ -212,34 +284,33 @@ impl LockManager {
         LockOutcome::Queued
     }
 
-    /// Grants as many queued waiters of `oid` as compatibility allows.
-    /// Returns the transactions to resume.
-    fn promote(&mut self, oid: Oid) -> Vec<Tid> {
-        let mut resumed = Vec::new();
+    /// Grants as many queued waiters of `oid` as compatibility allows,
+    /// appending the transactions to resume to `resumed`.
+    fn promote(&mut self, oid: Oid, resumed: &mut Vec<Tid>) {
         let Some(lock) = self.objects.get_mut(&oid) else {
-            return resumed;
+            return;
         };
         while let Some(&(tid, mode)) = lock.waiters.front() {
             let upgrade =
-                lock.holders.get(&tid) == Some(&LockMode::Shared) && mode == LockMode::Exclusive;
+                lock.mode_of(tid) == Some(LockMode::Shared) && mode == LockMode::Exclusive;
             let compatible = if upgrade {
                 lock.holders.len() == 1
             } else {
-                lock.holders.values().all(|&h| h.compatible(mode))
+                lock.compatible_with_holders(mode)
             };
             if !compatible {
                 break;
             }
             lock.waiters.pop_front();
-            lock.holders.insert(tid, mode);
-            self.held.entry(tid).or_default().insert(oid);
+            if lock.grant(tid, mode) {
+                self.held.entry(tid).or_default().push(oid);
+            }
             self.waiting_on.remove(&tid);
             resumed.push(tid);
         }
         if lock.holders.is_empty() && lock.waiters.is_empty() {
             self.objects.remove(&oid);
         }
-        resumed
     }
 
     /// Releases everything `tid` holds (commit or abort) and removes any
@@ -253,23 +324,19 @@ impl LockManager {
             }
         }
         let mut resumed = Vec::new();
-        // The per-transaction set is a BTreeSet, so this drains the held
-        // objects already in ascending oid order.
-        let touched: Vec<Oid> = self
-            .held
-            .remove(&tid)
-            .unwrap_or_default()
-            .into_iter()
-            .collect();
+        let mut touched = self.held.remove(&tid).unwrap_or_default();
+        touched.sort_unstable();
         for oid in touched {
             if let Some(lock) = self.objects.get_mut(&oid) {
-                lock.holders.remove(&tid);
+                if let Ok(at) = lock.find(tid) {
+                    lock.holders.remove(at);
+                }
                 if lock.holders.is_empty() && lock.waiters.is_empty() {
                     self.objects.remove(&oid);
                     continue;
                 }
             }
-            resumed.extend(self.promote(oid));
+            self.promote(oid, &mut resumed);
         }
         resumed
     }

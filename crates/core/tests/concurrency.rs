@@ -135,3 +135,79 @@ fn two_phase_is_deterministic() {
     assert_eq!(sa, sb);
     assert_eq!(aa, ab);
 }
+
+/// `run`'s result as the integers the pins below compare.
+fn pinned(
+    (result, stats, aborts): (voodb::PhaseResult, voodb::LockStats, u64),
+) -> (usize, u64, u64, u64, u64, voodb::LockStats) {
+    (
+        result.transactions,
+        result.io.reads,
+        result.io.writes,
+        result.mean_response_ms.to_bits(),
+        aborts,
+        stats,
+    )
+}
+
+fn lock_stats(immediate_grants: u64, waits: u64, deadlocks: u64) -> voodb::LockStats {
+    voodb::LockStats {
+        immediate_grants,
+        waits,
+        deadlocks,
+    }
+}
+
+// No scenario reaches two-phase locking, so these pins guard the lock
+// manager's grant, wait and promotion order. Values recorded before the
+// lock table moved to tid-sorted holder lists and integer-hashed maps.
+
+#[test]
+fn wait_die_contended_run_is_pinned() {
+    let base = base();
+    let txs = contended_transactions(&base, 60, 2);
+    assert_eq!(
+        pinned(run(&base, two_phase(), 6, txs, 2)),
+        (
+            60,
+            145,
+            0,
+            0x40b4_7adb_c962_fc95,
+            15_477,
+            lock_stats(13_332, 473, 15_477)
+        )
+    );
+}
+
+#[test]
+fn detect_run_is_pinned() {
+    // Cycle detection livelocks under `contended_transactions`; a read-
+    // mostly mix over half the base still waits and aborts, and commits.
+    let base = base();
+    let params = WorkloadParams {
+        hot_transactions: 10,
+        p_write: 0.05,
+        root_dist: Selection::HotSet {
+            fraction: 0.5,
+            p_hot: 1.0,
+        },
+        ..WorkloadParams::default()
+    };
+    let mut generator = WorkloadGenerator::new(&base, params, 5);
+    let txs = (0..10).map(|_| generator.next_transaction()).collect();
+    let detect = ConcurrencyControl::TwoPhase {
+        restart_backoff_ms: 5.0,
+        deadlock: DeadlockPolicy::Detect,
+    };
+    assert_eq!(
+        pinned(run(&base, detect, 3, txs, 5)),
+        (
+            10,
+            136,
+            0,
+            0x4098_2db6_6666_6664,
+            4,
+            lock_stats(1_200, 13, 4)
+        )
+    );
+}

@@ -21,6 +21,12 @@
 //!   their content: counting I/Os needs none, so an O2 run without
 //!   clustering never serialises the base, and Texas builds the image at
 //!   its first swizzle fault;
+//! * in-place byte work: payloads are encoded straight into their slots
+//!   and their references decoded and patched where they lie
+//!   ([`write_object`], [`payload_refs`], [`patch_refs`]), and both
+//!   engines' reorganisations execute one plan held in dense tables
+//!   (`reorg`), so no per-object or per-reference step allocates or
+//!   hashes;
 //! * the [`StorageEngine`] trait and [`run_workload`] driver shared by the
 //!   bench harness.
 //!
@@ -54,6 +60,6 @@ pub use page::{SlotId, SlottedPage};
 pub use pageserver::{PageServerConfig, PageServerCounters, PageServerEngine, O2_FRAMES_PER_MB};
 pub use reorg::ReorgReport;
 pub use storage::{
-    assign_physical_oids, patch_ref, payload_oid, payload_refs, serialize_object, serialize_pages,
+    assign_physical_oids, patch_refs, payload_oid, payload_refs, serialize_pages, write_object,
 };
 pub use texas::{TexasConfig, TexasCounters, TexasEngine, TEXAS_FRAMES_PER_MB};

@@ -93,7 +93,15 @@ impl SlottedPage {
     /// # Panics
     /// Panics if the payload does not fit (placement bugs should fail loud).
     pub fn insert(&mut self, payload: &[u8]) -> SlotId {
-        let len = payload.len() as u32;
+        self.insert_with(payload.len() as u32, |out| out.copy_from_slice(payload))
+    }
+
+    /// Reserves a slot of `len` payload bytes and lets `write` fill them
+    /// in place (no intermediate buffer), returning the slot.
+    ///
+    /// # Panics
+    /// Panics if the payload does not fit (placement bugs should fail loud).
+    pub fn insert_with(&mut self, len: u32, write: impl FnOnce(&mut [u8])) -> SlotId {
         assert!(
             self.free_for(len),
             "page overflow: {len} B payload, {} slots used",
@@ -101,7 +109,7 @@ impl SlottedPage {
         );
         let floor = self.payload_floor() as u32 - len;
         let slot = self.slot_count();
-        self.data[floor as usize..(floor + len) as usize].copy_from_slice(payload);
+        write(&mut self.data[floor as usize..(floor + len) as usize]);
         self.set_slot_entry(slot, floor as u16, len as u16);
         self.set_slot_count(slot + 1);
         self.set_payload_floor(floor as u16);
@@ -165,6 +173,22 @@ mod tests {
         assert_eq!(page.get(a), Some(&b"hello"[..]));
         assert_eq!(page.get(b), Some(&b"world!"[..]));
         assert_eq!(page.slot_count(), 2);
+    }
+
+    #[test]
+    fn insert_with_writes_in_place() {
+        let mut page = SlottedPage::new(4096);
+        let a = page.insert(b"abc");
+        let b = page.insert_with(4, |out| {
+            assert_eq!(out.len(), 4);
+            out.copy_from_slice(b"wxyz");
+        });
+        assert_eq!(page.get(a), Some(&b"abc"[..]));
+        assert_eq!(page.get(b), Some(&b"wxyz"[..]));
+        let mut copied = SlottedPage::new(4096);
+        copied.insert(b"abc");
+        copied.insert(b"wxyz");
+        assert_eq!(page, copied, "same bytes as insert");
     }
 
     #[test]

@@ -12,13 +12,12 @@ use crate::disk::{DiskTimings, IoCounts, VirtualDisk};
 use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
-use crate::reorg::ReorgReport;
-use crate::storage::{assign_physical_oids, payload_oid, serialize_object};
+use crate::reorg::{ReorgPlan, ReorgReport};
+use crate::storage::{assign_physical_oids, payload_oid, write_object};
 use bufmgr::{AccessOutcome, BufferPool, PolicyKind};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
 use clustering::{PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
 use ocb::{ObjectBase, Oid, Transaction};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Server-buffer frames per MB of cache.
 ///
@@ -215,88 +214,47 @@ impl<'a> PageServerEngine<'a> {
         }
 
         let page_size = self.config.page_size;
-        let capacity = page_size - PAGE_HEADER_BYTES;
-
-        // First-occurrence dedup of cluster members.
-        let mut moved: BTreeSet<Oid> = BTreeSet::new();
-        let mut cluster_order: Vec<Oid> = Vec::new();
-        for cluster in &outcome.clusters {
-            for &oid in cluster {
-                if moved.insert(oid) {
-                    cluster_order.push(oid);
-                }
-            }
-        }
-
-        // Read source pages, tombstone moved slots, write them back.
-        let mut source_pages: BTreeMap<PageId, Vec<u16>> = BTreeMap::new();
-        for &oid in &moved {
-            let phys = self.oid_table[oid as usize];
-            source_pages.entry(phys.page).or_default().push(phys.slot);
-        }
-        for (&page, slots) in &source_pages {
-            self.disk.read(page);
-            for &slot in slots {
-                self.disk.peek_mut(page).delete(slot);
-            }
-            self.disk.write_back(page);
+        let plan = ReorgPlan::new(
+            self.base,
+            &outcome.clusters,
+            page_size,
+            self.disk.page_count(),
+            &self.oid_table,
+        );
+        plan.extract(&mut self.disk, |page| {
             self.buffer.invalidate(page);
-        }
+        });
 
         // Pack cluster members into fresh pages; references stay *logical*
         // in spirit — the stored physical refs of other objects are not
         // touched because lookups go through the OID table. The moved
-        // objects themselves are re-serialised at their new locations.
-        let old_page_count = self.disk.page_count();
-        let mut current = SlottedPage::new(page_size);
-        let mut used = 0u32;
-        let mut new_page_index = 0u32;
-        let mut moved_count = 0u64;
-        for &oid in &cluster_order {
-            let object = self.base.object(oid);
-            let cost = object.size + SLOT_ENTRY_BYTES;
-            if used + cost > capacity && used > 0 {
-                self.disk
-                    .append_page(std::mem::replace(&mut current, SlottedPage::new(page_size)));
-                new_page_index += 1;
-                used = 0;
+        // objects themselves are re-serialised at their new locations,
+        // their references read from the OID table as packing goes (an
+        // object packed earlier is already at its new home).
+        for members in plan.cluster_pages() {
+            let mut slotted = SlottedPage::new(page_size);
+            for &oid in members {
+                let object = self.base.object(oid);
+                let refs = object.refs.iter().map(|&t| self.oid_table[t as usize]);
+                slotted.insert_with(object.size, |out| write_object(oid, refs, out));
+                self.oid_table[oid as usize] = plan.new_location(oid).expect("planned move");
             }
-            let refs: Vec<PhysicalOid> = object
-                .refs
-                .iter()
-                .map(|&t| self.oid_table[t as usize])
-                .collect();
-            let payload = serialize_object(oid, &refs, object.size);
-            let slot = current.insert(&payload);
-            self.oid_table[oid as usize] = PhysicalOid {
-                page: old_page_count + new_page_index,
-                slot,
-            };
-            used += cost;
-            moved_count += 1;
-        }
-        if used > 0 {
-            self.disk.append_page(current);
+            self.disk.append_page(slotted);
         }
 
         // Persist the relocated OID-table entries: read–modify–write each
         // affected table page. Still no database scan — the whole point of
         // logical OIDs is that only the map changes.
-        let mut table_pages: BTreeMap<PageId, Vec<Oid>> = BTreeMap::new();
-        for &oid in &cluster_order {
-            table_pages
-                .entry(self.oid_page_of(oid))
-                .or_default()
-                .push(oid);
-        }
-        for (&page, oids) in &table_pages {
+        let (start, per_page) = (self.oid_pages_start, self.oid_entries_per_page);
+        let moved: Vec<(Oid, PhysicalOid)> = plan.moved_by_oid().collect();
+        for run in moved.chunk_by(|a, b| a.0 / per_page == b.0 / per_page) {
+            let page = start + run[0].0 / per_page;
             self.disk.read(page);
-            for &oid in oids {
-                let entry = self.oid_table[oid as usize];
-                let idx = (oid % self.oid_entries_per_page) as usize * 8;
-                let slotted = self.disk.peek_mut(page);
-                let payload = slotted.get_mut(0).expect("OID-table payload");
-                entry.encode(&mut payload[idx..idx + 8]);
+            let slotted = self.disk.peek_mut(page);
+            let payload = slotted.get_mut(0).expect("OID-table payload");
+            for &(oid, entry) in run {
+                let at = (oid % per_page) as usize * PhysicalOid::WIRE_BYTES;
+                entry.encode(&mut payload[at..at + PhysicalOid::WIRE_BYTES]);
             }
             self.disk.write_back(page);
             self.buffer.invalidate(page);
@@ -304,7 +262,7 @@ impl<'a> PageServerEngine<'a> {
 
         ReorgReport {
             io: self.disk.counts().since(io_before),
-            moved_objects: moved_count,
+            moved_objects: plan.moved_count(),
             pages_scanned: 0,
             pages_patched: 0,
             outcome,

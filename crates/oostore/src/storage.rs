@@ -15,6 +15,11 @@
 //! 16..16+8n   physical OIDs of the n references
 //! ..size      attribute payload (filler pattern)
 //! ```
+//!
+//! Payloads are encoded and decoded in place: [`write_object`] fills the
+//! slot that [`SlottedPage::insert_with`] reserves, [`payload_refs`]
+//! decodes references lazily, and [`patch_refs`] rewrites them where
+//! they lie. Building or scanning a page allocates nothing per object.
 
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
@@ -24,23 +29,28 @@ use ocb::{ObjectBase, Oid, OBJECT_HEADER_BYTES};
 /// Filler byte for the attribute area.
 const FILL: u8 = 0xA5;
 
-/// Serialises one object given the physical OIDs of its reference targets.
-pub fn serialize_object(oid: Oid, refs: &[PhysicalOid], size: u32) -> Vec<u8> {
-    let needed = OBJECT_HEADER_BYTES as usize + refs.len() * PhysicalOid::WIRE_BYTES;
+/// Encodes one object in place: `out` is its whole payload (`out.len()`
+/// is the object size), `refs` the physical OIDs of its reference
+/// targets.
+///
+/// # Panics
+/// Panics if `out` cannot hold the header and every reference.
+pub fn write_object(oid: Oid, refs: impl ExactSizeIterator<Item = PhysicalOid>, out: &mut [u8]) {
+    let nrefs = refs.len();
+    let (header, body) = out.split_at_mut(OBJECT_HEADER_BYTES as usize);
     assert!(
-        size as usize >= needed,
-        "object {oid}: size {size} cannot hold {} references",
-        refs.len()
+        body.len() >= nrefs * PhysicalOid::WIRE_BYTES,
+        "object {oid}: size {} cannot hold {nrefs} references",
+        header.len() + body.len()
     );
-    let mut payload = vec![FILL; size as usize];
-    payload[0..4].copy_from_slice(&oid.to_le_bytes());
-    payload[4..8].copy_from_slice(&(refs.len() as u32).to_le_bytes());
-    payload[8..16].fill(0);
-    for (i, r) in refs.iter().enumerate() {
-        let at = OBJECT_HEADER_BYTES as usize + i * PhysicalOid::WIRE_BYTES;
-        r.encode(&mut payload[at..at + PhysicalOid::WIRE_BYTES]);
+    header[0..4].copy_from_slice(&oid.to_le_bytes());
+    header[4..8].copy_from_slice(&(nrefs as u32).to_le_bytes());
+    header[8..].fill(0);
+    let (wires, attributes) = body.split_at_mut(nrefs * PhysicalOid::WIRE_BYTES);
+    for (wire, r) in wires.chunks_exact_mut(PhysicalOid::WIRE_BYTES).zip(refs) {
+        r.encode(wire);
     }
-    payload
+    attributes.fill(FILL);
 }
 
 /// Reads the logical OID stored in a payload.
@@ -48,23 +58,36 @@ pub fn payload_oid(payload: &[u8]) -> Oid {
     u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]])
 }
 
-/// Decodes the physical reference OIDs embedded in a payload.
-pub fn payload_refs(payload: &[u8]) -> Vec<PhysicalOid> {
+/// The encoded references of a payload, one `WIRE_BYTES` slice each.
+fn ref_wires(payload: &[u8]) -> &[u8] {
     let nrefs = u32::from_le_bytes([payload[4], payload[5], payload[6], payload[7]]) as usize;
-    let mut refs = Vec::with_capacity(nrefs);
-    for i in 0..nrefs {
-        let at = OBJECT_HEADER_BYTES as usize + i * PhysicalOid::WIRE_BYTES;
-        refs.push(PhysicalOid::decode(
-            &payload[at..at + PhysicalOid::WIRE_BYTES],
-        ));
-    }
-    refs
+    &payload[OBJECT_HEADER_BYTES as usize..][..nrefs * PhysicalOid::WIRE_BYTES]
 }
 
-/// Patches reference `index` of a payload in place.
-pub fn patch_ref(payload: &mut [u8], index: usize, new_target: PhysicalOid) {
-    let at = OBJECT_HEADER_BYTES as usize + index * PhysicalOid::WIRE_BYTES;
-    new_target.encode(&mut payload[at..at + PhysicalOid::WIRE_BYTES]);
+/// Decodes, lazily and in order, the physical reference OIDs embedded in
+/// a payload.
+pub fn payload_refs(payload: &[u8]) -> impl ExactSizeIterator<Item = PhysicalOid> + '_ {
+    ref_wires(payload)
+        .chunks_exact(PhysicalOid::WIRE_BYTES)
+        .map(PhysicalOid::decode)
+}
+
+/// Rewrites, in place, every reference of a payload that `relocate` maps
+/// to a new target. Returns whether any reference changed.
+pub fn patch_refs(
+    payload: &mut [u8],
+    mut relocate: impl FnMut(PhysicalOid) -> Option<PhysicalOid>,
+) -> bool {
+    let wires_len = ref_wires(payload).len();
+    let wires = &mut payload[OBJECT_HEADER_BYTES as usize..][..wires_len];
+    let mut patched = false;
+    for wire in wires.chunks_exact_mut(PhysicalOid::WIRE_BYTES) {
+        if let Some(fresh) = relocate(PhysicalOid::decode(wire)) {
+            fresh.encode(wire);
+            patched = true;
+        }
+    }
+    patched
 }
 
 /// Pass 1 of materialisation: the logical → physical OID map of
@@ -106,13 +129,8 @@ pub fn serialize_pages(
         let mut slotted = SlottedPage::new(placement.page_size());
         for &oid in placement.objects_in(page) {
             let object = base.object(oid);
-            let refs: Vec<PhysicalOid> = object
-                .refs
-                .iter()
-                .map(|&target| phys_of[target as usize])
-                .collect();
-            let payload = serialize_object(oid, &refs, object.size);
-            let slot = slotted.insert(&payload);
+            let refs = object.refs.iter().map(|&target| phys_of[target as usize]);
+            let slot = slotted.insert_with(object.size, |out| write_object(oid, refs, out));
             debug_assert_eq!(slot, phys_of[oid as usize].slot);
         }
         pages.push(slotted);
@@ -135,16 +153,24 @@ mod tests {
         (base, placement)
     }
 
+    /// `write_object` into a fresh `size`-byte buffer.
+    fn encode(oid: Oid, refs: &[PhysicalOid], size: usize) -> Vec<u8> {
+        let mut payload = vec![0; size];
+        write_object(oid, refs.iter().copied(), &mut payload);
+        payload
+    }
+
     #[test]
     fn serialize_round_trip() {
         let refs = vec![
             PhysicalOid { page: 1, slot: 2 },
             PhysicalOid { page: 3, slot: 4 },
         ];
-        let payload = serialize_object(42, &refs, 128);
-        assert_eq!(payload.len(), 128);
+        let payload = encode(42, &refs, 128);
         assert_eq!(payload_oid(&payload), 42);
-        assert_eq!(payload_refs(&payload), refs);
+        assert_eq!(payload_refs(&payload).collect::<Vec<_>>(), refs);
+        assert!(payload[8..16].iter().all(|&b| b == 0));
+        assert!(payload[32..].iter().all(|&b| b == FILL));
     }
 
     #[test]
@@ -153,18 +179,19 @@ mod tests {
             PhysicalOid { page: 1, slot: 2 },
             PhysicalOid { page: 3, slot: 4 },
         ];
-        let mut payload = serialize_object(7, &refs, 100);
-        patch_ref(&mut payload, 1, PhysicalOid { page: 9, slot: 9 });
-        let got = payload_refs(&payload);
-        assert_eq!(got[0], refs[0]);
-        assert_eq!(got[1], PhysicalOid { page: 9, slot: 9 });
+        let mut payload = encode(7, &refs, 100);
+        let moved = PhysicalOid { page: 9, slot: 9 };
+        let relocate = |r: PhysicalOid| (r == refs[1]).then_some(moved);
+        assert!(patch_refs(&mut payload, relocate));
+        assert_eq!(payload_refs(&payload).collect::<Vec<_>>(), [refs[0], moved]);
+        assert!(!patch_refs(&mut payload, relocate), "nothing left to patch");
     }
 
     #[test]
     #[should_panic(expected = "cannot hold")]
     fn undersized_object_rejected() {
         let refs = vec![PhysicalOid { page: 0, slot: 0 }; 10];
-        let _ = serialize_object(1, &refs, 32);
+        let _ = encode(1, &refs, 32);
     }
 
     #[test]
@@ -192,8 +219,8 @@ mod tests {
             let payload = pages[phys.page as usize].get(phys.slot).unwrap();
             let refs = payload_refs(payload);
             assert_eq!(refs.len(), object.refs.len());
-            for (stored, &logical_target) in refs.iter().zip(object.refs.iter()) {
-                assert_eq!(*stored, phys_of[logical_target as usize]);
+            for (stored, &logical_target) in refs.zip(object.refs.iter()) {
+                assert_eq!(stored, phys_of[logical_target as usize]);
                 // Follow the stored reference: the payload there must carry
                 // the target's logical OID.
                 let target_payload = pages[stored.page as usize].get(stored.slot).unwrap();

@@ -31,7 +31,6 @@ use crate::storage::{assign_physical_oids, payload_oid, payload_refs};
 use bufmgr::{AccessOutcome, BufferPool, PolicyKind};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
 use ocb::{ObjectBase, Transaction};
-use std::collections::BTreeSet;
 
 /// Pages of usable frame memory per MB of machine memory.
 ///
@@ -131,6 +130,9 @@ pub struct TexasEngine<'a> {
     counters: TexasCounters,
     /// Last page that took a fault, for the OS read-ahead heuristic.
     last_fault: Option<PageId>,
+    /// Scratch list of a faulted page's reference targets, kept across
+    /// faults so swizzling allocates nothing.
+    targets: Vec<PageId>,
 }
 
 impl<'a> TexasEngine<'a> {
@@ -165,6 +167,7 @@ impl<'a> TexasEngine<'a> {
             strategy,
             counters: TexasCounters::default(),
             last_fault: None,
+            targets: Vec::new(),
         }
     }
 
@@ -242,7 +245,11 @@ impl<'a> TexasEngine<'a> {
         &mut self.disk
     }
 
-    pub(crate) fn phys_of_mut(&mut self) -> &mut Vec<PhysicalOid> {
+    pub(crate) fn phys_of(&self) -> &[PhysicalOid] {
+        &self.phys_of
+    }
+
+    pub(crate) fn phys_of_mut(&mut self) -> &mut [PhysicalOid] {
         &mut self.phys_of
     }
 
@@ -254,19 +261,18 @@ impl<'a> TexasEngine<'a> {
         self.vm = BufferPool::new(self.config.memory_pages, PolicyKind::Lru);
     }
 
-    /// Distinct pages referenced by the live objects of `page`.
-    fn referenced_pages(&self, page: PageId) -> Vec<PageId> {
+    /// Number of distinct other pages the live objects of `page` reference.
+    fn referenced_pages(&mut self, page: PageId) -> usize {
+        let targets = &mut self.targets;
+        targets.clear();
         let slotted = self.disk.peek(page);
-        let mut targets = BTreeSet::new();
         for slot in slotted.live_slots() {
             let payload = slotted.get(slot).expect("live slot");
-            for r in payload_refs(payload) {
-                if r.page != page {
-                    targets.insert(r.page);
-                }
-            }
+            targets.extend(payload_refs(payload).map(|r| r.page).filter(|&p| p != page));
         }
-        targets.into_iter().collect()
+        targets.sort_unstable();
+        targets.dedup();
+        targets.len()
     }
 
     /// Swizzle step: rewrite the faulted page's pointers (it is now dirty)
@@ -276,7 +282,7 @@ impl<'a> TexasEngine<'a> {
         if !self.config.swizzle {
             return;
         }
-        self.counters.reservations += self.referenced_pages(page).len() as u64;
+        self.counters.reservations += self.referenced_pages(page) as u64;
         self.vm.mark_dirty(page);
     }
 

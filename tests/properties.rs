@@ -166,7 +166,7 @@ proptest! {
             prop_assert_eq!(oostore::payload_oid(payload), oid);
             let refs = oostore::payload_refs(payload);
             prop_assert_eq!(refs.len(), object.refs.len());
-            for (stored, &logical) in refs.iter().zip(object.refs.iter()) {
+            for (stored, &logical) in refs.zip(object.refs.iter()) {
                 let target = engine
                     .disk_ref()
                     .peek(stored.page)
