@@ -111,46 +111,59 @@ impl BufferingManager {
     /// Accesses `page` (`write` dirties it). In swizzling mode, a miss
     /// additionally dirties the loaded page (Texas rewrote its pointers).
     pub fn access(&mut self, page: PageId, write: bool) -> BufferDemand {
+        let mut demand = BufferDemand::default();
+        demand.hit = self.access_into(page, write, &mut demand.writes, &mut demand.reads);
+        demand
+    }
+
+    /// [`Self::access`] into caller-owned buffers: appends the demand's
+    /// write-backs to `writes` and its reads to `reads`, and returns
+    /// whether the access was a hit. The model keeps the buffers per
+    /// transaction, so a miss allocates nothing.
+    pub fn access_into(
+        &mut self,
+        page: PageId,
+        write: bool,
+        writes: &mut Vec<PageId>,
+        reads: &mut Vec<PageId>,
+    ) -> bool {
         let swizzle = matches!(self.mode, Mode::Swizzling(_));
         let pool = match &mut self.mode {
             Mode::Standard(pool) | Mode::Swizzling(pool) => pool,
         };
-        let mut demand = BufferDemand::default();
         match pool.access(page, write) {
             AccessOutcome::Hit => {
-                demand.hit = true;
                 self.stats.hits += 1;
+                true
             }
             AccessOutcome::Miss { evicted } => {
                 self.stats.misses += 1;
                 if let Some((victim, true)) = evicted {
-                    demand.writes.push(victim);
+                    writes.push(victim);
                 }
-                demand.reads.push(page);
+                reads.push(page);
                 if swizzle {
                     pool.mark_dirty(page);
                     self.stats.swizzled += 1;
                 }
+                false
             }
         }
-        demand
     }
 
-    /// Stages `page` without hit/miss accounting (prefetch). Returns the
-    /// demand (a read for the page unless already present, plus dirty
-    /// write-backs).
-    pub fn prefetch(&mut self, page: PageId) -> BufferDemand {
+    /// Stages `page` without hit/miss accounting (prefetch), appending
+    /// the demand as [`Self::access_into`] does: a read for the page
+    /// unless already present, plus its dirty write-back.
+    pub fn prefetch(&mut self, page: PageId, writes: &mut Vec<PageId>, reads: &mut Vec<PageId>) {
         let pool = match &mut self.mode {
             Mode::Standard(pool) | Mode::Swizzling(pool) => pool,
         };
-        let mut demand = BufferDemand::default();
         if !pool.contains(page) {
             if let Some((victim, true)) = pool.prefetch(page) {
-                demand.writes.push(victim);
+                writes.push(victim);
             }
-            demand.reads.push(page);
+            reads.push(page);
         }
-        demand
     }
 
     /// Is `page` loaded?
@@ -256,8 +269,9 @@ mod tests {
     #[test]
     fn prefetch_loads_without_accounting() {
         let mut bman = BufferingManager::standard(4, PolicyKind::Lru);
-        let d = bman.prefetch(9);
-        assert_eq!(d.reads, vec![9]);
+        let (mut writes, mut reads) = (Vec::new(), Vec::new());
+        bman.prefetch(9, &mut writes, &mut reads);
+        assert_eq!((writes, reads), (vec![], vec![9]));
         assert_eq!(bman.stats().misses, 0);
         assert!(bman.access(9, false).hit);
     }

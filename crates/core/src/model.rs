@@ -63,14 +63,28 @@
 //! ### Events that decide nothing
 //!
 //! Following DESP-C++, every functioning rule is an event, but an
-//! event certain to be dispatched next that only does bookkeeping is
-//! not put on the event list: [`desp::Context::next_event_time`] proves
-//! it is next. Two sites use this. Saturated cohort wakes join the
-//! admission ring as one run (above). The zero-delay
-//! [`Event::AccessDone`] → [`Event::StartAccess`] hops of an object
-//! access run inline, in a loop, while no other event is due at the
-//! current instant — an all-hit traversal runs as one dispatch. Either
-//! way the simulation is unchanged: only [`PhaseResult::events`] counts
+//! event certain to be dispatched next is not put on the event list:
+//! the model does its work at once. One rule decides it,
+//! [`desp::Context::advance_to`]: no event is pending at or before the
+//! event's instant, the instant is within the run's horizon, and the run
+//! was not stopped. Every step of an object access and of the commit
+//! asks it in tail position: `StartAccess` → `LockCpu` → `LockHeld` →
+//! `DiskGranted` → `DiskDone` → `NetGranted` → `NetDone` → `AccessDone`,
+//! and `CommitCpu` → `Committed`. A step that requests a free resource
+//! takes it with [`desp::Resource::try_acquire`] (recorded exactly as a
+//! granting request) and runs the continuation inline; a timed step
+//! advances the clock to `now + delay`, the instant the event would have
+//! carried. The first step refused goes through the event list as
+//! before. Each step function returns whether the access completed at
+//! the instant the chain reached, and `run_hops` loops across accesses,
+//! so a chain adds a constant depth of frames however long the
+//! transaction. With one user in flight a transaction dispatches its
+//! submission and its admission, nothing else.
+//!
+//! Saturated cohort wakes use the same proof in batch: the wakes before
+//! the next pending event join the admission ring as one run
+//! ([`desp::Context::next_event_time`] bounds it; see above). Either way
+//! the simulation is unchanged: only [`PhaseResult::events`] counts
 //! fewer dispatches.
 //!
 //! ### Determinism
@@ -479,18 +493,63 @@ impl<'a> VoodbModel<'a> {
         let t = self.slab.get_mut(tid);
         let oid = t.current().oid;
         let needs_lock_time = t.lock(oid);
-        if ctx.tracing() {
-            // Grant instant minus the request instant saved at
-            // StartAccess; emitted as the LockWait stage at commit.
-            let waited = ctx.now().as_ms() - t.marks.lock_req_ms;
-            t.marks.lock_wait_ms += waited;
-        }
         if needs_lock_time && self.params.get_lock_ms > 0.0 {
-            self.cpu.request(Event::LockCpu(tid), ctx);
-            false
+            seize(&mut self.cpu, Event::LockCpu(tid), ctx) && self.lock_cpu(tid, ctx)
         } else {
             self.access_storage(tid, ctx)
         }
+    }
+
+    /// [`Event::LockResume`]: a parked lock request was granted. Its wait
+    /// (grant instant minus the instant it was queued) goes into the
+    /// LockWait stage; a lock granted at request time waits nothing.
+    #[must_use]
+    fn lock_resumed<P: Probe, Q: QueueKind>(
+        &mut self,
+        tid: Tid,
+        ctx: &mut Context<'_, Event, P, Q>,
+    ) -> bool {
+        if ctx.tracing() {
+            let t = self.slab.get_mut(tid);
+            t.marks.lock_wait_ms += ctx.now().as_ms() - t.marks.lock_req_ms;
+        }
+        self.after_lock_granted(tid, ctx)
+    }
+
+    /// [`Event::LockCpu`]: the CPU is granted for GETLOCK, held for
+    /// `get_lock_ms`. Returns true when the access completed at the
+    /// instant the step chain reached.
+    #[must_use]
+    fn lock_cpu<P: Probe, Q: QueueKind>(
+        &mut self,
+        tid: Tid,
+        ctx: &mut Context<'_, Event, P, Q>,
+    ) -> bool {
+        let t = self.slab.get_mut(tid);
+        t.holding_cpu = true;
+        if ctx.tracing() {
+            t.marks.cpu_start_ms = ctx.now().as_ms();
+        }
+        advance_or_schedule(self.params.get_lock_ms, Event::LockHeld(tid), ctx)
+            && self.lock_held(tid, ctx)
+    }
+
+    /// [`Event::LockHeld`]: the lock time elapsed; the CPU is released
+    /// and the storage pipeline starts.
+    #[must_use]
+    fn lock_held<P: Probe, Q: QueueKind>(
+        &mut self,
+        tid: Tid,
+        ctx: &mut Context<'_, Event, P, Q>,
+    ) -> bool {
+        let t = self.slab.get_mut(tid);
+        t.holding_cpu = false;
+        if ctx.tracing() {
+            let held = ctx.now().as_ms() - t.marks.cpu_start_ms;
+            t.marks.cpu_ms += held;
+        }
+        self.cpu.release(ctx);
+        self.access_storage(tid, ctx)
     }
 
     /// Deadlock victim: release everything, restart from the top after a
@@ -510,9 +569,12 @@ impl<'a> VoodbModel<'a> {
             ctx.schedule_now(Event::LockResume(other));
         }
         let t = self.slab.get_mut(tid);
+        if ctx.tracing() {
+            // The pass's completed accesses count: the restart redoes them.
+            t.marks.accesses += t.pos as u64;
+        }
         t.pos = 0;
         t.locked.clear();
-        t.pending_io = None;
         ctx.schedule(backoff_ms, Event::TxRestart(tid));
     }
 
@@ -725,10 +787,6 @@ impl<'a> VoodbModel<'a> {
         }
     }
 
-    fn site_of(&self, page: u32) -> usize {
-        (page as usize) % self.bman.len()
-    }
-
     /// One think-time draw with mean `mean_ms`. A zero mean draws
     /// nothing from the stream, so zero-think cohorts stay
     /// bit-compatible with the historical `think_time_ms == 0` path.
@@ -816,7 +874,7 @@ impl<'a> VoodbModel<'a> {
         let now = ctx.now();
         while !self.exhausted
             && self.clocks[c].peek().is_some_and(|key| key <= now_key)
-            && self.scheduler.try_acquire(now)
+            && self.scheduler.try_acquire(ctx)
         {
             self.clocks[c].pop();
             self.admit_cohort_user(c as u32, now, ctx);
@@ -916,7 +974,7 @@ impl<'a> VoodbModel<'a> {
         }) else {
             return;
         };
-        let granted = self.scheduler.try_acquire(ctx.now());
+        let granted = self.scheduler.try_acquire(ctx);
         debug_assert!(granted, "a just-released MPL seat must be grantable");
         self.admit_cohort_user(entry.cohort, entry.submitted, ctx);
     }
@@ -950,8 +1008,9 @@ impl<'a> VoodbModel<'a> {
     }
 
     /// Buffering Manager + I/O Subsystem step for the current access.
-    /// Returns true when the access completed at this instant (a hit
-    /// needing no transfer): the caller owes it the
+    /// Returns true when the access completed at the instant the step
+    /// chain reached (a hit needing no transfer, or a miss whose disk
+    /// and network steps all ran inline): the caller owes it the
     /// [`AccessHop::AccessDone`] hop.
     #[must_use]
     fn access_storage<P: Probe, Q: QueueKind>(
@@ -959,37 +1018,68 @@ impl<'a> VoodbModel<'a> {
         tid: Tid,
         ctx: &mut Context<'_, Event, P, Q>,
     ) -> bool {
-        let (oid, write) = {
-            let t = self.slab.get(tid);
-            (t.current().oid, t.current().write)
-        };
+        let sites = self.bman.len();
+        let t = self.slab.get_mut(tid);
+        let (oid, write) = (t.current().oid, t.current().write);
         let page = self.oman.page_of(oid);
-        let site = self.site_of(page);
-        let demand = self.bman[site].access(page, write);
-        let mut writes = demand.writes;
-        let mut reads = demand.reads;
+        let site = page as usize % sites;
+        t.io_writes.clear();
+        t.io_reads.clear();
+        let hit = self.bman[site].access_into(page, write, &mut t.io_writes, &mut t.io_reads);
         // Prefetching (Table 3 PREFETCH) on a miss.
-        if !demand.hit {
+        if !hit {
             let staged = self.prefetcher.after_miss(page, self.oman.page_count());
             for p in staged {
-                if self.site_of(p) == site {
-                    let extra = self.bman[site].prefetch(p);
-                    writes.extend(extra.writes);
-                    reads.extend(extra.reads);
+                if p as usize % sites == site {
+                    self.bman[site].prefetch(p, &mut t.io_writes, &mut t.io_reads);
                 }
             }
         }
-        if writes.is_empty() && reads.is_empty() {
-            self.leave_storage(tid, ctx)
-        } else {
-            let t = self.slab.get_mut(tid);
-            t.pending_io = Some((writes, reads, site));
-            if ctx.tracing() {
-                t.marks.disk_req_ms = ctx.now().as_ms();
-            }
-            self.disks[site].request(Event::DiskGranted(tid), ctx);
-            false
+        if t.io_writes.is_empty() && t.io_reads.is_empty() {
+            return self.leave_storage(tid, ctx);
         }
+        t.pending_io = Some(site);
+        if ctx.tracing() {
+            t.marks.disk_req_ms = ctx.now().as_ms();
+        }
+        seize(&mut self.disks[site], Event::DiskGranted(tid), ctx) && self.disk_granted(tid, ctx)
+    }
+
+    /// [`Event::DiskGranted`]: the disk services the access's I/O batch.
+    #[must_use]
+    fn disk_granted<P: Probe, Q: QueueKind>(
+        &mut self,
+        tid: Tid,
+        ctx: &mut Context<'_, Event, P, Q>,
+    ) -> bool {
+        let t = self.slab.get_mut(tid);
+        if ctx.tracing() {
+            let now_ms = ctx.now().as_ms();
+            t.marks.disk_wait_ms += now_ms - t.marks.disk_req_ms;
+            t.marks.disk_start_ms = now_ms;
+        }
+        // audit: the disk is requested only after pending_io is set
+        let site = t.pending_io.expect("pending I/O");
+        let duration = self.iosub[site].service_batch(&t.io_writes, &t.io_reads);
+        advance_or_schedule(duration, Event::DiskDone(tid), ctx) && self.disk_done(tid, ctx)
+    }
+
+    /// [`Event::DiskDone`]: the I/O batch completed; the disk is
+    /// released and the page goes on to the network, if any.
+    #[must_use]
+    fn disk_done<P: Probe, Q: QueueKind>(
+        &mut self,
+        tid: Tid,
+        ctx: &mut Context<'_, Event, P, Q>,
+    ) -> bool {
+        let t = self.slab.get_mut(tid);
+        if ctx.tracing() {
+            t.marks.disk_service_ms += ctx.now().as_ms() - t.marks.disk_start_ms;
+        }
+        // audit: set at the disk request, taken only here
+        let site = t.pending_io.take().expect("pending I/O site");
+        self.disks[site].release(ctx);
+        self.leave_storage(tid, ctx)
     }
 
     /// After the page is available: network shipping for client-server
@@ -1018,11 +1108,44 @@ impl<'a> VoodbModel<'a> {
             if ctx.tracing() {
                 t.marks.net_req_ms = ctx.now().as_ms();
             }
-            self.network.request(Event::NetGranted(tid), ctx);
-            false
+            seize(&mut self.network, Event::NetGranted(tid), ctx) && self.net_granted(tid, ctx)
         } else {
             true
         }
+    }
+
+    /// [`Event::NetGranted`]: the network ships the access's bytes.
+    #[must_use]
+    fn net_granted<P: Probe, Q: QueueKind>(
+        &mut self,
+        tid: Tid,
+        ctx: &mut Context<'_, Event, P, Q>,
+    ) -> bool {
+        let t = self.slab.get_mut(tid);
+        if ctx.tracing() {
+            let now_ms = ctx.now().as_ms();
+            t.marks.net_wait_ms += now_ms - t.marks.net_req_ms;
+            t.marks.net_start_ms = now_ms;
+        }
+        let ms = self.params.transfer_ms(t.pending_net);
+        advance_or_schedule(ms, Event::NetDone(tid), ctx) && self.net_done(tid, ctx)
+    }
+
+    /// [`Event::NetDone`]: the transfer completed, and with it the
+    /// access (always true: the caller owes the access its
+    /// [`AccessHop::AccessDone`] hop).
+    #[must_use]
+    fn net_done<P: Probe, Q: QueueKind>(
+        &mut self,
+        tid: Tid,
+        ctx: &mut Context<'_, Event, P, Q>,
+    ) -> bool {
+        if ctx.tracing() {
+            let t = self.slab.get_mut(tid);
+            t.marks.net_service_ms += ctx.now().as_ms() - t.marks.net_start_ms;
+        }
+        self.network.release(ctx);
+        true
     }
 
     /// The transaction's next access, or its commit once all are done.
@@ -1040,9 +1163,6 @@ impl<'a> VoodbModel<'a> {
         if done {
             self.begin_commit(tid, ctx);
             return false;
-        }
-        if ctx.tracing() {
-            self.slab.get_mut(tid).marks.lock_req_ms = ctx.now().as_ms();
         }
         match self.params.concurrency {
             ConcurrencyControl::TimedOnly => self.after_lock_granted(tid, ctx),
@@ -1069,6 +1189,9 @@ impl<'a> VoodbModel<'a> {
                     LockOutcome::Queued => {
                         // Parked: resumed by a LockResume when the
                         // conflicting holder releases.
+                        if ctx.tracing() {
+                            self.slab.get_mut(tid).marks.lock_req_ms = ctx.now().as_ms();
+                        }
                         false
                     }
                     LockOutcome::Deadlock => {
@@ -1082,33 +1205,23 @@ impl<'a> VoodbModel<'a> {
 
     /// The object access is complete: advance to the next one and let
     /// the Clustering Manager observe the traversal.
-    fn finish_access<P: Probe, Q: QueueKind>(
-        &mut self,
-        tid: Tid,
-        ctx: &mut Context<'_, Event, P, Q>,
-    ) {
-        let (parent, oid) = {
-            let t = self.slab.get_mut(tid);
-            let access = *t.current();
-            t.pos += 1;
-            if ctx.tracing() {
-                // Counted, not emitted: the total goes out as one
-                // Accesses stage right before Committed.
-                t.marks.accesses += 1;
-            }
-            (access.parent, access.oid)
-        };
-        self.cman.observe(parent, oid);
+    fn finish_access(&mut self, tid: Tid) {
+        let t = self.slab.get_mut(tid);
+        let access = *t.current();
+        t.pos += 1;
+        self.cman.observe(access.parent, access.oid);
     }
 
     /// Runs `tid`'s zero-delay access hops, starting with `hop`, inline
-    /// for as long as no other event is due now. Such a hop is certain
-    /// to be the next event dispatched, so running it here is the same
-    /// simulation with one event-list round trip fewer. The first hop
-    /// that would queue behind a pending event goes through the event
-    /// list; a hop that waits on a resource, a lock or a commit ends
-    /// the chain. A loop, not recursion: an all-hit transaction chains
-    /// two hops per access, however many accesses it has.
+    /// for as long as [`Context::advance_to`] at the current instant
+    /// proves each is the next event dispatched; running it here is the
+    /// same simulation with one event-list round trip fewer. The first
+    /// hop that would queue behind a pending event goes through the
+    /// event list; a step that waits on a resource, a lock or a later
+    /// event ends the chain, as does the commit. A loop, not
+    /// recursion: each access adds a constant chain of step frames
+    /// below this one, and unwinds it before the next, however many
+    /// accesses the transaction has.
     fn run_hops<P: Probe, Q: QueueKind>(
         &mut self,
         tid: Tid,
@@ -1116,8 +1229,7 @@ impl<'a> VoodbModel<'a> {
         ctx: &mut Context<'_, Event, P, Q>,
     ) {
         loop {
-            let now = ctx.now();
-            if ctx.next_event_time().is_some_and(|at| at <= now) {
+            if !ctx.advance_to(ctx.now()) {
                 ctx.schedule_now(match hop {
                     AccessHop::StartAccess => Event::StartAccess(tid),
                     AccessHop::AccessDone => Event::AccessDone(tid),
@@ -1132,14 +1244,14 @@ impl<'a> VoodbModel<'a> {
                     hop = AccessHop::AccessDone;
                 }
                 AccessHop::AccessDone => {
-                    self.finish_access(tid, ctx);
+                    self.finish_access(tid);
                     hop = AccessHop::StartAccess;
                 }
             }
         }
     }
 
-    /// Commit: lock releases, scheduler release, statistics, user restart.
+    /// Commit: lock releases (RELLOCK CPU time), then the commit.
     fn begin_commit<P: Probe, Q: QueueKind>(
         &mut self,
         tid: Tid,
@@ -1147,9 +1259,40 @@ impl<'a> VoodbModel<'a> {
     ) {
         let locked = self.slab.get(tid).locked.len();
         if self.params.release_lock_ms > 0.0 && locked > 0 {
-            self.cpu.request(Event::CommitCpu(tid), ctx);
-        } else {
-            ctx.schedule_now(Event::Committed(tid));
+            if seize(&mut self.cpu, Event::CommitCpu(tid), ctx) {
+                self.commit_cpu(tid, ctx);
+            }
+        } else if advance_or_schedule(0.0, Event::Committed(tid), ctx) {
+            self.finish_transaction(tid, ctx);
+        }
+    }
+
+    /// [`Event::CommitCpu`]: the CPU is granted for the commit-time lock
+    /// releases, held until the commit.
+    fn commit_cpu<P: Probe, Q: QueueKind>(&mut self, tid: Tid, ctx: &mut Context<'_, Event, P, Q>) {
+        let t = self.slab.get_mut(tid);
+        let locked = t.locked.len();
+        t.holding_cpu = true;
+        if ctx.tracing() {
+            t.marks.cpu_start_ms = ctx.now().as_ms();
+        }
+        let delay = self.params.release_lock_ms * locked as f64;
+        if advance_or_schedule(delay, Event::Committed(tid), ctx) {
+            self.finish_transaction(tid, ctx);
+        }
+    }
+
+    /// Dispatches pipeline step `step` of `tid`; an access it completes
+    /// goes on to its [`AccessHop::AccessDone`] hop.
+    #[inline]
+    fn resume<P: Probe, Q: QueueKind>(
+        &mut self,
+        tid: Tid,
+        step: impl FnOnce(&mut Self, Tid, &mut Context<'_, Event, P, Q>) -> bool,
+        ctx: &mut Context<'_, Event, P, Q>,
+    ) {
+        if step(self, tid, ctx) {
+            self.run_hops(tid, AccessHop::AccessDone, ctx);
         }
     }
 
@@ -1160,13 +1303,16 @@ impl<'a> VoodbModel<'a> {
     ) {
         let (serial, user, submitted, tx_measured, holding_cpu, mut marks) = {
             let t = self.slab.get(tid);
+            let mut marks = t.marks;
+            // Every access of the last pass completed.
+            marks.accesses += t.pos as u64;
             (
                 t.serial,
                 t.user,
                 t.submitted,
                 t.measured,
                 t.holding_cpu,
-                t.marks,
+                marks,
             )
         };
         if matches!(self.params.concurrency, ConcurrencyControl::TwoPhase { .. }) {
@@ -1259,6 +1405,49 @@ impl<'a> VoodbModel<'a> {
             // transaction. Open arrivals flow independently of commits.
             self.resubmit_user(user, ctx);
         }
+    }
+}
+
+/// Requests a unit of `resource` for `continuation`. Returns true when
+/// the unit was free and nothing else is due now, so the continuation
+/// would be the next event dispatched: the caller runs its work inline
+/// instead. Otherwise the request is completed as usual (the grant's
+/// continuation scheduled, or the request queued) and the caller stops.
+#[must_use]
+#[inline]
+fn seize<P: Probe, Q: QueueKind>(
+    resource: &mut Resource<Event>,
+    continuation: Event,
+    ctx: &mut Context<'_, Event, P, Q>,
+) -> bool {
+    if !resource.try_acquire(ctx) {
+        resource.request(continuation, ctx);
+        false
+    } else if ctx.advance_to(ctx.now()) {
+        true
+    } else {
+        ctx.schedule_now(continuation);
+        false
+    }
+}
+
+/// Advances the clock `delay_ms` when `event`, scheduled that far
+/// ahead, would be the next event dispatched: the caller then runs its
+/// work inline, at the instant `ctx.schedule` would have given it.
+/// Otherwise schedules `event` there and returns false.
+#[must_use]
+#[inline]
+fn advance_or_schedule<P: Probe, Q: QueueKind>(
+    delay_ms: f64,
+    event: Event,
+    ctx: &mut Context<'_, Event, P, Q>,
+) -> bool {
+    let at = ctx.now() + delay_ms;
+    if ctx.advance_to(at) {
+        true
+    } else {
+        ctx.schedule_at(at, event);
+        false
     }
 }
 
@@ -1367,11 +1556,7 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                 ctx.emit_span(tid as u32, serial as u64, SpanPoint::Admitted);
                 self.run_hops(tid, AccessHop::StartAccess, ctx);
             }
-            Event::StartAccess(tid) => {
-                if self.start_access(tid, ctx) {
-                    self.run_hops(tid, AccessHop::AccessDone, ctx);
-                }
-            }
+            Event::StartAccess(tid) => self.resume(tid, Self::start_access, ctx),
             Event::LockResume(serial) => {
                 // The lock manager already holds the lock for us.
                 let tid = self
@@ -1379,105 +1564,20 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                     .slot_of_serial(serial)
                     // audit: commit/abort purge the serial's lock entries first
                     .expect("resumed transaction is live");
-                if self.after_lock_granted(tid, ctx) {
-                    self.run_hops(tid, AccessHop::AccessDone, ctx);
-                }
+                self.resume(tid, Self::lock_resumed, ctx);
             }
             Event::TxRestart(tid) => self.run_hops(tid, AccessHop::StartAccess, ctx),
-            Event::LockCpu(tid) => {
-                let t = self.slab.get_mut(tid);
-                t.holding_cpu = true;
-                if ctx.tracing() {
-                    t.marks.cpu_start_ms = ctx.now().as_ms();
-                }
-                ctx.schedule(self.params.get_lock_ms, Event::LockHeld(tid));
-            }
-            Event::LockHeld(tid) => {
-                let t = self.slab.get_mut(tid);
-                t.holding_cpu = false;
-                if ctx.tracing() {
-                    let held = ctx.now().as_ms() - t.marks.cpu_start_ms;
-                    t.marks.cpu_ms += held;
-                }
-                self.cpu.release(ctx);
-                if self.access_storage(tid, ctx) {
-                    self.run_hops(tid, AccessHop::AccessDone, ctx);
-                }
-            }
-            Event::DiskGranted(tid) => {
-                if ctx.tracing() {
-                    let now_ms = ctx.now().as_ms();
-                    let t = self.slab.get_mut(tid);
-                    t.marks.disk_wait_ms += now_ms - t.marks.disk_req_ms;
-                    t.marks.disk_start_ms = now_ms;
-                }
-                let (writes, reads, site) = self
-                    .slab
-                    .get_mut(tid)
-                    .pending_io
-                    .take()
-                    // audit: DiskGranted only follows a request that set pending_io
-                    .expect("pending I/O");
-                let duration = self.iosub[site].service_batch(&writes, &reads);
-                // Remember the site for the release.
-                self.slab.get_mut(tid).pending_io = Some((Vec::new(), Vec::new(), site));
-                ctx.schedule(duration, Event::DiskDone(tid));
-            }
-            Event::DiskDone(tid) => {
-                if ctx.tracing() {
-                    let now_ms = ctx.now().as_ms();
-                    let t = self.slab.get_mut(tid);
-                    t.marks.disk_service_ms += now_ms - t.marks.disk_start_ms;
-                }
-                let site = self
-                    .slab
-                    .get_mut(tid)
-                    .pending_io
-                    .take()
-                    // audit: DiskGranted re-stored the site marker before DiskDone
-                    .expect("site marker")
-                    .2;
-                self.disks[site].release(ctx);
-                if self.leave_storage(tid, ctx) {
-                    self.run_hops(tid, AccessHop::AccessDone, ctx);
-                }
-            }
-            Event::NetGranted(tid) => {
-                let t = self.slab.get_mut(tid);
-                let bytes = t.pending_net;
-                if ctx.tracing() {
-                    let now_ms = ctx.now().as_ms();
-                    t.marks.net_wait_ms += now_ms - t.marks.net_req_ms;
-                    t.marks.net_start_ms = now_ms;
-                }
-                let ms = self.params.transfer_ms(bytes);
-                ctx.schedule(ms, Event::NetDone(tid));
-            }
-            Event::NetDone(tid) => {
-                if ctx.tracing() {
-                    let now_ms = ctx.now().as_ms();
-                    let t = self.slab.get_mut(tid);
-                    t.marks.net_service_ms += now_ms - t.marks.net_start_ms;
-                }
-                self.network.release(ctx);
-                self.run_hops(tid, AccessHop::AccessDone, ctx);
-            }
+            Event::LockCpu(tid) => self.resume(tid, Self::lock_cpu, ctx),
+            Event::LockHeld(tid) => self.resume(tid, Self::lock_held, ctx),
+            Event::DiskGranted(tid) => self.resume(tid, Self::disk_granted, ctx),
+            Event::DiskDone(tid) => self.resume(tid, Self::disk_done, ctx),
+            Event::NetGranted(tid) => self.resume(tid, Self::net_granted, ctx),
+            Event::NetDone(tid) => self.resume(tid, Self::net_done, ctx),
             Event::AccessDone(tid) => {
-                self.finish_access(tid, ctx);
+                self.finish_access(tid);
                 self.run_hops(tid, AccessHop::StartAccess, ctx);
             }
-            Event::CommitCpu(tid) => {
-                let t = self.slab.get_mut(tid);
-                let locked = t.locked.len();
-                t.holding_cpu = true;
-                if ctx.tracing() {
-                    t.marks.cpu_start_ms = ctx.now().as_ms();
-                }
-                ctx.schedule(
-                    self.params.release_lock_ms * locked as f64,
-                    Event::Committed(tid),
-                );
-            }
+            Event::CommitCpu(tid) => self.commit_cpu(tid, ctx),
             Event::Committed(tid) => self.finish_transaction(tid, ctx),
             Event::ReorgGranted { user } => {
                 let report = self.cman.reorganize(
@@ -2462,34 +2562,178 @@ mod tests {
     }
 
     #[test]
-    fn a_long_all_hit_transaction_runs_in_a_small_stack() {
-        // Access hops run inline in a loop: one transaction of 100k
-        // buffer hits must not grow the stack per access.
-        let accesses = 100_000;
-        let outcome = std::thread::Builder::new()
+    fn contended_page_server_results_are_pinned() {
+        // Page servers over a 1 MB/s network, 8 zero-think users at
+        // MPL 4 and an 8-page buffer: the CPU, the disks and the network
+        // are contended, and steps of different transactions meet at
+        // the same instants. A step run inline past an event due at or
+        // before its instant reorders them. On two server sites that
+        // moves every value pinned here (checked by letting
+        // `advance_to` pass a tie); the single site keeps the
+        // configuration the default page server runs. The expected
+        // values are the results of the implementation that dispatched
+        // every step as an event.
+        let base = base();
+        let wl = WorkloadParams {
+            hot_transactions: 60,
+            p_write: 0.3,
+            ..WorkloadParams::default()
+        };
+        let wait_die = ConcurrencyControl::TwoPhase {
+            restart_backoff_ms: 5.0,
+            deadlock: crate::lockmgr::DeadlockPolicy::WaitDie,
+        };
+        let timed = ConcurrencyControl::TimedOnly;
+        let two_sites = SystemClass::HybridMultiServer { servers: 2 };
+        let no_locks = LockStats::default();
+        let locks = |immediate_grants, waits, deadlocks| LockStats {
+            immediate_grants,
+            waits,
+            deadlocks,
+        };
+        for (system_class, concurrency, ios, response_bits, lock_stats) in [
+            (
+                SystemClass::PageServer,
+                timed,
+                9_608,
+                0x40cd_4b6f_0369_cc7f,
+                no_locks,
+            ),
+            (
+                SystemClass::PageServer,
+                wait_die,
+                25_434,
+                0x40e4_1174_6eee_f47c,
+                locks(38_277, 386, 31_667),
+            ),
+            (two_sites, timed, 9_668, 0x40c2_07ac_740d_a68a, no_locks),
+            (
+                two_sites,
+                wait_die,
+                26_253,
+                0x40dd_51c9_3a06_d59c,
+                locks(33_987, 221, 24_914),
+            ),
+        ] {
+            for user_model in [UserModel::PerUser, UserModel::Cohort] {
+                let params = VoodbParams {
+                    system_class,
+                    buffer_pages: 8,
+                    multiprogramming_level: 4,
+                    users: 8,
+                    concurrency,
+                    ..VoodbParams::default()
+                };
+                let (model, events) =
+                    run_closed_workload(&base, params, 0.0, user_model, &[], wl.clone(), 5);
+                let result = model.phase_result(events);
+                let case = format!("{system_class:?} {concurrency:?} {user_model:?}");
+                assert_eq!(result.transactions, 60, "{case}");
+                assert_eq!(result.total_ios(), ios, "{case}");
+                assert_eq!(result.mean_response_ms.to_bits(), response_bits, "{case}");
+                assert_eq!(model.lock_stats(), lock_stats, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_user_count_phase_dispatches_a_few_events_per_transaction() {
+        // With one user every step of a transaction is certain to be
+        // dispatched next, so only its submission and admission go
+        // through the event list: lock CPU, disk and network steps and
+        // the commit all run inline.
+        let base = base();
+        let params = VoodbParams {
+            buffer_pages: 16,
+            ..small_params()
+        };
+        let wl = WorkloadParams {
+            hot_transactions: 50,
+            p_write: 0.3,
+            ..WorkloadParams::default()
+        };
+        let (model, events) =
+            run_closed_workload(&base, params, 10.0, UserModel::PerUser, &[], wl, 9);
+        let result = model.phase_result(events);
+        assert_eq!(result.transactions, 50);
+        assert!(
+            result.io.reads > 0 && result.io.writes > 0,
+            "{:?}",
+            result.io
+        );
+        assert!(
+            events <= 3 * 50,
+            "{events} events for 50 single-user transactions"
+        );
+    }
+
+    /// One transaction of `accesses` reads cycling through one object on
+    /// each of `pages` distinct pages, run in a 256 KiB thread: inline
+    /// steps must not grow the stack per access.
+    fn run_long_transaction(params: VoodbParams, pages: usize, accesses: usize) -> PhaseResult {
+        std::thread::Builder::new()
             .stack_size(256 * 1024)
             .spawn(move || {
                 let base = base();
-                let root = make_transactions(&base, 1, 7)[0].accesses[0].oid;
-                let access = ocb::Access {
-                    oid: root,
-                    parent: None,
-                    write: false,
-                };
+                let model = VoodbModel::new(&base, params.clone(), 0.0, 99);
+                let mut seen = Vec::new();
+                let mut oids = Vec::new();
+                for oid in 0..base.len() as u32 {
+                    let page = model.oman().page_of(oid);
+                    if oids.len() < pages && !seen.contains(&page) {
+                        seen.push(page);
+                        oids.push(oid);
+                    }
+                }
+                assert_eq!(oids.len(), pages, "the base spans {pages} pages");
                 let transaction = Transaction {
                     kind: ocb::TransactionKind::SimpleTraversal,
-                    root,
-                    accesses: vec![access; accesses],
-                };
-                let params = VoodbParams {
-                    system_class: SystemClass::Centralized,
-                    ..small_params()
+                    root: oids[0],
+                    accesses: (0..accesses)
+                        .map(|i| ocb::Access {
+                            oid: oids[i % pages],
+                            parent: None,
+                            write: false,
+                        })
+                        .collect(),
                 };
                 run_phase(&base, params, vec![transaction])
             })
             .expect("thread spawns")
             .join()
-            .expect("the transaction completes");
+            .expect("the transaction completes")
+    }
+
+    #[test]
+    fn a_long_all_miss_transaction_runs_in_a_small_stack() {
+        // Three pages cycled through a 2-frame LRU buffer: every access
+        // misses, and its lock CPU (first pass only), disk and network
+        // steps all run inline. Each access unwinds its step frames
+        // before the next starts.
+        let params = VoodbParams {
+            buffer_pages: 2,
+            ..small_params()
+        };
+        let outcome = run_long_transaction(params, 3, 100_000);
+        assert_eq!(outcome.transactions, 1);
+        assert_eq!(outcome.hit_ratio, 0.0);
+        assert_eq!(outcome.io.reads, 100_000);
+        assert!(
+            outcome.events < 20,
+            "inline misses must not be dispatched: {} events",
+            outcome.events
+        );
+    }
+
+    #[test]
+    fn a_long_all_hit_transaction_runs_in_a_small_stack() {
+        // Access hops run inline in a loop: one transaction of 100k
+        // buffer hits must not grow the stack per access.
+        let params = VoodbParams {
+            system_class: SystemClass::Centralized,
+            ..small_params()
+        };
+        let outcome = run_long_transaction(params, 1, 100_000);
         assert_eq!(outcome.transactions, 1);
         assert!(outcome.hit_ratio > 0.99);
         assert!(

@@ -42,8 +42,8 @@ pub type Tid = usize;
 /// is `now − mark`, accumulated in chronological order.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct TraceMarks {
-    /// Instant of the current lock request (overwritten per access; a
-    /// restart abandons it implicitly — the retry writes a fresh mark).
+    /// Instant the current lock request was queued (written only when
+    /// it waits: a lock granted at request time waits nothing).
     pub lock_req_ms: f64,
     /// Instant the CPU was granted (valid while `holding_cpu`).
     pub cpu_start_ms: f64,
@@ -67,7 +67,8 @@ pub(crate) struct TraceMarks {
     pub net_wait_ms: f64,
     /// Total network transfer time.
     pub net_service_ms: f64,
-    /// Completed object accesses. The totals *include* work redone
+    /// Object accesses completed by passes a restart abandoned; the
+    /// commit adds the last pass's. The total *includes* work redone
     /// after a restart (restarts re-execute from the top and recount —
     /// matching the per-access point stream this replaces).
     pub accesses: u64,
@@ -97,8 +98,14 @@ pub(crate) struct ActiveTx {
     /// Whether the transaction belongs to the measured window (count
     /// mode; horizon mode decides at commit time).
     pub measured: bool,
-    /// Demand awaiting the disk grant (writes, reads) and its site.
-    pub pending_io: Option<(Vec<u32>, Vec<u32>, usize)>,
+    /// Server site of the I/O batch between its disk request and its
+    /// completion (`None` otherwise).
+    pub pending_io: Option<usize>,
+    /// The current access's write-backs, then its reads: the batch the
+    /// disk grant services. Reused across accesses and occupants.
+    pub io_writes: Vec<u32>,
+    /// See `io_writes`.
+    pub io_reads: Vec<u32>,
     /// Bytes awaiting the network grant.
     pub pending_net: u64,
     /// Holds the CPU resource (released on commit if still held).
@@ -119,6 +126,8 @@ impl ActiveTx {
             submitted: SimTime::ZERO,
             measured: false,
             pending_io: None,
+            io_writes: Vec::new(),
+            io_reads: Vec::new(),
             pending_net: 0,
             holding_cpu: false,
             marks: TraceMarks::default(),

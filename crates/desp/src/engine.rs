@@ -60,8 +60,17 @@ pub trait Model<P: Probe = NoProbe, Q: QueueKind = CalendarKind> {
 
 /// The model's handle on the engine during event dispatch: the clock, the
 /// event list, the stop flag, and the trace probe.
+///
+/// The clock belongs to the handler while it runs: [`Context::advance_to`]
+/// may move it forward, and the engine takes it back when the handler
+/// returns, so [`Engine::now`], [`RunOutcome::end_time`] and the next
+/// dispatch all see the advanced instant.
 pub struct Context<'a, E, P: Probe = NoProbe, Q: QueueKind = CalendarKind> {
     now: SimTime,
+    /// The latest instant the current run call dispatches: the horizon
+    /// of [`Engine::run_until`], infinity for the other run calls, and
+    /// the current instant during [`Model::init`].
+    limit: SimTime,
     events: &'a mut Q::Queue<E>,
     stop: &'a mut bool,
     probe: &'a mut P,
@@ -123,11 +132,38 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
     /// The instant of the earliest pending event, `None` when nothing
     /// is pending. Read-only for the timeline: no event moves, the queue
     /// may only settle its cursor (hence `&mut`). A model uses it to
-    /// prove that work it would otherwise schedule is certain to be
-    /// dispatched next, and to do that work now instead.
+    /// bound work it batches up to the next pending event; for a single
+    /// event certain to be dispatched next, [`Context::advance_to`]
+    /// applies the whole rule.
     #[inline]
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         self.events.peek_time()
+    }
+
+    /// Moves the clock to `at` and returns `true` when an event
+    /// scheduled now for `at` would certainly be the next one
+    /// dispatched: no event is pending at or before `at` (one pending
+    /// at exactly `at` was scheduled earlier and goes first), `at` is
+    /// within the run's limit (the horizon of [`Engine::run_until`]),
+    /// and [`Context::stop`] has not been called. The caller then does
+    /// that event's work inline, at the advanced instant, instead of a
+    /// round trip through the event list; the simulation is the same,
+    /// with one dispatch fewer. Otherwise nothing changes and the
+    /// caller schedules the event as usual.
+    ///
+    /// Only a handler's last action may advance the clock: anything it
+    /// did after the event it stands in for would happen out of order.
+    ///
+    /// # Panics
+    /// Panics if `at` is before the current instant.
+    #[inline]
+    pub fn advance_to(&mut self, at: SimTime) -> bool {
+        assert!(at >= self.now, "cannot advance the clock into the past");
+        if *self.stop || at > self.limit || self.events.peek_time().is_some_and(|next| next <= at) {
+            return false;
+        }
+        self.now = at;
+        true
     }
 
     /// True when a recording probe is attached. Models guard span/sample
@@ -316,6 +352,7 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
             self.initialised = true;
             let mut ctx = Context {
                 now: self.clock,
+                limit: self.clock,
                 events: &mut self.events,
                 stop: &mut self.stop,
                 probe: &mut self.probe,
@@ -324,10 +361,11 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
         }
     }
 
-    /// Pops and dispatches the next event. Callers have already checked
-    /// `stop` and run `ensure_init`.
+    /// Pops and dispatches the next event; the handler may advance the
+    /// clock up to `limit`. Callers have already checked `stop` and run
+    /// `ensure_init`.
     #[inline]
-    fn dispatch_next(&mut self) -> bool {
+    fn dispatch_next(&mut self, limit: SimTime) -> bool {
         let Some((time, event)) = self.events.pop() else {
             return false;
         };
@@ -343,11 +381,13 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
         }
         let mut ctx = Context {
             now: self.clock,
+            limit,
             events: &mut self.events,
             stop: &mut self.stop,
             probe: &mut self.probe,
         };
         self.model.handle(event, &mut ctx);
+        self.clock = ctx.now;
         true
     }
 
@@ -370,7 +410,7 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
         if self.stop {
             return false;
         }
-        let dispatched = self.dispatch_next();
+        let dispatched = self.dispatch_next(SimTime::INFINITY);
         self.finish_run();
         dispatched
     }
@@ -381,7 +421,8 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
         let start = self.dispatched;
         // Tight loop: the init branch is hoisted out entirely, and the
         // clock / dispatch counter live in registers until the loop
-        // exits (the model can only see them through `Context::now`).
+        // exits (the model sees the clock only through its `Context`,
+        // and hands back the instant it advanced to).
         let mut clock = self.clock;
         let mut dispatched = self.dispatched;
         let mut countdown = self.dispatch_countdown;
@@ -401,11 +442,13 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
             }
             let mut ctx = Context {
                 now: clock,
+                limit: SimTime::INFINITY,
                 events: &mut self.events,
                 stop: &mut self.stop,
                 probe: &mut self.probe,
             };
             self.model.handle(event, &mut ctx);
+            clock = ctx.now;
         }
         self.clock = clock;
         self.dispatched = dispatched;
@@ -439,7 +482,7 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
                     break StopReason::Horizon;
                 }
                 Some(_) => {
-                    self.dispatch_next();
+                    self.dispatch_next(horizon);
                 }
             }
         };
@@ -461,7 +504,7 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
                 reason = StopReason::Stopped;
                 break;
             }
-            if !self.dispatch_next() {
+            if !self.dispatch_next(SimTime::INFINITY) {
                 reason = StopReason::Exhausted;
                 break;
             }
@@ -576,6 +619,143 @@ mod tests {
         assert_eq!(peeks_on::<CalendarKind>(), expected);
         assert_eq!(peeks_on::<HeapKind>(), expected);
         assert_eq!(peeks_on::<crate::sched::WheelKind>(), expected);
+    }
+
+    /// On its first event, tries `advance_to` at each of `tries` (ms)
+    /// in turn, optionally after calling `stop`, recording each answer
+    /// and the clock it left; every event records its dispatch instant.
+    struct Lookahead {
+        pending: Vec<(f64, u32)>,
+        tries: Vec<f64>,
+        stop_first: bool,
+        answers: Vec<(f64, bool, f64)>,
+        fired: Vec<(u32, f64)>,
+    }
+
+    impl Lookahead {
+        fn new(pending: &[(f64, u32)], tries: &[f64]) -> Self {
+            Lookahead {
+                pending: pending.to_vec(),
+                tries: tries.to_vec(),
+                stop_first: false,
+                answers: vec![],
+                fired: vec![],
+            }
+        }
+    }
+
+    impl<Q: QueueKind> Model<NoProbe, Q> for Lookahead {
+        type Event = u32;
+        fn init(&mut self, ctx: &mut Context<'_, u32, NoProbe, Q>) {
+            // The limit during init is the current instant.
+            assert!(!ctx.advance_to(SimTime::from_ms(1.0)));
+            for &(t, id) in &self.pending {
+                ctx.schedule(t, id);
+            }
+        }
+        fn handle(&mut self, event: u32, ctx: &mut Context<'_, u32, NoProbe, Q>) {
+            self.fired.push((event, ctx.now().as_ms()));
+            if event != 0 {
+                return;
+            }
+            if self.stop_first {
+                ctx.stop();
+            }
+            for &at in &self.tries {
+                let advanced = ctx.advance_to(SimTime::from_ms(at));
+                self.answers.push((at, advanced, ctx.now().as_ms()));
+            }
+        }
+    }
+
+    #[test]
+    fn advance_to_refuses_at_or_past_a_pending_event() {
+        for scheduler in ["calendar", "heap"] {
+            let model = Lookahead::new(&[(1.0, 0), (5.0, 1)], &[5.0, 6.0, 4.0, 4.0]);
+            let (model, outcome) = if scheduler == "calendar" {
+                let mut engine = Engine::new(model);
+                let outcome = engine.run_to_completion();
+                (engine.into_model(), outcome)
+            } else {
+                let mut engine = Engine::<_, NoProbe, HeapKind>::with_probe_on(model, NoProbe);
+                let outcome = engine.run_to_completion();
+                (engine.into_model(), outcome)
+            };
+            // A tie with the pending event at 5 is refused (it was
+            // scheduled first), as is anything later; 4 is free, and
+            // advancing to the current instant again is allowed.
+            assert_eq!(
+                model.answers,
+                vec![
+                    (5.0, false, 1.0),
+                    (6.0, false, 1.0),
+                    (4.0, true, 4.0),
+                    (4.0, true, 4.0)
+                ],
+                "{scheduler}"
+            );
+            assert_eq!(model.fired, vec![(0, 1.0), (1, 5.0)], "{scheduler}");
+            assert_eq!(outcome.events_dispatched, 2);
+        }
+    }
+
+    #[test]
+    fn advance_to_stops_at_the_run_until_horizon() {
+        let mut engine = Engine::new(Lookahead::new(&[(1.0, 0)], &[10.5, 10.0]));
+        let outcome = engine.run_until(SimTime::from_ms(10.0));
+        assert_eq!(
+            engine.model().answers,
+            vec![(10.5, false, 1.0), (10.0, true, 10.0)]
+        );
+        // The run returns the clock the handler advanced to.
+        assert_eq!(outcome.reason, StopReason::Exhausted);
+        assert_eq!(outcome.end_time, SimTime::from_ms(10.0));
+        assert_eq!(engine.now(), SimTime::from_ms(10.0));
+    }
+
+    #[test]
+    fn advance_to_is_refused_after_stop() {
+        let mut model = Lookahead::new(&[(1.0, 0), (9.0, 1)], &[1.0, 2.0]);
+        model.stop_first = true;
+        let mut engine = Engine::new(model);
+        let outcome = engine.run_to_completion();
+        assert_eq!(outcome.reason, StopReason::Stopped);
+        assert_eq!(
+            engine.model().answers,
+            vec![(1.0, false, 1.0), (2.0, false, 1.0)]
+        );
+        assert_eq!(outcome.end_time, SimTime::from_ms(1.0));
+    }
+
+    #[test]
+    fn the_engine_reports_the_advanced_clock() {
+        /// Advances each event 2.5 ms, then schedules the next one 1 ms
+        /// later: the events land on the advanced timeline.
+        struct Hopper {
+            fired: Vec<f64>,
+        }
+        impl Model for Hopper {
+            type Event = u32;
+            fn init(&mut self, ctx: &mut Context<'_, u32>) {
+                ctx.schedule(1.0, 0);
+            }
+            fn handle(&mut self, n: u32, ctx: &mut Context<'_, u32>) {
+                self.fired.push(ctx.now().as_ms());
+                let at = ctx.now() + 2.5;
+                assert!(ctx.advance_to(at));
+                if n < 3 {
+                    ctx.schedule(1.0, n + 1);
+                }
+            }
+        }
+        let mut engine = Engine::new(Hopper { fired: vec![] });
+        let first = engine.run_steps(1);
+        assert_eq!(first.end_time, SimTime::from_ms(3.5));
+        assert_eq!(engine.now(), SimTime::from_ms(3.5));
+        let rest = engine.run_to_completion();
+        assert_eq!(engine.model().fired, vec![1.0, 4.5, 8.0, 11.5]);
+        assert_eq!(rest.end_time, SimTime::from_ms(14.0));
+        assert_eq!(engine.now(), SimTime::from_ms(14.0));
     }
 
     /// A model that reschedules itself forever (stopped via horizon/budget).

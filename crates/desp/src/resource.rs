@@ -162,21 +162,10 @@ impl<E> Resource<E> {
         priority: i64,
         ctx: &mut Context<'_, E, P, Q>,
     ) {
-        let now = ctx.now();
-        if self.busy < self.capacity {
-            self.busy += 1;
-            self.grants += 1;
-            self.wait.add(0.0);
-            self.record_state(now);
-            if P::ENABLED {
-                if self.probe_id == ResourceId::INVALID {
-                    self.probe_id = ctx.probe_mut().intern_resource(&self.name);
-                }
-                ctx.probe_mut()
-                    .on_resource_grant(self.probe_id, now.as_ms(), 0.0);
-            }
+        if self.try_acquire(ctx) {
             ctx.schedule_now(continuation);
         } else {
+            let now = ctx.now();
             let seq = self.seq;
             self.seq += 1;
             self.queue.push_back(Waiter {
@@ -196,20 +185,32 @@ impl<E> Resource<E> {
         }
     }
 
-    /// Attempts to take a unit without queueing. Returns `true` on success.
+    /// Attempts to take a unit without queueing. Returns `true` on
+    /// success, recorded (statistics and the probe's grant hook) exactly
+    /// as a granting [`Resource::request`]; a refusal records nothing.
     ///
-    /// Useful for polling-style admission control (e.g. "skip clustering if
-    /// the analyser is already running").
-    pub fn try_acquire(&mut self, now: SimTime) -> bool {
-        if self.busy < self.capacity {
-            self.busy += 1;
-            self.grants += 1;
-            self.wait.add(0.0);
-            self.record_state(now);
-            true
-        } else {
-            false
+    /// Useful for polling-style admission control (e.g. "skip clustering
+    /// if the analyser is already running"), and for running a granted
+    /// request's continuation inline when [`Context::advance_to`] proves
+    /// it would be dispatched next.
+    #[inline]
+    pub fn try_acquire<P: Probe, Q: QueueKind>(&mut self, ctx: &mut Context<'_, E, P, Q>) -> bool {
+        if self.busy >= self.capacity {
+            return false;
         }
+        let now = ctx.now();
+        self.busy += 1;
+        self.grants += 1;
+        self.wait.add(0.0);
+        self.record_state(now);
+        if P::ENABLED {
+            if self.probe_id == ResourceId::INVALID {
+                self.probe_id = ctx.probe_mut().intern_resource(&self.name);
+            }
+            ctx.probe_mut()
+                .on_resource_grant(self.probe_id, now.as_ms(), 0.0);
+        }
+        true
     }
 
     fn pop_next(&mut self) -> Option<Waiter<E>> {
@@ -373,7 +374,7 @@ mod tests {
                     PEv::Seed => {
                         // Occupy the unit, then queue three requests with
                         // priorities 1, 3, 2.
-                        assert!(self.resource.try_acquire(ctx.now()));
+                        assert!(self.resource.try_acquire(ctx));
                         ctx.schedule(0.0, PEv::Req(1, 1));
                         ctx.schedule(0.0, PEv::Req(2, 3));
                         ctx.schedule(0.0, PEv::Req(3, 2));
@@ -419,7 +420,7 @@ mod tests {
             fn handle(&mut self, ev: LEv, ctx: &mut Context<'_, LEv>) {
                 match ev {
                     LEv::Seed => {
-                        assert!(self.resource.try_acquire(ctx.now()));
+                        assert!(self.resource.try_acquire(ctx));
                         ctx.schedule(0.0, LEv::Req(1));
                         ctx.schedule(0.1, LEv::Req(2));
                         ctx.schedule(0.2, LEv::Req(3));
@@ -440,6 +441,44 @@ mod tests {
         });
         engine.run_to_completion();
         assert_eq!(engine.model().order, vec![3, 2, 1]);
+    }
+
+    #[test]
+    fn try_acquire_fires_the_grant_hook_like_a_granting_request() {
+        use crate::probe::CountingProbe;
+
+        /// Takes one unit by `try_acquire` and one by `request`, and
+        /// tries a third on the now-full resource.
+        struct Taker {
+            resource: Resource<()>,
+            taken: Vec<bool>,
+        }
+        impl Model<CountingProbe> for Taker {
+            type Event = ();
+            fn init(&mut self, ctx: &mut Context<'_, (), CountingProbe>) {
+                ctx.schedule(1.0, ());
+            }
+            fn handle(&mut self, _: (), ctx: &mut Context<'_, (), CountingProbe>) {
+                if self.taken.is_empty() {
+                    self.taken.push(self.resource.try_acquire(ctx));
+                    self.resource.request((), ctx);
+                } else {
+                    self.taken.push(self.resource.try_acquire(ctx));
+                }
+            }
+        }
+        let mut engine = Engine::with_probe(
+            Taker {
+                resource: Resource::new("pair", 2),
+                taken: vec![],
+            },
+            CountingProbe::default(),
+        );
+        engine.run_to_completion();
+        assert_eq!(engine.model().taken, vec![true, false]);
+        assert_eq!(engine.model().resource.grants(), 2);
+        assert_eq!(engine.probe().grants, 2);
+        assert_eq!(engine.probe().enqueues, 0);
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub mod workload;
 
 pub use database::{Object, ObjectBase, Oid};
 pub use params::{
-    Arrival, DatabaseParams, PopulationTooLarge, Selection, TransactionKind, UserCohort, UserModel,
-    WorkloadParams, MAX_WAKE_RUN_BYTES, WAKE_KEY_BYTES,
+    Arrival, DatabaseParams, PopulationTooLarge, Selection, TooManyArrivals, TransactionKind,
+    UserCohort, UserModel, WorkloadParams, MAX_OPEN_ARRIVALS, MAX_WAKE_RUN_BYTES, WAKE_KEY_BYTES,
 };
 pub use schema::{Class, ClassId, ClassRef, RefType, Schema, BYTES_PER_REF, OBJECT_HEADER_BYTES};
 pub use source::{LazySource, MaterializedSource, TransactionSource};

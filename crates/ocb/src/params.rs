@@ -389,6 +389,35 @@ impl std::fmt::Display for PopulationTooLarge {
 
 impl std::error::Error for PopulationTooLarge {}
 
+/// Pre-flight bound on the arrivals an open horizon phase expects:
+/// 2^29, the largest closed population [`MAX_WAKE_RUN_BYTES`] admits.
+/// The largest shipped open phase (40/s over 30 s) expects 1,200; one
+/// past the bound would run for hours instead of failing fast.
+pub const MAX_OPEN_ARRIVALS: u64 = 1 << 29;
+
+/// An open horizon phase expecting more than [`MAX_OPEN_ARRIVALS`]
+/// arrivals: refused before anything runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TooManyArrivals {
+    /// Expected arrivals: rate × duration, or duration / interarrival.
+    pub expected: f64,
+    /// The phase's horizon, simulated ms.
+    pub duration_ms: f64,
+}
+
+impl std::fmt::Display for TooManyArrivals {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "open arrivals over a {} ms horizon expect {:.0} transactions, \
+             over the {MAX_OPEN_ARRIVALS}-arrival limit",
+            self.duration_ms, self.expected
+        )
+    }
+}
+
+impl std::error::Error for TooManyArrivals {}
+
 /// Parameters of the transaction workload (OCB workload half).
 #[derive(Clone, Debug)]
 pub struct WorkloadParams {
@@ -577,7 +606,34 @@ impl WorkloadParams {
         if self.cohorts.len() > u32::MAX as usize {
             return Err("too many cohorts".into());
         }
+        self.check_open_arrivals().map_err(|e| e.to_string())?;
         self.check_wake_run(self.users).map_err(|e| e.to_string())
+    }
+
+    /// Pre-flight time bound of an open horizon phase (`duration_ms >
+    /// 0`): its expected arrivals must not exceed [`MAX_OPEN_ARRIVALS`].
+    /// Closed phases and count-bounded open phases (at most
+    /// `COLDN + HOTN` arrivals) always pass.
+    ///
+    /// # Errors
+    /// The expected arrivals and the horizon, when over the bound.
+    pub fn check_open_arrivals(&self) -> Result<(), TooManyArrivals> {
+        let duration_ms = self.duration_ms;
+        if duration_ms <= 0.0 {
+            return Ok(());
+        }
+        let expected = match self.arrival {
+            Arrival::Closed => return Ok(()),
+            Arrival::Poisson { rate_per_sec } => rate_per_sec * duration_ms / 1000.0,
+            Arrival::Deterministic { interarrival_ms } => duration_ms / interarrival_ms,
+        };
+        if expected > MAX_OPEN_ARRIVALS as f64 {
+            return Err(TooManyArrivals {
+                expected,
+                duration_ms,
+            });
+        }
+        Ok(())
     }
 
     /// Pre-flight memory bound of a closed phase: the initial wakes of
@@ -667,6 +723,47 @@ mod tests {
             ..over
         };
         open.validate().unwrap();
+    }
+
+    #[test]
+    fn open_horizon_phases_past_the_arrival_bound_are_refused() {
+        let limit = MAX_OPEN_ARRIVALS as f64;
+        let poisson = |rate_per_sec: f64, duration_ms: f64| WorkloadParams {
+            arrival: Arrival::Poisson { rate_per_sec },
+            duration_ms,
+            ..WorkloadParams::default()
+        };
+        // At the bound (rate x duration), then just past it.
+        poisson(limit / 100.0, 100_000.0).validate().unwrap();
+        let over = poisson(1e9, 100_000.0);
+        let err = over.check_open_arrivals().unwrap_err();
+        assert_eq!(err.expected, 1e11);
+        assert_eq!(err.duration_ms, 100_000.0);
+        let message = over.validate().unwrap_err();
+        assert!(
+            message.contains("100000 ms horizon expect 100000000000 transactions"),
+            "{message}"
+        );
+        // Deterministic arrivals: duration / interarrival.
+        let pulse = |interarrival_ms: f64| WorkloadParams {
+            arrival: Arrival::Deterministic { interarrival_ms },
+            duration_ms: limit,
+            ..WorkloadParams::default()
+        };
+        pulse(1.0).validate().unwrap();
+        assert_eq!(
+            pulse(0.5).check_open_arrivals().unwrap_err().expected,
+            2.0 * limit
+        );
+        // A count-bounded open phase (no horizon) and a closed horizon
+        // phase are not open horizon phases.
+        poisson(1e9, 0.0).validate().unwrap();
+        WorkloadParams {
+            duration_ms: 1e12,
+            ..WorkloadParams::default()
+        }
+        .validate()
+        .unwrap();
     }
 
     #[test]
