@@ -17,7 +17,7 @@ use crate::results::PhaseResult;
 use clustering::ClusteringKind;
 use desp::{
     CalendarKind, Engine, HeapKind, MetricSet, NoProbe, Probe, QueueKind, ReplicationPolicy,
-    ReplicationReport, Replicator, SchedulerKind, SimTime, WheelKind,
+    ReplicationReport, Replicator, SchedulerKind, SimTime,
 };
 use ocb::{
     Arrival, DatabaseParams, LazySource, ObjectBase, Transaction, TransactionSource,
@@ -146,9 +146,6 @@ impl<'a> Simulation<'a> {
             }
             SchedulerKind::Heap => {
                 self.run_phase_source_on::<P, HeapKind>(source, mode, arrival, probe)
-            }
-            SchedulerKind::Wheel => {
-                self.run_phase_source_on::<P, WheelKind>(source, mode, arrival, probe)
             }
         }
     }

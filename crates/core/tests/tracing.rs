@@ -1,7 +1,7 @@
 //! Telemetry integration: the trace recorder observes the VOODB model
 //! without perturbing it.
 
-use desp::CountingProbe;
+use desp::{Probe, ResourceId, SpanPoint};
 use ocb::{DatabaseParams, ObjectBase, WorkloadGenerator, WorkloadParams};
 use voodb::{Simulation, SystemClass, VoodbParams};
 use vtrace::RecorderConfig;
@@ -109,6 +109,30 @@ fn spans_decompose_response_and_feed_histograms() {
     }
     let hit = recorder.series_named("hit_ratio").unwrap();
     assert_eq!(hit.offered(), 40, "one sample per commit");
+}
+
+/// Counts the kernel hooks `counting_probe_sees_kernel_traffic` checks.
+#[derive(Default)]
+struct CountingProbe {
+    schedules: u64,
+    dispatches: u64,
+    grants: u64,
+    spans: u64,
+}
+
+impl Probe for CountingProbe {
+    fn on_schedule(&mut self, _now: f64, _at: f64) {
+        self.schedules += 1;
+    }
+    fn on_dispatch(&mut self, _now: f64, _pending: usize) {
+        self.dispatches += 1;
+    }
+    fn on_resource_grant(&mut self, _resource: ResourceId, _now: f64, _waited_ms: f64) {
+        self.grants += 1;
+    }
+    fn on_span(&mut self, _slot: u32, _serial: u64, _point: SpanPoint, _now: f64) {
+        self.spans += 1;
+    }
 }
 
 #[test]

@@ -618,7 +618,6 @@ mod tests {
         let expected = vec![(1, Some(2.0)), (2, Some(3.0)), (4, Some(5.0)), (3, None)];
         assert_eq!(peeks_on::<CalendarKind>(), expected);
         assert_eq!(peeks_on::<HeapKind>(), expected);
-        assert_eq!(peeks_on::<crate::sched::WheelKind>(), expected);
     }
 
     /// On its first event, tries `advance_to` at each of `tries` (ms)

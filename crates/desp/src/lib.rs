@@ -71,13 +71,13 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Context, Engine, Model, RunOutcome, StopReason};
-pub use probe::{CountingProbe, NoProbe, Probe, ResourceId, SeriesId, SpanPoint, SpanStage};
+pub use probe::{NoProbe, Probe, ResourceId, SeriesId, SpanPoint, SpanStage};
 pub use random::{RandomStream, StreamFamily, Xoshiro256, Zipf};
 pub use replication::{MetricSet, ReplicationPolicy, ReplicationReport, Replicator};
-pub use resource::{Discipline, Resource};
+pub use resource::Resource;
 pub use sched::{
     key_time, time_key, CalendarKind, CalendarQueue, EventHeap, HeapKind, QueueKind, Scheduler,
-    SchedulerKind, TimerWheel, WheelKind,
+    SchedulerKind, TimerWheel,
 };
 pub use stats::{ConfidenceInterval, TimeWeighted, Welford};
 pub use time::SimTime;

@@ -204,8 +204,9 @@ impl Probe for NoProbe {
     const ENABLED: bool = false;
 }
 
-/// A probe counting raw hook invocations; handy for tests asserting
-/// *that* instrumentation fires without pulling in the full recorder.
+/// A probe counting raw hook invocations, for the kernel's unit tests
+/// asserting *that* instrumentation fires.
+#[cfg(test)]
 #[derive(Clone, Debug, Default)]
 pub struct CountingProbe {
     /// `on_schedule` invocations.
@@ -222,10 +223,9 @@ pub struct CountingProbe {
     pub span_stages: u64,
     /// `on_sample` invocations.
     pub samples: u64,
-    /// `on_run_end` invocations.
-    pub run_ends: u64,
 }
 
+#[cfg(test)]
 impl Probe for CountingProbe {
     fn on_schedule(&mut self, _now: f64, _at: f64) {
         self.schedules += 1;
@@ -247,8 +247,5 @@ impl Probe for CountingProbe {
     }
     fn on_sample(&mut self, _series: SeriesId, _now: f64, _value: f64) {
         self.samples += 1;
-    }
-    fn on_run_end(&mut self, _scheduled: u64, _dispatched: u64) {
-        self.run_ends += 1;
     }
 }

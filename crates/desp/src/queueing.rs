@@ -374,7 +374,7 @@ mod tests {
 
     #[test]
     fn results_are_bit_identical_on_every_queue() {
-        use crate::sched::{HeapKind, WheelKind};
+        use crate::sched::HeapKind;
         // (servers, lambda): M/M/1 and M/M/3, both at utilisation 0.8.
         for (servers, lambda) in [(1, 0.8), (3, 2.4)] {
             for seed in [7, 42, 999] {
@@ -385,7 +385,6 @@ mod tests {
                 assert!(calendar[4] > 10_000, "a non-trivial run");
                 let case = format!("M/M/{servers}, seed {seed}");
                 assert_eq!(calendar, run(simulate_mmc_on::<HeapKind>), "heap, {case}");
-                assert_eq!(calendar, run(simulate_mmc_on::<WheelKind>), "wheel, {case}");
             }
         }
     }

@@ -8,8 +8,9 @@
 //!
 //! A [`Resource`] has `capacity` identical units. A *request* either grants
 //! a unit immediately (the continuation event is scheduled at the current
-//! instant) or queues the continuation under the configured
-//! [`Discipline`]. A *release* frees one unit and wakes the next waiter.
+//! instant) or queues the continuation first come, first served
+//! (QNAP2's FIFO default). A *release* frees one unit and wakes the
+//! longest waiter.
 //! Utilisation, queue length (time-weighted) and waiting times are recorded
 //! automatically, mirroring QNAP2's standard station reports.
 
@@ -20,33 +21,17 @@ use crate::stats::{TimeWeighted, Welford};
 use crate::time::SimTime;
 use std::collections::VecDeque;
 
-/// Queueing discipline for waiters on a [`Resource`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Discipline {
-    /// First come, first served (QNAP2's FIFO default).
-    #[default]
-    Fifo,
-    /// Last come, first served.
-    Lifo,
-    /// Highest priority first; ties broken FIFO.
-    Priority,
-}
-
 struct Waiter<E> {
     event: E,
-    priority: i64,
     enqueued_at: SimTime,
-    seq: u64,
 }
 
-/// A passive resource with `capacity` units and a waiting queue.
+/// A passive resource with `capacity` units and a FIFO waiting queue.
 pub struct Resource<E> {
     name: String,
     capacity: usize,
     busy: usize,
-    discipline: Discipline,
     queue: VecDeque<Waiter<E>>,
-    seq: u64,
     /// Waiting time per grant (zero for immediate grants).
     wait: Welford,
     /// Time-weighted number of waiters.
@@ -61,7 +46,7 @@ pub struct Resource<E> {
 }
 
 impl<E> Resource<E> {
-    /// Creates a resource with the given unit count and FIFO discipline.
+    /// Creates a resource with the given unit count.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
@@ -71,9 +56,7 @@ impl<E> Resource<E> {
             name: name.into(),
             capacity,
             busy: 0,
-            discipline: Discipline::Fifo,
             queue: VecDeque::new(),
-            seq: 0,
             wait: Welford::new(),
             queue_len: TimeWeighted::new(),
             busy_units: TimeWeighted::new(),
@@ -89,12 +72,6 @@ impl<E> Resource<E> {
         if P::ENABLED {
             self.probe_id = ctx.probe_mut().intern_resource(&self.name);
         }
-    }
-
-    /// Sets the queueing discipline (builder style).
-    pub fn with_discipline(mut self, discipline: Discipline) -> Self {
-        self.discipline = discipline;
-        self
     }
 
     /// The resource's diagnostic name.
@@ -127,19 +104,10 @@ impl<E> Resource<E> {
         self.grants
     }
 
-    /// Changes the capacity mid-run (used when a model re-parameterises
-    /// between phases). Shrinking below the number of busy units is allowed:
-    /// excess units disappear as they are released.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        assert!(capacity > 0);
-        self.capacity = capacity;
-    }
-
     #[inline]
     fn record_state(&mut self, now: SimTime) {
         self.queue_len.update(now.as_ms(), self.queue.len() as f64);
-        self.busy_units
-            .update(now.as_ms(), self.busy.min(self.capacity) as f64);
+        self.busy_units.update(now.as_ms(), self.busy as f64);
     }
 
     /// Requests one unit; `continuation` fires (at the current instant) when
@@ -150,29 +118,13 @@ impl<E> Resource<E> {
         continuation: E,
         ctx: &mut Context<'_, E, P, Q>,
     ) {
-        self.request_with_priority(continuation, 0, ctx);
-    }
-
-    /// Requests one unit with a priority (only meaningful under
-    /// [`Discipline::Priority`]; higher values are served first).
-    #[inline]
-    pub fn request_with_priority<P: Probe, Q: QueueKind>(
-        &mut self,
-        continuation: E,
-        priority: i64,
-        ctx: &mut Context<'_, E, P, Q>,
-    ) {
         if self.try_acquire(ctx) {
             ctx.schedule_now(continuation);
         } else {
             let now = ctx.now();
-            let seq = self.seq;
-            self.seq += 1;
             self.queue.push_back(Waiter {
                 event: continuation,
-                priority,
                 enqueued_at: now,
-                seq,
             });
             self.record_state(now);
             if P::ENABLED {
@@ -213,27 +165,6 @@ impl<E> Resource<E> {
         true
     }
 
-    fn pop_next(&mut self) -> Option<Waiter<E>> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        match self.discipline {
-            Discipline::Fifo => self.queue.pop_front(),
-            Discipline::Lifo => self.queue.pop_back(),
-            Discipline::Priority => {
-                let mut best = 0;
-                for i in 1..self.queue.len() {
-                    let (bp, bs) = (self.queue[best].priority, self.queue[best].seq);
-                    let (ip, is) = (self.queue[i].priority, self.queue[i].seq);
-                    if ip > bp || (ip == bp && is < bs) {
-                        best = i;
-                    }
-                }
-                self.queue.remove(best)
-            }
-        }
-    }
-
     /// Releases one unit; the next waiter (if any) is granted immediately.
     ///
     /// # Panics
@@ -244,21 +175,19 @@ impl<E> Resource<E> {
         assert!(self.busy > 0, "release on idle resource '{}'", self.name);
         let now = ctx.now();
         self.busy -= 1;
-        if self.busy < self.capacity {
-            if let Some(waiter) = self.pop_next() {
-                self.busy += 1;
-                self.grants += 1;
-                let waited = now.saturating_since(waiter.enqueued_at).as_ms();
-                self.wait.add(waited);
-                if P::ENABLED {
-                    if self.probe_id == ResourceId::INVALID {
-                        self.probe_id = ctx.probe_mut().intern_resource(&self.name);
-                    }
-                    ctx.probe_mut()
-                        .on_resource_grant(self.probe_id, now.as_ms(), waited);
+        if let Some(waiter) = self.queue.pop_front() {
+            self.busy += 1;
+            self.grants += 1;
+            let waited = now.saturating_since(waiter.enqueued_at).as_ms();
+            self.wait.add(waited);
+            if P::ENABLED {
+                if self.probe_id == ResourceId::INVALID {
+                    self.probe_id = ctx.probe_mut().intern_resource(&self.name);
                 }
-                ctx.schedule_now(waiter.event);
+                ctx.probe_mut()
+                    .on_resource_grant(self.probe_id, now.as_ms(), waited);
             }
+            ctx.schedule_now(waiter.event);
         }
         self.record_state(now);
     }
@@ -349,98 +278,6 @@ mod tests {
         // Jobs at 0 and 1 run concurrently; job at 2 waits for the first
         // release at 10.
         assert_eq!(m.grant_times, vec![0.0, 1.0, 10.0]);
-    }
-
-    #[test]
-    fn priority_discipline_overtakes_fifo_order() {
-        struct PrioModel {
-            resource: Resource<PEv>,
-            order: Vec<u32>,
-        }
-        #[derive(Clone, Copy)]
-        enum PEv {
-            Seed,
-            Req(u32, i64),
-            Got(u32),
-            Done,
-        }
-        impl Model for PrioModel {
-            type Event = PEv;
-            fn init(&mut self, ctx: &mut Context<'_, PEv>) {
-                ctx.schedule(0.0, PEv::Seed);
-            }
-            fn handle(&mut self, ev: PEv, ctx: &mut Context<'_, PEv>) {
-                match ev {
-                    PEv::Seed => {
-                        // Occupy the unit, then queue three requests with
-                        // priorities 1, 3, 2.
-                        assert!(self.resource.try_acquire(ctx));
-                        ctx.schedule(0.0, PEv::Req(1, 1));
-                        ctx.schedule(0.0, PEv::Req(2, 3));
-                        ctx.schedule(0.0, PEv::Req(3, 2));
-                        ctx.schedule(5.0, PEv::Done);
-                    }
-                    PEv::Req(id, prio) => {
-                        self.resource.request_with_priority(PEv::Got(id), prio, ctx)
-                    }
-                    PEv::Got(id) => {
-                        self.order.push(id);
-                        ctx.schedule(1.0, PEv::Done);
-                    }
-                    PEv::Done => self.resource.release(ctx),
-                }
-            }
-        }
-        let mut engine = Engine::new(PrioModel {
-            resource: Resource::new("prio", 1).with_discipline(Discipline::Priority),
-            order: vec![],
-        });
-        engine.run_to_completion();
-        assert_eq!(engine.model().order, vec![2, 3, 1]);
-    }
-
-    #[test]
-    fn lifo_discipline_serves_newest_first() {
-        struct LifoModel {
-            resource: Resource<LEv>,
-            order: Vec<u32>,
-        }
-        #[derive(Clone, Copy)]
-        enum LEv {
-            Seed,
-            Req(u32),
-            Got(u32),
-            Rel,
-        }
-        impl Model for LifoModel {
-            type Event = LEv;
-            fn init(&mut self, ctx: &mut Context<'_, LEv>) {
-                ctx.schedule(0.0, LEv::Seed);
-            }
-            fn handle(&mut self, ev: LEv, ctx: &mut Context<'_, LEv>) {
-                match ev {
-                    LEv::Seed => {
-                        assert!(self.resource.try_acquire(ctx));
-                        ctx.schedule(0.0, LEv::Req(1));
-                        ctx.schedule(0.1, LEv::Req(2));
-                        ctx.schedule(0.2, LEv::Req(3));
-                        ctx.schedule(1.0, LEv::Rel);
-                    }
-                    LEv::Req(id) => self.resource.request(LEv::Got(id), ctx),
-                    LEv::Got(id) => {
-                        self.order.push(id);
-                        ctx.schedule(1.0, LEv::Rel);
-                    }
-                    LEv::Rel => self.resource.release(ctx),
-                }
-            }
-        }
-        let mut engine = Engine::new(LifoModel {
-            resource: Resource::new("lifo", 1).with_discipline(Discipline::Lifo),
-            order: vec![],
-        });
-        engine.run_to_completion();
-        assert_eq!(engine.model().order, vec![3, 2, 1]);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! Queue Implementation for the Simulation Event Set Problem*, CACM
 //! 1988) and puts both behind the [`Scheduler`] trait so the engine can
 //! be instantiated with either — the heap stays around as the oracle
-//! for differential tests. The hierarchical [`TimerWheel`] serves
-//! far-future-heavy schedules; the end-to-end benchmark (`e2ebench/`)
-//! times all three queues on a hold pattern
-//! (`desp.hold_ns.{calendar,heap,wheel}.*`).
+//! for differential tests. The hierarchical [`TimerWheel`] is no engine
+//! queue: the end-to-end benchmark (`e2ebench/`) times all three queues
+//! on a hold pattern (`desp.hold_ns.{calendar,heap,wheel}.*`).
 //!
 //! ## Determinism contract
 //!
@@ -84,15 +83,6 @@ impl QueueKind for HeapKind {
     type Queue<E> = EventHeap<E>;
 }
 
-/// [`QueueKind`] of the hierarchical [`TimerWheel`] — tuned for the
-/// far-future think-time deluge of large closed user populations.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WheelKind;
-
-impl QueueKind for WheelKind {
-    type Queue<E> = TimerWheel<E>;
-}
-
 /// Runtime scheduler selector (differential tests, benchmarks). Match
 /// on it once per run, then enter the statically-typed engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -102,24 +92,17 @@ pub enum SchedulerKind {
     Calendar,
     /// The binary heap (differential-testing oracle).
     Heap,
-    /// The hierarchical timer wheel (far-future-heavy schedules).
-    Wheel,
 }
 
 impl SchedulerKind {
     /// All selectable kinds.
-    pub const ALL: [SchedulerKind; 3] = [
-        SchedulerKind::Calendar,
-        SchedulerKind::Heap,
-        SchedulerKind::Wheel,
-    ];
+    pub const ALL: [SchedulerKind; 2] = [SchedulerKind::Calendar, SchedulerKind::Heap];
 
     /// Short lowercase name (test and benchmark labels).
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::Calendar => "calendar",
             SchedulerKind::Heap => "heap",
-            SchedulerKind::Wheel => "wheel",
         }
     }
 }
@@ -767,12 +750,15 @@ const WHEEL_MAX_HOPS: usize = 1024;
 /// rebuild, keeping recalibration amortized O(1) per push.
 const WHEEL_RECAL_BASE: usize = 4 * WHEEL_L0_SLOTS;
 
-/// The hierarchical timer-wheel future event list: a 256-slot fine
-/// ring (level 0) fed by two 64-slot coarse staging levels and an
-/// overflow min-heap, sized for the think-time deluge of large closed
-/// user populations — a push lands in O(1), cascades down at most
-/// twice as the cursor approaches it, and pops off the sorted level-0
-/// slot tail exactly like the calendar queue's fast path.
+/// The hierarchical timer-wheel future event list. No engine runs on
+/// it: it is kept only for the `e2ebench` scheduler rung, which times
+/// it against the other two queues (`desp.hold_ns.wheel.*`).
+///
+/// A 256-slot fine ring (level 0) fed by two 64-slot coarse staging
+/// levels and an overflow min-heap, sized for the think-time deluge of
+/// large closed user populations — a push lands in O(1), cascades down
+/// at most twice as the cursor approaches it, and pops off the sorted
+/// level-0 slot tail exactly like the calendar queue's fast path.
 ///
 /// * An event `d` ticks ahead of the cursor routes to level 0
 ///   (`d < 2^8`, slot `tick & 255`, kept sorted descending by packed

@@ -1,8 +1,8 @@
 //! Property-based tests of the simulation kernel.
 
 use desp::{
-    ConfidenceInterval, Context, Discipline, Engine, Model, RandomStream, Resource, SimTime,
-    TimeWeighted, Welford, Zipf,
+    ConfidenceInterval, Context, Engine, Model, RandomStream, Resource, SimTime, TimeWeighted,
+    Welford, Zipf,
 };
 use proptest::prelude::*;
 
@@ -242,7 +242,7 @@ proptest! {
         }
         let n = arrivals.len();
         let mut engine = Engine::new(Conservation {
-            resource: Resource::new("r", capacity).with_discipline(Discipline::Fifo),
+            resource: Resource::new("r", capacity),
             granted: 0,
             arrivals,
         });

@@ -10,7 +10,6 @@
 //! voodb repro [ARTIFACT...] [--reps N] [--seed S] [--out DIR] [--threads N]
 //! voodb analyze <run-dir>
 //! voodb compare <run-dir-a> <run-dir-b> [--threshold 0.10]
-//! voodb watch-check <watch.jsonl>
 //! voodb validate <file.toml>...
 //! voodb list [--dir scenarios]
 //! voodb params
@@ -31,8 +30,7 @@
 //! `<out>/<stem>.csv` + `.json`.
 //! `analyze` prints the percentile table of a trace directory;
 //! `compare` diffs two trace directories and exits non-zero iff a
-//! metric regresses beyond the threshold. `watch-check` validates a
-//! `--watch-jsonl` stream (CI smokes the watch path with it).
+//! metric regresses beyond the threshold.
 //! `validate` parses and validates each file, reporting precise
 //! line/column positions for syntax errors. `params` lists every
 //! supported parameter key (all of them sweepable), sorted. `audit`
@@ -61,7 +59,6 @@ USAGE:
     voodb repro [ARTIFACT...] [--reps N] [--seed S] [--out DIR] [--threads N]
     voodb analyze <run-dir>
     voodb compare <run-dir-a> <run-dir-b> [--threshold 0.10]
-    voodb watch-check <watch.jsonl>
     voodb validate <file.toml>...
     voodb list [--dir scenarios]
     voodb params
@@ -84,11 +81,6 @@ COMMANDS:
     compare    Diff two trace directories' summary metrics; exits
                non-zero iff a metric regresses beyond the threshold
                (the summary line names each offending metric and delta).
-    watch-check
-               Validate a `--watch-jsonl` stream: every line must be a
-               well-formed watch sample with numeric fields and
-               per-job monotone simulated time. Exits non-zero on a
-               malformed or empty stream.
     validate   Parse and validate scenario files (syntax errors carry
                line and column). Exits non-zero on the first failure.
     list       List the scenario library with name, description, axes
@@ -148,7 +140,6 @@ fn main() -> ExitCode {
         Some("repro") => cmd_repro(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
-        Some("watch-check") => cmd_watch_check(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
         Some("list") => cmd_list(&args[1..]),
         Some("params") => {
@@ -493,7 +484,7 @@ fn drain_watch(
     Ok(samples)
 }
 
-/// The `--watch-jsonl` line shape; `watch-check` validates exactly
+/// The `--watch-jsonl` line shape; `tests/cli_watch.rs` checks exactly
 /// these fields.
 fn watch_sample_json(sample: &WatchSample) -> Json {
     Json::Obj(vec![
@@ -504,72 +495,6 @@ fn watch_sample_json(sample: &WatchSample) -> Json {
         ("mpl_queue".into(), Json::Num(sample.mpl_queue)),
         ("hit_ratio".into(), Json::Num(sample.hit_ratio)),
     ])
-}
-
-fn cmd_watch_check(args: &[String]) -> ExitCode {
-    let (files, _, _) = match split_args(args, &[], &[]) {
-        Ok(split) => split,
-        Err(e) => return fail(&e),
-    };
-    let [file] = files[..] else {
-        return fail("'watch-check' takes exactly one watch JSONL file");
-    };
-    let text = match std::fs::read_to_string(file) {
-        Ok(text) => text,
-        Err(e) => return fail(&format!("{file}: {e}")),
-    };
-    // Per-job last simulated instant: watch streams must move forward.
-    let mut last_t: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
-    let mut samples = 0usize;
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let lineno = idx + 1;
-        let doc = match vtrace::json::parse(line) {
-            Ok(doc) => doc,
-            Err(e) => return fail(&format!("{file}:{lineno}: {e}")),
-        };
-        let field = |key: &str| -> Result<f64, String> {
-            match doc.get(key).and_then(Json::as_f64) {
-                Some(v) if v.is_finite() => Ok(v),
-                Some(v) => Err(format!("{file}:{lineno}: non-finite '{key}' ({v})")),
-                None => Err(format!("{file}:{lineno}: missing numeric field '{key}'")),
-            }
-        };
-        let parsed = field("job").and_then(|job| Ok((job, field("t_ms")?)));
-        let (job, t_ms) = match parsed {
-            Ok(pair) => pair,
-            Err(e) => return fail(&e),
-        };
-        for key in ["throughput_tps", "p99_ms", "mpl_queue", "hit_ratio"] {
-            if let Err(e) = field(key) {
-                return fail(&e);
-            }
-        }
-        let job = job as u64;
-        if let Some(&prev) = last_t.get(&job) {
-            if t_ms < prev {
-                return fail(&format!(
-                    "{file}:{lineno}: job {job} went backwards in simulated time ({prev} -> {t_ms})"
-                ));
-            }
-        }
-        last_t.insert(job, t_ms);
-        samples += 1;
-    }
-    if samples == 0 {
-        return fail(&format!(
-            "{file}: no watch samples (empty stream — interval too coarse for the run?)"
-        ));
-    }
-    println!(
-        "{file}: OK — {samples} sample{} across {} job{}",
-        if samples == 1 { "" } else { "s" },
-        last_t.len(),
-        if last_t.len() == 1 { "" } else { "s" },
-    );
-    ExitCode::SUCCESS
 }
 
 fn cmd_analyze(args: &[String]) -> ExitCode {

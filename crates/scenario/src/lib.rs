@@ -29,9 +29,9 @@
 //!
 //! The pieces:
 //!
-//! * [`toml`] — a hand-rolled parser/serializer for the TOML subset
-//!   scenario files use (the workspace builds fully offline; no external
-//!   TOML crate), with line/column error reporting;
+//! * [`toml`] — a hand-rolled parser for the TOML subset scenario
+//!   files use (the workspace builds fully offline; no external TOML
+//!   crate), with line/column error reporting;
 //! * [`spec`] — [`Scenario`]: the spec type, parameter application
 //!   (every settable key is also a sweep axis), validation, and the
 //!   cartesian sweep grid;
@@ -81,8 +81,7 @@ pub use runner::{
     PointSummary, RunOptions, SweepResult, CONFIDENCE,
 };
 pub use spec::{
-    apply_param, arrival_to_string, params_help_text, parse_arrival, Scenario, SweepAxis,
-    SweepPoint, PARAM_HELP,
+    apply_param, params_help_text, parse_arrival, Scenario, SweepAxis, SweepPoint, PARAM_HELP,
 };
-pub use toml::{parse, serialize, Table, TomlError, Value};
+pub use toml::{parse, Table, TomlError, Value};
 pub use tracing::{job_metrics, trace_dir_for, write_trace_reports};

@@ -261,64 +261,6 @@ impl Scenario {
         points
     }
 
-    /// Serializes back to canonical TOML text. Round-trips:
-    /// `Scenario::parse(s.to_toml_string())` reproduces the scenario
-    /// (property-tested).
-    pub fn to_toml_string(&self) -> String {
-        toml::serialize(&self.to_table())
-    }
-
-    /// Builds the TOML table representation (every parameter explicit).
-    pub fn to_table(&self) -> Table {
-        let mut root = Table::new();
-        let mut meta = Table::new();
-        meta.insert("name".into(), Value::String(self.name.clone()));
-        meta.insert(
-            "description".into(),
-            Value::String(self.description.clone()),
-        );
-        meta.insert(
-            "replications".into(),
-            Value::Integer(self.replications.min(i64::MAX as usize) as i64),
-        );
-        // TOML integers are i64; out-of-range values clamp (a parsed
-        // scenario can never hold one, so round-trips are unaffected).
-        meta.insert(
-            "seed".into(),
-            Value::Integer(self.seed.min(i64::MAX as u64) as i64),
-        );
-        root.insert("scenario".into(), Value::Table(meta));
-        root.insert(
-            "system".into(),
-            Value::Table(system_to_table(&self.config.system)),
-        );
-        root.insert(
-            "database".into(),
-            Value::Table(database_to_table(&self.config.database)),
-        );
-        root.insert(
-            "workload".into(),
-            Value::Table(workload_to_table(&self.config.workload)),
-        );
-        if !self.sweep.is_empty() {
-            root.insert(
-                "sweep".into(),
-                Value::Array(
-                    self.sweep
-                        .iter()
-                        .map(|axis| {
-                            let mut t = Table::new();
-                            t.insert("param".into(), Value::String(axis.param.clone()));
-                            t.insert("values".into(), Value::Array(axis.values.clone()));
-                            Value::Table(t)
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        root
-    }
-
     /// Shrinks the scenario so tests and CI smoke runs finish quickly:
     /// clamps the object base to `max_objects`, the measured run to
     /// `max_transactions`, a time-horizon phase to a few simulated
@@ -754,18 +696,6 @@ fn parse_system_class(raw: &str) -> Result<SystemClass, String> {
     }
 }
 
-/// Canonical string for a [`SystemClass`] (inverse of
-/// `parse_system_class`).
-pub fn system_class_to_string(class: &SystemClass) -> String {
-    match class {
-        SystemClass::Centralized => "centralized".into(),
-        SystemClass::ObjectServer => "object-server".into(),
-        SystemClass::PageServer => "page-server".into(),
-        SystemClass::DbServer => "db-server".into(),
-        SystemClass::HybridMultiServer { servers } => format!("hybrid-{servers}"),
-    }
-}
-
 fn parse_policy(raw: &str) -> Result<PolicyKind, String> {
     match raw {
         "fifo" => Ok(PolicyKind::Fifo),
@@ -785,18 +715,6 @@ fn parse_policy(raw: &str) -> Result<PolicyKind, String> {
             "unknown replacement policy '{other}' \
              (random-SEED | fifo | lru | lru-K | lfu | clock | gclock-W)"
         )),
-    }
-}
-
-fn policy_to_string(policy: &PolicyKind) -> String {
-    match policy {
-        PolicyKind::Random { seed } => format!("random-{seed}"),
-        PolicyKind::Fifo => "fifo".into(),
-        PolicyKind::Lru => "lru".into(),
-        PolicyKind::LruK { k } => format!("lru-{k}"),
-        PolicyKind::Lfu => "lfu".into(),
-        PolicyKind::Clock => "clock".into(),
-        PolicyKind::GClock { weight } => format!("gclock-{weight}"),
     }
 }
 
@@ -845,31 +763,6 @@ pub fn parse_arrival(raw: &str) -> Result<Arrival, String> {
     Err(format!(
         "unknown arrival '{raw}' (closed | poisson-RATE | deterministic-MS)"
     ))
-}
-
-/// Canonical string for an [`Arrival`] (inverse of [`parse_arrival`]).
-pub fn arrival_to_string(arrival: &Arrival) -> String {
-    match arrival {
-        Arrival::Closed => "closed".into(),
-        Arrival::Poisson { rate_per_sec } => format!("poisson-{}", format_float(*rate_per_sec)),
-        Arrival::Deterministic { interarrival_ms } => {
-            format!("deterministic-{}", format_float(*interarrival_ms))
-        }
-    }
-}
-
-fn selection_to_string(selection: &Selection) -> String {
-    match selection {
-        Selection::Uniform => "uniform".into(),
-        Selection::Zipf(theta) => format!("zipf-{}", format_float(*theta)),
-        Selection::HotSet { fraction, p_hot } => {
-            format!(
-                "hotset-{}-{}",
-                format_float(*fraction),
-                format_float(*p_hot)
-            )
-        }
-    }
 }
 
 /// Mutable access to the scenario-tunable DSTC parameters, upgrading
@@ -1010,171 +903,6 @@ fn apply_workload(wl: &mut ocb::WorkloadParams, field: &str, v: &Value) -> Resul
         other => return Err(format!("unknown [workload] key '{other}'")),
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Serialization of the parameter groups (inverse of apply_*).
-// ---------------------------------------------------------------------------
-
-fn system_to_table(system: &VoodbParams) -> Table {
-    let mut t = Table::new();
-    t.insert(
-        "system_class".into(),
-        Value::String(system_class_to_string(&system.system_class)),
-    );
-    t.insert(
-        "network_throughput_mbps".into(),
-        Value::Float(system.network_throughput_mbps),
-    );
-    t.insert("page_size".into(), Value::Integer(system.page_size as i64));
-    t.insert(
-        "buffer_pages".into(),
-        Value::Integer(system.buffer_pages as i64),
-    );
-    t.insert(
-        "page_replacement".into(),
-        Value::String(policy_to_string(&system.page_replacement)),
-    );
-    t.insert(
-        "prefetch".into(),
-        Value::String(match system.prefetch {
-            PrefetchKind::None => "none".into(),
-            PrefetchKind::Sequential { window } => format!("sequential-{window}"),
-        }),
-    );
-    match &system.clustering {
-        ClusteringKind::None => {
-            t.insert("clustering".into(), Value::String("none".into()));
-        }
-        ClusteringKind::Dstc(p) => {
-            t.insert("clustering".into(), Value::String("dstc".into()));
-            t.insert(
-                "dstc_observation_period".into(),
-                Value::Integer(p.observation_period.min(i64::MAX as u64) as i64),
-            );
-            t.insert("dstc_tfa".into(), Value::Float(p.tfa));
-            t.insert("dstc_tfc".into(), Value::Float(p.tfc));
-            t.insert("dstc_tfe".into(), Value::Float(p.tfe));
-            t.insert("dstc_w".into(), Value::Float(p.w));
-            t.insert(
-                "dstc_max_unit_size".into(),
-                Value::Integer(p.max_unit_size as i64),
-            );
-            t.insert(
-                "dstc_trigger_threshold".into(),
-                Value::Integer(p.trigger_threshold.min(i64::MAX as usize) as i64),
-            );
-        }
-        ClusteringKind::StaticGraph { max_cluster_size } => {
-            t.insert(
-                "clustering".into(),
-                Value::String(format!("static-graph-{max_cluster_size}")),
-            );
-        }
-    }
-    t.insert(
-        "initial_placement".into(),
-        Value::String(match system.initial_placement {
-            InitialPlacement::Sequential => "sequential".into(),
-            InitialPlacement::OptimizedSequential => "optimized-sequential".into(),
-            InitialPlacement::Random { seed } => format!("random-{seed}"),
-        }),
-    );
-    t.insert("disk_search_ms".into(), Value::Float(system.disk.search_ms));
-    t.insert(
-        "disk_latency_ms".into(),
-        Value::Float(system.disk.latency_ms),
-    );
-    t.insert(
-        "disk_transfer_ms".into(),
-        Value::Float(system.disk.transfer_ms),
-    );
-    t.insert(
-        "multiprogramming_level".into(),
-        Value::Integer(system.multiprogramming_level as i64),
-    );
-    t.insert("get_lock_ms".into(), Value::Float(system.get_lock_ms));
-    t.insert(
-        "release_lock_ms".into(),
-        Value::Float(system.release_lock_ms),
-    );
-    t.insert("users".into(), Value::Integer(system.users as i64));
-    t.insert("swizzle".into(), Value::Bool(system.swizzle));
-    t
-}
-
-fn database_to_table(db: &ocb::DatabaseParams) -> Table {
-    let mut t = Table::new();
-    t.insert("classes".into(), Value::Integer(db.classes as i64));
-    t.insert("max_refs".into(), Value::Integer(db.max_refs as i64));
-    t.insert("base_size".into(), Value::Integer(db.base_size as i64));
-    t.insert("size_factor".into(), Value::Integer(db.size_factor as i64));
-    t.insert("objects".into(), Value::Integer(db.objects as i64));
-    t.insert("ref_types".into(), Value::Integer(db.ref_types as i64));
-    t.insert(
-        "class_locality".into(),
-        Value::Integer(db.class_locality as i64),
-    );
-    t.insert(
-        "object_locality".into(),
-        Value::Integer(db.object_locality as i64),
-    );
-    t.insert(
-        "instance_dist".into(),
-        Value::String(selection_to_string(&db.instance_dist)),
-    );
-    t.insert(
-        "ref_dist".into(),
-        Value::String(selection_to_string(&db.ref_dist)),
-    );
-    t
-}
-
-fn workload_to_table(wl: &ocb::WorkloadParams) -> Table {
-    let mut t = Table::new();
-    t.insert("users".into(), Value::Integer(wl.users as i64));
-    t.insert(
-        "user_model".into(),
-        Value::String(wl.user_model.name().into()),
-    );
-    t.insert(
-        "cold_transactions".into(),
-        Value::Integer(wl.cold_transactions as i64),
-    );
-    t.insert(
-        "hot_transactions".into(),
-        Value::Integer(wl.hot_transactions as i64),
-    );
-    t.insert("p_set".into(), Value::Float(wl.p_set));
-    t.insert("p_simple".into(), Value::Float(wl.p_simple));
-    t.insert("p_hierarchy".into(), Value::Float(wl.p_hierarchy));
-    t.insert("p_stochastic".into(), Value::Float(wl.p_stochastic));
-    t.insert("set_depth".into(), Value::Integer(wl.set_depth as i64));
-    t.insert(
-        "simple_depth".into(),
-        Value::Integer(wl.simple_depth as i64),
-    );
-    t.insert(
-        "hierarchy_depth".into(),
-        Value::Integer(wl.hierarchy_depth as i64),
-    );
-    t.insert(
-        "stochastic_depth".into(),
-        Value::Integer(wl.stochastic_depth as i64),
-    );
-    t.insert("p_write".into(), Value::Float(wl.p_write));
-    t.insert(
-        "root_dist".into(),
-        Value::String(selection_to_string(&wl.root_dist)),
-    );
-    t.insert("think_time_ms".into(), Value::Float(wl.think_time_ms));
-    t.insert(
-        "arrival".into(),
-        Value::String(arrival_to_string(&wl.arrival)),
-    );
-    t.insert("duration_ms".into(), Value::Float(wl.duration_ms));
-    t.insert("warmup_ms".into(), Value::Float(wl.warmup_ms));
-    t
 }
 
 #[cfg(test)]
@@ -1330,13 +1058,17 @@ hot_transactions = 40
             }
         );
         assert_eq!(grid[3].config.workload.arrival, Arrival::Closed);
-        assert_eq!(grid[0].label(), "arrival=poisson-10");
-        // Canonical serialization round-trips.
-        let serialized = s.to_toml_string();
-        let reparsed = Scenario::parse(&serialized).unwrap();
-        assert_eq!(reparsed.to_toml_string(), serialized);
-        assert_eq!(reparsed.config.workload.arrival, s.config.workload.arrival);
-        assert_eq!(reparsed.sweep, s.sweep);
+        // Each swept spelling comes back out verbatim in its point label.
+        let labels: Vec<String> = grid.iter().map(SweepPoint::label).collect();
+        assert_eq!(
+            labels,
+            [
+                "arrival=poisson-10",
+                "arrival=poisson-40",
+                "arrival=deterministic-12.5",
+                "arrival=closed"
+            ]
+        );
         // Invalid values are rejected with the key named.
         let err = Scenario::parse(&format!("{MINIMAL}\n[workload]\narrival = \"sometimes\"\n"))
             .unwrap_err();
@@ -1360,24 +1092,6 @@ hot_transactions = 40
         // The warm-up scales with the cut, keeping its fraction.
         assert!((s.config.workload.warmup_ms - 200.0).abs() < 1e-9);
         s.validate().unwrap();
-    }
-
-    #[test]
-    fn to_toml_round_trips() {
-        let text = format!(
-            "{MINIMAL}\n[system]\nsystem_class = \"hybrid-3\"\npage_replacement = \"lru-2\"\n\
-             clustering = \"dstc\"\nnetwork_throughput_mbps = inf\n\n\
-             [[sweep]]\nparam = \"system.buffer_pages\"\nvalues = [64, 256]\n"
-        );
-        let s = Scenario::parse(&text).unwrap();
-        let serialized = s.to_toml_string();
-        let reparsed = Scenario::parse(&serialized).unwrap();
-        assert_eq!(reparsed.to_toml_string(), serialized);
-        assert_eq!(
-            reparsed.config.system.buffer_pages,
-            s.config.system.buffer_pages
-        );
-        assert_eq!(reparsed.sweep, s.sweep);
     }
 
     #[test]

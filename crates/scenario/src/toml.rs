@@ -1,5 +1,4 @@
-//! A hand-rolled parser and serializer for the TOML subset scenario files
-//! use.
+//! A hand-rolled parser for the TOML subset scenario files use.
 //!
 //! No external TOML crate is sanctioned for this reproduction (the
 //! workspace builds fully offline, with vendored stand-ins only), and
@@ -15,10 +14,10 @@
 //! * `#` comments and blank lines.
 //!
 //! Errors carry the precise **line and column** (1-based) where parsing
-//! stopped, so a typo in a scenario file points at itself. The
-//! serializer emits the same subset and the pair round-trips: for any
-//! [`Value`] tree built of this subset, `parse(serialize(v)) == v`
-//! (property-tested in `tests/properties.rs`).
+//! stopped, so a typo in a scenario file points at itself. Scenario
+//! files are only ever read: nothing writes one back out. The parser
+//! returns `Ok` or `Err` on any input, never panicking (property-tested
+//! in `tests/properties.rs`).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,8 +39,9 @@ pub enum Value {
     Table(Table),
 }
 
-/// A table: ordered map from bare keys to values (BTreeMap keeps the
-/// serializer's output canonical).
+/// A table: ordered map from bare keys to values (a BTreeMap, so a
+/// scenario's keys are applied and checked in key order, whatever their
+/// order in the file).
 pub type Table = BTreeMap<String, Value>;
 
 impl Value {
@@ -559,113 +559,9 @@ impl Parser {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Serializer
-// ---------------------------------------------------------------------------
-
-/// Serializes a root table to the same TOML subset [`parse`] accepts.
-///
-/// Scalar and array keys come first, then `[sub.tables]`, then
-/// `[[arrays.of.tables]]` — the order `parse` can re-ingest without
-/// ambiguity. Keys are emitted in sorted (BTreeMap) order, making the
-/// output canonical: `serialize(parse(serialize(t))) == serialize(t)`.
-pub fn serialize(root: &Table) -> String {
-    let mut out = String::new();
-    serialize_table(root, &mut Vec::new(), &mut out);
-    out
-}
-
-fn is_array_of_tables(value: &Value) -> bool {
-    matches!(value, Value::Array(items)
-        if !items.is_empty() && items.iter().all(|v| matches!(v, Value::Table(_))))
-}
-
-fn serialize_table(table: &Table, path: &mut Vec<String>, out: &mut String) {
-    // 1. Plain key = value lines.
-    for (key, value) in table {
-        if matches!(value, Value::Table(_)) || is_array_of_tables(value) {
-            continue;
-        }
-        out.push_str(key);
-        out.push_str(" = ");
-        write_inline_value(value, out);
-        out.push('\n');
-    }
-    // 2. Sub-tables.
-    for (key, value) in table {
-        if let Value::Table(sub) = value {
-            path.push(key.clone());
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push('[');
-            out.push_str(&path.join("."));
-            out.push_str("]\n");
-            serialize_table(sub, path, out);
-            path.pop();
-        }
-    }
-    // 3. Arrays of tables.
-    for (key, value) in table {
-        if !is_array_of_tables(value) {
-            continue;
-        }
-        let Value::Array(items) = value else {
-            unreachable!()
-        };
-        path.push(key.clone());
-        for item in items {
-            let Value::Table(sub) = item else {
-                unreachable!()
-            };
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str("[[");
-            out.push_str(&path.join("."));
-            out.push_str("]]\n");
-            serialize_table(sub, path, out);
-        }
-        path.pop();
-    }
-}
-
-fn write_inline_value(value: &Value, out: &mut String) {
-    match value {
-        Value::String(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        Value::Integer(n) => out.push_str(&n.to_string()),
-        Value::Float(f) => out.push_str(&format_float(*f)),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_inline_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Table(_) => unreachable!("sub-tables are emitted as [sections]"),
-    }
-}
-
-/// Formats a float so it re-parses as a float (never as an integer):
-/// Rust's shortest round-trip `Display`, with `.0` appended when the
-/// representation has no decimal point or exponent.
+/// Formats a float so it reads as a float (never as an integer), for
+/// sweep-point labels: Rust's shortest round-trip `Display`, with `.0`
+/// appended when the representation has no decimal point or exponent.
 pub fn format_float(f: f64) -> String {
     if f.is_nan() {
         return "nan".to_owned();
@@ -684,13 +580,6 @@ pub fn format_float(f: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn table(pairs: &[(&str, Value)]) -> Table {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect()
-    }
 
     #[test]
     fn parses_scalars_and_sections() {
@@ -800,36 +689,6 @@ search_ms = 7.4
         let err = parse("x = 1 y = 2\n").unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.message.contains("end of line"), "{err}");
-    }
-
-    #[test]
-    fn serializes_canonically_and_round_trips() {
-        let mut root = table(&[
-            ("name", Value::String("demo \"x\"\n".into())),
-            ("count", Value::Integer(-3)),
-            ("ratio", Value::Float(2.0)),
-            ("flag", Value::Bool(false)),
-            (
-                "xs",
-                Value::Array(vec![Value::Integer(1), Value::Float(f64::INFINITY)]),
-            ),
-        ]);
-        root.insert(
-            "system".into(),
-            Value::Table(table(&[("buffer_pages", Value::Integer(500))])),
-        );
-        root.insert(
-            "sweep".into(),
-            Value::Array(vec![
-                Value::Table(table(&[("param", Value::String("a".into()))])),
-                Value::Table(table(&[("param", Value::String("b".into()))])),
-            ]),
-        );
-        let text = serialize(&root);
-        let reparsed = parse(&text).unwrap();
-        assert_eq!(reparsed, root);
-        // Canonical: a second serialize produces identical text.
-        assert_eq!(serialize(&reparsed), text);
     }
 
     #[test]

@@ -1,230 +1,121 @@
-//! Property-based tests of the scenario subsystem: TOML round-trips at
-//! the value level, scenario round-trips at the spec level, and grid
-//! arithmetic.
+//! Property-based tests of the scenario subsystem: every knob a
+//! scenario file spells lands in the parsed config, the hand-rolled
+//! readers return `Ok` or `Err` on any input without panicking, and
+//! grid arithmetic.
 
+use bufmgr::PolicyKind;
+use clustering::{ClusteringKind, DstcParams};
+use ocb::Selection;
 use proptest::prelude::*;
-use scenario::{parse, serialize, Scenario, Table, Value};
+use scenario::{parse, Scenario, PARAM_HELP};
+use std::path::Path;
+use std::sync::OnceLock;
+use voodb::SystemClass;
 
 // ---------------------------------------------------------------------------
-// Strategies
+// Scenario-level parsing
 // ---------------------------------------------------------------------------
 
-const KEY_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-";
-const TEXT_CHARS: &[char] = &[
-    'a', 'z', 'Z', '0', ' ', '_', '-', '.', ',', '#', '[', ']', '=', '"', '\\', '\n', '\t', 'é',
-    '☃',
-];
+/// A knob's scenario-file spelling and the value it must parse to.
+type Knob<T> = (String, T);
 
-fn arb_key() -> impl Strategy<Value = String> {
-    prop::collection::vec(0usize..KEY_CHARS.len(), 1..10)
-        .prop_map(|ixs| ixs.into_iter().map(|i| KEY_CHARS[i] as char).collect())
+fn knob<T: Clone + 'static>(spelling: &str, parsed: T) -> BoxedStrategy<Knob<T>> {
+    Just((spelling.to_owned(), parsed)).boxed()
 }
 
-fn arb_text() -> impl Strategy<Value = String> {
-    prop::collection::vec(0usize..TEXT_CHARS.len(), 0..12)
-        .prop_map(|ixs| ixs.into_iter().map(|i| TEXT_CHARS[i]).collect())
-}
-
-/// Finite floats built from small parts so every draw is exactly
-/// representable after Display round-trip (which Rust guarantees for any
-/// finite f64 anyway), plus the infinities the scenario format needs.
-fn arb_float() -> impl Strategy<Value = f64> {
+fn arb_system_class() -> impl Strategy<Value = Knob<SystemClass>> {
     prop_oneof![
-        (-1_000_000i64..1_000_000, 1u32..4).prop_map(|(m, e)| m as f64 / 10f64.powi(e as i32)),
-        any::<i32>().prop_map(|m| m as f64 * 0.5),
-        Just(f64::INFINITY),
-        Just(f64::NEG_INFINITY),
-    ]
-}
-
-fn arb_scalar() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        any::<i64>().prop_map(Value::Integer),
-        arb_float().prop_map(Value::Float),
-        prop::bool::ANY.prop_map(Value::Bool),
-        arb_text().prop_map(Value::String),
-    ]
-}
-
-/// A value tree of bounded depth. Depth 0 = scalars; deeper levels add
-/// arrays and sub-tables.
-fn arb_value(depth: usize) -> BoxedStrategy<Value> {
-    if depth == 0 {
-        return arb_scalar().boxed();
-    }
-    prop_oneof![
-        arb_scalar(),
-        prop::collection::vec(arb_value(depth - 1), 0..4).prop_map(Value::Array),
-        arb_table(depth - 1).prop_map(Value::Table),
-    ]
-    .boxed()
-}
-
-fn arb_table(depth: usize) -> BoxedStrategy<Table> {
-    prop::collection::vec((arb_key(), arb_value(depth)), 0..5)
-        .prop_map(|pairs| pairs.into_iter().collect::<Table>())
-        .boxed()
-}
-
-/// Serializable tables must not contain `[v, {table}]`-style arrays that
-/// mix tables and non-tables (the subset has no inline-table syntax to
-/// express them), nor empty tables inside arrays-of-tables... which the
-/// serializer *can* express. Only mixed arrays are unrepresentable, so
-/// filter them out.
-fn has_mixed_array(value: &Value) -> bool {
-    match value {
-        Value::Array(items) => {
-            let tables = items
-                .iter()
-                .filter(|v| matches!(v, Value::Table(_)))
-                .count();
-            (tables > 0 && tables < items.len()) || items.iter().any(has_mixed_array)
-        }
-        Value::Table(t) => t.values().any(has_mixed_array),
-        _ => false,
-    }
-}
-
-/// Arrays nested *inside* an array-of-tables position are fine, but an
-/// array whose elements are themselves arrays containing tables cannot
-/// be written either (no inline tables). Reject any table nested under
-/// an array that is not purely an array-of-tables chain.
-fn has_table_under_plain_array(value: &Value, inside_plain_array: bool) -> bool {
-    match value {
-        Value::Table(t) => {
-            inside_plain_array || t.values().any(|v| has_table_under_plain_array(v, false))
-        }
-        Value::Array(items) => {
-            let all_tables =
-                !items.is_empty() && items.iter().all(|v| matches!(v, Value::Table(_)));
-            if all_tables && !inside_plain_array {
-                // Array-of-tables position: recurse into the tables.
-                items.iter().any(|v| has_table_under_plain_array(v, false))
-            } else {
-                items.iter().any(|v| has_table_under_plain_array(v, true))
-            }
-        }
-        _ => false,
-    }
-}
-
-fn serializable(root: &Table) -> bool {
-    !root.values().any(has_mixed_array)
-        && !root.values().any(|v| has_table_under_plain_array(v, false))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// serialize → parse is the identity on representable value trees.
-    #[test]
-    fn toml_value_round_trip(root in arb_table(3).prop_filter("representable", serializable)) {
-        let text = serialize(&root);
-        let reparsed = parse(&text)
-            .unwrap_or_else(|e| panic!("reparse failed: {e}\n--- document ---\n{text}"));
-        prop_assert_eq!(&reparsed, &root, "document:\n{}", text);
-        // And the serializer is canonical: serialize(parse(s)) == s.
-        prop_assert_eq!(serialize(&reparsed), text);
-    }
-
-    /// Scalar values survive a round-trip inside a minimal document.
-    #[test]
-    fn toml_scalar_round_trip(value in arb_scalar()) {
-        let mut root = Table::new();
-        root.insert("x".to_owned(), value);
-        let text = serialize(&root);
-        let reparsed = parse(&text).unwrap();
-        prop_assert_eq!(reparsed, root, "document:\n{}", text);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scenario-level round-trips
-// ---------------------------------------------------------------------------
-
-/// A scenario assembled from randomly chosen (but always-valid) knobs:
-/// exercises every enum serializer (system class, policies, clustering,
-/// selections) against the parser.
-fn arb_scenario_text() -> impl Strategy<Value = String> {
-    let system_class = prop_oneof![
-        Just("centralized".to_owned()),
-        Just("object-server".to_owned()),
-        Just("page-server".to_owned()),
-        Just("db-server".to_owned()),
-        (1usize..8).prop_map(|n| format!("hybrid-{n}")),
-    ];
-    let policy = prop_oneof![
-        Just("fifo".to_owned()),
-        Just("lru".to_owned()),
-        Just("lfu".to_owned()),
-        Just("clock".to_owned()),
-        (2usize..5).prop_map(|k| format!("lru-{k}")),
-        (1u8..8).prop_map(|w| format!("gclock-{w}")),
-        any::<u64>().prop_map(|s| format!("random-{s}")),
-    ];
-    let clustering = prop_oneof![
-        Just("none".to_owned()),
-        Just("dstc".to_owned()),
-        (2usize..64).prop_map(|n| format!("static-graph-{n}")),
-    ];
-    let root_dist = prop_oneof![
-        Just("uniform".to_owned()),
-        (1u32..30).prop_map(|t| format!("zipf-{}", t as f64 / 10.0)),
-        ((1u32..99), (1u32..99)).prop_map(|(f, p)| format!(
-            "hotset-{}-{}",
-            f as f64 / 100.0,
-            p as f64 / 100.0
+        knob("centralized", SystemClass::Centralized),
+        knob("object-server", SystemClass::ObjectServer),
+        knob("page-server", SystemClass::PageServer),
+        knob("db-server", SystemClass::DbServer),
+        (1usize..8).prop_map(|servers| (
+            format!("hybrid-{servers}"),
+            SystemClass::HybridMultiServer { servers }
         )),
-    ];
-    (
-        system_class,
-        policy,
-        clustering,
-        root_dist,
-        (1usize..200, 8usize..4096, 1usize..20),
-        (1usize..50, any::<u32>().prop_map(|s| s as u64)),
-    )
-        .prop_map(
-            |(class, policy, clustering, root_dist, (objs, pages, mpl), (reps, seed))| {
-                let objects = objs * 10;
-                let classes = 5.min(objects);
-                format!(
-                    "[scenario]\nname = \"prop\"\nreplications = {reps}\nseed = {seed}\n\n\
-                     [system]\nsystem_class = \"{class}\"\npage_replacement = \"{policy}\"\n\
-                     clustering = \"{clustering}\"\nbuffer_pages = {pages}\n\
-                     multiprogramming_level = {mpl}\n\n\
-                     [database]\nclasses = {classes}\nobjects = {objects}\n\n\
-                     [workload]\nhot_transactions = 25\nroot_dist = \"{root_dist}\"\n\n\
-                     [[sweep]]\nparam = \"system.buffer_pages\"\nvalues = [{pages}, {}]\n",
-                    pages * 2
-                )
-            },
-        )
+    ]
+}
+
+fn arb_policy() -> impl Strategy<Value = Knob<PolicyKind>> {
+    prop_oneof![
+        knob("fifo", PolicyKind::Fifo),
+        knob("lru", PolicyKind::Lru),
+        knob("lfu", PolicyKind::Lfu),
+        knob("clock", PolicyKind::Clock),
+        (2usize..5).prop_map(|k| (format!("lru-{k}"), PolicyKind::LruK { k })),
+        (1u8..8).prop_map(|weight| (format!("gclock-{weight}"), PolicyKind::GClock { weight })),
+        any::<u64>().prop_map(|seed| (format!("random-{seed}"), PolicyKind::Random { seed })),
+    ]
+}
+
+fn arb_clustering() -> impl Strategy<Value = Knob<ClusteringKind>> {
+    prop_oneof![
+        knob("none", ClusteringKind::None),
+        knob("dstc", ClusteringKind::Dstc(DstcParams::default())),
+        (2usize..64).prop_map(|max_cluster_size| (
+            format!("static-graph-{max_cluster_size}"),
+            ClusteringKind::StaticGraph { max_cluster_size }
+        )),
+    ]
+}
+
+fn arb_root_dist() -> impl Strategy<Value = Knob<Selection>> {
+    prop_oneof![
+        knob("uniform", Selection::Uniform),
+        (1u32..30).prop_map(|t| {
+            let theta = t as f64 / 10.0;
+            (format!("zipf-{theta}"), Selection::Zipf(theta))
+        }),
+        ((1u32..99), (1u32..99)).prop_map(|(f, p)| {
+            let (fraction, p_hot) = (f as f64 / 100.0, p as f64 / 100.0);
+            (
+                format!("hotset-{fraction}-{p_hot}"),
+                Selection::HotSet { fraction, p_hot },
+            )
+        }),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// parse → serialize → parse is the identity on scenarios: the
-    /// reserialized text parses to a scenario whose canonical form is
-    /// stable and whose grid matches.
+    /// Knobs → scenario text → parsed config: every generated knob lands
+    /// where it belongs, so each enum spelling's parse is covered.
     #[test]
-    fn scenario_round_trip(text in arb_scenario_text()) {
+    fn scenario_round_trip(
+        (class, policy, clustering, root_dist) in
+            (arb_system_class(), arb_policy(), arb_clustering(), arb_root_dist()),
+        (objs, pages, mpl) in (1usize..200, 8usize..4096, 1usize..20),
+        (reps, seed) in (1usize..50, any::<u32>().prop_map(u64::from)),
+    ) {
+        let objects = objs * 10;
+        let classes = 5.min(objects);
+        let text = format!(
+            "[scenario]\nname = \"prop\"\nreplications = {reps}\nseed = {seed}\n\n\
+             [system]\nsystem_class = \"{}\"\npage_replacement = \"{}\"\n\
+             clustering = \"{}\"\nbuffer_pages = {pages}\n\
+             multiprogramming_level = {mpl}\n\n\
+             [database]\nclasses = {classes}\nobjects = {objects}\n\n\
+             [workload]\nhot_transactions = 25\nroot_dist = \"{}\"\n\n\
+             [[sweep]]\nparam = \"system.buffer_pages\"\nvalues = [{pages}, {}]\n",
+            class.0, policy.0, clustering.0, root_dist.0, pages * 2
+        );
         let scenario = Scenario::parse(&text)
             .unwrap_or_else(|e| panic!("parse failed: {e}\n--- document ---\n{text}"));
-        let canonical = scenario.to_toml_string();
-        let reparsed = Scenario::parse(&canonical)
-            .unwrap_or_else(|e| panic!("reparse failed: {e}\n--- document ---\n{canonical}"));
-        prop_assert_eq!(reparsed.to_toml_string(), canonical);
-        prop_assert_eq!(reparsed.name, scenario.name);
-        prop_assert_eq!(reparsed.replications, scenario.replications);
-        prop_assert_eq!(reparsed.seed, scenario.seed);
-        prop_assert_eq!(reparsed.sweep, scenario.sweep);
-        prop_assert_eq!(reparsed.grid().len(), scenario.grid().len());
-        prop_assert_eq!(
-            reparsed.config.system.buffer_pages,
-            scenario.config.system.buffer_pages
-        );
+        let system = &scenario.config.system;
+        prop_assert_eq!(&scenario.name, "prop");
+        prop_assert_eq!(scenario.replications, reps);
+        prop_assert_eq!(scenario.seed, seed);
+        prop_assert_eq!(system.system_class, class.1);
+        prop_assert_eq!(system.page_replacement, policy.1);
+        prop_assert_eq!(&system.clustering, &clustering.1);
+        prop_assert_eq!(system.buffer_pages, pages);
+        prop_assert_eq!(system.multiprogramming_level, mpl);
+        prop_assert_eq!(scenario.config.database.objects, objects);
+        prop_assert_eq!(scenario.config.workload.root_dist, root_dist.1);
+        let grid = scenario.grid();
+        prop_assert_eq!(grid.len(), 2);
+        prop_assert_eq!(grid[1].config.system.buffer_pages, pages * 2);
     }
 
     /// The grid is the full cartesian product, first axis slowest.
@@ -249,5 +140,177 @@ proptest! {
             prop_assert_eq!(point.config.system.buffer_pages, (1 + i / b) * 64);
             prop_assert_eq!(point.config.system.multiprogramming_level, 1 + i % b);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The readers never panic
+// ---------------------------------------------------------------------------
+
+/// Fragments of the TOML subset and of scenario files.
+const TOML_TOKENS: &[&str] = &[
+    "[",
+    "]",
+    "[[",
+    "]]",
+    "=",
+    "\"",
+    "\\",
+    "\\u",
+    ",",
+    ".",
+    "#",
+    "\n",
+    "\r",
+    " ",
+    "\t",
+    "+",
+    "-",
+    "_",
+    "e",
+    "E",
+    "inf",
+    "nan",
+    "true",
+    "false",
+    "0",
+    "1.5",
+    "1e999",
+    "9223372036854775808",
+    "é",
+    "☃",
+    "[scenario]",
+    "[system]",
+    "[database]",
+    "[workload]",
+    "[[sweep]]",
+    "\nk = ",
+    "k = \"",
+    "name",
+    "param",
+    "values",
+    "\"lru-2\"",
+    "\"hybrid-0\"",
+    "\"poisson-1e9\"",
+    "\"hotset-0.1-\"",
+];
+
+/// Fragments of JSON documents.
+const JSON_TOKENS: &[&str] = &[
+    "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "\\ud800", "d800", "00e9", "-", "+", ".", "e",
+    "E", "0", "1", "1e999", "true", "false", "null", "nan", " ", "\n", "é", "☃", "\"job\"",
+    "\"t_ms\"",
+];
+
+/// JSON documents to mutate: a `--watch-jsonl` line and nested values.
+const JSON_DOCS: &[&str] = &[
+    r#"{"job":0,"t_ms":250.5,"throughput_tps":12.25,"p99_ms":3.5,"mpl_queue":0,"hit_ratio":0.75}"#,
+    r#"{"a":[1,2.5e-1,-3,{"b":null}],"c":"xA\n\"é","d":true,"e":false}"#,
+    r#"[[],{},"",0,-0.0,1E+2]"#,
+];
+
+/// Every shipped scenario file (`scenarios/` and the paper artifacts),
+/// sorted by path.
+fn scenario_files() -> &'static [String] {
+    static FILES: OnceLock<Vec<String>> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut paths = Vec::new();
+        for dir in [root.join("../../scenarios"), root.join("artifacts")] {
+            for entry in std::fs::read_dir(&dir).expect("scenario directory") {
+                let path = entry.expect("directory entry").path();
+                if path.extension().is_some_and(|ext| ext == "toml") {
+                    paths.push(path);
+                }
+            }
+        }
+        paths.sort();
+        paths
+            .iter()
+            .map(|path| std::fs::read_to_string(path).expect("scenario file"))
+            .collect()
+    })
+}
+
+/// A token soup: fragments from `tokens`, integers, floats and
+/// arbitrary characters, concatenated.
+fn arb_soup(tokens: &'static [&'static str]) -> impl Strategy<Value = String> {
+    let token = prop_oneof![
+        (0..tokens.len()).prop_map(move |i| tokens[i].to_owned()),
+        (0..PARAM_HELP.len()).prop_map(|i| PARAM_HELP[i].0.to_owned()),
+        any::<i64>().prop_map(|n| n.to_string()),
+        any::<f64>().prop_map(|f| f.to_string()),
+        any::<u32>().prop_map(|c| char::from_u32(c % 0x11_0000).unwrap_or('?').to_string()),
+    ];
+    prop::collection::vec(token, 0..48).prop_map(|parts| parts.concat())
+}
+
+/// Edits applied in turn to a document: `(kind, position, token)`,
+/// with the position taken modulo the current length (in characters).
+fn arb_edits() -> impl Strategy<Value = Vec<(u8, u32, usize)>> {
+    prop::collection::vec((0u8..4, any::<u32>(), 0usize..64), 0..8)
+}
+
+/// Truncates, deletes a run of characters, inserts a token or replaces
+/// one character, per edit.
+fn mutate(doc: &str, edits: &[(u8, u32, usize)], tokens: &[&str]) -> String {
+    let mut chars: Vec<char> = doc.chars().collect();
+    for &(kind, pos, token) in edits {
+        let at = pos as usize % (chars.len() + 1);
+        let token = tokens[token % tokens.len()].chars();
+        match kind {
+            0 => chars.truncate(at),
+            1 => {
+                chars.drain(at..(at + 1 + token.count()).min(chars.len()));
+            }
+            2 => {
+                chars.splice(at..at, token);
+            }
+            _ => {
+                let end = (at + 1).min(chars.len());
+                chars.splice(at..end, token);
+            }
+        }
+    }
+    chars.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The TOML and scenario readers return on any token soup.
+    #[test]
+    fn toml_readers_never_panic_on_token_soup(text in arb_soup(TOML_TOKENS)) {
+        let _ = parse(&text);
+        let _ = Scenario::parse(&text);
+    }
+
+    /// The TOML and scenario readers return on truncated or mutated
+    /// shipped scenario files.
+    #[test]
+    fn toml_readers_never_panic_on_mutated_scenarios(
+        file in any::<u32>(),
+        edits in arb_edits(),
+    ) {
+        let files = scenario_files();
+        prop_assert!(files.len() >= 10, "found {} scenario files", files.len());
+        let original = &files[file as usize % files.len()];
+        prop_assert!(Scenario::parse(original).is_ok());
+        let text = mutate(original, &edits, TOML_TOKENS);
+        let _ = parse(&text);
+        let _ = Scenario::parse(&text);
+    }
+
+    /// The JSON reader returns on token soups and on truncated or
+    /// mutated documents.
+    #[test]
+    fn json_reader_never_panics(
+        soup in arb_soup(JSON_TOKENS),
+        doc in 0..JSON_DOCS.len(),
+        edits in arb_edits(),
+    ) {
+        let _ = vtrace::json::parse(&soup);
+        prop_assert!(vtrace::json::parse(JSON_DOCS[doc]).is_ok());
+        let _ = vtrace::json::parse(&mutate(JSON_DOCS[doc], &edits, JSON_TOKENS));
     }
 }
