@@ -28,10 +28,17 @@ use desp::{key_time, time_key, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Mean initial wakes per bucket. Smaller buckets sort faster when a
-/// pop or a split reaches them and cost more offsets (8 bytes per
-/// bucket, so 1/4 byte per user here).
-const BUCKET_KEYS: usize = 32;
+/// Mean initial wakes per bucket, chosen by measurement. Fewer buckets
+/// mean fewer write streams in the scatter of [`WakeRun::load`], and a
+/// smaller offsets array; larger buckets cost more to sort when a pop or
+/// a split reaches one, and a saturated phase reaches only a few. On a
+/// million-wake load (2-vCPU x86-64 VM, 2 MiB L2 per core, glibc) the
+/// scatter into faulted-in memory took ~8.8, 7.6, 7.6 and 7.7 ms at 32,
+/// 64, 128 and 256 keys. The offsets array mattered more: at 32 keys it
+/// is 250 KB, and every job then faulted in both 8 MB key buffers
+/// afresh (~3-4 ms each); at 128 keys (62 KB) jobs reused earlier jobs'
+/// pages. Offsets cost 8 bytes per bucket, 1/16 byte per user here.
+const BUCKET_KEYS: usize = 128;
 
 /// Wake state of one user cohort.
 ///
@@ -207,15 +214,19 @@ impl WakeRun {
     /// first bucket only.
     fn load(wakes: impl ExactSizeIterator<Item = SimTime>) -> Self {
         let mut drawn = Vec::with_capacity(wakes.len());
-        let (mut lo, mut hi, mut max_key) = (f64::INFINITY, f64::NEG_INFINITY, 0);
-        for at in wakes {
-            let ms = at.as_ms();
-            let key = time_key(ms);
-            lo = lo.min(ms);
-            hi = hi.max(ms);
+        // The extremes are tracked as keys (integer compares), and
+        // `key_time` gives their instants back.
+        let (mut min_key, mut max_key) = (u64::MAX, 0);
+        drawn.extend(wakes.map(|at| {
+            let key = time_key(at.as_ms());
+            min_key = min_key.min(key);
             max_key = max_key.max(key);
-            drawn.push(key);
+            key
+        }));
+        if drawn.is_empty() {
+            return WakeRun::default();
         }
+        let (lo, hi) = (key_time(min_key).as_ms(), key_time(max_key).as_ms());
         let buckets = (drawn.len() / BUCKET_KEYS).max(1);
         let mut run = WakeRun {
             t0: lo,
@@ -517,6 +528,125 @@ mod tests {
                 prop_assert_eq!(clock.queued(), reference.queued);
                 prop_assert_eq!(clock.peek(), reference.peek());
                 prop_assert_eq!(clock.initial_left(), reference.initial_left());
+            }
+        }
+    }
+
+    /// How a large initial run is drawn: the model's exponential think
+    /// times, a zero think time (every wake at one instant), or
+    /// exponential with a few far wakes, which stretch the bucket span so
+    /// that the bulk shares a few buckets and most buckets are empty.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        Expo,
+        Equal,
+        Outliers,
+    }
+
+    /// Phase start of the large runs, ms.
+    const START: f64 = 1_000.0;
+
+    fn draw(shape: Shape, seed: u64, size: usize) -> Vec<SimTime> {
+        let mut stream = desp::RandomStream::new(seed);
+        let mut wakes: Vec<SimTime> = (0..size)
+            .map(|_| match shape {
+                Shape::Equal => SimTime::from_ms(START),
+                Shape::Expo | Shape::Outliers => SimTime::from_ms(START + stream.expo(50.0)),
+            })
+            .collect();
+        if let Shape::Outliers = shape {
+            for far in [2e3, 1e4, 5e4] {
+                wakes[stream.index(size)] = SimTime::from_ms(START + far);
+            }
+        }
+        wakes
+    }
+
+    /// Loads `wakes` and drives the clock and the reference through
+    /// `steps`: batched pops and admissions, splits, and a few
+    /// resubmissions.
+    fn check_large_run(wakes: &[SimTime], steps: &[(u8, usize)]) -> Result<(), TestCaseError> {
+        let mut clock = CohortClock::default();
+        clock.load_initial(wakes.iter().copied());
+        let mut keys: Vec<(u64, bool)> =
+            wakes.iter().map(|w| (time_key(w.as_ms()), false)).collect();
+        keys.sort_unstable();
+        let mut reference = Reference { keys, queued: 0 };
+        let mut bound = time_key(START);
+        for &(kind, n) in steps {
+            match kind {
+                // Pop `n` sleeping keys, or admit `n` if some are queued
+                // (a sleeping pop needs an empty ring).
+                0 | 1 => {
+                    let sleeping = kind == 0 && reference.queued == 0;
+                    let n = n.min(if sleeping {
+                        reference.keys.len()
+                    } else {
+                        reference.queued
+                    });
+                    let got: Vec<Option<u64>> = (0..n)
+                        .map(|_| {
+                            if sleeping {
+                                clock.pop()
+                            } else {
+                                clock.pop_queued()
+                            }
+                        })
+                        .collect();
+                    let expect: Vec<Option<u64>> = reference
+                        .keys
+                        .drain(..n)
+                        .map(|(key, _)| Some(key))
+                        .collect();
+                    if !sleeping {
+                        reference.queued -= n;
+                    }
+                    prop_assert_eq!(got, expect);
+                }
+                // Split `n / 200` ms past the last bound, or at the `n`-th
+                // sleeping key, so the bound ties with it (past every key
+                // when there are fewer).
+                2 | 3 => {
+                    let next = match reference.keys.get(reference.queued + n) {
+                        _ if kind == 2 => time_key(key_time(bound).as_ms() + n as f64 * 0.005),
+                        Some(&(key, _)) => key,
+                        None => reference.keys.last().map_or(bound, |&(key, _)| key + 1),
+                    };
+                    bound = bound.max(next);
+                    let below = reference.keys.partition_point(|&(key, _)| key < bound);
+                    let moved = below.max(reference.queued) - reference.queued;
+                    reference.queued += moved;
+                    prop_assert_eq!(clock.queue_below(bound), moved);
+                }
+                // A few resubmissions at and just after the last bound.
+                _ => {
+                    for i in 0..n % 8 {
+                        let wake =
+                            SimTime::from_ms(key_time(bound).as_ms() + (i % 4) as f64 * 0.25);
+                        clock.push(wake);
+                        reference.insert(time_key(wake.as_ms()), true);
+                    }
+                }
+            }
+            prop_assert_eq!(clock.queued(), reference.queued);
+            prop_assert_eq!(clock.peek(), reference.peek());
+            prop_assert_eq!(clock.initial_left(), reference.initial_left());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Runs of the size and shape a phase loads, every shape per case.
+        #[test]
+        fn large_runs_match_a_sorted_vec(
+            seed in any::<u64>(),
+            size in 50_000usize..200_000,
+            steps in prop::collection::vec((0u8..5, 0usize..4_000), 10..60),
+        ) {
+            for shape in [Shape::Expo, Shape::Equal, Shape::Outliers] {
+                check_large_run(&draw(shape, seed, size), &steps)?;
             }
         }
     }

@@ -43,6 +43,7 @@ use scenario::{
     sweep_table, write_sweep_reports, write_trace_reports, JobKind, Report, RunOptions, Scenario,
     ARTIFACTS, DEFAULT_OUT_DIR,
 };
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -456,15 +457,15 @@ fn cmd_repro(args: &[String]) -> ExitCode {
 
 /// Drains watch samples to the terminal and/or a JSONL file until every
 /// sender (per-job recorders plus the run's config) has been dropped.
-/// Returns the number of samples seen.
+/// Parallel jobs send in no fixed order, so samples go out in (job,
+/// simulated time) order instead: job 0's as they arrive, every later
+/// job's when the run is over. Returns the number of samples seen.
 fn drain_watch(
     rx: std::sync::mpsc::Receiver<WatchSample>,
     mut jsonl: Option<std::fs::File>,
     terminal: bool,
 ) -> Result<usize, String> {
-    let mut samples = 0usize;
-    for sample in rx {
-        samples += 1;
+    let mut emit = |sample: &WatchSample| -> Result<(), String> {
         if terminal {
             println!(
                 "watch job={} t={:.1}ms tps={:.1} p99={:.2}ms mpl_queue={:.0} hit={:.3}",
@@ -477,10 +478,23 @@ fn drain_watch(
             );
         }
         if let Some(file) = &mut jsonl {
-            writeln!(file, "{}", watch_sample_json(&sample).to_string_compact())
+            writeln!(file, "{}", watch_sample_json(sample).to_string_compact())
                 .map_err(|e| format!("watch jsonl: {e}"))?;
         }
+        Ok(())
+    };
+    // One job's samples arrive in its own simulated-time order.
+    let mut later: BTreeMap<usize, Vec<WatchSample>> = BTreeMap::new();
+    let mut samples = 0usize;
+    for sample in rx {
+        samples += 1;
+        if sample.job == 0 {
+            emit(&sample)?;
+        } else {
+            later.entry(sample.job).or_default().push(sample);
+        }
     }
+    later.values().flatten().try_for_each(emit)?;
     Ok(samples)
 }
 

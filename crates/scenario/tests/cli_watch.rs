@@ -70,3 +70,55 @@ fn watch_jsonl_stream_is_well_formed() {
     }
     assert!(samples > 0, "no watch samples in {}", stream.display());
 }
+
+/// Two runs at one seed write byte-identical watch streams, on the
+/// terminal and in the JSONL file, in (job, simulated time) order
+/// however their parallel jobs interleave.
+#[test]
+fn watch_streams_repeat_byte_for_byte() {
+    let tmp = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_watch_repeat");
+    let _ = std::fs::remove_dir_all(&tmp);
+    let smoke = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/smoke.toml");
+    let run = |name: &str| -> (String, String) {
+        let dir = tmp.join(name);
+        std::fs::create_dir_all(&dir).expect("run directory");
+        // Relative output paths, so both runs print the same lines.
+        let out = Command::new(env!("CARGO_BIN_EXE_voodb"))
+            .current_dir(&dir)
+            .args([
+                "run",
+                smoke,
+                "--reps",
+                "1",
+                "--duration",
+                "5000",
+                "--watch-interval",
+                "250",
+                "--watch",
+                "--watch-jsonl",
+                "watch.jsonl",
+                "--out",
+                "out",
+            ])
+            .output()
+            .expect("voodb runs");
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+        let stream = std::fs::read_to_string(dir.join("watch.jsonl")).expect("watch stream");
+        (stdout, stream)
+    };
+    let (first, second) = (run("first"), run("second"));
+    assert_eq!(first.0, second.0, "--watch stdout differs between runs");
+    assert_eq!(first.1, second.1, "--watch-jsonl differs between runs");
+
+    let jobs: Vec<u64> = first
+        .1
+        .lines()
+        .map(|line| {
+            let doc = vtrace::json::parse(line).expect("JSON line");
+            doc.get("job").and_then(Json::as_f64).expect("numeric job") as u64
+        })
+        .collect();
+    assert!(jobs.is_sorted(), "jobs out of order: {jobs:?}");
+    assert!(jobs.first() != jobs.last(), "one job only: {jobs:?}");
+}

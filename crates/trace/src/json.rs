@@ -128,21 +128,18 @@ pub fn write_json_string(out: &mut String, s: &str) {
 /// # Errors
 /// Returns a message with the byte offset of the first error.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut parser = Parser { text, pos: 0 };
     parser.skip_ws();
     let value = parser.value()?;
     parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != text.len() {
         return Err(format!("trailing content at byte {}", parser.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -152,7 +149,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -171,7 +168,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -215,8 +212,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse()
+        self.text[start..self.pos]
+            .parse()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -244,7 +241,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let hex =
@@ -261,12 +259,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the plain run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char boundary
+                    // (and `pos` only ever stops on one).
+                    let run = self.text.as_bytes()[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.text.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -331,7 +332,7 @@ mod tests {
     #[test]
     fn round_trips_nested_document() {
         let doc = Json::Obj(vec![
-            ("name".into(), Json::Str("trace \"demo\"\n".into())),
+            ("name".into(), Json::Str("trace \"demo\"\n é漢🦀".into())),
             ("seed".into(), Json::Num(42.0)),
             ("ratio".into(), Json::Num(0.125)),
             ("ok".into(), Json::Bool(true)),
@@ -347,17 +348,44 @@ mod tests {
         assert_eq!(parsed.get("seed").and_then(Json::as_f64), Some(42.0));
         assert_eq!(
             parsed.get("name").and_then(Json::as_str),
-            Some("trace \"demo\"\n")
+            Some("trace \"demo\"\n é漢🦀")
         );
     }
 
     #[test]
     fn parses_whitespace_and_escapes() {
-        let parsed = parse(" { \"a\" : [ 1 , 2.5e-1 ] , \"b\" : \"x\\u0041\" } ").unwrap();
-        assert_eq!(parsed.get("b").and_then(Json::as_str), Some("xA"));
+        let parsed =
+            parse(r#" { "a" : [ 1 , 2.5e-1 ] , "b" : "x\u0041 é漢🦀\n\"\\\t\u6f22" } "#).unwrap();
+        assert_eq!(
+            parsed.get("b").and_then(Json::as_str),
+            Some("xA é漢🦀\n\"\\\t漢")
+        );
         assert_eq!(
             parsed.get("a").and_then(Json::as_arr).map(<[_]>::len),
             Some(2)
+        );
+    }
+
+    /// Parsing is linear in the string's length: doubling it about
+    /// doubles the time. A parser that rescans the rest of the input per
+    /// character quadruples it. Each round times both sizes back to back
+    /// and the median round's ratio is checked, so a slow spell of the
+    /// host slows both sides of a round.
+    #[test]
+    fn string_parsing_is_linear() {
+        let text = |chars: usize| format!("\"{}\"", "aé漢🦀".repeat(chars / 4));
+        let (small, large) = (text(100_000), text(200_000));
+        let time = |text: &str| {
+            let start = std::time::Instant::now();
+            std::hint::black_box(parse(text).unwrap());
+            start.elapsed().as_secs_f64()
+        };
+        let mut ratios: Vec<f64> = (0..11).map(|_| time(&large) / time(&small)).collect();
+        ratios.sort_by(f64::total_cmp);
+        let median = ratios[ratios.len() / 2];
+        assert!(
+            median <= 3.0,
+            "200k/100k chars time ratio {median:.2}: {ratios:.2?}"
         );
     }
 
@@ -372,5 +400,6 @@ mod tests {
         assert!(err.contains("byte"), "{err}");
         assert!(parse("[1, 2,]").is_err());
         assert!(parse("12 34").unwrap_err().contains("trailing"));
+        assert!(parse("\"é漢").unwrap_err().contains("unterminated"));
     }
 }
