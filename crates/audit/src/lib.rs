@@ -1,4 +1,5 @@
-//! Determinism auditor for the VOODB workspace.
+//! Static auditor for the VOODB workspace: determinism rules plus one
+//! API rule.
 //!
 //! Byte-identical replay is the contract every result in this repro
 //! rests on: the scheduler differential tests, the streamed ≡
@@ -13,6 +14,10 @@
 //! reads, environment-seeded RNGs, NaN-unsound float orderings,
 //! unjustified `unsafe`/`#[allow]`, and aborts on the event hot path.
 //!
+//! The `test-only-pub` rule keeps the product API small: it looks at
+//! the whole workspace at once and flags a `pub` item in `crates/*/src`
+//! that only tests name, or nothing does.
+//!
 //! In the spirit of the repo's hand-rolled TOML and JSON parsers, the
 //! pass uses no external parser (no `syn`): the offline/vendored
 //! dependency policy applies to the tooling too. The trade-off is that
@@ -20,9 +25,10 @@
 //! limits — which is exactly why the differential tests stay in CI as
 //! the dynamic backstop.
 //!
-//! Entry points: [`audit_source`] for one in-memory file (the fixture
-//! corpus uses this), [`audit_workspace`] for the on-disk tree (the
-//! `voodb audit` subcommand and the CI gate use this).
+//! Entry points: [`FileContext::check`] runs the per-file rules on one
+//! in-memory file (the fixture corpus uses this), [`audit_workspace`]
+//! runs every rule on the on-disk tree (the `voodb audit` subcommand
+//! and the CI gate use this).
 
 pub mod lex;
 pub mod rules;
@@ -122,51 +128,52 @@ fn json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Audits one in-memory source file. `path` must be workspace-relative
-/// with forward slashes (e.g. `crates/core/src/lockmgr.rs`) — it
-/// selects the crate-dependent rules.
-pub fn audit_source(path: &str, src: &str) -> Vec<Violation> {
-    FileContext::new(path, src).check()
-}
-
-/// Audits the workspace rooted at `root`: every `.rs` file under the
-/// facade `src/` and under each `crates/<name>/src/`. Vendored
-/// dependencies, tests, benches and fixtures are out of scope — the
-/// rules govern the first-party library code whose behaviour
-/// determines simulation results.
+/// Audits the workspace rooted at `root`. The per-file rules cover
+/// every `.rs` file under the facade `src/` and under each
+/// `crates/<name>/src/`: the first-party library code whose behaviour
+/// determines simulation results. `test-only-pub` also reads
+/// `examples/` and `e2ebench/src/`, because code there is what keeps a
+/// `pub` item in the product API. Vendored dependencies, tests,
+/// benches and fixtures are out of scope.
 pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
-    let mut files = Vec::new();
-    let facade = root.join("src");
-    if facade.is_dir() {
-        collect_rs(&facade, &mut files)?;
-    }
+    let mut dirs = vec![root.join("src")];
     let crates = root.join("crates");
     if crates.is_dir() {
         let mut entries: Vec<PathBuf> = fs::read_dir(&crates)?
-            .map(|e| e.map(|e| e.path()))
+            .map(|e| e.map(|e| e.path().join("src")))
             .collect::<io::Result<_>>()?;
         entries.sort();
-        for entry in entries {
-            let src_dir = entry.join("src");
-            if src_dir.is_dir() {
-                collect_rs(&src_dir, &mut files)?;
-            }
+        dirs.extend(entries);
+    }
+    dirs.push(root.join("examples"));
+    dirs.push(root.join("e2ebench").join("src"));
+    let mut sources = Vec::new();
+    for dir in dirs.into_iter().filter(|dir| dir.is_dir()) {
+        let mut files = Vec::new();
+        collect_rs(&dir, &mut files)?;
+        for file in files {
+            let rel = file
+                .strip_prefix(root)
+                .unwrap_or(&file)
+                .components()
+                .map(|c| c.as_os_str().to_string_lossy())
+                .collect::<Vec<_>>()
+                .join("/");
+            sources.push((rel, fs::read_to_string(&file)?));
         }
     }
-    let mut report = AuditReport::default();
-    for file in files {
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        let src = fs::read_to_string(&file)?;
-        report
-            .violations
-            .extend(FileContext::new(&rel, &src).check());
-        report.files_scanned += 1;
+    let files: Vec<FileContext> = sources
+        .iter()
+        .map(|(rel, src)| FileContext::new(rel, src))
+        .collect();
+    let mut report = AuditReport {
+        files_scanned: files.len(),
+        violations: rules::test_only_pub(&files),
+    };
+    for file in &files {
+        if file.path.starts_with("src/") || file.path.starts_with("crates/") {
+            report.violations.extend(file.check());
+        }
     }
     report.violations.sort();
     Ok(report)
@@ -202,7 +209,7 @@ mod tests {
         assert!(r.is_clean());
         assert_eq!(
             r.render_text(),
-            "audit: clean — 3 files scanned, 7 rules, 0 violations\n"
+            "audit: clean — 3 files scanned, 8 rules, 0 violations\n"
         );
     }
 
@@ -219,7 +226,7 @@ mod tests {
         };
         let text = r.render_text();
         assert!(text.starts_with("crates/core/src/x.rs:9: [hash-iter] "));
-        assert!(text.ends_with("audit: 1 violation (1 files scanned, 7 rules)\n"));
+        assert!(text.ends_with("audit: 1 violation (1 files scanned, 8 rules)\n"));
     }
 
     #[test]
@@ -239,15 +246,5 @@ mod tests {
             "\"violations\":[{\"rule\":\"float-ord\",\"file\":\"crates/core/src/x.rs\",\
              \"line\":4,\"message\":\"needs \\\"total_cmp\\\"\"}]}"
         ));
-    }
-
-    #[test]
-    fn audit_source_routes_through_the_rule_pass() {
-        let v = audit_source(
-            "crates/core/src/x.rs",
-            "fn f() { let t = Instant::now(); let _ = t; }\n",
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "wall-clock");
     }
 }

@@ -1,8 +1,10 @@
-//! The determinism rules and the brace/item-aware walker they share.
+//! The audit rules and the brace/item-aware walker they share.
 //!
-//! Every rule is a named pass over the token stream of one file,
-//! producing [`Violation`]s with `file:line` positions. The walker
-//! pre-computes the context the rules need:
+//! Every determinism rule is a named pass over the token stream of one
+//! file, producing [`Violation`]s with `file:line` positions;
+//! `test-only-pub` ([`test_only_pub`]) reads the token streams of the
+//! whole workspace at once. The walker pre-computes the context the
+//! rules need:
 //!
 //! * which tokens sit inside `#[cfg(test)]` items or `#[test]`
 //!   functions (test code is exempt from every rule),
@@ -51,7 +53,9 @@ const ITER_METHODS: &[&str] = &[
 /// replayable `u64`.
 const UNSEEDED_RNG: &[&str] = &["thread_rng", "from_entropy", "OsRng", "ThreadRng"];
 
-/// The names of every rule, in diagnostic order.
+/// The names of every rule, in diagnostic order. All but the last are
+/// per-file passes ([`FileContext::check`]); `test-only-pub` looks at
+/// the whole workspace at once ([`test_only_pub`]).
 pub const RULE_NAMES: &[&str] = &[
     "hash-iter",
     "wall-clock",
@@ -60,7 +64,11 @@ pub const RULE_NAMES: &[&str] = &[
     "justify-unsafe",
     "justify-allow",
     "hot-panic",
+    "test-only-pub",
 ];
+
+/// Item keywords whose `pub` definitions `test-only-pub` checks.
+const PUB_ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
 
 /// One diagnostic: a rule violated at a position.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -707,6 +715,109 @@ impl<'a> FileContext<'a> {
             }
         }
     }
+
+    // ---- rule 7: test-only-pub (workspace-wide, see `test_only_pub`) -----
+
+    /// The `pub` items this file defines outside test code, as
+    /// (code-token index of `pub`, of the name, kind keyword).
+    /// Restricted visibility (`pub(crate)`, `pub(super)`) is not
+    /// product API and never matches.
+    fn pub_items(&self) -> Vec<(usize, usize, &str)> {
+        let mut items = Vec::new();
+        for ci in 0..self.code.len() {
+            if !self.is_ident(ci, "pub") || self.in_test(ci) {
+                continue;
+            }
+            // Skip qualifiers: `const fn`, `async`, `unsafe`, `extern "C"`.
+            let mut at = ci + 1;
+            while at + 1 < self.code.len()
+                && (["async", "unsafe", "extern"].contains(&self.text(at))
+                    || self.tok(at).kind == TokKind::Literal
+                    || (self.is_ident(at, "const")
+                        && ["fn", "async", "unsafe", "extern"].contains(&self.text(at + 1))))
+            {
+                at += 1;
+            }
+            let kind = if at < self.code.len() {
+                self.text(at)
+            } else {
+                ""
+            };
+            if !PUB_ITEM_KINDS.contains(&kind) {
+                continue;
+            }
+            let mut name = at + 1;
+            if kind == "static" && name < self.code.len() && self.is_ident(name, "mut") {
+                name += 1;
+            }
+            if name < self.code.len() && self.tok(name).kind == TokKind::Ident {
+                items.push((ci, name, kind));
+            }
+        }
+        items
+    }
+
+    /// Adds the identifiers this file's product code mentions: code
+    /// tokens outside test code, outside `use`/`pub use` declarations,
+    /// and not the name an item definition introduces.
+    fn collect_uses(&self, uses: &mut BTreeSet<&'a str>) {
+        let mut ci = 0;
+        while ci < self.code.len() {
+            if self.is_ident(ci, "use") {
+                while ci < self.code.len() && !self.is_punct(ci, ';') {
+                    ci += 1;
+                }
+                continue;
+            }
+            let t = self.tok(ci);
+            let defines = ci > 0
+                && (PUB_ITEM_KINDS.contains(&self.text(ci - 1))
+                    || (self.is_ident(ci - 1, "mut") && ci > 1 && self.is_ident(ci - 2, "static")));
+            if t.kind == TokKind::Ident && !self.in_test(ci) && !defines {
+                uses.insert(t.text(self.src));
+            }
+            ci += 1;
+        }
+    }
+}
+
+/// The `test-only-pub` rule over a whole workspace: flags every `pub`
+/// fn, struct, enum, trait, type, const or static defined in
+/// `crates/*/src` that no product code names. `files` is every source
+/// that counts as product code (`crates/*/src`, `src/`, `examples/`,
+/// `e2ebench/src`); integration tests are simply not in it, and
+/// within it test code, comments and `use`/`pub use` declarations do
+/// not count as mentions. A name is matched, not resolved: an item
+/// whose name collides with a used one passes.
+pub fn test_only_pub(files: &[FileContext<'_>]) -> Vec<Violation> {
+    let mut uses = BTreeSet::new();
+    for f in files {
+        f.collect_uses(&mut uses);
+    }
+    let mut out = Vec::new();
+    for f in files {
+        if !(f.path.starts_with("crates/") && f.path.contains("/src/")) {
+            continue;
+        }
+        for (pub_ci, name_ci, kind) in f.pub_items() {
+            let name = f.text(name_ci);
+            let justified =
+                f.is_justified(f.tok(pub_ci).line) || f.is_justified(f.tok(name_ci).line);
+            if !justified && !uses.contains(name) {
+                f.flag(
+                    &mut out,
+                    name_ci,
+                    "test-only-pub",
+                    format!(
+                        "`pub {kind} {name}` is named by no product code, only by tests \
+                         or by nothing — delete it, move it behind `#[cfg(test)]` or into \
+                         test support, or justify with `// audit: <reason>`"
+                    ),
+                );
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -861,6 +972,34 @@ mod tests {
                    // HashMap iteration and Instant::now are discussed here only\n\
                    \"for k in map.keys() { Instant::now() }\"\n}\n";
         assert!(check(CORE, src).is_empty());
+    }
+
+    #[test]
+    fn test_only_pub_sees_qualified_items_and_skips_use_lines() {
+        let lib = "pub const fn a() {}\npub unsafe fn b() {}\npub static mut C: u8 = 0;\n\
+                   pub type D = u8;\npub(super) fn e() {}\npub use self::a as _;\n";
+        let user = "use lib::b;\nfn main() { let _: lib::D = 0; }\n";
+        let files = [
+            FileContext::new("crates/lib/src/lib.rs", lib),
+            FileContext::new("examples/x.rs", user),
+        ];
+        let flagged: Vec<(u32, String)> = test_only_pub(&files)
+            .into_iter()
+            .map(|v| {
+                (
+                    v.line,
+                    v.message.split('`').nth(1).unwrap_or_default().to_owned(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            flagged,
+            [
+                (1, "pub fn a".to_owned()),
+                (2, "pub fn b".to_owned()),
+                (3, "pub static C".to_owned()),
+            ]
+        );
     }
 
     #[test]

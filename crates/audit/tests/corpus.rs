@@ -1,18 +1,25 @@
 //! Fixture-corpus and workspace-golden tests for the determinism
 //! auditor.
 //!
-//! Each rule has a known-bad snippet that must trip it and a
+//! Each per-file rule has a known-bad snippet that must trip it and a
 //! known-clean twin that must pass all rules. The fixtures live under
 //! `fixtures/` (not `src/`, so neither cargo nor the workspace scan
 //! touches them) and are audited under synthetic workspace paths that
-//! put them in the crate the rule governs. The final tests pin the
-//! real workspace clean and the `--json` output shape — they are the
-//! library-level equivalents of `voodb audit` and `voodb audit --json`
-//! exiting zero, in the same call-the-library style as the scenario
-//! CLI goldens.
+//! put them in the crate the rule governs. The workspace-wide
+//! `test-only-pub` rule has a fixture workspace of its own,
+//! `fixtures/workspace/`. The final tests pin the real workspace clean
+//! and the `--json` output shape — they are the library-level
+//! equivalents of `voodb audit` and `voodb audit --json` exiting zero,
+//! in the same call-the-library style as the scenario CLI goldens.
 
-use audit::{audit_source, audit_workspace, AuditReport, Violation, RULE_NAMES};
+use audit::{audit_workspace, AuditReport, FileContext, Violation, RULE_NAMES};
 use std::path::PathBuf;
+
+/// Runs the per-file rules over one in-memory source at a synthetic
+/// workspace path.
+fn audit_source(path: &str, src: &str) -> Vec<Violation> {
+    FileContext::new(path, src).check()
+}
 
 /// (rule, synthetic path, known-bad source, known-clean source).
 const CASES: &[(&str, &str, &str, &str)] = &[
@@ -62,7 +69,10 @@ const CASES: &[(&str, &str, &str, &str)] = &[
 
 #[test]
 fn every_rule_has_a_corpus_case() {
-    let covered: Vec<&str> = CASES.iter().map(|(rule, ..)| *rule).collect();
+    // The per-file rules come first; `test-only-pub` has the fixture
+    // workspace below.
+    let mut covered: Vec<&str> = CASES.iter().map(|(rule, ..)| *rule).collect();
+    covered.push("test-only-pub");
     assert_eq!(covered, RULE_NAMES, "corpus must cover the rules in order");
 }
 
@@ -111,6 +121,37 @@ fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
+/// `test-only-pub` on a fixture workspace whose item names say where
+/// each item is used: only the items that no product code names are
+/// flagged.
+#[test]
+fn test_only_pub_flags_items_only_tests_name() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/workspace");
+    let report = audit_workspace(&root).expect("fixture workspace readable");
+    // The crate, the example and the benchmark; `tests/` is never read.
+    assert_eq!(report.files_scanned, 3);
+    let flagged: Vec<(&str, u32, &str)> = report
+        .violations
+        .iter()
+        .map(|v| {
+            let item = v.message.split('`').nth(1).unwrap_or_default();
+            (v.file.as_str(), v.line, item)
+        })
+        .collect();
+    let lib = "crates/fixture/src/lib.rs";
+    assert_eq!(
+        flagged,
+        [
+            (lib, 5, "pub fn only_in_tests"),
+            (lib, 9, "pub const ONLY_IN_TEST_CODE"),
+            (lib, 13, "pub struct OnlyReexported"),
+        ],
+        "{}",
+        report.render_text()
+    );
+    assert!(report.violations.iter().all(|v| v.rule == "test-only-pub"));
+}
+
 /// The golden the CI gate relies on: the workspace itself audits clean.
 /// If this fails, either fix the flagged site (preferred) or carry a
 /// `// audit: <reason>` justification the reviewer can judge.
@@ -125,7 +166,7 @@ fn workspace_audits_clean() {
     assert!(report.files_scanned > 50, "scan looks truncated");
     let text = report.render_text();
     assert!(text.starts_with("audit: clean — "));
-    assert!(text.ends_with(" files scanned, 7 rules, 0 violations\n"));
+    assert!(text.ends_with(" files scanned, 8 rules, 0 violations\n"));
 }
 
 /// Pins the `--json` shape end to end: field order, rule list, empty
@@ -139,7 +180,7 @@ fn workspace_json_shape_is_pinned() {
             "{{\"version\":1,\"files_scanned\":{},",
             "\"rules\":[\"hash-iter\",\"wall-clock\",\"unseeded-rng\",",
             "\"float-ord\",\"justify-unsafe\",\"justify-allow\",",
-            "\"hot-panic\"],\"violations\":[]}}"
+            "\"hot-panic\",\"test-only-pub\"],\"violations\":[]}}"
         ),
         report.files_scanned
     );

@@ -83,7 +83,8 @@ impl PolicyKind {
         }
     }
 
-    /// All kinds with default parameters, for policy-sweep experiments.
+    /// All kinds with default parameters.
+    #[cfg(test)]
     pub fn all_default() -> Vec<PolicyKind> {
         vec![
             PolicyKind::Random { seed: 0xBEEF },

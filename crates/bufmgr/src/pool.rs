@@ -69,9 +69,8 @@ impl BufferStats {
 /// pages), so steady-state operation allocates nothing.
 pub struct BufferPool {
     frames: usize,
-    // Residency by page id: ABSENT, CLEAN or DIRTY. Scans (flush_all,
-    // resident_pages) walk it in ascending page order, independent of any
-    // hash seed.
+    // Residency by page id: ABSENT, CLEAN or DIRTY. The flush_all scan
+    // walks it in ascending page order, independent of any hash seed.
     state: Vec<u8>,
     resident: usize,
     policy: Box<dyn ReplacementPolicy>,
@@ -114,11 +113,6 @@ impl BufferPool {
     /// The accounting counters.
     pub fn stats(&self) -> BufferStats {
         self.stats
-    }
-
-    /// The policy's display name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Accesses `page`; `write` marks the page dirty. Returns whether the
@@ -191,15 +185,6 @@ impl BufferPool {
         }
         self.resident = 0;
         dirty_pages
-    }
-
-    /// Resident pages, in ascending page order.
-    pub fn resident_pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.state
-            .iter()
-            .enumerate()
-            .filter(|&(_, &state)| state != ABSENT)
-            .map(|(page, _)| page as PageId)
     }
 
     /// Evicts the policy's victim when every frame is taken.

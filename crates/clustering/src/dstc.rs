@@ -149,11 +149,13 @@ impl Dstc {
     }
 
     /// Consolidated links currently held (weight ≥ tfc), for inspection.
+    #[cfg(test)]
     pub fn consolidated_links(&self) -> usize {
         self.consolidated.len()
     }
 
     /// Number of currently flagged objects.
+    #[cfg(test)]
     pub fn flagged_objects(&self) -> usize {
         self.flagged.len()
     }

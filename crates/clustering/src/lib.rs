@@ -10,8 +10,8 @@
 //! This crate provides that component's building blocks:
 //!
 //! * [`Placement`] / [`InitialPlacement`] — the OID → page map and the
-//!   Table 3 initial placements (Sequential, Optimized Sequential, Random),
-//!   plus [`recluster`] to materialise clustering decisions;
+//!   Table 3 initial placements (Sequential, Optimized Sequential,
+//!   Random);
 //! * [`ClusteringStrategy`] — the interchangeable-module interface
 //!   (observe accesses → trigger → build clusters);
 //! * [`Dstc`] — a full reimplementation of the DSTC technique evaluated in
@@ -39,8 +39,6 @@ pub mod static_graph;
 pub mod strategy;
 
 pub use dstc::{Dstc, DstcCounters, DstcParams};
-pub use placement::{
-    recluster, InitialPlacement, PageId, Placement, PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES,
-};
+pub use placement::{InitialPlacement, PageId, Placement, PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
 pub use static_graph::StaticGraphClustering;
 pub use strategy::{ClusteringKind, ClusteringOutcome, ClusteringStrategy, NoClustering};

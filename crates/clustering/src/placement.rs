@@ -118,6 +118,7 @@ impl Placement {
     }
 
     /// Bytes used in `page`.
+    #[cfg(test)]
     pub fn page_bytes(&self, base: &ObjectBase, page: PageId) -> u32 {
         self.pages[page as usize]
             .iter()
@@ -126,6 +127,7 @@ impl Placement {
     }
 
     /// Mean page fill factor in `[0, 1]`.
+    #[cfg(test)]
     pub fn fill_factor(&self, base: &ObjectBase) -> f64 {
         if self.pages.is_empty() {
             return 0.0;
@@ -174,40 +176,6 @@ impl InitialPlacement {
             }
         }
     }
-}
-
-/// Rebuilds a placement after clustering: each cluster's members are laid
-/// out contiguously (clusters first, in the given order), followed by all
-/// unclustered objects in their previous relative order.
-///
-/// Objects listed in several clusters stay where the *first* cluster put
-/// them.
-pub fn recluster(
-    base: &ObjectBase,
-    old: &Placement,
-    clusters: &[Vec<Oid>],
-    page_size: u32,
-) -> Placement {
-    let mut taken = vec![false; base.len()];
-    let mut order = Vec::with_capacity(base.len());
-    for cluster in clusters {
-        for &oid in cluster {
-            if !taken[oid as usize] {
-                taken[oid as usize] = true;
-                order.push(oid);
-            }
-        }
-    }
-    // Remaining objects keep their previous physical order.
-    for page in 0..old.page_count() {
-        for &oid in old.objects_in(page) {
-            if !taken[oid as usize] {
-                taken[oid as usize] = true;
-                order.push(oid);
-            }
-        }
-    }
-    Placement::from_order(base, page_size, order)
 }
 
 #[cfg(test)]
@@ -296,58 +264,6 @@ mod tests {
             .filter(|&oid| seq.page_of(oid) != rnd.page_of(oid))
             .count();
         assert!(moved > base.len() / 2);
-    }
-
-    #[test]
-    fn recluster_colocates_cluster_members() {
-        let base = base();
-        let old = InitialPlacement::Random { seed: 7 }.build(&base, 4096);
-        // Pick objects that definitely span several pages.
-        let cluster: Vec<Oid> = vec![0, 100, 200, 300, 400];
-        let pages_before: std::collections::HashSet<_> =
-            cluster.iter().map(|&o| old.page_of(o)).collect();
-        assert!(pages_before.len() > 1, "test premise: cluster spread out");
-        let new = recluster(&base, &old, std::slice::from_ref(&cluster), 4096);
-        let pages_after: std::collections::BTreeSet<_> =
-            cluster.iter().map(|&o| new.page_of(o)).collect();
-        // The cluster is laid out contiguously from page 0: it occupies the
-        // minimal prefix of pages its byte size allows.
-        let cluster_bytes: u32 = cluster
-            .iter()
-            .map(|&o| base.object(o).size + SLOT_ENTRY_BYTES)
-            .sum();
-        let max_needed = cluster_bytes.div_ceil(2048) as usize; // ≥ half-full pages
-        assert!(
-            pages_after.len() <= max_needed,
-            "cluster spread over {} pages, at most {max_needed} justified",
-            pages_after.len()
-        );
-        assert!(pages_after.len() < pages_before.len());
-        assert_eq!(*pages_after.first().unwrap(), 0, "cluster starts at page 0");
-        assert_eq!(
-            *pages_after.last().unwrap() as usize,
-            pages_after.len() - 1,
-            "cluster pages are contiguous"
-        );
-        assert_eq!(new.len(), base.len());
-    }
-
-    #[test]
-    fn recluster_preserves_all_objects() {
-        let base = base();
-        let old = InitialPlacement::Sequential.build(&base, 4096);
-        let clusters = vec![vec![5, 6, 7], vec![7, 8], vec![400, 2]];
-        let new = recluster(&base, &old, &clusters, 4096);
-        let mut seen = vec![false; base.len()];
-        for page in 0..new.page_count() {
-            for &oid in new.objects_in(page) {
-                assert!(!seen[oid as usize]);
-                seen[oid as usize] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-        // First cluster's members share a page and appear first.
-        assert_eq!(new.objects_in(0)[0], 5);
     }
 
     #[test]

@@ -39,6 +39,7 @@ impl ClusteringOutcome {
     }
 
     /// Total objects covered by clusters.
+    #[cfg(test)]
     pub fn clustered_objects(&self) -> usize {
         self.clusters.iter().map(Vec::len).sum()
     }

@@ -166,13 +166,6 @@ impl BufferingManager {
         }
     }
 
-    /// Is `page` loaded?
-    pub fn is_loaded(&self, page: PageId) -> bool {
-        match &self.mode {
-            Mode::Standard(pool) | Mode::Swizzling(pool) => pool.contains(page),
-        }
-    }
-
     /// Drops `page` (its content moved during reorganisation). Returns the
     /// page if it was dirty and needs a write-back.
     pub fn invalidate(&mut self, page: PageId) -> Option<PageId> {

@@ -52,11 +52,6 @@ impl ClusteringManager {
         }
     }
 
-    /// The active strategy's name.
-    pub fn strategy_name(&self) -> &'static str {
-        self.strategy.name()
-    }
-
     /// Reorganisations performed so far.
     pub fn reorganisations(&self) -> u64 {
         self.reorganisations

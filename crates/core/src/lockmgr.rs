@@ -5,37 +5,31 @@
 //! control". The base model (faithful to the paper) charges only
 //! GETLOCK/RELLOCK CPU time and limits concurrency through the scheduler's
 //! multiprogramming level; this module is the named extension: two-phase
-//! locking on objects with shared/exclusive modes, FIFO waiting, wait-for
-//! deadlock detection, and abort-and-restart.
+//! locking on objects with shared/exclusive modes, FIFO waiting, wait-die
+//! deadlock prevention, and abort-and-restart.
 //!
 //! Lock compatibility is the classical matrix: S–S compatible, anything
 //! with X conflicts. A transaction holding S alone on an object may
 //! upgrade to X; otherwise the upgrade waits like any conflicting request.
 //!
-//! Two deadlock policies:
-//!
-//! * [`DeadlockPolicy::Detect`] — cycle search over the wait-for graph at
-//!   request time; the *requester* is the victim. Simple and classical,
-//!   but under pathological contention (identical hot transactions) the
-//!   victim can be the transaction with the most progress, and restarts
-//!   can livelock.
-//! * [`DeadlockPolicy::WaitDie`] — timestamp ordering: an older requester
-//!   waits, a younger one dies. Deadlock-free by construction (wait edges
-//!   only point old → young) and livelock-free (the oldest transaction
-//!   never dies, so it always completes and global progress follows) —
-//!   provided a restarted victim keeps its original timestamp, which the
-//!   model guarantees by reusing the transaction id.
+//! Deadlocks are prevented by [`DeadlockPolicy::WaitDie`], timestamp
+//! ordering: an older requester waits, a younger one dies. It is
+//! deadlock-free by construction (wait edges only point old → young) and
+//! livelock-free (the oldest transaction never dies, so it always
+//! completes and global progress follows), provided a restarted victim
+//! keeps its original timestamp, which the model guarantees by reusing
+//! the transaction id.
 //!
 //! Replay determinism rests on three orders. An object's holders are a
-//! tid-sorted list, so the wait-die scan and the deadlock search walk
-//! them by ascending tid. Waiters queue FIFO. A transaction's held
-//! objects are kept in grant order and sorted when it releases them, so
-//! queued waiters are promoted object by object in ascending oid order.
+//! tid-sorted list, so the wait-die scan walks them by ascending tid.
+//! Waiters queue FIFO. A transaction's held objects are kept in grant
+//! order and sorted when it releases them, so queued waiters are
+//! promoted object by object in ascending oid order.
 //! The maps keyed by oid or tid are only point-looked-up; they hash the
 //! integer key with one multiplication instead of SipHash.
 
 use ocb::Oid;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Transaction identifier (matches the model's `Tid`).
@@ -59,9 +53,7 @@ impl LockMode {
 /// Deadlock-handling policies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DeadlockPolicy {
-    /// Wait-for-graph cycle detection; the requester aborts on a cycle.
-    Detect,
-    /// Wait-die timestamp ordering (the default: livelock-free).
+    /// Wait-die timestamp ordering (livelock-free).
     #[default]
     WaitDie,
 }
@@ -73,7 +65,7 @@ pub enum LockOutcome {
     Granted,
     /// The request conflicts; the transaction must park until resumed.
     Queued,
-    /// Granting would deadlock; the requester must abort.
+    /// Waiting could deadlock; the requester must abort.
     Deadlock,
 }
 
@@ -113,8 +105,7 @@ type IntHash = BuildHasherDefault<IntHasher>;
 #[derive(Debug, Default)]
 struct ObjectLock {
     /// Current holders and their modes (multiple ⇒ all Shared), sorted by
-    /// tid: the deadlock search and the wait-die scan walk holders in
-    /// that order.
+    /// tid: the wait-die scan walks holders in that order.
     holders: Vec<(Tid, LockMode)>,
     /// FIFO wait queue.
     waiters: VecDeque<(Tid, LockMode)>,
@@ -162,7 +153,7 @@ pub struct LockStats {
     pub immediate_grants: u64,
     /// Requests that had to wait.
     pub waits: u64,
-    /// Deadlocks detected (= aborts demanded).
+    /// Wait-die deaths (= aborts demanded).
     pub deadlocks: u64,
 }
 
@@ -190,48 +181,21 @@ impl LockManager {
     }
 
     /// Number of objects a transaction currently holds.
+    #[cfg(test)]
     pub fn held_count(&self, tid: Tid) -> usize {
         self.held.get(&tid).map_or(0, Vec::len)
     }
 
     /// Is the transaction parked on a lock?
+    #[cfg(test)]
     pub fn is_waiting(&self, tid: Tid) -> bool {
         self.waiting_on.contains_key(&tid)
     }
 
-    /// Would `tid` waiting on `oid` close a cycle in the wait-for graph?
-    fn would_deadlock(&self, tid: Tid, oid: Oid) -> bool {
-        // DFS from the holders of `oid` through waiting_on edges. The
-        // requester itself is excluded from the *initial* set (it may hold
-        // a shared lock it is trying to upgrade); reaching it transitively
-        // is the cycle.
-        let mut stack: Vec<Tid> = self
-            .objects
-            .get(&oid)
-            .map(|l| l.holder_tids().filter(|&h| h != tid).collect())
-            .unwrap_or_default();
-        let mut visited: HashSet<Tid, IntHash> = HashSet::default();
-        while let Some(current) = stack.pop() {
-            if current == tid {
-                return true;
-            }
-            if !visited.insert(current) {
-                continue;
-            }
-            if let Some(&blocked_on) = self.waiting_on.get(&current) {
-                if let Some(lock) = self.objects.get(&blocked_on) {
-                    stack.extend(lock.holder_tids());
-                }
-            }
-        }
-        false
-    }
-
     /// Requests `mode` on `oid` for `tid` under the given deadlock policy.
     ///
-    /// Under [`DeadlockPolicy::WaitDie`], `tid` doubles as the timestamp:
-    /// smaller ids are older (the model allocates ids monotonically and
-    /// restarts keep their id).
+    /// `tid` doubles as the wait-die timestamp: smaller ids are older
+    /// (the model allocates ids monotonically and restarts keep their id).
     pub fn request(
         &mut self,
         tid: Tid,
@@ -262,7 +226,6 @@ impl LockManager {
         }
         // Must wait — unless the policy says abort.
         let must_abort = match policy {
-            DeadlockPolicy::Detect => self.would_deadlock(tid, oid),
             DeadlockPolicy::WaitDie => {
                 // Die if younger than ANY transaction in the blocker set
                 // (holders and queued waiters other than ourselves): wait
@@ -346,19 +309,22 @@ impl LockManager {
 mod tests {
     use super::*;
 
-    fn detect(lm: &mut LockManager, tid: Tid, oid: Oid, mode: LockMode) -> LockOutcome {
-        lm.request(tid, oid, mode, DeadlockPolicy::Detect)
+    // Wait-die lets a requester wait only when it is older (smaller tid)
+    // than every holder and queued waiter, so the tests below queue
+    // waiters in descending tid order.
+    fn request(lm: &mut LockManager, tid: Tid, oid: Oid, mode: LockMode) -> LockOutcome {
+        lm.request(tid, oid, mode, DeadlockPolicy::WaitDie)
     }
 
     #[test]
     fn shared_locks_coexist() {
         let mut lm = LockManager::new();
         assert_eq!(
-            detect(&mut lm, 1, 10, LockMode::Shared),
+            request(&mut lm, 1, 10, LockMode::Shared),
             LockOutcome::Granted
         );
         assert_eq!(
-            detect(&mut lm, 2, 10, LockMode::Shared),
+            request(&mut lm, 2, 10, LockMode::Shared),
             LockOutcome::Granted
         );
         assert_eq!(lm.held_count(1), 1);
@@ -370,140 +336,94 @@ mod tests {
     fn exclusive_conflicts_queue_fifo() {
         let mut lm = LockManager::new();
         assert_eq!(
-            detect(&mut lm, 1, 10, LockMode::Exclusive),
+            request(&mut lm, 3, 10, LockMode::Exclusive),
             LockOutcome::Granted
         );
         assert_eq!(
-            detect(&mut lm, 2, 10, LockMode::Shared),
+            request(&mut lm, 2, 10, LockMode::Shared),
             LockOutcome::Queued
         );
         assert_eq!(
-            detect(&mut lm, 3, 10, LockMode::Shared),
+            request(&mut lm, 1, 10, LockMode::Shared),
             LockOutcome::Queued
         );
         assert!(lm.is_waiting(2));
-        // Release: both shared waiters resume together.
-        let resumed = lm.release_all(1);
-        assert_eq!(resumed, vec![2, 3]);
+        // Release: both shared waiters resume together, in queue order.
+        let resumed = lm.release_all(3);
+        assert_eq!(resumed, vec![2, 1]);
         assert!(!lm.is_waiting(2));
         assert_eq!(lm.held_count(2), 1);
-        assert_eq!(lm.held_count(3), 1);
+        assert_eq!(lm.held_count(1), 1);
     }
 
     #[test]
     fn writer_behind_readers_waits_and_blocks_later_readers() {
         let mut lm = LockManager::new();
         assert_eq!(
-            detect(&mut lm, 1, 5, LockMode::Shared),
+            request(&mut lm, 3, 5, LockMode::Shared),
             LockOutcome::Granted
         );
         assert_eq!(
-            detect(&mut lm, 2, 5, LockMode::Exclusive),
+            request(&mut lm, 2, 5, LockMode::Exclusive),
             LockOutcome::Queued
         );
         // Fairness: a later reader must not starve the queued writer.
-        assert_eq!(detect(&mut lm, 3, 5, LockMode::Shared), LockOutcome::Queued);
-        let resumed = lm.release_all(1);
+        assert_eq!(
+            request(&mut lm, 1, 5, LockMode::Shared),
+            LockOutcome::Queued
+        );
+        let resumed = lm.release_all(3);
         assert_eq!(resumed, vec![2], "writer first (FIFO)");
         let resumed = lm.release_all(2);
-        assert_eq!(resumed, vec![3]);
+        assert_eq!(resumed, vec![1]);
     }
 
     #[test]
     fn reentrant_and_upgrade() {
         let mut lm = LockManager::new();
         assert_eq!(
-            detect(&mut lm, 1, 7, LockMode::Shared),
+            request(&mut lm, 1, 7, LockMode::Shared),
             LockOutcome::Granted
         );
         // Re-request is free.
         assert_eq!(
-            detect(&mut lm, 1, 7, LockMode::Shared),
+            request(&mut lm, 1, 7, LockMode::Shared),
             LockOutcome::Granted
         );
         // Sole-holder upgrade succeeds immediately.
         assert_eq!(
-            detect(&mut lm, 1, 7, LockMode::Exclusive),
+            request(&mut lm, 1, 7, LockMode::Exclusive),
             LockOutcome::Granted
         );
         // X subsumes S.
         assert_eq!(
-            detect(&mut lm, 1, 7, LockMode::Shared),
+            request(&mut lm, 1, 7, LockMode::Shared),
             LockOutcome::Granted
         );
         assert_eq!(lm.held_count(1), 1);
     }
 
     #[test]
-    fn two_transaction_deadlock_is_detected() {
-        let mut lm = LockManager::new();
-        assert_eq!(
-            detect(&mut lm, 1, 100, LockMode::Exclusive),
-            LockOutcome::Granted
-        );
-        assert_eq!(
-            detect(&mut lm, 2, 200, LockMode::Exclusive),
-            LockOutcome::Granted
-        );
-        assert_eq!(
-            detect(&mut lm, 1, 200, LockMode::Exclusive),
-            LockOutcome::Queued
-        );
-        // 2 → 100 would close the cycle 1 → 200 → 2 → 100 → 1.
-        assert_eq!(
-            detect(&mut lm, 2, 100, LockMode::Exclusive),
-            LockOutcome::Deadlock
-        );
-        assert_eq!(lm.stats().deadlocks, 1);
-        // Victim aborts: everyone else proceeds.
-        let resumed = lm.release_all(2);
-        assert_eq!(resumed, vec![1]);
-        assert_eq!(lm.held_count(1), 2);
-    }
-
-    #[test]
-    fn three_transaction_cycle_is_detected() {
-        let mut lm = LockManager::new();
-        for (tid, oid) in [(1, 10), (2, 20), (3, 30)] {
-            assert_eq!(
-                detect(&mut lm, tid, oid, LockMode::Exclusive),
-                LockOutcome::Granted
-            );
-        }
-        assert_eq!(
-            detect(&mut lm, 1, 20, LockMode::Exclusive),
-            LockOutcome::Queued
-        );
-        assert_eq!(
-            detect(&mut lm, 2, 30, LockMode::Exclusive),
-            LockOutcome::Queued
-        );
-        assert_eq!(
-            detect(&mut lm, 3, 10, LockMode::Exclusive),
-            LockOutcome::Deadlock
-        );
-    }
-
-    #[test]
     fn upgrade_deadlock_between_two_readers() {
         let mut lm = LockManager::new();
         assert_eq!(
-            detect(&mut lm, 1, 4, LockMode::Shared),
+            request(&mut lm, 1, 4, LockMode::Shared),
             LockOutcome::Granted
         );
         assert_eq!(
-            detect(&mut lm, 2, 4, LockMode::Shared),
+            request(&mut lm, 2, 4, LockMode::Shared),
             LockOutcome::Granted
         );
-        // Both try to upgrade: the first queues, the second deadlocks.
+        // Both try to upgrade: the older queues, the younger dies.
         assert_eq!(
-            detect(&mut lm, 1, 4, LockMode::Exclusive),
+            request(&mut lm, 1, 4, LockMode::Exclusive),
             LockOutcome::Queued
         );
         assert_eq!(
-            detect(&mut lm, 2, 4, LockMode::Exclusive),
+            request(&mut lm, 2, 4, LockMode::Exclusive),
             LockOutcome::Deadlock
         );
+        assert_eq!(lm.stats().deadlocks, 1);
         // Victim 2 aborts → 1's upgrade proceeds.
         let resumed = lm.release_all(2);
         assert_eq!(resumed, vec![1]);
@@ -513,19 +433,19 @@ mod tests {
     fn abort_removes_pending_wait() {
         let mut lm = LockManager::new();
         assert_eq!(
-            detect(&mut lm, 1, 9, LockMode::Exclusive),
+            request(&mut lm, 2, 9, LockMode::Exclusive),
             LockOutcome::Granted
         );
         assert_eq!(
-            detect(&mut lm, 2, 9, LockMode::Exclusive),
+            request(&mut lm, 1, 9, LockMode::Exclusive),
             LockOutcome::Queued
         );
-        // 2 aborts while waiting.
-        let resumed = lm.release_all(2);
+        // 1 aborts while waiting.
+        let resumed = lm.release_all(1);
         assert!(resumed.is_empty());
-        assert!(!lm.is_waiting(2));
-        // 1's release wakes nobody (queue empty).
-        assert!(lm.release_all(1).is_empty());
+        assert!(!lm.is_waiting(1));
+        // 2's release wakes nobody (queue empty).
+        assert!(lm.release_all(2).is_empty());
     }
 
     #[test]
@@ -555,7 +475,7 @@ mod tests {
 
     #[test]
     fn wait_die_cannot_deadlock() {
-        // The Detect-policy deadlock scenario: under wait-die one side
+        // The classic two-transaction deadlock: under wait-die one side
         // dies instead of closing the cycle.
         let mut lm = LockManager::new();
         assert_eq!(

@@ -105,9 +105,9 @@
 //! charges only GETLOCK/RELLOCK CPU time, and the scheduler's
 //! multiprogramming level is the concurrency limiter, per Table 1.
 //! `TwoPhase` simulates them: shared/exclusive object locks with FIFO
-//! waits, and deadlock victims (wait-die or cycle detection) restart
-//! after a backoff. In both modes a page fetched by one transaction is
-//! immediately visible to others (no in-flight fetch queue).
+//! waits, and wait-die deadlock victims restart after a backoff. In both
+//! modes a page fetched by one transaction is immediately visible to
+//! others (no in-flight fetch queue).
 
 use crate::admission::AdmissionRing;
 use crate::bman::BufferingManager;
@@ -125,9 +125,7 @@ use desp::{
     key_time, time_key, Context, Model, Probe, QueueKind, RandomStream, Resource, SeriesId,
     SimTime, SpanPoint, SpanStage, Welford,
 };
-use ocb::{
-    Arrival, MaterializedSource, ObjectBase, Transaction, TransactionSource, UserCohort, UserModel,
-};
+use ocb::{Arrival, MaterializedSource, ObjectBase, TransactionSource, UserCohort, UserModel};
 
 /// `user` value marking open-arrival transactions (no user to resubmit).
 pub(crate) const OPEN_USER: usize = usize::MAX;
@@ -421,6 +419,7 @@ impl<'a> VoodbModel<'a> {
 
     /// Lock-manager counters (meaningful under
     /// [`ConcurrencyControl::TwoPhase`]).
+    // audit: the lock counters' only reader; `tests/concurrency.rs` pins them
     pub fn lock_stats(&self) -> LockStats {
         self.locks.stats()
     }
@@ -593,11 +592,6 @@ impl<'a> VoodbModel<'a> {
         &self.cman
     }
 
-    /// Mutable Clustering Manager access (external demands, statistics).
-    pub fn cman_mut(&mut self) -> &mut ClusteringManager {
-        &mut self.cman
-    }
-
     /// Total I/Os over all server sites.
     pub fn total_io(&self) -> SimIoCounts {
         let mut total = SimIoCounts::default();
@@ -621,7 +615,8 @@ impl<'a> VoodbModel<'a> {
     /// Loads a phase: `transactions` with the first `cold_count` unmeasured.
     /// Resets phase bookkeeping but **keeps** buffer/placement/statistics
     /// state (a warm continuation; flush explicitly for a cold restart).
-    pub fn load_phase(&mut self, transactions: Vec<Transaction>, cold_count: usize) {
+    #[cfg(test)]
+    pub fn load_phase(&mut self, transactions: Vec<ocb::Transaction>, cold_count: usize) {
         assert!(cold_count <= transactions.len());
         self.load_phase_streamed(
             Box::new(MaterializedSource::new(transactions)),
@@ -731,12 +726,6 @@ impl<'a> VoodbModel<'a> {
     /// of slab slots.
     pub fn tx_slab_high_water(&self) -> usize {
         self.slab.high_water()
-    }
-
-    /// Transaction slots ever allocated (equals the high-water mark:
-    /// slots are recycled, never abandoned).
-    pub fn tx_slab_capacity(&self) -> usize {
-        self.slab.capacity()
     }
 
     /// Empties every buffer (cold restart between phases).
@@ -1604,7 +1593,7 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
 mod tests {
     use super::*;
     use desp::Engine;
-    use ocb::{DatabaseParams, WorkloadGenerator, WorkloadParams};
+    use ocb::{DatabaseParams, Transaction, WorkloadGenerator, WorkloadParams};
 
     fn base() -> ObjectBase {
         ObjectBase::generate(&DatabaseParams::small(), 31)
@@ -1844,7 +1833,7 @@ mod tests {
                 engine.run_until(SimTime::from_ms(duration_ms))
             }
         };
-        let model = engine.model_mut();
+        let mut model = engine.into_parts().0;
         model.finalize_phase(outcome.end_time);
         let result = model.phase_result(outcome.events_dispatched);
         (result, model.tx_slab_high_water())
@@ -2207,8 +2196,7 @@ mod tests {
 
     #[test]
     fn cohort_users_match_the_per_user_oracle_under_two_phase_locking() {
-        // Wait-die only: under cycle detection the per-user oracle can
-        // livelock on this setup (see `lockmgr`).
+        // Two-phase locking under wait-die (see `lockmgr`).
         let base = base();
         let params = VoodbParams {
             users: 8,
@@ -2405,7 +2393,7 @@ mod tests {
         );
         let mut engine = Engine::with_probe(model, desp::NoProbe);
         let outcome = engine.run_until(SimTime::from_ms(duration_ms));
-        let mut model = engine.into_model();
+        let mut model = engine.into_parts().0;
         model.finalize_phase(outcome.end_time);
         let waiting = model.ring.len() + model.scheduler.queue_len();
         (model.phase_result(outcome.events_dispatched), waiting)

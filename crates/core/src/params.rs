@@ -32,11 +32,6 @@ pub enum SystemClass {
 }
 
 impl SystemClass {
-    /// True when a network separates client and server.
-    pub fn has_network(&self) -> bool {
-        !matches!(self, SystemClass::Centralized)
-    }
-
     /// Number of independent server sites (disks/buffers).
     pub fn server_count(&self) -> usize {
         match self {
@@ -147,7 +142,7 @@ pub struct VoodbParams {
     pub swizzle: bool,
     /// Concurrency control (§5's extension): the paper's base model
     /// charges only lock *times*; `TwoPhase` adds a real object lock
-    /// manager with conflicts, deadlock detection and restarts.
+    /// manager with conflicts, wait-die deadlock prevention and restarts.
     pub concurrency: ConcurrencyControl,
 }
 
@@ -163,7 +158,7 @@ pub enum ConcurrencyControl {
     TwoPhase {
         /// Backoff before a deadlock victim restarts, in ms.
         restart_backoff_ms: f64,
-        /// How deadlocks are handled (wait-die is livelock-free).
+        /// How deadlocks are handled (wait-die, livelock-free).
         deadlock: crate::lockmgr::DeadlockPolicy,
     },
 }
@@ -374,8 +369,6 @@ mod tests {
 
     #[test]
     fn system_class_helpers() {
-        assert!(!SystemClass::Centralized.has_network());
-        assert!(SystemClass::PageServer.has_network());
         assert_eq!(SystemClass::PageServer.server_count(), 1);
         assert_eq!(
             SystemClass::HybridMultiServer { servers: 4 }.server_count(),

@@ -184,6 +184,7 @@ impl TxSlab {
     }
 
     /// Slots ever allocated (the memory footprint in units of slots).
+    #[cfg(test)]
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }

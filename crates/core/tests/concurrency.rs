@@ -178,36 +178,3 @@ fn wait_die_contended_run_is_pinned() {
         )
     );
 }
-
-#[test]
-fn detect_run_is_pinned() {
-    // Cycle detection livelocks under `contended_transactions`; a read-
-    // mostly mix over half the base still waits and aborts, and commits.
-    let base = base();
-    let params = WorkloadParams {
-        hot_transactions: 10,
-        p_write: 0.05,
-        root_dist: Selection::HotSet {
-            fraction: 0.5,
-            p_hot: 1.0,
-        },
-        ..WorkloadParams::default()
-    };
-    let mut generator = WorkloadGenerator::new(&base, params, 5);
-    let txs = (0..10).map(|_| generator.next_transaction()).collect();
-    let detect = ConcurrencyControl::TwoPhase {
-        restart_backoff_ms: 5.0,
-        deadlock: DeadlockPolicy::Detect,
-    };
-    assert_eq!(
-        pinned(run(&base, detect, 3, txs, 5)),
-        (
-            10,
-            136,
-            0,
-            0x4098_2db6_6666_6664,
-            4,
-            lock_stats(1_200, 13, 4)
-        )
-    );
-}

@@ -123,12 +123,6 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
         *self.stop = true;
     }
 
-    /// Number of pending events (diagnostic).
-    #[inline]
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// The instant of the earliest pending event, `None` when nothing
     /// is pending. Read-only for the timeline: no event moves, the queue
     /// may only settle its cursor (hence `&mut`). A model uses it to
@@ -213,16 +207,6 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
         self.probe.intern_series(name)
     }
 
-    /// Convenience: interns `name` and emits one sample. Costs a name
-    /// lookup per call — fine for tests and coarse-grained models, not
-    /// for per-commit sampling (intern once and use
-    /// [`Context::emit_sample`] there).
-    #[inline]
-    pub fn emit_sample_named(&mut self, name: &str, value: f64) {
-        let id = self.probe.intern_series(name);
-        self.probe.on_sample(id, self.now.as_ms(), value);
-    }
-
     /// Direct access to the probe (used by [`crate::resource::Resource`]
     /// to report waits and grants).
     #[inline]
@@ -240,8 +224,6 @@ pub enum StopReason {
     Stopped,
     /// The time horizon passed to [`Engine::run_until`] was reached.
     Horizon,
-    /// The event budget passed to [`Engine::run_steps`] was consumed.
-    Budget,
 }
 
 /// Summary of a completed run.
@@ -317,19 +299,9 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
         &self.model
     }
 
-    /// Mutable access to the model (for configuring between phases).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Immutable access to the probe (for reading telemetry).
     pub fn probe(&self) -> &P {
         &self.probe
-    }
-
-    /// Consumes the engine, returning the model.
-    pub fn into_model(self) -> M {
-        self.model
     }
 
     /// Consumes the engine, returning the model and the probe.
@@ -493,29 +465,6 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
             events_dispatched: self.dispatched - start,
         }
     }
-
-    /// Dispatches at most `budget` events.
-    pub fn run_steps(&mut self, budget: u64) -> RunOutcome {
-        self.ensure_init();
-        let start = self.dispatched;
-        let mut reason = StopReason::Budget;
-        for _ in 0..budget {
-            if self.stop {
-                reason = StopReason::Stopped;
-                break;
-            }
-            if !self.dispatch_next(SimTime::INFINITY) {
-                reason = StopReason::Exhausted;
-                break;
-            }
-        }
-        self.finish_run();
-        RunOutcome {
-            reason,
-            end_time: self.clock,
-            events_dispatched: self.dispatched - start,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -610,7 +559,7 @@ mod tests {
     fn peeks_on<Q: QueueKind>() -> Vec<(u32, Option<f64>)> {
         let mut engine = Engine::<_, NoProbe, Q>::with_probe_on(Peeker { seen: vec![] }, NoProbe);
         engine.run_to_completion();
-        engine.into_model().seen
+        engine.into_parts().0.seen
     }
 
     #[test]
@@ -674,11 +623,11 @@ mod tests {
             let (model, outcome) = if scheduler == "calendar" {
                 let mut engine = Engine::new(model);
                 let outcome = engine.run_to_completion();
-                (engine.into_model(), outcome)
+                (engine.into_parts().0, outcome)
             } else {
                 let mut engine = Engine::<_, NoProbe, HeapKind>::with_probe_on(model, NoProbe);
                 let outcome = engine.run_to_completion();
-                (engine.into_model(), outcome)
+                (engine.into_parts().0, outcome)
             };
             // A tie with the pending event at 5 is refused (it was
             // scheduled first), as is anything later; 4 is free, and
@@ -748,8 +697,7 @@ mod tests {
             }
         }
         let mut engine = Engine::new(Hopper { fired: vec![] });
-        let first = engine.run_steps(1);
-        assert_eq!(first.end_time, SimTime::from_ms(3.5));
+        assert!(engine.step());
         assert_eq!(engine.now(), SimTime::from_ms(3.5));
         let rest = engine.run_to_completion();
         assert_eq!(engine.model().fired, vec![1.0, 4.5, 8.0, 11.5]);
@@ -757,7 +705,7 @@ mod tests {
         assert_eq!(engine.now(), SimTime::from_ms(14.0));
     }
 
-    /// A model that reschedules itself forever (stopped via horizon/budget).
+    /// A model that reschedules itself forever (stopped via horizon or stop).
     struct Ticker {
         ticks: u64,
         period: f64,
@@ -827,19 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn run_steps_respects_budget() {
-        let mut engine = Engine::new(Ticker {
-            ticks: 0,
-            period: 2.0,
-            stop_after: None,
-        });
-        let outcome = engine.run_steps(7);
-        assert_eq!(outcome.reason, StopReason::Budget);
-        assert_eq!(engine.model().ticks, 7);
-        assert_eq!(outcome.events_dispatched, 7);
-    }
-
-    #[test]
     fn probe_sees_schedules_dispatches_and_spans() {
         use crate::probe::{CountingProbe, Probe, SpanPoint, SpanStage};
 
@@ -857,7 +792,8 @@ mod tests {
                 if ctx.tracing() {
                     ctx.emit_span(7, 7, SpanPoint::Admitted);
                     ctx.emit_span_stage(7, 7, SpanStage::Accesses, 1.0);
-                    ctx.emit_sample_named("depth", self.remaining as f64);
+                    let depth = ctx.intern_series("depth");
+                    ctx.emit_sample(depth, self.remaining as f64);
                 }
                 if self.remaining > 0 {
                     self.remaining -= 1;

@@ -7,9 +7,10 @@
 //! OODBs*, VLDB 1999). Its stated design goals — *validity, simplicity and
 //! efficiency* — carry over:
 //!
-//! * **validity** — deterministic event ordering, a monotone clock, and a
-//!   [`queueing`] module that cross-checks the kernel against closed-form
-//!   M/M/1 and M/M/c results (the paper cross-checked against QNAP2);
+//! * **validity** — deterministic event ordering, a monotone clock, and
+//!   an M/M/1 and M/M/c oracle (test support,
+//!   `tests/support/queueing.rs`) that cross-checks the kernel against
+//!   closed-form results (the paper cross-checked against QNAP2);
 //! * **simplicity** — one trait ([`Model`]) and three concepts: events,
 //!   the [`Engine`] clock/event-list, and passive [`Resource`]s with
 //!   reserve/release semantics (Table 1 and Table 2 of the paper);
@@ -62,7 +63,9 @@
 
 pub mod engine;
 pub mod probe;
-pub mod queueing;
+#[cfg(test)]
+#[path = "../tests/support/queueing.rs"]
+mod queueing;
 pub mod random;
 pub mod replication;
 pub mod resource;

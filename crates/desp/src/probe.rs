@@ -183,8 +183,8 @@ pub trait Probe {
         let _ = (series, now, value);
     }
 
-    /// A run call (`step` / `run_to_completion` / `run_until` /
-    /// `run_steps`) returned. `scheduled` and `dispatched` are the
+    /// A run call (`step` / `run_to_completion` / `run_until`)
+    /// returned. `scheduled` and `dispatched` are the
     /// engine-lifetime totals (the event list only ever pushes and
     /// pops, so `scheduled = dispatched + still-pending`). Fires once
     /// per run call, letting probes report exact event totals without

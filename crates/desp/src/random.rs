@@ -427,8 +427,6 @@ pub fn fast_ln(x: f64) -> f64 {
 #[derive(Clone, Debug)]
 pub struct RandomStream {
     rng: Xoshiro256,
-    /// Cached second variate of the Box–Muller transform.
-    gauss_spare: Option<f64>,
 }
 
 impl RandomStream {
@@ -436,7 +434,6 @@ impl RandomStream {
     pub fn new(seed: u64) -> Self {
         RandomStream {
             rng: Xoshiro256::from_seed_u64(seed),
-            gauss_spare: None,
         }
     }
 
@@ -445,16 +442,6 @@ impl RandomStream {
     pub fn uniform01(&mut self) -> f64 {
         // 53 high bits → [0,1) with full double precision.
         (self.rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// A uniform variate in `[low, high)`.
-    ///
-    /// # Panics
-    /// Panics if `low > high`.
-    #[inline]
-    pub fn uniform(&mut self, low: f64, high: f64) -> f64 {
-        assert!(low <= high, "uniform: low {low} > high {high}");
-        low + (high - low) * self.uniform01()
     }
 
     /// A uniform integer in `[0, n)` using Lemire's unbiased method.
@@ -504,24 +491,6 @@ impl RandomStream {
     #[inline]
     pub fn bernoulli(&mut self, p: f64) -> bool {
         self.uniform01() < p
-    }
-
-    /// A normal variate (Box–Muller with caching of the paired variate).
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        if let Some(z) = self.gauss_spare.take() {
-            return mean + std_dev * z;
-        }
-        // Polar Box–Muller.
-        loop {
-            let u = 2.0 * self.uniform01() - 1.0;
-            let v = 2.0 * self.uniform01() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let f = (-2.0 * s.ln() / s).sqrt();
-                self.gauss_spare = Some(v * f);
-                return mean + std_dev * (u * f);
-            }
-        }
     }
 
     /// Chooses an index according to a slice of non-negative weights.
@@ -775,24 +744,6 @@ mod tests {
             saw_high |= v == 6;
         }
         assert!(saw_low && saw_high);
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut s = RandomStream::new(19);
-        let n = 200_000;
-        let (mu, sd) = (10.0, 2.0);
-        let mut sum = 0.0;
-        let mut sum2 = 0.0;
-        for _ in 0..n {
-            let x = s.normal(mu, sd);
-            sum += x;
-            sum2 += x * x;
-        }
-        let mean = sum / n as f64;
-        let var = sum2 / n as f64 - mean * mean;
-        assert!((mean - mu).abs() < 0.05);
-        assert!((var - sd * sd).abs() < 0.1);
     }
 
     #[test]

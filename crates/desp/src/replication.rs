@@ -80,22 +80,6 @@ pub enum ReplicationPolicy {
     },
 }
 
-impl ReplicationPolicy {
-    /// The paper's adaptive protocol: pilot 10, 5% precision, cap 100.
-    pub fn paper_adaptive() -> Self {
-        ReplicationPolicy::Adaptive {
-            pilot: 10,
-            relative_precision: 0.05,
-            max: 100,
-        }
-    }
-
-    /// The paper's production setting: 100 fixed replications.
-    pub fn paper_fixed() -> Self {
-        ReplicationPolicy::Fixed(100)
-    }
-}
-
 /// Aggregated replication results: per-metric samples and intervals.
 #[derive(Clone, Debug)]
 pub struct ReplicationReport {
@@ -164,13 +148,6 @@ impl Replicator {
             level: 0.95,
             base_seed,
         }
-    }
-
-    /// Overrides the confidence level (default 0.95, as in the paper).
-    pub fn with_level(mut self, level: f64) -> Self {
-        assert!(level > 0.0 && level < 1.0);
-        self.level = level;
-        self
     }
 
     /// Runs the experiment. `f(seed)` must perform one complete replication
@@ -278,12 +255,12 @@ mod tests {
         let report = replicator.run(|seed| {
             let mut s = RandomStream::new(seed);
             let mut m = MetricSet::new();
-            m.insert("io", 1000.0 + s.uniform(-1.0, 1.0));
+            m.insert("io", 1000.0 + (-1.0 + 2.0 * s.uniform01()));
             m
         });
         assert_eq!(report.replications(), 10);
         let ci = report.interval("io");
-        assert!(ci.relative_half_width() < 0.05);
+        assert!(ci.half_width / ci.mean.abs() < 0.05);
     }
 
     #[test]
@@ -300,7 +277,7 @@ mod tests {
         let report = replicator.run(|seed| {
             let mut s = RandomStream::new(seed);
             let mut m = MetricSet::new();
-            m.insert("noisy", s.uniform(0.0, 100.0));
+            m.insert("noisy", 100.0 * s.uniform01());
             m
         });
         assert!(report.replications() > 10);
@@ -314,7 +291,7 @@ mod tests {
             let mut s = RandomStream::new(seed);
             let mut m = MetricSet::new();
             // Mean 50 uniform noise.
-            m.insert("v", 50.0 + s.uniform(-5.0, 5.0));
+            m.insert("v", 50.0 + (-5.0 + 10.0 * s.uniform01()));
             m
         });
         let ci = report.interval("v");

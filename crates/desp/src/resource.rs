@@ -17,7 +17,7 @@
 use crate::engine::Context;
 use crate::probe::{Probe, ResourceId};
 use crate::sched::QueueKind;
-use crate::stats::{TimeWeighted, Welford};
+use crate::stats::TimeWeighted;
 use crate::time::SimTime;
 use std::collections::VecDeque;
 
@@ -32,10 +32,6 @@ pub struct Resource<E> {
     capacity: usize,
     busy: usize,
     queue: VecDeque<Waiter<E>>,
-    /// Waiting time per grant (zero for immediate grants).
-    wait: Welford,
-    /// Time-weighted number of waiters.
-    queue_len: TimeWeighted,
     /// Time-weighted busy units (divide by capacity for utilisation).
     busy_units: TimeWeighted,
     grants: u64,
@@ -57,8 +53,6 @@ impl<E> Resource<E> {
             capacity,
             busy: 0,
             queue: VecDeque::new(),
-            wait: Welford::new(),
-            queue_len: TimeWeighted::new(),
             busy_units: TimeWeighted::new(),
             grants: 0,
             probe_id: ResourceId::INVALID,
@@ -106,7 +100,6 @@ impl<E> Resource<E> {
 
     #[inline]
     fn record_state(&mut self, now: SimTime) {
-        self.queue_len.update(now.as_ms(), self.queue.len() as f64);
         self.busy_units.update(now.as_ms(), self.busy as f64);
     }
 
@@ -153,7 +146,6 @@ impl<E> Resource<E> {
         let now = ctx.now();
         self.busy += 1;
         self.grants += 1;
-        self.wait.add(0.0);
         self.record_state(now);
         if P::ENABLED {
             if self.probe_id == ResourceId::INVALID {
@@ -178,9 +170,8 @@ impl<E> Resource<E> {
         if let Some(waiter) = self.queue.pop_front() {
             self.busy += 1;
             self.grants += 1;
-            let waited = now.saturating_since(waiter.enqueued_at).as_ms();
-            self.wait.add(waited);
             if P::ENABLED {
+                let waited = now.saturating_since(waiter.enqueued_at).as_ms();
                 if self.probe_id == ResourceId::INVALID {
                     self.probe_id = ctx.probe_mut().intern_resource(&self.name);
                 }
@@ -190,16 +181,6 @@ impl<E> Resource<E> {
             ctx.schedule_now(waiter.event);
         }
         self.record_state(now);
-    }
-
-    /// Mean waiting time per grant, in ms.
-    pub fn mean_wait(&self) -> f64 {
-        self.wait.mean()
-    }
-
-    /// Time-weighted mean queue length up to `now`.
-    pub fn mean_queue_len(&self, now: SimTime) -> f64 {
-        self.queue_len.mean(now.as_ms())
     }
 
     /// Time-weighted utilisation (busy units / capacity) up to `now`.
@@ -260,8 +241,6 @@ mod tests {
         let m = engine.model();
         assert_eq!(m.done, 3);
         assert_eq!(m.grant_times, vec![0.0, 10.0, 20.0]);
-        // Waits: 0, 9, 18 → mean 9.
-        assert!((m.resource.mean_wait() - 9.0).abs() < 1e-9);
         assert_eq!(m.resource.busy(), 0);
         assert_eq!(m.resource.grants(), 3);
     }

@@ -350,16 +350,19 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Current ring size (diagnostic; exercised by resize tests).
+    // audit: ring geometry, read by the resize property of `tests/sched_differential.rs`
     pub fn bucket_count(&self) -> usize {
         self.mask + 1
     }
 
     /// Current bucket width in ms (diagnostic).
+    #[cfg(test)]
     pub fn bucket_width(&self) -> f64 {
         self.width
     }
 
     /// Events parked on the overflow list (diagnostic).
+    #[cfg(test)]
     pub fn overflow_len(&self) -> usize {
         self.overflow.len()
     }
@@ -827,11 +830,13 @@ impl<E> TimerWheel<E> {
     }
 
     /// Current tick width in ms (diagnostic).
+    #[cfg(test)]
     pub fn tick_width(&self) -> f64 {
         self.width
     }
 
     /// Events parked on the overflow heap (diagnostic).
+    #[cfg(test)]
     pub fn overflow_len(&self) -> usize {
         self.overflow.len()
     }

@@ -376,20 +376,6 @@ impl ConfidenceInterval {
         self.mean + self.half_width
     }
 
-    /// Relative precision `h / |X̄|` (infinite when the mean is zero and the
-    /// half-width is not).
-    pub fn relative_half_width(&self) -> f64 {
-        if self.mean == 0.0 {
-            if self.half_width == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
-
     /// Does the interval contain `x`?
     pub fn contains(&self, x: f64) -> bool {
         x >= self.low() && x <= self.high()

@@ -40,12 +40,6 @@ impl SimTime {
         self.0
     }
 
-    /// The value converted to seconds.
-    #[inline]
-    pub fn as_secs(self) -> f64 {
-        self.0 / 1_000.0
-    }
-
     /// Returns `true` for a finite instant (i.e. not [`SimTime::INFINITY`]).
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -172,11 +166,6 @@ mod tests {
         let b = SimTime::from_ms(4.0);
         assert_eq!(b.saturating_since(a).as_ms(), 3.0);
         assert_eq!(a.saturating_since(b).as_ms(), 0.0);
-    }
-
-    #[test]
-    fn seconds_conversion() {
-        assert_eq!(SimTime::from_ms(1500.0).as_secs(), 1.5);
     }
 
     #[test]

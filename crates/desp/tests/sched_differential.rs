@@ -119,7 +119,7 @@ proptest! {
         let mut pending = 0usize;
         for &size in &sizes {
             for _ in 0..size {
-                q.push(SimTime::from_ms(rng.uniform(0.0, 1e4)), id);
+                q.push(SimTime::from_ms(1e4 * rng.uniform01()), id);
                 id += 1;
                 pending += 1;
                 prop_assert_eq!(q.len(), pending);

@@ -11,6 +11,9 @@
 //! [`Engine`]/[`Resource`], and pin the event queues against each other:
 //! an M/M/1 or M/M/c run gives bit-identical results, event count
 //! included, on every [`QueueKind`].
+//!
+//! The oracle is test support, compiled only into the crate's unit tests
+//! (`lib.rs` includes this file under `#[cfg(test)]`).
 
 use crate::engine::{Context, Engine, Model};
 use crate::probe::NoProbe;
@@ -127,11 +130,6 @@ impl Mmc {
     /// Mean response time W = Wq + 1/μ, in ms.
     pub fn mean_response(&self) -> f64 {
         self.mean_wait() + 1.0 / self.mu
-    }
-
-    /// Mean number in system L = λW.
-    pub fn mean_in_system(&self) -> f64 {
-        self.lambda * self.mean_response()
     }
 }
 
@@ -250,7 +248,7 @@ pub fn simulate_mmc_on<Q: QueueKind>(
     engine.run_to_completion();
     let now = engine.now();
     let events = engine.events_dispatched();
-    let model = engine.into_model();
+    let model = engine.into_parts().0;
     QueueSimResult {
         mean_response: model.response.mean(),
         mean_in_system: model.in_system.mean(now.as_ms()),

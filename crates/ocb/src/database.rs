@@ -178,14 +178,6 @@ impl ObjectBase {
             .filter(move |(cref, _)| cref.rtype == rtype)
             .map(|(_, &target)| target)
     }
-
-    /// Mean object size in bytes.
-    pub fn mean_object_size(&self) -> f64 {
-        if self.objects.is_empty() {
-            return 0.0;
-        }
-        self.total_bytes as f64 / self.objects.len() as f64
-    }
 }
 
 /// Picks a reference target inside the locality window, avoiding a
@@ -299,7 +291,6 @@ mod tests {
         let base = small_base(6);
         let sum: u64 = base.iter().map(|(_, o)| o.size as u64).sum();
         assert_eq!(base.total_bytes(), sum);
-        assert!(base.mean_object_size() > 0.0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use params::{
 pub use schema::{Class, ClassId, ClassRef, RefType, Schema, BYTES_PER_REF, OBJECT_HEADER_BYTES};
 pub use source::{LazySource, MaterializedSource, TransactionSource};
 pub use workload::{
-    hierarchy_traversal, hierarchy_traversal_steps, set_oriented, set_oriented_steps,
-    simple_traversal, simple_traversal_steps, stochastic_traversal, stochastic_traversal_steps,
-    Access, Step, Transaction, WorkloadGenerator, HIERARCHY_REF_TYPE, MAX_ACCESSES_PER_TRANSACTION,
+    hierarchy_traversal_steps, set_oriented_steps, simple_traversal_steps,
+    stochastic_traversal_steps, Access, Step, Transaction, WorkloadGenerator, HIERARCHY_REF_TYPE,
+    MAX_ACCESSES_PER_TRANSACTION,
 };

@@ -37,11 +37,6 @@ pub enum Selection {
 }
 
 impl Selection {
-    /// True if this is the uniform distribution (θ = 0 Zipf included).
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, Selection::Uniform | Selection::Zipf(0.0))
-    }
-
     /// Validates the variant's parameters.
     ///
     /// # Errors
@@ -124,12 +119,8 @@ impl Default for DatabaseParams {
 }
 
 impl DatabaseParams {
-    /// The paper's mid-sized base: 50 classes, 20 000 instances (~20 MB).
-    pub fn mid_sized() -> Self {
-        DatabaseParams::default()
-    }
-
     /// A small base for fast tests (~500 objects).
+    // audit: the small fixture base of every crate's tests and doc examples
     pub fn small() -> Self {
         DatabaseParams {
             classes: 10,
@@ -139,11 +130,13 @@ impl DatabaseParams {
     }
 
     /// Expected mean object size in bytes, `BASESIZE × (SIZEFACTOR+1)/2`.
+    #[cfg(test)]
     pub fn mean_object_size(&self) -> f64 {
         self.base_size as f64 * (self.size_factor as f64 + 1.0) / 2.0
     }
 
     /// Expected database size in bytes.
+    #[cfg(test)]
     pub fn expected_db_size(&self) -> f64 {
         self.mean_object_size() * self.objects as f64
     }
@@ -527,6 +520,7 @@ impl WorkloadParams {
     }
 
     /// A tiny workload for fast tests.
+    // audit: the tiny fixture workload of every crate's tests and doc examples
     pub fn small() -> Self {
         WorkloadParams {
             hot_transactions: 50,
@@ -805,13 +799,6 @@ mod tests {
         assert_eq!(wl.p_hierarchy, 1.0);
         assert_eq!(wl.hierarchy_depth, 3);
         assert!(matches!(wl.root_dist, Selection::HotSet { .. }));
-    }
-
-    #[test]
-    fn selection_uniformity() {
-        assert!(Selection::Uniform.is_uniform());
-        assert!(Selection::Zipf(0.0).is_uniform());
-        assert!(!Selection::Zipf(0.8).is_uniform());
     }
 
     #[test]

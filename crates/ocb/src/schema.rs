@@ -126,18 +126,6 @@ impl Schema {
     pub fn classes(&self) -> impl Iterator<Item = &Class> {
         self.classes.iter()
     }
-
-    /// Mean number of references per class.
-    pub fn mean_refs(&self) -> f64 {
-        if self.classes.is_empty() {
-            return 0.0;
-        }
-        self.classes
-            .iter()
-            .map(|c| c.refs.len() as f64)
-            .sum::<f64>()
-            / self.classes.len() as f64
-    }
 }
 
 #[cfg(test)]

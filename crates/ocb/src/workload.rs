@@ -78,14 +78,6 @@ impl Transaction {
     pub fn is_empty(&self) -> bool {
         self.accesses.is_empty()
     }
-
-    /// Number of *distinct* objects accessed.
-    pub fn distinct_objects(&self) -> usize {
-        let mut oids: Vec<Oid> = self.accesses.iter().map(|a| a.oid).collect();
-        oids.sort_unstable();
-        oids.dedup();
-        oids.len()
-    }
 }
 
 /// Reusable traversal state, so a long-running generator performs no
@@ -171,18 +163,11 @@ pub(crate) fn set_oriented_into(
 
 /// Set-oriented access with parent links: breadth-first expansion over
 /// **all** references up to `depth`, each reachable object accessed once.
+// audit: an OCB traversal definition, checked by `tests/properties.rs`
 pub fn set_oriented_steps(base: &ObjectBase, root: Oid, depth: usize) -> Vec<Step> {
     let mut scratch = TraversalScratch::default();
     set_oriented_into(base, root, depth, &mut scratch);
     scratch.steps
-}
-
-/// Set-oriented access (objects only); see [`set_oriented_steps`].
-pub fn set_oriented(base: &ObjectBase, root: Oid, depth: usize) -> Vec<Oid> {
-    set_oriented_steps(base, root, depth)
-        .into_iter()
-        .map(|(oid, _)| oid)
-        .collect()
 }
 
 /// Simple traversal into `scratch.steps`; see [`simple_traversal_steps`].
@@ -217,18 +202,11 @@ pub(crate) fn simple_traversal_into(
 /// Simple traversal with parent links: depth-first walk over **all**
 /// references up to `depth`; shared sub-objects are accessed once per path
 /// (OO7 raw traversal style).
+// audit: an OCB traversal definition, checked by `tests/properties.rs`
 pub fn simple_traversal_steps(base: &ObjectBase, root: Oid, depth: usize) -> Vec<Step> {
     let mut scratch = TraversalScratch::default();
     simple_traversal_into(base, root, depth, &mut scratch);
     scratch.steps
-}
-
-/// Simple traversal (objects only); see [`simple_traversal_steps`].
-pub fn simple_traversal(base: &ObjectBase, root: Oid, depth: usize) -> Vec<Oid> {
-    simple_traversal_steps(base, root, depth)
-        .into_iter()
-        .map(|(oid, _)| oid)
-        .collect()
 }
 
 /// Hierarchy traversal into `scratch.steps`; see
@@ -266,18 +244,11 @@ pub(crate) fn hierarchy_traversal_into(
 /// Hierarchy traversal with parent links: breadth-first expansion
 /// restricted to references of type [`HIERARCHY_REF_TYPE`], up to `depth`,
 /// each object once.
+// audit: an OCB traversal definition, checked by `tests/properties.rs`
 pub fn hierarchy_traversal_steps(base: &ObjectBase, root: Oid, depth: usize) -> Vec<Step> {
     let mut scratch = TraversalScratch::default();
     hierarchy_traversal_into(base, root, depth, &mut scratch);
     scratch.steps
-}
-
-/// Hierarchy traversal (objects only); see [`hierarchy_traversal_steps`].
-pub fn hierarchy_traversal(base: &ObjectBase, root: Oid, depth: usize) -> Vec<Oid> {
-    hierarchy_traversal_steps(base, root, depth)
-        .into_iter()
-        .map(|(oid, _)| oid)
-        .collect()
 }
 
 /// Stochastic traversal into `scratch.steps`; see
@@ -306,6 +277,7 @@ pub(crate) fn stochastic_traversal_into(
 
 /// Stochastic traversal with parent links: a random walk of `depth` steps,
 /// following one uniformly chosen reference at each step.
+// audit: an OCB traversal definition, checked by `tests/properties.rs`
 pub fn stochastic_traversal_steps(
     base: &ObjectBase,
     root: Oid,
@@ -315,19 +287,6 @@ pub fn stochastic_traversal_steps(
     let mut scratch = TraversalScratch::default();
     stochastic_traversal_into(base, root, depth, stream, &mut scratch);
     scratch.steps
-}
-
-/// Stochastic traversal (objects only); see [`stochastic_traversal_steps`].
-pub fn stochastic_traversal(
-    base: &ObjectBase,
-    root: Oid,
-    depth: usize,
-    stream: &mut RandomStream,
-) -> Vec<Oid> {
-    stochastic_traversal_steps(base, root, depth, stream)
-        .into_iter()
-        .map(|(oid, _)| oid)
-        .collect()
 }
 
 /// How roots are drawn, precomputed from [`Selection`].
@@ -506,10 +465,15 @@ mod tests {
         ObjectBase::generate(&DatabaseParams::small(), 17)
     }
 
+    /// The objects a traversal accesses, in order.
+    fn oids(steps: Vec<Step>) -> Vec<Oid> {
+        steps.into_iter().map(|(oid, _)| oid).collect()
+    }
+
     #[test]
     fn set_oriented_accesses_are_distinct() {
         let base = base();
-        let oids = set_oriented(&base, 0, 3);
+        let oids = oids(set_oriented_steps(&base, 0, 3));
         let mut sorted = oids.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -525,7 +489,7 @@ mod tests {
     #[test]
     fn set_oriented_depth_zero_is_root_only() {
         let base = base();
-        assert_eq!(set_oriented(&base, 5, 0), vec![5]);
+        assert_eq!(oids(set_oriented_steps(&base, 5, 0)), vec![5]);
     }
 
     #[test]
@@ -550,7 +514,7 @@ mod tests {
     #[test]
     fn simple_traversal_visits_root_first_and_may_repeat() {
         let base = base();
-        let oids = simple_traversal(&base, 3, 3);
+        let oids = oids(simple_traversal_steps(&base, 3, 3));
         assert_eq!(oids[0], 3);
         // Upper bound: 1 + b + b² + b³ with b = max_refs.
         let b = 10usize;
@@ -577,7 +541,7 @@ mod tests {
     fn stochastic_traversal_length_is_depth_plus_one() {
         let base = base();
         let mut stream = RandomStream::new(5);
-        let oids = stochastic_traversal(&base, 2, 50, &mut stream);
+        let oids = oids(stochastic_traversal_steps(&base, 2, 50, &mut stream));
         // Every object has ≥1 reference, so the walk never stalls.
         assert_eq!(oids.len(), 51);
         // Each consecutive pair is connected by a reference.
@@ -735,6 +699,5 @@ mod tests {
             ],
         };
         assert_eq!(t.len(), 3);
-        assert_eq!(t.distinct_objects(), 2);
     }
 }

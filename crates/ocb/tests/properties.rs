@@ -1,10 +1,16 @@
 //! Property-based tests of the OCB generator.
 
 use ocb::{
-    hierarchy_traversal, set_oriented, simple_traversal, stochastic_traversal, DatabaseParams,
-    ObjectBase, Selection, TransactionKind, WorkloadGenerator, WorkloadParams, HIERARCHY_REF_TYPE,
+    hierarchy_traversal_steps, set_oriented_steps, simple_traversal_steps,
+    stochastic_traversal_steps, DatabaseParams, ObjectBase, Oid, Selection, Step, TransactionKind,
+    WorkloadGenerator, WorkloadParams, HIERARCHY_REF_TYPE,
 };
 use proptest::prelude::*;
+
+/// The objects a traversal accesses, in order.
+fn oids(steps: Vec<Step>) -> Vec<Oid> {
+    steps.into_iter().map(|(oid, _)| oid).collect()
+}
 
 fn arb_db() -> impl Strategy<Value = DatabaseParams> {
     (2usize..15, 1usize..10, 2usize..6, 1u32..60, 2u32..50).prop_map(
@@ -53,10 +59,10 @@ proptest! {
         let root = (seed % base.len() as u64) as u32;
         let mut stream = desp::RandomStream::new(seed);
         for oids in [
-            set_oriented(&base, root, depth),
-            simple_traversal(&base, root, depth.min(3)),
-            hierarchy_traversal(&base, root, depth),
-            stochastic_traversal(&base, root, depth * 10, &mut stream),
+            oids(set_oriented_steps(&base, root, depth)),
+            oids(simple_traversal_steps(&base, root, depth.min(3))),
+            oids(hierarchy_traversal_steps(&base, root, depth)),
+            oids(stochastic_traversal_steps(&base, root, depth * 10, &mut stream)),
         ] {
             prop_assert!(!oids.is_empty());
             prop_assert_eq!(oids[0], root);
@@ -70,7 +76,7 @@ proptest! {
     fn set_oriented_is_a_set(db in arb_db(), seed in any::<u64>(), depth in 0usize..4) {
         let base = ObjectBase::generate(&db, seed);
         let root = (seed % base.len() as u64) as u32;
-        let oids = set_oriented(&base, root, depth);
+        let oids = oids(set_oriented_steps(&base, root, depth));
         let mut dedup = oids.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -86,13 +92,13 @@ proptest! {
         let root = (seed % base.len() as u64) as u32;
         let mut previous = 0;
         for depth in 0..4 {
-            let reach = set_oriented(&base, root, depth).len();
+            let reach = set_oriented_steps(&base, root, depth).len();
             prop_assert!(reach >= previous, "depth {depth} reach shrank");
             previous = reach;
         }
         let mut previous = 0;
         for depth in 0..4 {
-            let reach = hierarchy_traversal(&base, root, depth).len();
+            let reach = hierarchy_traversal_steps(&base, root, depth).len();
             prop_assert!(reach >= previous);
             previous = reach;
         }
@@ -109,8 +115,8 @@ proptest! {
         let base = ObjectBase::generate(&db, seed);
         let root = (seed % base.len() as u64) as u32;
         let all: std::collections::HashSet<u32> =
-            set_oriented(&base, root, depth).into_iter().collect();
-        for oid in hierarchy_traversal(&base, root, depth) {
+            oids(set_oriented_steps(&base, root, depth)).into_iter().collect();
+        for oid in oids(hierarchy_traversal_steps(&base, root, depth)) {
             prop_assert!(all.contains(&oid));
         }
         // And hierarchy edges really are type-0 edges.

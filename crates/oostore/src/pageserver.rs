@@ -160,11 +160,13 @@ impl<'a> PageServerEngine<'a> {
     }
 
     /// Buffer statistics (hits, misses, evictions).
+    #[cfg(test)]
     pub fn buffer_stats(&self) -> bufmgr::BufferStats {
         self.buffer.stats()
     }
 
     /// The physical location of a logical object (OID-table lookup).
+    #[cfg(test)]
     pub fn physical_oid(&self, oid: Oid) -> PhysicalOid {
         self.oid_table[oid as usize]
     }
@@ -177,11 +179,6 @@ impl<'a> PageServerEngine<'a> {
     /// Read-only view of the virtual disk.
     pub fn disk_ref(&self) -> &VirtualDisk<'a> {
         &self.disk
-    }
-
-    /// Direct access to the clustering strategy.
-    pub fn strategy_mut(&mut self) -> &mut dyn ClusteringStrategy {
-        self.strategy.as_mut()
     }
 
     /// The client requests the page holding `phys`; the server serves it

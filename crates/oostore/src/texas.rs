@@ -216,6 +216,7 @@ impl<'a> TexasEngine<'a> {
     }
 
     /// The physical OID of a logical object (root-table lookup).
+    // audit: the reorganisation property of the root `tests/properties.rs` reads it
     pub fn physical_oid(&self, oid: ocb::Oid) -> PhysicalOid {
         self.phys_of[oid as usize]
     }
@@ -226,14 +227,9 @@ impl<'a> TexasEngine<'a> {
     }
 
     /// Pages currently occupying VM frames.
+    #[cfg(test)]
     pub fn mapped_pages(&self) -> usize {
         self.vm.resident_count()
-    }
-
-    /// Direct access to the clustering strategy (experiment drivers force
-    /// consolidations or inspect statistics through this).
-    pub fn strategy_mut(&mut self) -> &mut dyn ClusteringStrategy {
-        self.strategy.as_mut()
     }
 
     /// Read-only view of the virtual disk (inspection and tests).

@@ -35,8 +35,8 @@
 //! line/column positions for syntax errors. `params` lists every
 //! supported parameter key (all of them sweepable), sorted. `audit`
 //! statically checks the workspace sources against the determinism
-//! rules (see the `voodb-audit` crate and README "Static guarantees &
-//! determinism invariants").
+//! rules and the `test-only-pub` API rule (see the `voodb-audit` crate
+//! and README "Static guarantees & determinism invariants").
 
 use scenario::{
     check_same_tendency, library_listing, params_help_text, run_sweep, run_sweep_traced_with,
@@ -92,7 +92,8 @@ COMMANDS:
                violations: hash-ordered iteration in result-affecting
                crates, wall-clock/env reads, unseeded RNGs, float
                `partial_cmp`, unjustified `unsafe`/`#[allow]`, and
-               hot-path panics. Exits non-zero iff any rule fires.
+               hot-path panics; and for `pub` items that only tests
+               use. Exits non-zero iff any rule fires.
 
 OPTIONS (run):
     --threads N   Worker threads (default: one per core). Results are

@@ -15,6 +15,7 @@ use crate::harness::mean_of;
 use crate::runner::SweepResult;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use vtrace::json::write_json_string;
 
 /// Default output directory, relative to the working directory.
 pub const DEFAULT_OUT_DIR: &str = "target/voodb-out";
@@ -39,12 +40,14 @@ impl Cell {
         }
     }
 
-    fn json(&self) -> String {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Cell::Text(s) => json_string(s),
-            Cell::Num(f) if f.is_finite() => format_num(*f),
-            Cell::Num(_) => "null".to_owned(),
-            Cell::Int(n) => n.to_string(),
+            Cell::Text(s) => write_json_string(out, s),
+            Cell::Num(f) if f.is_finite() => out.push_str(&format_num(*f)),
+            Cell::Num(_) => out.push_str("null"),
+            Cell::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
         }
     }
 }
@@ -103,23 +106,29 @@ impl ReportTable {
     /// Renders as a pretty-printed JSON object
     /// `{"title": …, "columns": […], "rows": [[…], …]}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"title\": {},", json_string(&self.title));
-        let _ = writeln!(
-            out,
-            "  \"columns\": [{}],",
-            self.columns
-                .iter()
-                .map(|c| json_string(c))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        out.push_str("  \"rows\": [\n");
+        let mut out = String::from("{\n  \"title\": ");
+        write_json_string(&mut out, &self.title);
+        out.push_str(",\n  \"columns\": [");
+        for (i, c) in self.columns.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            write_json_string(&mut out, c);
+        }
+        out.push_str("],\n  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
-            let cells = row.iter().map(Cell::json).collect::<Vec<_>>().join(", ");
-            let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            let _ = writeln!(out, "    [{cells}]{comma}");
+            out.push_str("    [");
+            for (j, cell) in row.iter().enumerate() {
+                if j > 0 {
+                    out.push_str(", ");
+                }
+                cell.write_json(&mut out);
+            }
+            out.push_str(if i + 1 == self.rows.len() {
+                "]\n"
+            } else {
+                "],\n"
+            });
         }
         out.push_str("  ]\n}\n");
         out
@@ -256,26 +265,6 @@ fn csv_escape(s: &str) -> String {
     } else {
         s.to_owned()
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

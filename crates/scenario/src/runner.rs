@@ -530,7 +530,7 @@ values = [32, 256]
     fn o2_cache_ios_do_not_grow_with_the_cache() {
         let mut scenario =
             Scenario::parse(include_str!("../../../scenarios/o2_cache.toml")).unwrap();
-        scenario.shrink_for_smoke(20_000, 100, 6);
+        scenario.config.workload.hot_transactions = 100;
         let options = RunOptions {
             reps: Some(2),
             ..RunOptions::default()

@@ -260,55 +260,6 @@ impl Scenario {
         }
         points
     }
-
-    /// Shrinks the scenario so tests and CI smoke runs finish quickly:
-    /// clamps the object base to `max_objects`, the measured run to
-    /// `max_transactions`, a time-horizon phase to a few simulated
-    /// seconds (warm-up scaled along), truncates every axis to
-    /// `max_axis_points` values, and clamps swept `database.objects` /
-    /// `workload.hot_transactions` values to the same caps (deduplicated,
-    /// order preserved). Used by the golden test over `scenarios/`.
-    pub fn shrink_for_smoke(
-        &mut self,
-        max_objects: usize,
-        max_transactions: usize,
-        max_axis_points: usize,
-    ) {
-        /// Horizon cap: long enough for tens of commits at preset
-        /// arrival rates, short enough for debug-profile test runs.
-        const MAX_DURATION_MS: f64 = 2_000.0;
-        let db = &mut self.config.database;
-        db.objects = db.objects.min(max_objects);
-        db.classes = db.classes.min(db.objects.max(1));
-        self.config.workload.hot_transactions =
-            self.config.workload.hot_transactions.min(max_transactions);
-        let wl = &mut self.config.workload;
-        if wl.duration_ms > MAX_DURATION_MS {
-            wl.warmup_ms *= MAX_DURATION_MS / wl.duration_ms;
-            wl.duration_ms = MAX_DURATION_MS;
-        }
-        for axis in &mut self.sweep {
-            axis.values.truncate(max_axis_points.max(1));
-            let cap = match axis.param.as_str() {
-                "database.objects" => Some(max_objects as i64),
-                "workload.hot_transactions" => Some(max_transactions as i64),
-                _ => None,
-            };
-            if let Some(cap) = cap {
-                let mut seen = Vec::new();
-                for value in std::mem::take(&mut axis.values) {
-                    let clamped = match value {
-                        Value::Integer(n) => Value::Integer(n.min(cap)),
-                        other => other,
-                    };
-                    if !seen.contains(&clamped) {
-                        seen.push(clamped);
-                    }
-                }
-                axis.values = seen;
-            }
-        }
-    }
 }
 
 fn parse_axis(t: &Table) -> Result<SweepAxis, String> {
@@ -1078,34 +1029,5 @@ hot_transactions = 40
         ))
         .unwrap_err();
         assert!(err.contains("warmup"), "{err}");
-    }
-
-    #[test]
-    fn shrink_for_smoke_caps_horizon() {
-        let text = format!(
-            "{MINIMAL}\n[workload]\narrival = \"poisson-40\"\nduration_ms = 60000.0\n\
-             warmup_ms = 6000.0\n"
-        );
-        let mut s = Scenario::parse(&text).unwrap();
-        s.shrink_for_smoke(400, 20, 2);
-        assert_eq!(s.config.workload.duration_ms, 2000.0);
-        // The warm-up scales with the cut, keeping its fraction.
-        assert!((s.config.workload.warmup_ms - 200.0).abs() < 1e-9);
-        s.validate().unwrap();
-    }
-
-    #[test]
-    fn shrink_for_smoke_caps_cost() {
-        let text = format!(
-            "{MINIMAL}\n[[sweep]]\nparam = \"database.objects\"\nvalues = [500, 1000, 2000, 20000]\n"
-        );
-        let mut s = Scenario::parse(&text).unwrap();
-        s.shrink_for_smoke(600, 30, 3);
-        assert_eq!(s.config.workload.hot_transactions, 30);
-        assert_eq!(
-            s.sweep[0].values,
-            vec![Value::Integer(500), Value::Integer(600)]
-        );
-        s.validate().unwrap();
     }
 }

@@ -4,11 +4,13 @@
 //! Every preset must (a) parse and validate as committed, (b) run
 //! end-to-end, and (c) reproduce its committed report in `golden/`
 //! byte for byte. Full-size presets would take minutes in debug builds,
-//! so the run checks use [`Scenario::shrink_for_smoke`] — same axes,
+//! so the run checks use `support::shrink_for_smoke` — same axes,
 //! same machinery, smaller base/run — while validation covers the files
 //! exactly as shipped.
 
-use scenario::{run_sweep, sweep_table, RunOptions, Scenario};
+mod support;
+
+use scenario::{run_sweep, sweep_table, RunOptions, Scenario, Value};
 use std::path::PathBuf;
 
 fn scenarios_dir() -> PathBuf {
@@ -75,7 +77,7 @@ fn library_is_present_and_valid() {
 
 /// `scenario` cut to test size, one replication at its own seed.
 fn shrunk_smoke(file: &str, mut scenario: Scenario) -> (Scenario, RunOptions) {
-    scenario.shrink_for_smoke(400, 20, 2);
+    support::shrink_for_smoke(&mut scenario, 400, 20, 2);
     scenario
         .validate()
         .unwrap_or_else(|e| panic!("{file} invalid after shrink: {e}"));
@@ -125,7 +127,7 @@ fn sweep_is_thread_count_invariant() {
         let path = scenarios_dir().join(name);
         let text = std::fs::read_to_string(&path).expect("scenario readable");
         let mut scenario = Scenario::parse(&text).unwrap();
-        scenario.shrink_for_smoke(400, 15, 2);
+        support::shrink_for_smoke(&mut scenario, 400, 15, 2);
         let run = |threads: usize| {
             let result = run_sweep(
                 &scenario,
@@ -175,4 +177,48 @@ fn every_preset_matches_its_committed_csv() {
         .expect("golden/ directory exists")
         .count();
     assert_eq!(goldens, scenarios.len(), "one golden CSV per preset");
+}
+
+/// A minimal valid scenario, the base of the `shrink_for_smoke` tests.
+const MINIMAL_SCENARIO: &str = r#"
+[scenario]
+name = "minimal"
+replications = 3
+seed = 7
+
+[database]
+classes = 10
+objects = 500
+
+[workload]
+hot_transactions = 40
+"#;
+
+#[test]
+fn shrink_for_smoke_caps_horizon() {
+    let text = format!(
+        "{MINIMAL_SCENARIO}\n[workload]\narrival = \"poisson-40\"\nduration_ms = 60000.0\n\
+         warmup_ms = 6000.0\n"
+    );
+    let mut s = Scenario::parse(&text).unwrap();
+    support::shrink_for_smoke(&mut s, 400, 20, 2);
+    assert_eq!(s.config.workload.duration_ms, 2000.0);
+    // The warm-up scales with the cut, keeping its fraction.
+    assert!((s.config.workload.warmup_ms - 200.0).abs() < 1e-9);
+    s.validate().unwrap();
+}
+
+#[test]
+fn shrink_for_smoke_caps_cost() {
+    let text = format!(
+        "{MINIMAL_SCENARIO}\n[[sweep]]\nparam = \"database.objects\"\nvalues = [500, 1000, 2000, 20000]\n"
+    );
+    let mut s = Scenario::parse(&text).unwrap();
+    support::shrink_for_smoke(&mut s, 600, 30, 3);
+    assert_eq!(s.config.workload.hot_transactions, 30);
+    assert_eq!(
+        s.sweep[0].values,
+        vec![Value::Integer(500), Value::Integer(600)]
+    );
+    s.validate().unwrap();
 }

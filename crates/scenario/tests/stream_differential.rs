@@ -71,7 +71,7 @@ fn materializing_a_horizon_phase_is_rejected() {
 #[test]
 fn duration_override_turns_a_count_phase_into_a_horizon_phase() {
     let mut scenario = preset("smoke.toml");
-    scenario.shrink_for_smoke(400, 20, 2);
+    support::shrink_for_smoke(&mut scenario, 400, 20, 2);
     let count = run_sweep(
         &scenario,
         &RunOptions {

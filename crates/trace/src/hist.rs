@@ -23,6 +23,7 @@ pub const SUB_BUCKETS: u32 = 8;
 
 /// The ratio between consecutive bucket edges (`≈ 1.0905`); also the
 /// worst-case multiplicative error of [`Histogram::quantile`].
+#[cfg(test)]
 pub const GROWTH: f64 = 1.090_507_732_665_257_7; // 2^(1/8)
 
 /// Observations at or below this value (in ms) land in the dedicated

@@ -47,7 +47,7 @@ pub use export::{
     job_stem, series_to_csv, spans_from_jsonl, spans_to_jsonl, trace_header_jsonl, write_job_trace,
     RunMetrics, RunSummary, SCHEMA_VERSION, SUMMARY_FILE,
 };
-pub use hist::{Histogram, GROWTH, MIN_VALUE_MS, SUB_BUCKETS};
+pub use hist::{Histogram, MIN_VALUE_MS, SUB_BUCKETS};
 pub use json::Json;
 pub use recorder::{stage_of, SpanRecord, TraceRecorder, STAGE_METRICS};
 pub use series::TimeSeries;

@@ -1,7 +1,13 @@
 //! Property-based tests of the telemetry primitives.
 
 use proptest::prelude::*;
-use vtrace::{Histogram, TimeSeries, GROWTH, MIN_VALUE_MS};
+use vtrace::{Histogram, TimeSeries, MIN_VALUE_MS, SUB_BUCKETS};
+
+/// The ratio between consecutive bucket edges, `2^(1/SUB_BUCKETS)`: a
+/// quantile overstates the exact value by at most this factor.
+fn growth() -> f64 {
+    2f64.powf(1.0 / f64::from(SUB_BUCKETS))
+}
 
 fn hist_of(xs: &[f64]) -> Histogram {
     let mut h = Histogram::new();
@@ -32,7 +38,7 @@ proptest! {
             "q={q}: estimate {estimate} understates exact {exact}"
         );
         prop_assert!(
-            estimate <= exact * GROWTH * (1.0 + 1e-12),
+            estimate <= exact * growth() * (1.0 + 1e-12),
             "q={q}: estimate {estimate} overstates exact {exact} beyond one bucket"
         );
     }

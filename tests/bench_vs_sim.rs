@@ -255,5 +255,6 @@ fn clustering_gain_holds_on_both_sides() {
         workload,
     };
     let study = voodb::run_dstc_study(&base, &config, 13);
-    assert!(study.gain() > 1.0, "sim gain {}", study.gain());
+    let gain = study.pre.total_ios() as f64 / study.post.total_ios() as f64;
+    assert!(gain > 1.0, "sim gain {gain}");
 }

@@ -5,7 +5,7 @@
 //! buffers never exceed capacity, reorganisations never lose objects, and
 //! the simulator completes every workload it is given.
 
-use clustering::{InitialPlacement, Placement};
+use clustering::InitialPlacement;
 use ocb::{DatabaseParams, ObjectBase, Selection, WorkloadGenerator, WorkloadParams};
 use proptest::prelude::*;
 
@@ -175,32 +175,5 @@ proptest! {
                 prop_assert_eq!(oostore::payload_oid(target), logical);
             }
         }
-    }
-
-    #[test]
-    fn recluster_preserves_population(
-        db in arbitrary_db(),
-        seed in 0u64..100,
-        cluster_len in 2usize..20,
-    ) {
-        let base = ObjectBase::generate(&db, seed);
-        let old = InitialPlacement::Sequential.build(&base, 4096);
-        // An arbitrary (valid) cluster of distinct oids.
-        let cluster: Vec<u32> = (0..cluster_len.min(base.len()))
-            .map(|i| (i * base.len() / cluster_len.max(1)) as u32)
-            .collect();
-        let mut dedup = cluster.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        let new: Placement = clustering::recluster(&base, &old, &[dedup], 4096);
-        prop_assert_eq!(new.len(), base.len());
-        let mut seen = vec![false; base.len()];
-        for page in 0..new.page_count() {
-            for &oid in new.objects_in(page) {
-                prop_assert!(!seen[oid as usize]);
-                seen[oid as usize] = true;
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s));
     }
 }

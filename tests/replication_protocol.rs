@@ -57,11 +57,11 @@ fn adaptive_protocol_reaches_requested_precision_or_cap() {
     assert!(report.replications() >= 5);
     assert!(report.replications() <= 30);
     let ci = report.interval("ios");
+    let precision = ci.half_width / ci.mean.abs();
     // Either precision was reached or the cap was hit.
     assert!(
-        ci.relative_half_width() <= 0.10 || report.replications() == 30,
-        "precision {:.3} with {} replications",
-        ci.relative_half_width(),
+        precision <= 0.10 || report.replications() == 30,
+        "precision {precision:.3} with {} replications",
         report.replications()
     );
 }
@@ -81,24 +81,4 @@ fn interval_covers_the_long_run_mean() {
         (other_mean - ci.mean).abs() < 3.0 * ci.half_width.max(1.0),
         "disjoint sample mean {other_mean} too far from CI {ci:?}"
     );
-}
-
-#[test]
-fn paper_policies_have_expected_shape() {
-    assert_eq!(
-        ReplicationPolicy::paper_fixed(),
-        ReplicationPolicy::Fixed(100)
-    );
-    match ReplicationPolicy::paper_adaptive() {
-        ReplicationPolicy::Adaptive {
-            pilot,
-            relative_precision,
-            max,
-        } => {
-            assert_eq!(pilot, 10);
-            assert!((relative_precision - 0.05).abs() < 1e-12);
-            assert_eq!(max, 100);
-        }
-        other => panic!("unexpected policy {other:?}"),
-    }
 }
