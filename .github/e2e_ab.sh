@@ -12,8 +12,13 @@
 # fails when
 #   * any run is not `correct` (a failed output check, a sim_digest
 #     mismatch, a panic), or
-#   * head's median `wall_s`, `job_ms_p50` or `peak_rss_mb` is more than
-#     MAX_RATIO times base's median.
+#   * head's median `wall_s` or `job_ms_p50` is more than 1.5 times
+#     base's median, or its median `peak_rss_mb` more than 1.10 times
+#     (MAX_RATIO below).
+#
+# Peak RSS is gated tighter because it barely moves between runs of one
+# build: in the A/A trial below its median ratio was 1.00, so 1.10 still
+# catches a new transient buffer of a tenth of the process.
 #
 # `setup_s` and `job_ms_tail` are not gated here; they are left to
 # full-length A/B runs (BENCHMARK.json's run_seconds, 20 s). At 2 s per
@@ -35,8 +40,8 @@ head=$(cd "$2" && pwd)
 
 SEED=7
 SECONDS_PER_RUN=2
-MAX_RATIO=1.5
 GATED=(wall_s job_ms_p50 peak_rss_mb)
+declare -A MAX_RATIO=([wall_s]=1.5 [job_ms_p50]=1.5 [peak_rss_mb]=1.10)
 
 logs="$head/target/e2e-ab"
 mkdir -p "$logs"
@@ -104,12 +109,13 @@ for workload in $(jq -r '.workloads[].name' "$head/BENCHMARK.json"); do
       failures+=("$workload $metric not measured")
       continue
     fi
-    verdict=$(jq -rn --argjson b "$b" --argjson h "$h" --argjson max "$MAX_RATIO" \
+    max=${MAX_RATIO[$metric]}
+    verdict=$(jq -rn --argjson b "$b" --argjson h "$h" --argjson max "$max" \
       '(if $b > 0 then $h / $b elif $h > 0 then 1e9 else 1 end) as $r
        | "\($r * 1000 | round / 1000) \(if $r > $max then "REGRESSION" else "ok" end)"')
     printf '  %-12s base %12.4f  head %12.4f  ratio %s\n' "$metric" "$b" "$h" "$verdict"
     if [[ $verdict == *REGRESSION ]]; then
-      failures+=("$workload $metric: head median $h vs base median $b (ratio ${verdict% *} > $MAX_RATIO)")
+      failures+=("$workload $metric: head median $h vs base median $b (ratio ${verdict% *} > $max)")
     fi
   done
 done
@@ -121,4 +127,4 @@ if [ "${#failures[@]}" -gt 0 ]; then
   exit 1
 fi
 echo
-echo "perf gate passed: no gated median more than $MAX_RATIO x base"
+echo "perf gate passed: no gated median over its bound (wall_s and job_ms_p50 1.5x base, peak_rss_mb 1.10x)"

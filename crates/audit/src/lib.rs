@@ -38,6 +38,7 @@ pub use rules::{FileContext, Violation, HOT_PATH_FILES, RESULT_CRATES, RULE_NAME
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use vtrace::json::write_json_string;
 
 /// Outcome of auditing a set of files.
 #[derive(Clone, Debug, Default)]
@@ -80,9 +81,9 @@ impl AuditReport {
         out
     }
 
-    /// Machine-readable report, single line. Hand-rolled like the
-    /// trace crate's JSON writer; key order is fixed so the output is
-    /// golden-testable.
+    /// Machine-readable report, single line. Hand-rolled, with strings
+    /// escaped by the trace crate's JSON writer; key order is fixed so
+    /// the output is golden-testable.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str("\"version\":1,");
@@ -92,7 +93,7 @@ impl AuditReport {
             if i > 0 {
                 out.push(',');
             }
-            json_string(&mut out, r);
+            write_json_string(&mut out, r);
         }
         out.push_str("],\"violations\":[");
         for (i, v) in self.violations.iter().enumerate() {
@@ -100,32 +101,16 @@ impl AuditReport {
                 out.push(',');
             }
             out.push_str("{\"rule\":");
-            json_string(&mut out, v.rule);
+            write_json_string(&mut out, v.rule);
             out.push_str(",\"file\":");
-            json_string(&mut out, &v.file);
+            write_json_string(&mut out, &v.file);
             out.push_str(&format!(",\"line\":{},\"message\":", v.line));
-            json_string(&mut out, &v.message);
+            write_json_string(&mut out, &v.message);
             out.push('}');
         }
         out.push_str("]}");
         out
     }
-}
-
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Audits the workspace rooted at `root`. The per-file rules cover

@@ -119,7 +119,7 @@ use crate::params::ConcurrencyControl;
 use crate::params::{SystemClass, VoodbParams};
 use crate::results::PhaseResult;
 use crate::txslab::{Tid, TxSlab};
-use crate::wakes::CohortClock;
+use crate::wakes::{CohortClock, ExpoWakes};
 use bufmgr::PrefetchPolicy;
 use desp::{
     key_time, time_key, Context, Model, Probe, QueueKind, RandomStream, Resource, SeriesId,
@@ -1476,7 +1476,9 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                 UserModel::Cohort => {
                     // Cohorts are contiguous user ranges, so drawing
                     // cohort by cohort consumes the think stream in the
-                    // exact order the per-user loop above would.
+                    // exact order the per-user loop above would: the
+                    // load draws a cohort's keys twice from a copy of
+                    // the stream, which then takes over from it.
                     // One arm per cohort, after its whole run is loaded.
                     let now = ctx.now();
                     for c in 0..self.cohorts.len() {
@@ -1484,9 +1486,23 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                             size,
                             think_time_ms: mean,
                         } = self.cohorts[c];
-                        let stream = &mut self.think_stream;
-                        self.clocks[c]
-                            .load_initial((0..size).map(|_| now + Self::draw_think(stream, mean)));
+                        if mean > 0.0 {
+                            // All but ~1 of n exponential draws fall
+                            // within mean·ln(n) of now.
+                            let span = mean * (size as f64).ln();
+                            let stream = self.think_stream.clone();
+                            let mut wakes = ExpoWakes::new(stream, now, mean, size);
+                            self.clocks[c].load_initial(&mut wakes, now, span);
+                            self.think_stream = wakes.into_stream();
+                        } else {
+                            // `draw_think`'s zero think time: no draw.
+                            let key = time_key(now.as_ms());
+                            self.clocks[c].load_initial(
+                                &mut std::iter::repeat_n(key, size),
+                                now,
+                                0.0,
+                            );
+                        }
                         self.arm_cohort(c, ctx);
                     }
                 }
@@ -2335,7 +2351,11 @@ mod tests {
     fn cohort_clock_merges_run_and_heap_in_ord_order() {
         let at = SimTime::from_ms;
         let mut clock = CohortClock::default();
-        clock.load_initial([3.0, 1.0, 2.0, 1.0].into_iter().map(at));
+        clock.load_initial(
+            &mut [3.0, 1.0, 2.0, 1.0].map(time_key).into_iter(),
+            at(1.0),
+            2.0,
+        );
         clock.push(at(1.5));
         clock.push(at(1.0));
         clock.push(at(0.5));
@@ -2350,7 +2370,7 @@ mod tests {
         // resubmission: the per-user oracle schedules all initial
         // `Submit`s before the first resubmission.
         let mut clock = CohortClock::default();
-        clock.load_initial([1.0, 1.0].into_iter().map(at));
+        clock.load_initial(&mut [1.0, 1.0].map(time_key).into_iter(), at(1.0), 0.0);
         clock.push(at(1.0));
         for run_left in [1, 0, 0] {
             assert_eq!(clock.pop().map(|key| key_time(key).as_ms()), Some(1.0));

@@ -16,15 +16,18 @@
 //! ([`CohortClock::queue_below`]) moves every sleeping key below a bound,
 //! and a later [`CohortClock::push`] is never below that bound.
 //!
-//! The phase's initial wakes are never sorted as a whole. Loading
-//! scatters them into buckets by wake instant in one O(n) pass. A bucket
-//! is sorted only when a pop reaches it or a split boundary falls inside
-//! it. A split finds its boundary bucket from the bound's instant in
-//! O(1), so every bucket it passes over is counted by its offsets and
+//! The phase's initial wakes are never sorted as a whole, nor stored
+//! twice. Their source is replayable ([`ExpoWakes`] clones its stream
+//! position), so loading counts a clone's keys per bucket, then draws
+//! them again and scatters them straight into the one key buffer. A
+//! bucket is sorted only when a pop reaches it or a split boundary falls
+//! inside it. A split finds its boundary bucket from the bound's instant
+//! in O(1), so every bucket it passes over is counted by its offsets and
 //! never ordered. In a saturated million-user phase that is almost all
 //! of them.
 
-use desp::{key_time, time_key, SimTime};
+use desp::random::EXPO_BATCH;
+use desp::{key_time, time_key, RandomStream, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -34,10 +37,8 @@ use std::collections::{BinaryHeap, VecDeque};
 /// a split reaches one, and a saturated phase reaches only a few. On a
 /// million-wake load (2-vCPU x86-64 VM, 2 MiB L2 per core, glibc) the
 /// scatter into faulted-in memory took ~8.8, 7.6, 7.6 and 7.7 ms at 32,
-/// 64, 128 and 256 keys. The offsets array mattered more: at 32 keys it
-/// is 250 KB, and every job then faulted in both 8 MB key buffers
-/// afresh (~3-4 ms each); at 128 keys (62 KB) jobs reused earlier jobs'
-/// pages. Offsets cost 8 bytes per bucket, 1/16 byte per user here.
+/// 64, 128 and 256 keys. Offsets cost 8 bytes per bucket, 1/16 byte per
+/// user here (62 KB for a million wakes, beside the 8 MB key buffer).
 const BUCKET_KEYS: usize = 128;
 
 /// Wake state of one user cohort.
@@ -77,10 +78,18 @@ impl CohortClock {
         self.armed = None;
     }
 
-    /// Loads the phase's initial wakes (into a clock fresh from
-    /// [`Self::reset`]).
-    pub(crate) fn load_initial(&mut self, wakes: impl ExactSizeIterator<Item = SimTime>) {
-        self.run = WakeRun::load(wakes);
+    /// Loads the phase's initial wake keys (into a clock fresh from
+    /// [`Self::reset`]) with the buckets of [`WakeRun::load`]: bucket 0
+    /// starts at `t0`, and `span_ms` is spread over the buckets.
+    /// `wakes` is read to its end; a clone of it must yield the same
+    /// keys.
+    pub(crate) fn load_initial(
+        &mut self,
+        wakes: &mut (impl ExactSizeIterator<Item = u64> + Clone),
+        t0: SimTime,
+        span_ms: f64,
+    ) {
+        self.run = WakeRun::load(wakes, t0, span_ms);
     }
 
     /// Adds one resubmission wake at `at`. It must not be below the
@@ -182,6 +191,74 @@ impl CohortClock {
     }
 }
 
+/// The initial wake keys of a cohort of `users` thinking `mean` ms on
+/// average: `now` plus one exponential draw per user, in user order,
+/// drawn [`EXPO_BATCH`] at a time with [`RandomStream::fill_expo`]. The
+/// keys equal those of `users` calls to [`RandomStream::expo`], and a
+/// clone replays them from the same stream position: [`WakeRun::load`]
+/// counts a clone's keys, then draws them again to scatter them.
+#[derive(Clone)]
+pub(crate) struct ExpoWakes {
+    stream: RandomStream,
+    now: SimTime,
+    mean: f64,
+    /// Draws not yet made.
+    undrawn: usize,
+    batch: [f64; EXPO_BATCH],
+    /// The next unread delay of `batch[..filled]`.
+    next: usize,
+    filled: usize,
+}
+
+impl ExpoWakes {
+    /// `mean` must be positive.
+    pub(crate) fn new(stream: RandomStream, now: SimTime, mean: f64, users: usize) -> Self {
+        ExpoWakes {
+            stream,
+            now,
+            mean,
+            undrawn: users,
+            batch: [0.0; EXPO_BATCH],
+            next: 0,
+            filled: 0,
+        }
+    }
+
+    /// The stream after every draw made so far: once the keys are read
+    /// to the end, the position after the `users`-th draw.
+    pub(crate) fn into_stream(self) -> RandomStream {
+        self.stream
+    }
+}
+
+impl Iterator for ExpoWakes {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        if self.next == self.filled {
+            if self.undrawn == 0 {
+                return None;
+            }
+            let n = self.undrawn.min(EXPO_BATCH);
+            self.stream.fill_expo(self.mean, &mut self.batch[..n]);
+            self.undrawn -= n;
+            self.next = 0;
+            self.filled = n;
+        }
+        let delay = self.batch[self.next];
+        self.next += 1;
+        Some(time_key((self.now + delay).as_ms()))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.undrawn + (self.filled - self.next);
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for ExpoWakes {}
+
 /// A cohort's initial wakes, bucketed by instant and ordered lazily.
 ///
 /// `keys[..head]` have left (admitted or dropped), `keys[head..split]`
@@ -210,40 +287,37 @@ struct WakeRun {
 }
 
 impl WakeRun {
-    /// Scatters `wakes` into buckets in one counting pass, then sorts the
-    /// first bucket only.
-    fn load(wakes: impl ExactSizeIterator<Item = SimTime>) -> Self {
-        let mut drawn = Vec::with_capacity(wakes.len());
-        // The extremes are tracked as keys (integer compares), and
-        // `key_time` gives their instants back.
-        let (mut min_key, mut max_key) = (u64::MAX, 0);
-        drawn.extend(wakes.map(|at| {
-            let key = time_key(at.as_ms());
-            min_key = min_key.min(key);
-            max_key = max_key.max(key);
-            key
-        }));
-        if drawn.is_empty() {
+    /// Buckets the keys of `wakes` without storing them twice, then sorts
+    /// the first bucket only. The buckets are fixed before the first key:
+    /// bucket 0 starts at `t0` and `span_ms` is spread evenly over the
+    /// buckets. A count pass reads a clone of `wakes`; the scatter pass
+    /// reads `wakes` itself to its end, straight into the key buffer.
+    ///
+    /// A key before `t0` goes to the first bucket and a key past the span
+    /// to the last. A wrong span (zero, tiny, huge, negative or NaN) only
+    /// makes buckets uneven, down to one bucket: slower, never wrong.
+    fn load(
+        wakes: &mut (impl ExactSizeIterator<Item = u64> + Clone),
+        t0: SimTime,
+        span_ms: f64,
+    ) -> Self {
+        let len = wakes.len();
+        if len == 0 {
             return WakeRun::default();
         }
-        let (lo, hi) = (key_time(min_key).as_ms(), key_time(max_key).as_ms());
-        let buckets = (drawn.len() / BUCKET_KEYS).max(1);
+        let buckets = (len / BUCKET_KEYS).max(1);
         let mut run = WakeRun {
-            t0: lo,
-            // A zero, huge or non-finite span degrades to fewer (or one)
-            // buckets: slower, never wrong.
-            scale: if hi > lo {
-                buckets as f64 / (hi - lo)
-            } else {
-                0.0
-            },
-            max_key,
+            t0: t0.as_ms(),
+            // A negative scale would reverse the bucket order; it and NaN
+            // become 0, which puts every key in bucket 0.
+            scale: (buckets as f64 / span_ms).max(0.0),
             ends: vec![0; buckets],
             ..WakeRun::default()
         };
         // Count, turn the counts into start offsets, then scatter; each
         // start offset advances to its bucket's end.
-        for &key in &drawn {
+        for key in wakes.clone() {
+            run.max_key = run.max_key.max(key);
             let b = run.bucket_of(key);
             run.ends[b] += 1;
         }
@@ -253,8 +327,8 @@ impl WakeRun {
             *end = start;
             start += count;
         }
-        let mut keys = vec![0; drawn.len()];
-        for &key in &drawn {
+        let mut keys = vec![0; len];
+        for key in wakes {
             let b = run.bucket_of(key);
             keys[run.ends[b]] = key;
             run.ends[b] += 1;
@@ -269,8 +343,10 @@ impl WakeRun {
     /// The bucket of `key`'s instant. Non-decreasing in `key`, so equal
     /// keys share a bucket.
     fn bucket_of(&self, key: u64) -> usize {
-        // `as usize` saturates, and maps NaN (an empty or degenerate
-        // span) to bucket 0.
+        // `as usize` saturates (a key before `t0` goes to bucket 0, and
+        // an infinite scale sends a key past `t0` to the last), and maps
+        // NaN (a zero scale times an infinite offset, an infinite scale
+        // times a zero one, or a NaN `t0`) to bucket 0.
         let b = ((key_time(key).as_ms() - self.t0) * self.scale) as usize;
         b.min(self.ends.len() - 1)
     }
@@ -424,10 +500,61 @@ mod tests {
         }
     }
 
+    /// The span a load spreads its buckets over: the model's, the keys'
+    /// own, and spans that are wrong on purpose.
+    #[derive(Clone, Copy, Debug)]
+    enum Span {
+        /// `MEAN · ln n`, as the model passes for exponential wakes.
+        Model,
+        /// From `t0` to the largest key.
+        True,
+        Zero,
+        Tiny,
+        Huge,
+        Negative,
+        Nan,
+    }
+
+    impl Span {
+        const ALL: [Span; 7] = [
+            Span::Model,
+            Span::True,
+            Span::Zero,
+            Span::Tiny,
+            Span::Huge,
+            Span::Negative,
+            Span::Nan,
+        ];
+
+        fn ms(self, t0: SimTime, wakes: &[u64]) -> f64 {
+            match self {
+                Span::Model => MEAN * (wakes.len() as f64).ln(),
+                Span::True => wakes
+                    .iter()
+                    .max()
+                    .map_or(0.0, |&max| key_time(max).as_ms() - t0.as_ms()),
+                Span::Zero => 0.0,
+                Span::Tiny => 1e-9,
+                Span::Huge => 1e9,
+                Span::Negative => -1e3,
+                Span::Nan => f64::NAN,
+            }
+        }
+    }
+
+    /// Mean think time of the exponential wakes, ms.
+    const MEAN: f64 = 50.0;
+
+    fn load(clock: &mut CohortClock, wakes: &[u64], t0: SimTime, span: Span) {
+        clock.load_initial(&mut wakes.iter().copied(), t0, span.ms(t0, wakes));
+    }
+
     #[derive(Clone, Debug)]
     enum Op {
-        /// Reset, then load these initial wakes (offsets from the floor).
-        Load(Vec<u8>),
+        /// Reset, then load these initial wakes (offsets from the floor)
+        /// with bucket 0 at the floor plus the `u8` offset, so that some
+        /// wakes may lie before it, over a span.
+        Load(Vec<u8>, u8, Span),
         /// Push a resubmission at the floor plus this offset.
         Push(u8),
         /// Pop the sleeping minimum (only while nothing is queued, as in
@@ -445,9 +572,12 @@ mod tests {
     fn op_strategy() -> impl Strategy<Value = Op> {
         // Offsets below 16 make equal keys common; a few large loads
         // spread over many buckets.
+        let span = || (0..Span::ALL.len()).prop_map(|i| Span::ALL[i]);
         prop_oneof![
-            prop::collection::vec(0u8..16, 0..80).prop_map(Op::Load),
-            prop::collection::vec(any::<u8>(), 0..400).prop_map(Op::Load),
+            (prop::collection::vec(0u8..16, 0..80), 0u8..24, span())
+                .prop_map(|(wakes, t0, span)| Op::Load(wakes, t0, span)),
+            (prop::collection::vec(any::<u8>(), 0..400), 0u8..24, span())
+                .prop_map(|(wakes, t0, span)| Op::Load(wakes, t0, span)),
             (0u8..16).prop_map(Op::Push),
             (0u8..16).prop_map(Op::Push),
             Just(Op::Pop),
@@ -478,14 +608,14 @@ mod tests {
             let mut floor = 0.0f64;
             for op in &ops {
                 match op {
-                    Op::Load(offsets) => {
+                    Op::Load(offsets, t0, span) => {
                         clock.reset();
                         reference = Reference::default();
-                        let wakes: Vec<SimTime> =
-                            offsets.iter().map(|&o| at(floor, o)).collect();
-                        clock.load_initial(wakes.iter().copied());
-                        for wake in wakes {
-                            reference.insert(time_key(wake.as_ms()), false);
+                        let wakes: Vec<u64> =
+                            offsets.iter().map(|&o| time_key(at(floor, o).as_ms())).collect();
+                        load(&mut clock, &wakes, at(floor, *t0), *span);
+                        for key in wakes {
+                            reference.insert(key, false);
                         }
                     }
                     Op::Push(offset) => {
@@ -546,17 +676,18 @@ mod tests {
     /// Phase start of the large runs, ms.
     const START: f64 = 1_000.0;
 
-    fn draw(shape: Shape, seed: u64, size: usize) -> Vec<SimTime> {
-        let mut stream = desp::RandomStream::new(seed);
-        let mut wakes: Vec<SimTime> = (0..size)
+    /// The wake keys of a large run.
+    fn draw(shape: Shape, seed: u64, size: usize) -> Vec<u64> {
+        let mut stream = RandomStream::new(seed);
+        let mut wakes: Vec<u64> = (0..size)
             .map(|_| match shape {
-                Shape::Equal => SimTime::from_ms(START),
-                Shape::Expo | Shape::Outliers => SimTime::from_ms(START + stream.expo(50.0)),
+                Shape::Equal => time_key(START),
+                Shape::Expo | Shape::Outliers => time_key(START + stream.expo(MEAN)),
             })
             .collect();
         if let Shape::Outliers = shape {
             for far in [2e3, 1e4, 5e4] {
-                wakes[stream.index(size)] = SimTime::from_ms(START + far);
+                wakes[stream.index(size)] = time_key(START + far);
             }
         }
         wakes
@@ -565,11 +696,15 @@ mod tests {
     /// Loads `wakes` and drives the clock and the reference through
     /// `steps`: batched pops and admissions, splits, and a few
     /// resubmissions.
-    fn check_large_run(wakes: &[SimTime], steps: &[(u8, usize)]) -> Result<(), TestCaseError> {
+    fn check_large_run(
+        wakes: &[u64],
+        t0: SimTime,
+        span: Span,
+        steps: &[(u8, usize)],
+    ) -> Result<(), TestCaseError> {
         let mut clock = CohortClock::default();
-        clock.load_initial(wakes.iter().copied());
-        let mut keys: Vec<(u64, bool)> =
-            wakes.iter().map(|w| (time_key(w.as_ms()), false)).collect();
+        load(&mut clock, wakes, t0, span);
+        let mut keys: Vec<(u64, bool)> = wakes.iter().map(|&key| (key, false)).collect();
         keys.sort_unstable();
         let mut reference = Reference { keys, queued: 0 };
         let mut bound = time_key(START);
@@ -638,15 +773,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
 
-        /// Runs of the size and shape a phase loads, every shape per case.
+        /// Runs of the size and shape a phase loads, every shape and
+        /// span per case, each span on one shape picked by the seed.
+        /// Bucket 0 starts at the phase start or up to 40 ms later, past
+        /// some of the wakes.
         #[test]
         fn large_runs_match_a_sorted_vec(
             seed in any::<u64>(),
             size in 50_000usize..200_000,
+            late in prop_oneof![Just(0.0), 0.0f64..40.0],
             steps in prop::collection::vec((0u8..5, 0usize..4_000), 10..60),
         ) {
-            for shape in [Shape::Expo, Shape::Equal, Shape::Outliers] {
-                check_large_run(&draw(shape, seed, size), &steps)?;
+            let t0 = SimTime::from_ms(START + late);
+            let runs = [Shape::Expo, Shape::Equal, Shape::Outliers].map(|s| draw(s, seed, size));
+            for (i, span) in Span::ALL.into_iter().enumerate() {
+                let wakes = &runs[(i + (seed % 3) as usize) % 3];
+                check_large_run(wakes, t0, span, &steps)?;
             }
         }
     }
@@ -654,7 +796,8 @@ mod tests {
     #[test]
     fn a_split_past_every_bucket_orders_nothing_it_passes() {
         let mut clock = CohortClock::default();
-        clock.load_initial((0..10_000).rev().map(|i| SimTime::from_ms(f64::from(i))));
+        let wakes: Vec<u64> = (0..10_000).rev().map(|i| time_key(f64::from(i))).collect();
+        load(&mut clock, &wakes, SimTime::ZERO, Span::True);
         assert_eq!(clock.queue_below(time_key(5_000.5)), 5_001);
         // Only the buckets at the two frontiers were sorted: the first
         // and the one holding the bound.
@@ -668,5 +811,55 @@ mod tests {
         }
         assert_eq!(clock.pop_queued(), None);
         assert_eq!(clock.peek(), Some(time_key(5_001.0)));
+    }
+
+    /// The batched exponential source loads the same run as its own keys
+    /// collected into a `Vec`, draws what `expo` draws, and leaves its
+    /// stream where that many `expo` calls do.
+    #[test]
+    fn the_exponential_source_loads_like_its_keys_in_a_vec() {
+        let now = SimTime::from_ms(START);
+        for users in [
+            0,
+            1,
+            EXPO_BATCH - 1,
+            EXPO_BATCH,
+            3 * EXPO_BATCH + 7,
+            100_000,
+        ] {
+            let stream = RandomStream::new(users as u64);
+            let mut scalar = stream.clone();
+            let mut wakes = ExpoWakes::new(stream, now, MEAN, users);
+            let keys: Vec<u64> = wakes.clone().collect();
+            let expect: Vec<u64> = (0..users)
+                .map(|_| time_key((now + scalar.expo(MEAN)).as_ms()))
+                .collect();
+            assert_eq!(keys, expect);
+
+            let span = Span::Model.ms(now, &keys);
+            let mut from_source = CohortClock::default();
+            from_source.load_initial(&mut wakes, now, span);
+            assert_eq!(wakes.len(), 0);
+            assert_eq!(wakes.into_stream().uniform01(), scalar.uniform01());
+            let mut from_vec = CohortClock::default();
+            from_vec.load_initial(&mut keys.iter().copied(), now, span);
+
+            // Queue the first half, admit it, then pop the rest.
+            let bound = time_key(START + MEAN * std::f64::consts::LN_2);
+            assert_eq!(from_source.queue_below(bound), from_vec.queue_below(bound));
+            loop {
+                assert_eq!(from_source.queued(), from_vec.queued());
+                assert_eq!(from_source.peek(), from_vec.peek());
+                let popped = if from_vec.queued() > 0 {
+                    (from_source.pop_queued(), from_vec.pop_queued())
+                } else {
+                    (from_source.pop(), from_vec.pop())
+                };
+                assert_eq!(popped.0, popped.1);
+                if popped.1.is_none() {
+                    break;
+                }
+            }
+        }
     }
 }

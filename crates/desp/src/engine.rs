@@ -377,7 +377,8 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
     }
 
     /// Dispatches a single event. Returns `false` when nothing remains.
-    pub fn step(&mut self) -> bool {
+    #[cfg(test)]
+    fn step(&mut self) -> bool {
         self.ensure_init();
         if self.stop {
             return false;

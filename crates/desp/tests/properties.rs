@@ -79,6 +79,27 @@ proptest! {
         }
     }
 
+    /// The batched sampler is the scalar one, value for value, and
+    /// leaves the stream at the same position; lengths cross batch
+    /// boundaries and means span twelve decades.
+    #[test]
+    fn fill_expo_matches_expo_bit_for_bit(
+        seed in any::<u64>(),
+        decades in -6.0f64..6.0,
+        len in 0usize..=2 * desp::random::EXPO_BATCH + 1,
+    ) {
+        let mean = 10f64.powf(decades);
+        let mut batched = RandomStream::new(seed);
+        let mut scalar = batched.clone();
+        let mut out = vec![f64::NAN; len];
+        batched.fill_expo(mean, &mut out);
+        for (i, &value) in out.iter().enumerate() {
+            let expect = scalar.expo(mean);
+            prop_assert_eq!(value.to_bits(), expect.to_bits(), "value {} of {}", i, len);
+        }
+        prop_assert_eq!(batched.uniform01().to_bits(), scalar.uniform01().to_bits());
+    }
+
     #[test]
     fn zipf_samples_in_range(seed in any::<u64>(), n in 1usize..5_000, theta in 0.0f64..3.0) {
         let zipf = Zipf::new(n, theta);

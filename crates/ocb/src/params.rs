@@ -354,9 +354,9 @@ pub const WAKE_KEY_BYTES: u64 = 8;
 
 /// Pre-flight bound on a closed phase's initial-wake run: 4 GiB, i.e.
 /// 2^29 = 536,870,912 users. That is over 500 times the largest shipped
-/// population (1M); loading the run briefly needs twice its size, and a
-/// population past the bound would otherwise end in an allocation abort
-/// instead of an error.
+/// population (1M); loading the run allocates it whole in one buffer,
+/// and a population past the bound would otherwise end in an allocation
+/// abort instead of an error.
 pub const MAX_WAKE_RUN_BYTES: u64 = 4 << 30;
 
 /// A closed population whose initial wakes exceed
