@@ -48,6 +48,28 @@ fn caller_count() -> u32 {
     0
 }
 
+/// Named only by its own impl blocks and by `tests/it.rs`: flagged.
+pub struct OnlyInOwnImpl {
+    part: NamedInAnotherImpl,
+}
+
+impl OnlyInOwnImpl {
+    fn build() -> OnlyInOwnImpl {
+        OnlyInOwnImpl {
+            part: NamedInAnotherImpl,
+        }
+    }
+}
+
+impl Default for OnlyInOwnImpl {
+    fn default() -> OnlyInOwnImpl {
+        OnlyInOwnImpl::build()
+    }
+}
+
+/// Named inside another type's impl: kept.
+pub struct NamedInAnotherImpl;
+
 #[cfg(test)]
 mod tests {
     #[test]

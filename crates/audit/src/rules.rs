@@ -759,8 +759,11 @@ impl<'a> FileContext<'a> {
 
     /// Adds the identifiers this file's product code mentions: code
     /// tokens outside test code, outside `use`/`pub use` declarations,
-    /// and not the name an item definition introduces.
+    /// not the name an item definition introduces, and not a type's
+    /// name within its own `impl` header and body.
     fn collect_uses(&self, uses: &mut BTreeSet<&'a str>) {
+        // The enclosing impl blocks: (code-token end, self type name).
+        let mut impls: Vec<(usize, &'a str)> = Vec::new();
         let mut ci = 0;
         while ci < self.code.len() {
             if self.is_ident(ci, "use") {
@@ -769,15 +772,62 @@ impl<'a> FileContext<'a> {
                 }
                 continue;
             }
+            impls.retain(|&(end, _)| end > ci);
+            if let Some(found) = self.impl_self_type(ci) {
+                impls.push(found);
+            }
             let t = self.tok(ci);
+            let text = t.text(self.src);
             let defines = ci > 0
                 && (PUB_ITEM_KINDS.contains(&self.text(ci - 1))
                     || (self.is_ident(ci - 1, "mut") && ci > 1 && self.is_ident(ci - 2, "static")));
-            if t.kind == TokKind::Ident && !self.in_test(ci) && !defines {
-                uses.insert(t.text(self.src));
+            let own_impl = impls.iter().any(|&(_, name)| name == text);
+            if t.kind == TokKind::Ident && !self.in_test(ci) && !defines && !own_impl {
+                uses.insert(text);
             }
             ci += 1;
         }
+    }
+
+    /// For an `impl` item starting at `ci`: the code-token index one
+    /// past the item and the name of its self type, the last path
+    /// segment outside angle brackets after `for` (or after the
+    /// generics of an inherent impl). `None` anywhere else, including
+    /// `impl Trait` in type position.
+    fn impl_self_type(&self, ci: usize) -> Option<(usize, &'a str)> {
+        if !self.is_ident(ci, "impl") {
+            return None;
+        }
+        let item_start = ci == 0
+            || ['}', ';', '{', ']']
+                .iter()
+                .any(|&p| self.is_punct(ci - 1, p))
+            || self.is_ident(ci - 1, "unsafe");
+        if !item_start {
+            return None;
+        }
+        let mut name = None;
+        let mut depth = 0usize;
+        let mut at = ci + 1;
+        while at < self.code.len() {
+            if self.is_punct(at, '<') {
+                depth += 1;
+            } else if self.is_punct(at, '>') && !self.is_punct(at - 1, '-') {
+                depth = depth.saturating_sub(1);
+            } else if depth == 0 && (self.is_punct(at, '{') || self.is_ident(at, "where")) {
+                break;
+            } else if depth == 0 && self.is_ident(at, "for") {
+                name = None;
+            } else if depth == 0
+                && self.tok(at).kind == TokKind::Ident
+                && !self.is_ident(at, "dyn")
+                && !self.is_ident(at, "mut")
+            {
+                name = Some(self.tok(at).text(self.src));
+            }
+            at += 1;
+        }
+        name.map(|name| (self.item_end(at), name))
     }
 }
 

@@ -145,6 +145,7 @@ fn test_only_pub_flags_items_only_tests_name() {
             (lib, 5, "pub fn only_in_tests"),
             (lib, 9, "pub const ONLY_IN_TEST_CODE"),
             (lib, 13, "pub struct OnlyReexported"),
+            (lib, 52, "pub struct OnlyInOwnImpl"),
         ],
         "{}",
         report.render_text()

@@ -390,52 +390,7 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
 
     /// Runs until the event list drains or the model stops the run.
     pub fn run_to_completion(&mut self) -> RunOutcome {
-        self.ensure_init();
-        let start = self.dispatched;
-        // Tight loop: the init branch is hoisted out entirely, and the
-        // clock / dispatch counter live in registers until the loop
-        // exits (the model sees the clock only through its `Context`,
-        // and hands back the instant it advanced to).
-        let mut clock = self.clock;
-        let mut dispatched = self.dispatched;
-        let mut countdown = self.dispatch_countdown;
-        while !self.stop {
-            let Some((time, event)) = self.events.pop() else {
-                break;
-            };
-            debug_assert!(time >= clock, "event list yielded a past event");
-            clock = time;
-            dispatched += 1;
-            if P::ENABLED {
-                countdown -= 1;
-                if countdown == 0 {
-                    countdown = self.probe.dispatch_interval().max(1);
-                    self.probe.on_dispatch(time.as_ms(), self.events.len());
-                }
-            }
-            let mut ctx = Context {
-                now: clock,
-                limit: SimTime::INFINITY,
-                events: &mut self.events,
-                stop: &mut self.stop,
-                probe: &mut self.probe,
-            };
-            self.model.handle(event, &mut ctx);
-            clock = ctx.now;
-        }
-        self.clock = clock;
-        self.dispatched = dispatched;
-        self.dispatch_countdown = countdown;
-        self.finish_run();
-        RunOutcome {
-            reason: if self.stop {
-                StopReason::Stopped
-            } else {
-                StopReason::Exhausted
-            },
-            end_time: self.clock,
-            events_dispatched: self.dispatched - start,
-        }
+        self.run_until(SimTime::INFINITY)
     }
 
     /// Runs until the clock would pass `horizon` (events strictly later are

@@ -19,7 +19,7 @@
 //!   `desp.events_per_s` and `desp.hold_ns.*`.
 //!
 //! On top of the kernel sit the pieces every random-simulation study needs:
-//! reproducible random [`streams`](random::StreamFamily) with the usual
+//! reproducible random [`streams`](random::RandomStream) with the usual
 //! distributions, [`stats`] for output analysis (Student-t confidence
 //! intervals exactly as §4.2.2), and a [`replication`] driver implementing
 //! the paper's pilot-study protocol.
@@ -75,7 +75,7 @@ pub mod time;
 
 pub use engine::{Context, Engine, Model, RunOutcome, StopReason};
 pub use probe::{NoProbe, Probe, ResourceId, SeriesId, SpanPoint, SpanStage};
-pub use random::{RandomStream, StreamFamily, Xoshiro256, Zipf};
+pub use random::{RandomStream, Zipf};
 pub use replication::{MetricSet, ReplicationPolicy, ReplicationReport, Replicator};
 pub use resource::Resource;
 pub use sched::{

@@ -5,27 +5,20 @@
 //! does not perturb the draws of another (e.g. disk service noise). This
 //! module reproduces that design:
 //!
-//! * [`Xoshiro256`] — a small, fast, well-tested generator
-//!   (xoshiro256++ by Blackman & Vigna) implemented here so that replication
-//!   results are bit-reproducible regardless of the `rand` crate version.
-//!   It implements [`rand::TryRng`] (hence `rand::Rng`) and
-//!   [`rand::SeedableRng`], so the whole
-//!   `rand` ecosystem of adaptors remains usable on top of it.
 //! * [`RandomStream`] — a stream with the distribution samplers a database
 //!   simulation needs: uniforms, exponentials (Poisson arrivals), normals,
 //!   Bernoulli trials, discrete choices, and Zipf selection for skewed
 //!   object access.
-//! * [`StreamFamily`] — derives an unbounded family of *independent* streams
-//!   from a single experiment seed (stream `i` of seed `s` never overlaps
-//!   stream `j`, seeds are decorrelated with SplitMix64).
-
-use rand::{Rng as _, SeedableRng, TryRng};
-use std::convert::Infallible;
+//! * [`Zipf`] — the precomputed table behind Zipf selection.
+//!
+//! Every stream runs on a private xoshiro256++ generator (Blackman &
+//! Vigna) seeded through SplitMix64, implemented here so that a run's
+//! results are a pure function of its seed.
 
 /// SplitMix64 step, used for seed expansion (recommended by the xoshiro
 /// authors for initialising state from a single 64-bit seed).
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -35,17 +28,17 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// xoshiro256++ pseudo-random generator.
 ///
-/// Period 2^256 − 1; passes BigCrush. Chosen over `StdRng` so that the
-/// simulation results recorded in `EXPERIMENTS.md` stay reproducible even
-/// across major `rand` releases.
+/// Period 2^256 − 1; passes BigCrush. The algorithm is fixed by its
+/// reference implementation, so a seed names the same draws on every
+/// platform and toolchain: the recorded results stay reproducible.
 #[derive(Clone, Debug)]
-pub struct Xoshiro256 {
+struct Xoshiro256 {
     s: [u64; 4],
 }
 
 impl Xoshiro256 {
     /// Creates a generator from a 64-bit seed via SplitMix64 expansion.
-    pub fn from_seed_u64(seed: u64) -> Self {
+    fn from_seed_u64(seed: u64) -> Self {
         let mut sm = seed;
         let mut s = [0u64; 4];
         for slot in &mut s {
@@ -71,56 +64,6 @@ impl Xoshiro256 {
         s[2] ^= t;
         s[3] = s[3].rotate_left(45);
         result
-    }
-}
-
-// Implementing the infallible `TryRng` grants the blanket `rand::Rng` impl,
-// so the whole `rand` ecosystem of adaptors works on `Xoshiro256`.
-impl TryRng for Xoshiro256 {
-    type Error = Infallible;
-
-    #[inline]
-    fn try_next_u32(&mut self) -> Result<u32, Infallible> {
-        Ok((self.next() >> 32) as u32)
-    }
-
-    #[inline(always)]
-    fn try_next_u64(&mut self) -> Result<u64, Infallible> {
-        Ok(self.next())
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Infallible> {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-        Ok(())
-    }
-}
-
-impl SeedableRng for Xoshiro256 {
-    type Seed = [u8; 32];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        let mut s = [0u64; 4];
-        for (i, slot) in s.iter_mut().enumerate() {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&seed[i * 8..(i + 1) * 8]);
-            *slot = u64::from_le_bytes(b);
-        }
-        if s == [0, 0, 0, 0] {
-            s[0] = 0x1;
-        }
-        Xoshiro256 { s }
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        Xoshiro256::from_seed_u64(state)
     }
 }
 
@@ -452,7 +395,7 @@ impl RandomStream {
     #[inline(always)]
     pub fn uniform01(&mut self) -> f64 {
         // 53 high bits → [0,1) with full double precision.
-        (self.rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.rng.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A uniform integer in `[0, n)` using Lemire's unbiased method.
@@ -464,13 +407,13 @@ impl RandomStream {
         assert!(n > 0, "index: empty range");
         let n = n as u64;
         // Lemire's nearly-divisionless rejection sampling.
-        let mut x = self.rng.next_u64();
+        let mut x = self.rng.next();
         let mut m = (x as u128) * (n as u128);
         let mut l = m as u64;
         if l < n {
             let t = n.wrapping_neg() % n;
             while l < t {
-                x = self.rng.next_u64();
+                x = self.rng.next();
                 m = (x as u128) * (n as u128);
                 l = m as u64;
             }
@@ -542,52 +485,12 @@ impl RandomStream {
         weights.len() - 1
     }
 
-    /// Access to the underlying generator, for interoperation with `rand`
-    /// adaptors (e.g. `rand::seq` shuffles).
-    #[inline]
-    pub fn rng(&mut self) -> &mut Xoshiro256 {
-        &mut self.rng
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
             let j = self.index(i + 1);
             slice.swap(i, j);
         }
-    }
-}
-
-/// Derives an unbounded family of independent [`RandomStream`]s from one
-/// experiment seed.
-///
-/// Stream identifiers are stable: `(seed, id)` always yields the same
-/// stream, which is what makes a replication reproducible from its seed
-/// alone: every random draw in the model comes from a stream of the
-/// replication's seed, never from an unseeded or shared source.
-#[derive(Clone, Debug)]
-pub struct StreamFamily {
-    seed: u64,
-}
-
-impl StreamFamily {
-    /// Creates the family rooted at `seed`.
-    pub fn new(seed: u64) -> Self {
-        StreamFamily { seed }
-    }
-
-    /// The experiment seed the family was rooted at.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Returns stream number `id`.
-    pub fn stream(&self, id: u64) -> RandomStream {
-        // Decorrelate (seed, id) pairs through two SplitMix64 rounds.
-        let mut s = self.seed ^ 0xA076_1D64_78BD_642F_u64.wrapping_mul(id.wrapping_add(1));
-        let a = splitmix64(&mut s);
-        let _ = splitmix64(&mut s);
-        RandomStream::new(a ^ s)
     }
 }
 
@@ -659,7 +562,7 @@ mod tests {
         let mut a = RandomStream::new(42);
         let mut b = RandomStream::new(42);
         for _ in 0..100 {
-            assert_eq!(a.rng().next_u64(), b.rng().next_u64());
+            assert_eq!(a.rng.next(), b.rng.next());
         }
     }
 
@@ -667,9 +570,7 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = RandomStream::new(1);
         let mut b = RandomStream::new(2);
-        let same = (0..64)
-            .filter(|_| a.rng().next_u64() == b.rng().next_u64())
-            .count();
+        let same = (0..64).filter(|_| a.rng.next() == b.rng.next()).count();
         assert!(same < 2, "streams with different seeds should diverge");
     }
 
@@ -829,18 +730,17 @@ mod tests {
 
     #[test]
     fn stream_family_streams_are_independent() {
+        use crate::queueing::StreamFamily;
         let fam = StreamFamily::new(99);
         let mut s0 = fam.stream(0);
         let mut s1 = fam.stream(1);
-        let equal = (0..64)
-            .filter(|_| s0.rng().next_u64() == s1.rng().next_u64())
-            .count();
+        let equal = (0..64).filter(|_| s0.rng.next() == s1.rng.next()).count();
         assert!(equal < 2);
         // Stability: same (seed, id) → same stream.
         let mut s0b = StreamFamily::new(99).stream(0);
         let mut s0c = fam.stream(0);
         for _ in 0..16 {
-            assert_eq!(s0b.rng().next_u64(), s0c.rng().next_u64());
+            assert_eq!(s0b.rng.next(), s0c.rng.next());
         }
     }
 
@@ -855,10 +755,18 @@ mod tests {
     }
 
     #[test]
-    fn fill_bytes_covers_remainder() {
-        let mut rng = Xoshiro256::from_seed_u64(5);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
+    fn xoshiro256pp_matches_the_reference_vector() {
+        // The published xoshiro256++ outputs from state [1, 2, 3, 4].
+        let mut rng = Xoshiro256 { s: [1, 2, 3, 4] };
+        let expected = [
+            41_943_041,
+            58_720_359,
+            3_588_806_011_781_223,
+            3_591_011_842_654_386,
+            9_228_616_714_210_784_205,
+        ];
+        for want in expected {
+            assert_eq!(rng.next(), want);
+        }
     }
 }

@@ -17,7 +17,7 @@
 
 use crate::engine::{Context, Engine, Model};
 use crate::probe::NoProbe;
-use crate::random::RandomStream;
+use crate::random::{splitmix64, RandomStream};
 use crate::resource::Resource;
 use crate::sched::{CalendarKind, QueueKind};
 use crate::stats::{TimeWeighted, Welford};
@@ -219,6 +219,32 @@ pub struct QueueSimResult {
     pub events: u64,
 }
 
+/// Derives an unbounded family of independent [`RandomStream`]s from one
+/// experiment seed.
+///
+/// Stream identifiers are stable: `(seed, id)` always yields the same
+/// stream, so a run is reproducible from its seed alone.
+#[derive(Clone, Debug)]
+pub struct StreamFamily {
+    seed: u64,
+}
+
+impl StreamFamily {
+    /// Creates the family rooted at `seed`.
+    pub fn new(seed: u64) -> Self {
+        StreamFamily { seed }
+    }
+
+    /// Returns stream number `id`.
+    pub fn stream(&self, id: u64) -> RandomStream {
+        // Decorrelate (seed, id) pairs through two SplitMix64 rounds.
+        let mut s = self.seed ^ 0xA076_1D64_78BD_642F_u64.wrapping_mul(id.wrapping_add(1));
+        let a = splitmix64(&mut s);
+        let _ = splitmix64(&mut s);
+        RandomStream::new(a ^ s)
+    }
+}
+
 /// [`simulate_mmc`] on a statically chosen scheduler kind — the
 /// differential surface across event queues: the result, `events`
 /// included, is the same bits on every [`QueueKind`].
@@ -231,7 +257,7 @@ pub fn simulate_mmc_on<Q: QueueKind>(
     seed: u64,
 ) -> QueueSimResult {
     assert!(warmup_ms < horizon_ms, "warm-up must precede the horizon");
-    let family = crate::random::StreamFamily::new(seed);
+    let family = StreamFamily::new(seed);
     let model = QueueSim {
         servers: Resource::new("servers", servers),
         arrivals: family.stream(0),

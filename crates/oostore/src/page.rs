@@ -16,7 +16,6 @@
 //! header and [`SLOT_ENTRY_BYTES`] per object, so a placement computed
 //! there always materialises without overflow.
 
-use bytes::BytesMut;
 use clustering::{PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
 
 /// Slot index within a page.
@@ -25,7 +24,7 @@ pub type SlotId = u16;
 /// A slotted page of fixed size.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SlottedPage {
-    data: BytesMut,
+    data: Box<[u8]>,
 }
 
 impl SlottedPage {
@@ -39,7 +38,7 @@ impl SlottedPage {
             page_size > PAGE_HEADER_BYTES && page_size <= 32_768,
             "page size {page_size} out of range"
         );
-        let mut data = BytesMut::zeroed(page_size as usize);
+        let mut data = vec![0; page_size as usize].into_boxed_slice();
         // payload floor starts at the page end.
         let floor = page_size as u16;
         data[2..4].copy_from_slice(&floor.to_le_bytes());

@@ -1,7 +1,7 @@
 //! A hand-rolled parser for the TOML subset scenario files use.
 //!
 //! No external TOML crate is sanctioned for this reproduction (the
-//! workspace builds fully offline, with vendored stand-ins only), and
+//! product builds fully offline, from workspace code only), and
 //! scenario files need only a small, regular slice of the format:
 //!
 //! * `key = value` pairs with bare keys (`[A-Za-z0-9_-]+`);
