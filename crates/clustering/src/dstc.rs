@@ -28,8 +28,7 @@
 //!    members. Units are the clusters handed to physical reorganisation.
 
 use crate::strategy::{ClusteringOutcome, ClusteringStrategy};
-use ocb::{ObjectBase, Oid};
-use std::collections::btree_map::Entry;
+use ocb::{IntHash, ObjectBase, Oid};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Tuning parameters of DSTC ("Tunable" is in the name: the original paper
@@ -108,10 +107,14 @@ pub struct DstcCounters {
 /// The DSTC strategy state.
 pub struct Dstc {
     params: DstcParams,
-    /// Elementary (current observation period) transition counts.
-    /// Consolidation iterates these, so the map must be link-ordered for
-    /// replay determinism (float accumulation order reaches the weights).
-    observation: BTreeMap<(Oid, Oid), u32>,
+    /// Elementary (current observation period) transition counts, keyed
+    /// by the packed link `(from << 32) | to`. Consolidation sorts them
+    /// by link before folding them in, for replay determinism (float
+    /// accumulation order reaches the weights).
+    observation: HashMap<u64, u32, IntHash>,
+    /// The drained observation, sorted by link at consolidation (a
+    /// buffer reused across periods).
+    drained: Vec<(u64, u32)>,
     /// Consolidated link weights, link-ordered for the same reason.
     consolidated: BTreeMap<(Oid, Oid), f64>,
     /// Objects whose consolidated neighbourhood changed since the last
@@ -130,7 +133,8 @@ impl Dstc {
         params.validate().expect("invalid DSTC parameters");
         Dstc {
             params,
-            observation: BTreeMap::new(),
+            observation: HashMap::default(),
+            drained: Vec::new(),
             consolidated: BTreeMap::new(),
             flagged: BTreeSet::new(),
             accesses_this_period: 0,
@@ -169,20 +173,24 @@ impl Dstc {
         for weight in self.consolidated.values_mut() {
             *weight *= self.params.w;
         }
-        // Fold elementary links passing Tfa.
-        for (&link, &count) in &self.observation {
+        // Fold elementary links passing Tfa, in link order.
+        // audit: sorted by link on the next line
+        self.drained.extend(self.observation.drain());
+        self.drained.sort_unstable_by_key(|&(link, _)| link);
+        for &(link, count) in &self.drained {
             if (count as f64) < self.params.tfa {
                 self.counters.links_filtered += 1;
                 continue;
             }
-            *self.consolidated.entry(link).or_insert(0.0) += count as f64;
-            self.flagged.insert(link.0);
-            self.flagged.insert(link.1);
+            let (from, to) = ((link >> 32) as Oid, link as Oid);
+            *self.consolidated.entry((from, to)).or_insert(0.0) += count as f64;
+            self.flagged.insert(from);
+            self.flagged.insert(to);
         }
+        self.drained.clear();
         // Drop consolidated entries below Tfc.
         let tfc = self.params.tfc;
         self.consolidated.retain(|_, weight| *weight >= tfc);
-        self.observation.clear();
         self.accesses_this_period = 0;
     }
 
@@ -255,12 +263,8 @@ impl ClusteringStrategy for Dstc {
         self.accesses_this_period += 1;
         if let Some(from) = parent {
             if from != oid {
-                match self.observation.entry((from, oid)) {
-                    Entry::Occupied(mut e) => *e.get_mut() += 1,
-                    Entry::Vacant(e) => {
-                        e.insert(1);
-                    }
-                }
+                let link = (u64::from(from) << 32) | u64::from(oid);
+                *self.observation.entry(link).or_insert(0) += 1;
             }
         }
         if self.accesses_this_period >= self.params.observation_period {

@@ -28,9 +28,8 @@
 //! The maps keyed by oid or tid are only point-looked-up; they hash the
 //! integer key with one multiplication instead of SipHash.
 
-use ocb::Oid;
+use ocb::{IntHash, Oid};
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Transaction identifier (matches the model's `Tid`).
 pub type Tid = usize;
@@ -68,38 +67,6 @@ pub enum LockOutcome {
     /// Waiting could deadlock; the requester must abort.
     Deadlock,
 }
-
-/// Hashes one integer key with a multiplication (Fibonacci hashing):
-/// oids and tids are the program's own dense integers, and the maps
-/// keyed by them are only point-looked-up, never iterated.
-#[derive(Default)]
-struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
-type IntHash = BuildHasherDefault<IntHasher>;
 
 /// One object's lock state.
 #[derive(Debug, Default)]

@@ -14,7 +14,9 @@
 //!   graph and the object/reference graph from a seed;
 //! * [`WorkloadGenerator`] — a reproducible stream of [`Transaction`]s
 //!   mixing the four OCB access patterns (set-oriented access, simple
-//!   traversal, hierarchy traversal, stochastic traversal).
+//!   traversal, hierarchy traversal, stochastic traversal);
+//! * [`IntHash`] — the multiplicative hasher of maps keyed by the
+//!   program's own dense ids ([`Oid`]s, transaction ids).
 //!
 //! Both the real mini-engines (`oostore`) and the simulator (`voodb`)
 //! consume these types, so a benchmark run and a simulation run can replay
@@ -32,12 +34,14 @@
 #![warn(missing_docs)]
 
 pub mod database;
+pub mod hash;
 pub mod params;
 pub mod schema;
 pub mod source;
 pub mod workload;
 
 pub use database::{Object, ObjectBase, Oid};
+pub use hash::{IntHash, IntHasher};
 pub use params::{
     Arrival, DatabaseParams, PopulationTooLarge, Selection, TooManyArrivals, TransactionKind,
     UserCohort, UserModel, WorkloadParams, MAX_OPEN_ARRIVALS, MAX_WAKE_RUN_BYTES, WAKE_KEY_BYTES,

@@ -21,8 +21,10 @@
 //!   their content: counting I/Os needs none, so an O2 run without
 //!   clustering never serialises the base, and Texas builds the image at
 //!   its first swizzle fault;
-//! * in-place byte work: payloads are encoded straight into their slots
-//!   and their references decoded and patched where they lie
+//! * in-place byte work: a page stores only the bytes the engines read
+//!   (object headers and references; the attribute area is implied),
+//!   payloads are encoded straight into their slots and their
+//!   references decoded and patched where they lie
 //!   ([`write_object`], [`payload_refs`], [`patch_refs`]), and both
 //!   engines' reorganisations execute one plan held in dense tables
 //!   (`reorg`), so no per-object or per-reference step allocates or

@@ -13,7 +13,7 @@ use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
 use crate::reorg::{ReorgPlan, ReorgReport};
-use crate::storage::{assign_physical_oids, payload_oid, write_object};
+use crate::storage::{assign_physical_oids, insert_object, payload_oid, reserve_page};
 use bufmgr::{AccessOutcome, BufferPool, PolicyKind};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
 use clustering::{PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
@@ -229,11 +229,11 @@ impl<'a> PageServerEngine<'a> {
         // their references read from the OID table as packing goes (an
         // object packed earlier is already at its new home).
         for members in plan.cluster_pages() {
-            let mut slotted = SlottedPage::new(page_size);
+            let mut slotted = reserve_page(self.base, members, page_size);
             for &oid in members {
                 let object = self.base.object(oid);
                 let refs = object.refs.iter().map(|&t| self.oid_table[t as usize]);
-                slotted.insert_with(object.size, |out| write_object(oid, refs, out));
+                insert_object(&mut slotted, oid, object.size, refs);
                 self.oid_table[oid as usize] = plan.new_location(oid).expect("planned move");
             }
             self.disk.append_page(slotted);
@@ -280,12 +280,13 @@ pub(crate) fn oid_table_pages(oid_table: &[PhysicalOid], page_size: u32) -> Vec<
     oid_table
         .chunks(oid_entries_per_page(page_size) as usize)
         .map(|chunk| {
-            let mut payload = vec![0u8; chunk.len() * entry_bytes];
-            for (i, phys) in chunk.iter().enumerate() {
-                phys.encode(&mut payload[i * entry_bytes..(i + 1) * entry_bytes]);
-            }
-            let mut page = SlottedPage::new(page_size);
-            page.insert(&payload);
+            let len = chunk.len() * entry_bytes;
+            let mut page = SlottedPage::with_capacity(page_size, 1, len);
+            page.insert_with(len as u32, len as u32, |payload| {
+                for (entry, phys) in payload.chunks_exact_mut(entry_bytes).zip(chunk) {
+                    phys.encode(entry);
+                }
+            });
             page
         })
         .collect()

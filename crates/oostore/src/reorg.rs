@@ -27,7 +27,7 @@ use crate::disk::{IoCounts, VirtualDisk};
 use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
-use crate::storage::{patch_refs, write_object};
+use crate::storage::{insert_object, patch_refs, reserve_page};
 use crate::texas::TexasEngine;
 use clustering::{ClusteringOutcome, PageId, PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
 use ocb::{ObjectBase, Oid};
@@ -226,14 +226,14 @@ impl TexasEngine<'_> {
         let built: Vec<SlottedPage> = plan
             .cluster_pages()
             .map(|members| {
-                let mut slotted = SlottedPage::new(page_size);
+                let mut slotted = reserve_page(base, members, page_size);
                 for &oid in members {
                     let object = base.object(oid);
                     let refs = object.refs.iter().map(|&target| {
                         plan.new_location(target)
                             .unwrap_or(phys_of[target as usize])
                     });
-                    let slot = slotted.insert_with(object.size, |out| write_object(oid, refs, out));
+                    let slot = insert_object(&mut slotted, oid, object.size, refs);
                     debug_assert_eq!(Some(slot), plan.new_location(oid).map(|new| new.slot));
                 }
                 slotted
@@ -287,9 +287,11 @@ mod tests {
     use crate::disk::DiskTimings;
     use crate::engine::{run_workload, StorageEngine};
     use crate::pageserver::{PageServerConfig, PageServerEngine};
+    use crate::storage::STORE_FULL;
     use crate::texas::TexasConfig;
     use clustering::{ClusteringKind, DstcParams, InitialPlacement};
     use ocb::{DatabaseParams, ObjectBase, Transaction, WorkloadGenerator, WorkloadParams};
+    use proptest::prelude::*;
 
     fn dstc_config() -> TexasConfig {
         TexasConfig {
@@ -435,7 +437,7 @@ mod tests {
     fn image_hash(disk: &VirtualDisk<'_>) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for page in 0..disk.page_count() {
-            for &byte in disk.peek(page).raw() {
+            for &byte in &disk.peek(page).raw() {
                 hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
             }
         }
@@ -510,6 +512,56 @@ mod tests {
         assert_eq!(o2.io_counts(), io(881, 73));
         assert_eq!(o2.page_count(), 545);
         assert_eq!(image_hash(o2.disk_ref()), 0xb3c3_a3ef_95cf_b0ed);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Pages that store only payload prefixes render, byte for byte,
+        /// as pages storing every byte, on both engines before and after
+        /// a DSTC reorganisation.
+        #[test]
+        fn compact_pages_render_as_full_byte_pages(seed in 0u64..10_000) {
+            let base = ObjectBase::generate(&DatabaseParams::small(), seed);
+            let txs = hierarchy_workload(&base, 300, seed ^ 0x5A);
+            let texas_config = TexasConfig {
+                memory_pages: 64,
+                ..dstc_config()
+            };
+            let o2_config = PageServerConfig {
+                buffer_pages: 32,
+                clustering: texas_config.clustering.clone(),
+                ..PageServerConfig::with_cache_mb(1)
+            };
+            let pages = |disk: &VirtualDisk<'_>| -> Vec<SlottedPage> {
+                (0..disk.page_count()).map(|page| disk.peek(page).clone()).collect()
+            };
+            let stored = |pages: &[SlottedPage]| -> usize {
+                pages.iter().map(SlottedPage::stored_bytes).sum()
+            };
+            let images = |full: bool| {
+                STORE_FULL.set(full);
+                let mut texas = TexasEngine::new(&base, texas_config.clone());
+                let texas_before = pages(texas.disk_ref());
+                run_workload(&mut texas, &txs);
+                let moved = texas.reorganize().moved_objects;
+                let texas_after = pages(texas.disk_ref());
+                let mut o2 = PageServerEngine::new(&base, o2_config.clone());
+                let o2_before = pages(o2.disk_ref());
+                run_workload(&mut o2, &txs);
+                o2.reorganize();
+                let o2_after = pages(o2.disk_ref());
+                STORE_FULL.set(false);
+                (moved, [texas_before, texas_after, o2_before, o2_after])
+            };
+            let (moved, compact) = images(false);
+            let (_, full) = images(true);
+            prop_assert!(moved > 0, "DSTC moved no object");
+            for (compact, full) in compact.iter().zip(&full) {
+                prop_assert!(stored(compact) < stored(full), "the writers differ");
+                prop_assert!(compact == full, "rendered images differ");
+            }
+        }
     }
 
     #[test]

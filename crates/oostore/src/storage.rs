@@ -13,25 +13,34 @@
 //! 4..8        u32  reference count
 //! 8..16       reserved
 //! 16..16+8n   physical OIDs of the n references
-//! ..size      attribute payload (filler pattern)
+//! ..size      attribute payload: implied, not stored
 //! ```
 //!
-//! Payloads are encoded and decoded in place: [`write_object`] fills the
-//! slot that [`SlottedPage::insert_with`] reserves, [`payload_refs`]
-//! decodes references lazily, and [`patch_refs`] rewrites them where
-//! they lie. Building or scanning a page allocates nothing per object.
+//! A page stores the header and the references, the payload's *stored
+//! prefix*; the attribute area reads as the page's filler byte and no
+//! reader looks at it. Payloads are encoded and decoded in place:
+//! [`write_object`] fills the prefix that [`SlottedPage::insert_with`]
+//! reserves, [`payload_refs`] decodes references lazily, and
+//! [`patch_refs`] rewrites them where they lie. A page's storage is
+//! reserved once from its members, so building or scanning a page
+//! allocates nothing per object.
 
 use crate::oid::PhysicalOid;
-use crate::page::SlottedPage;
+use crate::page::{SlotId, SlottedPage, FILL};
 use clustering::Placement;
 use ocb::{ObjectBase, Oid, OBJECT_HEADER_BYTES};
 
-/// Filler byte for the attribute area.
-const FILL: u8 = 0xA5;
+#[cfg(test)]
+thread_local! {
+    /// Test switch: store every payload byte, attribute filler included,
+    /// so tests can check compact pages against full-byte ones.
+    pub(crate) static STORE_FULL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
 
-/// Encodes one object in place: `out` is its whole payload (`out.len()`
-/// is the object size), `refs` the physical OIDs of its reference
-/// targets.
+/// Encodes one object in place: `refs` are the physical OIDs of its
+/// reference targets, and `out` is its stored prefix (header and
+/// references) or a longer prefix of its payload, whose bytes past the
+/// references are written as the attribute filler.
 ///
 /// # Panics
 /// Panics if `out` cannot hold the header and every reference.
@@ -51,6 +60,36 @@ pub fn write_object(oid: Oid, refs: impl ExactSizeIterator<Item = PhysicalOid>, 
         r.encode(wire);
     }
     attributes.fill(FILL);
+}
+
+/// Stored bytes of an object payload with `nrefs` references: its
+/// header and reference wires.
+fn stored_len(nrefs: usize) -> u32 {
+    OBJECT_HEADER_BYTES + (nrefs * PhysicalOid::WIRE_BYTES) as u32
+}
+
+/// An empty page with room reserved for the slots and stored prefixes
+/// of `members`, so that inserting them allocates nothing.
+pub(crate) fn reserve_page(base: &ObjectBase, members: &[Oid], page_size: u32) -> SlottedPage {
+    let stored: u32 = members
+        .iter()
+        .map(|&oid| stored_len(base.object(oid).refs.len()))
+        .sum();
+    SlottedPage::with_capacity(page_size, members.len(), stored as usize)
+}
+
+/// Appends object `oid` of `size` bytes to `page`, its references
+/// written as `refs`, and returns its slot.
+pub(crate) fn insert_object(
+    page: &mut SlottedPage,
+    oid: Oid,
+    size: u32,
+    refs: impl ExactSizeIterator<Item = PhysicalOid>,
+) -> SlotId {
+    let stored = stored_len(refs.len());
+    #[cfg(test)]
+    let stored = if STORE_FULL.get() { size } else { stored };
+    page.insert_with(size, stored, |out| write_object(oid, refs, out))
 }
 
 /// Reads the logical OID stored in a payload.
@@ -126,11 +165,12 @@ pub fn serialize_pages(
 ) -> Vec<SlottedPage> {
     let mut pages = Vec::with_capacity(placement.page_count() as usize);
     for page in 0..placement.page_count() {
-        let mut slotted = SlottedPage::new(placement.page_size());
-        for &oid in placement.objects_in(page) {
+        let members = placement.objects_in(page);
+        let mut slotted = reserve_page(base, members, placement.page_size());
+        for &oid in members {
             let object = base.object(oid);
             let refs = object.refs.iter().map(|&target| phys_of[target as usize]);
-            let slot = slotted.insert_with(object.size, |out| write_object(oid, refs, out));
+            let slot = insert_object(&mut slotted, oid, object.size, refs);
             debug_assert_eq!(slot, phys_of[oid as usize].slot);
         }
         pages.push(slotted);
@@ -205,7 +245,8 @@ mod tests {
             assert_eq!(phys.page, placement.page_of(oid));
             let payload = pages[phys.page as usize].get(phys.slot).unwrap();
             assert_eq!(payload_oid(payload), oid);
-            assert_eq!(payload.len() as u32, base.object(oid).size);
+            let len = pages[phys.page as usize].payload_len(phys.slot);
+            assert_eq!(len, Some(base.object(oid).size));
         }
     }
 

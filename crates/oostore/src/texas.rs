@@ -389,6 +389,21 @@ mod tests {
     }
 
     #[test]
+    fn data_region_stores_headers_and_references_only() {
+        // The paper's 20,000-object base: ~18 MB of payload at this seed,
+        // of which headers and reference wires are ~1 MB; the attribute
+        // filler is implied, not stored.
+        let base = ObjectBase::generate(&DatabaseParams::default(), 7);
+        let engine = TexasEngine::new(&base, TexasConfig::with_memory_mb(64));
+        let stored: usize = (0..engine.meta_start)
+            .map(|page| engine.disk_ref().peek(page).stored_bytes())
+            .sum();
+        let payload: u64 = base.iter().map(|(_, object)| u64::from(object.size)).sum();
+        assert!(payload > 15_000_000, "{payload} B of payload");
+        assert!(stored <= 1_500_000, "{stored} B stored");
+    }
+
+    #[test]
     fn repeated_access_faults_once_with_ample_memory() {
         let base = small_base();
         let mut engine = TexasEngine::new(&base, config(10_000, false));
