@@ -9,8 +9,8 @@
 //!
 //! This crate implements that whole substrate:
 //!
-//! * [`BufferPool`] — frames, residency, dirty tracking, hit/miss/eviction
-//!   accounting;
+//! * [`BufferPool`] — frames, residency and dirty tracking; each access
+//!   returns its [`AccessOutcome`] and the caller does the counting;
 //! * [`PolicyKind`] — factory for every Table 3 replacement policy, each a
 //!   standalone module implementing [`ReplacementPolicy`];
 //! * [`PrefetchKind`] — the `None` policy the paper uses plus a sequential
@@ -43,5 +43,5 @@ pub mod prefetch;
 pub mod random;
 
 pub use policy::{PageId, PolicyKind, ReplacementPolicy};
-pub use pool::{AccessOutcome, BufferPool, BufferStats};
+pub use pool::{AccessOutcome, BufferPool};
 pub use prefetch::{NoPrefetch, PrefetchKind, PrefetchPolicy, SequentialPrefetch};

@@ -43,11 +43,6 @@ impl LruKPolicy {
         }
     }
 
-    /// The configured K.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Eviction key of a page given its reference history.
     fn key_of(k: usize, history: &VecDeque<u64>) -> (u8, u64) {
         debug_assert!(!history.is_empty());

@@ -1,4 +1,4 @@
-//! The buffer pool: frames, residency, and hit/miss accounting.
+//! The buffer pool: frames, residency and replacement.
 //!
 //! This is the state the paper's Buffering Manager maintains: `BUFFSIZE`
 //! frames of `PGSIZE` bytes managed under a replacement policy (`PGREP`).
@@ -37,32 +37,9 @@ impl AccessOutcome {
     }
 }
 
-/// Counters the pool maintains.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BufferStats {
-    /// Accesses finding the page resident.
-    pub hits: u64,
-    /// Accesses requiring a fetch.
-    pub misses: u64,
-    /// Evictions performed.
-    pub evictions: u64,
-    /// Evictions of dirty pages (each implies a write-back I/O).
-    pub dirty_evictions: u64,
-}
-
-impl BufferStats {
-    /// Hit ratio in `[0, 1]`; 0 when no access happened.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A buffer pool of `frames` page frames under a replacement policy.
+/// It counts nothing: each access reports its [`AccessOutcome`], and the
+/// caller keeps whatever statistics it reports.
 ///
 /// Residency costs O(1) per operation: a table indexed by page id, grown
 /// on demand (page ids are dense disk ids, and reorganisations append
@@ -74,7 +51,6 @@ pub struct BufferPool {
     state: Vec<u8>,
     resident: usize,
     policy: Box<dyn ReplacementPolicy>,
-    stats: BufferStats,
 }
 
 impl BufferPool {
@@ -89,13 +65,7 @@ impl BufferPool {
             state: Vec::new(),
             resident: 0,
             policy: policy.build(),
-            stats: BufferStats::default(),
         }
-    }
-
-    /// Number of frames.
-    pub fn frames(&self) -> usize {
-        self.frames
     }
 
     /// Number of resident pages.
@@ -110,11 +80,6 @@ impl BufferPool {
             .is_some_and(|&state| state != ABSENT)
     }
 
-    /// The accounting counters.
-    pub fn stats(&self) -> BufferStats {
-        self.stats
-    }
-
     /// Accesses `page`; `write` marks the page dirty. Returns whether the
     /// access hit and which page (if any) was evicted.
     pub fn access(&mut self, page: PageId, write: bool) -> AccessOutcome {
@@ -127,17 +92,16 @@ impl BufferPool {
                 *state = DIRTY;
             }
             self.policy.on_access(page);
-            self.stats.hits += 1;
             return AccessOutcome::Hit;
         }
-        self.stats.misses += 1;
         let evicted = self.evict_if_full();
         self.admit(page, write);
         self.policy.on_access(page);
         AccessOutcome::Miss { evicted }
     }
 
-    /// Brings `page` in without counting a hit/miss (prefetch path).
+    /// Brings `page` in without an access (prefetch path): the policy
+    /// sees an admission but no reference.
     /// Returns the eviction performed, if any; `None` also when the page
     /// was already resident.
     pub fn prefetch(&mut self, page: PageId) -> Option<(PageId, bool)> {
@@ -197,10 +161,6 @@ impl BufferPool {
             .remove(victim)
             .expect("policy returned a non-resident victim");
         self.policy.on_evict(victim);
-        self.stats.evictions += 1;
-        if dirty {
-            self.stats.dirty_evictions += 1;
-        }
         Some((victim, dirty))
     }
 
@@ -241,9 +201,6 @@ mod tests {
         let mut pool = lru_pool(2);
         assert!(!pool.access(1, false).is_hit());
         assert!(pool.access(1, false).is_hit());
-        let s = pool.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
-        assert_eq!(s.hit_ratio(), 0.5);
     }
 
     #[test]
@@ -274,7 +231,6 @@ mod tests {
                 evicted: Some((1, true))
             }
         );
-        assert_eq!(pool.stats().dirty_evictions, 1);
     }
 
     #[test]
@@ -295,8 +251,6 @@ mod tests {
     fn prefetch_does_not_count_as_access() {
         let mut pool = lru_pool(2);
         assert!(pool.prefetch(1).is_none());
-        let s = pool.stats();
-        assert_eq!((s.hits, s.misses), (0, 0));
         assert!(pool.contains(1));
         assert!(pool.access(1, false).is_hit());
     }
@@ -335,13 +289,9 @@ mod tests {
         for round in 0..5 {
             for page in 0..10 {
                 let outcome = pool.access(page, false);
-                if round > 0 {
-                    assert!(outcome.is_hit(), "round {round} page {page}");
-                }
+                assert_eq!(outcome.is_hit(), round > 0, "round {round} page {page}");
             }
         }
-        assert_eq!(pool.stats().misses, 10);
-        assert_eq!(pool.stats().hits, 40);
     }
 
     #[test]
@@ -354,7 +304,6 @@ mod tests {
                 assert!(!pool.access(page, false).is_hit());
             }
         }
-        assert_eq!(pool.stats().hits, 0);
     }
 
     #[test]
@@ -362,14 +311,13 @@ mod tests {
         for kind in PolicyKind::all_default() {
             let mut pool = BufferPool::new(8, kind);
             // Deterministic mixed workload.
+            let mut misses = 0;
             for i in 0..1000u32 {
                 let page = (i * 7 + i / 3) % 40;
-                pool.access(page, i % 5 == 0);
+                misses += u32::from(!pool.access(page, i % 5 == 0).is_hit());
                 assert!(pool.resident_count() <= 8, "{kind}: pool overflow");
             }
-            let s = pool.stats();
-            assert_eq!(s.hits + s.misses, 1000, "{kind}");
-            assert!(s.misses >= 40, "{kind}: at least compulsory misses");
+            assert!(misses >= 40, "{kind}: at least compulsory misses");
         }
     }
 }

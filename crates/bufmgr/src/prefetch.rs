@@ -60,13 +60,6 @@ pub struct SequentialPrefetch {
     window: u32,
 }
 
-impl SequentialPrefetch {
-    /// Creates the prefetcher with the given window.
-    pub fn new(window: u32) -> Self {
-        SequentialPrefetch { window }
-    }
-}
-
 impl PrefetchPolicy for SequentialPrefetch {
     fn name(&self) -> &'static str {
         "Sequential"

@@ -94,8 +94,6 @@ impl DstcParams {
 /// Running counters describing DSTC's activity (diagnostics, ablations).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DstcCounters {
-    /// Accesses observed in total.
-    pub accesses_observed: u64,
     /// Observation periods consolidated.
     pub consolidations: u64,
     /// Links discarded by `tfa` at consolidation.
@@ -140,11 +138,6 @@ impl Dstc {
             accesses_this_period: 0,
             counters: DstcCounters::default(),
         }
-    }
-
-    /// The tuning parameters.
-    pub fn params(&self) -> &DstcParams {
-        &self.params
     }
 
     /// Activity counters.
@@ -259,7 +252,6 @@ impl ClusteringStrategy for Dstc {
     }
 
     fn on_access(&mut self, parent: Option<Oid>, oid: Oid) {
-        self.counters.accesses_observed += 1;
         self.accesses_this_period += 1;
         if let Some(from) = parent {
             if from != oid {

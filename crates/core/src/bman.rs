@@ -51,18 +51,6 @@ pub struct BmanStats {
     pub swizzled: u64,
 }
 
-impl BmanStats {
-    /// Hit ratio in `[0, 1]`.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The two buffering modes.
 enum Mode {
     Standard(BufferPool),

@@ -468,11 +468,6 @@ impl<'a> VoodbModel<'a> {
         self.user_total
     }
 
-    /// The active closed-population representation.
-    pub fn user_model(&self) -> UserModel {
-        self.user_model
-    }
-
     /// Peak number of users simultaneously waiting for an MPL seat in
     /// the cohort admission ring (cohort user model). A waiting user
     /// costs its 8-byte wake key, kept queued in its cohort's clock.

@@ -46,7 +46,6 @@ fn traced_phase_matches_untraced_phase_exactly() {
     assert_eq!(untraced.events, traced.events);
     assert_eq!(recorder.spans().len(), 40, "one span per transaction");
     assert_eq!(recorder.open_spans(), 0, "every span committed");
-    assert_eq!(recorder.events_dispatched(), traced.events);
 }
 
 #[test]
@@ -114,21 +113,17 @@ fn spans_decompose_response_and_feed_histograms() {
 /// Counts the kernel hooks `counting_probe_sees_kernel_traffic` checks.
 #[derive(Default)]
 struct CountingProbe {
-    schedules: u64,
     dispatches: u64,
-    grants: u64,
+    enqueues: u64,
     spans: u64,
 }
 
 impl Probe for CountingProbe {
-    fn on_schedule(&mut self, _now: f64, _at: f64) {
-        self.schedules += 1;
-    }
     fn on_dispatch(&mut self, _now: f64, _pending: usize) {
         self.dispatches += 1;
     }
-    fn on_resource_grant(&mut self, _resource: ResourceId, _now: f64, _waited_ms: f64) {
-        self.grants += 1;
+    fn on_resource_enqueue(&mut self, _resource: ResourceId, _now: f64, _queue_len: usize) {
+        self.enqueues += 1;
     }
     fn on_span(&mut self, _slot: u32, _serial: u64, _point: SpanPoint, _now: f64) {
         self.spans += 1;
@@ -141,8 +136,7 @@ fn counting_probe_sees_kernel_traffic() {
     let mut simulation = Simulation::new(&base, params, 0.0, 3);
     let (result, probe) = simulation.run_phase_probed(transactions, 0, CountingProbe::default());
     assert_eq!(probe.dispatches, result.events);
-    assert!(probe.schedules >= probe.dispatches);
     assert!(probe.spans > 0);
-    // MPL 2 with 2 users: scheduler contention produces waits.
-    assert!(probe.grants > 0);
+    // Two admitted transactions contend for the disk and the network.
+    assert!(probe.enqueues > 0);
 }

@@ -93,9 +93,7 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
             delay_ms >= 0.0,
             "cannot schedule an event in the past (delay {delay_ms})"
         );
-        let at = self.now + delay_ms;
-        self.probe.on_schedule(self.now.as_ms(), at.as_ms());
-        self.events.push(at, event);
+        self.events.push(self.now + delay_ms, event);
     }
 
     /// Schedules `event` at absolute instant `at`.
@@ -105,7 +103,6 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
     #[inline]
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "cannot schedule an event in the past");
-        self.probe.on_schedule(self.now.as_ms(), at.as_ms());
         self.events.push(at, event);
     }
 
@@ -113,7 +110,6 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
     /// at the same instant).
     #[inline]
     pub fn schedule_now(&mut self, event: E) {
-        self.probe.on_schedule(self.now.as_ms(), self.now.as_ms());
         self.events.push(self.now, event);
     }
 
@@ -208,7 +204,7 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
     }
 
     /// Direct access to the probe (used by [`crate::resource::Resource`]
-    /// to report waits and grants).
+    /// to report its queue).
     #[inline]
     pub fn probe_mut(&mut self) -> &mut P {
         self.probe
@@ -363,19 +359,6 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
         true
     }
 
-    /// Reports engine-lifetime event totals to the probe at the end of
-    /// a run call. `scheduled` is derived, not counted: the event list
-    /// only ever pushes and pops, so every push was either dispatched
-    /// or is still pending. Deriving it here keeps the per-event
-    /// schedule/dispatch hooks free of counter bookkeeping.
-    #[inline]
-    fn finish_run(&mut self) {
-        if P::ENABLED {
-            self.probe
-                .on_run_end(self.dispatched + self.events.len() as u64, self.dispatched);
-        }
-    }
-
     /// Dispatches a single event. Returns `false` when nothing remains.
     #[cfg(test)]
     fn step(&mut self) -> bool {
@@ -383,9 +366,7 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
         if self.stop {
             return false;
         }
-        let dispatched = self.dispatch_next(SimTime::INFINITY);
-        self.finish_run();
-        dispatched
+        self.dispatch_next(SimTime::INFINITY)
     }
 
     /// Runs until the event list drains or the model stops the run.
@@ -414,7 +395,6 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
                 }
             }
         };
-        self.finish_run();
         RunOutcome {
             reason,
             end_time: self.clock,
@@ -731,7 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_sees_schedules_dispatches_and_spans() {
+    fn probe_sees_dispatches_and_spans() {
         use crate::probe::{CountingProbe, Probe, SpanPoint, SpanStage};
 
         /// A probed chain: each event emits a span point, a span stage
@@ -761,7 +741,6 @@ mod tests {
         let mut engine = Engine::with_probe(Chain { remaining: 4 }, CountingProbe::default());
         engine.run_to_completion();
         let probe = engine.probe();
-        assert_eq!(probe.schedules, 5); // init + 4 reschedules
         assert_eq!(probe.dispatches, 5);
         assert_eq!(probe.spans, 5);
         assert_eq!(probe.span_stages, 5);

@@ -4,9 +4,11 @@
 //! richer (per-transaction lifecycles, tail latencies, utilisation over
 //! time) meant editing the kernel. This module inverts that: the kernel
 //! and the model call a [`Probe`] at its interesting instants —
-//! event scheduling, event dispatch, resource waits and grants, model
-//! lifecycle span points and stages, and ad-hoc time-series samples —
-//! and the probe decides what to retain.
+//! event dispatch, resource queueing, model lifecycle span points and
+//! stages, and ad-hoc time-series samples — and the probe decides what
+//! to retain. Each hook feeds an exported output of the recording
+//! probe; the waits a transaction spends at a resource arrive as span
+//! stages, measured by the model, not as resource hooks.
 //!
 //! The probe is a *static* type parameter of
 //! [`Engine`](crate::engine::Engine) and
@@ -84,7 +86,7 @@ impl SeriesId {
 }
 
 /// Interned handle for a named resource, resolved once per phase by
-/// [`Probe::intern_resource`] so queue/grant hooks never touch a string
+/// [`Probe::intern_resource`] so the queue hook never touches a string
 /// key on the dispatch path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ResourceId(pub u32);
@@ -126,18 +128,11 @@ pub trait Probe {
         ResourceId::INVALID
     }
 
-    /// An event was scheduled at instant `at` (current instant `now`).
-    fn on_schedule(&mut self, now: f64, at: f64) {
-        let _ = (now, at);
-    }
-
     /// How often this probe wants [`Probe::on_dispatch`]: the engine
     /// invokes the hook on every `interval`-th dispatch only (1 ⇒ every
     /// dispatch). Read once at engine construction, so the decimation
     /// countdown lives in a register of the dispatch loop instead of a
-    /// load-decrement-store on probe memory for every event. Probes
-    /// needing exact dispatch totals get them from
-    /// [`Probe::on_run_end`], not by counting this hook.
+    /// load-decrement-store on probe memory for every event.
     fn dispatch_interval(&self) -> u64 {
         1
     }
@@ -153,12 +148,6 @@ pub trait Probe {
     /// `queue_len` waiters are now in line (including this one).
     fn on_resource_enqueue(&mut self, resource: ResourceId, now: f64, queue_len: usize) {
         let _ = (resource, now, queue_len);
-    }
-
-    /// A unit of `resource` was granted after `waited_ms` in the queue
-    /// (`0.0` for immediate grants).
-    fn on_resource_grant(&mut self, resource: ResourceId, now: f64, waited_ms: f64) {
-        let _ = (resource, now, waited_ms);
     }
 
     /// Transaction in slab slot `slot` (tagged with its stable `serial`)
@@ -182,16 +171,6 @@ pub trait Probe {
     fn on_sample(&mut self, series: SeriesId, now: f64, value: f64) {
         let _ = (series, now, value);
     }
-
-    /// A run call (`step` / `run_to_completion` / `run_until`)
-    /// returned. `scheduled` and `dispatched` are the
-    /// engine-lifetime totals (the event list only ever pushes and
-    /// pops, so `scheduled = dispatched + still-pending`). Fires once
-    /// per run call, letting probes report exact event totals without
-    /// paying a counter increment inside the per-event hooks.
-    fn on_run_end(&mut self, scheduled: u64, dispatched: u64) {
-        let _ = (scheduled, dispatched);
-    }
 }
 
 /// The do-nothing probe: every hook inlines to nothing, so an
@@ -209,14 +188,10 @@ impl Probe for NoProbe {
 #[cfg(test)]
 #[derive(Clone, Debug, Default)]
 pub struct CountingProbe {
-    /// `on_schedule` invocations.
-    pub schedules: u64,
     /// `on_dispatch` invocations.
     pub dispatches: u64,
     /// `on_resource_enqueue` invocations.
     pub enqueues: u64,
-    /// `on_resource_grant` invocations.
-    pub grants: u64,
     /// `on_span` invocations.
     pub spans: u64,
     /// `on_span_stage` invocations.
@@ -227,17 +202,11 @@ pub struct CountingProbe {
 
 #[cfg(test)]
 impl Probe for CountingProbe {
-    fn on_schedule(&mut self, _now: f64, _at: f64) {
-        self.schedules += 1;
-    }
     fn on_dispatch(&mut self, _now: f64, _pending: usize) {
         self.dispatches += 1;
     }
     fn on_resource_enqueue(&mut self, _resource: ResourceId, _now: f64, _queue_len: usize) {
         self.enqueues += 1;
-    }
-    fn on_resource_grant(&mut self, _resource: ResourceId, _now: f64, _waited_ms: f64) {
-        self.grants += 1;
     }
     fn on_span(&mut self, _slot: u32, _serial: u64, _point: SpanPoint, _now: f64) {
         self.spans += 1;

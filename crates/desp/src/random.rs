@@ -533,16 +533,6 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True if the sampler covers no elements (never: `new` rejects n = 0).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Draws a rank in `[0, n)`.
     pub fn sample(&self, stream: &mut RandomStream) -> usize {
         let u = stream.uniform01();

@@ -94,11 +94,6 @@ impl ReplicationReport {
         self.replications
     }
 
-    /// Confidence level of the intervals.
-    pub fn level(&self) -> f64 {
-        self.level
-    }
-
     /// Raw samples of a metric across replications.
     pub fn samples(&self, name: &str) -> Option<&[f64]> {
         self.samples.get(name).map(Vec::as_slice)

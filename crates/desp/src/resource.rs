@@ -11,8 +11,10 @@
 //! instant) or queues the continuation first come, first served
 //! (QNAP2's FIFO default). A *release* frees one unit and wakes the
 //! longest waiter.
-//! Utilisation, queue length (time-weighted) and waiting times are recorded
-//! automatically, mirroring QNAP2's standard station reports.
+//! Utilisation (time-weighted busy units) and the grant count are kept
+//! here; a tracing probe also sees every queueing request, which feeds
+//! its `queue:<name>` series. Waiting times are the model's to measure:
+//! it knows both endpoints of each wait and reports them as span stages.
 
 use crate::engine::Context;
 use crate::probe::{Probe, ResourceId};
@@ -21,17 +23,12 @@ use crate::stats::TimeWeighted;
 use crate::time::SimTime;
 use std::collections::VecDeque;
 
-struct Waiter<E> {
-    event: E,
-    enqueued_at: SimTime,
-}
-
 /// A passive resource with `capacity` units and a FIFO waiting queue.
 pub struct Resource<E> {
     name: String,
     capacity: usize,
     busy: usize,
-    queue: VecDeque<Waiter<E>>,
+    queue: VecDeque<E>,
     /// Time-weighted busy units (divide by capacity for utilisation).
     busy_units: TimeWeighted,
     grants: u64,
@@ -83,11 +80,6 @@ impl<E> Resource<E> {
         self.busy
     }
 
-    /// Units currently free.
-    pub fn free(&self) -> usize {
-        self.capacity - self.busy
-    }
-
     /// Number of queued waiters.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
@@ -115,10 +107,7 @@ impl<E> Resource<E> {
             ctx.schedule_now(continuation);
         } else {
             let now = ctx.now();
-            self.queue.push_back(Waiter {
-                event: continuation,
-                enqueued_at: now,
-            });
+            self.queue.push_back(continuation);
             self.record_state(now);
             if P::ENABLED {
                 if self.probe_id == ResourceId::INVALID {
@@ -131,8 +120,8 @@ impl<E> Resource<E> {
     }
 
     /// Attempts to take a unit without queueing. Returns `true` on
-    /// success, recorded (statistics and the probe's grant hook) exactly
-    /// as a granting [`Resource::request`]; a refusal records nothing.
+    /// success, recorded exactly as a granting [`Resource::request`]; a
+    /// refusal records nothing.
     ///
     /// Useful for polling-style admission control (e.g. "skip clustering
     /// if the analyser is already running"), and for running a granted
@@ -147,13 +136,6 @@ impl<E> Resource<E> {
         self.busy += 1;
         self.grants += 1;
         self.record_state(now);
-        if P::ENABLED {
-            if self.probe_id == ResourceId::INVALID {
-                self.probe_id = ctx.probe_mut().intern_resource(&self.name);
-            }
-            ctx.probe_mut()
-                .on_resource_grant(self.probe_id, now.as_ms(), 0.0);
-        }
         true
     }
 
@@ -167,18 +149,10 @@ impl<E> Resource<E> {
         assert!(self.busy > 0, "release on idle resource '{}'", self.name);
         let now = ctx.now();
         self.busy -= 1;
-        if let Some(waiter) = self.queue.pop_front() {
+        if let Some(continuation) = self.queue.pop_front() {
             self.busy += 1;
             self.grants += 1;
-            if P::ENABLED {
-                let waited = now.saturating_since(waiter.enqueued_at).as_ms();
-                if self.probe_id == ResourceId::INVALID {
-                    self.probe_id = ctx.probe_mut().intern_resource(&self.name);
-                }
-                ctx.probe_mut()
-                    .on_resource_grant(self.probe_id, now.as_ms(), waited);
-            }
-            ctx.schedule_now(waiter.event);
+            ctx.schedule_now(continuation);
         }
         self.record_state(now);
     }
@@ -260,7 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn try_acquire_fires_the_grant_hook_like_a_granting_request() {
+    fn try_acquire_grants_like_a_granting_request() {
         use crate::probe::CountingProbe;
 
         /// Takes one unit by `try_acquire` and one by `request`, and
@@ -293,7 +267,6 @@ mod tests {
         engine.run_to_completion();
         assert_eq!(engine.model().taken, vec![true, false]);
         assert_eq!(engine.model().resource.grants(), 2);
-        assert_eq!(engine.probe().grants, 2);
         assert_eq!(engine.probe().enqueues, 0);
     }
 

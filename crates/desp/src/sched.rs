@@ -158,11 +158,6 @@ impl<E> EventHeap<E> {
         Self::default()
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// True when no event is pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()

@@ -102,11 +102,6 @@ impl<'a> LazySource<'a> {
             yielded: 0,
         }
     }
-
-    /// The wrapped generator.
-    pub fn generator(&self) -> &WorkloadGenerator<'a> {
-        &self.generator
-    }
 }
 
 impl TransactionSource for LazySource<'_> {

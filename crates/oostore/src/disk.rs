@@ -195,11 +195,6 @@ impl<'a> VirtualDisk<'a> {
         self.page_size
     }
 
-    /// The timing model.
-    pub fn timings(&self) -> DiskTimings {
-        self.timings
-    }
-
     /// I/O counters so far.
     pub fn counts(&self) -> IoCounts {
         self.counts
@@ -355,8 +350,9 @@ mod tests {
     fn reset_counters_keeps_content() {
         let mut d = disk(2);
         let mut page = SlottedPage::new(4096);
-        page.insert(b"data");
-        d.peek_mut(0).insert(b"data");
+        let data = |out: &mut [u8]| out.copy_from_slice(b"data");
+        page.insert_with(4, 4, data);
+        d.peek_mut(0).insert_with(4, 4, data);
         d.write_back(0);
         d.reset_counters();
         assert_eq!(d.counts().total(), 0);

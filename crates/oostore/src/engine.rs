@@ -47,15 +47,6 @@ impl WorkloadReport {
     pub fn total_ios(&self) -> u64 {
         self.io.total()
     }
-
-    /// Mean I/Os per transaction.
-    pub fn ios_per_transaction(&self) -> f64 {
-        if self.transactions == 0 {
-            0.0
-        } else {
-            self.io.total() as f64 / self.transactions as f64
-        }
-    }
 }
 
 /// Runs `transactions` against `engine`, reporting the I/O delta.

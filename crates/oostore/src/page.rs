@@ -101,20 +101,11 @@ impl SlottedPage {
         self.slots.len() as u16
     }
 
-    /// Free bytes available for one more `insert` of the given payload
+    /// Free bytes available for one more `insert_with` of the given payload
     /// length (slot entry included).
     pub fn free_for(&self, payload_len: u32) -> bool {
         let dir_end = PAGE_HEADER_BYTES + (self.slot_count() as u32 + 1) * SLOT_ENTRY_BYTES;
         dir_end + payload_len <= u32::from(self.floor)
-    }
-
-    /// Inserts a payload, storing every byte of it, and returns its slot.
-    ///
-    /// # Panics
-    /// Panics if the payload does not fit (placement bugs should fail loud).
-    pub fn insert(&mut self, payload: &[u8]) -> SlotId {
-        let len = payload.len() as u32;
-        self.insert_with(len, len, |out| out.copy_from_slice(payload))
     }
 
     /// Reserves a slot of `len` payload bytes whose first `stored` bytes
@@ -245,11 +236,18 @@ impl PartialEq for SlottedPage {
 mod tests {
     use super::*;
 
+    /// Inserts `payload`, storing every byte of it, through the writer
+    /// the engines use.
+    fn insert(page: &mut SlottedPage, payload: &[u8]) -> SlotId {
+        let len = payload.len() as u32;
+        page.insert_with(len, len, |out| out.copy_from_slice(payload))
+    }
+
     #[test]
     fn insert_then_get_round_trips() {
         let mut page = SlottedPage::new(4096);
-        let a = page.insert(b"hello");
-        let b = page.insert(b"world!");
+        let a = insert(&mut page, b"hello");
+        let b = insert(&mut page, b"world!");
         assert_eq!(page.get(a), Some(&b"hello"[..]));
         assert_eq!(page.get(b), Some(&b"world!"[..]));
         assert_eq!(page.slot_count(), 2);
@@ -258,7 +256,7 @@ mod tests {
     #[test]
     fn insert_with_writes_in_place() {
         let mut page = SlottedPage::new(4096);
-        let a = page.insert(b"abc");
+        let a = insert(&mut page, b"abc");
         let b = page.insert_with(4, 4, |out| {
             assert_eq!(out.len(), 4);
             out.copy_from_slice(b"wxyz");
@@ -266,24 +264,24 @@ mod tests {
         assert_eq!(page.get(a), Some(&b"abc"[..]));
         assert_eq!(page.get(b), Some(&b"wxyz"[..]));
         let mut copied = SlottedPage::new(4096);
-        copied.insert(b"abc");
-        copied.insert(b"wxyz");
-        assert_eq!(page, copied, "same bytes as insert");
+        insert(&mut copied, b"abc");
+        insert(&mut copied, b"wxyz");
+        assert_eq!(page, copied, "same bytes as a copied payload");
     }
 
     #[test]
     fn unstored_bytes_render_as_filler() {
         let mut compact = SlottedPage::new(4096);
         let a = compact.insert_with(10, 3, |out| out.copy_from_slice(b"abc"));
-        let b = compact.insert(b"xyz");
+        let b = insert(&mut compact, b"xyz");
         assert_eq!(compact.get(a), Some(&b"abc"[..]));
         assert_eq!(compact.payload_len(a), Some(10));
         assert_eq!(compact.payload_len(b), Some(3));
         assert_eq!(compact.stored_bytes(), 6);
 
         let mut full = SlottedPage::new(4096);
-        full.insert(&[&b"abc"[..], &[FILL; 7]].concat());
-        full.insert(b"xyz");
+        insert(&mut full, &[&b"abc"[..], &[FILL; 7]].concat());
+        insert(&mut full, b"xyz");
         assert_eq!(compact, full, "same image as storing every byte");
         let image = compact.raw();
         assert_eq!(&image[4096 - 10..], &[&b"abc"[..], &[FILL; 7]].concat()[..]);
@@ -303,7 +301,9 @@ mod tests {
     #[test]
     fn payloads_do_not_overlap() {
         let mut page = SlottedPage::new(4096);
-        let slots: Vec<SlotId> = (0..10).map(|i| page.insert(&[i as u8; 100])).collect();
+        let slots: Vec<SlotId> = (0..10)
+            .map(|i| insert(&mut page, &[i as u8; 100]))
+            .collect();
         for (i, &slot) in slots.iter().enumerate() {
             let payload = page.get(slot).unwrap();
             assert_eq!(payload.len(), 100);
@@ -317,7 +317,7 @@ mod tests {
         // Capacity = 4096 - 16 = 4080; each 100-byte object costs 104.
         let mut inserted = 0;
         while page.free_for(100) {
-            page.insert(&[0u8; 100]);
+            insert(&mut page, &[0u8; 100]);
             inserted += 1;
         }
         assert_eq!(
@@ -330,16 +330,16 @@ mod tests {
     #[should_panic(expected = "page overflow")]
     fn overflow_panics() {
         let mut page = SlottedPage::new(128);
-        page.insert(&[0u8; 100]);
-        page.insert(&[0u8; 100]);
+        insert(&mut page, &[0u8; 100]);
+        insert(&mut page, &[0u8; 100]);
     }
 
     #[test]
     fn delete_leaves_tombstone_with_stable_slots() {
         let mut page = SlottedPage::new(4096);
-        let a = page.insert(b"aaa");
-        let b = page.insert(b"bbb");
-        let c = page.insert(b"ccc");
+        let a = insert(&mut page, b"aaa");
+        let b = insert(&mut page, b"bbb");
+        let c = insert(&mut page, b"ccc");
         page.delete(b);
         assert_eq!(page.get(b), None);
         assert_eq!(page.get(a), Some(&b"aaa"[..]));
@@ -351,7 +351,7 @@ mod tests {
     #[test]
     fn get_mut_allows_in_place_patch() {
         let mut page = SlottedPage::new(4096);
-        let slot = page.insert(b"patchme!");
+        let slot = insert(&mut page, b"patchme!");
         page.get_mut(slot).unwrap()[0] = b'P';
         assert_eq!(page.get(slot), Some(&b"Patchme!"[..]));
     }

@@ -200,16 +200,6 @@ impl<'a> TexasEngine<'a> {
         }
     }
 
-    /// The object base the store holds.
-    pub fn base(&self) -> &ObjectBase {
-        self.base
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &TexasConfig {
-        &self.config
-    }
-
     /// Texas-specific counters.
     pub fn counters(&self) -> TexasCounters {
         self.counters

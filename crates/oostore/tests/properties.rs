@@ -3,9 +3,17 @@
 
 use clustering::{PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
 use oostore::{
-    payload_oid, payload_refs, write_object, DiskTimings, PhysicalOid, SlottedPage, VirtualDisk,
+    payload_oid, payload_refs, write_object, DiskTimings, PhysicalOid, SlotId, SlottedPage,
+    VirtualDisk,
 };
 use proptest::prelude::*;
+
+/// Inserts `payload`, storing every byte of it, through the writer the
+/// engines use.
+fn insert(page: &mut SlottedPage, payload: &[u8]) -> SlotId {
+    let len = payload.len() as u32;
+    page.insert_with(len, len, |out| out.copy_from_slice(payload))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -18,7 +26,7 @@ proptest! {
         let mut stored = Vec::new();
         for payload in &payloads {
             if page.free_for(payload.len() as u32) {
-                stored.push((page.insert(payload), payload.clone()));
+                stored.push((insert(&mut page, payload), payload.clone()));
             }
         }
         prop_assert!(!stored.is_empty());
@@ -35,7 +43,7 @@ proptest! {
         let mut page = SlottedPage::new(page_size);
         let mut inserted = 0u32;
         while page.free_for(len) {
-            page.insert(&vec![0xAB; len as usize]);
+            insert(&mut page, &vec![0xAB; len as usize]);
             inserted += 1;
         }
         let expected = (page_size - PAGE_HEADER_BYTES) / (len + SLOT_ENTRY_BYTES);
@@ -49,7 +57,7 @@ proptest! {
     ) {
         let mut page = SlottedPage::new(4096);
         let slots: Vec<_> = (0..payload_count)
-            .map(|i| page.insert(&[i as u8; 32]))
+            .map(|i| insert(&mut page, &[i as u8; 32]))
             .collect();
         let victim = slots[delete_index % payload_count];
         page.delete(victim);

@@ -8,8 +8,8 @@
 //!
 //! * [`TraceRecorder`] — a probe assembling per-transaction lifecycle
 //!   [`SpanRecord`]s (arrive → admission → lock → CPU → disk → network
-//!   → done) plus per-stage latency [`Histogram`]s, resource-wait
-//!   histograms and bounded [`TimeSeries`], built via the
+//!   → done) plus per-stage latency [`Histogram`]s and bounded
+//!   [`TimeSeries`] (resource queues among them), built via the
 //!   [`RecorderConfig`] builder (bounded-loss sampling, live [`watch`]
 //!   sinks);
 //! * [`hist::Histogram`] — log-bucketed (≤ 9% relative error)

@@ -10,12 +10,11 @@
 //!   service and network time;
 //! * per-stage [`Histogram`]s accumulate the same durations across
 //!   spans (the p50/p90/p99 tables of `voodb analyze`);
-//! * resource waits and model samples land in handle-indexed histograms
-//!   and bounded [`TimeSeries`] — names are interned once per phase via
+//! * resource queue lengths and model samples land in handle-indexed,
+//!   bounded [`TimeSeries`] — names are interned once per phase via
 //!   [`Probe::intern_series`]/[`Probe::intern_resource`], so the hot
 //!   path never touches a string key;
-//! * dispatch/schedule counts measure raw engine activity, with the
-//!   pending-event count sampled once every
+//! * the pending-event count is sampled once every
 //!   [`TraceRecorder::DISPATCH_SAMPLE_EVERY`] dispatches.
 //!
 //! # Span folding
@@ -118,14 +117,6 @@ struct WatchState {
     last_t_ms: f64,
 }
 
-/// A named resource's wait histogram plus its pre-interned
-/// `queue:<name>` series handle.
-#[derive(Clone, Debug)]
-struct ResourceEntry {
-    wait_hist: Histogram,
-    queue_series: u32,
-}
-
 /// The per-stage histogram names, in report order. Each is a field of
 /// [`SpanRecord`]; `stage_of` maps records to values.
 pub const STAGE_METRICS: &[&str] = &[
@@ -171,7 +162,7 @@ fn stage_values(record: &SpanRecord) -> [f64; STAGE_METRICS.len()] {
     ]
 }
 
-/// A recording [`Probe`]: spans, histograms, series and counters.
+/// A recording [`Probe`]: spans, histograms and series.
 /// Built by [`RecorderConfig`]; call [`TraceRecorder::flush`] after the
 /// run (the scenario runner does) before reading stage histograms.
 #[derive(Clone, Debug)]
@@ -186,13 +177,11 @@ pub struct TraceRecorder {
     /// Handle-indexed series storage; `series_index` maps names.
     series: Vec<TimeSeries>,
     series_index: BTreeMap<String, u32>,
-    /// Handle-indexed resource wait histograms + queue series.
-    resources: Vec<ResourceEntry>,
+    /// `queue:<name>` series handles, indexed by resource handle.
+    resource_queues: Vec<u32>,
     resource_index: BTreeMap<String, u32>,
     /// Pre-interned handle for the engine's `pending_events` series.
     pending_events_series: u32,
-    events_dispatched: u64,
-    events_scheduled: u64,
     sample: Option<Reservoir>,
     /// Spans finalized (committed), whether or not retained.
     spans_offered: u64,
@@ -228,11 +217,9 @@ impl TraceRecorder {
             finished: Vec::new(),
             series: Vec::new(),
             series_index: BTreeMap::new(),
-            resources: Vec::new(),
+            resource_queues: Vec::new(),
             resource_index: BTreeMap::new(),
             pending_events_series: 0,
-            events_dispatched: 0,
-            events_scheduled: 0,
             sample: sample.map(|cap| Reservoir {
                 cap,
                 rng: sample_seed,
@@ -288,14 +275,6 @@ impl TraceRecorder {
         &self.stage_hists_by_name
     }
 
-    /// Queueing-delay histogram for one resource name.
-    #[cfg(test)]
-    pub fn resource_wait_named(&self, name: &str) -> Option<&Histogram> {
-        self.resource_index
-            .get(name)
-            .map(|&i| &self.resources[i as usize].wait_hist)
-    }
-
     /// The recorded time series with the given name.
     pub fn series_named(&self, name: &str) -> Option<&TimeSeries> {
         self.series_index
@@ -309,16 +288,6 @@ impl TraceRecorder {
             .iter()
             .map(|(name, &i)| (name.as_str(), &self.series[i as usize]))
             .collect()
-    }
-
-    /// Events dispatched while recording.
-    pub fn events_dispatched(&self) -> u64 {
-        self.events_dispatched
-    }
-
-    /// Events scheduled while recording.
-    pub fn events_scheduled(&self) -> u64 {
-        self.events_scheduled
     }
 
     /// Publishes the stage histograms by name and closes the watch
@@ -344,7 +313,7 @@ impl TraceRecorder {
             return i;
         }
         let i = self.series.len() as u32;
-        self.series.push(TimeSeries::new(name));
+        self.series.push(TimeSeries::default());
         self.series_index.insert(name.to_owned(), i);
         i
     }
@@ -490,18 +459,11 @@ impl Probe for TraceRecorder {
         // Pre-intern the queue series so enqueue hooks index directly;
         // an untouched series emits no samples (and no export rows).
         let queue_series = self.intern_series_id(&format!("queue:{name}"));
-        let i = self.resources.len() as u32;
-        self.resources.push(ResourceEntry {
-            wait_hist: Histogram::new(),
-            queue_series,
-        });
+        let i = self.resource_queues.len() as u32;
+        self.resource_queues.push(queue_series);
         self.resource_index.insert(name.to_owned(), i);
         ResourceId(i)
     }
-
-    // `on_schedule` keeps its empty default: run totals arrive once
-    // per run call via `on_run_end` instead of a counter increment on
-    // every scheduled event.
 
     #[inline]
     fn dispatch_interval(&self) -> u64 {
@@ -519,18 +481,10 @@ impl Probe for TraceRecorder {
 
     #[inline]
     fn on_resource_enqueue(&mut self, resource: ResourceId, now: f64, queue_len: usize) {
-        let Some(entry) = self.resources.get(resource.0 as usize) else {
+        let Some(&series) = self.resource_queues.get(resource.0 as usize) else {
             return;
         };
-        self.series[entry.queue_series as usize].record(now, queue_len as f64);
-    }
-
-    #[inline]
-    fn on_resource_grant(&mut self, resource: ResourceId, _now: f64, waited_ms: f64) {
-        let Some(entry) = self.resources.get_mut(resource.0 as usize) else {
-            return;
-        };
-        entry.wait_hist.record(waited_ms);
+        self.series[series as usize].record(now, queue_len as f64);
     }
 
     #[inline]
@@ -571,16 +525,6 @@ impl Probe for TraceRecorder {
             SpanStage::NetService => record.net_service_ms += delta,
             SpanStage::Accesses => record.accesses += delta as u64,
         }
-    }
-
-    #[inline]
-    fn on_run_end(&mut self, scheduled: u64, dispatched: u64) {
-        // Engine-lifetime totals, overwritten (not accumulated) so
-        // phase-at-a-time drivers stay correct across repeated run
-        // calls.
-        self.flushed = false;
-        self.events_scheduled = scheduled;
-        self.events_dispatched = dispatched;
     }
 
     #[inline]
@@ -702,12 +646,9 @@ mod tests {
         let mut r = RecorderConfig::new().build();
         let disk = r.intern_resource("disk-0");
         let hit = Probe::intern_series(&mut r, "hit_ratio");
-        r.on_resource_grant(disk, 1.0, 0.0);
         r.on_resource_enqueue(disk, 2.0, 1);
-        r.on_resource_grant(disk, 5.0, 3.0);
         r.on_sample(hit, 10.0, 0.75);
         r.on_sample(hit, 20.0, 0.85);
-        assert_eq!(r.resource_wait_named("disk-0").unwrap().count(), 2);
         assert_eq!(r.series_named("queue:disk-0").unwrap().samples().len(), 1);
         assert_eq!(r.series_named("hit_ratio").unwrap().current(), 0.85);
         // Interning is idempotent.
@@ -728,9 +669,6 @@ mod tests {
         for i in 0..sampled {
             r.on_dispatch(i as f64, 10);
         }
-        r.on_run_end(300, 256);
-        assert_eq!(r.events_dispatched(), 256);
-        assert_eq!(r.events_scheduled(), 300);
         let pending = r.series_named("pending_events").unwrap();
         assert_eq!(pending.offered(), sampled);
     }

@@ -4,8 +4,8 @@
 //! simulated time — queue lengths, buffer hit ratio, disk/network
 //! utilisation — without unbounded memory: when the sample buffer fills,
 //! it is decimated in place (every second point dropped) and the keep
-//! stride doubles, so a series of any length retains at most
-//! [`TimeSeries::capacity`] points, roughly evenly spaced in *offer*
+//! stride doubles, so a series of any length retains at most its
+//! capacity in points, roughly evenly spaced in *offer*
 //! order. Decimation is purely deterministic: the retained points are a
 //! function of the offered sequence alone.
 //!
@@ -18,10 +18,10 @@ use desp::TimeWeighted;
 /// Default maximum retained points per series.
 pub const DEFAULT_CAPACITY: usize = 512;
 
-/// A named, bounded sampler of one piecewise-constant quantity.
+/// A bounded sampler of one piecewise-constant quantity (the recorder
+/// keeps its name).
 #[derive(Clone, Debug)]
 pub struct TimeSeries {
-    name: String,
     samples: Vec<(f64, f64)>,
     capacity: usize,
     /// Keep every `stride`-th offered sample.
@@ -34,16 +34,17 @@ pub struct TimeSeries {
     weighted: TimeWeighted,
 }
 
-impl TimeSeries {
+impl Default for TimeSeries {
     /// A fresh series with the [`DEFAULT_CAPACITY`].
-    pub fn new(name: impl Into<String>) -> Self {
-        Self::with_capacity(name, DEFAULT_CAPACITY)
+    fn default() -> Self {
+        Self::with_capacity(DEFAULT_CAPACITY)
     }
+}
 
+impl TimeSeries {
     /// A fresh series retaining at most `capacity` points (min 2).
-    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
+    pub fn with_capacity(capacity: usize) -> Self {
         TimeSeries {
-            name: name.into(),
             samples: Vec::new(),
             capacity: capacity.max(2),
             stride: 1,
@@ -51,11 +52,6 @@ impl TimeSeries {
             offered: 0,
             weighted: TimeWeighted::new(),
         }
-    }
-
-    /// The series name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Offers one `(instant, value)` observation.
@@ -102,11 +98,6 @@ impl TimeSeries {
         self.offered
     }
 
-    /// Maximum retained points.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Exact time-weighted mean of the full signal up to `now`.
     pub fn mean(&self, now: f64) -> f64 {
         self.weighted.mean(now)
@@ -124,7 +115,7 @@ mod tests {
 
     #[test]
     fn records_until_capacity_then_decimates() {
-        let mut s = TimeSeries::with_capacity("q", 8);
+        let mut s = TimeSeries::with_capacity(8);
         for i in 0..64 {
             s.record(i as f64, (i * 2) as f64);
         }
@@ -141,7 +132,7 @@ mod tests {
     #[test]
     fn decimation_is_deterministic() {
         let run = || {
-            let mut s = TimeSeries::with_capacity("x", 16);
+            let mut s = TimeSeries::with_capacity(16);
             for i in 0..1000 {
                 s.record(i as f64 * 0.5, (i % 7) as f64);
             }
@@ -152,7 +143,7 @@ mod tests {
 
     #[test]
     fn weighted_mean_is_exact_despite_decimation() {
-        let mut s = TimeSeries::with_capacity("util", 4);
+        let mut s = TimeSeries::with_capacity(4);
         // Value 1 on [0, 50), value 3 on [50, 100].
         for i in 0..100 {
             s.record(i as f64, if i < 50 { 1.0 } else { 3.0 });

@@ -91,7 +91,7 @@ proptest! {
         values in prop::collection::vec(-1e3f64..1e3, 1..2_000),
         capacity in 4usize..64,
     ) {
-        let mut series = TimeSeries::with_capacity("s", capacity);
+        let mut series = TimeSeries::with_capacity(capacity);
         for (i, &v) in values.iter().enumerate() {
             series.record(i as f64, v);
         }
