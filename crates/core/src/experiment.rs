@@ -29,6 +29,21 @@ use ocb::{
 /// `s ^ WORKLOAD_SEED_SALT`.
 pub const WORKLOAD_SEED_SALT: u64 = 0x0C0B_57A7_15EC_5EED;
 
+/// The materialized run of replication seed `seed` over `base`: the
+/// workload's cold then measured transactions as one stream, generated
+/// on `seed ^ WORKLOAD_SEED_SALT`, and the cold count.
+pub fn generate_workload(
+    base: &ObjectBase,
+    workload: &WorkloadParams,
+    seed: u64,
+) -> (Vec<Transaction>, usize) {
+    let mut generator = WorkloadGenerator::new(base, workload.clone(), seed ^ WORKLOAD_SEED_SALT);
+    let (mut transactions, hot) = generator.generate_run();
+    let cold_count = transactions.len();
+    transactions.extend(hot);
+    (transactions, cold_count)
+}
+
 /// The streamed phase a workload prescribes: a time-horizon phase when
 /// `duration_ms > 0`, else the classic `COLDN + HOTN` count-based run —
 /// either way pulling lazily from `generator`, so phase memory is
@@ -276,12 +291,7 @@ pub struct DstcStudyResult {
 /// baseline of a strategy comparison.
 pub fn run_dstc_study(base: &ObjectBase, config: &ExperimentConfig, seed: u64) -> DstcStudyResult {
     config.validate().expect("invalid experiment configuration");
-    let mut generator =
-        WorkloadGenerator::new(base, config.workload.clone(), seed ^ WORKLOAD_SEED_SALT);
-    let (cold, hot) = generator.generate_run();
-    let cold_count = cold.len();
-    let mut transactions = cold;
-    transactions.extend(hot);
+    let (transactions, cold_count) = generate_workload(base, &config.workload, seed);
 
     let mut system = config.effective_system();
     if let ClusteringKind::Dstc(params) = &mut system.clustering {

@@ -60,8 +60,8 @@ pub use admission::{AdmissionRing, PendingArrival};
 pub use bman::{BmanStats, BufferDemand, BufferingManager};
 pub use cman::{ClusteringManager, SimReorgReport};
 pub use experiment::{
-    run_dstc_study, run_once, run_replicated, workload_phase, DstcStudyResult, ExperimentConfig,
-    Simulation, WORKLOAD_SEED_SALT,
+    generate_workload, run_dstc_study, run_once, run_replicated, workload_phase, DstcStudyResult,
+    ExperimentConfig, Simulation, WORKLOAD_SEED_SALT,
 };
 pub use iosub::{IoSubsystem, SimIoCounts};
 pub use lockmgr::{DeadlockPolicy, LockManager, LockMode, LockOutcome, LockStats};

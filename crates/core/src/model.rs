@@ -505,7 +505,7 @@ impl<'a> VoodbModel<'a> {
     ) -> bool {
         if ctx.tracing() {
             let t = self.slab.get_mut(tid);
-            t.marks.lock_wait_ms += ctx.now().as_ms() - t.marks.lock_req_ms;
+            t.marks.lap(SpanStage::LockWait, ctx.now().as_ms());
         }
         self.after_lock_granted(tid, ctx)
     }
@@ -522,7 +522,7 @@ impl<'a> VoodbModel<'a> {
         let t = self.slab.get_mut(tid);
         t.holding_cpu = true;
         if ctx.tracing() {
-            t.marks.cpu_start_ms = ctx.now().as_ms();
+            t.marks.start(ctx.now().as_ms());
         }
         advance_or_schedule(self.params.get_lock_ms, Event::LockHeld(tid), ctx)
             && self.lock_held(tid, ctx)
@@ -539,8 +539,7 @@ impl<'a> VoodbModel<'a> {
         let t = self.slab.get_mut(tid);
         t.holding_cpu = false;
         if ctx.tracing() {
-            let held = ctx.now().as_ms() - t.marks.cpu_start_ms;
-            t.marks.cpu_ms += held;
+            t.marks.lap(SpanStage::Cpu, ctx.now().as_ms());
         }
         self.cpu.release(ctx);
         self.access_storage(tid, ctx)
@@ -1024,7 +1023,7 @@ impl<'a> VoodbModel<'a> {
         }
         t.pending_io = Some(site);
         if ctx.tracing() {
-            t.marks.disk_req_ms = ctx.now().as_ms();
+            t.marks.start(ctx.now().as_ms());
         }
         seize(&mut self.disks[site], Event::DiskGranted(tid), ctx) && self.disk_granted(tid, ctx)
     }
@@ -1038,9 +1037,7 @@ impl<'a> VoodbModel<'a> {
     ) -> bool {
         let t = self.slab.get_mut(tid);
         if ctx.tracing() {
-            let now_ms = ctx.now().as_ms();
-            t.marks.disk_wait_ms += now_ms - t.marks.disk_req_ms;
-            t.marks.disk_start_ms = now_ms;
+            t.marks.lap(SpanStage::DiskWait, ctx.now().as_ms());
         }
         // audit: the disk is requested only after pending_io is set
         let site = t.pending_io.expect("pending I/O");
@@ -1058,7 +1055,7 @@ impl<'a> VoodbModel<'a> {
     ) -> bool {
         let t = self.slab.get_mut(tid);
         if ctx.tracing() {
-            t.marks.disk_service_ms += ctx.now().as_ms() - t.marks.disk_start_ms;
+            t.marks.lap(SpanStage::DiskService, ctx.now().as_ms());
         }
         // audit: set at the disk request, taken only here
         let site = t.pending_io.take().expect("pending I/O site");
@@ -1090,7 +1087,7 @@ impl<'a> VoodbModel<'a> {
             let t = self.slab.get_mut(tid);
             t.pending_net = bytes;
             if ctx.tracing() {
-                t.marks.net_req_ms = ctx.now().as_ms();
+                t.marks.start(ctx.now().as_ms());
             }
             seize(&mut self.network, Event::NetGranted(tid), ctx) && self.net_granted(tid, ctx)
         } else {
@@ -1107,9 +1104,7 @@ impl<'a> VoodbModel<'a> {
     ) -> bool {
         let t = self.slab.get_mut(tid);
         if ctx.tracing() {
-            let now_ms = ctx.now().as_ms();
-            t.marks.net_wait_ms += now_ms - t.marks.net_req_ms;
-            t.marks.net_start_ms = now_ms;
+            t.marks.lap(SpanStage::NetWait, ctx.now().as_ms());
         }
         let ms = self.params.transfer_ms(t.pending_net);
         advance_or_schedule(ms, Event::NetDone(tid), ctx) && self.net_done(tid, ctx)
@@ -1126,7 +1121,7 @@ impl<'a> VoodbModel<'a> {
     ) -> bool {
         if ctx.tracing() {
             let t = self.slab.get_mut(tid);
-            t.marks.net_service_ms += ctx.now().as_ms() - t.marks.net_start_ms;
+            t.marks.lap(SpanStage::NetService, ctx.now().as_ms());
         }
         self.network.release(ctx);
         true
@@ -1174,7 +1169,7 @@ impl<'a> VoodbModel<'a> {
                         // Parked: resumed by a LockResume when the
                         // conflicting holder releases.
                         if ctx.tracing() {
-                            self.slab.get_mut(tid).marks.lock_req_ms = ctx.now().as_ms();
+                            self.slab.get_mut(tid).marks.start(ctx.now().as_ms());
                         }
                         false
                     }
@@ -1258,7 +1253,7 @@ impl<'a> VoodbModel<'a> {
         let locked = t.locked.len();
         t.holding_cpu = true;
         if ctx.tracing() {
-            t.marks.cpu_start_ms = ctx.now().as_ms();
+            t.marks.start(ctx.now().as_ms());
         }
         let delay = self.params.release_lock_ms * locked as f64;
         if advance_or_schedule(delay, Event::Committed(tid), ctx) {
@@ -1309,7 +1304,7 @@ impl<'a> VoodbModel<'a> {
             if ctx.tracing() {
                 // Commit-time lock-release CPU: the hold ends here, at
                 // the Committed instant.
-                marks.cpu_ms += ctx.now().as_ms() - marks.cpu_start_ms;
+                marks.lap(SpanStage::Cpu, ctx.now().as_ms());
             }
             self.cpu.release(ctx);
         }
@@ -1330,32 +1325,9 @@ impl<'a> VoodbModel<'a> {
                 .add(ctx.now().saturating_since(submitted).as_ms());
         }
         self.phase_end = ctx.now();
-        if ctx.tracing() {
-            // The whole-lifetime stage totals, one valued delta each,
-            // emitted before Committed closes the span. Zero-valued
-            // stages are skipped: folding `+0.0` into a non-negative
-            // accumulator is a bitwise no-op.
-            for (stage, total) in [
-                (SpanStage::LockWait, marks.lock_wait_ms),
-                (SpanStage::Cpu, marks.cpu_ms),
-                (SpanStage::DiskWait, marks.disk_wait_ms),
-                (SpanStage::DiskService, marks.disk_service_ms),
-                (SpanStage::NetWait, marks.net_wait_ms),
-                (SpanStage::NetService, marks.net_service_ms),
-            ] {
-                if total != 0.0 {
-                    ctx.emit_span_stage(tid as u32, serial as u64, stage, total);
-                }
-            }
-            if marks.accesses > 0 {
-                ctx.emit_span_stage(
-                    tid as u32,
-                    serial as u64,
-                    SpanStage::Accesses,
-                    marks.accesses as f64,
-                );
-            }
-        }
+        // The whole-lifetime stage totals, before Committed closes the
+        // span.
+        ctx.emit_span_stages(tid as u32, serial as u64, &marks.stages, marks.accesses);
         ctx.emit_span(tid as u32, serial as u64, SpanPoint::Committed);
         if ctx.tracing() {
             // Utilisation/occupancy snapshots at every commit: cheap,

@@ -19,6 +19,10 @@
 //! lock manager (whose wait-die policy orders transactions by age;
 //! restarts keep their serial, preserving its livelock-freedom
 //! argument).
+//!
+//! On traced runs a slot also carries its transaction's `TraceMarks`:
+//! one stage-start mark and the per-stage totals, an array indexed by
+//! `desp::SpanStage` that the commit hands to the probe whole.
 
 // Transaction-slab hot path: touched on every lifecycle step of every
 // transaction. No unwrap/expect/panic — enforced statically here and by
@@ -26,52 +30,52 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::lockmgr::Tid as LockTid;
-use desp::SimTime;
+use desp::{SimTime, SpanStage};
 use ocb::{Oid, Transaction};
 
 /// Slot index of a live transaction (recycled across transactions).
 pub type Tid = usize;
 
-/// Model-side trace accumulation: saved instants (as [`SimTime::as_ms`]
-/// values) and per-stage running totals the model keeps so it can emit
-/// each lifecycle stage as a *single* valued delta (`desp::SpanStage`)
-/// at commit, instead of a raw point stream along the way — a handful
-/// of probe calls per transaction rather than two or three per access.
-/// Written only on traced runs (`Context::tracing()` guards every
-/// store), so untraced runs never touch these fields. Every increment
-/// is `now − mark`, accumulated in chronological order.
+/// Model-side trace accumulation: per-stage running totals, indexed by
+/// `desp::SpanStage`, that the model reports in one hook call at commit
+/// (`Context::emit_span_stages`) instead of a raw point stream along the
+/// way — one probe call per transaction rather than two or three per
+/// access. Written only on traced runs (`Context::tracing()` guards every
+/// store), so untraced runs never touch these fields.
+///
+/// A transaction is in at most one timed stage at a time (a lock wait,
+/// a CPU hold, a disk or network wait or service: each pipeline step
+/// starts after the previous one ended), so one mark serves them all:
+/// [`TraceMarks::start`] stamps it and [`TraceMarks::lap`] adds
+/// `now − mark` to a stage, in chronological order.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct TraceMarks {
-    /// Instant the current lock request was queued (written only when
-    /// it waits: a lock granted at request time waits nothing).
-    pub lock_req_ms: f64,
-    /// Instant the CPU was granted (valid while `holding_cpu`).
-    pub cpu_start_ms: f64,
-    /// Instant the current disk batch was requested.
-    pub disk_req_ms: f64,
-    /// Instant the disk grant arrived (service start).
-    pub disk_start_ms: f64,
-    /// Instant the current network transfer was requested.
-    pub net_req_ms: f64,
-    /// Instant the network grant arrived (transfer start).
-    pub net_start_ms: f64,
-    /// Total time parked waiting for locks (granted requests only).
-    pub lock_wait_ms: f64,
-    /// Total CPU holding time.
-    pub cpu_ms: f64,
-    /// Total wait for the disk resource.
-    pub disk_wait_ms: f64,
-    /// Total disk service time.
-    pub disk_service_ms: f64,
-    /// Total wait for the network resource.
-    pub net_wait_ms: f64,
-    /// Total network transfer time.
-    pub net_service_ms: f64,
+    /// Instant the timed stage in progress started (a lock request is
+    /// stamped only when it waits: a lock granted at request time waits
+    /// nothing).
+    mark_ms: f64,
+    /// Total time per stage.
+    pub stages: [f64; SpanStage::COUNT],
     /// Object accesses completed by passes a restart abandoned; the
     /// commit adds the last pass's. The total *includes* work redone
-    /// after a restart (restarts re-execute from the top and recount —
-    /// matching the per-access point stream this replaces).
+    /// after a restart (restarts re-execute from the top and recount).
     pub accesses: u64,
+}
+
+impl TraceMarks {
+    /// Starts a timed stage at `now_ms`.
+    #[inline]
+    pub fn start(&mut self, now_ms: f64) {
+        self.mark_ms = now_ms;
+    }
+
+    /// Ends `stage` at `now_ms`, adding its duration to the stage's
+    /// total; the next stage starts there.
+    #[inline]
+    pub fn lap(&mut self, stage: SpanStage, now_ms: f64) {
+        self.stages[stage as usize] += now_ms - self.mark_ms;
+        self.mark_ms = now_ms;
+    }
 }
 
 /// Per-transaction execution state, held in a recycled slab slot.

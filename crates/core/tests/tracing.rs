@@ -1,10 +1,10 @@
 //! Telemetry integration: the trace recorder observes the VOODB model
 //! without perturbing it.
 
-use desp::{Probe, ResourceId, SpanPoint};
+use desp::{Probe, ResourceId, SpanPoint, SpanStage};
 use ocb::{DatabaseParams, ObjectBase, WorkloadGenerator, WorkloadParams};
 use voodb::{Simulation, SystemClass, VoodbParams};
-use vtrace::RecorderConfig;
+use vtrace::{RecorderConfig, MODEL_STAGES, RESPONSE};
 
 fn setup(users: usize) -> (ObjectBase, Vec<ocb::Transaction>, VoodbParams) {
     let base = ObjectBase::generate(&DatabaseParams::small(), 17);
@@ -52,34 +52,27 @@ fn traced_phase_matches_untraced_phase_exactly() {
 fn spans_decompose_response_and_feed_histograms() {
     let (base, transactions, params) = setup(4);
     let mut simulation = Simulation::new(&base, params, 1.0, 7);
-    let (result, mut recorder) =
+    let (result, recorder) =
         simulation.run_phase_probed(transactions, 0, RecorderConfig::new().build());
-    recorder.flush();
 
     // Stage sums never exceed the span's end-to-end response, and disk
     // service shows up for a cold buffer.
     let mut saw_disk = false;
     for span in recorder.spans() {
-        let parts = span.admission_wait_ms
-            + span.lock_wait_ms
-            + span.cpu_ms
-            + span.disk_wait_ms
-            + span.disk_service_ms
-            + span.net_wait_ms
-            + span.net_service_ms;
+        let [response, parts @ ..] = span.stages;
+        let parts: f64 = parts.iter().sum();
         assert!(
-            parts <= span.response_ms + 1e-9,
-            "stages {parts} exceed response {} (tid {})",
-            span.response_ms,
+            parts <= response + 1e-9,
+            "stages {parts} exceed response {response} (tid {})",
             span.tid
         );
         assert!(span.accesses > 0, "tid {} performed no access", span.tid);
-        saw_disk |= span.disk_service_ms > 0.0;
+        saw_disk |= span.stages[MODEL_STAGES + SpanStage::DiskService as usize] > 0.0;
     }
     assert!(saw_disk, "a cold run must hit the disk");
 
     let hists = recorder.stage_histograms();
-    let response = &hists["response_ms"];
+    let response = &hists[RESPONSE];
     assert_eq!(response.count(), 40);
     assert!(response.p50() > 0.0);
     assert!(response.p99() >= response.p50());
@@ -92,7 +85,7 @@ fn spans_decompose_response_and_feed_histograms() {
         result.mean_response_ms
     );
     // A page-server run ships pages: network service must be recorded.
-    assert!(hists["net_service_ms"].count() > 0);
+    assert!(hists[MODEL_STAGES + SpanStage::NetService as usize].count() > 0);
 
     // Commit-frequency samples exist for the core series.
     for series in [

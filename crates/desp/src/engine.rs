@@ -181,12 +181,18 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
         self.probe.on_span(slot, serial, point, at.as_ms());
     }
 
-    /// Emits one accumulated lifecycle-stage value for the transaction
-    /// in `slot` — milliseconds for duration stages, a count for
-    /// [`SpanStage::Accesses`] (see [`Probe::on_span_stage`]).
+    /// Emits the committing transaction's stage totals (milliseconds,
+    /// indexed by [`SpanStage`]) and access count (see
+    /// [`Probe::on_span_stages`]).
     #[inline]
-    pub fn emit_span_stage(&mut self, slot: u32, serial: u64, stage: SpanStage, delta: f64) {
-        self.probe.on_span_stage(slot, serial, stage, delta);
+    pub fn emit_span_stages(
+        &mut self,
+        slot: u32,
+        serial: u64,
+        stages: &[f64; SpanStage::COUNT],
+        accesses: u64,
+    ) {
+        self.probe.on_span_stages(slot, serial, stages, accesses);
     }
 
     /// Emits one time-series sample at the current instant. The handle
@@ -714,7 +720,7 @@ mod tests {
     fn probe_sees_dispatches_and_spans() {
         use crate::probe::{CountingProbe, Probe, SpanPoint, SpanStage};
 
-        /// A probed chain: each event emits a span point, a span stage
+        /// A probed chain: each event emits a span point, stage totals
         /// and a sample, and reschedules.
         struct Chain {
             remaining: u32,
@@ -727,7 +733,7 @@ mod tests {
             fn handle(&mut self, _: (), ctx: &mut Context<'_, (), P>) {
                 if ctx.tracing() {
                     ctx.emit_span(7, 7, SpanPoint::Admitted);
-                    ctx.emit_span_stage(7, 7, SpanStage::Accesses, 1.0);
+                    ctx.emit_span_stages(7, 7, &[0.0; SpanStage::COUNT], 1);
                     let depth = ctx.intern_series("depth");
                     ctx.emit_sample(depth, self.remaining as f64);
                 }

@@ -4,11 +4,13 @@
 //! richer (per-transaction lifecycles, tail latencies, utilisation over
 //! time) meant editing the kernel. This module inverts that: the kernel
 //! and the model call a [`Probe`] at its interesting instants —
-//! event dispatch, resource queueing, model lifecycle span points and
-//! stages, and ad-hoc time-series samples — and the probe decides what
-//! to retain. Each hook feeds an exported output of the recording
-//! probe; the waits a transaction spends at a resource arrive as span
-//! stages, measured by the model, not as resource hooks.
+//! event dispatch, resource queueing, model lifecycle span points, a
+//! committing transaction's stage totals, and ad-hoc time-series
+//! samples — and the probe decides what to retain. Each hook feeds an
+//! exported output of the recording probe; the waits a transaction
+//! spends at a resource arrive among its [`SpanStage`] totals, measured
+//! by the model, not as resource hooks. [`SpanStage`] is the one list of
+//! pipeline stages that every layer above indexes.
 //!
 //! The probe is a *static* type parameter of
 //! [`Engine`](crate::engine::Engine) and
@@ -28,7 +30,7 @@
 /// A point in a traced transaction's lifecycle: the instants that open,
 /// split, restart and close a span. What happens between admission and
 /// commit (the Fig. 4 pipeline: lock → CPU → buffer/disk → network)
-/// arrives as accumulated [`SpanStage`] values instead.
+/// arrives as [`SpanStage`] totals instead.
 ///
 /// Models emit these through
 /// [`Context::emit_span`](crate::engine::Context::emit_span), keyed by a
@@ -46,16 +48,20 @@ pub enum SpanPoint {
     Committed,
 }
 
-/// One accumulated stage of a traced transaction, reported as a
-/// *valued* duration via
-/// [`Context::emit_span_stage`](crate::engine::Context::emit_span_stage).
+/// One stage of a traced transaction's pipeline after admission, timed
+/// by the model. This is the one list of stages: the model's running
+/// totals, the probe hook and the recorder's records and histograms are
+/// arrays indexed by `stage as usize` and sized by
+/// [`SpanStage::COUNT`], so a new stage is one variant here (plus its
+/// name in the recorder's table, whose length the compiler checks).
 ///
 /// The model knows both endpoints of each stage (request → grant,
 /// grant → completion), so it accumulates the elapsed durations itself
-/// and reports each stage as one `on_span_stage` call carrying the
-/// total — a handful of hook calls per transaction instead of two or
-/// three per access, which is what keeps the recording overhead in
-/// budget on the per-access hot path.
+/// and reports all of them in one
+/// [`on_span_stages`](Probe::on_span_stages) call at commit — one hook
+/// call per transaction instead of two or three per access, which is
+/// what keeps the recording overhead in budget on the per-access hot
+/// path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpanStage {
     /// Time parked waiting for a lock (request → grant).
@@ -68,10 +74,14 @@ pub enum SpanStage {
     DiskService,
     /// Wait for the network resource (request → grant).
     NetWait,
-    /// Network transfer time (grant → completion).
+    /// Network transfer time (grant → completion). Keep it last, or
+    /// move [`SpanStage::COUNT`] to the new last variant.
     NetService,
-    /// Completed object accesses (a count, not milliseconds).
-    Accesses,
+}
+
+impl SpanStage {
+    /// The number of stages: the length of every per-stage array.
+    pub const COUNT: usize = SpanStage::NetService as usize + 1;
 }
 
 /// Interned handle for a named time series, resolved once per phase by
@@ -158,13 +168,19 @@ pub trait Probe {
         let _ = (slot, serial, point, now);
     }
 
-    /// Transaction in slab slot `slot` (tagged with `serial`) accumulated
-    /// `delta` of lifecycle stage `stage` — milliseconds for duration
-    /// stages, a count for [`SpanStage::Accesses`]. Models skip
-    /// zero-valued deltas entirely (adding `+0.0` is a bitwise no-op on
-    /// the non-negative accumulators, so the folded span is identical).
-    fn on_span_stage(&mut self, slot: u32, serial: u64, stage: SpanStage, delta: f64) {
-        let _ = (slot, serial, stage, delta);
+    /// Transaction in slab slot `slot` (tagged with `serial`) is about to
+    /// commit, having spent `stages[s as usize]` milliseconds in each
+    /// [`SpanStage`] `s` over its whole lifetime and completed `accesses`
+    /// object accesses (work a restart redid counts twice). Emitted once,
+    /// just before its [`SpanPoint::Committed`].
+    fn on_span_stages(
+        &mut self,
+        slot: u32,
+        serial: u64,
+        stages: &[f64; SpanStage::COUNT],
+        accesses: u64,
+    ) {
+        let _ = (slot, serial, stages, accesses);
     }
 
     /// The model sampled time series `series` at `now` with `value`.
@@ -194,7 +210,7 @@ pub struct CountingProbe {
     pub enqueues: u64,
     /// `on_span` invocations.
     pub spans: u64,
-    /// `on_span_stage` invocations.
+    /// `on_span_stages` invocations.
     pub span_stages: u64,
     /// `on_sample` invocations.
     pub samples: u64,
@@ -211,7 +227,13 @@ impl Probe for CountingProbe {
     fn on_span(&mut self, _slot: u32, _serial: u64, _point: SpanPoint, _now: f64) {
         self.spans += 1;
     }
-    fn on_span_stage(&mut self, _slot: u32, _serial: u64, _stage: SpanStage, _delta: f64) {
+    fn on_span_stages(
+        &mut self,
+        _slot: u32,
+        _serial: u64,
+        _stages: &[f64; SpanStage::COUNT],
+        _accesses: u64,
+    ) {
         self.span_stages += 1;
     }
     fn on_sample(&mut self, _series: SeriesId, _now: f64, _value: f64) {

@@ -96,8 +96,8 @@ COMMANDS:
                use. Exits non-zero iff any rule fires.
 
 OPTIONS (run):
-    --threads N   Worker threads (default: one per core). Results are
-                  identical at any thread count.
+    --threads N   Worker threads (default: one per core, at most 1024).
+                  Results are identical at any thread count.
     --reps N      Override [scenario].replications.
     --seed S      Override [scenario].seed.
     --out DIR     Report directory (default: target/voodb-out).

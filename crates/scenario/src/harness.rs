@@ -22,30 +22,18 @@
 //!   (system class, buffer frames, clustering), so the simulation column
 //!   of a figure is exactly what `voodb run` prints for its scenario.
 
-use crate::runner::{run_replication_probed, WORKLOAD_SEED_SALT};
+use crate::runner::run_replication_probed;
 use crate::{MetricEstimate, PointSummary, SweepPoint, SweepResult};
 use desp::MetricSet;
-use ocb::{ObjectBase, Transaction, WorkloadGenerator, WorkloadParams};
+use ocb::ObjectBase;
 use oostore::{
     run_workload, PageServerConfig, PageServerEngine, StorageEngine, TexasConfig, TexasEngine,
 };
-use voodb::{run_dstc_study, ExperimentConfig, PhaseResult, Simulation, SystemClass, VoodbParams};
-use vtrace::{Histogram, RecorderConfig};
-
-/// Generates the workload run for one replication seed over a shared
-/// base: the whole cold + hot stream, and the cold count.
-pub fn generate_workload(
-    base: &ObjectBase,
-    wl: &WorkloadParams,
-    seed: u64,
-) -> (Vec<Transaction>, usize) {
-    let mut generator = WorkloadGenerator::new(base, wl.clone(), seed ^ WORKLOAD_SEED_SALT);
-    let (cold, hot) = generator.generate_run();
-    let cold_count = cold.len();
-    let mut transactions = cold;
-    transactions.extend(hot);
-    (transactions, cold_count)
-}
+use voodb::{
+    generate_workload, run_dstc_study, ExperimentConfig, PhaseResult, Simulation, SystemClass,
+    VoodbParams,
+};
+use vtrace::{Histogram, RecorderConfig, RESPONSE};
 
 /// The Texas engine configuration twinning `system`: its buffer frames
 /// become the host's VM frames, its clustering the engine's.
@@ -110,7 +98,7 @@ pub fn twin_job(base: &ObjectBase, point: &SweepPoint, seed: u64) -> Twin {
     .collect();
     Twin {
         metrics,
-        latency: response_histogram(recorder),
+        latency: recorder.stage_histograms()[RESPONSE].clone(),
     }
 }
 
@@ -119,16 +107,7 @@ pub fn twin_job(base: &ObjectBase, point: &SweepPoint, seed: u64) -> Twin {
 pub fn latency_job(base: &ObjectBase, point: &SweepPoint, seed: u64) -> (PhaseResult, Histogram) {
     let (result, recorder) =
         run_replication_probed(base, point, seed, RecorderConfig::new().build());
-    (result, response_histogram(recorder))
-}
-
-fn response_histogram(mut recorder: vtrace::TraceRecorder) -> Histogram {
-    recorder.flush();
-    recorder
-        .stage_histograms()
-        .get("response_ms")
-        .cloned()
-        .unwrap_or_default()
+    (result, recorder.stage_histograms()[RESPONSE].clone())
 }
 
 /// One side of one §4.4 replication: pre-clustering usage, clustering

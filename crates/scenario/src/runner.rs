@@ -48,10 +48,17 @@ pub use voodb::WORKLOAD_SEED_SALT;
 /// Confidence level of the reported intervals (the paper's c = 0.95).
 pub const CONFIDENCE: f64 = 0.95;
 
+/// The most worker threads a sweep accepts. The count comes from outside
+/// the program (`--threads`) and each worker is an OS thread, so an
+/// absurd count is refused before any starts, instead of panicking when
+/// the OS refuses one.
+pub const MAX_THREADS: usize = 1024;
+
 /// Runtime overrides from the CLI.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunOptions {
-    /// Worker threads; `None` = one per available core.
+    /// Worker threads; `None` = one per available core. At most
+    /// [`MAX_THREADS`].
     pub threads: Option<usize>,
     /// Override the scenario's replication count.
     pub reps: Option<usize>,
@@ -300,6 +307,11 @@ where
         scenario.config.workload.arrival = arrival;
     }
     scenario.validate()?;
+    if let Some(threads) = options.threads.filter(|&n| n > MAX_THREADS) {
+        return Err(format!(
+            "{threads} worker threads requested; the limit is {MAX_THREADS}"
+        ));
+    }
     let reps = scenario.replications;
     let base_seed = scenario.seed;
     let grid = scenario.grid();

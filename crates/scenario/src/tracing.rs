@@ -48,10 +48,7 @@ pub fn job_metrics(job: &JobTrace) -> BTreeMap<String, f64> {
             (job.recorder.spans_offered() - recorded) as f64,
         );
     }
-    for &stage in STAGE_METRICS {
-        let Some(hist) = job.recorder.stage_histograms().get(stage) else {
-            continue;
-        };
+    for (stage, hist) in STAGE_METRICS.iter().zip(job.recorder.stage_histograms()) {
         if hist.count() == 0 {
             continue;
         }
@@ -101,7 +98,7 @@ mod tests {
     use super::*;
     use crate::runner::{run_sweep, run_sweep_traced, RunOptions};
     use crate::spec::Scenario;
-    use vtrace::{RunSummary, TraceAnalysis};
+    use vtrace::{RunSummary, TraceAnalysis, RESPONSE};
 
     const TINY: &str = r#"
 [scenario]
@@ -163,7 +160,7 @@ values = [32, 128]
         let total_spans: usize = traces.iter().map(|j| j.recorder.spans().len()).sum();
         assert_eq!(analysis.spans.len(), total_spans);
         let rendered = analysis.render();
-        assert!(rendered.contains("response_ms"), "{rendered}");
+        assert!(rendered.contains(STAGE_METRICS[RESPONSE]), "{rendered}");
         assert!(rendered.contains("p99"), "{rendered}");
         std::fs::remove_dir_all(&out).ok();
     }

@@ -2,7 +2,9 @@
 //! initial wakes cannot fit the pre-flight memory bound, before
 //! allocating anything: exit 1 with an error naming the estimated bytes.
 //! They likewise refuse an open horizon phase expecting more arrivals
-//! than the pre-flight bound, before running anything.
+//! than the pre-flight bound, before running anything, and `run` and
+//! `repro` refuse a worker-thread count above the runner's limit before
+//! starting a worker.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -78,6 +80,23 @@ fn validate_and_run_refuse_an_absurd_open_arrival_rate() {
         assert!(
             stderr.contains("100000 ms horizon expect 100000000000 transactions"),
             "{command}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn run_and_repro_refuse_a_thread_count_above_the_limit() {
+    let smoke = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/smoke.toml");
+    for args in [
+        &["run", smoke, "--threads", "100000"][..],
+        &["repro", "fig08_o2_cache", "--threads", "100000"],
+    ] {
+        let out = voodb(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("100000 worker threads requested; the limit is 1024"),
+            "{args:?}: {stderr}"
         );
     }
 }

@@ -7,8 +7,8 @@
 #![allow(dead_code)] // each test crate uses its own subset of the oracles
 
 use desp::{NoProbe, SchedulerKind};
-use ocb::{ObjectBase, WorkloadGenerator};
-use scenario::runner::{run_replication_sched, WORKLOAD_SEED_SALT};
+use ocb::ObjectBase;
+use scenario::runner::run_replication_sched;
 use scenario::{run_sweep_jobs, sweep_table, RunOptions, Scenario, SweepPoint, Value};
 use std::path::PathBuf;
 use voodb::{PhaseMode, PhaseResult, Simulation};
@@ -120,11 +120,7 @@ pub fn run_replication_materialized(
         workload.duration_ms == 0.0,
         "cannot materialize a time-horizon phase"
     );
-    let mut generator = WorkloadGenerator::new(base, workload.clone(), seed ^ WORKLOAD_SEED_SALT);
-    let (cold, hot) = generator.generate_run();
-    let cold_count = cold.len();
-    let mut transactions = cold;
-    transactions.extend(hot);
+    let (transactions, cold_count) = voodb::generate_workload(base, workload, seed);
     let mut simulation = Simulation::new(
         base,
         point.config.effective_system(),

@@ -3,7 +3,7 @@
 //! `voodb analyze <run-dir>` loads every `*.spans.jsonl` a traced run
 //! wrote, rebuilds the per-stage latency histograms from the raw spans
 //! (proving the JSONL round-trips), and prints the p50/p90/p99/max
-//! table. `voodb compare <a> <b>` diffs two runs' `summary.json`
+//! table, one row per [`STAGE_METRICS`] entry. `voodb compare <a> <b>` diffs two runs' `summary.json`
 //! aggregates and flags **regressions**: metrics whose change in the
 //! *worse* direction exceeds a relative threshold. Whether bigger is
 //! worse depends on the metric ([`direction_of`]): latencies and I/O
@@ -12,8 +12,7 @@
 
 use crate::export::{spans_from_jsonl, RunSummary};
 use crate::hist::Histogram;
-use crate::recorder::{stage_of, SpanRecord, STAGE_METRICS};
-use std::collections::BTreeMap;
+use crate::recorder::{SpanRecord, STAGE_METRICS};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -24,9 +23,9 @@ pub struct TraceAnalysis {
     pub files: usize,
     /// All spans across the run's jobs.
     pub spans: Vec<SpanRecord>,
-    /// Per-stage histograms rebuilt from the spans
-    /// ([`STAGE_METRICS`] order when iterated via that constant).
-    pub stages: BTreeMap<String, Histogram>,
+    /// Per-stage histograms rebuilt from the spans, in
+    /// [`STAGE_METRICS`] order.
+    pub stages: [Histogram; STAGE_METRICS.len()],
     /// The run summary, when `summary.json` is present.
     pub summary: Option<RunSummary>,
 }
@@ -53,12 +52,6 @@ impl TraceAnalysis {
         }
         let mut analysis = TraceAnalysis {
             files: span_files.len(),
-            // Pre-created like TraceRecorder's, so the per-span loop
-            // below never allocates keys.
-            stages: STAGE_METRICS
-                .iter()
-                .map(|&metric| (metric.to_owned(), Histogram::new()))
-                .collect(),
             ..TraceAnalysis::default()
         };
         for path in &span_files {
@@ -68,8 +61,8 @@ impl TraceAnalysis {
             analysis.spans.extend(spans);
         }
         for span in &analysis.spans {
-            for (metric, hist) in &mut analysis.stages {
-                hist.record(stage_of(span, metric));
+            for (hist, value) in analysis.stages.iter_mut().zip(span.stages) {
+                hist.record(value);
             }
         }
         analysis.summary = RunSummary::load(dir).ok();
@@ -104,10 +97,7 @@ impl TraceAnalysis {
             "{:<20} {:>10} {:>10} {:>10} {:>10} {:>10}",
             "metric", "p50", "p90", "p99", "max", "mean"
         );
-        for &metric in STAGE_METRICS {
-            let Some(hist) = self.stages.get(metric) else {
-                continue;
-            };
+        for (metric, hist) in STAGE_METRICS.iter().zip(&self.stages) {
             let _ = writeln!(
                 out,
                 "{:<20} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
@@ -191,7 +181,6 @@ pub const DIRECTION_RULES: &[DirectionRule] = &[
     rule(MetricPattern::Exact("writes"), Direction::HigherWorse),
     rule(MetricPattern::Exact("ios_per_tx"), Direction::HigherWorse),
     rule(MetricPattern::Exact("events"), Direction::HigherWorse),
-    rule(MetricPattern::Exact("restarts"), Direction::HigherWorse),
 ];
 
 /// Classifies a metric name for regression checking: the first matching

@@ -3,14 +3,17 @@
 //! One traced scenario run produces a **trace directory** holding:
 //!
 //! * `point-<p>-rep-<r>.spans.jsonl` — one flat JSON object per
-//!   committed transaction ([`SpanRecord`] fields, fixed key order);
+//!   committed transaction: its [`SpanRecord`] fields in a fixed key
+//!   order, the [`STAGE_METRICS`] durations between `end_ms` and
+//!   `accesses`;
 //! * `point-<p>-rep-<r>.series.csv` — `series,t_ms,value` rows of every
 //!   retained time-series sample;
 //! * `summary.json` — a [`RunSummary`]: per-(point, replication) scalar
 //!   metrics (I/Os, response percentiles, hit ratio, events, …) plus
 //!   their aggregate, the unit `voodb compare` diffs.
 //!
-//! Writers and readers live together so the schema cannot drift: the
+//! Writers and readers live together, and both walk one column list
+//! built from [`STAGE_METRICS`], so the schema cannot drift: the
 //! `voodb analyze` path re-reads the JSONL this module wrote and
 //! rebuilds the histograms from it (round-trip asserted in tests).
 //!
@@ -25,7 +28,7 @@
 //! fail loudly instead of misparsing.
 
 use crate::json::{parse, write_json_string, Json};
-use crate::recorder::{SpanRecord, TraceRecorder};
+use crate::recorder::{SpanRecord, TraceRecorder, STAGE_METRICS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -48,58 +51,40 @@ fn check_schema_version(doc: &Json, what: &str) -> Result<(), String> {
     }
 }
 
-/// The `SpanRecord` JSONL fields, in line order.
-const SPAN_FIELDS: &[&str] = &[
-    "tid",
-    "submit_ms",
-    "end_ms",
-    "response_ms",
-    "admission_wait_ms",
-    "lock_wait_ms",
-    "cpu_ms",
-    "disk_wait_ms",
-    "disk_service_ms",
-    "net_wait_ms",
-    "net_service_ms",
-    "accesses",
-    "restarts",
-];
+/// The span-file columns before the [`STAGE_METRICS`] block, in line
+/// order.
+const LEADING: [&str; 3] = ["tid", "submit_ms", "end_ms"];
+/// The span-file columns after the [`STAGE_METRICS`] block.
+const TRAILING: [&str; 2] = ["accesses", "restarts"];
+/// One span line's values, in [`span_columns`] order.
+type SpanRow = [f64; LEADING.len() + STAGE_METRICS.len() + TRAILING.len()];
 
-fn span_field(span: &SpanRecord, field: &str) -> f64 {
-    match field {
-        "tid" => span.tid as f64,
-        "submit_ms" => span.submit_ms,
-        "end_ms" => span.end_ms,
-        "response_ms" => span.response_ms,
-        "admission_wait_ms" => span.admission_wait_ms,
-        "lock_wait_ms" => span.lock_wait_ms,
-        "cpu_ms" => span.cpu_ms,
-        "disk_wait_ms" => span.disk_wait_ms,
-        "disk_service_ms" => span.disk_service_ms,
-        "net_wait_ms" => span.net_wait_ms,
-        "net_service_ms" => span.net_service_ms,
-        "accesses" => span.accesses as f64,
-        "restarts" => span.restarts as f64,
-        other => panic!("unknown span field '{other}'"),
-    }
+/// The span-file columns, in line order: the [`SpanRecord`] fields.
+fn span_columns() -> impl Iterator<Item = &'static str> {
+    LEADING.into_iter().chain(STAGE_METRICS).chain(TRAILING)
 }
 
-fn span_field_mut(span: &mut SpanRecord, field: &str, value: f64) {
-    match field {
-        "tid" => span.tid = value as u64,
-        "submit_ms" => span.submit_ms = value,
-        "end_ms" => span.end_ms = value,
-        "response_ms" => span.response_ms = value,
-        "admission_wait_ms" => span.admission_wait_ms = value,
-        "lock_wait_ms" => span.lock_wait_ms = value,
-        "cpu_ms" => span.cpu_ms = value,
-        "disk_wait_ms" => span.disk_wait_ms = value,
-        "disk_service_ms" => span.disk_service_ms = value,
-        "net_wait_ms" => span.net_wait_ms = value,
-        "net_service_ms" => span.net_service_ms = value,
-        "accesses" => span.accesses = value as u64,
-        "restarts" => span.restarts = value as u64,
-        _ => {} // Unknown fields are ignored: forward compatibility.
+impl SpanRecord {
+    /// The record's values, in [`span_columns`] order.
+    fn values(&self) -> impl Iterator<Item = f64> {
+        [self.tid as f64, self.submit_ms, self.end_ms]
+            .into_iter()
+            .chain(self.stages)
+            .chain([self.accesses as f64, self.restarts as f64])
+    }
+
+    /// The record whose values are `row`, in [`span_columns`] order.
+    fn from_row(row: &SpanRow) -> Self {
+        let [tid, submit_ms, end_ms, ..] = *row;
+        let [.., accesses, restarts] = *row;
+        SpanRecord {
+            tid: tid as u64,
+            submit_ms,
+            end_ms,
+            stages: std::array::from_fn(|i| row[LEADING.len() + i]),
+            accesses: accesses as u64,
+            restarts: restarts as u64,
+        }
     }
 }
 
@@ -107,10 +92,10 @@ fn span_field_mut(span: &mut SpanRecord, field: &str, value: f64) {
 pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {
     let mut out = String::new();
     for span in spans {
-        for (i, &field) in SPAN_FIELDS.iter().enumerate() {
+        for (i, (column, value)) in span_columns().zip(span.values()).enumerate() {
             out.push(if i == 0 { '{' } else { ',' });
-            write_json_string(&mut out, field);
-            let _ = write!(out, ":{}", span_field(span, field));
+            write_json_string(&mut out, column);
+            let _ = write!(out, ":{value}");
         }
         out.push_str("}\n");
     }
@@ -152,14 +137,17 @@ pub fn spans_from_jsonl(text: &str) -> Result<Vec<SpanRecord>, String> {
                 .map_err(|e| format!("line {}: {e}", lineno + 1))?;
             continue;
         }
-        let mut span = SpanRecord::default();
+        let mut row = SpanRow::default();
         for (key, value) in &members {
             let number = value
                 .as_f64()
                 .ok_or_else(|| format!("line {}: '{key}' is not a number", lineno + 1))?;
-            span_field_mut(&mut span, key, number);
+            // Unknown fields are ignored: forward compatibility.
+            if let Some(i) = span_columns().position(|column| column == key) {
+                row[i] = number;
+            }
         }
-        spans.push(span);
+        spans.push(SpanRecord::from_row(&row));
     }
     Ok(spans)
 }
@@ -385,14 +373,14 @@ mod tests {
             let slot = tid as u32;
             r.on_span(slot, tid, SpanPoint::Submit, base);
             r.on_span(slot, tid, SpanPoint::Admitted, base + 1.0);
-            r.on_span_stage(slot, tid, SpanStage::DiskWait, 1.0);
-            r.on_span_stage(slot, tid, SpanStage::DiskService, 5.0);
-            r.on_span_stage(slot, tid, SpanStage::Accesses, 1.0);
+            let mut stages = [0.0; SpanStage::COUNT];
+            stages[SpanStage::DiskWait as usize] = 1.0;
+            stages[SpanStage::DiskService as usize] = 5.0;
+            r.on_span_stages(slot, tid, &stages, 1);
             r.on_span(slot, tid, SpanPoint::Committed, base + 8.0);
         }
         r.on_sample(hit, 5.0, 0.5);
         r.on_sample(hit, 15.0, 0.75);
-        r.flush();
         r
     }
 
@@ -401,6 +389,15 @@ mod tests {
         let recorder = demo_recorder();
         let text = spans_to_jsonl(recorder.spans());
         assert_eq!(text.lines().count(), 3);
+        // The pinned line layout: the stage durations sit between
+        // `end_ms` and `accesses`.
+        assert_eq!(
+            text.lines().next().unwrap(),
+            "{\"tid\":0,\"submit_ms\":0,\"end_ms\":8,\"response_ms\":8,\
+             \"admission_wait_ms\":1,\"lock_wait_ms\":0,\"cpu_ms\":0,\"disk_wait_ms\":1,\
+             \"disk_service_ms\":5,\"net_wait_ms\":0,\"net_service_ms\":0,\"accesses\":1,\
+             \"restarts\":0}"
+        );
         let parsed = spans_from_jsonl(&text).unwrap();
         assert_eq!(parsed, recorder.spans());
         // With the v2 header prepended the spans still round-trip.

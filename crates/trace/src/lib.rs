@@ -49,6 +49,8 @@ pub use export::{
 };
 pub use hist::{Histogram, MIN_VALUE_MS, SUB_BUCKETS};
 pub use json::Json;
-pub use recorder::{stage_of, SpanRecord, TraceRecorder, STAGE_METRICS};
+pub use recorder::{
+    SpanRecord, TraceRecorder, ADMISSION_WAIT, MODEL_STAGES, RESPONSE, STAGE_METRICS,
+};
 pub use series::TimeSeries;
 pub use watch::{WatchSample, WatchSink};

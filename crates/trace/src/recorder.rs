@@ -4,10 +4,11 @@
 //! A [`TraceRecorder`] plugs into `desp::Engine::with_probe` and
 //! receives every kernel hook and model emission:
 //!
-//! * span points and stages keyed by (slab slot, serial) are folded into
-//!   [`SpanRecord`]s — one per committed transaction, splitting the
-//!   response time into admission wait, lock wait, CPU, disk wait, disk
-//!   service and network time;
+//! * span points and stage totals keyed by (slab slot, serial) are
+//!   folded into [`SpanRecord`]s — one per committed transaction,
+//!   splitting the response time into the admission wait and the
+//!   model's [`SpanStage`]s (lock wait, CPU, disk wait, disk service,
+//!   network wait and transfer);
 //! * per-stage [`Histogram`]s accumulate the same durations across
 //!   spans (the p50/p90/p99 tables of `voodb analyze`);
 //! * resource queue lengths and model samples land in handle-indexed,
@@ -17,6 +18,12 @@
 //! * the pending-event count is sampled once every
 //!   [`TraceRecorder::DISPATCH_SAMPLE_EVERY`] dispatches.
 //!
+//! [`STAGE_METRICS`] names the span's durations once, in the order that
+//! indexes every per-stage array — [`SpanRecord::stages`], the
+//! histograms, the span file's columns and the summary's percentile
+//! columns: the response time, the admission wait, then the model's
+//! stages in [`SpanStage`] order.
+//!
 //! # Span folding
 //!
 //! A span arrives through two hooks:
@@ -24,9 +31,10 @@
 //! * **Lifecycle points** ([`Probe::on_span`]): `Submit` opens a span,
 //!   `Admitted` fixes its admission wait, `Restart` counts a deadlock
 //!   restart and `Committed` finalizes it.
-//! * **Valued stages** ([`Probe::on_span_stage`]): the model knows both
-//!   endpoints of every stage, so it emits one accumulated delta per
-//!   stage — one hook call and one `+=` each.
+//! * **Stage totals** ([`Probe::on_span_stages`]): the model knows both
+//!   endpoints of every stage, so it reports the whole lifetime's totals
+//!   and access count once, just before `Committed` — one hook call and
+//!   one array copy per span.
 //!
 //! Both fold *eagerly* — each hook updates the open span in place, no
 //! buffering — into a dense slot-indexed table (the kernel hands us the
@@ -46,7 +54,7 @@
 //! [`Probe::intern_series`]: desp::Probe::intern_series
 //! [`Probe::intern_resource`]: desp::Probe::intern_resource
 //! [`Probe::on_span`]: desp::Probe::on_span
-//! [`Probe::on_span_stage`]: desp::Probe::on_span_stage
+//! [`Probe::on_span_stages`]: desp::Probe::on_span_stages
 //! [`RecorderConfig::sample`]: crate::RecorderConfig::sample
 
 use crate::config::RecorderConfig;
@@ -55,6 +63,32 @@ use crate::series::TimeSeries;
 use crate::watch::{WatchSample, WatchSink};
 use desp::{Probe, ResourceId, SeriesId, SpanPoint, SpanStage};
 use std::collections::BTreeMap;
+
+/// The per-stage durations of a span, in the order of every per-stage
+/// array: the end-to-end response time (commit − submit) at
+/// [`RESPONSE`], the wait for an MPL scheduler slot at
+/// [`ADMISSION_WAIT`], then from [`MODEL_STAGES`] on the model's
+/// [`SpanStage`] totals in enum order. The one place their names are
+/// spelled: the span file's columns, the histogram tables and the
+/// summary's percentile columns all come from here.
+pub const STAGE_METRICS: [&str; MODEL_STAGES + SpanStage::COUNT] = [
+    "response_ms",
+    "admission_wait_ms",
+    "lock_wait_ms",
+    "cpu_ms",
+    "disk_wait_ms",
+    "disk_service_ms",
+    "net_wait_ms",
+    "net_service_ms",
+];
+
+/// [`STAGE_METRICS`] index of the end-to-end response time.
+pub const RESPONSE: usize = 0;
+/// [`STAGE_METRICS`] index of the admission wait.
+pub const ADMISSION_WAIT: usize = 1;
+/// [`STAGE_METRICS`] index of the first [`SpanStage`]: stage `s` sits at
+/// `MODEL_STAGES + s as usize`.
+pub const MODEL_STAGES: usize = 2;
 
 /// One committed transaction's lifecycle, in simulated milliseconds.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -65,22 +99,8 @@ pub struct SpanRecord {
     pub submit_ms: f64,
     /// Commit instant.
     pub end_ms: f64,
-    /// End-to-end response time (`end − submit`).
-    pub response_ms: f64,
-    /// Wait for an MPL scheduler slot.
-    pub admission_wait_ms: f64,
-    /// Total time parked waiting for locks.
-    pub lock_wait_ms: f64,
-    /// Total CPU holding time (lock acquisition/release bookkeeping).
-    pub cpu_ms: f64,
-    /// Total wait for the disk resource.
-    pub disk_wait_ms: f64,
-    /// Total disk service time.
-    pub disk_service_ms: f64,
-    /// Total wait for the network resource.
-    pub net_wait_ms: f64,
-    /// Total network transfer time.
-    pub net_service_ms: f64,
+    /// The span's durations, in [`STAGE_METRICS`] order.
+    pub stages: [f64; STAGE_METRICS.len()],
     /// Object accesses performed.
     pub accesses: u64,
     /// Deadlock restarts suffered.
@@ -117,54 +137,9 @@ struct WatchState {
     last_t_ms: f64,
 }
 
-/// The per-stage histogram names, in report order. Each is a field of
-/// [`SpanRecord`]; `stage_of` maps records to values.
-pub const STAGE_METRICS: &[&str] = &[
-    "response_ms",
-    "admission_wait_ms",
-    "lock_wait_ms",
-    "cpu_ms",
-    "disk_wait_ms",
-    "disk_service_ms",
-    "net_wait_ms",
-    "net_service_ms",
-];
-
-/// Extracts the named stage duration from a span record.
-///
-/// # Panics
-/// Panics on a name outside [`STAGE_METRICS`].
-pub fn stage_of(record: &SpanRecord, metric: &str) -> f64 {
-    match metric {
-        "response_ms" => record.response_ms,
-        "admission_wait_ms" => record.admission_wait_ms,
-        "lock_wait_ms" => record.lock_wait_ms,
-        "cpu_ms" => record.cpu_ms,
-        "disk_wait_ms" => record.disk_wait_ms,
-        "disk_service_ms" => record.disk_service_ms,
-        "net_wait_ms" => record.net_wait_ms,
-        "net_service_ms" => record.net_service_ms,
-        other => panic!("unknown stage metric '{other}'"),
-    }
-}
-
-/// The stage values of a record, in [`STAGE_METRICS`] order.
-fn stage_values(record: &SpanRecord) -> [f64; STAGE_METRICS.len()] {
-    [
-        record.response_ms,
-        record.admission_wait_ms,
-        record.lock_wait_ms,
-        record.cpu_ms,
-        record.disk_wait_ms,
-        record.disk_service_ms,
-        record.net_wait_ms,
-        record.net_service_ms,
-    ]
-}
-
 /// A recording [`Probe`]: spans, histograms and series.
 /// Built by [`RecorderConfig`]; call [`TraceRecorder::flush`] after the
-/// run (the scenario runner does) before reading stage histograms.
+/// run (the scenario runner does) to close a watch stream.
 #[derive(Clone, Debug)]
 pub struct TraceRecorder {
     /// Open spans, indexed by slab slot.
@@ -189,9 +164,6 @@ pub struct TraceRecorder {
     /// Exact response-time histogram feeding the watch p99 (recorded
     /// only while a watch sink is attached).
     watch_response: Histogram,
-    /// `stage_hists` keyed by name, published by [`TraceRecorder::flush`].
-    stage_hists_by_name: BTreeMap<String, Histogram>,
-    flushed: bool,
 }
 
 impl Default for TraceRecorder {
@@ -234,8 +206,6 @@ impl TraceRecorder {
                 last_t_ms: 0.0,
             }),
             watch_response: Histogram::new(),
-            stage_hists_by_name: BTreeMap::new(),
-            flushed: false,
         };
         recorder.pending_events_series = recorder.intern_series_id("pending_events");
         recorder
@@ -267,12 +237,10 @@ impl TraceRecorder {
         self.finished.len() as u64
     }
 
-    /// The per-stage histograms ([`STAGE_METRICS`] keys; a stage no span
-    /// exercised has count 0). Requires a prior
-    /// [`TraceRecorder::flush`].
-    pub fn stage_histograms(&self) -> &BTreeMap<String, Histogram> {
-        debug_assert!(self.flushed, "flush() before reading stage histograms");
-        &self.stage_hists_by_name
+    /// The per-stage histograms over every committed span, in
+    /// [`STAGE_METRICS`] order (a stage no span exercised has count 0).
+    pub fn stage_histograms(&self) -> &[Histogram; STAGE_METRICS.len()] {
+        &self.stage_hists
     }
 
     /// The recorded time series with the given name.
@@ -290,21 +258,11 @@ impl TraceRecorder {
             .collect()
     }
 
-    /// Publishes the stage histograms by name and closes the watch
-    /// stream. Idempotent; called by the scenario runner after each
-    /// job. New span activity after a flush re-arms it.
+    /// Closes the watch stream: dropping the sender ends the watcher's
+    /// drain loop. Idempotent; called by the scenario runner after each
+    /// job.
     pub fn flush(&mut self) {
-        if self.flushed {
-            return;
-        }
-        self.stage_hists_by_name = STAGE_METRICS
-            .iter()
-            .zip(&self.stage_hists)
-            .map(|(&metric, hist)| (metric.to_owned(), hist.clone()))
-            .collect();
-        // Dropping the sender ends the watcher's drain loop.
         self.watch = None;
-        self.flushed = true;
     }
 
     /// Interns a series name, creating the series on first sight.
@@ -363,8 +321,8 @@ impl TraceRecorder {
         self.open_count -= 1;
         record.tid = serial;
         record.end_ms = now;
-        record.response_ms = now - record.submit_ms;
-        for (hist, value) in self.stage_hists.iter_mut().zip(stage_values(&record)) {
+        record.stages[RESPONSE] = now - record.submit_ms;
+        for (hist, value) in self.stage_hists.iter_mut().zip(record.stages) {
             hist.record(value);
         }
         self.offer(record, now);
@@ -374,7 +332,7 @@ impl TraceRecorder {
     /// and ticks the watch stream.
     fn offer(&mut self, record: SpanRecord, now: f64) {
         self.spans_offered += 1;
-        let response_ms = record.response_ms;
+        let response_ms = record.stages[RESPONSE];
         match &mut self.sample {
             None => self.finished.push(record),
             Some(res) => {
@@ -489,14 +447,13 @@ impl Probe for TraceRecorder {
 
     #[inline]
     fn on_span(&mut self, slot: u32, serial: u64, point: SpanPoint, now: f64) {
-        self.flushed = false;
         match point {
             SpanPoint::Submit => self.open_span(slot, serial, now),
             SpanPoint::Admitted => {
                 if let Some(entry) = self.occupant(slot, serial) {
                     if !entry.admitted {
                         entry.admitted = true;
-                        entry.record.admission_wait_ms = now - entry.record.submit_ms;
+                        entry.record.stages[ADMISSION_WAIT] = now - entry.record.submit_ms;
                     }
                 }
             }
@@ -510,21 +467,18 @@ impl Probe for TraceRecorder {
     }
 
     #[inline]
-    fn on_span_stage(&mut self, slot: u32, serial: u64, stage: SpanStage, delta: f64) {
-        self.flushed = false;
+    fn on_span_stages(
+        &mut self,
+        slot: u32,
+        serial: u64,
+        stages: &[f64; SpanStage::COUNT],
+        accesses: u64,
+    ) {
         let Some(entry) = self.occupant(slot, serial) else {
             return;
         };
-        let record = &mut entry.record;
-        match stage {
-            SpanStage::LockWait => record.lock_wait_ms += delta,
-            SpanStage::Cpu => record.cpu_ms += delta,
-            SpanStage::DiskWait => record.disk_wait_ms += delta,
-            SpanStage::DiskService => record.disk_service_ms += delta,
-            SpanStage::NetWait => record.net_wait_ms += delta,
-            SpanStage::NetService => record.net_service_ms += delta,
-            SpanStage::Accesses => record.accesses += delta as u64,
-        }
+        entry.record.stages[MODEL_STAGES..].copy_from_slice(stages);
+        entry.record.accesses = accesses;
     }
 
     #[inline]
@@ -550,44 +504,53 @@ mod tests {
         let mut r = RecorderConfig::new().build();
         emit(&mut r, 1, SpanPoint::Submit, 0.0);
         emit(&mut r, 1, SpanPoint::Admitted, 2.0);
-        // The stage deltas a model emits (zero-valued ones skipped).
-        r.on_span_stage(1, 1, SpanStage::LockWait, 5.0 - 2.0);
-        r.on_span_stage(1, 1, SpanStage::Cpu, 6.0 - 5.0);
-        r.on_span_stage(1, 1, SpanStage::DiskWait, 8.0 - 6.0);
-        r.on_span_stage(1, 1, SpanStage::DiskService, 18.0 - 8.0);
-        r.on_span_stage(1, 1, SpanStage::NetService, 21.0 - 18.0);
-        r.on_span_stage(1, 1, SpanStage::Accesses, 1.0);
+        // The stage totals a model emits, in `SpanStage` order: lock
+        // wait, CPU, disk wait, disk service, network wait and transfer.
+        let stages = [
+            5.0 - 2.0,
+            6.0 - 5.0,
+            8.0 - 6.0,
+            18.0 - 8.0,
+            0.0,
+            21.0 - 18.0,
+        ];
+        r.on_span_stages(1, 1, &stages, 1);
         emit(&mut r, 1, SpanPoint::Committed, 22.0);
-        r.flush();
 
         assert_eq!(r.spans().len(), 1);
         let s = &r.spans()[0];
         assert_eq!(s.tid, 1);
-        assert_eq!(s.response_ms, 22.0);
-        assert_eq!(s.admission_wait_ms, 2.0);
-        assert_eq!(s.lock_wait_ms, 3.0);
-        assert_eq!(s.cpu_ms, 1.0);
-        assert_eq!(s.disk_wait_ms, 2.0);
-        assert_eq!(s.disk_service_ms, 10.0);
-        assert_eq!(s.net_wait_ms, 0.0);
-        assert_eq!(s.net_service_ms, 3.0);
+        // Response, admission wait, then the model's stages.
+        assert_eq!(s.stages, [22.0, 2.0, 3.0, 1.0, 2.0, 10.0, 0.0, 3.0]);
         assert_eq!(s.accesses, 1);
         assert_eq!(r.open_spans(), 0);
-        let resp = &r.stage_histograms()["response_ms"];
-        assert_eq!(resp.count(), 1);
-        assert!(resp.p50() >= 22.0);
+        // The histograms need no flush: each saw its stage's value.
+        for (hist, value) in r.stage_histograms().iter().zip(s.stages) {
+            assert_eq!(hist.count(), 1);
+            assert_eq!(hist.max(), value);
+        }
+        assert!(r.stage_histograms()[RESPONSE].p50() >= 22.0);
     }
 
     #[test]
     fn stage_for_absent_or_stale_occupant_is_dropped() {
         let mut r = RecorderConfig::new().build();
-        r.on_span_stage(0, 1, SpanStage::Cpu, 5.0); // no Submit yet
+        let cpu = |ms| {
+            let mut stages = [0.0; SpanStage::COUNT];
+            stages[SpanStage::Cpu as usize] = ms;
+            stages
+        };
+        r.on_span_stages(0, 1, &cpu(5.0), 1); // no Submit yet
         r.on_span(0, 1, SpanPoint::Submit, 0.0);
-        r.on_span_stage(0, 9, SpanStage::Cpu, 7.0); // wrong serial
+        r.on_span_stages(0, 9, &cpu(7.0), 2); // wrong serial
         r.on_span(0, 1, SpanPoint::Committed, 2.0);
-        r.flush();
         assert_eq!(r.spans().len(), 1);
-        assert_eq!(r.spans()[0].cpu_ms, 0.0, "stray stages must not fold");
+        assert_eq!(
+            r.spans()[0].stages[MODEL_STAGES..],
+            [0.0; SpanStage::COUNT],
+            "stray stages must not fold"
+        );
+        assert_eq!(r.spans()[0].accesses, 0);
     }
 
     #[test]
@@ -597,15 +560,17 @@ mod tests {
         emit(&mut r, 3, SpanPoint::Admitted, 0.0);
         emit(&mut r, 3, SpanPoint::Restart, 4.0);
         emit(&mut r, 3, SpanPoint::Restart, 5.0);
-        r.on_span_stage(3, 3, SpanStage::LockWait, 1.0);
+        let mut stages = [0.0; SpanStage::COUNT];
+        stages[SpanStage::LockWait as usize] = 1.0;
+        r.on_span_stages(3, 3, &stages, 0);
         emit(&mut r, 3, SpanPoint::Committed, 9.0);
         // A restart for a foreign serial in the same slot is dropped.
         r.on_span(3, 4, SpanPoint::Restart, 9.5);
         let s = &r.spans()[0];
         assert_eq!(s.restarts, 2);
-        assert_eq!(s.lock_wait_ms, 1.0);
-        assert_eq!(s.admission_wait_ms, 0.0);
-        assert_eq!(s.response_ms, 9.0);
+        assert_eq!(s.stages[MODEL_STAGES + SpanStage::LockWait as usize], 1.0);
+        assert_eq!(s.stages[ADMISSION_WAIT], 0.0);
+        assert_eq!(s.stages[RESPONSE], 9.0);
         assert_eq!(r.open_spans(), 0);
     }
 
@@ -616,10 +581,9 @@ mod tests {
         emit(&mut r, 9, SpanPoint::Admitted, 1.0);
         emit(&mut r, 9, SpanPoint::Restart, 2.0);
         emit(&mut r, 9, SpanPoint::Committed, 3.0);
-        r.flush();
         assert_eq!(r.spans().len(), 0, "no phantom span");
         assert_eq!(r.open_spans(), 0, "no lingering open span");
-        assert_eq!(r.stage_histograms()["response_ms"].count(), 0);
+        assert_eq!(r.stage_histograms()[RESPONSE].count(), 0);
     }
 
     #[test]
@@ -632,9 +596,8 @@ mod tests {
         // Stale emissions for the previous occupant must not fold into
         // serial 9's span.
         r.on_span(0, 1, SpanPoint::Restart, 7.0);
-        r.on_span_stage(0, 1, SpanStage::Accesses, 1.0);
+        r.on_span_stages(0, 1, &[0.0; SpanStage::COUNT], 1);
         r.on_span(0, 9, SpanPoint::Committed, 8.0);
-        r.flush();
         assert_eq!(r.spans().len(), 2);
         assert_eq!(r.spans()[1].tid, 9);
         assert_eq!(r.spans()[1].accesses, 0);
@@ -680,19 +643,17 @@ mod tests {
             emit(&mut r, serial, SpanPoint::Submit, serial as f64);
             emit(&mut r, serial, SpanPoint::Committed, serial as f64 + 1.0);
         }
-        r.flush();
         assert_eq!(r.spans().len(), 8);
         assert_eq!(r.spans_offered(), 100);
         assert_eq!(r.spans_recorded(), 8);
         // Percentiles see every span despite the sampled raw records.
-        assert_eq!(r.stage_histograms()["response_ms"].count(), 100);
+        assert_eq!(r.stage_histograms()[RESPONSE].count(), 100);
         // Deterministic: same seed, same reservoir.
         let mut r2 = RecorderConfig::new().sample(8).build();
         for serial in 0..100u64 {
             emit(&mut r2, serial, SpanPoint::Submit, serial as f64);
             emit(&mut r2, serial, SpanPoint::Committed, serial as f64 + 1.0);
         }
-        r2.flush();
         assert_eq!(r.spans(), r2.spans());
     }
 
