@@ -69,6 +69,7 @@ impl BufferPool {
     }
 
     /// Number of resident pages.
+    // audit: the residency properties of `tests/properties.rs` and `tests/lru_reference.rs` read it
     pub fn resident_count(&self) -> usize {
         self.resident
     }

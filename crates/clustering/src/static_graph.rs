@@ -21,7 +21,6 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub struct StaticGraphClustering {
     max_cluster_size: usize,
-    accesses_seen: u64,
 }
 
 impl StaticGraphClustering {
@@ -31,16 +30,7 @@ impl StaticGraphClustering {
     /// Panics if `max_cluster_size < 2`.
     pub fn new(max_cluster_size: usize) -> Self {
         assert!(max_cluster_size >= 2, "clusters need at least 2 objects");
-        StaticGraphClustering {
-            max_cluster_size,
-            accesses_seen: 0,
-        }
-    }
-
-    /// Accesses observed (the strategy ignores them; exposed so tests can
-    /// verify the zero-overhead claim).
-    pub fn accesses_seen(&self) -> u64 {
-        self.accesses_seen
+        StaticGraphClustering { max_cluster_size }
     }
 }
 
@@ -50,8 +40,7 @@ impl ClusteringStrategy for StaticGraphClustering {
     }
 
     fn on_access(&mut self, _parent: Option<Oid>, _oid: Oid) {
-        // Statistics-free by design; count only for diagnostics.
-        self.accesses_seen += 1;
+        // Statistics-free by design.
     }
 
     fn should_trigger(&self) -> bool {
@@ -156,7 +145,6 @@ mod tests {
         }
         assert!(!strategy.should_trigger());
         assert_eq!(strategy.stats_size(), 0);
-        assert_eq!(strategy.accesses_seen(), 10_000);
     }
 
     #[test]

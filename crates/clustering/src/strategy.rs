@@ -122,11 +122,6 @@ impl ClusteringKind {
             ),
         }
     }
-
-    /// True for [`ClusteringKind::None`].
-    pub fn is_none(&self) -> bool {
-        matches!(self, ClusteringKind::None)
-    }
 }
 
 impl std::fmt::Display for ClusteringKind {
@@ -179,7 +174,6 @@ mod tests {
             let strategy = kind.build();
             assert!(!strategy.name().is_empty());
         }
-        assert!(ClusteringKind::None.is_none());
         assert_eq!(ClusteringKind::None.to_string(), "None");
     }
 }

@@ -90,6 +90,7 @@ impl BufferingManager {
     }
 
     /// Pages currently occupying frames.
+    #[cfg(test)]
     pub fn occupied(&self) -> usize {
         match &self.mode {
             Mode::Standard(pool) | Mode::Swizzling(pool) => pool.resident_count(),
@@ -151,18 +152,6 @@ impl BufferingManager {
                 writes.push(victim);
             }
             reads.push(page);
-        }
-    }
-
-    /// Drops `page` (its content moved during reorganisation). Returns the
-    /// page if it was dirty and needs a write-back.
-    pub fn invalidate(&mut self, page: PageId) -> Option<PageId> {
-        let pool = match &mut self.mode {
-            Mode::Standard(pool) | Mode::Swizzling(pool) => pool,
-        };
-        match pool.invalidate(page) {
-            Some(true) => Some(page),
-            _ => None,
         }
     }
 
@@ -258,12 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_flush() {
+    fn standard_flush_reports_dirty_pages() {
         let mut bman = BufferingManager::standard(4, PolicyKind::Lru);
-        bman.access(1, true);
         bman.access(2, false);
-        assert_eq!(bman.invalidate(1), Some(1));
-        assert_eq!(bman.invalidate(1), None);
         bman.access(3, true);
         let dirty = bman.flush_all();
         assert_eq!(dirty, vec![3]);

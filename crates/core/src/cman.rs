@@ -40,7 +40,6 @@ pub struct SimReorgReport {
 /// The Clustering Manager component.
 pub struct ClusteringManager {
     strategy: Box<dyn ClusteringStrategy>,
-    reorganisations: u64,
 }
 
 impl ClusteringManager {
@@ -48,13 +47,7 @@ impl ClusteringManager {
     pub fn new(kind: &ClusteringKind) -> Self {
         ClusteringManager {
             strategy: kind.build(),
-            reorganisations: 0,
         }
-    }
-
-    /// Reorganisations performed so far.
-    pub fn reorganisations(&self) -> u64 {
-        self.reorganisations
     }
 
     /// Statistics-collection hook, called after every object access.
@@ -82,7 +75,6 @@ impl ClusteringManager {
         if outcome.clusters.is_empty() {
             return SimReorgReport::default();
         }
-        self.reorganisations += 1;
 
         // First-occurrence dedup of members.
         let mut seen = vec![false; base.len()];
@@ -161,7 +153,6 @@ mod tests {
         let report = cman.reorganize(&base, &mut oman, &mut bman, &mut iosub);
         assert_eq!(report.cluster_count, 0);
         assert_eq!(report.io.total(), 0);
-        assert_eq!(cman.reorganisations(), 0);
     }
 
     #[test]
@@ -192,7 +183,6 @@ mod tests {
         );
         assert!(report.io.writes >= 1);
         assert!(report.duration_ms > 0.0);
-        assert_eq!(cman.reorganisations(), 1);
         let _ = warm_io;
     }
 

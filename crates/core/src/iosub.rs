@@ -42,7 +42,6 @@ impl SimIoCounts {
 pub struct IoSubsystem {
     disk: DiskParams,
     counts: SimIoCounts,
-    busy_ms: f64,
     last_page: Option<PageId>,
 }
 
@@ -52,7 +51,6 @@ impl IoSubsystem {
         IoSubsystem {
             disk,
             counts: SimIoCounts::default(),
-            busy_ms: 0.0,
             last_page: None,
         }
     }
@@ -62,27 +60,14 @@ impl IoSubsystem {
         self.counts
     }
 
-    /// Total disk busy time, in ms.
-    pub fn busy_ms(&self) -> f64 {
-        self.busy_ms
-    }
-
-    /// Resets counters and busy time (not the head position).
-    pub fn reset_counters(&mut self) {
-        self.counts = SimIoCounts::default();
-        self.busy_ms = 0.0;
-    }
-
     fn one_access(&mut self, page: PageId) -> f64 {
         let contiguous = matches!(self.last_page, Some(last) if page == last + 1);
         self.last_page = Some(page);
-        let ms = if contiguous {
+        if contiguous {
             self.disk.contiguous_access_ms()
         } else {
             self.disk.random_access_ms()
-        };
-        self.busy_ms += ms;
-        ms
+        }
     }
 
     /// Prices (and counts) one page read; returns its service time in ms.
@@ -141,7 +126,6 @@ mod tests {
                 writes: 1
             }
         );
-        assert!((io.busy_ms() - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -158,16 +142,5 @@ mod tests {
                 writes: 1
             }
         );
-    }
-
-    #[test]
-    fn reset_keeps_head_position() {
-        let mut io = IoSubsystem::new(DiskParams::table3_default());
-        io.read(4);
-        io.reset_counters();
-        assert_eq!(io.counts().total(), 0);
-        // Head still at 4: reading 5 is contiguous.
-        let ms = io.read(5);
-        assert!((ms - DiskParams::table3_default().contiguous_access_ms()).abs() < 1e-12);
     }
 }

@@ -404,7 +404,7 @@ impl<'a> VoodbModel<'a> {
             next_serial: 0,
             completed: 0,
             measured_completed: 0,
-            response: Welford::new(),
+            response: Welford::default(),
             measure_started: false,
             io_mark: SimIoCounts::default(),
             hits_mark: (0, 0),
@@ -581,11 +581,6 @@ impl<'a> VoodbModel<'a> {
         &self.oman
     }
 
-    /// The Clustering Manager.
-    pub fn cman(&self) -> &ClusteringManager {
-        &self.cman
-    }
-
     /// Total I/Os over all server sites.
     pub fn total_io(&self) -> SimIoCounts {
         let mut total = SimIoCounts::default();
@@ -691,7 +686,7 @@ impl<'a> VoodbModel<'a> {
         self.next_serial = 0;
         self.completed = 0;
         self.measured_completed = 0;
-        self.response = Welford::new();
+        self.response = Welford::default();
         self.measure_started = false;
         self.io_mark = self.total_io();
         self.hits_mark = self.total_hits_misses();

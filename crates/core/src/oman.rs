@@ -17,8 +17,7 @@ use std::collections::BTreeSet;
 #[derive(Debug)]
 pub struct ObjectManager {
     page_of: Vec<PageId>,
-    /// Objects per page (needed for swizzle-reservation lookups and
-    /// reorganisation).
+    /// Objects per page (needed for reorganisation).
     pages: Vec<Vec<Oid>>,
     page_size: u32,
 }
@@ -50,23 +49,9 @@ impl ObjectManager {
     }
 
     /// Objects currently mapped to `page`.
+    #[cfg(test)]
     pub fn objects_in(&self, page: PageId) -> &[Oid] {
         &self.pages[page as usize]
-    }
-
-    /// Distinct pages referenced by the objects of `page` (excluding the
-    /// page itself) — what Texas's swizzling reserves when `page` loads.
-    pub fn referenced_pages(&self, base: &ObjectBase, page: PageId) -> Vec<PageId> {
-        let mut targets = BTreeSet::new();
-        for &oid in self.objects_in(page) {
-            for &r in base.object(oid).refs.iter() {
-                let p = self.page_of(r);
-                if p != page {
-                    targets.insert(p);
-                }
-            }
-        }
-        targets.into_iter().collect()
     }
 
     /// Applies a reorganisation: `moved` objects (in order) relocate into
@@ -145,19 +130,6 @@ mod tests {
             assert!(oman.objects_in(oman.page_of(oid)).contains(&oid));
         }
         assert_eq!(oman.page_count(), placement.page_count());
-    }
-
-    #[test]
-    fn referenced_pages_cover_all_targets() {
-        let (base, oman) = setup();
-        let page = 0;
-        let refs = oman.referenced_pages(&base, page);
-        for &oid in oman.objects_in(page) {
-            for &target in base.object(oid).refs.iter() {
-                let tp = oman.page_of(target);
-                assert!(tp == page || refs.contains(&tp));
-            }
-        }
     }
 
     #[test]

@@ -303,7 +303,7 @@ mod tests {
         assert_eq!(p.buffer_pages, 500);
         assert_eq!(p.page_replacement, PolicyKind::Lru);
         assert_eq!(p.prefetch, PrefetchKind::None);
-        assert!(p.clustering.is_none());
+        assert_eq!(p.clustering, ClusteringKind::None);
         assert_eq!(p.initial_placement, InitialPlacement::OptimizedSequential);
         assert_eq!(p.disk, DiskParams::table3_default());
         assert_eq!(p.multiprogramming_level, 10);

@@ -100,7 +100,7 @@ fn spans_decompose_response_and_feed_histograms() {
         );
     }
     let hit = recorder.series_named("hit_ratio").unwrap();
-    assert_eq!(hit.offered(), 40, "one sample per commit");
+    assert_eq!(hit.samples().len(), 40, "one sample per commit");
 }
 
 /// Counts the kernel hooks `counting_probe_sees_kernel_traffic` checks.

@@ -59,7 +59,7 @@ pub trait Model<P: Probe = NoProbe, Q: QueueKind = CalendarKind> {
 }
 
 /// The model's handle on the engine during event dispatch: the clock, the
-/// event list, the stop flag, and the trace probe.
+/// event list and the trace probe.
 ///
 /// The clock belongs to the handler while it runs: [`Context::advance_to`]
 /// may move it forward, and the engine takes it back when the handler
@@ -72,7 +72,6 @@ pub struct Context<'a, E, P: Probe = NoProbe, Q: QueueKind = CalendarKind> {
     /// the current instant during [`Model::init`].
     limit: SimTime,
     events: &'a mut Q::Queue<E>,
-    stop: &'a mut bool,
     probe: &'a mut P,
 }
 
@@ -113,12 +112,6 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
         self.events.push(self.now, event);
     }
 
-    /// Requests termination of the run after the current event.
-    #[inline]
-    pub fn stop(&mut self) {
-        *self.stop = true;
-    }
-
     /// The instant of the earliest pending event, `None` when nothing
     /// is pending. Read-only for the timeline: no event moves, the queue
     /// may only settle its cursor (hence `&mut`). A model uses it to
@@ -133,13 +126,12 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
     /// Moves the clock to `at` and returns `true` when an event
     /// scheduled now for `at` would certainly be the next one
     /// dispatched: no event is pending at or before `at` (one pending
-    /// at exactly `at` was scheduled earlier and goes first), `at` is
-    /// within the run's limit (the horizon of [`Engine::run_until`]),
-    /// and [`Context::stop`] has not been called. The caller then does
-    /// that event's work inline, at the advanced instant, instead of a
-    /// round trip through the event list; the simulation is the same,
-    /// with one dispatch fewer. Otherwise nothing changes and the
-    /// caller schedules the event as usual.
+    /// at exactly `at` was scheduled earlier and goes first), and `at`
+    /// is within the run's limit (the horizon of [`Engine::run_until`]).
+    /// The caller then does that event's work inline, at the advanced
+    /// instant, instead of a round trip through the event list; the
+    /// simulation is the same, with one dispatch fewer. Otherwise
+    /// nothing changes and the caller schedules the event as usual.
     ///
     /// Only a handler's last action may advance the clock: anything it
     /// did after the event it stands in for would happen out of order.
@@ -149,7 +141,7 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
     #[inline]
     pub fn advance_to(&mut self, at: SimTime) -> bool {
         assert!(at >= self.now, "cannot advance the clock into the past");
-        if *self.stop || at > self.limit || self.events.peek_time().is_some_and(|next| next <= at) {
+        if at > self.limit || self.events.peek_time().is_some_and(|next| next <= at) {
             return false;
         }
         self.now = at;
@@ -222,8 +214,6 @@ impl<'a, E, P: Probe, Q: QueueKind> Context<'a, E, P, Q> {
 pub enum StopReason {
     /// The event list drained.
     Exhausted,
-    /// The model called [`Context::stop`].
-    Stopped,
     /// The time horizon passed to [`Engine::run_until`] was reached.
     Horizon,
 }
@@ -251,7 +241,6 @@ pub struct Engine<M: Model<P, Q>, P: Probe = NoProbe, Q: QueueKind = CalendarKin
     probe: P,
     events: Q::Queue<M::Event>,
     clock: SimTime,
-    stop: bool,
     dispatched: u64,
     /// Dispatches left until the next `on_dispatch` call; reloaded from
     /// [`Probe::dispatch_interval`] after each sampled dispatch. Engine
@@ -289,7 +278,6 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
             probe,
             events: Q::Queue::default(),
             clock: SimTime::ZERO,
-            stop: false,
             dispatched: 0,
             dispatch_countdown,
             initialised: false,
@@ -302,6 +290,7 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
     }
 
     /// Immutable access to the probe (for reading telemetry).
+    #[cfg(test)]
     pub fn probe(&self) -> &P {
         &self.probe
     }
@@ -317,6 +306,7 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
     }
 
     /// Total events dispatched over the engine's lifetime.
+    #[cfg(test)]
     pub fn events_dispatched(&self) -> u64 {
         self.dispatched
     }
@@ -328,7 +318,6 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
                 now: self.clock,
                 limit: self.clock,
                 events: &mut self.events,
-                stop: &mut self.stop,
                 probe: &mut self.probe,
             };
             self.model.init(&mut ctx);
@@ -336,8 +325,7 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
     }
 
     /// Pops and dispatches the next event; the handler may advance the
-    /// clock up to `limit`. Callers have already checked `stop` and run
-    /// `ensure_init`.
+    /// clock up to `limit`. Callers have already run `ensure_init`.
     #[inline]
     fn dispatch_next(&mut self, limit: SimTime) -> bool {
         let Some((time, event)) = self.events.pop() else {
@@ -357,7 +345,6 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
             now: self.clock,
             limit,
             events: &mut self.events,
-            stop: &mut self.stop,
             probe: &mut self.probe,
         };
         self.model.handle(event, &mut ctx);
@@ -369,26 +356,20 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
     #[cfg(test)]
     fn step(&mut self) -> bool {
         self.ensure_init();
-        if self.stop {
-            return false;
-        }
         self.dispatch_next(SimTime::INFINITY)
     }
 
-    /// Runs until the event list drains or the model stops the run.
+    /// Runs until the event list drains.
     pub fn run_to_completion(&mut self) -> RunOutcome {
         self.run_until(SimTime::INFINITY)
     }
 
     /// Runs until the clock would pass `horizon` (events strictly later are
-    /// left pending), the list drains, or the model stops the run.
+    /// left pending) or the list drains.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         self.ensure_init();
         let start = self.dispatched;
         let reason = loop {
-            if self.stop {
-                break StopReason::Stopped;
-            }
             // Peek: stop before dispatching an event past the horizon.
             match self.events.peek_time() {
                 None => break StopReason::Exhausted,
@@ -512,12 +493,11 @@ mod tests {
     }
 
     /// On its first event, tries `advance_to` at each of `tries` (ms)
-    /// in turn, optionally after calling `stop`, recording each answer
-    /// and the clock it left; every event records its dispatch instant.
+    /// in turn, recording each answer and the clock it left; every
+    /// event records its dispatch instant.
     struct Lookahead {
         pending: Vec<(f64, u32)>,
         tries: Vec<f64>,
-        stop_first: bool,
         answers: Vec<(f64, bool, f64)>,
         fired: Vec<(u32, f64)>,
     }
@@ -527,7 +507,6 @@ mod tests {
             Lookahead {
                 pending: pending.to_vec(),
                 tries: tries.to_vec(),
-                stop_first: false,
                 answers: vec![],
                 fired: vec![],
             }
@@ -547,9 +526,6 @@ mod tests {
             self.fired.push((event, ctx.now().as_ms()));
             if event != 0 {
                 return;
-            }
-            if self.stop_first {
-                ctx.stop();
             }
             for &at in &self.tries {
                 let advanced = ctx.advance_to(SimTime::from_ms(at));
@@ -604,20 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_is_refused_after_stop() {
-        let mut model = Lookahead::new(&[(1.0, 0), (9.0, 1)], &[1.0, 2.0]);
-        model.stop_first = true;
-        let mut engine = Engine::new(model);
-        let outcome = engine.run_to_completion();
-        assert_eq!(outcome.reason, StopReason::Stopped);
-        assert_eq!(
-            engine.model().answers,
-            vec![(1.0, false, 1.0), (2.0, false, 1.0)]
-        );
-        assert_eq!(outcome.end_time, SimTime::from_ms(1.0));
-    }
-
-    #[test]
     fn the_engine_reports_the_advanced_clock() {
         /// Advances each event 2.5 ms, then schedules the next one 1 ms
         /// later: the events land on the advanced timeline.
@@ -647,11 +609,10 @@ mod tests {
         assert_eq!(engine.now(), SimTime::from_ms(14.0));
     }
 
-    /// A model that reschedules itself forever (stopped via horizon or stop).
+    /// A model that reschedules itself forever (stopped by the horizon).
     struct Ticker {
         ticks: u64,
         period: f64,
-        stop_after: Option<u64>,
     }
 
     impl<Q: QueueKind> Model<NoProbe, Q> for Ticker {
@@ -661,12 +622,6 @@ mod tests {
         }
         fn handle(&mut self, _: (), ctx: &mut Context<'_, (), NoProbe, Q>) {
             self.ticks += 1;
-            if let Some(limit) = self.stop_after {
-                if self.ticks >= limit {
-                    ctx.stop();
-                    return;
-                }
-            }
             ctx.schedule(self.period, ());
         }
     }
@@ -676,7 +631,6 @@ mod tests {
         let mut engine = Engine::new(Ticker {
             ticks: 0,
             period: 1.0,
-            stop_after: None,
         });
         let outcome = engine.run_until(SimTime::from_ms(10.5));
         assert_eq!(outcome.reason, StopReason::Horizon);
@@ -694,26 +648,12 @@ mod tests {
             Ticker {
                 ticks: 0,
                 period: 1.0,
-                stop_after: None,
             },
             NoProbe,
         );
         let outcome = engine.run_until(SimTime::from_ms(10.5));
         assert_eq!(outcome.reason, StopReason::Horizon);
         assert_eq!(engine.model().ticks, 10);
-    }
-
-    #[test]
-    fn model_stop_terminates_run() {
-        let mut engine = Engine::new(Ticker {
-            ticks: 0,
-            period: 1.0,
-            stop_after: Some(5),
-        });
-        let outcome = engine.run_to_completion();
-        assert_eq!(outcome.reason, StopReason::Stopped);
-        assert_eq!(engine.model().ticks, 5);
-        assert_eq!(engine.now(), SimTime::from_ms(5.0));
     }
 
     #[test]

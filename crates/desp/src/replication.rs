@@ -41,11 +41,6 @@ impl MetricSet {
         self.values.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// Number of metrics.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
     /// True when no metric was recorded.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
@@ -94,11 +89,6 @@ impl ReplicationReport {
         self.replications
     }
 
-    /// Raw samples of a metric across replications.
-    pub fn samples(&self, name: &str) -> Option<&[f64]> {
-        self.samples.get(name).map(Vec::as_slice)
-    }
-
     /// Names of all recorded metrics.
     pub fn metric_names(&self) -> impl Iterator<Item = &str> {
         self.samples.keys().map(String::as_str)
@@ -114,14 +104,6 @@ impl ReplicationReport {
             .get(name)
             .unwrap_or_else(|| panic!("unknown metric '{name}'"));
         ConfidenceInterval::from_samples(samples, self.level)
-    }
-
-    /// Sample mean of a metric.
-    ///
-    /// # Panics
-    /// Panics if the metric was never recorded.
-    pub fn mean(&self, name: &str) -> f64 {
-        self.interval(name).mean
     }
 }
 
@@ -230,10 +212,10 @@ mod tests {
             m
         });
         assert_eq!(report.replications(), 25);
-        assert_eq!(report.samples("x").unwrap().len(), 25);
+        assert_eq!(report.samples["x"].len(), 25);
         // Seeds are base..base+n.
-        assert_eq!(report.samples("x").unwrap()[0], 1.0);
-        assert_eq!(report.samples("x").unwrap()[24], 25.0);
+        assert_eq!(report.samples["x"][0], 1.0);
+        assert_eq!(report.samples["x"][24], 25.0);
     }
 
     #[test]
@@ -290,7 +272,10 @@ mod tests {
             m
         });
         let ci = report.interval("v");
-        assert!(ci.contains(50.0), "CI {ci:?} should contain 50");
+        assert!(
+            (ci.mean - 50.0).abs() <= ci.half_width,
+            "CI {ci:?} should contain 50"
+        );
         assert_eq!(ci.n, 100);
     }
 
@@ -300,7 +285,7 @@ mod tests {
         assert_eq!(m.get("a"), Some(1.0));
         assert_eq!(m.get("b"), Some(2.0));
         assert_eq!(m.get("c"), None);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.iter().count(), 2);
         let names: Vec<&str> = m.iter().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["a", "b"]);
     }

@@ -11,9 +11,9 @@
 //! instant) or queues the continuation first come, first served
 //! (QNAP2's FIFO default). A *release* frees one unit and wakes the
 //! longest waiter.
-//! Utilisation (time-weighted busy units) and the grant count are kept
-//! here; a tracing probe also sees every queueing request, which feeds
-//! its `queue:<name>` series. Waiting times are the model's to measure:
+//! Utilisation (time-weighted busy units) is kept here; a tracing probe
+//! also sees every queueing request, which feeds its `queue:<name>`
+//! series. Waiting times are the model's to measure:
 //! it knows both endpoints of each wait and reports them as span stages.
 
 use crate::engine::Context;
@@ -31,7 +31,6 @@ pub struct Resource<E> {
     queue: VecDeque<E>,
     /// Time-weighted busy units (divide by capacity for utilisation).
     busy_units: TimeWeighted,
-    grants: u64,
     /// Probe handle for this resource's name, interned lazily (or
     /// eagerly via [`Resource::rebind_probe`]) so hot-path hooks never
     /// pass a string.
@@ -50,8 +49,7 @@ impl<E> Resource<E> {
             capacity,
             busy: 0,
             queue: VecDeque::new(),
-            busy_units: TimeWeighted::new(),
-            grants: 0,
+            busy_units: TimeWeighted::default(),
             probe_id: ResourceId::INVALID,
         }
     }
@@ -83,11 +81,6 @@ impl<E> Resource<E> {
     /// Number of queued waiters.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Total grants so far.
-    pub fn grants(&self) -> u64 {
-        self.grants
     }
 
     #[inline]
@@ -134,7 +127,6 @@ impl<E> Resource<E> {
         }
         let now = ctx.now();
         self.busy += 1;
-        self.grants += 1;
         self.record_state(now);
         true
     }
@@ -151,7 +143,6 @@ impl<E> Resource<E> {
         self.busy -= 1;
         if let Some(continuation) = self.queue.pop_front() {
             self.busy += 1;
-            self.grants += 1;
             ctx.schedule_now(continuation);
         }
         self.record_state(now);
@@ -216,7 +207,6 @@ mod tests {
         assert_eq!(m.done, 3);
         assert_eq!(m.grant_times, vec![0.0, 10.0, 20.0]);
         assert_eq!(m.resource.busy(), 0);
-        assert_eq!(m.resource.grants(), 3);
     }
 
     #[test]
@@ -266,7 +256,7 @@ mod tests {
         );
         engine.run_to_completion();
         assert_eq!(engine.model().taken, vec![true, false]);
-        assert_eq!(engine.model().resource.grants(), 2);
+        assert_eq!(engine.model().resource.busy(), 2);
         assert_eq!(engine.probe().enqueues, 0);
     }
 

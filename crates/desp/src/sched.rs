@@ -97,14 +97,6 @@ pub enum SchedulerKind {
 impl SchedulerKind {
     /// All selectable kinds.
     pub const ALL: [SchedulerKind; 2] = [SchedulerKind::Calendar, SchedulerKind::Heap];
-
-    /// Short lowercase name (test and benchmark labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Calendar => "calendar",
-            SchedulerKind::Heap => "heap",
-        }
-    }
 }
 
 /// Entry in the binary-heap event list: `(time, seq)` gives the
@@ -149,18 +141,6 @@ impl<E> Default for EventHeap<E> {
             heap: BinaryHeap::new(),
             seq: 0,
         }
-    }
-}
-
-impl<E> EventHeap<E> {
-    /// An empty heap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when no event is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -339,11 +319,6 @@ impl<E> Default for CalendarQueue<E> {
 }
 
 impl<E> CalendarQueue<E> {
-    /// An empty queue with the default geometry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Current ring size (diagnostic; exercised by resize tests).
     // audit: ring geometry, read by the resize property of `tests/sched_differential.rs`
     pub fn bucket_count(&self) -> usize {
@@ -819,11 +794,6 @@ impl<E> Default for TimerWheel<E> {
 }
 
 impl<E> TimerWheel<E> {
-    /// An empty wheel (collapsed mode).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Current tick width in ms (diagnostic).
     #[cfg(test)]
     pub fn tick_width(&self) -> f64 {
@@ -1266,7 +1236,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order_with_fifo_ties() {
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::default();
         q.push(SimTime::from_ms(5.0), 1);
         q.push(SimTime::from_ms(1.0), 2);
         q.push(SimTime::from_ms(5.0), 3);
@@ -1280,7 +1250,7 @@ mod tests {
     fn far_future_events_take_the_overflow_list() {
         // Collapsed mode absorbs any schedule into its single bucket;
         // expand to ring mode first so the horizon exists.
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::default();
         for i in 0..48u32 {
             q.push(SimTime::from_ms(i as f64 * 0.1), 100 + i);
         }
@@ -1303,7 +1273,7 @@ mod tests {
 
     #[test]
     fn grows_and_shrinks_around_the_load() {
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::default();
         for i in 0..4096u32 {
             q.push(SimTime::from_ms(i as f64 * 0.37), i);
         }
@@ -1329,7 +1299,7 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::default();
         let times = [3.0, 0.1, 77.0, 3.0, 1e7, 0.1];
         for (i, &t) in times.iter().enumerate() {
             q.push(SimTime::from_ms(t), i as u32);
@@ -1353,12 +1323,12 @@ mod tests {
         // pushes) grows the queue through several resizes with live
         // overflow traffic, checked pop-by-pop against the heap.
         let mut rng = crate::random::RandomStream::new(3);
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::default();
         let mut now = 0.0f64;
         for i in 0..4 {
             q.push(SimTime::from_ms(rng.expo(2.0)), i);
         }
-        let mut oracle = EventHeap::new();
+        let mut oracle = EventHeap::default();
         {
             let mut rng2 = crate::random::RandomStream::new(3);
             for i in 0..4 {
@@ -1407,7 +1377,7 @@ mod tests {
         // overflow list, drain the ring, pop across the quiet gap —
         // the cursor must resync so later near-term pushes use the
         // ring again instead of degenerating to overflow-heap mode.
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::default();
         for i in 0..48u32 {
             q.push(SimTime::from_ms(i as f64 * 0.1), i);
         }
@@ -1432,7 +1402,7 @@ mod tests {
 
     #[test]
     fn push_behind_the_cursor_is_found() {
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::default();
         q.push(SimTime::from_ms(1000.0), 1);
         // Peeking advances the cursor towards day(1000).
         assert_eq!(q.peek_time(), Some(SimTime::from_ms(1000.0)));
@@ -1443,7 +1413,7 @@ mod tests {
 
     #[test]
     fn wheel_pops_in_time_order_with_fifo_ties() {
-        let mut q = TimerWheel::new();
+        let mut q = TimerWheel::default();
         q.push(SimTime::from_ms(5.0), 1);
         q.push(SimTime::from_ms(1.0), 2);
         q.push(SimTime::from_ms(5.0), 3);
@@ -1455,7 +1425,7 @@ mod tests {
 
     #[test]
     fn wheel_far_future_events_take_the_overflow() {
-        let mut q = TimerWheel::new();
+        let mut q = TimerWheel::default();
         for i in 0..48u32 {
             q.push(SimTime::from_ms(i as f64 * 0.1), 100 + i);
         }
@@ -1470,7 +1440,7 @@ mod tests {
 
     #[test]
     fn wheel_peek_matches_pop() {
-        let mut q = TimerWheel::new();
+        let mut q = TimerWheel::default();
         let times = [3.0, 0.1, 77.0, 3.0, 1e7, 0.1];
         for (i, &t) in times.iter().enumerate() {
             q.push(SimTime::from_ms(t), i as u32);
@@ -1489,7 +1459,7 @@ mod tests {
 
     #[test]
     fn wheel_push_behind_the_cursor_is_found() {
-        let mut q = TimerWheel::new();
+        let mut q = TimerWheel::default();
         // Leave collapsed mode with a spread-out population, then let
         // a peek advance the cursor far ahead.
         for i in 0..48u32 {
@@ -1514,12 +1484,12 @@ mod tests {
         // drives expand/collapse cycles, boundary scatters, cursor
         // rewinds and the reanchor backstop.
         let mut rng = crate::random::RandomStream::new(3);
-        let mut q = TimerWheel::new();
+        let mut q = TimerWheel::default();
         let mut now = 0.0f64;
         for i in 0..4 {
             q.push(SimTime::from_ms(rng.expo(2.0)), i);
         }
-        let mut oracle = EventHeap::new();
+        let mut oracle = EventHeap::default();
         {
             let mut rng2 = crate::random::RandomStream::new(3);
             for i in 0..4 {
@@ -1574,8 +1544,8 @@ mod tests {
         // think-time population pushed up front, then a closed loop
         // re-arming a fresh think time on every wake.
         let mut rng = crate::random::RandomStream::new(7);
-        let mut q = TimerWheel::new();
-        let mut oracle = EventHeap::new();
+        let mut q = TimerWheel::default();
+        let mut oracle = EventHeap::default();
         for i in 0..20_000u32 {
             let t = rng.expo(1_000.0);
             q.push(SimTime::from_ms(t), i);
@@ -1603,8 +1573,8 @@ mod tests {
         // unless the wheel re-estimates; this pins both the pop order
         // and the fact that the width actually tightened.
         let mut rng = crate::random::RandomStream::new(13);
-        let mut q = TimerWheel::new();
-        let mut oracle = EventHeap::new();
+        let mut q = TimerWheel::default();
+        let mut oracle = EventHeap::default();
         // Sparse seed population: width calibrates to ~5000 ms gaps.
         for i in 0..30u32 {
             let t = 5_000.0 * f64::from(i + 1);

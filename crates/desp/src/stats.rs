@@ -24,22 +24,9 @@ pub struct Welford {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Welford {
-    /// A fresh accumulator.
-    pub fn new() -> Self {
-        Welford {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
     /// Adds one observation.
     #[inline(always)]
     pub fn add(&mut self, x: f64) {
@@ -47,13 +34,6 @@ impl Welford {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Sample mean (0 if empty).
@@ -78,36 +58,6 @@ impl Welford {
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
-
-    /// Smallest observation (`+∞` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`−∞` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel replications).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Time-weighted average of a piecewise-constant quantity (queue length,
@@ -122,11 +72,6 @@ pub struct TimeWeighted {
 }
 
 impl TimeWeighted {
-    /// A fresh accumulator; the first `update` fixes the origin.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records that the tracked quantity takes `value` from instant `now`
     /// (in ms) onwards.
     ///
@@ -156,11 +101,6 @@ impl TimeWeighted {
         }
         let integral = self.integral + self.last_value * (now - self.last_time);
         integral / (now - self.start)
-    }
-
-    /// The most recently recorded value.
-    pub fn current(&self) -> f64 {
-        self.last_value
     }
 }
 
@@ -344,7 +284,7 @@ impl ConfidenceInterval {
     pub fn from_samples(samples: &[f64], level: f64) -> Self {
         assert!((0.0..1.0).contains(&level) && level > 0.0);
         let n = samples.len();
-        let mut acc = Welford::new();
+        let mut acc = Welford::default();
         for &s in samples {
             acc.add(s);
         }
@@ -364,21 +304,6 @@ impl ConfidenceInterval {
             level,
             n,
         }
-    }
-
-    /// Lower bound of the interval.
-    pub fn low(&self) -> f64 {
-        self.mean - self.half_width
-    }
-
-    /// Upper bound of the interval.
-    pub fn high(&self) -> f64 {
-        self.mean + self.half_width
-    }
-
-    /// Does the interval contain `x`?
-    pub fn contains(&self, x: f64) -> bool {
-        x >= self.low() && x <= self.high()
     }
 }
 
@@ -412,53 +337,30 @@ mod tests {
     #[test]
     fn welford_matches_naive() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
+        let mut w = Welford::default();
         for &x in &xs {
             w.add(x);
         }
         assert!((w.mean() - 5.0).abs() < 1e-12);
         // Unbiased variance of this classic dataset is 32/7.
         assert!((w.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(w.min(), 2.0);
-        assert_eq!(w.max(), 9.0);
-        assert_eq!(w.count(), 8);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Welford::new();
-        for &x in &xs {
-            whole.add(x);
-        }
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for &x in &xs[..37] {
-            left.add(x);
-        }
-        for &x in &xs[37..] {
-            right.add(x);
-        }
-        left.merge(&right);
-        assert!((left.mean() - whole.mean()).abs() < 1e-10);
-        assert!((left.variance() - whole.variance()).abs() < 1e-10);
     }
 
     #[test]
     fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new();
+        let mut tw = TimeWeighted::default();
         tw.update(0.0, 0.0); // value 0 on [0, 10)
         tw.update(10.0, 2.0); // value 2 on [10, 30)
         tw.update(30.0, 1.0); // value 1 on [30, 40]
         let mean = tw.mean(40.0);
         // (0*10 + 2*20 + 1*10)/40 = 50/40
         assert!((mean - 1.25).abs() < 1e-12);
-        assert_eq!(tw.current(), 1.0);
+        assert_eq!(tw.last_value, 1.0);
     }
 
     #[test]
     fn time_weighted_clamps_backwards_timestamps() {
-        let mut tw = TimeWeighted::new();
+        let mut tw = TimeWeighted::default();
         tw.update(0.0, 4.0); // value 4 on [0, 10)
         tw.update(10.0, 2.0); // value 2 on [10, 20]
                               // A non-monotonic update must not produce a negative weight: it
@@ -467,7 +369,7 @@ mod tests {
         let mean = tw.mean(20.0);
         // (4*10 + 8*10)/20 = 6.0 — the 2.0 segment got zero weight.
         assert!((mean - 6.0).abs() < 1e-12, "mean {mean}");
-        assert_eq!(tw.current(), 8.0);
+        assert_eq!(tw.last_value, 8.0);
         // Querying the mean before the last update is clamped too.
         assert!((tw.mean(3.0) - tw.mean(10.0)).abs() < 1e-12);
     }
@@ -534,15 +436,15 @@ mod tests {
         let samples: Vec<f64> = (0..10).map(|i| 10.0 + (i as f64 - 4.5) * 0.2).collect();
         let ci = ConfidenceInterval::from_samples(&samples, 0.95);
         assert!((ci.mean - 10.0).abs() < 1e-12);
-        let mut w = Welford::new();
+        let mut w = Welford::default();
         for &s in &samples {
             w.add(s);
         }
         let t = student_t_quantile(0.975, 9.0);
         let expected_h = t * w.std_dev() / 10f64.sqrt();
         assert!((ci.half_width - expected_h).abs() < 1e-12);
-        assert!(ci.contains(10.0));
-        assert!(!ci.contains(10.0 + 2.0 * expected_h));
+        assert!((10.0 - ci.mean).abs() <= ci.half_width);
+        assert!(ci.mean + ci.half_width < 10.0 + 2.0 * expected_h);
     }
 
     #[test]

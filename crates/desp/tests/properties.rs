@@ -121,7 +121,7 @@ proptest! {
 
     #[test]
     fn welford_matches_two_pass(samples in prop::collection::vec(-1e6f64..1e6, 2..200)) {
-        let mut acc = Welford::new();
+        let mut acc = Welford::default();
         for &s in &samples {
             acc.add(s);
         }
@@ -133,74 +133,13 @@ proptest! {
     }
 
     #[test]
-    fn welford_merge_is_commutative(
-        a in prop::collection::vec(-1e6f64..1e6, 0..120),
-        b in prop::collection::vec(-1e6f64..1e6, 0..120),
-    ) {
-        let of = |xs: &[f64]| {
-            let mut acc = Welford::new();
-            for &x in xs {
-                acc.add(x);
-            }
-            acc
-        };
-        let mut ab = of(&a);
-        ab.merge(&of(&b));
-        let mut ba = of(&b);
-        ba.merge(&of(&a));
-        prop_assert_eq!(ab.count(), ba.count());
-        prop_assert!((ab.mean() - ba.mean()).abs() <= 1e-6 * ab.mean().abs().max(1.0));
-        prop_assert!(
-            (ab.variance() - ba.variance()).abs() <= 1e-4 * ab.variance().abs().max(1.0)
-        );
-        prop_assert_eq!(ab.min(), ba.min());
-        prop_assert_eq!(ab.max(), ba.max());
-    }
-
-    #[test]
-    fn welford_merge_is_associative_and_matches_single_pass(
-        a in prop::collection::vec(-1e6f64..1e6, 0..80),
-        b in prop::collection::vec(-1e6f64..1e6, 0..80),
-        c in prop::collection::vec(-1e6f64..1e6, 0..80),
-    ) {
-        let of = |xs: &[f64]| {
-            let mut acc = Welford::new();
-            for &x in xs {
-                acc.add(x);
-            }
-            acc
-        };
-        // ((a ⋅ b) ⋅ c) vs (a ⋅ (b ⋅ c)).
-        let mut left = of(&a);
-        left.merge(&of(&b));
-        left.merge(&of(&c));
-        let mut bc = of(&b);
-        bc.merge(&of(&c));
-        let mut right = of(&a);
-        right.merge(&bc);
-        // And both vs the single-pass accumulator over the concatenation.
-        let whole: Vec<f64> = a.iter().chain(&b).chain(&c).copied().collect();
-        let single = of(&whole);
-        for merged in [&left, &right] {
-            prop_assert_eq!(merged.count(), single.count());
-            prop_assert!(
-                (merged.mean() - single.mean()).abs() <= 1e-6 * single.mean().abs().max(1.0)
-            );
-            prop_assert!(
-                (merged.variance() - single.variance()).abs()
-                    <= 1e-4 * single.variance().abs().max(1.0)
-            );
-        }
-    }
-
-    #[test]
     fn time_weighted_mean_stays_bounded_under_clamping(
         updates in prop::collection::vec((0u32..10_000, -100f64..100.0), 1..100)
     ) {
         // Deliberately unsorted timestamps: the clamp must keep the
         // time-weighted mean within the value range (a negative weight
         // would let it escape).
-        let mut tw = TimeWeighted::new();
+        let mut tw = TimeWeighted::default();
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for &(t, v) in &updates {
@@ -218,7 +157,6 @@ proptest! {
         level in 0.5f64..0.999,
     ) {
         let ci = ConfidenceInterval::from_samples(&samples, level);
-        prop_assert!(ci.contains(ci.mean));
         prop_assert!(ci.half_width >= 0.0);
         // Higher confidence → wider interval.
         let wider = ConfidenceInterval::from_samples(&samples, (level + 1.0) / 2.0);
@@ -272,7 +210,6 @@ proptest! {
         prop_assert_eq!(model.granted, n);
         prop_assert_eq!(model.resource.busy(), 0);
         prop_assert_eq!(model.resource.queue_len(), 0);
-        prop_assert_eq!(model.resource.grants(), n as u64);
     }
 
     #[test]

@@ -87,7 +87,7 @@ proptest! {
     fn same_timestamp_bursts_are_fifo(
         bursts in prop::collection::vec((0u16..50, 1usize..20), 1..20)
     ) {
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::default();
         let mut expected: Vec<(u64, u32)> = Vec::new();
         let mut id = 0u32;
         for &(t, count) in &bursts {
@@ -113,7 +113,7 @@ proptest! {
         sizes in prop::collection::vec(1usize..200, 1..8),
         seed in any::<u64>(),
     ) {
-        let mut q = CalendarQueue::new();
+        let mut q = CalendarQueue::default();
         let mut rng = RandomStream::new(seed);
         let mut id = 0u32;
         let mut pending = 0usize;

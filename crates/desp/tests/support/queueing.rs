@@ -155,6 +155,8 @@ struct QueueSim {
     mean_interarrival: f64,
     mean_service: f64,
     response: Welford,
+    /// Customers counted in `response`.
+    served: u64,
     in_system: TimeWeighted,
     population: usize,
     horizon: SimTime,
@@ -194,6 +196,7 @@ impl<Q: QueueKind> Model<NoProbe, Q> for QueueSim {
             QueueEvent::Departure { arrived } => {
                 if SimTime::from_ms(arrived) >= self.warmup {
                     self.response.add(ctx.now().as_ms() - arrived);
+                    self.served += 1;
                 }
                 self.population -= 1;
                 self.in_system
@@ -264,8 +267,9 @@ pub fn simulate_mmc_on<Q: QueueKind>(
         services: family.stream(1),
         mean_interarrival: 1.0 / lambda,
         mean_service: 1.0 / mu,
-        response: Welford::new(),
-        in_system: TimeWeighted::new(),
+        response: Welford::default(),
+        served: 0,
+        in_system: TimeWeighted::default(),
         population: 0,
         horizon: SimTime::from_ms(horizon_ms),
         warmup: SimTime::from_ms(warmup_ms),
@@ -279,7 +283,7 @@ pub fn simulate_mmc_on<Q: QueueKind>(
         mean_response: model.response.mean(),
         mean_in_system: model.in_system.mean(now.as_ms()),
         utilization: model.servers.utilization(now),
-        served: model.response.count(),
+        served: model.served,
         events,
     }
 }

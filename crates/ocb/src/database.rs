@@ -36,7 +36,6 @@ pub struct ObjectBase {
     schema: Schema,
     objects: Vec<Object>,
     by_class: Vec<Vec<Oid>>,
-    total_bytes: u64,
 }
 
 impl ObjectBase {
@@ -95,7 +94,6 @@ impl ObjectBase {
         }
 
         let mut objects = Vec::with_capacity(no);
-        let mut total_bytes = 0u64;
         for oid in 0..no {
             let class_id = class_of[oid];
             let class = schema.class(class_id);
@@ -113,7 +111,6 @@ impl ObjectBase {
                 );
                 refs.push(target);
             }
-            total_bytes += class.instance_size as u64;
             objects.push(Object {
                 class: class_id,
                 size: class.instance_size,
@@ -125,7 +122,6 @@ impl ObjectBase {
             schema,
             objects,
             by_class,
-            total_bytes,
         }
     }
 
@@ -155,11 +151,6 @@ impl ObjectBase {
     /// Instances of a class, in generation rank order.
     pub fn class_instances(&self, class: ClassId) -> &[Oid] {
         &self.by_class[class as usize]
-    }
-
-    /// Total bytes of all objects.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
     }
 
     /// Iterates `(oid, object)` pairs.
@@ -287,16 +278,10 @@ mod tests {
     }
 
     #[test]
-    fn total_bytes_matches_sum() {
-        let base = small_base(6);
-        let sum: u64 = base.iter().map(|(_, o)| o.size as u64).sum();
-        assert_eq!(base.total_bytes(), sum);
-    }
-
-    #[test]
     fn mid_sized_base_is_about_20_mb() {
         let base = ObjectBase::generate(&DatabaseParams::default(), 99);
-        let mb = base.total_bytes() as f64 / (1024.0 * 1024.0);
+        let bytes: u64 = base.iter().map(|(_, o)| o.size as u64).sum();
+        let mb = bytes as f64 / (1024.0 * 1024.0);
         assert!(
             (14.0..26.0).contains(&mb),
             "mid-sized base should be ~20 MB, got {mb:.1}"
@@ -324,7 +309,7 @@ mod tests {
         let base = small_base(9);
         for (oid, object) in base.iter().take(50) {
             let class = base.schema().class(object.class);
-            for rtype in 0..base.schema().ref_types() as RefType {
+            for rtype in 0..DatabaseParams::small().ref_types as RefType {
                 let expected: Vec<Oid> = class
                     .refs
                     .iter()

@@ -457,8 +457,8 @@ pub struct WorkloadParams {
     /// classic `COLDN + HOTN` count-based run.
     pub duration_ms: f64,
     /// `WARMUP` — warm-up prefix of a time-horizon phase: transactions
-    /// committing before `warmup_ms` are executed but not measured. Only
-    /// meaningful when `duration_ms > 0`.
+    /// committing before `warmup_ms` are executed but not measured.
+    /// Must be 0 for a count-based phase (`duration_ms == 0`).
     pub warmup_ms: f64,
     /// `USERMODEL` — per-user oracle (default) or cohort-batched
     /// representation of the closed user population (see [`UserModel`]).
@@ -580,6 +580,13 @@ impl WorkloadParams {
         if !self.warmup_ms.is_finite() || self.warmup_ms < 0.0 {
             return Err(format!(
                 "warmup_ms must be non-negative and finite, got {}",
+                self.warmup_ms
+            ));
+        }
+        if self.duration_ms == 0.0 && self.warmup_ms > 0.0 {
+            return Err(format!(
+                "warmup_ms ({}) needs a time horizon: set duration_ms, or set warmup_ms to 0 \
+                 for a count-based phase",
                 self.warmup_ms
             ));
         }
@@ -858,16 +865,26 @@ mod tests {
         };
         assert!(wl.validate().is_err(), "warmup must undercut duration");
         let wl = WorkloadParams {
-            warmup_ms: 50.0,
-            ..WorkloadParams::default()
-        };
-        // Count-based phases ignore warmup; any non-negative value is fine.
-        wl.validate().unwrap();
-        let wl = WorkloadParams {
             duration_ms: -1.0,
             ..WorkloadParams::default()
         };
         assert!(wl.validate().is_err());
+    }
+
+    #[test]
+    fn warmup_without_a_horizon_is_refused() {
+        // A count-based phase (duration 0) has no window to cut.
+        let wl = WorkloadParams {
+            warmup_ms: 50.0,
+            ..WorkloadParams::default()
+        };
+        let err = wl.validate().unwrap_err();
+        assert!(
+            err.contains("warmup_ms") && err.contains("duration_ms"),
+            "{err}"
+        );
+        // No warm-up is fine either way.
+        WorkloadParams::default().validate().unwrap();
     }
 
     #[test]

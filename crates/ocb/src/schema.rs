@@ -47,7 +47,6 @@ pub struct Class {
 #[derive(Clone, Debug)]
 pub struct Schema {
     classes: Vec<Class>,
-    ref_types: usize,
 }
 
 impl Schema {
@@ -93,10 +92,7 @@ impl Schema {
                 refs,
             });
         }
-        Schema {
-            classes,
-            ref_types: params.ref_types,
-        }
+        Schema { classes }
     }
 
     /// Number of classes.
@@ -109,22 +105,12 @@ impl Schema {
         self.classes.is_empty()
     }
 
-    /// Number of reference types.
-    pub fn ref_types(&self) -> usize {
-        self.ref_types
-    }
-
     /// Access a class.
     ///
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn class(&self, id: ClassId) -> &Class {
         &self.classes[id as usize]
-    }
-
-    /// Iterates over all classes.
-    pub fn classes(&self) -> impl Iterator<Item = &Class> {
-        self.classes.iter()
     }
 }
 
@@ -142,18 +128,17 @@ mod tests {
     fn schema_has_requested_classes() {
         let schema = generate_default();
         assert_eq!(schema.len(), 50);
-        assert_eq!(schema.ref_types(), 4);
     }
 
     #[test]
     fn every_class_has_refs_within_bounds() {
         let schema = generate_default();
-        for class in schema.classes() {
+        for class in &schema.classes {
             assert!(!class.refs.is_empty());
             assert!(class.refs.len() <= 10);
             for r in &class.refs {
                 assert!((r.target as usize) < schema.len());
-                assert!((r.rtype as usize) < schema.ref_types());
+                assert!((r.rtype as usize) < DatabaseParams::default().ref_types);
             }
         }
     }
@@ -163,7 +148,7 @@ mod tests {
         let params = DatabaseParams::default();
         let mut stream = RandomStream::new(7);
         let schema = Schema::generate(&params, &mut stream);
-        for class in schema.classes() {
+        for class in &schema.classes {
             assert!(class.instance_size >= params.base_size);
             assert!(
                 class.instance_size
@@ -187,7 +172,7 @@ mod tests {
         };
         let mut stream = RandomStream::new(13);
         let schema = Schema::generate(&params, &mut stream);
-        for class in schema.classes() {
+        for class in &schema.classes {
             for r in &class.refs {
                 // Circular distance between class and target ≤ window.
                 let d = (class.id as isize - r.target as isize).rem_euclid(100);
@@ -207,7 +192,7 @@ mod tests {
         let params = DatabaseParams::default();
         let a = Schema::generate(&params, &mut RandomStream::new(5));
         let b = Schema::generate(&params, &mut RandomStream::new(5));
-        for (ca, cb) in a.classes().zip(b.classes()) {
+        for (ca, cb) in a.classes.iter().zip(&b.classes) {
             assert_eq!(ca.instance_size, cb.instance_size);
             assert_eq!(ca.refs, cb.refs);
         }

@@ -317,7 +317,6 @@ pub struct WorkloadGenerator<'a> {
     params: WorkloadParams,
     stream: RandomStream,
     roots: RootSampler,
-    generated: usize,
     scratch: TraversalScratch,
 }
 
@@ -350,7 +349,6 @@ impl<'a> WorkloadGenerator<'a> {
             params,
             stream,
             roots,
-            generated: 0,
             scratch: TraversalScratch::default(),
         }
     }
@@ -358,11 +356,6 @@ impl<'a> WorkloadGenerator<'a> {
     /// The workload parameters.
     pub fn params(&self) -> &WorkloadParams {
         &self.params
-    }
-
-    /// Transactions generated so far.
-    pub fn generated(&self) -> usize {
-        self.generated
     }
 
     fn pick_root(&mut self) -> Oid {
@@ -430,7 +423,6 @@ impl<'a> WorkloadGenerator<'a> {
                 write: p_write > 0.0 && self.stream.bernoulli(p_write),
             });
         }
-        self.generated += 1;
     }
 
     /// Generates the complete measured run: `COLDN` cold transactions
@@ -672,7 +664,6 @@ mod tests {
         let (cold, hot) = generator.generate_run();
         assert_eq!(cold.len(), 5);
         assert_eq!(hot.len(), 10);
-        assert_eq!(generator.generated(), 15);
     }
 
     #[test]

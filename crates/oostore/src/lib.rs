@@ -59,7 +59,7 @@ pub use disk::{DiskTimings, IoCounts, VirtualDisk};
 pub use engine::{run_workload, StorageEngine, WorkloadReport};
 pub use oid::PhysicalOid;
 pub use page::{SlotId, SlottedPage};
-pub use pageserver::{PageServerConfig, PageServerCounters, PageServerEngine, O2_FRAMES_PER_MB};
+pub use pageserver::{PageServerConfig, PageServerEngine, O2_FRAMES_PER_MB};
 pub use reorg::ReorgReport;
 pub use storage::{
     assign_physical_oids, patch_refs, payload_oid, payload_refs, serialize_pages, write_object,

@@ -62,15 +62,6 @@ impl PageServerConfig {
     }
 }
 
-/// Counters specific to the page server.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PageServerCounters {
-    /// Pages shipped to the client (network transfers).
-    pub pages_shipped: u64,
-    /// Object accesses executed.
-    pub accesses: u64,
-}
-
 /// The O2-like page-server engine.
 pub struct PageServerEngine<'a> {
     base: &'a ObjectBase,
@@ -88,7 +79,6 @@ pub struct PageServerEngine<'a> {
     oid_entries_per_page: u32,
     buffer: BufferPool,
     strategy: Box<dyn ClusteringStrategy>,
-    counters: PageServerCounters,
 }
 
 impl<'a> PageServerEngine<'a> {
@@ -119,7 +109,6 @@ impl<'a> PageServerEngine<'a> {
             oid_entries_per_page,
             buffer,
             strategy,
-            counters: PageServerCounters::default(),
         }
     }
 
@@ -144,11 +133,6 @@ impl<'a> PageServerEngine<'a> {
         self.oid_table[oid as usize]
     }
 
-    /// Server-specific counters.
-    pub fn counters(&self) -> PageServerCounters {
-        self.counters
-    }
-
     /// The physical location of a logical object (OID-table lookup).
     #[cfg(test)]
     pub fn physical_oid(&self, oid: Oid) -> PhysicalOid {
@@ -156,11 +140,13 @@ impl<'a> PageServerEngine<'a> {
     }
 
     /// Number of pages on disk.
+    #[cfg(test)]
     pub fn page_count(&self) -> u32 {
         self.disk.page_count()
     }
 
     /// Read-only view of the virtual disk.
+    #[cfg(test)]
     pub fn disk_ref(&self) -> &VirtualDisk<'a> {
         &self.disk
     }
@@ -168,7 +154,6 @@ impl<'a> PageServerEngine<'a> {
     /// The client requests the page holding `phys`; the server serves it
     /// from the buffer or the disk.
     fn request_page(&mut self, page: PageId, write: bool) {
-        self.counters.pages_shipped += 1;
         match self.buffer.access(page, write) {
             AccessOutcome::Hit => {}
             AccessOutcome::Miss { evicted } => {
@@ -283,7 +268,6 @@ impl StorageEngine for PageServerEngine<'_> {
 
     fn execute(&mut self, transaction: &Transaction) {
         for access in &transaction.accesses {
-            self.counters.accesses += 1;
             let phys = self.resolve_oid(access.oid, false);
             self.request_page(phys.page, access.write);
             debug_assert_eq!(
@@ -361,15 +345,6 @@ mod tests {
         engine.execute(&t);
         // Two cold reads: the persistent OID-table page and the data page.
         assert_eq!(engine.io_counts().reads, 2);
-        assert_eq!(
-            engine.counters().pages_shipped,
-            5,
-            "network still pays per request"
-        );
-        // Each access looks up the OID table then the data page: 10
-        // lookups. A miss reads its page, so the two reads above are the
-        // only misses and the other 8 lookups hit.
-        assert_eq!(engine.counters().accesses, 5);
     }
 
     #[test]

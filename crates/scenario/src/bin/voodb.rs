@@ -39,9 +39,9 @@
 //! and README "Static guarantees & determinism invariants").
 
 use scenario::{
-    check_same_tendency, library_listing, params_help_text, run_sweep, run_sweep_traced_with,
-    sweep_table, write_sweep_reports, write_trace_reports, JobKind, Report, RunOptions, Scenario,
-    ARTIFACTS, DEFAULT_OUT_DIR,
+    apply_run_options, check_same_tendency, library_listing, params_help_text, run_sweep,
+    run_sweep_traced_with, sweep_table, write_sweep_reports, write_trace_reports, JobKind, Report,
+    RunOptions, Scenario, ARTIFACTS, DEFAULT_OUT_DIR,
 };
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -302,12 +302,21 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if !trace && trace_sample.is_some() {
         return fail("--trace-sample requires --trace");
     }
-    let scenario = match load(file) {
+    // Refuse bad overrides and an unwritable watch sink before the
+    // banner, so a refused run prints nothing to stdout.
+    let scenario = match load(file).and_then(|s| apply_run_options(&s, &run_options)) {
         Ok(s) => s,
         Err(e) => return fail(&e),
     };
+    let sink_file = match &watch_jsonl {
+        Some(path) => match std::fs::File::create(path) {
+            Ok(f) => Some(f),
+            Err(e) => return fail(&format!("{}: {e}", path.display())),
+        },
+        None => None,
+    };
     let grid = scenario.grid().len();
-    let reps = run_options.reps.unwrap_or(scenario.replications);
+    let reps = scenario.replications;
     println!(
         "running '{}': {grid} sweep point{} x {reps} replication{}{}",
         scenario.name,
@@ -322,15 +331,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
         let mut drainer = None;
         if watching {
-            // Create the JSONL sink up front so a bad path fails before
-            // the run, not after it.
-            let sink_file = match &watch_jsonl {
-                Some(path) => match std::fs::File::create(path) {
-                    Ok(f) => Some(f),
-                    Err(e) => return fail(&format!("{}: {e}", path.display())),
-                },
-                None => None,
-            };
             let (tx, rx) = std::sync::mpsc::channel();
             config = config.watch(WatchSink {
                 sender: tx,

@@ -77,8 +77,8 @@ pub use report::{
     check_same_tendency, sweep_table, write_sweep_reports, Cell, ReportTable, DEFAULT_OUT_DIR,
 };
 pub use runner::{
-    run_sweep, run_sweep_jobs, run_sweep_traced, run_sweep_traced_with, JobTrace, MetricEstimate,
-    PointSummary, RunOptions, SweepResult, CONFIDENCE,
+    apply_run_options, run_sweep, run_sweep_jobs, run_sweep_traced, run_sweep_traced_with,
+    JobTrace, MetricEstimate, PointSummary, RunOptions, SweepResult, CONFIDENCE,
 };
 pub use spec::{
     apply_param, params_help_text, parse_arrival, Scenario, SweepAxis, SweepPoint, PARAM_HELP,

@@ -64,15 +64,6 @@ pub struct ReportTable {
 }
 
 impl ReportTable {
-    /// Builds an empty table with the given title and columns.
-    pub fn new(title: impl Into<String>, columns: &[&str]) -> Self {
-        ReportTable {
-            title: title.into(),
-            columns: columns.iter().map(|c| (*c).to_owned()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
     /// Appends a row (must match the column count).
     pub fn push_row(&mut self, row: Vec<Cell>) {
         assert_eq!(
@@ -273,7 +264,11 @@ mod tests {
     use crate::{MetricEstimate, PointSummary};
 
     fn demo_table() -> ReportTable {
-        let mut t = ReportTable::new("Demo, table", &["x", "mean", "note"]);
+        let mut t = ReportTable {
+            title: "Demo, table".into(),
+            columns: ["x", "mean", "note"].map(String::from).to_vec(),
+            rows: Vec::new(),
+        };
         t.push_row(vec![
             Cell::Int(1),
             Cell::Num(10.5),
@@ -324,7 +319,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width")]
     fn mismatched_row_rejected() {
-        let mut t = ReportTable::new("t", &["a", "b"]);
+        let mut t = ReportTable {
+            title: "t".into(),
+            columns: ["a", "b"].map(String::from).to_vec(),
+            rows: Vec::new(),
+        };
         t.push_row(vec![Cell::Int(1)]);
     }
 

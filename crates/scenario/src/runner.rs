@@ -264,6 +264,39 @@ pub fn run_sweep_traced_with(
     Ok((result, traces))
 }
 
+/// `scenario` with the CLI overrides of `options` applied, once the
+/// result and the thread count are known to be valid: the checks
+/// [`run_sweep_jobs`] makes before it starts a worker, for callers that
+/// must refuse a run before printing anything.
+///
+/// # Errors
+/// Returns the first validation error.
+pub fn apply_run_options(scenario: &Scenario, options: &RunOptions) -> Result<Scenario, String> {
+    let mut scenario = scenario.clone();
+    if let Some(reps) = options.reps {
+        scenario.replications = reps;
+    }
+    if let Some(seed) = options.seed {
+        scenario.seed = seed;
+    }
+    if let Some(duration) = options.duration_ms {
+        scenario.config.workload.duration_ms = duration;
+    }
+    if let Some(warmup) = options.warmup_ms {
+        scenario.config.workload.warmup_ms = warmup;
+    }
+    if let Some(arrival) = options.arrival {
+        scenario.config.workload.arrival = arrival;
+    }
+    scenario.validate()?;
+    if let Some(threads) = options.threads.filter(|&n| n > MAX_THREADS) {
+        return Err(format!(
+            "{threads} worker threads requested; the limit is {MAX_THREADS}"
+        ));
+    }
+    Ok(scenario)
+}
+
 /// The sweep engine behind [`run_sweep`] and [`run_sweep_traced`], open
 /// to any per-replication job: shards the (point × replication) grid
 /// over scoped threads and calls `job(index, base, point, seed)` once
@@ -290,28 +323,7 @@ where
     J: Fn(usize, &ObjectBase, &SweepPoint, u64) -> T + Sync,
     M: Fn(&T) -> MetricSet,
 {
-    let mut scenario = scenario.clone();
-    if let Some(reps) = options.reps {
-        scenario.replications = reps;
-    }
-    if let Some(seed) = options.seed {
-        scenario.seed = seed;
-    }
-    if let Some(duration) = options.duration_ms {
-        scenario.config.workload.duration_ms = duration;
-    }
-    if let Some(warmup) = options.warmup_ms {
-        scenario.config.workload.warmup_ms = warmup;
-    }
-    if let Some(arrival) = options.arrival {
-        scenario.config.workload.arrival = arrival;
-    }
-    scenario.validate()?;
-    if let Some(threads) = options.threads.filter(|&n| n > MAX_THREADS) {
-        return Err(format!(
-            "{threads} worker threads requested; the limit is {MAX_THREADS}"
-        ));
-    }
+    let scenario = apply_run_options(scenario, options)?;
     let reps = scenario.replications;
     let base_seed = scenario.seed;
     let grid = scenario.grid();

@@ -4,7 +4,8 @@
 //! They likewise refuse an open horizon phase expecting more arrivals
 //! than the pre-flight bound, before running anything, and `run` and
 //! `repro` refuse a worker-thread count above the runner's limit before
-//! starting a worker.
+//! starting a worker. `run` refuses every bad override, and a warm-up on
+//! a count-based phase, before it prints its banner.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -99,4 +100,47 @@ fn run_and_repro_refuse_a_thread_count_above_the_limit() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+/// Runs `voodb run scenarios/smoke.toml` with `extra` arguments and
+/// checks that it is refused before printing anything: exit 1, empty
+/// stdout, and `message` on stderr.
+fn assert_run_refused(extra: &[&str], message: &str) {
+    let smoke = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/smoke.toml");
+    let mut args = vec!["run", smoke];
+    args.extend_from_slice(extra);
+    let out = voodb(&args);
+    assert_eq!(out.status.code(), Some(1), "{extra:?}: {out:?}");
+    assert!(out.stdout.is_empty(), "{extra:?}: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(message), "{extra:?}: {stderr}");
+}
+
+#[test]
+fn run_refuses_bad_overrides_before_printing() {
+    assert_run_refused(&["--reps", "0"], "replications must be positive");
+    assert_run_refused(
+        &["--duration", "-5"],
+        "duration_ms must be non-negative and finite, got -5",
+    );
+    // Refused before any worker starts: no thread is spawned.
+    assert_run_refused(
+        &["--threads", "100000"],
+        "100000 worker threads requested; the limit is 1024",
+    );
+    let sink = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("no-such-directory")
+        .join("watch.jsonl");
+    let sink = sink.to_str().expect("UTF-8 path");
+    assert_run_refused(&["--watch-jsonl", sink], sink);
+}
+
+#[test]
+fn run_refuses_a_warmup_on_a_count_based_phase() {
+    // smoke.toml is count-based (no duration_ms): a warm-up has no
+    // window to cut, and the error names both keys.
+    assert_run_refused(
+        &["--warmup", "1e9"],
+        "warmup_ms (1000000000) needs a time horizon: set duration_ms",
+    );
 }

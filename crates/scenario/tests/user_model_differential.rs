@@ -58,10 +58,8 @@ fn user_model_equivalence_holds_on_every_scheduler() {
         .0;
         let cohort = tables_with(&closed_smoke(UserModel::Cohort), &options, sched_job(sched)).0;
         assert_eq!(
-            cohort,
-            oracle,
-            "scheduler {}: cohort diverged from the per-user oracle",
-            sched.name()
+            cohort, oracle,
+            "scheduler {sched:?}: cohort diverged from the per-user oracle"
         );
     }
 }
@@ -141,7 +139,7 @@ fn assert_cohort_matches_oracle_on_every_scheduler(
         for sched in SchedulerKind::ALL {
             let oracle = tables_with(&build(UserModel::PerUser), &options, sched_job(sched));
             let cohort = tables_with(&build(UserModel::Cohort), &options, sched_job(sched));
-            let what = format!("seed {seed}, scheduler {}", sched.name());
+            let what = format!("seed {seed}, scheduler {sched:?}");
             assert_eq!(cohort.0, oracle.0, "{what}: cohort CSV diverged");
             assert_eq!(cohort.1, oracle.1, "{what}: cohort JSON diverged");
             assert_eq!(production, cohort, "{what}: run_sweep diverged");

@@ -15,8 +15,8 @@
 //! suite pins this bracket: `exact ≤ estimate ≤ exact · GROWTH` on
 //! random samples.
 //!
-//! Exact count, sum, min and max are tracked alongside the buckets, so
-//! `mean`/`min`/`max` are not subject to bucketing error.
+//! Exact count, sum and max are tracked alongside the buckets, so
+//! `mean` and `max` are not subject to bucketing error.
 
 /// Buckets per octave; the bucket width ratio is `2^(1/SUB_BUCKETS)`.
 pub const SUB_BUCKETS: u32 = 8;
@@ -55,7 +55,6 @@ pub struct Histogram {
     counts: Vec<u64>,
     count: u64,
     sum: f64,
-    min: f64,
     max: f64,
 }
 
@@ -67,7 +66,6 @@ impl Histogram {
             counts: Vec::new(),
             count: 0,
             sum: 0.0,
-            min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
@@ -105,7 +103,6 @@ impl Histogram {
         }
         self.count += 1;
         self.sum += value.max(0.0);
-        self.min = self.min.min(value);
         self.max = self.max.max(value);
         if value <= MIN_VALUE_MS {
             self.zero += 1;
@@ -132,12 +129,7 @@ impl Histogram {
         }
     }
 
-    /// Exact minimum (`+∞` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Exact maximum (`−∞` when empty, like [`desp::Welford::max`]).
+    /// Exact maximum (`−∞` when empty).
     pub fn max(&self) -> f64 {
         self.max
     }
@@ -203,7 +195,6 @@ impl Histogram {
         }
         self.count += other.count;
         self.sum += other.sum;
-        self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
 }

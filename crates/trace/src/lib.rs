@@ -13,7 +13,7 @@
 //!   [`RecorderConfig`] builder (bounded-loss sampling, live [`watch`]
 //!   sinks);
 //! * [`hist::Histogram`] — log-bucketed (≤ 9% relative error)
-//!   p50/p90/p99/max estimation with exact count/mean/min/max;
+//!   p50/p90/p99/max estimation with exact count/mean/max;
 //! * [`series::TimeSeries`] — deterministic decimating samplers for
 //!   queue lengths, hit ratio and utilisation over simulated time;
 //! * [`export`] — the trace directory formats: span JSONL, series CSV

@@ -633,7 +633,7 @@ mod tests {
             r.on_dispatch(i as f64, 10);
         }
         let pending = r.series_named("pending_events").unwrap();
-        assert_eq!(pending.offered(), sampled);
+        assert_eq!(pending.samples().len() as u64, sampled);
     }
 
     #[test]

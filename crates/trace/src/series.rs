@@ -8,12 +8,6 @@
 //! capacity in points, roughly evenly spaced in *offer*
 //! order. Decimation is purely deterministic: the retained points are a
 //! function of the offered sequence alone.
-//!
-//! Alongside the samples, a [`desp::TimeWeighted`] accumulator tracks
-//! the exact time-weighted mean of the full (undecimated) signal, so the
-//! headline statistic never suffers decimation error.
-
-use desp::TimeWeighted;
 
 /// Default maximum retained points per series.
 pub const DEFAULT_CAPACITY: usize = 512;
@@ -31,7 +25,8 @@ pub struct TimeSeries {
     /// the hot path; the modulo runs only on the (rare) keep path.
     until_keep: u64,
     offered: u64,
-    weighted: TimeWeighted,
+    /// The most recently offered value.
+    last: f64,
 }
 
 impl Default for TimeSeries {
@@ -50,14 +45,14 @@ impl TimeSeries {
             stride: 1,
             until_keep: 0,
             offered: 0,
-            weighted: TimeWeighted::new(),
+            last: 0.0,
         }
     }
 
     /// Offers one `(instant, value)` observation.
     #[inline]
     pub fn record(&mut self, now: f64, value: f64) {
-        self.weighted.update(now, value);
+        self.last = value;
         self.offered += 1;
         if self.until_keep > 0 {
             self.until_keep -= 1;
@@ -93,19 +88,9 @@ impl TimeSeries {
         &self.samples
     }
 
-    /// Total observations offered (retained or not).
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// Exact time-weighted mean of the full signal up to `now`.
-    pub fn mean(&self, now: f64) -> f64 {
-        self.weighted.mean(now)
-    }
-
     /// The most recently offered value.
     pub fn current(&self) -> f64 {
-        self.weighted.current()
+        self.last
     }
 }
 
@@ -119,7 +104,7 @@ mod tests {
         for i in 0..64 {
             s.record(i as f64, (i * 2) as f64);
         }
-        assert_eq!(s.offered(), 64);
+        assert_eq!(s.offered, 64);
         assert!(s.samples().len() <= 8, "len {}", s.samples().len());
         // Time order preserved.
         for w in s.samples().windows(2) {
@@ -139,17 +124,5 @@ mod tests {
             s.samples().to_vec()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn weighted_mean_is_exact_despite_decimation() {
-        let mut s = TimeSeries::with_capacity(4);
-        // Value 1 on [0, 50), value 3 on [50, 100].
-        for i in 0..100 {
-            s.record(i as f64, if i < 50 { 1.0 } else { 3.0 });
-        }
-        let mean = s.mean(100.0);
-        assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
-        assert_eq!(s.current(), 3.0);
     }
 }

@@ -75,7 +75,7 @@ fn interval_covers_the_long_run_mean() {
     let ci = report.interval("ios");
     let replicator = Replicator::new(ReplicationPolicy::Fixed(30), 200);
     let other = replicator.run(|seed| run_once(&config, seed).to_metrics());
-    let other_mean = other.mean("ios");
+    let other_mean = other.interval("ios").mean;
     // Allow 3 half-widths of slack (both estimates are noisy).
     assert!(
         (other_mean - ci.mean).abs() < 3.0 * ci.half_width.max(1.0),
