@@ -45,3 +45,25 @@ pub mod random;
 pub use policy::{PageId, PolicyKind, ReplacementPolicy};
 pub use pool::{AccessOutcome, BufferPool};
 pub use prefetch::{NoPrefetch, PrefetchKind, PrefetchPolicy, SequentialPrefetch};
+
+/// O2 server-buffer frames per MB of cache.
+///
+/// Table 4 parameterises O2's 16 MB server cache as 3840 pages of 4 KB —
+/// i.e. 240 frames per MB; the cache sweep of Fig. 8 scales with the same
+/// calibration. The model (`VoodbParams::o2`), the page-server engine and
+/// the scenario key `system.cache_mb` all size their pools with it.
+pub const O2_FRAMES_PER_MB: usize = 240;
+
+/// Texas usable page frames per MB of host memory.
+///
+/// Calibrated to the *knee* of Fig. 11: the paper observes that Texas's
+/// performance "rapidly degrades when the main memory size becomes smaller
+/// than the database size (about 21 MB)" — i.e. on the 64 MB host the
+/// mapped store effectively enjoys most of RAM as page cache, and
+/// degradation starts between the 24 MB and 16 MB sweep points. 230
+/// frames/MB (≈ 90% of RAM) places the knee exactly there. (Table 4's
+/// literal `BUFFSIZE = 3275` pages ≈ 13 MB would contradict the knee the
+/// paper itself reports.) The model (`VoodbParams::texas`), the Texas
+/// engine and the scenario key `system.memory_mb` all size their frame
+/// tables with it.
+pub const TEXAS_FRAMES_PER_MB: usize = 230;

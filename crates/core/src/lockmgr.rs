@@ -25,8 +25,22 @@
 //! Waiters queue FIFO. A transaction's held objects are kept in grant
 //! order and sorted when it releases them, so queued waiters are
 //! promoted object by object in ascending oid order.
-//! The maps keyed by oid or tid are only point-looked-up; they hash the
-//! integer key with one multiplication instead of SipHash.
+//!
+//! The tables are pooled and index-addressed, so after warm-up a grant or
+//! a release hashes no oid and allocates nothing but the list of
+//! transactions to resume, when there are any:
+//!
+//! * a dense `oid → record` index (4 bytes per object, grown on demand,
+//!   like `bufmgr::BufferPool`'s residency table);
+//! * a pool of object-lock records: a record returns to the free list
+//!   when its object has neither holders nor waiters, and keeps the
+//!   capacity of its `holders` and `waiters` for the next object;
+//! * per-transaction held lists, taken from a spare pool at a
+//!   transaction's first grant and returned, emptied, at its release.
+//!
+//! Only the tid-keyed maps hash (the held list's owner and the object a
+//! parked transaction waits on), with one multiplication instead of
+//! SipHash.
 
 use ocb::{IntHash, Oid};
 use std::collections::{HashMap, VecDeque};
@@ -111,6 +125,11 @@ impl ObjectLock {
     fn holder_tids(&self) -> impl Iterator<Item = Tid> + '_ {
         self.holders.iter().map(|&(holder, _)| holder)
     }
+
+    /// Neither held nor waited on: the record can serve another object.
+    fn is_free(&self) -> bool {
+        self.holders.is_empty() && self.waiters.is_empty()
+    }
 }
 
 /// Accounting counters.
@@ -124,13 +143,23 @@ pub struct LockStats {
     pub deadlocks: u64,
 }
 
+/// `LockManager::index` entry of an object nobody holds or waits on.
+const UNLOCKED: u32 = u32::MAX;
+
 /// The lock manager.
 #[derive(Debug, Default)]
 pub struct LockManager {
-    objects: HashMap<Oid, ObjectLock, IntHash>,
+    /// Record of each locked object, by oid ([`UNLOCKED`] when free).
+    index: Vec<u32>,
+    /// Object-lock records, in use or free.
+    records: Vec<ObjectLock>,
+    /// Free records: empty, with their capacity kept.
+    free_records: Vec<u32>,
     /// Objects held per transaction, in grant order (an upgrade adds
     /// nothing). Release sorts them, so waiters are promoted in oid order.
     held: HashMap<Tid, Vec<Oid>, IntHash>,
+    /// Empty held lists, kept for the next transactions' first grants.
+    spare_lists: Vec<Vec<Oid>>,
     /// The object each parked transaction is waiting on.
     waiting_on: HashMap<Tid, Oid, IntHash>,
     stats: LockStats,
@@ -159,6 +188,45 @@ impl LockManager {
         self.waiting_on.contains_key(&tid)
     }
 
+    /// The record index of `oid`, or `None` when nobody holds or waits
+    /// on it.
+    fn record_of(&self, oid: Oid) -> Option<usize> {
+        match self.index.get(oid as usize) {
+            Some(&at) if at != UNLOCKED => Some(at as usize),
+            _ => None,
+        }
+    }
+
+    /// Assigns a free (or new) record to the unlocked `oid`.
+    fn lock_record(&mut self, oid: Oid) -> usize {
+        let at = self.free_records.pop().unwrap_or_else(|| {
+            self.records.push(ObjectLock::default());
+            (self.records.len() - 1) as u32
+        });
+        let slot = oid as usize;
+        if slot >= self.index.len() {
+            self.index.resize(slot + 1, UNLOCKED);
+        }
+        self.index[slot] = at;
+        at as usize
+    }
+
+    /// Returns `oid`'s record, now empty, to the free list.
+    fn unlock_record(&mut self, oid: Oid, at: usize) {
+        self.index[oid as usize] = UNLOCKED;
+        self.free_records.push(at as u32);
+    }
+
+    /// Appends `oid` to `tid`'s held list, taking a spare list at the
+    /// transaction's first grant.
+    fn note_held(&mut self, tid: Tid, oid: Oid) {
+        let spare = &mut self.spare_lists;
+        self.held
+            .entry(tid)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(oid);
+    }
+
     /// Requests `mode` on `oid` for `tid` under the given deadlock policy.
     ///
     /// `tid` doubles as the wait-die timestamp: smaller ids are older
@@ -170,7 +238,15 @@ impl LockManager {
         mode: LockMode,
         policy: DeadlockPolicy,
     ) -> LockOutcome {
-        let lock = self.objects.entry(oid).or_default();
+        let Some(at) = self.record_of(oid) else {
+            // Nobody holds or waits on the object: grant at once.
+            let at = self.lock_record(oid);
+            self.records[at].holders.push((tid, mode));
+            self.note_held(tid, oid);
+            self.stats.immediate_grants += 1;
+            return LockOutcome::Granted;
+        };
+        let lock = &mut self.records[at];
         // Re-entrant / upgrade handling.
         if let Some(held_mode) = lock.mode_of(tid) {
             if held_mode == LockMode::Exclusive || mode == LockMode::Shared {
@@ -187,7 +263,7 @@ impl LockManager {
         } else if lock.compatible_with_holders(mode) && lock.waiters.is_empty() {
             // Fairness: don't jump over queued waiters.
             lock.grant(tid, mode);
-            self.held.entry(tid).or_default().push(oid);
+            self.note_held(tid, oid);
             self.stats.immediate_grants += 1;
             return LockOutcome::Granted;
         }
@@ -197,7 +273,6 @@ impl LockManager {
                 // Die if younger than ANY transaction in the blocker set
                 // (holders and queued waiters other than ourselves): wait
                 // edges then only run old → young, so no cycle can form.
-                let lock = self.objects.get(&oid).expect("entry created above");
                 lock.holder_tids()
                     .chain(lock.waiters.iter().map(|&(w, _)| w))
                     .any(|other| other != tid && other < tid)
@@ -207,20 +282,18 @@ impl LockManager {
             self.stats.deadlocks += 1;
             return LockOutcome::Deadlock;
         }
-        let lock = self.objects.entry(oid).or_default();
         lock.waiters.push_back((tid, mode));
         self.waiting_on.insert(tid, oid);
         self.stats.waits += 1;
         LockOutcome::Queued
     }
 
-    /// Grants as many queued waiters of `oid` as compatibility allows,
-    /// appending the transactions to resume to `resumed`.
-    fn promote(&mut self, oid: Oid, resumed: &mut Vec<Tid>) {
-        let Some(lock) = self.objects.get_mut(&oid) else {
-            return;
-        };
-        while let Some(&(tid, mode)) = lock.waiters.front() {
+    /// Grants as many queued waiters of `oid` (record `at`) as
+    /// compatibility allows, appending the transactions to resume to
+    /// `resumed`, and frees the record once the object is unlocked.
+    fn promote(&mut self, oid: Oid, at: usize, resumed: &mut Vec<Tid>) {
+        while let Some(&(tid, mode)) = self.records[at].waiters.front() {
+            let lock = &mut self.records[at];
             let upgrade =
                 lock.mode_of(tid) == Some(LockMode::Shared) && mode == LockMode::Exclusive;
             let compatible = if upgrade {
@@ -233,13 +306,13 @@ impl LockManager {
             }
             lock.waiters.pop_front();
             if lock.grant(tid, mode) {
-                self.held.entry(tid).or_default().push(oid);
+                self.note_held(tid, oid);
             }
             self.waiting_on.remove(&tid);
             resumed.push(tid);
         }
-        if lock.holders.is_empty() && lock.waiters.is_empty() {
-            self.objects.remove(&oid);
+        if self.records[at].is_free() {
+            self.unlock_record(oid, at);
         }
     }
 
@@ -249,32 +322,161 @@ impl LockManager {
     pub fn release_all(&mut self, tid: Tid) -> Vec<Tid> {
         // Remove a pending wait first (abort path).
         if let Some(oid) = self.waiting_on.remove(&tid) {
-            if let Some(lock) = self.objects.get_mut(&oid) {
-                lock.waiters.retain(|&(w, _)| w != tid);
+            if let Some(at) = self.record_of(oid) {
+                self.records[at].waiters.retain(|&(w, _)| w != tid);
             }
         }
         let mut resumed = Vec::new();
-        let mut touched = self.held.remove(&tid).unwrap_or_default();
+        let Some(mut touched) = self.held.remove(&tid) else {
+            return resumed;
+        };
         touched.sort_unstable();
-        for oid in touched {
-            if let Some(lock) = self.objects.get_mut(&oid) {
-                if let Ok(at) = lock.find(tid) {
-                    lock.holders.remove(at);
+        for &oid in &touched {
+            let Some(at) = self.record_of(oid) else {
+                continue;
+            };
+            let lock = &mut self.records[at];
+            if let Ok(slot) = lock.find(tid) {
+                lock.holders.remove(slot);
+            }
+            self.promote(oid, at, &mut resumed);
+        }
+        touched.clear();
+        self.spare_lists.push(touched);
+        resumed
+    }
+}
+
+/// The hash-table lock manager the pooled tables replaced: the same
+/// per-object logic, with each table a map. Kept as the differential
+/// oracle of `tests::pooled_tables_match_the_hash_table_oracle`.
+#[cfg(test)]
+mod oracle {
+    use super::{DeadlockPolicy, LockMode, LockOutcome, LockStats, ObjectLock, Tid};
+    use ocb::{IntHash, Oid};
+    use std::collections::HashMap;
+
+    #[derive(Debug, Default)]
+    pub struct HashLockManager {
+        objects: HashMap<Oid, ObjectLock, IntHash>,
+        held: HashMap<Tid, Vec<Oid>, IntHash>,
+        waiting_on: HashMap<Tid, Oid, IntHash>,
+        stats: LockStats,
+    }
+
+    impl HashLockManager {
+        pub fn stats(&self) -> LockStats {
+            self.stats
+        }
+
+        pub fn held_count(&self, tid: Tid) -> usize {
+            self.held.get(&tid).map_or(0, Vec::len)
+        }
+
+        pub fn is_waiting(&self, tid: Tid) -> bool {
+            self.waiting_on.contains_key(&tid)
+        }
+
+        pub fn request(
+            &mut self,
+            tid: Tid,
+            oid: Oid,
+            mode: LockMode,
+            policy: DeadlockPolicy,
+        ) -> LockOutcome {
+            let lock = self.objects.entry(oid).or_default();
+            if let Some(held_mode) = lock.mode_of(tid) {
+                if held_mode == LockMode::Exclusive || mode == LockMode::Shared {
+                    self.stats.immediate_grants += 1;
+                    return LockOutcome::Granted;
                 }
-                if lock.holders.is_empty() && lock.waiters.is_empty() {
-                    self.objects.remove(&oid);
-                    continue;
+                if lock.holders.len() == 1 {
+                    lock.grant(tid, LockMode::Exclusive);
+                    self.stats.immediate_grants += 1;
+                    return LockOutcome::Granted;
+                }
+            } else if lock.compatible_with_holders(mode) && lock.waiters.is_empty() {
+                lock.grant(tid, mode);
+                self.held.entry(tid).or_default().push(oid);
+                self.stats.immediate_grants += 1;
+                return LockOutcome::Granted;
+            }
+            let must_abort = match policy {
+                DeadlockPolicy::WaitDie => {
+                    let lock = &self.objects[&oid];
+                    lock.holder_tids()
+                        .chain(lock.waiters.iter().map(|&(w, _)| w))
+                        .any(|other| other != tid && other < tid)
+                }
+            };
+            if must_abort {
+                self.stats.deadlocks += 1;
+                return LockOutcome::Deadlock;
+            }
+            let lock = self.objects.entry(oid).or_default();
+            lock.waiters.push_back((tid, mode));
+            self.waiting_on.insert(tid, oid);
+            self.stats.waits += 1;
+            LockOutcome::Queued
+        }
+
+        fn promote(&mut self, oid: Oid, resumed: &mut Vec<Tid>) {
+            let Some(lock) = self.objects.get_mut(&oid) else {
+                return;
+            };
+            while let Some(&(tid, mode)) = lock.waiters.front() {
+                let upgrade =
+                    lock.mode_of(tid) == Some(LockMode::Shared) && mode == LockMode::Exclusive;
+                let compatible = if upgrade {
+                    lock.holders.len() == 1
+                } else {
+                    lock.compatible_with_holders(mode)
+                };
+                if !compatible {
+                    break;
+                }
+                lock.waiters.pop_front();
+                if lock.grant(tid, mode) {
+                    self.held.entry(tid).or_default().push(oid);
+                }
+                self.waiting_on.remove(&tid);
+                resumed.push(tid);
+            }
+            if lock.is_free() {
+                self.objects.remove(&oid);
+            }
+        }
+
+        pub fn release_all(&mut self, tid: Tid) -> Vec<Tid> {
+            if let Some(oid) = self.waiting_on.remove(&tid) {
+                if let Some(lock) = self.objects.get_mut(&oid) {
+                    lock.waiters.retain(|&(w, _)| w != tid);
                 }
             }
-            self.promote(oid, &mut resumed);
+            let mut resumed = Vec::new();
+            let mut touched = self.held.remove(&tid).unwrap_or_default();
+            touched.sort_unstable();
+            for oid in touched {
+                if let Some(lock) = self.objects.get_mut(&oid) {
+                    if let Ok(at) = lock.find(tid) {
+                        lock.holders.remove(at);
+                    }
+                    if lock.is_free() {
+                        self.objects.remove(&oid);
+                        continue;
+                    }
+                }
+                self.promote(oid, &mut resumed);
+            }
+            resumed
         }
-        resumed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // Wait-die lets a requester wait only when it is older (smaller tid)
     // than every holder and queued waiter, so the tests below queue
@@ -470,5 +672,148 @@ mod tests {
     fn release_is_idempotent_for_unknown_tids() {
         let mut lm = LockManager::new();
         assert!(lm.release_all(99).is_empty());
+    }
+
+    /// Mirrors every call on the pooled manager and the hash-table oracle
+    /// and compares what each returns and reports.
+    struct Twin {
+        pooled: LockManager,
+        oracle: oracle::HashLockManager,
+    }
+
+    impl Twin {
+        fn release_all(&mut self, tid: Tid) -> Result<(), TestCaseError> {
+            prop_assert_eq!(self.pooled.release_all(tid), self.oracle.release_all(tid));
+            Ok(())
+        }
+
+        fn request(&mut self, tid: Tid, oid: Oid, mode: LockMode) -> Result<(), TestCaseError> {
+            let outcome = request(&mut self.pooled, tid, oid, mode);
+            prop_assert_eq!(
+                outcome,
+                self.oracle.request(tid, oid, mode, DeadlockPolicy::WaitDie)
+            );
+            if outcome == LockOutcome::Deadlock {
+                // The victim aborts at once, as in the model.
+                self.release_all(tid)?;
+            }
+            Ok(())
+        }
+
+        fn agree(&self, tids: usize) -> Result<(), TestCaseError> {
+            prop_assert_eq!(self.pooled.stats(), self.oracle.stats());
+            for tid in 0..tids {
+                prop_assert_eq!(self.pooled.is_waiting(tid), self.oracle.is_waiting(tid));
+                prop_assert_eq!(self.pooled.held_count(tid), self.oracle.held_count(tid));
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random streams over up to 12 transactions and 40 objects: both
+        /// modes, re-requests and upgrades, commits, and aborts while
+        /// parked. A transaction's id is reused after its release, as a
+        /// restarted victim reuses its own.
+        #[test]
+        fn pooled_tables_match_the_hash_table_oracle(
+            tids in 1..=12usize,
+            objects in 1..=40u32,
+            steps in prop::collection::vec((0..12usize, 0..40u32, 0..8u8), 1..240),
+        ) {
+            let mut twin = Twin {
+                pooled: LockManager::new(),
+                oracle: oracle::HashLockManager::default(),
+            };
+            for (tid, oid, kind) in steps {
+                let (tid, oid) = (tid % tids, oid % objects);
+                // A parked transaction requests nothing until it is
+                // resumed; its only move is an abort.
+                if kind >= 6 || twin.oracle.is_waiting(tid) {
+                    twin.release_all(tid)?;
+                } else if kind >= 4 {
+                    twin.request(tid, oid, LockMode::Exclusive)?;
+                } else {
+                    twin.request(tid, oid, LockMode::Shared)?;
+                }
+                twin.agree(tids)?;
+            }
+        }
+    }
+
+    /// The length of every pool and index, the capacity of the tid maps,
+    /// and the capacity of every recycled record and spare held list.
+    fn footprint(lm: &LockManager) -> (Vec<usize>, Vec<(usize, usize)>, Vec<usize>) {
+        (
+            vec![
+                lm.index.len(),
+                lm.records.len(),
+                lm.free_records.len(),
+                lm.spare_lists.len(),
+                lm.held.capacity(),
+                lm.waiting_on.capacity(),
+            ],
+            lm.records
+                .iter()
+                .map(|r| (r.holders.capacity(), r.waiters.capacity()))
+                .collect(),
+            lm.spare_lists.iter().map(Vec::capacity).collect(),
+        )
+    }
+
+    /// One contended round of four transactions on fresh ids (serials
+    /// are monotone): shared holders, two parked waiters, a blocked
+    /// upgrade, a wait-die death and its restart.
+    fn contended_round(lm: &mut LockManager, round: usize) {
+        use LockMode::{Exclusive as X, Shared as S};
+        use LockOutcome::{Deadlock, Granted, Queued};
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| 4 * round + i);
+        fn expect(lm: &mut LockManager, steps: &[(Tid, Oid, LockMode, LockOutcome)]) {
+            for &(tid, oid, mode, outcome) in steps {
+                assert_eq!(request(lm, tid, oid, mode), outcome, "{tid} on {oid}");
+            }
+        }
+        let reads: Vec<_> = (100..140).map(|oid| (d, oid, S, Granted)).collect();
+        expect(lm, &reads);
+        expect(
+            lm,
+            &[
+                (d, 1, X, Granted),
+                (d, 2, S, Granted),
+                (c, 2, S, Granted),
+                (c, 3, S, Granted),
+                (d, 3, S, Granted),
+                (b, 1, X, Queued),
+                (a, 1, S, Queued),
+                (c, 2, X, Queued),
+                (d, 3, X, Deadlock),
+            ],
+        );
+        assert_eq!(lm.release_all(d), [b, c]);
+        assert_eq!(lm.release_all(c), []);
+        assert_eq!(lm.release_all(b), [a]);
+        assert_eq!(lm.release_all(a), []);
+        // d restarts with its own id and commits.
+        let writes: Vec<_> = (100..140).rev().map(|oid| (d, oid, X, Granted)).collect();
+        expect(lm, &writes);
+        assert_eq!(lm.release_all(d), []);
+    }
+
+    #[test]
+    fn steady_state_allocates_nothing() {
+        let mut lm = LockManager::new();
+        let warm_up = 4;
+        for round in 0..warm_up {
+            contended_round(&mut lm, round);
+        }
+        let warm = footprint(&lm);
+        assert_eq!(warm.0[1], warm.0[2], "every record is free between rounds");
+        for round in warm_up..11 * warm_up {
+            contended_round(&mut lm, round);
+            assert_eq!(footprint(&lm), warm, "round {round}");
+        }
+        assert!(lm.held.is_empty() && lm.waiting_on.is_empty());
     }
 }

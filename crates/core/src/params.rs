@@ -6,7 +6,7 @@
 //! active resource carries its parameter group; the `SYSCLASS` parameter
 //! controls how the components are wired together.
 
-use bufmgr::{PolicyKind, PrefetchKind};
+use bufmgr::{PolicyKind, PrefetchKind, O2_FRAMES_PER_MB, TEXAS_FRAMES_PER_MB};
 use clustering::{ClusteringKind, InitialPlacement};
 
 /// `SYSCLASS` — the architecture the evaluation model instantiates
@@ -188,13 +188,13 @@ impl Default for VoodbParams {
 
 impl VoodbParams {
     /// The O2 system of Table 4, with a server cache of `cache_mb` MB
-    /// (240 frames/MB: 16 MB ⇒ the paper's 3840 pages).
+    /// ([`O2_FRAMES_PER_MB`]: 16 MB ⇒ the paper's 3840 pages).
     pub fn o2(cache_mb: usize) -> Self {
         VoodbParams {
             system_class: SystemClass::PageServer,
             network_throughput_mbps: f64::INFINITY,
             page_size: 4096,
-            buffer_pages: (cache_mb * 240).max(8),
+            buffer_pages: (cache_mb * O2_FRAMES_PER_MB).max(8),
             page_replacement: PolicyKind::Lru,
             prefetch: PrefetchKind::None,
             clustering: ClusteringKind::None,
@@ -211,16 +211,14 @@ impl VoodbParams {
 
     /// The Texas system of Table 4, on a host with `memory_mb` MB of RAM.
     ///
-    /// 230 usable frames/MB, calibrated to the knee of Fig. 11 (Texas
-    /// degrades once memory < the ~21 MB database, i.e. most of RAM acts
-    /// as page cache for the mapped store); Table 4's literal 3275-page
-    /// buffer would contradict the knee the paper itself reports.
+    /// [`TEXAS_FRAMES_PER_MB`] usable frames/MB, calibrated to the
+    /// knee of Fig. 11.
     pub fn texas(memory_mb: usize) -> Self {
         VoodbParams {
             system_class: SystemClass::Centralized,
             network_throughput_mbps: f64::INFINITY, // N/A for centralized
             page_size: 4096,
-            buffer_pages: (memory_mb * 230).max(8),
+            buffer_pages: (memory_mb * TEXAS_FRAMES_PER_MB).max(8),
             page_replacement: PolicyKind::Lru,
             prefetch: PrefetchKind::None,
             clustering: ClusteringKind::None,

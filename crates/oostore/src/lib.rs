@@ -8,9 +8,10 @@
 //! and count actual physical I/Os (the paper's metric everywhere):
 //!
 //! * [`TexasEngine`] — a centralized, virtual-memory-mapped persistent
-//!   store: page-fault loading, pointer swizzling with **page
-//!   reservation** (the mechanism behind the Fig. 11 memory blow-up), and
-//!   **physical OIDs** (the mechanism behind the Table 6 clustering
+//!   store: page-fault loading, **pointer swizzling** (a faulted page is
+//!   dirty, so each eviction is a swap write: the mechanism behind the
+//!   Fig. 11 memory blow-up; the page reservations the paper also names
+//!   are not modelled), and **physical OIDs** (the mechanism behind the Table 6 clustering
 //!   overhead anomaly — see [`TexasEngine::reorganize`]);
 //! * [`PageServerEngine`] — an O2-like page server: server buffer under a
 //!   pluggable replacement policy, page shipping, **logical OIDs** whose
@@ -20,7 +21,7 @@
 //!   An engine's data pages are built in one pass on the first access to
 //!   their content: counting I/Os needs none, so an O2 run without
 //!   clustering never serialises the base, and Texas builds the image at
-//!   its first swizzle fault;
+//!   its first reorganisation;
 //! * in-place byte work: a page stores only the bytes the engines read
 //!   (object headers and references; the attribute area is implied),
 //!   payloads are encoded straight into their slots and their
@@ -59,9 +60,9 @@ pub use disk::{DiskTimings, IoCounts, VirtualDisk};
 pub use engine::{run_workload, StorageEngine, WorkloadReport};
 pub use oid::PhysicalOid;
 pub use page::{SlotId, SlottedPage};
-pub use pageserver::{PageServerConfig, PageServerEngine, O2_FRAMES_PER_MB};
+pub use pageserver::{PageServerConfig, PageServerEngine};
 pub use reorg::ReorgReport;
 pub use storage::{
     assign_physical_oids, patch_refs, payload_oid, payload_refs, serialize_pages, write_object,
 };
-pub use texas::{TexasConfig, TexasCounters, TexasEngine, TEXAS_FRAMES_PER_MB};
+pub use texas::{TexasConfig, TexasCounters, TexasEngine};

@@ -187,11 +187,6 @@ impl SlottedPage {
         self.slots[slot as usize].live = false;
     }
 
-    /// Live (non-deleted) slots.
-    pub fn live_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
-        (0..self.slot_count()).filter(move |&s| self.slots[s as usize].live)
-    }
-
     /// Stored bytes held, over every slot.
     #[cfg(test)]
     pub(crate) fn stored_bytes(&self) -> usize {
@@ -344,7 +339,6 @@ mod tests {
         assert_eq!(page.get(b), None);
         assert_eq!(page.get(a), Some(&b"aaa"[..]));
         assert_eq!(page.get(c), Some(&b"ccc"[..]));
-        assert_eq!(page.live_slots().collect::<Vec<_>>(), vec![a, c]);
         assert_eq!(page.slot_count(), 3);
     }
 

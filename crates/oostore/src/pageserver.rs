@@ -14,17 +14,10 @@ use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
 use crate::reorg::{ReorgPlan, ReorgReport};
 use crate::storage::{assign_physical_oids, insert_object, payload_oid, reserve_page};
-use bufmgr::{AccessOutcome, BufferPool, PolicyKind};
+use bufmgr::{AccessOutcome, BufferPool, PolicyKind, O2_FRAMES_PER_MB};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
 use clustering::{PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
 use ocb::{ObjectBase, Oid, Transaction};
-
-/// Server-buffer frames per MB of cache.
-///
-/// Table 4 parameterises O2's 16 MB server cache as 3840 pages of 4 KB —
-/// i.e. 240 frames per MB; the cache sweep of Fig. 8 scales with the same
-/// calibration.
-pub const O2_FRAMES_PER_MB: usize = 240;
 
 /// Configuration of the page-server engine.
 #[derive(Clone, Debug)]

@@ -589,7 +589,7 @@ mod tests {
                 .map(|page| engine.disk_ref().peek(page).clone())
                 .collect();
             (
-                (c.faults, c.reservations, c.swap_outs),
+                (c.faults, c.swap_outs),
                 (
                     report.io,
                     report.moved_objects,

@@ -105,6 +105,7 @@ fn ref_wires(payload: &[u8]) -> &[u8] {
 
 /// Decodes, lazily and in order, the physical reference OIDs embedded in
 /// a payload.
+// audit: the codec's decoder; the storage and reorganisation properties (`oostore` and root `tests/properties.rs`) check written and patched references with it
 pub fn payload_refs(payload: &[u8]) -> impl ExactSizeIterator<Item = PhysicalOid> + '_ {
     ref_wires(payload)
         .chunks_exact(PhysicalOid::WIRE_BYTES)

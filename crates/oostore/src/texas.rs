@@ -17,8 +17,10 @@
 //!   it contains into their in-memory form — so every faulted page is
 //!   *dirty* and its eviction is a swap **write**. Under memory pressure
 //!   each miss therefore costs two I/Os instead of one (the paper's
-//!   Fig. 11 Texas curve runs at ≈ 2× the Fig. 8 O2 curve), on top of the
-//!   address-space reservations for the referenced pages;
+//!   Fig. 11 Texas curve runs at ≈ 2× the Fig. 8 O2 curve). The
+//!   address-space reservations the paper describes are not modelled:
+//!   they hold no frame, and the Fig. 11 knee comes from the calibrated
+//!   frames per MB ([`bufmgr::TEXAS_FRAMES_PER_MB`]);
 //! * **physical OIDs**: references are stored on-page as disk locations,
 //!   so the DSTC reorganisation must patch the whole database (see
 //!   `reorg`).
@@ -27,22 +29,10 @@ use crate::disk::{DiskTimings, IoCounts, VirtualDisk};
 use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
-use crate::storage::{assign_physical_oids, payload_oid, payload_refs};
-use bufmgr::{AccessOutcome, BufferPool, PolicyKind};
+use crate::storage::{assign_physical_oids, payload_oid};
+use bufmgr::{AccessOutcome, BufferPool, PolicyKind, TEXAS_FRAMES_PER_MB};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
 use ocb::{ObjectBase, Transaction};
-
-/// Pages of usable frame memory per MB of machine memory.
-///
-/// Calibrated to the *knee* of Fig. 11: the paper observes that Texas's
-/// performance "rapidly degrades when the main memory size becomes smaller
-/// than the database size (about 21 MB)" — i.e. on the 64 MB host the
-/// mapped store effectively enjoys most of RAM as page cache, and
-/// degradation starts between the 24 MB and 16 MB sweep points. 230
-/// frames/MB (≈ 90% of RAM) places the knee exactly there. (Table 4's
-/// literal `BUFFSIZE = 3275` pages ≈ 13 MB would contradict the knee the
-/// paper itself reports.)
-pub const TEXAS_FRAMES_PER_MB: usize = 230;
 
 /// Data pages covered by one ext2 indirect block (4 KB blocks → 1024
 /// 4-byte block pointers). The real Texas store lived in an ext2 file on
@@ -61,9 +51,8 @@ pub struct TexasConfig {
     /// Initial object placement (Table 4: Optimized Sequential).
     pub initial_placement: InitialPlacement,
     /// Texas's object-loading policy: faulting a page swizzles the
-    /// pointers it contains (dirtying it — evictions become swap writes)
-    /// and reserves address space for every referenced page. Disable for
-    /// ablations.
+    /// pointers it contains (dirtying it — evictions become swap writes).
+    /// Disable for ablations.
     pub swizzle: bool,
     /// OS read-ahead: on a sequential fault pattern, the kernel reads the
     /// next page too (Linux 2.0/ext2 behaviour under the real Texas). One
@@ -105,9 +94,6 @@ impl TexasConfig {
 pub struct TexasCounters {
     /// Page faults taken (reads of unmapped pages).
     pub faults: u64,
-    /// Address-space page reservations made by swizzling (no frame cost;
-    /// diagnostic of the fan-out the paper describes).
-    pub reservations: u64,
     /// Dirty pages swapped out on eviction.
     pub swap_outs: u64,
     /// Object accesses executed.
@@ -130,15 +116,12 @@ pub struct TexasEngine<'a> {
     counters: TexasCounters,
     /// Last page that took a fault, for the OS read-ahead heuristic.
     last_fault: Option<PageId>,
-    /// Scratch list of a faulted page's reference targets, kept across
-    /// faults so swizzling allocates nothing.
-    targets: Vec<PageId>,
 }
 
 impl<'a> TexasEngine<'a> {
     /// Builds the store: places objects and mounts the virtual disk, whose
     /// data pages are built on first content access (in practice the
-    /// first swizzle fault).
+    /// first reorganisation, whose patch scan reads every page).
     pub fn new(base: &'a ObjectBase, config: TexasConfig) -> Self {
         assert!(config.memory_pages >= 2, "need at least two VM frames");
         let placement = config.initial_placement.build(base, config.page_size);
@@ -167,7 +150,6 @@ impl<'a> TexasEngine<'a> {
             strategy,
             counters: TexasCounters::default(),
             last_fault: None,
-            targets: Vec::new(),
         }
     }
 
@@ -247,31 +229,6 @@ impl<'a> TexasEngine<'a> {
         self.vm = BufferPool::new(self.config.memory_pages, PolicyKind::Lru);
     }
 
-    /// Number of distinct other pages the live objects of `page` reference.
-    fn referenced_pages(&mut self, page: PageId) -> usize {
-        let targets = &mut self.targets;
-        targets.clear();
-        let slotted = self.disk.peek(page);
-        for slot in slotted.live_slots() {
-            let payload = slotted.get(slot).expect("live slot");
-            targets.extend(payload_refs(payload).map(|r| r.page).filter(|&p| p != page));
-        }
-        targets.sort_unstable();
-        targets.dedup();
-        targets.len()
-    }
-
-    /// Swizzle step: rewrite the faulted page's pointers (it is now dirty)
-    /// and reserve address space for every page it references (counted;
-    /// reservations hold no physical frame).
-    fn swizzle(&mut self, page: PageId) {
-        if !self.config.swizzle {
-            return;
-        }
-        self.counters.reservations += self.referenced_pages(page) as u64;
-        self.vm.mark_dirty(page);
-    }
-
     /// OS read-ahead: on a sequential fault pattern, the kernel stages the
     /// next page too (one extra read, loaded clean).
     fn readahead(&mut self, faulted: PageId) {
@@ -298,12 +255,14 @@ impl<'a> TexasEngine<'a> {
             let meta = self.meta_page_of(page);
             self.fault(meta, false);
         }
-        if self.fault(page, write) {
-            self.swizzle(page);
-            self.readahead(page);
-        } else if self.config.swizzle {
-            // First touch of an OS-staged page: Texas swizzles it now.
+        let faulted = self.fault(page, write);
+        if self.config.swizzle {
+            // Swizzling rewrites the pointers of a faulted page, or of an
+            // OS-staged page at its first touch: either way it is dirty.
             self.vm.mark_dirty(page);
+        }
+        if faulted {
+            self.readahead(page);
         }
     }
 }
@@ -435,7 +394,6 @@ mod tests {
         with.execute(&t);
         assert_eq!(without.mapped_pages(), 1);
         assert_eq!(with.mapped_pages(), 1, "reservations hold no frame");
-        assert!(with.counters().reservations > 0, "address space reserved");
         // Swizzling costs no extra read…
         assert_eq!(with.io_counts().reads, without.io_counts().reads);
         // …but the swizzled page swaps out dirty, the clean one does not.
@@ -574,27 +532,29 @@ mod tests {
             (
                 c.faults,
                 c.swap_outs,
-                c.reservations,
                 io.reads,
                 io.writes,
                 engine.elapsed_ms(),
             )
         };
-        assert_eq!(
-            observe(3),
-            (20513, 19827, 324477, 21709, 20034, 490123.40000031976)
-        );
-        assert_eq!(
-            observe(64),
-            (2314, 1160, 38029, 3500, 1367, 32210.000000001277)
-        );
+        assert_eq!(observe(3), (20513, 19827, 21709, 20034, 490123.40000031976));
+        assert_eq!(observe(64), (2314, 1160, 3500, 1367, 32210.000000001277));
     }
 
     #[test]
-    fn new_leaves_the_image_unbuilt_until_first_fault() {
+    fn new_leaves_the_image_unbuilt_until_first_reorganisation() {
         let base = small_base();
         let config = TexasConfig {
             fs_metadata: true,
+            clustering: ClusteringKind::Dstc(DstcParams {
+                observation_period: 2_000,
+                tfa: 2.0,
+                tfc: 1.0,
+                tfe: 2.0,
+                w: 0.8,
+                max_unit_size: 32,
+                trigger_threshold: 100,
+            }),
             ..config(100, true)
         };
         let mut engine = TexasEngine::new(&base, config);
@@ -604,17 +564,25 @@ mod tests {
         engine.disk.write_back(0);
         engine.disk.peek(data_pages); // an ext2 metadata page: always built
         assert_eq!(engine.disk.built_data_pages(), 0, "I/O needs no content");
-        // The first fault swizzles the page, reading its references.
-        let t = Transaction {
-            kind: ocb::TransactionKind::SetOriented,
-            root: 4,
-            accesses: vec![ocb::Access {
-                oid: 4,
-                parent: None,
-                write: false,
-            }],
+        // Faults and swizzles read no page content either (in debug,
+        // `execute`'s payload check reads every accessed object).
+        let params = WorkloadParams {
+            hot_transactions: 300,
+            ..WorkloadParams::dstc_favorable()
         };
-        engine.execute(&t);
+        let txs: Vec<Transaction> = {
+            let mut generator = WorkloadGenerator::new(&base, params, 42);
+            (0..300).map(|_| generator.next_transaction()).collect()
+        };
+        run_workload(&mut engine, &txs);
+        if !cfg!(debug_assertions) {
+            assert_eq!(engine.disk.built_data_pages(), 0, "faults need no content");
+        }
+        // The reorganisation moves objects and patches every page.
+        assert!(
+            engine.reorganize().moved_objects > 0,
+            "DSTC moved no object"
+        );
         assert_eq!(engine.disk.built_data_pages(), data_pages as usize);
     }
 

@@ -24,16 +24,10 @@
 //! surfaced by `voodb validate`.
 
 use crate::toml::{self, format_float, Table, TomlError, Value};
-use bufmgr::{PolicyKind, PrefetchKind};
+use bufmgr::{PolicyKind, PrefetchKind, O2_FRAMES_PER_MB, TEXAS_FRAMES_PER_MB};
 use clustering::{ClusteringKind, DstcParams, InitialPlacement};
 use ocb::{Arrival, Selection};
 use voodb::{DiskParams, ExperimentConfig, SystemClass, VoodbParams};
-
-/// O2 page frames per MB of server cache (matches [`VoodbParams::o2`]).
-pub const O2_FRAMES_PER_MB: usize = 240;
-/// Texas usable page frames per MB of host memory (matches
-/// [`VoodbParams::texas`]).
-pub const TEXAS_FRAMES_PER_MB: usize = 230;
 
 /// One swept parameter axis.
 #[derive(Clone, Debug, PartialEq)]
