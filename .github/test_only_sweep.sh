@@ -54,10 +54,12 @@ uses="$work/use_lines.txt"
 : >"$uses"
 
 # Mark every `pub fn` under crates/*/src and record it in $defs:
-# id, file:line, label, cfg(test) flag, audit flag. Blocks are tracked
-# by indentation (the tree is rustfmt-formatted): an `impl`, `mod` or
-# `trait` header opening at indent k closes at the first `}` at indent k.
-find crates/*/src -name '*.rs' -print | sort |
+# id, file:line, label, cfg(test) flag, audit flag. The dev-only
+# auditor (crates/audit), whose API only its tests call, is not product
+# and not surveyed. Blocks are tracked by indentation (the tree is
+# rustfmt-formatted): an `impl`, `mod` or `trait` header opening at
+# indent k closes at the first `}` at indent k.
+find crates/*/src -name '*.rs' -not -path 'crates/audit/*' -print | sort |
   while IFS= read -r f; do
     next_id=$(wc -l <"$defs")
     awk -v file="$f" -v id="$next_id" -v defs="$defs" '

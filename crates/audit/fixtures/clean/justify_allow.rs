@@ -1,3 +1,3 @@
-// Known-clean twin: the opt-out says why, adjacent to the attribute.
-#[allow(dead_code)] // kept as the public-API sketch for the next PR
+// Known-clean twin: the opt-out says why, in the attribute.
+#[allow(dead_code, reason = "kept as the public-API sketch for the next PR")]
 fn scratch() {}

@@ -1,5 +1,6 @@
 // Known-clean twin: the unsafe block argues its safety.
-pub fn read(p: *const u8) -> u8 {
-    // SAFETY: the caller guarantees `p` points into a live allocation.
+pub fn read(value: &u8) -> u8 {
+    let p: *const u8 = value;
+    // SAFETY: `p` comes from a live reference, so it is valid for reads.
     unsafe { *p }
 }

@@ -1,5 +1,5 @@
-// Known-clean twin: time comes from the simulated clock; host reads
-// stay inside test code.
+// Known-clean twin: time comes from the simulated clock; a host read,
+// even in a test, states its reason.
 pub fn measure(clock_before_ms: f64, clock_after_ms: f64) -> f64 {
     clock_after_ms - clock_before_ms
 }
@@ -7,7 +7,8 @@ pub fn measure(clock_before_ms: f64, clock_after_ms: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn env_reads_are_fine_in_tests() {
+    fn env_reads_in_tests_state_a_reason() {
+        #[expect(clippy::disallowed_methods, reason = "the fixture's escape hatch")]
         let _ = std::env::var("VOODB_OUT");
     }
 }

@@ -1,18 +1,19 @@
-//! Static auditor for the VOODB workspace: determinism rules plus one
-//! API rule.
+//! Static auditor for the VOODB workspace: the determinism rules
+//! clippy cannot express, plus one API rule. Dev tooling, not product:
+//! its gate is the `workspace_audits_clean` test.
 //!
 //! Byte-identical replay is the contract every result in this repro
 //! rests on: the scheduler differential tests, the streamed ≡
 //! materialized pipeline checks, and any future parallel-DES work all
 //! compare runs that must be bit-reproducible. The differential tests
 //! enforce that contract *dynamically* — for the seeds they happen to
-//! sample. This crate enforces it *statically*: a hand-rolled lexer
+//! sample. Clippy enforces part of it statically (wall-clock and
+//! environment reads, unjustified `unsafe`/`#[allow]`, aborts on the
+//! event hot path; see README "Static guarantees & determinism
+//! invariants"). This crate covers the rest: a hand-rolled lexer
 //! ([`lex`]) and a brace/item-aware rule pass ([`rules`]) scan the
-//! workspace sources and flag the constructs that make replay depend
-//! on anything other than the scenario and its seed — randomized
-//! `HashMap`/`HashSet` iteration order, wall-clock and environment
-//! reads, environment-seeded RNGs, NaN-unsound float orderings,
-//! unjustified `unsafe`/`#[allow]`, and aborts on the event hot path.
+//! workspace sources and flag randomized `HashMap`/`HashSet` iteration
+//! order, environment-seeded RNGs and NaN-unsound float orderings.
 //!
 //! The `test-only-pub` rule keeps the product API small: it looks at
 //! the whole workspace at once and flags a `pub` item in `crates/*/src`
@@ -27,18 +28,16 @@
 //!
 //! Entry points: [`FileContext::check`] runs the per-file rules on one
 //! in-memory file (the fixture corpus uses this), [`audit_workspace`]
-//! runs every rule on the on-disk tree (the `voodb audit` subcommand
-//! and the CI gate use this).
+//! runs every rule on the on-disk tree (the workspace test uses this).
 
 pub mod lex;
 pub mod rules;
 
-pub use rules::{FileContext, Violation, HOT_PATH_FILES, RESULT_CRATES, RULE_NAMES};
+pub use rules::{FileContext, Violation, RULE_NAMES};
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use vtrace::json::write_json_string;
 
 /// Outcome of auditing a set of files.
 #[derive(Clone, Debug, Default)]
@@ -63,52 +62,24 @@ impl AuditReport {
             out.push_str(&v.to_string());
             out.push('\n');
         }
+        let files = format!(
+            "{} file{} scanned",
+            self.files_scanned,
+            if self.files_scanned == 1 { "" } else { "s" }
+        );
         if self.is_clean() {
             out.push_str(&format!(
-                "audit: clean — {} files scanned, {} rules, 0 violations\n",
-                self.files_scanned,
+                "audit: clean — {files}, {} rules, 0 violations\n",
                 RULE_NAMES.len()
             ));
         } else {
             out.push_str(&format!(
-                "audit: {} violation{} ({} files scanned, {} rules)\n",
+                "audit: {} violation{} ({files}, {} rules)\n",
                 self.violations.len(),
                 if self.violations.len() == 1 { "" } else { "s" },
-                self.files_scanned,
                 RULE_NAMES.len()
             ));
         }
-        out
-    }
-
-    /// Machine-readable report, single line. Hand-rolled, with strings
-    /// escaped by the trace crate's JSON writer; key order is fixed so
-    /// the output is golden-testable.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"version\":1,");
-        out.push_str(&format!("\"files_scanned\":{},", self.files_scanned));
-        out.push_str("\"rules\":[");
-        for (i, r) in RULE_NAMES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_json_string(&mut out, r);
-        }
-        out.push_str("],\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"rule\":");
-            write_json_string(&mut out, v.rule);
-            out.push_str(",\"file\":");
-            write_json_string(&mut out, &v.file);
-            out.push_str(&format!(",\"line\":{},\"message\":", v.line));
-            write_json_string(&mut out, &v.message);
-            out.push('}');
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -119,16 +90,18 @@ impl AuditReport {
 /// determines simulation results. `test-only-pub` also reads
 /// `examples/` and `e2ebench/src/`, because code there is what keeps a
 /// `pub` item in the product API. Vendored dependencies, tests,
-/// benches and fixtures are out of scope.
+/// benches and fixtures are out of scope, and so is `crates/audit`
+/// itself: it is dev tooling whose API only its tests call.
 pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
     let mut dirs = vec![root.join("src")];
     let crates = root.join("crates");
     if crates.is_dir() {
         let mut entries: Vec<PathBuf> = fs::read_dir(&crates)?
-            .map(|e| e.map(|e| e.path().join("src")))
+            .map(|e| e.map(|e| e.path()))
             .collect::<io::Result<_>>()?;
+        entries.retain(|dir| !dir.ends_with("audit"));
         entries.sort();
-        dirs.extend(entries);
+        dirs.extend(entries.into_iter().map(|dir| dir.join("src")));
     }
     dirs.push(root.join("examples"));
     dirs.push(root.join("e2ebench").join("src"));
@@ -194,7 +167,7 @@ mod tests {
         assert!(r.is_clean());
         assert_eq!(
             r.render_text(),
-            "audit: clean — 3 files scanned, 8 rules, 0 violations\n"
+            "audit: clean — 3 files scanned, 4 rules, 0 violations\n"
         );
     }
 
@@ -211,25 +184,6 @@ mod tests {
         };
         let text = r.render_text();
         assert!(text.starts_with("crates/core/src/x.rs:9: [hash-iter] "));
-        assert!(text.ends_with("audit: 1 violation (1 files scanned, 8 rules)\n"));
-    }
-
-    #[test]
-    fn json_shape_is_stable_and_escaped() {
-        let r = AuditReport {
-            files_scanned: 2,
-            violations: vec![Violation {
-                file: "crates/core/src/x.rs".into(),
-                line: 4,
-                rule: "float-ord",
-                message: "needs \"total_cmp\"".into(),
-            }],
-        };
-        let json = r.render_json();
-        assert!(json.starts_with("{\"version\":1,\"files_scanned\":2,\"rules\":[\"hash-iter\","));
-        assert!(json.contains(
-            "\"violations\":[{\"rule\":\"float-ord\",\"file\":\"crates/core/src/x.rs\",\
-             \"line\":4,\"message\":\"needs \\\"total_cmp\\\"\"}]}"
-        ));
+        assert!(text.ends_with("audit: 1 violation (1 file scanned, 4 rules)\n"));
     }
 }

@@ -10,9 +10,7 @@
 //!   functions (test code is exempt from every rule),
 //! * which lines carry an `// audit: <reason>` justification comment
 //!   (the escape hatch: a justified line, or the line right below a
-//!   justification, is never flagged),
-//! * which lines carry *any* comment (the weaker adjacency the
-//!   `justify-allow` rule accepts).
+//!   justification, is never flagged).
 //!
 //! The pass is deliberately token-level, not type-level: it cannot see
 //! through aliases (`type Map = HashMap<…>`) or flag iteration on a
@@ -25,15 +23,7 @@ use std::fmt;
 
 /// Crates whose code determines simulation results: a nondeterministic
 /// iteration order here changes replay output byte-for-byte.
-pub const RESULT_CRATES: &[&str] = &["desp", "core", "ocb", "bufmgr", "clustering", "oostore"];
-
-/// Files forming the event-dispatch / transaction-slab hot path, where
-/// a stray `unwrap` turns a recoverable modelling bug into an abort.
-pub const HOT_PATH_FILES: &[&str] = &[
-    "crates/desp/src/engine.rs",
-    "crates/core/src/txslab.rs",
-    "crates/core/src/model.rs",
-];
+const RESULT_CRATES: &[&str] = &["desp", "core", "ocb", "bufmgr", "clustering", "oostore"];
 
 /// Iteration methods whose order is arbitrary on `HashMap`/`HashSet`.
 const ITER_METHODS: &[&str] = &[
@@ -56,16 +46,7 @@ const UNSEEDED_RNG: &[&str] = &["thread_rng", "from_entropy", "OsRng", "ThreadRn
 /// The names of every rule, in diagnostic order. All but the last are
 /// per-file passes ([`FileContext::check`]); `test-only-pub` looks at
 /// the whole workspace at once ([`test_only_pub`]).
-pub const RULE_NAMES: &[&str] = &[
-    "hash-iter",
-    "wall-clock",
-    "unseeded-rng",
-    "float-ord",
-    "justify-unsafe",
-    "justify-allow",
-    "hot-panic",
-    "test-only-pub",
-];
+pub const RULE_NAMES: &[&str] = &["hash-iter", "unseeded-rng", "float-ord", "test-only-pub"];
 
 /// Item keywords whose `pub` definitions `test-only-pub` checks.
 const PUB_ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
@@ -107,16 +88,12 @@ pub struct FileContext<'a> {
     /// Lines excused by an `// audit: <reason>` comment (the comment's
     /// own line and the line after it).
     justified: BTreeSet<u32>,
-    /// Lines carrying any comment at all.
-    commented: BTreeSet<u32>,
     crate_name: &'a str,
-    is_bin: bool,
 }
 
 impl<'a> FileContext<'a> {
     /// Lexes `src` and computes the rule context. `path` must be the
-    /// workspace-relative path (it determines the crate, whether the
-    /// file is a CLI binary, and whether it is on the hot-path list).
+    /// workspace-relative path (it determines the crate).
     pub fn new(path: &'a str, src: &'a str) -> Self {
         let toks = tokenize(src);
         let code: Vec<usize> = toks
@@ -126,21 +103,18 @@ impl<'a> FileContext<'a> {
             .map(|(i, _)| i)
             .collect();
         let mut justified = BTreeSet::new();
-        let mut commented = BTreeSet::new();
         for t in &toks {
-            if matches!(t.kind, TokKind::LineComment | TokKind::BlockComment) {
-                commented.insert(t.line);
-                if t.text(src).contains("audit:") {
-                    justified.insert(t.line);
-                    justified.insert(t.line + 1);
-                }
+            if matches!(t.kind, TokKind::LineComment | TokKind::BlockComment)
+                && t.text(src).contains("audit:")
+            {
+                justified.insert(t.line);
+                justified.insert(t.line + 1);
             }
         }
         let crate_name = path
             .strip_prefix("crates/")
             .and_then(|rest| rest.split('/').next())
             .unwrap_or("");
-        let is_bin = path.contains("/bin/") || path.ends_with("/main.rs");
         let mut ctx = FileContext {
             path,
             src,
@@ -148,9 +122,7 @@ impl<'a> FileContext<'a> {
             toks,
             code,
             justified,
-            commented,
             crate_name,
-            is_bin,
         };
         ctx.mark_test_regions();
         ctx
@@ -160,11 +132,8 @@ impl<'a> FileContext<'a> {
     pub fn check(&self) -> Vec<Violation> {
         let mut out = Vec::new();
         self.rule_hash_iter(&mut out);
-        self.rule_wall_clock(&mut out);
         self.rule_unseeded_rng(&mut out);
         self.rule_float_ord(&mut out);
-        self.rule_justify(&mut out);
-        self.rule_hot_panic(&mut out);
         out.sort();
         out
     }
@@ -481,55 +450,7 @@ impl<'a> FileContext<'a> {
         }
     }
 
-    // ---- rule 2: wall-clock ---------------------------------------------
-
-    /// No wall-clock or environment reads outside CLI binaries: a
-    /// replayed run must not observe the host.
-    fn rule_wall_clock(&self, out: &mut Vec<Violation>) {
-        if self.is_bin {
-            return;
-        }
-        for ci in 0..self.code.len() {
-            if self.in_test(ci) || self.is_justified(self.tok(ci).line) {
-                continue;
-            }
-            let word = if self.tok(ci).kind == TokKind::Ident {
-                self.text(ci)
-            } else {
-                continue;
-            };
-            if word == "Instant" || word == "SystemTime" {
-                self.flag(
-                    out,
-                    ci,
-                    "wall-clock",
-                    format!(
-                        "`{word}` outside CLI code — simulated time must come \
-                         from `SimTime`, never the host clock"
-                    ),
-                );
-            }
-            if word == "env"
-                && ci + 3 < self.code.len()
-                && self.is_punct(ci + 1, ':')
-                && self.is_punct(ci + 2, ':')
-                && ["var", "vars", "var_os"].contains(&self.text(ci + 3))
-            {
-                self.flag(
-                    out,
-                    ci,
-                    "wall-clock",
-                    format!(
-                        "environment read `env::{}` outside CLI code — results \
-                         must be a function of the scenario and seed only",
-                        self.text(ci + 3)
-                    ),
-                );
-            }
-        }
-    }
-
-    // ---- rule 3: unseeded-rng -------------------------------------------
+    // ---- rule 2: unseeded-rng -------------------------------------------
 
     /// Every RNG must be constructed from an explicit `u64` seed.
     fn rule_unseeded_rng(&self, out: &mut Vec<Violation>) {
@@ -572,7 +493,7 @@ impl<'a> FileContext<'a> {
         }
     }
 
-    // ---- rule 4: float-ord ----------------------------------------------
+    // ---- rule 3: float-ord ----------------------------------------------
 
     /// Float comparisons must use `total_cmp`: `partial_cmp(..)` on
     /// floats panics on NaN or silently yields `None`-driven orders
@@ -600,123 +521,7 @@ impl<'a> FileContext<'a> {
         }
     }
 
-    // ---- rule 5: justify-unsafe / justify-allow --------------------------
-
-    /// `unsafe` needs a `SAFETY`/`audit:` comment; `#[allow(..)]` needs
-    /// any adjacent comment saying why.
-    fn rule_justify(&self, out: &mut Vec<Violation>) {
-        for ci in 0..self.code.len() {
-            if self.in_test(ci) {
-                continue;
-            }
-            let line = self.tok(ci).line;
-            if self.is_ident(ci, "unsafe") {
-                let justified = self.is_justified(line)
-                    || [line.saturating_sub(1), line].iter().any(|l| {
-                        self.commented.contains(l)
-                            && self
-                                .toks
-                                .iter()
-                                .filter(|t| {
-                                    t.line == *l
-                                        && matches!(
-                                            t.kind,
-                                            TokKind::LineComment | TokKind::BlockComment
-                                        )
-                                })
-                                .any(|t| {
-                                    let text = t.text(self.src).to_ascii_lowercase();
-                                    text.contains("safety") || text.contains("audit:")
-                                })
-                    });
-                if !justified {
-                    self.flag(
-                        out,
-                        ci,
-                        "justify-unsafe",
-                        "`unsafe` without a `// SAFETY: …` justification — the \
-                         workspace forbids unsafe code (`unsafe_code = \"forbid\"`); \
-                         if that is ever relaxed, every block must argue its safety"
-                            .to_owned(),
-                    );
-                }
-            }
-            // `#[allow(…)]` / `#![allow(…)]`.
-            if self.is_punct(ci, '#') {
-                let mut at = ci + 1;
-                if at < self.code.len() && self.is_punct(at, '!') {
-                    at += 1;
-                }
-                if at + 1 < self.code.len()
-                    && self.is_punct(at, '[')
-                    && self.is_ident(at + 1, "allow")
-                {
-                    let adjacent_comment = self.commented.contains(&line)
-                        || self.commented.contains(&line.saturating_sub(1));
-                    if !adjacent_comment {
-                        self.flag(
-                            out,
-                            ci,
-                            "justify-allow",
-                            "`#[allow(..)]` without an adjacent comment — every lint \
-                             opt-out must say why (same line or the line above)"
-                                .to_owned(),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- rule 6: hot-panic ----------------------------------------------
-
-    /// No `unwrap`/`expect`/`panic!` on the dispatch and slab hot
-    /// paths: these files run once per event; failures there must
-    /// surface as results, not aborts.
-    fn rule_hot_panic(&self, out: &mut Vec<Violation>) {
-        if !HOT_PATH_FILES.contains(&self.path) {
-            return;
-        }
-        for ci in 0..self.code.len() {
-            if self.in_test(ci) || self.is_justified(self.tok(ci).line) {
-                continue;
-            }
-            if self.is_punct(ci, '.')
-                && ci + 2 < self.code.len()
-                && self.is_punct(ci + 2, '(')
-                && (self.is_ident(ci + 1, "unwrap") || self.is_ident(ci + 1, "expect"))
-            {
-                self.flag(
-                    out,
-                    ci + 1,
-                    "hot-panic",
-                    format!(
-                        "`.{}(..)` on a hot-path file — dispatch and slab code must \
-                         not abort; propagate or use `debug_assert!`",
-                        self.text(ci + 1)
-                    ),
-                );
-            }
-            if self.tok(ci).kind == TokKind::Ident
-                && ci + 1 < self.code.len()
-                && self.is_punct(ci + 1, '!')
-                && ["panic", "unreachable", "todo", "unimplemented"].contains(&self.text(ci))
-            {
-                self.flag(
-                    out,
-                    ci,
-                    "hot-panic",
-                    format!(
-                        "`{}!` on a hot-path file — dispatch and slab code must not \
-                         abort; propagate or use `debug_assert!`",
-                        self.text(ci)
-                    ),
-                );
-            }
-        }
-    }
-
-    // ---- rule 7: test-only-pub (workspace-wide, see `test_only_pub`) -----
+    // ---- rule 4: test-only-pub (workspace-wide, see `test_only_pub`) -----
 
     /// The `pub` items this file defines outside test code, as
     /// (code-token index of `pub`, of the name, kind keyword).
@@ -937,24 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_flagged_outside_bench() {
-        let src = "fn f() { let t = Instant::now(); let _ = t; }\n";
-        let v = check("crates/desp/src/x.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "wall-clock");
-        assert_eq!(check("crates/bench/src/x.rs", src).len(), 1);
-        assert!(check("crates/scenario/src/bin/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn env_var_flagged() {
-        let src = "fn f() -> String { std::env::var(\"HOME\").unwrap_or_default() }\n";
-        let v = check("crates/scenario/src/x.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "wall-clock");
-    }
-
-    #[test]
     fn unseeded_rng_flagged_everywhere_but_tests() {
         let src = "fn f() { let mut rng = thread_rng(); let _ = &mut rng; }\n";
         let v = check("crates/scenario/src/x.rs", src);
@@ -973,47 +760,6 @@ mod tests {
         let impl_src = "impl PartialOrd for T {\n\
              fn partial_cmp(&self, o: &Self) -> Option<Ordering> { Some(self.cmp(o)) }\n}\n";
         assert!(check("crates/desp/src/x.rs", impl_src).is_empty());
-    }
-
-    #[test]
-    fn unsafe_needs_safety_comment() {
-        let bad = "fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-        let v = check("crates/desp/src/x.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "justify-unsafe");
-        let good = "fn f(p: *const u8) -> u8 {\n\
-                    // SAFETY: caller guarantees p is valid\n\
-                    unsafe { *p } }\n";
-        assert!(check("crates/desp/src/x.rs", good).is_empty());
-    }
-
-    #[test]
-    fn allow_needs_adjacent_comment() {
-        let bad = "#[allow(dead_code)]\nfn f() {}\n";
-        let v = check("crates/desp/src/x.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "justify-allow");
-        let good = "#[allow(dead_code)] // kept for the public API sketch\nfn f() {}\n";
-        assert!(check("crates/desp/src/x.rs", good).is_empty());
-    }
-
-    #[test]
-    fn hot_panic_only_on_hot_files() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let v = check("crates/desp/src/engine.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "hot-panic");
-        assert!(check("crates/desp/src/resource.rs", src).is_empty());
-    }
-
-    #[test]
-    fn macro_panics_flagged_on_hot_files() {
-        let src = "fn f() { panic!(\"boom\"); }\n";
-        let v = check("crates/core/src/txslab.rs", src);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("panic"));
-        let dbg = "fn f(x: u32) { debug_assert!(x > 0); }\n";
-        assert!(check("crates/core/src/txslab.rs", dbg).is_empty());
     }
 
     #[test]
@@ -1054,8 +800,10 @@ mod tests {
 
     #[test]
     fn violations_sort_by_position() {
-        let src = "fn g() { let t = Instant::now(); let _ = t; }\n\
-                   fn f() { let t = SystemTime::now(); let _ = t; }\n";
+        // Rules run in `RULE_NAMES` order: `unseeded-rng` reports line 2
+        // before `float-ord` reports line 1.
+        let src = "fn f(a: f64, b: f64) { let _ = a.partial_cmp(&b); }\n\
+                   fn g() { let _ = thread_rng(); }\n";
         let v = check("crates/desp/src/x.rs", src);
         assert_eq!(v.len(), 2);
         assert!(v[0].line < v[1].line);

@@ -3,16 +3,15 @@
 //!
 //! Each per-file rule has a known-bad snippet that must trip it and a
 //! known-clean twin that must pass all rules. The fixtures live under
-//! `fixtures/` (not `src/`, so neither cargo nor the workspace scan
-//! touches them) and are audited under synthetic workspace paths that
-//! put them in the crate the rule governs. The workspace-wide
-//! `test-only-pub` rule has a fixture workspace of its own,
-//! `fixtures/workspace/`. The final tests pin the real workspace clean
-//! and the `--json` output shape — they are the library-level
-//! equivalents of `voodb audit` and `voodb audit --json` exiting zero,
-//! in the same call-the-library style as the scenario CLI goldens.
+//! `fixtures/` (not `src/`, so the workspace scan never touches them)
+//! and are audited under synthetic workspace paths that put them in the
+//! crate the rule governs. The fixtures of the rules clippy enforces
+//! are checked by `.github/clippy_fixtures.sh` instead. The
+//! workspace-wide `test-only-pub` rule has a fixture workspace of its
+//! own, `fixtures/workspace/`. `workspace_audits_clean` is the gate: the
+//! workspace itself audits clean.
 
-use audit::{audit_workspace, AuditReport, FileContext, Violation, RULE_NAMES};
+use audit::{audit_workspace, FileContext, Violation, RULE_NAMES};
 use std::path::PathBuf;
 
 /// Runs the per-file rules over one in-memory source at a synthetic
@@ -30,12 +29,6 @@ const CASES: &[(&str, &str, &str, &str)] = &[
         include_str!("../fixtures/clean/hash_iter.rs"),
     ),
     (
-        "wall-clock",
-        "crates/desp/src/fixture.rs",
-        include_str!("../fixtures/bad/wall_clock.rs"),
-        include_str!("../fixtures/clean/wall_clock.rs"),
-    ),
-    (
         "unseeded-rng",
         "crates/scenario/src/fixture.rs",
         include_str!("../fixtures/bad/unseeded_rng.rs"),
@@ -46,24 +39,6 @@ const CASES: &[(&str, &str, &str, &str)] = &[
         "crates/trace/src/fixture.rs",
         include_str!("../fixtures/bad/float_ord.rs"),
         include_str!("../fixtures/clean/float_ord.rs"),
-    ),
-    (
-        "justify-unsafe",
-        "crates/ocb/src/fixture.rs",
-        include_str!("../fixtures/bad/justify_unsafe.rs"),
-        include_str!("../fixtures/clean/justify_unsafe.rs"),
-    ),
-    (
-        "justify-allow",
-        "crates/bufmgr/src/fixture.rs",
-        include_str!("../fixtures/bad/justify_allow.rs"),
-        include_str!("../fixtures/clean/justify_allow.rs"),
-    ),
-    (
-        "hot-panic",
-        "crates/desp/src/engine.rs",
-        include_str!("../fixtures/bad/hot_panic.rs"),
-        include_str!("../fixtures/clean/hot_panic.rs"),
     ),
 ];
 
@@ -153,9 +128,9 @@ fn test_only_pub_flags_items_only_tests_name() {
     assert!(report.violations.iter().all(|v| v.rule == "test-only-pub"));
 }
 
-/// The golden the CI gate relies on: the workspace itself audits clean.
-/// If this fails, either fix the flagged site (preferred) or carry a
-/// `// audit: <reason>` justification the reviewer can judge.
+/// The gate: the workspace itself audits clean. If this fails, either
+/// fix the flagged site (preferred) or carry a `// audit: <reason>`
+/// justification the reviewer can judge.
 #[test]
 fn workspace_audits_clean() {
     let report = audit_workspace(&workspace_root()).expect("workspace readable");
@@ -167,45 +142,7 @@ fn workspace_audits_clean() {
     assert!(report.files_scanned > 50, "scan looks truncated");
     let text = report.render_text();
     assert!(text.starts_with("audit: clean — "));
-    assert!(text.ends_with(" files scanned, 8 rules, 0 violations\n"));
-}
-
-/// Pins the `--json` shape end to end: field order, rule list, empty
-/// violation array on the clean workspace.
-#[test]
-fn workspace_json_shape_is_pinned() {
-    let report = audit_workspace(&workspace_root()).expect("workspace readable");
-    let json = report.render_json();
-    let expected = format!(
-        concat!(
-            "{{\"version\":1,\"files_scanned\":{},",
-            "\"rules\":[\"hash-iter\",\"wall-clock\",\"unseeded-rng\",",
-            "\"float-ord\",\"justify-unsafe\",\"justify-allow\",",
-            "\"hot-panic\",\"test-only-pub\"],\"violations\":[]}}"
-        ),
-        report.files_scanned
-    );
-    assert_eq!(json, expected, "`voodb audit --json` shape drifted");
-}
-
-/// Pins the violation-object shape inside the JSON array.
-#[test]
-fn violation_json_shape_is_pinned() {
-    let report = AuditReport {
-        files_scanned: 1,
-        violations: audit_source(
-            "crates/trace/src/fixture.rs",
-            include_str!("../fixtures/bad/float_ord.rs"),
-        ),
-    };
-    let json = report.render_json();
-    assert!(
-        json.contains(
-            "\"violations\":[{\"rule\":\"float-ord\",\
-             \"file\":\"crates/trace/src/fixture.rs\",\"line\":3,\"message\":"
-        ),
-        "violation JSON shape drifted: {json}"
-    );
+    assert!(text.ends_with(" files scanned, 4 rules, 0 violations\n"));
 }
 
 /// The report text renders one clickable `file:line: [rule]` line per

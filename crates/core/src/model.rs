@@ -109,6 +109,17 @@
 //! modes a page fetched by one transaction is immediately visible to
 //! others (no in-flight fetch queue).
 
+// Model hot path: the event handler and its rules run once per event, so
+// a failure there must surface as a value, not an abort (the `hot-panic`
+// rule). Construction- and load-time validation states its reason in an
+// `#[expect]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::admission::AdmissionRing;
 use crate::bman::BufferingManager;
 use crate::cman::{ClusteringManager, SimReorgReport};
@@ -351,7 +362,10 @@ impl<'a> VoodbModel<'a> {
     /// # Panics
     /// Panics if the parameters are invalid.
     pub fn new(base: &'a ObjectBase, params: VoodbParams, think_time_ms: f64, seed: u64) -> Self {
-        // audit: construction-time validation, never on the dispatch path
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time validation, never on the dispatch path"
+        )]
         params.validate().expect("invalid VOODB parameters");
         let placement = params.initial_placement.build(base, params.page_size);
         let oman = ObjectManager::new(&placement);
@@ -439,7 +453,10 @@ impl<'a> VoodbModel<'a> {
     /// Panics if a cohort is invalid.
     pub fn set_user_population(&mut self, user_model: UserModel, cohorts: &[UserCohort]) {
         for cohort in cohorts {
-            // audit: configuration-time validation, never on the dispatch path
+            #[expect(
+                clippy::expect_used,
+                reason = "configuration-time validation, never on the dispatch path"
+            )]
             cohort.validate().expect("invalid user cohort");
         }
         self.user_model = user_model;
@@ -645,7 +662,10 @@ impl<'a> VoodbModel<'a> {
                 );
             }
         }
-        // audit: phase-load validation, never on the dispatch path
+        #[expect(
+            clippy::expect_used,
+            reason = "phase-load validation, never on the dispatch path"
+        )]
         arrival.validate().expect("invalid arrival process");
         // A horizon phase may have been cut mid-transaction: the cut
         // transactions die with the slab, so their lock entries and
@@ -945,9 +965,12 @@ impl<'a> VoodbModel<'a> {
     /// queued key. (The ring is empty once the source ran dry.)
     fn admit_from_ring<P: Probe, Q: QueueKind>(&mut self, ctx: &mut Context<'_, Event, P, Q>) {
         let clocks = &mut self.clocks;
+        #[expect(
+            clippy::expect_used,
+            reason = "a run's users are queued keys of its cohort until popped here"
+        )]
         let Some(entry) = self.ring.pop_front_with(|c| {
             let key = clocks[c as usize].pop_queued();
-            // audit: a run's users are queued keys of its cohort until popped here
             key_time(key.expect("a ring run's cohort holds its queued keys"))
         }) else {
             return;
@@ -1034,7 +1057,10 @@ impl<'a> VoodbModel<'a> {
         if ctx.tracing() {
             t.marks.lap(SpanStage::DiskWait, ctx.now().as_ms());
         }
-        // audit: the disk is requested only after pending_io is set
+        #[expect(
+            clippy::expect_used,
+            reason = "the disk is requested only after pending_io is set"
+        )]
         let site = t.pending_io.expect("pending I/O");
         let duration = self.iosub[site].service_batch(&t.io_writes, &t.io_reads);
         advance_or_schedule(duration, Event::DiskDone(tid), ctx) && self.disk_done(tid, ctx)
@@ -1052,7 +1078,10 @@ impl<'a> VoodbModel<'a> {
         if ctx.tracing() {
             t.marks.lap(SpanStage::DiskService, ctx.now().as_ms());
         }
-        // audit: set at the disk request, taken only here
+        #[expect(
+            clippy::expect_used,
+            reason = "set at the disk request, taken only here"
+        )]
         let site = t.pending_io.take().expect("pending I/O site");
         self.disks[site].release(ctx);
         self.leave_storage(tid, ctx)
@@ -1526,10 +1555,13 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
             Event::StartAccess(tid) => self.resume(tid, Self::start_access, ctx),
             Event::LockResume(serial) => {
                 // The lock manager already holds the lock for us.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "commit/abort purge the serial's lock entries first"
+                )]
                 let tid = self
                     .slab
                     .slot_of_serial(serial)
-                    // audit: commit/abort purge the serial's lock entries first
                     .expect("resumed transaction is live");
                 self.resume(tid, Self::lock_resumed, ctx);
             }

@@ -25,9 +25,13 @@
 //! `desp::SpanStage` that the commit hands to the probe whole.
 
 // Transaction-slab hot path: touched on every lifecycle step of every
-// transaction. No unwrap/expect/panic — enforced statically here and by
-// the `hot-panic` rule of `voodb audit`.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// transaction. No unwrap/expect/panic (the `hot-panic` rule).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 use crate::lockmgr::Tid as LockTid;
 use desp::{SimTime, SpanStage};

@@ -20,9 +20,13 @@
 //!   violations panic rather than silently corrupting the timeline.
 
 // Dispatch hot path: runs once per event, so a stray unwrap would turn a
-// recoverable modelling bug into an abort. Enforced statically here and
-// by the `hot-panic` rule of `voodb audit`.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// recoverable modelling bug into an abort (the `hot-panic` rule).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 use crate::probe::{NoProbe, Probe, SeriesId, SpanPoint, SpanStage};
 use crate::sched::{CalendarKind, QueueKind, Scheduler};

@@ -108,7 +108,7 @@ impl TimeWeighted {
 /// x > 0.
 pub fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma: x must be positive, got {x}");
-    #[allow(clippy::excessive_precision)] // published Lanczos constants
+    #[allow(clippy::excessive_precision, reason = "published Lanczos constants")]
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_93,
         676.520_368_121_885_1,

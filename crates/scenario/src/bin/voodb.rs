@@ -13,7 +13,6 @@
 //! voodb validate <file.toml>...
 //! voodb list [--dir scenarios]
 //! voodb params
-//! voodb audit [--json] [--root DIR]
 //! voodb help
 //! ```
 //!
@@ -33,10 +32,7 @@
 //! metric regresses beyond the threshold.
 //! `validate` parses and validates each file, reporting precise
 //! line/column positions for syntax errors. `params` lists every
-//! supported parameter key (all of them sweepable), sorted. `audit`
-//! statically checks the workspace sources against the determinism
-//! rules and the `test-only-pub` API rule (see the `voodb-audit` crate
-//! and README "Static guarantees & determinism invariants").
+//! supported parameter key (all of them sweepable), sorted.
 
 use scenario::{
     apply_run_options, check_same_tendency, library_listing, params_help_text, run_sweep,
@@ -63,7 +59,6 @@ USAGE:
     voodb validate <file.toml>...
     voodb list [--dir scenarios]
     voodb params
-    voodb audit [--json] [--root DIR]
     voodb help
 
 COMMANDS:
@@ -88,12 +83,6 @@ COMMANDS:
                (sorted by file name).
     params     List every supported [system]/[database]/[workload] key,
                sorted; each is also a valid sweep axis.
-    audit      Statically audit the workspace sources for determinism
-               violations: hash-ordered iteration in result-affecting
-               crates, wall-clock/env reads, unseeded RNGs, float
-               `partial_cmp`, unjustified `unsafe`/`#[allow]`, and
-               hot-path panics; and for `pub` items that only tests
-               use. Exits non-zero iff any rule fires.
 
 OPTIONS (run):
     --threads N   Worker threads (default: one per core, at most 1024).
@@ -127,11 +116,6 @@ OPTIONS (run):
 
 OPTIONS (compare):
     --threshold T Relative regression threshold (default 0.10 = 10%).
-
-OPTIONS (audit):
-    --root DIR    Workspace root to scan (default: current directory).
-    --json        Emit the machine-readable single-line JSON report
-                  instead of the file:line diagnostic text.
 ";
 
 fn main() -> ExitCode {
@@ -148,7 +132,6 @@ fn main() -> ExitCode {
             print!("{}", params_help_text());
             ExitCode::SUCCESS
         }
-        Some("audit") => cmd_audit(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -620,46 +603,6 @@ fn cmd_validate(args: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-fn cmd_audit(args: &[String]) -> ExitCode {
-    let (positionals, options, flags) = match split_args(args, &["root"], &["json"]) {
-        Ok(split) => split,
-        Err(e) => return fail(&e),
-    };
-    if !positionals.is_empty() {
-        return fail("'audit' takes no positional arguments (use --root)");
-    }
-    let root = options
-        .iter()
-        .find(|(name, _)| *name == "root")
-        .map(|(_, v)| Path::new(*v))
-        .unwrap_or(Path::new("."));
-    match audit::audit_workspace(root) {
-        Ok(report) => {
-            // A wrong --root would otherwise report a vacuous "clean";
-            // the CI gate must never pass on an empty scan.
-            if report.files_scanned == 0 {
-                return fail(&format!(
-                    "audit: no .rs files found under '{}' — wrong --root?",
-                    root.display()
-                ));
-            }
-            if flags.contains(&"json") {
-                println!("{}", report.render_json());
-            } else {
-                print!("{}", report.render_text());
-            }
-            if report.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                // Distinct from the generic-error exit code 1, like
-                // `compare`'s regression exit.
-                ExitCode::from(2)
-            }
-        }
-        Err(e) => fail(&format!("audit: {e}")),
-    }
 }
 
 fn cmd_list(args: &[String]) -> ExitCode {

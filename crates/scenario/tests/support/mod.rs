@@ -4,7 +4,10 @@
 //! production path ([`scenario::run_sweep`]) with the reports of the
 //! oracle, byte for byte.
 
-#![allow(dead_code)] // each test crate uses its own subset of the oracles
+#![allow(
+    dead_code,
+    reason = "each test crate uses its own subset of the oracles"
+)]
 
 use desp::{NoProbe, SchedulerKind};
 use ocb::ObjectBase;

@@ -376,6 +376,10 @@ mod tests {
         let text = |chars: usize| format!("\"{}\"", "aé漢🦀".repeat(chars / 4));
         let (small, large) = (text(100_000), text(200_000));
         let time = |text: &str| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test measures the parser's host time"
+            )]
             let start = std::time::Instant::now();
             std::hint::black_box(parse(text).unwrap());
             start.elapsed().as_secs_f64()

@@ -12,14 +12,12 @@
 //! | [`voodb`] | The generic evaluation model itself (§3) |
 //! | [`scenario`] | Declarative experiment specs, the parallel sweep runner, the paper's artifact table, and the `voodb` CLI |
 //! | [`vtrace`] | Telemetry: trace recorder, latency histograms, time-series, `voodb analyze`/`compare` |
-//! | [`audit`] | Determinism auditor: the static-analysis pass behind `voodb audit` and the CI gate |
 //!
 //! See `examples/` for runnable studies, `voodb repro` for every table
 //! and figure of the paper's evaluation, and `scenarios/` for
 //! declarative experiment presets runnable with
 //! `cargo run --release --bin voodb -- run <file>`.
 
-pub use audit;
 pub use bufmgr;
 pub use clustering;
 pub use desp;
