@@ -15,6 +15,9 @@
 //!   standalone module implementing [`ReplacementPolicy`];
 //! * [`PrefetchKind`] — the `None` policy the paper uses plus a sequential
 //!   read-ahead exercising the extension point.
+//! * [`DiskTimings`] and [`IoCounts`] — the Table 3/4 disk timings and
+//!   the page read/write counters behind a miss, one type each for the
+//!   model and the engines.
 //!
 //! The same pool drives both the *real* storage engines (`oostore`), where
 //! a miss triggers an actual virtual-disk transfer, and the simulator
@@ -53,6 +56,82 @@ pub use prefetch::{NoPrefetch, PrefetchKind, PrefetchPolicy, SequentialPrefetch}
 /// calibration. The model (`VoodbParams::o2`), the page-server engine and
 /// the scenario key `system.cache_mb` all size their pools with it.
 pub const O2_FRAMES_PER_MB: usize = 240;
+
+/// Disk timing parameters, in milliseconds (Table 3: `DISKSEA`,
+/// `DISKLAT`, `DISKTRA`; Table 4 presets). The model's I/O subsystem and
+/// the engines' virtual disk price every page transfer with them, each
+/// with its own Fig. 5 accounting.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DiskTimings {
+    /// `DISKSEA` — head search (seek) time.
+    pub search_ms: f64,
+    /// `DISKLAT` — rotational latency.
+    pub latency_ms: f64,
+    /// `DISKTRA` — page transfer time.
+    pub transfer_ms: f64,
+}
+
+impl DiskTimings {
+    /// Table 3 defaults (7.4 / 4.3 / 0.5 ms).
+    pub fn table3_default() -> Self {
+        DiskTimings {
+            search_ms: 7.4,
+            latency_ms: 4.3,
+            transfer_ms: 0.5,
+        }
+    }
+
+    /// The O2 server disk of Table 4 (6.3 / 2.99 / 0.7 ms).
+    pub fn o2() -> Self {
+        DiskTimings {
+            search_ms: 6.3,
+            latency_ms: 2.99,
+            transfer_ms: 0.7,
+        }
+    }
+
+    /// The Texas host disk of Table 4 (the Table 3 defaults).
+    pub fn texas() -> Self {
+        DiskTimings::table3_default()
+    }
+
+    /// Cost of a random page access (Fig. 5 full path).
+    pub fn random_access_ms(&self) -> f64 {
+        self.search_ms + self.latency_ms + self.transfer_ms
+    }
+
+    /// Cost of an access contiguous with the previous one (Fig. 5
+    /// short-circuit).
+    pub fn contiguous_access_ms(&self) -> f64 {
+        self.transfer_ms
+    }
+}
+
+/// Page read/write counters, of the simulated disk and of the engines'
+/// virtual disk alike.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IoCounts {
+    /// Page reads.
+    pub reads: u64,
+    /// Page writes.
+    pub writes: u64,
+}
+
+impl IoCounts {
+    /// Reads plus writes.
+    pub fn total(&self) -> u64 {
+        self.reads + self.writes
+    }
+
+    /// Component-wise difference (`self - earlier`), for interval
+    /// measurements.
+    pub fn since(&self, earlier: IoCounts) -> IoCounts {
+        IoCounts {
+            reads: self.reads - earlier.reads,
+            writes: self.writes - earlier.writes,
+        }
+    }
+}
 
 /// Texas usable page frames per MB of host memory.
 ///

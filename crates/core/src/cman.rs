@@ -17,8 +17,9 @@
 //! whole database instead (see `oostore::reorg`).
 
 use crate::bman::BufferingManager;
-use crate::iosub::{IoSubsystem, SimIoCounts};
+use crate::iosub::IoSubsystem;
 use crate::oman::ObjectManager;
+use bufmgr::IoCounts;
 use clustering::{ClusteringKind, ClusteringStrategy};
 use ocb::{ObjectBase, Oid};
 
@@ -26,7 +27,7 @@ use ocb::{ObjectBase, Oid};
 #[derive(Clone, Debug, Default)]
 pub struct SimReorgReport {
     /// I/Os charged to the reorganisation.
-    pub io: SimIoCounts,
+    pub io: IoCounts,
     /// Disk service time of those I/Os, in ms.
     pub duration_ms: f64,
     /// Clusters built.
@@ -116,7 +117,7 @@ impl ClusteringManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::DiskParams;
+    use bufmgr::DiskTimings;
     use bufmgr::PolicyKind;
     use clustering::{DstcParams, InitialPlacement};
     use ocb::DatabaseParams;
@@ -126,7 +127,7 @@ mod tests {
         let placement = InitialPlacement::OptimizedSequential.build(&base, 4096);
         let oman = ObjectManager::new(&placement);
         let bman = BufferingManager::standard(10_000, PolicyKind::Lru);
-        let iosub = IoSubsystem::new(DiskParams::table3_default());
+        let iosub = IoSubsystem::new(DiskTimings::table3_default());
         (base, oman, bman, iosub)
     }
 

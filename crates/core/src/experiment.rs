@@ -7,18 +7,16 @@
 //!
 //! [`Simulation`] drives one replication through its phases (a cold run,
 //! the measured warm run, external clustering demands, cold restarts);
-//! [`run_replicated`] wraps any experiment closure in the replication
-//! protocol via `desp`'s [`Replicator`].
+//! [`run_replication`] is the standard single-phase replication. The
+//! scenario runner (`scenario::run_sweep`) runs it once per (point ×
+//! replication) and computes the intervals.
 
 use crate::cman::SimReorgReport;
 use crate::model::{PhaseMode, VoodbModel};
 use crate::params::VoodbParams;
 use crate::results::PhaseResult;
 use clustering::ClusteringKind;
-use desp::{
-    CalendarKind, Engine, HeapKind, NoProbe, Probe, QueueKind, ReplicationPolicy,
-    ReplicationReport, Replicator, SchedulerKind, SimTime,
-};
+use desp::{CalendarKind, Engine, HeapKind, NoProbe, Probe, QueueKind, SchedulerKind, SimTime};
 use ocb::{
     Arrival, DatabaseParams, LazySource, ObjectBase, Transaction, TransactionSource,
     WorkloadGenerator, WorkloadParams,
@@ -227,46 +225,36 @@ impl ExperimentConfig {
     }
 }
 
-/// Runs one replication of the standard experiment: generate the base
-/// from `seed` and **stream** the workload through a single phase
+/// Runs one replication of `config` over `base`: **streams** the
+/// workload from `seed ^ WORKLOAD_SEED_SALT` through a single phase
 /// (count-based `COLDN` cold + `HOTN` measured transactions, or
-/// time-horizon per the workload's `duration_ms`; bit-identical to the
-/// materialized oracle on count-based phases, asserted by the
-/// differential tests), then return the phase result.
-pub fn run_once(config: &ExperimentConfig, seed: u64) -> PhaseResult {
-    config.validate().expect("invalid experiment configuration");
-    let base = ObjectBase::generate(&config.database, seed);
-    let generator =
-        WorkloadGenerator::new(&base, config.workload.clone(), seed ^ WORKLOAD_SEED_SALT);
+/// time-horizon per the workload's `duration_ms`; phase memory is
+/// O(in-flight) transactions) and runs the model on `seed`. The probe
+/// only observes, so the [`PhaseResult`] is bit-identical to a
+/// [`NoProbe`] run. The caller validates `config`.
+pub fn run_replication<P: Probe>(
+    base: &ObjectBase,
+    config: &ExperimentConfig,
+    seed: u64,
+    probe: P,
+) -> (PhaseResult, P) {
+    let workload = &config.workload;
+    let generator = WorkloadGenerator::new(base, workload.clone(), seed ^ WORKLOAD_SEED_SALT);
     let (source, mode) = workload_phase(generator);
     let mut simulation = Simulation::new(
-        &base,
+        base,
         config.effective_system(),
-        config.workload.think_time_ms,
+        workload.think_time_ms,
         seed,
     );
-    simulation.configure_users(config.workload.user_model, &config.workload.cohorts);
-    simulation
-        .run_phase_source_sched(
-            source,
-            mode,
-            config.workload.arrival,
-            NoProbe,
-            SchedulerKind::default(),
-        )
-        .0
-}
-
-/// Runs the experiment under the replication protocol, returning per-metric
-/// confidence intervals (metric names per
-/// [`PhaseResult::to_metrics`]).
-pub fn run_replicated(
-    config: &ExperimentConfig,
-    policy: ReplicationPolicy,
-    base_seed: u64,
-) -> ReplicationReport {
-    config.validate().expect("invalid experiment configuration");
-    Replicator::new(policy, base_seed).run(|seed| run_once(config, seed).to_metrics())
+    simulation.configure_users(workload.user_model, &workload.cohorts);
+    simulation.run_phase_source_sched(
+        source,
+        mode,
+        workload.arrival,
+        probe,
+        SchedulerKind::default(),
+    )
 }
 
 /// Result of the §4.4 DSTC protocol: pre-clustering usage, clustering
@@ -329,8 +317,10 @@ mod tests {
     }
 
     #[test]
-    fn run_once_completes() {
-        let result = run_once(&small_config(), 5);
+    fn run_replication_completes() {
+        let config = small_config();
+        let base = ObjectBase::generate(&config.database, 5);
+        let (result, _) = run_replication(&base, &config, 5, NoProbe);
         assert_eq!(result.transactions, 40);
         assert!(result.total_ios() > 0);
     }
@@ -338,27 +328,15 @@ mod tests {
     #[test]
     fn replications_differ_but_seeds_reproduce() {
         let config = small_config();
-        let a = run_once(&config, 1);
-        let b = run_once(&config, 2);
-        let a2 = run_once(&config, 1);
+        let base = ObjectBase::generate(&config.database, 1);
+        let run = |seed| run_replication(&base, &config, seed, NoProbe).0;
+        let (a, b, a2) = (run(1), run(2), run(1));
         assert_eq!(a.total_ios(), a2.total_ios());
         assert_ne!(
             (a.total_ios(), a.mean_response_ms),
             (b.total_ios(), b.mean_response_ms),
             "different seeds should differ"
         );
-    }
-
-    #[test]
-    fn replicated_run_produces_intervals() {
-        let report = run_replicated(&small_config(), ReplicationPolicy::Fixed(8), 11);
-        assert_eq!(report.replications(), 8);
-        let ci = report.interval("ios");
-        assert!(ci.mean > 0.0);
-        assert!(ci.half_width.is_finite());
-        let names: Vec<&str> = report.metric_names().collect();
-        assert!(names.contains(&"ios_per_tx"));
-        assert!(names.contains(&"hit_ratio"));
     }
 
     #[test]

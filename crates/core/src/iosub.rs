@@ -10,53 +10,29 @@
 //! passive resource of the model (capacity 1 per server site), so
 //! concurrent transactions queue for it.
 
-use crate::params::DiskParams;
+use bufmgr::{DiskTimings, IoCounts};
 use clustering::PageId;
-
-/// I/O counters of the simulated disk.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimIoCounts {
-    /// Simulated page reads.
-    pub reads: u64,
-    /// Simulated page writes.
-    pub writes: u64,
-}
-
-impl SimIoCounts {
-    /// Reads plus writes.
-    pub fn total(&self) -> u64 {
-        self.reads + self.writes
-    }
-
-    /// Component-wise difference (`self - earlier`).
-    pub fn since(&self, earlier: SimIoCounts) -> SimIoCounts {
-        SimIoCounts {
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-        }
-    }
-}
 
 /// The I/O Subsystem: timing and accounting for one disk.
 #[derive(Debug)]
 pub struct IoSubsystem {
-    disk: DiskParams,
-    counts: SimIoCounts,
+    disk: DiskTimings,
+    counts: IoCounts,
     last_page: Option<PageId>,
 }
 
 impl IoSubsystem {
     /// Creates the subsystem with the given timing parameters.
-    pub fn new(disk: DiskParams) -> Self {
+    pub fn new(disk: DiskTimings) -> Self {
         IoSubsystem {
             disk,
-            counts: SimIoCounts::default(),
+            counts: IoCounts::default(),
             last_page: None,
         }
     }
 
     /// Counters so far.
-    pub fn counts(&self) -> SimIoCounts {
+    pub fn counts(&self) -> IoCounts {
         self.counts
     }
 
@@ -102,9 +78,9 @@ mod tests {
 
     #[test]
     fn contiguity_rule() {
-        let mut io = IoSubsystem::new(DiskParams::table3_default());
-        let full = DiskParams::table3_default().random_access_ms();
-        let seq = DiskParams::table3_default().contiguous_access_ms();
+        let mut io = IoSubsystem::new(DiskTimings::table3_default());
+        let full = DiskTimings::table3_default().random_access_ms();
+        let seq = DiskTimings::table3_default().contiguous_access_ms();
         assert!((io.read(10) - full).abs() < 1e-12);
         assert!((io.read(11) - seq).abs() < 1e-12);
         assert!((io.read(13) - full).abs() < 1e-12);
@@ -113,15 +89,15 @@ mod tests {
 
     #[test]
     fn batch_prices_writes_then_reads() {
-        let mut io = IoSubsystem::new(DiskParams::table3_default());
+        let mut io = IoSubsystem::new(DiskTimings::table3_default());
         let ms = io.service_batch(&[5], &[6, 7]);
         // write 5 (random) + read 6 (contiguous) + read 7 (contiguous).
-        let d = DiskParams::table3_default();
+        let d = DiskTimings::table3_default();
         let expected = d.random_access_ms() + 2.0 * d.contiguous_access_ms();
         assert!((ms - expected).abs() < 1e-12);
         assert_eq!(
             io.counts(),
-            SimIoCounts {
+            IoCounts {
                 reads: 2,
                 writes: 1
             }
@@ -130,14 +106,14 @@ mod tests {
 
     #[test]
     fn counts_since() {
-        let mut io = IoSubsystem::new(DiskParams::table3_default());
+        let mut io = IoSubsystem::new(DiskTimings::table3_default());
         io.read(1);
         let mark = io.counts();
         io.write(2);
         io.read(3);
         assert_eq!(
             io.counts().since(mark),
-            SimIoCounts {
+            IoCounts {
                 reads: 1,
                 writes: 1
             }

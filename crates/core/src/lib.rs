@@ -23,20 +23,24 @@
 //!   [`VoodbParams::o2`] and [`VoodbParams::texas`] (Table 4), pluggable
 //!   replacement policies (`bufmgr`), clustering strategies
 //!   (`clustering`, including DSTC), and the OCB workload (`ocb`);
-//! * **output analysis** follows §4.2.2 via [`experiment::run_replicated`].
+//! * **output analysis** follows §4.2.2: [`run_replication`] runs one
+//!   replication, and the scenario runner (`scenario::run_sweep`) runs a
+//!   fixed count of them per configuration with 95% Student-t intervals.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use voodb::{ExperimentConfig, VoodbParams, run_once};
-//! use ocb::{DatabaseParams, WorkloadParams};
+//! use desp::NoProbe;
+//! use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
+//! use voodb::{run_replication, ExperimentConfig, VoodbParams};
 //!
 //! let config = ExperimentConfig {
 //!     system: VoodbParams::default(),              // Table 3 defaults
 //!     database: DatabaseParams::small(),           // small OCB base
 //!     workload: WorkloadParams { hot_transactions: 20, ..WorkloadParams::default() },
 //! };
-//! let result = run_once(&config, 42);
+//! let base = ObjectBase::generate(&config.database, 42);
+//! let (result, _) = run_replication(&base, &config, 42, NoProbe);
 //! assert!(result.total_ios() > 0);
 //! println!("mean I/Os per transaction: {:.1}", result.ios_per_transaction());
 //! ```
@@ -60,12 +64,12 @@ pub use admission::{AdmissionRing, PendingArrival};
 pub use bman::{BmanStats, BufferDemand, BufferingManager};
 pub use cman::{ClusteringManager, SimReorgReport};
 pub use experiment::{
-    generate_workload, run_dstc_study, run_once, run_replicated, workload_phase, DstcStudyResult,
+    generate_workload, run_dstc_study, run_replication, workload_phase, DstcStudyResult,
     ExperimentConfig, Simulation, WORKLOAD_SEED_SALT,
 };
-pub use iosub::{IoSubsystem, SimIoCounts};
+pub use iosub::IoSubsystem;
 pub use lockmgr::{DeadlockPolicy, LockManager, LockMode, LockOutcome, LockStats};
 pub use model::{Event, PhaseMode, VoodbModel};
 pub use oman::ObjectManager;
-pub use params::{ConcurrencyControl, DiskParams, SystemClass, VoodbParams};
+pub use params::{ConcurrencyControl, SystemClass, VoodbParams};
 pub use results::PhaseResult;

@@ -123,7 +123,7 @@
 use crate::admission::AdmissionRing;
 use crate::bman::BufferingManager;
 use crate::cman::{ClusteringManager, SimReorgReport};
-use crate::iosub::{IoSubsystem, SimIoCounts};
+use crate::iosub::IoSubsystem;
 use crate::lockmgr::{LockManager, LockMode, LockOutcome, LockStats};
 use crate::oman::ObjectManager;
 use crate::params::ConcurrencyControl;
@@ -131,6 +131,7 @@ use crate::params::{SystemClass, VoodbParams};
 use crate::results::PhaseResult;
 use crate::txslab::{Tid, TxSlab};
 use crate::wakes::{CohortClock, ExpoWakes};
+use bufmgr::IoCounts;
 use bufmgr::PrefetchPolicy;
 use desp::{
     key_time, time_key, Context, Model, Probe, QueueKind, RandomStream, Resource, SeriesId,
@@ -303,7 +304,7 @@ pub struct VoodbModel<'a> {
     measured_completed: usize,
     response: Welford,
     measure_started: bool,
-    io_mark: SimIoCounts,
+    io_mark: IoCounts,
     hits_mark: (u64, u64),
     measure_start: SimTime,
     phase_end: SimTime,
@@ -420,7 +421,7 @@ impl<'a> VoodbModel<'a> {
             measured_completed: 0,
             response: Welford::default(),
             measure_started: false,
-            io_mark: SimIoCounts::default(),
+            io_mark: IoCounts::default(),
             hits_mark: (0, 0),
             measure_start: SimTime::ZERO,
             phase_end: SimTime::ZERO,
@@ -599,8 +600,8 @@ impl<'a> VoodbModel<'a> {
     }
 
     /// Total I/Os over all server sites.
-    pub fn total_io(&self) -> SimIoCounts {
-        let mut total = SimIoCounts::default();
+    pub fn total_io(&self) -> IoCounts {
+        let mut total = IoCounts::default();
         for io in &self.iosub {
             total.reads += io.counts().reads;
             total.writes += io.counts().writes;

@@ -6,7 +6,7 @@
 //! active resource carries its parameter group; the `SYSCLASS` parameter
 //! controls how the components are wired together.
 
-use bufmgr::{PolicyKind, PrefetchKind, O2_FRAMES_PER_MB, TEXAS_FRAMES_PER_MB};
+use bufmgr::{DiskTimings, PolicyKind, PrefetchKind, O2_FRAMES_PER_MB, TEXAS_FRAMES_PER_MB};
 use clustering::{ClusteringKind, InitialPlacement};
 
 /// `SYSCLASS` — the architecture the evaluation model instantiates
@@ -55,54 +55,6 @@ impl std::fmt::Display for SystemClass {
     }
 }
 
-/// Disk timing parameters of the simulated I/O subsystem (Table 3:
-/// `DISKSEA`, `DISKLAT`, `DISKTRA`), in milliseconds.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DiskParams {
-    /// `DISKSEA` — head search (seek) time.
-    pub search_ms: f64,
-    /// `DISKLAT` — rotational latency.
-    pub latency_ms: f64,
-    /// `DISKTRA` — page transfer time.
-    pub transfer_ms: f64,
-}
-
-impl DiskParams {
-    /// Table 3 defaults (7.4 / 4.3 / 0.5 ms).
-    pub fn table3_default() -> Self {
-        DiskParams {
-            search_ms: 7.4,
-            latency_ms: 4.3,
-            transfer_ms: 0.5,
-        }
-    }
-
-    /// The O2 server disk of Table 4.
-    pub fn o2() -> Self {
-        DiskParams {
-            search_ms: 6.3,
-            latency_ms: 2.99,
-            transfer_ms: 0.7,
-        }
-    }
-
-    /// The Texas host disk of Table 4.
-    pub fn texas() -> Self {
-        DiskParams::table3_default()
-    }
-
-    /// Cost of a random page access (Fig. 5 full path).
-    pub fn random_access_ms(&self) -> f64 {
-        self.search_ms + self.latency_ms + self.transfer_ms
-    }
-
-    /// Cost of an access contiguous with the previous one (Fig. 5
-    /// short-circuit).
-    pub fn contiguous_access_ms(&self) -> f64 {
-        self.transfer_ms
-    }
-}
-
 /// The complete VOODB parameter set (Table 3).
 #[derive(Clone, Debug)]
 pub struct VoodbParams {
@@ -125,7 +77,7 @@ pub struct VoodbParams {
     /// Sequential).
     pub initial_placement: InitialPlacement,
     /// Disk timings (`DISKSEA`/`DISKLAT`/`DISKTRA`).
-    pub disk: DiskParams,
+    pub disk: DiskTimings,
     /// `MULTILVL` — multiprogramming level (default 10).
     pub multiprogramming_level: usize,
     /// `GETLOCK` — lock acquisition time in ms (default 0.5).
@@ -175,7 +127,7 @@ impl Default for VoodbParams {
             prefetch: PrefetchKind::None,
             clustering: ClusteringKind::None,
             initial_placement: InitialPlacement::OptimizedSequential,
-            disk: DiskParams::table3_default(),
+            disk: DiskTimings::table3_default(),
             multiprogramming_level: 10,
             get_lock_ms: 0.5,
             release_lock_ms: 0.5,
@@ -199,7 +151,7 @@ impl VoodbParams {
             prefetch: PrefetchKind::None,
             clustering: ClusteringKind::None,
             initial_placement: InitialPlacement::OptimizedSequential,
-            disk: DiskParams::o2(),
+            disk: DiskTimings::o2(),
             multiprogramming_level: 10,
             get_lock_ms: 0.5,
             release_lock_ms: 0.5,
@@ -223,7 +175,7 @@ impl VoodbParams {
             prefetch: PrefetchKind::None,
             clustering: ClusteringKind::None,
             initial_placement: InitialPlacement::OptimizedSequential,
-            disk: DiskParams::texas(),
+            disk: DiskTimings::texas(),
             multiprogramming_level: 1,
             get_lock_ms: 0.0,
             release_lock_ms: 0.0,
@@ -303,7 +255,7 @@ mod tests {
         assert_eq!(p.prefetch, PrefetchKind::None);
         assert_eq!(p.clustering, ClusteringKind::None);
         assert_eq!(p.initial_placement, InitialPlacement::OptimizedSequential);
-        assert_eq!(p.disk, DiskParams::table3_default());
+        assert_eq!(p.disk, DiskTimings::table3_default());
         assert_eq!(p.multiprogramming_level, 10);
         assert_eq!(p.get_lock_ms, 0.5);
         assert_eq!(p.release_lock_ms, 0.5);
@@ -317,7 +269,7 @@ mod tests {
         assert_eq!(p.system_class, SystemClass::PageServer);
         assert!(p.network_throughput_mbps.is_infinite());
         assert_eq!(p.buffer_pages, 3840);
-        assert_eq!(p.disk, DiskParams::o2());
+        assert_eq!(p.disk, DiskTimings::o2());
         assert_eq!(p.multiprogramming_level, 10);
         assert_eq!(p.get_lock_ms, 0.5);
         assert!(!p.swizzle);
@@ -329,7 +281,7 @@ mod tests {
         let p = VoodbParams::texas(64);
         assert_eq!(p.system_class, SystemClass::Centralized);
         assert_eq!(p.buffer_pages, 64 * 230);
-        assert_eq!(p.disk, DiskParams::texas());
+        assert_eq!(p.disk, DiskTimings::texas());
         assert_eq!(p.multiprogramming_level, 1);
         assert_eq!(p.get_lock_ms, 0.0);
         assert!(p.swizzle);

@@ -8,7 +8,7 @@
 //! pre-/post-clustering comparison of Table 6).
 
 use crate::cman::SimReorgReport;
-use crate::iosub::SimIoCounts;
+use bufmgr::IoCounts;
 use desp::MetricSet;
 
 /// Metrics of one measured simulation phase.
@@ -17,7 +17,7 @@ pub struct PhaseResult {
     /// Measured transactions completed.
     pub transactions: usize,
     /// I/Os in the measurement window.
-    pub io: SimIoCounts,
+    pub io: IoCounts,
     /// Mean transaction response time, in simulated ms.
     pub mean_response_ms: f64,
     /// Transactions per simulated second.
@@ -74,7 +74,7 @@ mod tests {
     fn per_transaction_maths() {
         let result = PhaseResult {
             transactions: 100,
-            io: SimIoCounts {
+            io: IoCounts {
                 reads: 900,
                 writes: 100,
             },
@@ -95,7 +95,7 @@ mod tests {
     fn metric_set_round_trip() {
         let result = PhaseResult {
             transactions: 10,
-            io: SimIoCounts {
+            io: IoCounts {
                 reads: 40,
                 writes: 10,
             },

@@ -128,9 +128,9 @@ fn read_only_workload_never_conflicts() {
 fn two_phase_is_deterministic() {
     let base = base();
     let txs = contended_transactions(&base, 50, 5);
-    let run_once = || run(&base, two_phase(), 4, txs.clone(), 5);
-    let (a, sa, aa) = run_once();
-    let (b, sb, ab) = run_once();
+    let replay = || run(&base, two_phase(), 4, txs.clone(), 5);
+    let (a, sa, aa) = replay();
+    let (b, sb, ab) = replay();
     assert_eq!(a.total_ios(), b.total_ios());
     assert_eq!(sa, sb);
     assert_eq!(aa, ab);

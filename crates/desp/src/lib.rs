@@ -21,8 +21,8 @@
 //! On top of the kernel sit the pieces every random-simulation study needs:
 //! reproducible random [`streams`](random::RandomStream) with the usual
 //! distributions, [`stats`] for output analysis (Student-t confidence
-//! intervals exactly as §4.2.2), and a [`replication`] driver implementing
-//! the paper's pilot-study protocol.
+//! intervals exactly as §4.2.2), and the per-replication [`MetricSet`]
+//! those intervals are computed from.
 //!
 //! ## Example: a tiny queueing model
 //!
@@ -76,7 +76,7 @@ pub mod time;
 pub use engine::{Context, Engine, Model, RunOutcome, StopReason};
 pub use probe::{NoProbe, Probe, ResourceId, SeriesId, SpanPoint, SpanStage};
 pub use random::{RandomStream, Zipf};
-pub use replication::{MetricSet, ReplicationPolicy, ReplicationReport, Replicator};
+pub use replication::MetricSet;
 pub use resource::Resource;
 pub use sched::{
     key_time, time_key, CalendarKind, CalendarQueue, EventHeap, HeapKind, QueueKind, Scheduler,

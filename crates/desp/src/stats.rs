@@ -10,7 +10,8 @@
 //!    t-distribution quantile.
 //! 3. A pilot study of `n = 10` replications determines the number of
 //!    additional replications `n* = n · (h/h*)²` needed to reach the desired
-//!    half-width `h*`.
+//!    half-width `h*`. The paper found 100 replications always enough and
+//!    fixed that count; so does the scenario runner (`replications`).
 //!
 //! The Student-t quantile is computed from scratch (regularised incomplete
 //! beta + bisection) because no external statistics crate is sanctioned.
@@ -307,29 +308,6 @@ impl ConfidenceInterval {
     }
 }
 
-/// The paper's pilot-study rule: given a pilot of `n` replications with
-/// half-width `h`, the total number of replications needed to reach the
-/// desired half-width `h*` is `n* = n · (h/h*)²` (§4.2.2).
-///
-/// Returns the *total* replication count (not the additional count), at
-/// least `n_pilot`.
-pub fn required_replications(n_pilot: usize, h_pilot: f64, h_star: f64) -> usize {
-    assert!(n_pilot > 0);
-    assert!(
-        h_star > 0.0,
-        "required_replications: desired half-width must be positive"
-    );
-    if !h_pilot.is_finite() {
-        return usize::MAX;
-    }
-    if h_pilot <= h_star {
-        return n_pilot;
-    }
-    let ratio = h_pilot / h_star;
-    let n = (n_pilot as f64 * ratio * ratio).ceil();
-    n.min(usize::MAX as f64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,15 +430,5 @@ mod tests {
         let ci = ConfidenceInterval::from_samples(&[5.0], 0.95);
         assert_eq!(ci.mean, 5.0);
         assert!(ci.half_width.is_infinite());
-    }
-
-    #[test]
-    fn replication_sizing_rule() {
-        // h twice too large → n* = n·4.
-        assert_eq!(required_replications(10, 2.0, 1.0), 40);
-        // Already precise enough → keep the pilot size.
-        assert_eq!(required_replications(10, 0.5, 1.0), 10);
-        // Exact boundary.
-        assert_eq!(required_replications(10, 1.0, 1.0), 10);
     }
 }

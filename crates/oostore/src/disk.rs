@@ -19,80 +19,10 @@
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
 use crate::storage::serialize_pages;
+use bufmgr::{DiskTimings, IoCounts};
 use clustering::{PageId, Placement};
 use ocb::ObjectBase;
 use std::cell::OnceCell;
-
-/// Disk timing parameters, in milliseconds (Table 3 / Table 4).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DiskTimings {
-    /// `DISKSEA` — head search (seek) time.
-    pub search_ms: f64,
-    /// `DISKLAT` — rotational latency.
-    pub latency_ms: f64,
-    /// `DISKTRA` — page transfer time.
-    pub transfer_ms: f64,
-}
-
-impl DiskTimings {
-    /// Table 3 defaults (7.4 / 4.3 / 0.5 ms).
-    pub fn table3_default() -> Self {
-        DiskTimings {
-            search_ms: 7.4,
-            latency_ms: 4.3,
-            transfer_ms: 0.5,
-        }
-    }
-
-    /// The O2 server disk of Table 4 (6.3 / 2.99 / 0.7 ms).
-    pub fn o2() -> Self {
-        DiskTimings {
-            search_ms: 6.3,
-            latency_ms: 2.99,
-            transfer_ms: 0.7,
-        }
-    }
-
-    /// The Texas host disk of Table 4 (7.4 / 4.3 / 0.5 ms).
-    pub fn texas() -> Self {
-        DiskTimings::table3_default()
-    }
-
-    /// Cost of one random access (Fig. 5 full path).
-    pub fn random_access_ms(&self) -> f64 {
-        self.search_ms + self.latency_ms + self.transfer_ms
-    }
-
-    /// Cost of one contiguous access (Fig. 5 short-circuit).
-    pub fn contiguous_access_ms(&self) -> f64 {
-        self.transfer_ms
-    }
-}
-
-/// Read/write I/O counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IoCounts {
-    /// Page reads.
-    pub reads: u64,
-    /// Page writes.
-    pub writes: u64,
-}
-
-impl IoCounts {
-    /// Reads plus writes.
-    pub fn total(&self) -> u64 {
-        self.reads + self.writes
-    }
-
-    /// Component-wise difference (`self - earlier`), for interval
-    /// measurements.
-    pub fn since(&self, earlier: IoCounts) -> IoCounts {
-        IoCounts {
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-        }
-    }
-}
 
 /// What an engine's data pages are built from: pass 2 of
 /// materialisation over the initial placement.

@@ -6,7 +6,7 @@
 //! measure the paper's headline metric — the **mean number of I/Os** per
 //! workload.
 
-use crate::disk::IoCounts;
+use bufmgr::IoCounts;
 use ocb::Transaction;
 
 /// A storage engine executing OCB transactions.

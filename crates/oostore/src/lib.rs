@@ -56,7 +56,7 @@ pub mod reorg;
 pub mod storage;
 pub mod texas;
 
-pub use disk::{DiskTimings, IoCounts, VirtualDisk};
+pub use disk::VirtualDisk;
 pub use engine::{run_workload, StorageEngine, WorkloadReport};
 pub use oid::PhysicalOid;
 pub use page::{SlotId, SlottedPage};

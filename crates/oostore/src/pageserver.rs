@@ -8,13 +8,14 @@
 //! touches and updates the map; no patch scan (contrast with
 //! [`crate::texas`]).
 
-use crate::disk::{DiskTimings, IoCounts, VirtualDisk};
+use crate::disk::VirtualDisk;
 use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
 use crate::reorg::{ReorgPlan, ReorgReport};
 use crate::storage::{assign_physical_oids, insert_object, payload_oid, reserve_page};
 use bufmgr::{AccessOutcome, BufferPool, PolicyKind, O2_FRAMES_PER_MB};
+use bufmgr::{DiskTimings, IoCounts};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
 use clustering::{PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
 use ocb::{ObjectBase, Oid, Transaction};

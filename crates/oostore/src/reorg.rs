@@ -23,12 +23,13 @@
 //! scan looks stale references up by `(page, slot)` in a flat table
 //! built from those moves and patches each payload in place.
 
-use crate::disk::{IoCounts, VirtualDisk};
+use crate::disk::VirtualDisk;
 use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
 use crate::storage::{insert_object, patch_refs, reserve_page};
 use crate::texas::TexasEngine;
+use bufmgr::IoCounts;
 use clustering::{ClusteringOutcome, PageId, PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
 use ocb::{ObjectBase, Oid};
 
@@ -284,11 +285,11 @@ impl TexasEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::DiskTimings;
     use crate::engine::{run_workload, StorageEngine};
     use crate::pageserver::{PageServerConfig, PageServerEngine};
     use crate::storage::STORE_FULL;
     use crate::texas::TexasConfig;
+    use bufmgr::DiskTimings;
     use clustering::{ClusteringKind, DstcParams, InitialPlacement};
     use ocb::{DatabaseParams, ObjectBase, Transaction, WorkloadGenerator, WorkloadParams};
     use proptest::prelude::*;

@@ -25,12 +25,13 @@
 //!   so the DSTC reorganisation must patch the whole database (see
 //!   `reorg`).
 
-use crate::disk::{DiskTimings, IoCounts, VirtualDisk};
+use crate::disk::VirtualDisk;
 use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
 use crate::storage::{assign_physical_oids, payload_oid};
 use bufmgr::{AccessOutcome, BufferPool, PolicyKind, TEXAS_FRAMES_PER_MB};
+use bufmgr::{DiskTimings, IoCounts};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
 use ocb::{ObjectBase, Transaction};
 

@@ -1,10 +1,10 @@
 //! Property-based tests of the storage substrate: slotted pages,
 //! serialisation, and the virtual disk.
 
+use bufmgr::DiskTimings;
 use clustering::{PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
 use oostore::{
-    payload_oid, payload_refs, write_object, DiskTimings, PhysicalOid, SlotId, SlottedPage,
-    VirtualDisk,
+    payload_oid, payload_refs, write_object, PhysicalOid, SlotId, SlottedPage, VirtualDisk,
 };
 use proptest::prelude::*;
 

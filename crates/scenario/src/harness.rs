@@ -22,7 +22,6 @@
 //!   (system class, buffer frames, clustering), so the simulation column
 //!   of a figure is exactly what `voodb run` prints for its scenario.
 
-use crate::runner::run_replication_probed;
 use crate::{MetricEstimate, PointSummary, SweepPoint, SweepResult};
 use desp::MetricSet;
 use ocb::ObjectBase;
@@ -30,8 +29,8 @@ use oostore::{
     run_workload, PageServerConfig, PageServerEngine, StorageEngine, TexasConfig, TexasEngine,
 };
 use voodb::{
-    generate_workload, run_dstc_study, ExperimentConfig, PhaseResult, Simulation, SystemClass,
-    VoodbParams,
+    generate_workload, run_dstc_study, run_replication, ExperimentConfig, PhaseResult, Simulation,
+    SystemClass, VoodbParams,
 };
 use vtrace::{Histogram, RecorderConfig, RESPONSE};
 
@@ -106,7 +105,7 @@ pub fn twin_job(base: &ObjectBase, point: &SweepPoint, seed: u64) -> Twin {
 /// response-time histogram.
 pub fn latency_job(base: &ObjectBase, point: &SweepPoint, seed: u64) -> (PhaseResult, Histogram) {
     let (result, recorder) =
-        run_replication_probed(base, point, seed, RecorderConfig::new().build());
+        run_replication(base, &point.config, seed, RecorderConfig::new().build());
     (result, recorder.stage_histograms()[RESPONSE].clone())
 }
 

@@ -36,11 +36,11 @@
 //! output for `threads = 1` vs `threads = 8`.
 
 use crate::spec::{Scenario, SweepPoint};
-use desp::{ConfidenceInterval, MetricSet, NoProbe, Probe, SchedulerKind};
-use ocb::{Arrival, ObjectBase, WorkloadGenerator};
+use desp::{ConfidenceInterval, MetricSet, NoProbe};
+use ocb::{Arrival, ObjectBase};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use voodb::{workload_phase, PhaseResult, Simulation};
+use voodb::{run_replication, PhaseResult};
 use vtrace::{RecorderConfig, TraceRecorder};
 
 pub use voodb::WORKLOAD_SEED_SALT;
@@ -136,50 +136,6 @@ pub fn replication_seed(point_seed: u64, rep: usize) -> u64 {
     splitmix64(point_seed ^ splitmix64(0x7E11_CA7E_0000_0000 ^ rep as u64))
 }
 
-/// Runs one replication of a point over a shared object base: generate
-/// the transaction stream from the replication seed, execute the cold
-/// then the measured run through the VOODB model.
-pub fn run_replication(base: &ObjectBase, point: &SweepPoint, seed: u64) -> PhaseResult {
-    run_replication_probed(base, point, seed, NoProbe).0
-}
-
-/// [`run_replication`] with a trace probe attached. Probes only
-/// observe, so the [`PhaseResult`] is bit-identical to the untraced run
-/// (asserted by the runner tests).
-pub fn run_replication_probed<P: Probe>(
-    base: &ObjectBase,
-    point: &SweepPoint,
-    seed: u64,
-    probe: P,
-) -> (PhaseResult, P) {
-    run_replication_sched(base, point, seed, probe, SchedulerKind::default())
-}
-
-/// [`run_replication_probed`] on an explicit scheduler kind, streaming
-/// the workload (phase memory is O(in-flight) transactions). The kind
-/// cannot change the result — schedulers dispatch in the identical total
-/// order — which the differential test (`tests/sched_differential.rs`)
-/// asserts over the whole smoke scenario.
-pub fn run_replication_sched<P: Probe>(
-    base: &ObjectBase,
-    point: &SweepPoint,
-    seed: u64,
-    probe: P,
-    sched: SchedulerKind,
-) -> (PhaseResult, P) {
-    let workload = &point.config.workload;
-    let generator = WorkloadGenerator::new(base, workload.clone(), seed ^ WORKLOAD_SEED_SALT);
-    let (source, mode) = workload_phase(generator);
-    let mut simulation = Simulation::new(
-        base,
-        point.config.effective_system(),
-        workload.think_time_ms,
-        seed,
-    );
-    simulation.configure_users(workload.user_model, &workload.cohorts);
-    simulation.run_phase_source_sched(source, mode, workload.arrival, probe, sched)
-}
-
 /// The telemetry of one traced (point × replication) job.
 #[derive(Clone, Debug)]
 pub struct JobTrace {
@@ -204,7 +160,7 @@ pub fn run_sweep(scenario: &Scenario, options: &RunOptions) -> Result<SweepResul
     let (result, _) = run_sweep_jobs(
         scenario,
         options,
-        |_, base, point, seed| run_replication(base, point, seed),
+        |_, base, point, seed| run_replication(base, &point.config, seed, NoProbe).0,
         PhaseResult::to_metrics,
     )?;
     Ok(result)
@@ -241,7 +197,7 @@ pub fn run_sweep_traced_with(
         scenario,
         options,
         |job, base, point, seed| {
-            run_replication_probed(base, point, seed, config.build_for_job(job))
+            run_replication(base, &point.config, seed, config.build_for_job(job))
         },
         |(phase, _)| phase.to_metrics(),
     )?;

@@ -24,10 +24,11 @@
 //! surfaced by `voodb validate`.
 
 use crate::toml::{self, format_float, Table, TomlError, Value};
+use bufmgr::DiskTimings;
 use bufmgr::{PolicyKind, PrefetchKind, O2_FRAMES_PER_MB, TEXAS_FRAMES_PER_MB};
 use clustering::{ClusteringKind, DstcParams, InitialPlacement};
 use ocb::{Arrival, Selection};
-use voodb::{DiskParams, ExperimentConfig, SystemClass, VoodbParams};
+use voodb::{ExperimentConfig, SystemClass, VoodbParams};
 
 /// One swept parameter axis.
 #[derive(Clone, Debug, PartialEq)]
@@ -785,9 +786,9 @@ fn apply_system(system: &mut VoodbParams, field: &str, v: &Value) -> Result<(), 
         }
         "disk" => {
             system.disk = match str_of(v)? {
-                "table3" => DiskParams::table3_default(),
-                "o2" => DiskParams::o2(),
-                "texas" => DiskParams::texas(),
+                "table3" => DiskTimings::table3_default(),
+                "o2" => DiskTimings::o2(),
+                "texas" => DiskTimings::texas(),
                 other => {
                     return Err(format!(
                         "unknown disk preset '{other}' (table3 | o2 | texas)"

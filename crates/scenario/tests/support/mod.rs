@@ -10,11 +10,10 @@
 )]
 
 use desp::{NoProbe, SchedulerKind};
-use ocb::ObjectBase;
-use scenario::runner::run_replication_sched;
+use ocb::{ObjectBase, WorkloadGenerator};
 use scenario::{run_sweep_jobs, sweep_table, RunOptions, Scenario, SweepPoint, Value};
 use std::path::PathBuf;
-use voodb::{PhaseMode, PhaseResult, Simulation};
+use voodb::{workload_phase, PhaseMode, PhaseResult, Simulation, WORKLOAD_SEED_SALT};
 
 /// A shipped preset from `scenarios/`.
 pub fn preset(name: &str) -> Scenario {
@@ -99,11 +98,27 @@ pub fn tables(scenario: &Scenario, options: &RunOptions) -> (String, String) {
     (table.to_csv(), table.to_json())
 }
 
-/// The streamed replication on an explicit event-list implementation.
+/// The streamed replication ([`voodb::run_replication`]) on an explicit
+/// event-list implementation. The kind cannot change the result:
+/// schedulers dispatch in the identical total order.
 pub fn sched_job(
     sched: SchedulerKind,
 ) -> impl Fn(&ObjectBase, &SweepPoint, u64) -> PhaseResult + Sync {
-    move |base, point, seed| run_replication_sched(base, point, seed, NoProbe, sched).0
+    move |base, point, seed| {
+        let workload = &point.config.workload;
+        let generator = WorkloadGenerator::new(base, workload.clone(), seed ^ WORKLOAD_SEED_SALT);
+        let (source, mode) = workload_phase(generator);
+        let mut simulation = Simulation::new(
+            base,
+            point.config.effective_system(),
+            workload.think_time_ms,
+            seed,
+        );
+        simulation.configure_users(workload.user_model, &workload.cohorts);
+        simulation
+            .run_phase_source_sched(source, mode, workload.arrival, NoProbe, sched)
+            .0
+    }
 }
 
 /// The materialized oracle: generates the whole count-based run up

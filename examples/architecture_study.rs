@@ -12,8 +12,9 @@
 //! cargo run --release --example architecture_study
 //! ```
 
-use ocb::{DatabaseParams, WorkloadParams};
-use voodb::{run_once, ExperimentConfig, SystemClass, VoodbParams};
+use desp::NoProbe;
+use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
+use voodb::{run_replication, ExperimentConfig, SystemClass, VoodbParams};
 
 fn main() {
     let database = DatabaseParams {
@@ -24,6 +25,8 @@ fn main() {
         hot_transactions: 200,
         ..WorkloadParams::default()
     };
+    // Every class runs on the same base and the same stream.
+    let base = ObjectBase::generate(&database, 11);
 
     let classes: [(&str, SystemClass); 5] = [
         ("Centralized", SystemClass::Centralized),
@@ -52,7 +55,7 @@ fn main() {
             database: database.clone(),
             workload: workload.clone(),
         };
-        let result = run_once(&config, 11);
+        let (result, _) = run_replication(&base, &config, 11, NoProbe);
         println!(
             "{:<16} {:>10} {:>14.2} {:>11.2}/s {:>12.4}",
             name,

@@ -2,9 +2,10 @@
 //! seed, because every random draw comes from a seeded stream (the
 //! prerequisite for the paper's replication-based output analysis).
 
+use desp::NoProbe;
 use ocb::{DatabaseParams, ObjectBase, WorkloadGenerator, WorkloadParams};
 use oostore::{run_workload, PageServerConfig, PageServerEngine, TexasConfig, TexasEngine};
-use voodb::{run_once, ExperimentConfig, Simulation, VoodbParams};
+use voodb::{run_replication, ExperimentConfig, Simulation, VoodbParams};
 
 fn db() -> DatabaseParams {
     DatabaseParams {
@@ -77,8 +78,11 @@ fn different_seeds_give_different_workloads() {
         database: db(),
         workload: workload(),
     };
-    let a = run_once(&config, 1);
-    let b = run_once(&config, 2);
+    let run = |seed| {
+        let base = ObjectBase::generate(&config.database, seed);
+        run_replication(&base, &config, seed, NoProbe).0
+    };
+    let (a, b) = (run(1), run(2));
     // Different bases + workloads: astronomically unlikely to coincide on
     // both metrics.
     assert!(
@@ -94,6 +98,6 @@ fn facade_reexports_are_usable() {
     let _ = voodb_repro::ocb::DatabaseParams::small();
     let _ = voodb_repro::bufmgr::PolicyKind::Lru;
     let _ = voodb_repro::clustering::InitialPlacement::Sequential;
-    let _ = voodb_repro::oostore::DiskTimings::o2();
+    let _ = voodb_repro::oostore::TexasConfig::paper_default();
     let _ = voodb_repro::voodb::VoodbParams::default();
 }

@@ -119,7 +119,8 @@ proptest! {
                 ..WorkloadParams::default()
             },
         };
-        let result = voodb::run_once(&config, seed);
+        let base = ObjectBase::generate(&config.database, seed);
+        let (result, _) = voodb::run_replication(&base, &config, seed, desp::NoProbe);
         prop_assert_eq!(result.transactions, hot);
         prop_assert!(result.total_ios() > 0);
         prop_assert!(result.mean_response_ms > 0.0);

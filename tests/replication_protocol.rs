@@ -1,10 +1,11 @@
 //! End-to-end test of the §4.2.2 output-analysis protocol through the
-//! public API: pilot study, `n* = n·(h/h*)²` extrapolation, Student-t
-//! confidence intervals.
+//! product path: the scenario runner's fixed-count replications and
+//! their 95% Student-t intervals.
 
-use desp::{ReplicationPolicy, Replicator};
-use ocb::{DatabaseParams, WorkloadParams};
-use voodb::{run_once, run_replicated, ExperimentConfig, VoodbParams};
+use desp::NoProbe;
+use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
+use scenario::{run_sweep, MetricEstimate, RunOptions, Scenario, SweepResult};
+use voodb::{run_replication, ExperimentConfig, VoodbParams};
 
 fn config() -> ExperimentConfig {
     ExperimentConfig {
@@ -24,10 +25,32 @@ fn config() -> ExperimentConfig {
     }
 }
 
+/// `config()` as a one-point scenario of `replications` on `seed`.
+fn one_point(replications: usize, seed: u64) -> Scenario {
+    Scenario {
+        name: "protocol".to_owned(),
+        description: String::new(),
+        replications,
+        seed,
+        config: config(),
+        sweep: Vec::new(),
+    }
+}
+
+/// The sweep's estimate of `name` at its only point.
+fn estimate(sweep: &SweepResult, name: &str) -> MetricEstimate {
+    sweep.points[0]
+        .metrics
+        .iter()
+        .find(|m| m.name == name)
+        .unwrap_or_else(|| panic!("{name} reported"))
+        .clone()
+}
+
 #[test]
 fn fixed_replications_produce_all_metrics() {
-    let report = run_replicated(&config(), ReplicationPolicy::Fixed(12), 5);
-    assert_eq!(report.replications(), 12);
+    let sweep = run_sweep(&one_point(12, 5), &RunOptions::default()).expect("valid scenario");
+    assert_eq!(sweep.replications, 12);
     for metric in [
         "ios",
         "reads",
@@ -37,45 +60,35 @@ fn fixed_replications_produce_all_metrics() {
         "throughput_tps",
         "hit_ratio",
     ] {
-        let ci = report.interval(metric);
+        let ci = estimate(&sweep, metric);
+        assert_eq!(ci.n, 12);
         assert!(ci.mean.is_finite(), "{metric} mean not finite");
         assert!(ci.half_width.is_finite(), "{metric} half-width not finite");
     }
 }
 
 #[test]
-fn adaptive_protocol_reaches_requested_precision_or_cap() {
-    let report = run_replicated(
-        &config(),
-        ReplicationPolicy::Adaptive {
-            pilot: 5,
-            relative_precision: 0.10,
-            max: 30,
-        },
-        7,
-    );
-    assert!(report.replications() >= 5);
-    assert!(report.replications() <= 30);
-    let ci = report.interval("ios");
-    let precision = ci.half_width / ci.mean.abs();
-    // Either precision was reached or the cap was hit.
-    assert!(
-        precision <= 0.10 || report.replications() == 30,
-        "precision {precision:.3} with {} replications",
-        report.replications()
-    );
-}
-
-#[test]
 fn interval_covers_the_long_run_mean() {
-    // The CI from 30 replications should cover the mean of a disjoint
-    // 30-replication sample (a sanity check, not a strict coverage test).
-    let config = config();
-    let report = run_replicated(&config, ReplicationPolicy::Fixed(30), 100);
-    let ci = report.interval("ios");
-    let replicator = Replicator::new(ReplicationPolicy::Fixed(30), 200);
-    let other = replicator.run(|seed| run_once(&config, seed).to_metrics());
-    let other_mean = other.interval("ios").mean;
+    // The CI from 30 runner replications should cover the mean of a
+    // disjoint 30-replication sample on the same base (a sanity check,
+    // not a strict coverage test).
+    const SEED: u64 = 100;
+    const REPS: u64 = 30;
+    let scenario = one_point(REPS as usize, SEED);
+    let sweep = run_sweep(&scenario, &RunOptions::default()).expect("valid scenario");
+    let ci = estimate(&sweep, "ios");
+    assert_eq!(ci.n, REPS as usize);
+
+    // The runner put replication r on seed SEED + 1 + r, so seeds
+    // SEED + REPS + 1 ..= SEED + 2 * REPS are disjoint from its sample.
+    let base = ObjectBase::generate(&scenario.config.database, SEED);
+    let other: Vec<f64> = (SEED + REPS + 1..=SEED + 2 * REPS)
+        .map(|seed| {
+            let (phase, _) = run_replication(&base, &scenario.config, seed, NoProbe);
+            phase.total_ios() as f64
+        })
+        .collect();
+    let other_mean = other.iter().sum::<f64>() / other.len() as f64;
     // Allow 3 half-widths of slack (both estimates are noisy).
     assert!(
         (other_mean - ci.mean).abs() < 3.0 * ci.half_width.max(1.0),

@@ -7,8 +7,9 @@
 //! headline metric the paper reports. If this fails, nothing downstream
 //! is worth debugging.
 
-use ocb::{DatabaseParams, WorkloadParams};
-use voodb::{run_once, ExperimentConfig, VoodbParams};
+use desp::NoProbe;
+use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
+use voodb::{run_replication, ExperimentConfig, PhaseResult, VoodbParams};
 
 const SEED: u64 = 0x5EED;
 
@@ -27,9 +28,16 @@ fn tiny_config() -> ExperimentConfig {
     }
 }
 
+/// One replication of the tiny configuration on its own base.
+fn run_tiny() -> PhaseResult {
+    let config = tiny_config();
+    let base = ObjectBase::generate(&config.database, SEED);
+    run_replication(&base, &config, SEED, NoProbe).0
+}
+
 #[test]
 fn tiny_simulation_end_to_end() {
-    let result = run_once(&tiny_config(), SEED);
+    let result = run_tiny();
 
     assert!(result.transactions > 0, "no transactions completed");
     assert!(result.total_ios() > 0, "a cold-buffer run must perform I/O");
@@ -52,8 +60,8 @@ fn tiny_simulation_end_to_end() {
 
 #[test]
 fn tiny_simulation_is_deterministic() {
-    let a = run_once(&tiny_config(), SEED);
-    let b = run_once(&tiny_config(), SEED);
+    let a = run_tiny();
+    let b = run_tiny();
     assert_eq!(a.transactions, b.transactions);
     assert_eq!(a.total_ios(), b.total_ios());
     assert_eq!(a.mean_response_ms.to_bits(), b.mean_response_ms.to_bits());
