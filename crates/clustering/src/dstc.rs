@@ -187,8 +187,9 @@ impl Dstc {
         self.accesses_this_period = 0;
     }
 
-    /// Greedy unit construction from the consolidated matrix (phase 4).
-    fn construct_units(&self) -> Vec<Vec<Oid>> {
+    /// Greedy unit construction from the consolidated matrix (phase 4),
+    /// over a base of `objects` objects.
+    fn construct_units(&self, objects: usize) -> Vec<Vec<Oid>> {
         // Deterministic order: weight desc, then link id.
         let mut links: Vec<((Oid, Oid), f64)> = self
             .consolidated
@@ -198,30 +199,36 @@ impl Dstc {
             .collect();
         links.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
+        const NO_UNIT: u32 = u32::MAX;
         let max = self.params.max_unit_size;
-        let mut unit_of: HashMap<Oid, usize> = HashMap::new();
+        // The unit of each object by OID; NO_UNIT while it has none.
+        let mut unit_of = vec![NO_UNIT; objects];
         let mut units: Vec<Vec<Oid>> = Vec::new();
         for ((from, to), _) in links {
             if from == to {
                 continue;
             }
-            match (unit_of.get(&from).copied(), unit_of.get(&to).copied()) {
+            let unit = |oid: Oid| match unit_of[oid as usize] {
+                NO_UNIT => None,
+                unit => Some(unit as usize),
+            };
+            match (unit(from), unit(to)) {
                 (None, None) => {
-                    let id = units.len();
+                    let id = units.len() as u32;
                     units.push(vec![from, to]);
-                    unit_of.insert(from, id);
-                    unit_of.insert(to, id);
+                    unit_of[from as usize] = id;
+                    unit_of[to as usize] = id;
                 }
                 (Some(u), None) => {
                     if units[u].len() < max {
                         units[u].push(to);
-                        unit_of.insert(to, u);
+                        unit_of[to as usize] = u as u32;
                     }
                 }
                 (None, Some(u)) => {
                     if units[u].len() < max {
                         units[u].push(from);
-                        unit_of.insert(from, u);
+                        unit_of[from as usize] = u as u32;
                     }
                 }
                 (Some(a), Some(b)) => {
@@ -234,7 +241,7 @@ impl Dstc {
                         };
                         let moved = std::mem::take(&mut units[src]);
                         for &oid in &moved {
-                            unit_of.insert(oid, dst);
+                            unit_of[oid as usize] = dst as u32;
                         }
                         units[dst].extend(moved);
                     }
@@ -268,14 +275,14 @@ impl ClusteringStrategy for Dstc {
         self.flagged.len() >= self.params.trigger_threshold
     }
 
-    fn build_clusters(&mut self, _base: &ObjectBase) -> ClusteringOutcome {
+    fn build_clusters(&mut self, base: &ObjectBase) -> ClusteringOutcome {
         // Fold any partial observation period so an external demand sees
         // the freshest statistics (the knowledge model allows external
         // triggering at any time).
         if self.accesses_this_period > 0 {
             self.consolidate();
         }
-        let clusters = self.construct_units();
+        let clusters = self.construct_units(base.len());
         self.counters.reorganisations += 1;
         self.flagged.clear();
         ClusteringOutcome { clusters }

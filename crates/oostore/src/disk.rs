@@ -10,22 +10,27 @@
 //! like these.
 //!
 //! Counting and timing need no page content, so an engine's disk holds
-//! its data pages as a **recipe** (the object base, the initial placement
-//! and its physical-OID map) and builds them, all in one pass, on the
-//! first access to their bytes — much as Texas's mapped store exists in
-//! memory only once a page faults. A run that never looks inside a page
-//! (the O2 engine without clustering) never builds the image.
+//! its object pages as a **recipe** and renders them, all in one pass, on
+//! the first access to their bytes — much as Texas's mapped store exists
+//! in memory only once a page faults. The recipe is the object base, the
+//! initial placement and its physical-OID map, then every reorganisation
+//! logged since (`Reorganisation`: its plan and the root map it started
+//! from), replayed in order. A reorganisation logged once the image is
+//! rendered applies at once. A run that never looks inside a page (the O2
+//! engine without clustering, Texas in release) never renders the image.
 
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
+use crate::reorg::Reorganisation;
 use crate::storage::serialize_pages;
 use bufmgr::{DiskTimings, IoCounts};
 use clustering::{PageId, Placement};
 use ocb::ObjectBase;
 use std::cell::OnceCell;
 
-/// What an engine's data pages are built from: pass 2 of
-/// materialisation over the initial placement.
+/// What an engine's object pages are rendered from: pass 2 of
+/// materialisation over the initial placement, then the logged
+/// reorganisations.
 #[derive(Debug)]
 struct Recipe<'a> {
     base: &'a ObjectBase,
@@ -33,21 +38,66 @@ struct Recipe<'a> {
     /// The initial logical → physical map (the engine mutates its own
     /// copy as objects move).
     phys_of: Vec<PhysicalOid>,
+    /// Reorganisations logged before the image was rendered, in order.
+    reorganisations: Vec<Reorganisation>,
+}
+
+/// The rendered object pages: the data region, then every page a
+/// reorganisation appended. The held pages between them are not in it.
+#[derive(Debug)]
+pub(crate) struct Image {
+    pages: Vec<SlottedPage>,
+    data_pages: u32,
+    held: u32,
+}
+
+impl Image {
+    /// Number of pages on the disk the image belongs to, held ones
+    /// included.
+    pub(crate) fn page_count(&self) -> u32 {
+        self.pages.len() as u32 + self.held
+    }
+
+    /// Index of `page` in `pages`; `None` for a held page.
+    fn index(&self, page: PageId) -> Option<usize> {
+        match page.checked_sub(self.data_pages) {
+            Some(i) if i < self.held => None,
+            Some(_) => Some((page - self.held) as usize),
+            None => Some(page as usize),
+        }
+    }
+
+    /// The rendered `page`; `None` for a held page.
+    ///
+    /// # Panics
+    /// Panics if `page` is out of range.
+    pub(crate) fn page_mut(&mut self, page: PageId) -> Option<&mut SlottedPage> {
+        let index = self.index(page)?;
+        Some(&mut self.pages[index])
+    }
+
+    /// Appends a page at the end of the disk.
+    pub(crate) fn push(&mut self, page: SlottedPage) {
+        self.pages.push(page);
+    }
 }
 
 /// A disk of slotted pages with the Fig. 5 cost model.
 ///
-/// Pages `0..data_pages` are the data region, built from the recipe on
-/// the first [`peek`](VirtualDisk::peek) or
-/// [`peek_mut`](VirtualDisk::peek_mut) of one of them. The pages after it
-/// (trailing pages given at construction, then appended pages) are held
-/// built.
+/// Pages `0..data_pages` are the data region. The pages after it are
+/// first the *held* pages given at construction (built, and written in
+/// place), then the pages reorganisations append. The data region and
+/// the appended pages are rendered from the recipe on the first
+/// [`peek`](VirtualDisk::peek) or [`peek_mut`](VirtualDisk::peek_mut) of
+/// one of them.
 #[derive(Debug)]
 pub struct VirtualDisk<'a> {
-    data: OnceCell<Vec<SlottedPage>>,
+    image: OnceCell<Image>,
     recipe: Option<Recipe<'a>>,
     data_pages: u32,
-    tail: Vec<SlottedPage>,
+    held: Vec<SlottedPage>,
+    /// Pages appended by reorganisations, rendered or not.
+    appended: u32,
     page_size: u32,
     timings: DiskTimings,
     counts: IoCounts,
@@ -59,11 +109,17 @@ impl<'a> VirtualDisk<'a> {
     /// Creates a disk holding `pages`, every one already built.
     pub fn new(pages: Vec<SlottedPage>, page_size: u32, timings: DiskTimings) -> Self {
         debug_assert!(pages.iter().all(|p| p.page_size() == page_size));
+        let data_pages = pages.len() as u32;
         VirtualDisk {
-            data_pages: pages.len() as u32,
-            data: OnceCell::from(pages),
+            image: OnceCell::from(Image {
+                pages,
+                data_pages,
+                held: 0,
+            }),
             recipe: None,
-            tail: Vec::new(),
+            data_pages,
+            held: Vec::new(),
+            appended: 0,
             page_size,
             timings,
             counts: IoCounts::default(),
@@ -74,25 +130,27 @@ impl<'a> VirtualDisk<'a> {
 
     /// Creates a disk whose data region is `placement`'s pages, serialised
     /// from `base` with the physical map `phys_of` on first content
-    /// access, followed by the built `trailing` pages.
+    /// access, followed by the built `held` pages.
     pub(crate) fn deferred(
         base: &'a ObjectBase,
         placement: Placement,
         phys_of: Vec<PhysicalOid>,
-        trailing: Vec<SlottedPage>,
+        held: Vec<SlottedPage>,
         timings: DiskTimings,
     ) -> Self {
         let page_size = placement.page_size();
-        debug_assert!(trailing.iter().all(|p| p.page_size() == page_size));
+        debug_assert!(held.iter().all(|p| p.page_size() == page_size));
         VirtualDisk {
-            data: OnceCell::new(),
+            image: OnceCell::new(),
             data_pages: placement.page_count(),
             recipe: Some(Recipe {
                 base,
                 placement,
                 phys_of,
+                reorganisations: Vec::new(),
             }),
-            tail: trailing,
+            held,
+            appended: 0,
             page_size,
             timings,
             counts: IoCounts::default(),
@@ -101,23 +159,40 @@ impl<'a> VirtualDisk<'a> {
         }
     }
 
-    /// The data region, built in one pass on the first call.
-    fn data(&self) -> &[SlottedPage] {
-        self.data.get_or_init(|| {
-            let recipe = self.recipe.as_ref().expect("unbuilt data has a recipe");
-            serialize_pages(recipe.base, &recipe.placement, &recipe.phys_of)
+    /// The rendered object pages, built in one pass on the first call.
+    fn image(&self) -> &Image {
+        self.image.get_or_init(|| {
+            let recipe = self
+                .recipe
+                .as_ref()
+                .expect("an unrendered image has a recipe");
+            let mut image = Image {
+                pages: serialize_pages(recipe.base, &recipe.placement, &recipe.phys_of),
+                data_pages: self.data_pages,
+                held: self.held.len() as u32,
+            };
+            for reorganisation in &recipe.reorganisations {
+                reorganisation.apply(recipe.base, &mut image);
+            }
+            image
         })
     }
 
-    /// Data pages built so far: none, or all of them.
+    /// Index of `page` among the held pages, if it is one.
+    fn held_index(&self, page: PageId) -> Option<usize> {
+        let i = page.checked_sub(self.data_pages)? as usize;
+        (i < self.held.len()).then_some(i)
+    }
+
+    /// Object pages rendered so far: none, or all of them.
     #[cfg(test)]
     pub(crate) fn built_data_pages(&self) -> usize {
-        self.data.get().map_or(0, Vec::len)
+        self.image.get().map_or(0, |image| image.pages.len())
     }
 
     /// Number of pages.
     pub fn page_count(&self) -> u32 {
-        self.data_pages + self.tail.len() as u32
+        self.data_pages + self.held.len() as u32 + self.appended
     }
 
     /// Page size in bytes.
@@ -173,33 +248,46 @@ impl<'a> VirtualDisk<'a> {
     /// Uncounted access to a page image — models reading from a frame that
     /// already holds the page. Callers must have counted the fetch.
     pub fn peek(&self, page: PageId) -> &SlottedPage {
-        match page.checked_sub(self.data_pages) {
-            None => &self.data()[page as usize],
-            Some(i) => &self.tail[i as usize],
+        match self.held_index(page) {
+            Some(i) => &self.held[i],
+            None => {
+                let image = self.image();
+                &image.pages[image.index(page).expect("not a held page")]
+            }
         }
     }
 
     /// Uncounted mutable access (buffered modification; the write is
     /// counted when the frame is flushed).
     pub fn peek_mut(&mut self, page: PageId) -> &mut SlottedPage {
-        match page.checked_sub(self.data_pages) {
+        match self.held_index(page) {
+            Some(i) => &mut self.held[i],
             None => {
-                self.data();
-                &mut self.data.get_mut().expect("data region is built")[page as usize]
+                self.image();
+                let image = self.image.get_mut().expect("the image is rendered");
+                image.page_mut(page).expect("not a held page")
             }
-            Some(i) => &mut self.tail[i as usize],
         }
     }
 
-    /// Appends a fresh page at the end of the store (counted as one write),
-    /// returning its id.
-    pub fn append_page(&mut self, content: SlottedPage) -> PageId {
-        assert_eq!(content.page_size(), self.page_size);
-        let id = self.page_count();
-        self.tail.push(content);
-        self.counts.writes += 1;
-        self.account(id);
-        id
+    /// Logs `reorganisation` and appends its fresh pages at the end of
+    /// the store (counted as one write each). Its byte edits apply at
+    /// once if the image is rendered, or else when it is.
+    pub(crate) fn reorganise(&mut self, reorganisation: Reorganisation) {
+        let first = self.page_count();
+        let fresh = reorganisation.fresh_pages();
+        let recipe = self
+            .recipe
+            .as_mut()
+            .expect("a reorganised disk has a recipe");
+        match self.image.get_mut() {
+            Some(image) => reorganisation.apply(recipe.base, image),
+            None => recipe.reorganisations.push(reorganisation),
+        }
+        self.appended += fresh;
+        for page in first..first + fresh {
+            self.write_back(page);
+        }
     }
 }
 

@@ -18,10 +18,11 @@
 //!   reorganisation needs no database scan;
 //! * [`VirtualDisk`] — slotted pages plus the Fig. 5 timing model
 //!   (search + latency + transfer, short-circuited for contiguous reads).
-//!   An engine's data pages are built in one pass on the first access to
-//!   their content: counting I/Os needs none, so an O2 run without
-//!   clustering never serialises the base, and Texas builds the image at
-//!   its first reorganisation;
+//!   An engine's object pages are rendered in one pass on the first
+//!   access to their content, from the base, the initial placement and
+//!   the reorganisations logged since: counting I/Os needs none, so in
+//!   release neither an O2 run nor a Texas run with DSTC reorganisation
+//!   ever serialises the base;
 //! * in-place byte work: a page stores only the bytes the engines read
 //!   (object headers and references; the attribute area is implied),
 //!   payloads are encoded straight into their slots and their
@@ -29,7 +30,8 @@
 //!   ([`write_object`], [`payload_refs`], [`patch_refs`]), and both
 //!   engines' reorganisations execute one plan held in dense tables
 //!   (`reorg`), so no per-object or per-reference step allocates or
-//!   hashes;
+//!   hashes. A reorganisation counts its I/Os from that plan and logs
+//!   its byte edits on the disk, replayed when the image is rendered;
 //! * the [`StorageEngine`] trait and [`run_workload`] driver shared by the
 //!   bench harness.
 //!

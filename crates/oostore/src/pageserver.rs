@@ -12,8 +12,8 @@ use crate::disk::VirtualDisk;
 use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
-use crate::reorg::{ReorgPlan, ReorgReport};
-use crate::storage::{assign_physical_oids, insert_object, payload_oid, reserve_page};
+use crate::reorg::{Oids, ReorgPlan, ReorgReport, Reorganisation};
+use crate::storage::{assign_physical_oids, payload_oid};
 use bufmgr::{AccessOutcome, BufferPool, PolicyKind, O2_FRAMES_PER_MB};
 use bufmgr::{DiskTimings, IoCounts};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
@@ -190,23 +190,20 @@ impl<'a> PageServerEngine<'a> {
         // touched because lookups go through the OID table. The moved
         // objects themselves are re-serialised at their new locations,
         // their references read from the OID table as packing goes (an
-        // object packed earlier is already at its new home).
-        for members in plan.cluster_pages() {
-            let mut slotted = reserve_page(self.base, members, page_size);
-            for &oid in members {
-                let object = self.base.object(oid);
-                let refs = object.refs.iter().map(|&t| self.oid_table[t as usize]);
-                insert_object(&mut slotted, oid, object.size, refs);
-                self.oid_table[oid as usize] = plan.new_location(oid).expect("planned move");
-            }
-            self.disk.append_page(slotted);
+        // object packed earlier is already at its new home): the logged
+        // reorganisation writes them so.
+        let moved: Vec<(Oid, PhysicalOid)> = plan.moved_by_oid().collect();
+        let roots = self.oid_table.clone();
+        for &(oid, new) in &moved {
+            self.oid_table[oid as usize] = new;
         }
+        let reorganisation = Reorganisation::new(plan, roots, Oids::Logical);
+        self.disk.reorganise(reorganisation);
 
         // Persist the relocated OID-table entries: read–modify–write each
         // affected table page. Still no database scan — the whole point of
         // logical OIDs is that only the map changes.
         let (start, per_page) = (self.oid_pages_start, self.oid_entries_per_page);
-        let moved: Vec<(Oid, PhysicalOid)> = plan.moved_by_oid().collect();
         for run in moved.chunk_by(|a, b| a.0 / per_page == b.0 / per_page) {
             let page = start + run[0].0 / per_page;
             self.disk.read(page);
@@ -222,7 +219,7 @@ impl<'a> PageServerEngine<'a> {
 
         ReorgReport {
             io: self.disk.counts().since(io_before),
-            moved_objects: plan.moved_count(),
+            moved_objects: moved.len() as u64,
             pages_scanned: 0,
             pages_patched: 0,
             outcome,

@@ -19,14 +19,22 @@
 //! Both engines execute one plan (`ReorgPlan`): the first-occurrence
 //! dedup of cluster members, their packing into fresh pages and the
 //! grouping of source pages, held in dense tables — new location by
-//! logical OID, `(old, new)` moves sorted by old location. Texas's patch
-//! scan looks stale references up by `(page, slot)` in a flat table
-//! built from those moves and patches each payload in place.
+//! logical OID, `(old, new)` moves sorted by old location.
+//!
+//! The I/Os are counted from the plan alone: no page content is read or
+//! written while the reorganisation runs. Texas's patch scan reads every
+//! old page and writes back a page exactly when an unmoved object on it
+//! references a moved object (`ReorgPlan::stale_pages`, over the root
+//! map before the move). The byte edits — tombstones, cluster pages and,
+//! for physical OIDs, the reference patches — are logged on the disk as
+//! one `Reorganisation` and applied by `Reorganisation::apply` when
+//! the page image is rendered, or at once if it already is. That replay
+//! decodes every reference of every old page and asserts that the pages
+//! it patched are the pages the counted scan wrote.
 
-use crate::disk::VirtualDisk;
+use crate::disk::{Image, VirtualDisk};
 use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
-use crate::page::SlottedPage;
 use crate::storage::{insert_object, patch_refs, reserve_page};
 use crate::texas::TexasEngine;
 use bufmgr::IoCounts;
@@ -59,6 +67,7 @@ impl ReorgReport {
 /// Where a reorganisation moves objects, shared by both engines: cluster
 /// members (an object in several clusters moves with the first) packed,
 /// in cluster order, into fresh pages appended at `first_page`.
+#[derive(Debug)]
 pub(crate) struct ReorgPlan {
     /// Moved objects in cluster order, so in new page then slot order.
     order: Vec<Oid>,
@@ -67,6 +76,9 @@ pub(crate) struct ReorgPlan {
     /// `(old, new)` location of every moved object, in old page then
     /// slot order.
     moves: Vec<(PhysicalOid, PhysicalOid)>,
+    /// The first fresh page: the store's page count before the move.
+    first_page: PageId,
+    page_size: u32,
 }
 
 impl ReorgPlan {
@@ -84,6 +96,8 @@ impl ReorgPlan {
             order: Vec::new(),
             new_of: vec![None; base.len()],
             moves: Vec::new(),
+            first_page,
+            page_size,
         };
         let mut new = PhysicalOid {
             page: first_page,
@@ -117,11 +131,6 @@ impl ReorgPlan {
         self.order.len() as u64
     }
 
-    /// Where `oid` moves, if it does.
-    pub(crate) fn new_location(&self, oid: Oid) -> Option<PhysicalOid> {
-        self.new_of[oid as usize]
-    }
-
     /// Moved objects and their new locations, in logical OID order.
     pub(crate) fn moved_by_oid(&self) -> impl Iterator<Item = (Oid, PhysicalOid)> + '_ {
         (0..)
@@ -130,31 +139,47 @@ impl ReorgPlan {
     }
 
     /// The members of each fresh page, in page order.
-    pub(crate) fn cluster_pages(&self) -> impl Iterator<Item = &[Oid]> + '_ {
+    fn cluster_pages(&self) -> impl Iterator<Item = &[Oid]> + '_ {
         let page = |oid: Oid| self.new_of[oid as usize].map(|new| new.page);
         self.order.chunk_by(move |&a, &b| page(a) == page(b))
     }
 
-    /// Extraction: reads each source page in page order, tombstones the
-    /// slots that leave it and writes it back, then hands the page to
-    /// `extracted`.
+    /// Extraction's I/Os: reads each source page in page order and writes
+    /// it back (its tombstones are in the logged reorganisation), then
+    /// hands the page to `extracted`.
     pub(crate) fn extract(&self, disk: &mut VirtualDisk<'_>, mut extracted: impl FnMut(PageId)) {
         for run in self.moves.chunk_by(|a, b| a.0.page == b.0.page) {
             let page = run[0].0.page;
             disk.read(page);
-            let slotted = disk.peek_mut(page);
-            for (old, _) in run {
-                slotted.delete(old.slot);
-            }
             disk.write_back(page);
             extracted(page);
         }
     }
 
-    /// The relocation table of the patch scan over `pages` pages.
-    fn relocation(&self, pages: PageId) -> Relocation {
+    /// The pages of the physical-OID patch scan, by old page: `true` where
+    /// an unmoved object (located by `phys_of`, the map before the move)
+    /// references a moved one.
+    pub(crate) fn stale_pages(&self, base: &ObjectBase, phys_of: &[PhysicalOid]) -> Vec<bool> {
+        let mut stale = vec![false; self.first_page as usize];
+        for (((_, object), &phys), new) in base.iter().zip(phys_of).zip(&self.new_of) {
+            let page = phys.page as usize;
+            if new.is_none()
+                && !stale[page]
+                && object
+                    .refs
+                    .iter()
+                    .any(|&t| self.new_of[t as usize].is_some())
+            {
+                stale[page] = true;
+            }
+        }
+        stale
+    }
+
+    /// The relocation table of the patch scan over the old pages.
+    fn relocation(&self) -> Relocation {
         let mut table = Relocation {
-            by_page: vec![(0, 0); pages as usize],
+            by_page: vec![(0, 0); self.first_page as usize],
             fresh: Vec::new(),
         };
         for run in self.moves.chunk_by(|a, b| a.0.page == b.0.page) {
@@ -191,6 +216,102 @@ impl Relocation {
     }
 }
 
+/// How a store's references name objects, which decides a
+/// reorganisation's byte edits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Oids {
+    /// Texas: a cluster page stores each target's location after the
+    /// move, and every stale reference on the old pages is patched.
+    Physical,
+    /// O2: a cluster page stores the OID table's entry as packing goes
+    /// (a member packed later keeps its old location); nothing else is
+    /// patched.
+    Logical,
+}
+
+/// One reorganisation's byte edits, as logged on the disk: the plan and
+/// the root map it started from (the new map is that map with the
+/// plan's moves applied).
+#[derive(Debug)]
+pub(crate) struct Reorganisation {
+    plan: ReorgPlan,
+    roots: Vec<PhysicalOid>,
+    oids: Oids,
+}
+
+impl Reorganisation {
+    pub(crate) fn new(plan: ReorgPlan, roots: Vec<PhysicalOid>, oids: Oids) -> Self {
+        Reorganisation { plan, roots, oids }
+    }
+
+    /// Number of fresh cluster pages it appends.
+    pub(crate) fn fresh_pages(&self) -> u32 {
+        self.plan
+            .order
+            .last()
+            .and_then(|&oid| self.plan.new_of[oid as usize])
+            .map_or(0, |last| last.page + 1 - self.plan.first_page)
+    }
+
+    /// Writes the edits into `image`, which holds the store as it was
+    /// when the reorganisation was planned: tombstones on the source
+    /// pages, the fresh cluster pages, then (physical OIDs) the patch of
+    /// every stale reference.
+    ///
+    /// # Panics
+    /// Panics if the pages it patches are not the pages
+    /// `ReorgPlan::stale_pages` counted.
+    pub(crate) fn apply(&self, base: &ObjectBase, image: &mut Image) {
+        let plan = &self.plan;
+        assert_eq!(image.page_count(), plan.first_page, "replayed out of order");
+        for &(old, _) in &plan.moves {
+            image
+                .page_mut(old.page)
+                .expect("moved objects leave object pages")
+                .delete(old.slot);
+        }
+
+        let mut locations = self.roots.clone();
+        if self.oids == Oids::Physical {
+            for (oid, new) in plan.moved_by_oid() {
+                locations[oid as usize] = new;
+            }
+        }
+        for members in plan.cluster_pages() {
+            let mut slotted = reserve_page(base, members, plan.page_size);
+            for &oid in members {
+                let object = base.object(oid);
+                let refs = object.refs.iter().map(|&t| locations[t as usize]);
+                let slot = insert_object(&mut slotted, oid, object.size, refs);
+                let new = plan.new_of[oid as usize].expect("a member moves");
+                debug_assert_eq!(slot, new.slot);
+                locations[oid as usize] = new;
+            }
+            image.push(slotted);
+        }
+
+        if self.oids == Oids::Physical {
+            let relocation = plan.relocation();
+            let counted = plan.stale_pages(base, &self.roots);
+            for (page, counted) in (0..).zip(counted) {
+                let Some(slotted) = image.page_mut(page) else {
+                    continue; // a held page stores no object
+                };
+                let mut patched = false;
+                for slot in 0..slotted.slot_count() {
+                    if let Some(payload) = slotted.get_mut(slot) {
+                        patched |= patch_refs(payload, |stale| relocation.get(stale));
+                    }
+                }
+                assert_eq!(
+                    patched, counted,
+                    "page {page}: bytes and counted scan differ"
+                );
+            }
+        }
+    }
+}
+
 impl TexasEngine<'_> {
     /// Runs the clustering phase: asks the strategy for clusters, extracts
     /// them into contiguous cluster pages, and — because Texas uses
@@ -208,73 +329,46 @@ impl TexasEngine<'_> {
                 ..ReorgReport::default()
             };
         }
-        let page_size = self.disk_ref().page_size();
         let old_page_count = self.page_count();
         let plan = ReorgPlan::new(
             base,
             &outcome.clusters,
-            page_size,
+            self.disk_ref().page_size(),
             old_page_count,
             self.phys_of(),
         );
+        let stale = plan.stale_pages(base, self.phys_of());
+        let moved_objects = plan.moved_count();
 
-        // ----- phase 1: extraction ----------------------------------------
+        // ----- phase 1: extraction, then the fresh cluster pages ----------
         plan.extract(self.disk_mut(), |_| {});
-        // Fresh cluster pages, one write each. A reference to a moved
-        // object is written with its new location, any other with its
-        // current one: the scan below has nothing to fix here.
-        let phys_of = self.phys_of();
-        let built: Vec<SlottedPage> = plan
-            .cluster_pages()
-            .map(|members| {
-                let mut slotted = reserve_page(base, members, page_size);
-                for &oid in members {
-                    let object = base.object(oid);
-                    let refs = object.refs.iter().map(|&target| {
-                        plan.new_location(target)
-                            .unwrap_or(phys_of[target as usize])
-                    });
-                    let slot = insert_object(&mut slotted, oid, object.size, refs);
-                    debug_assert_eq!(Some(slot), plan.new_location(oid).map(|new| new.slot));
-                }
-                slotted
-            })
-            .collect();
-        for page in built {
-            self.disk_mut().append_page(page);
-        }
-
-        // ----- phase 2: the physical-OID patch scan ------------------------
-        // Every page is read; pages holding references to relocated objects
-        // are patched in place and written back.
-        let relocation = plan.relocation(old_page_count);
-        let mut pages_patched = 0u64;
-        let disk = self.disk_mut();
-        for page in 0..old_page_count {
-            disk.read(page);
-            let slotted = disk.peek_mut(page);
-            let mut patched = false;
-            for slot in 0..slotted.slot_count() {
-                if let Some(payload) = slotted.get_mut(slot) {
-                    patched |= patch_refs(payload, |stale| relocation.get(stale));
-                }
-            }
-            if patched {
-                disk.write_back(page);
-                pages_patched += 1;
-            }
-        }
-
-        // ----- install the new root table and drop the VM cache ------------
+        // A cluster page stores every reference with its target's new
+        // location: the scan below has nothing to fix there.
+        let roots = self.phys_of().to_vec();
         let phys_of = self.phys_of_mut();
         for (oid, new) in plan.moved_by_oid() {
             phys_of[oid as usize] = new;
+        }
+        let reorganisation = Reorganisation::new(plan, roots, Oids::Physical);
+        self.disk_mut().reorganise(reorganisation);
+
+        // ----- phase 2: the physical-OID patch scan ------------------------
+        // Every old page is read; the pages holding references to
+        // relocated objects are written back.
+        let disk = self.disk_mut();
+        let mut pages_patched = 0u64;
+        for (page, stale) in (0..).zip(stale) {
+            disk.read(page);
+            if stale {
+                disk.write_back(page);
+                pages_patched += 1;
+            }
         }
         self.clear_vm();
 
         ReorgReport {
             io: self.io_counts().since(io_before),
-            moved_objects: plan.moved_count(),
+            moved_objects,
             pages_scanned: u64::from(old_page_count),
             pages_patched,
             outcome,
@@ -286,6 +380,7 @@ impl TexasEngine<'_> {
 mod tests {
     use super::*;
     use crate::engine::{run_workload, StorageEngine};
+    use crate::page::SlottedPage;
     use crate::pageserver::{PageServerConfig, PageServerEngine};
     use crate::storage::STORE_FULL;
     use crate::texas::TexasConfig;
@@ -565,45 +660,125 @@ mod tests {
         }
     }
 
+    /// Every page image of `disk`, in page order.
+    fn images(disk: &VirtualDisk<'_>) -> Vec<SlottedPage> {
+        (0..disk.page_count())
+            .map(|page| disk.peek(page).clone())
+            .collect()
+    }
+
+    /// What a reorganisation reports, clusters aside.
+    fn report_counts(report: &ReorgReport) -> (IoCounts, u64, u64, u64) {
+        (
+            report.io,
+            report.moved_objects,
+            report.pages_scanned,
+            report.pages_patched,
+        )
+    }
+
     #[test]
     fn forced_and_deferred_images_reorganise_identically() {
+        // run -> reorganise -> run -> reorganise -> run on both engines,
+        // the image built before the first run or left to the first peek
+        // after the last: the second reorganisation moves objects out of
+        // pages the first appended, and its edits replay on top.
         let base = ObjectBase::generate(&DatabaseParams::small(), 10);
         let txs = hierarchy_workload(&base, 300, 46);
-        let observe = |force: bool| {
-            let config = TexasConfig {
-                memory_pages: 64,
-                os_readahead: true,
-                fs_metadata: true,
-                ..dstc_config()
-            };
-            let mut engine = TexasEngine::new(&base, config);
+        let texas_config = TexasConfig {
+            memory_pages: 64,
+            os_readahead: true,
+            fs_metadata: true,
+            ..dstc_config()
+        };
+        let o2_config = PageServerConfig {
+            buffer_pages: 32,
+            clustering: texas_config.clustering.clone(),
+            ..PageServerConfig::with_cache_mb(1)
+        };
+        let texas = |force: bool| {
+            let mut engine = TexasEngine::new(&base, texas_config.clone());
             if force {
                 engine.disk_ref().peek(0);
             }
-            run_workload(&mut engine, &txs);
-            let report = engine.reorganize();
-            engine.flush_memory();
+            let mut reports = Vec::new();
+            for _ in 0..2 {
+                run_workload(&mut engine, &txs);
+                reports.push(report_counts(&engine.reorganize()));
+                engine.flush_memory();
+            }
             run_workload(&mut engine, &txs);
             engine.flush_memory();
             let c = engine.counters();
-            let pages: Vec<SlottedPage> = (0..engine.page_count())
-                .map(|page| engine.disk_ref().peek(page).clone())
-                .collect();
             (
                 (c.faults, c.swap_outs),
-                (
-                    report.io,
-                    report.moved_objects,
-                    report.pages_scanned,
-                    report.pages_patched,
-                ),
+                reports,
                 engine.io_counts(),
                 engine.elapsed_ms().to_bits(),
-                pages,
+                images(engine.disk_ref()),
             )
         };
-        let forced = observe(true);
-        assert!(forced.1 .1 > 0, "DSTC moved no object");
-        assert_eq!(forced, observe(false));
+        let o2 = |force: bool| {
+            let mut engine = PageServerEngine::new(&base, o2_config.clone());
+            if force {
+                engine.disk_ref().peek(0);
+            }
+            let mut reports = Vec::new();
+            for _ in 0..2 {
+                run_workload(&mut engine, &txs);
+                reports.push(report_counts(&engine.reorganize()));
+                engine.flush_memory();
+            }
+            run_workload(&mut engine, &txs);
+            engine.flush_memory();
+            (
+                reports,
+                engine.io_counts(),
+                engine.elapsed_ms().to_bits(),
+                images(engine.disk_ref()),
+            )
+        };
+
+        let forced = texas(true);
+        for (_, moved, _, _) in &forced.1 {
+            assert!(*moved > 0, "a DSTC reorganisation moved no object");
+        }
+        assert_eq!(forced, texas(false));
+        let forced = o2(true);
+        for (_, moved, _, _) in &forced.0 {
+            assert!(*moved > 0, "a DSTC reorganisation moved no object");
+        }
+        assert_eq!(forced, o2(false));
+    }
+
+    #[test]
+    fn rendered_patches_are_the_counted_patch_scan() {
+        // Rendering replays each reorganisation's reference patches and
+        // asserts that they change exactly the pages the counted scan
+        // wrote back; two reorganisations also patch appended pages.
+        let base = ObjectBase::generate(
+            &DatabaseParams {
+                objects: 2_000,
+                ..DatabaseParams::small()
+            },
+            3,
+        );
+        for seed in [5, 6, 7] {
+            let txs = hierarchy_workload(&base, 300, seed);
+            for memory_mb in [3, 64] {
+                let config = TexasConfig {
+                    clustering: dstc_config().clustering,
+                    ..TexasConfig::with_memory_mb(memory_mb)
+                };
+                let mut engine = TexasEngine::new(&base, config);
+                let mut patched = 0;
+                for _ in 0..2 {
+                    run_workload(&mut engine, &txs);
+                    patched += engine.reorganize().pages_patched;
+                }
+                assert!(patched > 0, "seed {seed}, {memory_mb} MB: nothing patched");
+                engine.disk_ref().peek(0);
+            }
+        }
     }
 }
