@@ -29,7 +29,7 @@
 
 use crate::strategy::{ClusteringOutcome, ClusteringStrategy};
 use ocb::{IntHash, ObjectBase, Oid};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Tuning parameters of DSTC ("Tunable" is in the name: the original paper
 /// exposes exactly these knobs).
@@ -102,22 +102,63 @@ pub struct DstcCounters {
     pub reorganisations: u64,
 }
 
+/// Objects whose consolidated neighbourhood changed since the last
+/// reorganisation: one flag per oid (grown to the largest flagged oid)
+/// plus their count, the only thing triggering reads.
+#[derive(Default)]
+struct FlagTable {
+    flags: Vec<bool>,
+    count: usize,
+}
+
+impl FlagTable {
+    fn set(&mut self, oid: Oid) {
+        let oid = oid as usize;
+        if oid >= self.flags.len() {
+            self.flags.resize(oid + 1, false);
+        }
+        if !self.flags[oid] {
+            self.flags[oid] = true;
+            self.count += 1;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.flags.fill(false);
+        self.count = 0;
+    }
+}
+
+/// The packed link `(from << 32) | to`: its order is `(from, to)`'s.
+fn pack(from: Oid, to: Oid) -> u64 {
+    (u64::from(from) << 32) | u64::from(to)
+}
+
+/// The `(from, to)` of a packed link.
+fn unpack(link: u64) -> (Oid, Oid) {
+    ((link >> 32) as Oid, link as Oid)
+}
+
 /// The DSTC strategy state.
 pub struct Dstc {
     params: DstcParams,
     /// Elementary (current observation period) transition counts, keyed
-    /// by the packed link `(from << 32) | to`. Consolidation sorts them
-    /// by link before folding them in, for replay determinism (float
-    /// accumulation order reaches the weights).
+    /// by packed link. Consolidation sorts them by link before folding
+    /// them in, for replay determinism (float accumulation order reaches
+    /// the weights).
     observation: HashMap<u64, u32, IntHash>,
     /// The drained observation, sorted by link at consolidation (a
     /// buffer reused across periods).
     drained: Vec<(u64, u32)>,
-    /// Consolidated link weights, link-ordered for the same reason.
-    consolidated: BTreeMap<(Oid, Oid), f64>,
+    /// Consolidated link weights (each ≥ `tfc`), sorted by packed link.
+    /// A consolidation rebuilds it as one merge with `drained`.
+    consolidated: Vec<(u64, f64)>,
+    /// The merge's output buffer, swapped with `consolidated` after
+    /// each consolidation, so both keep their capacity.
+    merged: Vec<(u64, f64)>,
     /// Objects whose consolidated neighbourhood changed since the last
     /// reorganisation.
-    flagged: BTreeSet<Oid>,
+    flagged: FlagTable,
     accesses_this_period: u64,
     counters: DstcCounters,
 }
@@ -133,8 +174,9 @@ impl Dstc {
             params,
             observation: HashMap::default(),
             drained: Vec::new(),
-            consolidated: BTreeMap::new(),
-            flagged: BTreeSet::new(),
+            consolidated: Vec::new(),
+            merged: Vec::new(),
+            flagged: FlagTable::default(),
             accesses_this_period: 0,
             counters: DstcCounters::default(),
         }
@@ -154,36 +196,56 @@ impl Dstc {
     /// Number of currently flagged objects.
     #[cfg(test)]
     pub fn flagged_objects(&self) -> usize {
-        self.flagged.len()
+        self.flagged.count
     }
 
     /// Folds the current observation period into the consolidated matrix
     /// (phase 2). Public so an experiment can force a consolidation before
     /// an external clustering demand.
+    ///
+    /// One merge of the consolidated matrix and the link-sorted drained
+    /// period: every consolidated weight is aged by `w`, an elementary
+    /// count passing `tfa` is added to its link's weight (0 for a new
+    /// link) and flags both ends, and weights below `tfc` are dropped.
     pub fn consolidate(&mut self) {
         self.counters.consolidations += 1;
-        // Age every consolidated weight first.
-        for weight in self.consolidated.values_mut() {
-            *weight *= self.params.w;
-        }
-        // Fold elementary links passing Tfa, in link order.
         // audit: sorted by link on the next line
         self.drained.extend(self.observation.drain());
         self.drained.sort_unstable_by_key(|&(link, _)| link);
-        for &(link, count) in &self.drained {
-            if (count as f64) < self.params.tfa {
-                self.counters.links_filtered += 1;
-                continue;
+        let DstcParams { w, tfa, tfc, .. } = self.params;
+        let mut merged = std::mem::take(&mut self.merged);
+        merged.clear();
+        let (old, new) = (&self.consolidated, &self.drained);
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let old_link = old.get(i).map(|&(link, _)| link);
+            let new_link = new.get(j).map(|&(link, _)| link);
+            let Some(link) = old_link.into_iter().chain(new_link).min() else {
+                break;
+            };
+            let mut weight = None;
+            if old_link == Some(link) {
+                weight = Some(old[i].1 * w);
+                i += 1;
             }
-            let (from, to) = ((link >> 32) as Oid, link as Oid);
-            *self.consolidated.entry((from, to)).or_insert(0.0) += count as f64;
-            self.flagged.insert(from);
-            self.flagged.insert(to);
+            if new_link == Some(link) {
+                let count = f64::from(new[j].1);
+                j += 1;
+                if count < tfa {
+                    self.counters.links_filtered += 1;
+                } else {
+                    weight = Some(weight.unwrap_or(0.0) + count);
+                    let (from, to) = unpack(link);
+                    self.flagged.set(from);
+                    self.flagged.set(to);
+                }
+            }
+            if let Some(weight) = weight.filter(|&weight| weight >= tfc) {
+                merged.push((link, weight));
+            }
         }
         self.drained.clear();
-        // Drop consolidated entries below Tfc.
-        let tfc = self.params.tfc;
-        self.consolidated.retain(|_, weight| *weight >= tfc);
+        self.merged = std::mem::replace(&mut self.consolidated, merged);
         self.accesses_this_period = 0;
     }
 
@@ -191,11 +253,11 @@ impl Dstc {
     /// over a base of `objects` objects.
     fn construct_units(&self, objects: usize) -> Vec<Vec<Oid>> {
         // Deterministic order: weight desc, then link id.
-        let mut links: Vec<((Oid, Oid), f64)> = self
+        let mut links: Vec<(u64, f64)> = self
             .consolidated
             .iter()
-            .filter(|(_, &weight)| weight >= self.params.tfe)
-            .map(|(&link, &weight)| (link, weight))
+            .copied()
+            .filter(|&(_, weight)| weight >= self.params.tfe)
             .collect();
         links.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
@@ -204,7 +266,8 @@ impl Dstc {
         // The unit of each object by OID; NO_UNIT while it has none.
         let mut unit_of = vec![NO_UNIT; objects];
         let mut units: Vec<Vec<Oid>> = Vec::new();
-        for ((from, to), _) in links {
+        for (link, _) in links {
+            let (from, to) = unpack(link);
             if from == to {
                 continue;
             }
@@ -262,8 +325,7 @@ impl ClusteringStrategy for Dstc {
         self.accesses_this_period += 1;
         if let Some(from) = parent {
             if from != oid {
-                let link = (u64::from(from) << 32) | u64::from(oid);
-                *self.observation.entry(link).or_insert(0) += 1;
+                *self.observation.entry(pack(from, oid)).or_insert(0) += 1;
             }
         }
         if self.accesses_this_period >= self.params.observation_period {
@@ -272,7 +334,7 @@ impl ClusteringStrategy for Dstc {
     }
 
     fn should_trigger(&self) -> bool {
-        self.flagged.len() >= self.params.trigger_threshold
+        self.flagged.count >= self.params.trigger_threshold
     }
 
     fn build_clusters(&mut self, base: &ObjectBase) -> ClusteringOutcome {
@@ -287,16 +349,14 @@ impl ClusteringStrategy for Dstc {
         self.flagged.clear();
         ClusteringOutcome { clusters }
     }
-
-    fn stats_size(&self) -> usize {
-        self.observation.len() + self.consolidated.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ocb::DatabaseParams;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn tiny_params() -> DstcParams {
         DstcParams {
@@ -459,9 +519,197 @@ mod tests {
         for _ in 0..10 {
             dstc.on_access(Some(5), 5);
         }
-        assert_eq!(dstc.stats_size(), 0);
+        assert_eq!(dstc.observation.len(), 0, "nothing observed");
+        assert_eq!(dstc.consolidated_links(), 0);
         let outcome = dstc.build_clusters(&base());
         assert_eq!(outcome.cluster_count(), 0);
+    }
+
+    /// The ordered-map consolidation the merge replaces: ages every
+    /// weight, folds the period's links passing `tfa` in link order,
+    /// drops weights below `tfc`.
+    struct Reference {
+        params: DstcParams,
+        observation: BTreeMap<(Oid, Oid), u32>,
+        consolidated: BTreeMap<(Oid, Oid), f64>,
+        flagged: BTreeSet<Oid>,
+        accesses_this_period: u64,
+        links_filtered: u64,
+        /// Weights dropped by `tfc` (coverage).
+        dropped: u64,
+    }
+
+    impl Reference {
+        fn new(params: DstcParams) -> Self {
+            Reference {
+                params,
+                observation: BTreeMap::new(),
+                consolidated: BTreeMap::new(),
+                flagged: BTreeSet::new(),
+                accesses_this_period: 0,
+                links_filtered: 0,
+                dropped: 0,
+            }
+        }
+
+        fn on_access(&mut self, parent: Option<Oid>, oid: Oid) {
+            self.accesses_this_period += 1;
+            if let Some(from) = parent.filter(|&from| from != oid) {
+                *self.observation.entry((from, oid)).or_insert(0) += 1;
+            }
+            if self.accesses_this_period >= self.params.observation_period {
+                self.consolidate();
+            }
+        }
+
+        fn consolidate(&mut self) {
+            for weight in self.consolidated.values_mut() {
+                *weight *= self.params.w;
+            }
+            for (&(from, to), &count) in &self.observation {
+                if (count as f64) < self.params.tfa {
+                    self.links_filtered += 1;
+                    continue;
+                }
+                *self.consolidated.entry((from, to)).or_insert(0.0) += count as f64;
+                self.flagged.insert(from);
+                self.flagged.insert(to);
+            }
+            self.observation.clear();
+            let (tfc, before) = (self.params.tfc, self.consolidated.len());
+            self.consolidated.retain(|_, weight| *weight >= tfc);
+            self.dropped += (before - self.consolidated.len()) as u64;
+            self.accesses_this_period = 0;
+        }
+
+        fn build_clusters(&mut self, objects: usize) -> Vec<Vec<Oid>> {
+            if self.accesses_this_period > 0 {
+                self.consolidate();
+            }
+            self.flagged.clear();
+            // Phase 4 over the map's links, handed over in link order.
+            let mut units = Dstc::new(self.params.clone());
+            units.consolidated = self
+                .consolidated
+                .iter()
+                .map(|(&(from, to), &weight)| (pack(from, to), weight))
+                .collect();
+            units.construct_units(objects)
+        }
+    }
+
+    fn assert_same_state(dstc: &Dstc, reference: &Reference) {
+        let weights: Vec<(u64, u64)> = dstc
+            .consolidated
+            .iter()
+            .map(|&(link, weight)| (link, weight.to_bits()))
+            .collect();
+        let expected: Vec<(u64, u64)> = reference
+            .consolidated
+            .iter()
+            .map(|(&(from, to), weight)| (pack(from, to), weight.to_bits()))
+            .collect();
+        assert_eq!(weights, expected);
+        assert_eq!(dstc.counters().links_filtered, reference.links_filtered);
+        let flagged: Vec<Oid> = (0..dstc.flagged.flags.len() as Oid)
+            .filter(|&oid| dstc.flagged.flags[oid as usize])
+            .collect();
+        assert_eq!(
+            flagged,
+            reference.flagged.iter().copied().collect::<Vec<_>>()
+        );
+        assert_eq!(dstc.flagged_objects(), reference.flagged.len());
+    }
+
+    #[test]
+    fn merge_matches_ordered_map_consolidation() {
+        let base = base();
+        const OBJECTS: usize = 40;
+        let (mut filtered, mut dropped, mut builds) = (0, 0, 0);
+        for (case, (w, tfa, tfc)) in [
+            (0.5, 2.0, 1.0),
+            (0.9, 1.0, 2.5),
+            (0.0, 3.0, 0.5),
+            (1.0, 2.0, 4.0),
+            (0.3, 1.0, 0.0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let params = DstcParams {
+                observation_period: 60,
+                tfa,
+                tfc,
+                tfe: 2.0,
+                w,
+                max_unit_size: 6,
+                trigger_threshold: 10,
+            };
+            let mut dstc = Dstc::new(params.clone());
+            let mut reference = Reference::new(params);
+            let mut stream = desp::RandomStream::new(case as u64);
+            for step in 0..3_000 {
+                let oid = stream.index(OBJECTS) as Oid;
+                // Half the transitions follow a fixed strong link, the
+                // rest are random (mostly below tfa) or roots.
+                let parent = match stream.index(4) {
+                    0 | 1 => Some((oid * 7 + 3) % OBJECTS as Oid),
+                    2 => Some(stream.index(OBJECTS) as Oid),
+                    _ => None,
+                };
+                let before = dstc.counters().consolidations;
+                dstc.on_access(parent, oid);
+                reference.on_access(parent, oid);
+                if dstc.counters().consolidations != before {
+                    assert_same_state(&dstc, &reference);
+                }
+                assert_eq!(dstc.should_trigger(), reference.flagged.len() >= 10);
+                // A reorganisation in mid-period, now and then.
+                if step % 500 == 277 {
+                    assert_eq!(
+                        dstc.build_clusters(&base).clusters,
+                        reference.build_clusters(base.len())
+                    );
+                    assert_same_state(&dstc, &reference);
+                    builds += 1;
+                }
+            }
+            filtered += reference.links_filtered;
+            dropped += reference.dropped;
+        }
+        assert!(
+            filtered > 0 && dropped > 0 && builds > 0,
+            "{filtered} {dropped}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn held_statistics_are_bounded_by_distinct_links(
+            trace in prop::collection::vec((prop::option::of(0u32..40), 0u32..40), 1..400)
+        ) {
+            // The statistics held can never exceed the number of distinct
+            // links observed (memory-boundedness of the observation phase).
+            let mut dstc = Dstc::new(DstcParams {
+                observation_period: 1_000_000, // never consolidate mid-trace
+                ..DstcParams::default()
+            });
+            let mut distinct_links = std::collections::HashSet::new();
+            for &(parent, oid) in &trace {
+                dstc.on_access(parent, oid);
+                if let Some(p) = parent {
+                    if p != oid {
+                        distinct_links.insert((p, oid));
+                    }
+                }
+            }
+            prop_assert!(dstc.observation.len() + dstc.consolidated_links() <= distinct_links.len());
+            dstc.consolidate();
+            prop_assert!(dstc.observation.is_empty());
+            prop_assert!(dstc.consolidated_links() <= distinct_links.len());
+        }
     }
 
     #[test]

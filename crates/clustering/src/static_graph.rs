@@ -89,10 +89,6 @@ impl ClusteringStrategy for StaticGraphClustering {
         }
         ClusteringOutcome { clusters }
     }
-
-    fn stats_size(&self) -> usize {
-        0
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +140,12 @@ mod tests {
             strategy.on_access(Some(i), i + 1);
         }
         assert!(!strategy.should_trigger());
-        assert_eq!(strategy.stats_size(), 0);
+        // Accesses are not observed: the clusters are the schema's alone.
+        let base = base();
+        assert_eq!(
+            strategy.build_clusters(&base),
+            StaticGraphClustering::new(8).build_clusters(&base)
+        );
     }
 
     #[test]

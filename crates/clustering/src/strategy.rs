@@ -64,10 +64,6 @@ pub trait ClusteringStrategy: Send {
     /// Builds the clusters to materialise (called on automatic *or*
     /// external triggering) and arms the next observation cycle.
     fn build_clusters(&mut self, base: &ObjectBase) -> ClusteringOutcome;
-
-    /// Number of statistics entries currently held (both the engines and
-    /// the simulator charge maintenance overhead proportional to this).
-    fn stats_size(&self) -> usize;
 }
 
 /// The `None` clustering policy of Table 3: observe nothing, never trigger.
@@ -87,10 +83,6 @@ impl ClusteringStrategy for NoClustering {
 
     fn build_clusters(&mut self, _base: &ObjectBase) -> ClusteringOutcome {
         ClusteringOutcome::default()
-    }
-
-    fn stats_size(&self) -> usize {
-        0
     }
 }
 
@@ -149,7 +141,11 @@ mod tests {
         }
         assert!(!strategy.should_trigger());
         assert_eq!(strategy.build_clusters(&base), ClusteringOutcome::default());
-        assert_eq!(strategy.stats_size(), 0);
+        assert_eq!(
+            std::mem::size_of::<NoClustering>(),
+            0,
+            "holds no statistics"
+        );
     }
 
     #[test]

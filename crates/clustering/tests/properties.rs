@@ -112,26 +112,6 @@ proptest! {
     }
 
     #[test]
-    fn dstc_stats_size_is_bounded_by_trace(trace in arb_trace()) {
-        // The statistics held can never exceed the number of distinct
-        // links observed (memory-boundedness of the observation phase).
-        let mut dstc = Dstc::new(DstcParams {
-            observation_period: 1_000_000, // never consolidate mid-trace
-            ..DstcParams::default()
-        });
-        let mut distinct_links = std::collections::HashSet::new();
-        for &(parent, oid) in &trace {
-            dstc.on_access(parent, oid);
-            if let Some(p) = parent {
-                if p != oid {
-                    distinct_links.insert((p, oid));
-                }
-            }
-        }
-        prop_assert!(dstc.stats_size() <= distinct_links.len());
-    }
-
-    #[test]
     fn static_graph_clusters_respect_cap(
         db in arb_db(),
         seed in any::<u64>(),

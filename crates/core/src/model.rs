@@ -502,9 +502,7 @@ impl<'a> VoodbModel<'a> {
         tid: Tid,
         ctx: &mut Context<'_, Event, P, Q>,
     ) -> bool {
-        let t = self.slab.get_mut(tid);
-        let oid = t.current().oid;
-        let needs_lock_time = t.lock(oid);
+        let needs_lock_time = self.slab.get_mut(tid).lock();
         if needs_lock_time && self.params.get_lock_ms > 0.0 {
             seize(&mut self.cpu, Event::LockCpu(tid), ctx) && self.lock_cpu(tid, ctx)
         } else {
@@ -585,7 +583,7 @@ impl<'a> VoodbModel<'a> {
             t.marks.accesses += t.pos as u64;
         }
         t.pos = 0;
-        t.locked.clear();
+        t.lock_count = 0;
         ctx.schedule(backoff_ms, Event::TxRestart(tid));
     }
 
@@ -1024,7 +1022,9 @@ impl<'a> VoodbModel<'a> {
         let t = self.slab.get_mut(tid);
         let (oid, write) = (t.current().oid, t.current().write);
         let page = self.oman.page_of(oid);
-        let site = page as usize % sites;
+        // A single server site needs no division on the per-access path.
+        let site_of = |page: u32| if sites == 1 { 0 } else { page as usize % sites };
+        let site = site_of(page);
         t.io_writes.clear();
         t.io_reads.clear();
         let hit = self.bman[site].access_into(page, write, &mut t.io_writes, &mut t.io_reads);
@@ -1032,7 +1032,7 @@ impl<'a> VoodbModel<'a> {
         if !hit {
             let staged = self.prefetcher.after_miss(page, self.oman.page_count());
             for p in staged {
-                if p as usize % sites == site {
+                if site_of(p) == site {
                     self.bman[site].prefetch(p, &mut t.io_writes, &mut t.io_reads);
                 }
             }
@@ -1261,7 +1261,7 @@ impl<'a> VoodbModel<'a> {
         tid: Tid,
         ctx: &mut Context<'_, Event, P, Q>,
     ) {
-        let locked = self.slab.get(tid).locked.len();
+        let locked = self.slab.get(tid).lock_count;
         if self.params.release_lock_ms > 0.0 && locked > 0 {
             if seize(&mut self.cpu, Event::CommitCpu(tid), ctx) {
                 self.commit_cpu(tid, ctx);
@@ -1275,7 +1275,7 @@ impl<'a> VoodbModel<'a> {
     /// releases, held until the commit.
     fn commit_cpu<P: Probe, Q: QueueKind>(&mut self, tid: Tid, ctx: &mut Context<'_, Event, P, Q>) {
         let t = self.slab.get_mut(tid);
-        let locked = t.locked.len();
+        let locked = t.lock_count;
         t.holding_cpu = true;
         if ctx.tracing() {
             t.marks.start(ctx.now().as_ms());

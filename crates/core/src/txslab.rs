@@ -6,7 +6,7 @@
 //! slot; a transaction's identity **during its lifetime** is its slot
 //! index (the model's `Tid`), and slots are recycled through a free list
 //! when transactions commit. All the slot's buffers — the access vector
-//! the workload source fills, the sorted lock set — keep their capacity
+//! the workload source fills, the first-touch flags — keep their capacity
 //! across reuse, so a streamed phase performs no steady-state allocation
 //! and holds O(in-flight) = O(MPL + admission queue) transaction state
 //! no matter how many transactions it executes (`TxSlab::high_water`
@@ -19,6 +19,14 @@
 //! lock manager (whose wait-die policy orders transactions by age;
 //! restarts keep their serial, preserving its livelock-freedom
 //! argument).
+//!
+//! GETLOCK CPU time is charged when a transaction first touches an
+//! object (Table 3). Which accesses are first touches is fixed by the
+//! access vector alone, so [`TxSlab::commit`] marks them once, through
+//! one epoch-stamped table indexed by oid that every slot shares; an
+//! access then reads its flag by position. That is exact under
+//! restarts: an access's lock is taken only after every earlier access
+//! of the pass was granted, and a restart replays the pass from the top.
 //!
 //! On traced runs a slot also carries its transaction's `TraceMarks`:
 //! one stage-start mark and the per-stage totals, an array indexed by
@@ -35,7 +43,7 @@
 
 use crate::lockmgr::Tid as LockTid;
 use desp::{SimTime, SpanStage};
-use ocb::{Oid, Transaction};
+use ocb::Transaction;
 
 /// Slot index of a live transaction (recycled across transactions).
 pub type Tid = usize;
@@ -94,10 +102,13 @@ pub(crate) struct ActiveTx {
     pub tx: Transaction,
     /// Index of the current access within `tx.accesses`.
     pub pos: usize,
-    /// Objects this transaction holds locks on, sorted (replaces a
-    /// per-transaction `HashSet`: the set is small — distinct objects of
-    /// one transaction — and a sorted vec beats hashing at that size).
-    pub locked: Vec<Oid>,
+    /// `first[i]`: access `i` is the first of the transaction to touch
+    /// its object (set by [`TxSlab::commit`]; positional, so a restart
+    /// replays it unchanged).
+    first: Vec<bool>,
+    /// Locks taken in the current pass: the first touches among the
+    /// accesses granted so far (at commit, the distinct objects).
+    pub lock_count: usize,
     /// Submitting user (closed workloads; [`crate::model::OPEN_USER`]
     /// for open arrivals).
     pub user: usize,
@@ -129,7 +140,8 @@ impl ActiveTx {
             serial: 0,
             tx: Transaction::empty(),
             pos: 0,
-            locked: Vec::new(),
+            first: Vec::new(),
+            lock_count: 0,
             user: 0,
             submitted: SimTime::ZERO,
             measured: false,
@@ -148,17 +160,13 @@ impl ActiveTx {
         &self.tx.accesses[self.pos]
     }
 
-    /// Records `oid` as locked; true iff it was not already held
-    /// (first touch ⇒ GETLOCK time is charged).
+    /// Records the current access's lock; true iff it is the first
+    /// touch of its object (GETLOCK time is charged).
     #[inline]
-    pub fn lock(&mut self, oid: Oid) -> bool {
-        match self.locked.binary_search(&oid) {
-            Ok(_) => false,
-            Err(at) => {
-                self.locked.insert(at, oid);
-                true
-            }
-        }
+    pub fn lock(&mut self) -> bool {
+        let first = self.first[self.pos];
+        self.lock_count += usize::from(first);
+        first
     }
 }
 
@@ -168,6 +176,11 @@ pub(crate) struct TxSlab {
     free: Vec<Tid>,
     live: usize,
     high_water: usize,
+    /// Epoch-stamped touch marks (`touched[oid] == epoch` ⇔ the
+    /// transaction being committed touched `oid` earlier); grown to the
+    /// largest oid seen, 4 bytes per object.
+    touched: Vec<u32>,
+    epoch: u32,
 }
 
 impl TxSlab {
@@ -177,6 +190,8 @@ impl TxSlab {
             free: Vec::new(),
             live: 0,
             high_water: 0,
+            touched: Vec::new(),
+            epoch: 0,
         }
     }
 
@@ -229,7 +244,8 @@ impl TxSlab {
         &mut self.slots[tid].tx
     }
 
-    /// Marks an acquired slot live.
+    /// Marks an acquired slot live, and its accesses that first touch
+    /// their object.
     pub fn commit(
         &mut self,
         tid: Tid,
@@ -238,12 +254,27 @@ impl TxSlab {
         submitted: SimTime,
         measured: bool,
     ) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.touched.fill(0);
+            self.epoch = 1;
+        }
         let slot = &mut self.slots[tid];
         debug_assert!(!slot.in_use, "slot double-commit");
+        slot.first.clear();
+        for access in &slot.tx.accesses {
+            let oid = access.oid as usize;
+            if oid >= self.touched.len() {
+                self.touched.resize(oid + 1, 0);
+            }
+            let stamp = &mut self.touched[oid];
+            slot.first.push(*stamp != self.epoch);
+            *stamp = self.epoch;
+        }
         slot.in_use = true;
         slot.serial = serial;
         slot.pos = 0;
-        slot.locked.clear();
+        slot.lock_count = 0;
         slot.user = user;
         slot.submitted = submitted;
         slot.measured = measured;
@@ -284,7 +315,6 @@ impl TxSlab {
         debug_assert!(slot.in_use, "double release of tid {tid}");
         slot.in_use = false;
         slot.tx.accesses.clear();
-        slot.locked.clear();
         slot.pending_io = None;
         self.free.push(tid);
         self.live -= 1;
@@ -304,14 +334,22 @@ impl TxSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ocb::Oid;
 
     fn spawn(slab: &mut TxSlab, serial: usize) -> Tid {
+        spawn_with(slab, serial, &[serial as Oid])
+    }
+
+    /// Commits a transaction accessing `oids` in order.
+    fn spawn_with(slab: &mut TxSlab, serial: usize, oids: &[Oid]) -> Tid {
         let tid = slab.acquire();
-        slab.tx_buf_mut(tid).accesses.push(ocb::Access {
-            oid: serial as u32,
-            parent: None,
-            write: false,
-        });
+        slab.tx_buf_mut(tid)
+            .accesses
+            .extend(oids.iter().map(|&oid| ocb::Access {
+                oid,
+                parent: None,
+                write: false,
+            }));
         slab.commit(tid, serial, 0, SimTime::ZERO, true);
         tid
     }
@@ -340,18 +378,134 @@ mod tests {
     #[test]
     fn recycled_slot_buffers_are_cleared_but_keep_capacity() {
         let mut slab = TxSlab::new();
-        let a = spawn(&mut slab, 0);
-        slab.get_mut(a).lock(7);
-        slab.get_mut(a).lock(3);
-        assert_eq!(slab.get(a).locked, vec![3, 7]);
-        assert!(!slab.get_mut(a).lock(7), "relock is not a first touch");
+        let a = spawn_with(&mut slab, 0, &[7, 3, 7]);
+        let t = slab.get_mut(a);
+        assert!(t.lock(), "first touch of 7");
+        t.pos = 1;
+        assert!(t.lock(), "first touch of 3");
+        t.pos = 2;
+        assert!(!t.lock(), "relock is not a first touch");
+        assert_eq!(t.lock_count, 2);
         let cap = slab.get(a).tx.accesses.capacity();
+        let first_cap = slab.get(a).first.capacity();
         slab.release(a);
-        let b = spawn(&mut slab, 1);
+        let b = spawn_with(&mut slab, 1, &[7]);
         assert_eq!(b, a);
-        assert!(slab.get(b).locked.is_empty());
+        assert_eq!(slab.get(b).lock_count, 0);
+        assert_eq!(slab.get(b).first, vec![true], "marks are per transaction");
         assert_eq!(slab.get(b).tx.accesses.len(), 1);
         assert!(slab.get(b).tx.accesses.capacity() >= cap);
+        assert!(slab.get(b).first.capacity() >= first_cap);
+    }
+
+    /// The sorted lock set the positional flags replace: `lock` is true
+    /// iff `oid` was not held yet.
+    #[derive(Default)]
+    struct SortedLockSet {
+        locked: Vec<Oid>,
+    }
+
+    impl SortedLockSet {
+        fn lock(&mut self, oid: Oid) -> bool {
+            match self.locked.binary_search(&oid) {
+                Ok(_) => false,
+                Err(at) => {
+                    self.locked.insert(at, oid);
+                    true
+                }
+            }
+        }
+    }
+
+    /// Runs `tid` as the model does, restarting once after `restart_at`
+    /// granted accesses, and checks every `lock` answer and the commit
+    /// count against the sorted set.
+    fn check_against_sorted_set(slab: &mut TxSlab, tid: Tid, restart_at: usize) {
+        let oids: Vec<Oid> = slab.get(tid).tx.accesses.iter().map(|a| a.oid).collect();
+        let mut reference = SortedLockSet::default();
+        let t = slab.get_mut(tid);
+        for (pos, &oid) in oids.iter().enumerate().take(restart_at) {
+            t.pos = pos;
+            assert_eq!(t.lock(), reference.lock(oid), "access {pos}");
+        }
+        // Restart: the model resets the position and the count only.
+        t.pos = 0;
+        t.lock_count = 0;
+        reference.locked.clear();
+        for (pos, &oid) in oids.iter().enumerate() {
+            t.pos = pos;
+            assert_eq!(t.lock(), reference.lock(oid), "access {pos} after restart");
+        }
+        let mut distinct = oids.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(t.lock_count, distinct.len());
+        assert_eq!(t.lock_count, reference.locked.len());
+    }
+
+    #[test]
+    fn first_touch_flags_match_the_sorted_lock_set() {
+        let base = ocb::ObjectBase::generate(&ocb::DatabaseParams::small(), 5);
+        let params = ocb::WorkloadParams {
+            p_set: 0.0,
+            p_simple: 0.5,
+            p_hierarchy: 0.0,
+            p_stochastic: 0.5,
+            ..ocb::WorkloadParams::default()
+        };
+        let mut generator = ocb::WorkloadGenerator::new(&base, params, 11);
+        let mut slab = TxSlab::new();
+        let mut repeats = 0;
+        for serial in 0..200 {
+            let tid = slab.acquire();
+            generator.next_transaction_into(slab.tx_buf_mut(tid));
+            slab.commit(tid, serial, 0, SimTime::ZERO, true);
+            let t = slab.get(tid);
+            repeats += t.first.iter().filter(|&&first| !first).count();
+            let restart_at = t.tx.accesses.len() / 2;
+            check_against_sorted_set(&mut slab, tid, restart_at);
+            // Keep a few slots live so transactions interleave on the
+            // shared table.
+            if serial % 3 != 0 {
+                slab.release(tid);
+            }
+        }
+        assert!(repeats > 0, "the traversals must revisit objects");
+    }
+
+    #[test]
+    fn first_touch_flags_handle_hand_built_duplicates() {
+        let mut slab = TxSlab::new();
+        for (serial, oids) in [
+            &[4, 4, 4][..],
+            &[9, 1, 9, 1, 2, 9],
+            &[0],
+            &[3, 2, 1, 0, 0, 1, 2, 3],
+            &[1000, 5, 1000],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let tid = spawn_with(&mut slab, serial, oids);
+            for restart_at in 0..=oids.len() {
+                check_against_sorted_set(&mut slab, tid, restart_at);
+            }
+            slab.release(tid);
+        }
+    }
+
+    #[test]
+    fn epoch_wrap_clears_the_touch_table() {
+        let mut slab = TxSlab::new();
+        let a = spawn_with(&mut slab, 0, &[2, 6]);
+        slab.release(a);
+        // The next commit wraps the epoch to 0: a stale stamp equal to
+        // the restarted epoch must not read as touched.
+        slab.epoch = u32::MAX;
+        slab.touched[6] = 1;
+        let b = spawn_with(&mut slab, 1, &[6, 2, 6]);
+        assert_eq!(slab.epoch, 1);
+        assert_eq!(slab.get(b).first, vec![true, true, false]);
     }
 
     #[test]
