@@ -11,6 +11,11 @@
 //!
 //! Objects never span pages (OCB objects are at most ~2 KB against 4 KB
 //! pages); an object larger than the page size is rejected at build time.
+//!
+//! A placement is three flat arrays, whatever the page count: the page of
+//! each object, every object in placement order, and where each page's
+//! run of that order starts. [`Placement::objects_in`] is a slice of the
+//! order.
 
 use ocb::{ObjectBase, Oid};
 
@@ -25,12 +30,17 @@ pub const SLOT_ENTRY_BYTES: u32 = 4;
 /// Identifier of a data page (dense, `0..page_count`).
 pub type PageId = u32;
 
-/// The physical placement of every object of a base.
+/// The physical placement of every object of a base, in compressed
+/// rows: the objects in placement order, and where each page's run of
+/// them starts.
 #[derive(Clone, Debug)]
 pub struct Placement {
     page_size: u32,
     page_of: Vec<PageId>,
-    pages: Vec<Vec<Oid>>,
+    /// Every object, page after page, in slot order.
+    order: Vec<Oid>,
+    /// Start of each page's objects in `order`, plus the end.
+    page_start: Vec<u32>,
 }
 
 impl Placement {
@@ -40,10 +50,7 @@ impl Placement {
     /// # Panics
     /// Panics if `order` is not a permutation of the base's OIDs, or if an
     /// object exceeds the page size.
-    pub fn from_order<I>(base: &ObjectBase, page_size: u32, order: I) -> Self
-    where
-        I: IntoIterator<Item = Oid>,
-    {
+    pub fn from_order(base: &ObjectBase, page_size: u32, order: Vec<Oid>) -> Self {
         assert!(
             page_size > PAGE_HEADER_BYTES + SLOT_ENTRY_BYTES,
             "page size must exceed the page header"
@@ -51,11 +58,9 @@ impl Placement {
         let capacity = page_size - PAGE_HEADER_BYTES;
         let n = base.len();
         let mut page_of = vec![u32::MAX; n];
-        let mut pages: Vec<Vec<Oid>> = Vec::new();
-        let mut current: Vec<Oid> = Vec::new();
+        let mut page_start = vec![0];
         let mut used = 0u32;
-        let mut placed = 0usize;
-        for oid in order {
+        for (at, &oid) in (0u32..).zip(&order) {
             let size = base.object(oid).size + SLOT_ENTRY_BYTES;
             assert!(
                 size <= capacity,
@@ -66,23 +71,22 @@ impl Placement {
                 page_of[oid as usize] == u32::MAX,
                 "oid {oid} appears twice in the placement order"
             );
-            if used + size > capacity && !current.is_empty() {
-                pages.push(std::mem::take(&mut current));
+            if used + size > capacity && at > 0 {
+                page_start.push(at);
                 used = 0;
             }
-            page_of[oid as usize] = pages.len() as PageId;
-            current.push(oid);
+            page_of[oid as usize] = (page_start.len() - 1) as PageId;
             used += size;
-            placed += 1;
         }
-        if !current.is_empty() {
-            pages.push(current);
+        assert_eq!(order.len(), n, "placement order must cover every object");
+        if n > 0 {
+            page_start.push(n as u32);
         }
-        assert_eq!(placed, n, "placement order must cover every object");
         Placement {
             page_size,
             page_of,
-            pages,
+            order,
+            page_start,
         }
     }
 
@@ -94,7 +98,7 @@ impl Placement {
 
     /// Number of data pages.
     pub fn page_count(&self) -> u32 {
-        self.pages.len() as u32
+        (self.page_start.len() - 1) as u32
     }
 
     /// Page size in bytes.
@@ -104,7 +108,13 @@ impl Placement {
 
     /// Objects stored in `page`, in slot order.
     pub fn objects_in(&self, page: PageId) -> &[Oid] {
-        &self.pages[page as usize]
+        let page = page as usize;
+        &self.order[self.page_start[page] as usize..self.page_start[page + 1] as usize]
+    }
+
+    /// The page of every object, by OID.
+    pub fn page_map(&self) -> &[PageId] {
+        &self.page_of
     }
 
     /// Number of objects placed.
@@ -120,7 +130,7 @@ impl Placement {
     /// Bytes used in `page`.
     #[cfg(test)]
     pub fn page_bytes(&self, base: &ObjectBase, page: PageId) -> u32 {
-        self.pages[page as usize]
+        self.objects_in(page)
             .iter()
             .map(|&oid| base.object(oid).size)
             .sum()
@@ -129,13 +139,13 @@ impl Placement {
     /// Mean page fill factor in `[0, 1]`.
     #[cfg(test)]
     pub fn fill_factor(&self, base: &ObjectBase) -> f64 {
-        if self.pages.is_empty() {
+        if self.page_count() == 0 {
             return 0.0;
         }
         let used: u64 = (0..self.page_count())
             .map(|p| self.page_bytes(base, p) as u64)
             .sum();
-        used as f64 / (self.pages.len() as u64 * self.page_size as u64) as f64
+        used as f64 / (u64::from(self.page_count()) * self.page_size as u64) as f64
     }
 }
 
@@ -160,7 +170,7 @@ impl InitialPlacement {
     pub fn build(self, base: &ObjectBase, page_size: u32) -> Placement {
         match self {
             InitialPlacement::Sequential => {
-                Placement::from_order(base, page_size, 0..base.len() as Oid)
+                Placement::from_order(base, page_size, (0..base.len() as Oid).collect())
             }
             InitialPlacement::OptimizedSequential => {
                 let mut order = Vec::with_capacity(base.len());

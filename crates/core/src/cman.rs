@@ -77,19 +77,9 @@ impl ClusteringManager {
             return SimReorgReport::default();
         }
 
-        // First-occurrence dedup of members.
-        let mut seen = vec![false; base.len()];
-        let mut moved: Vec<Oid> = Vec::new();
-        for cluster in &outcome.clusters {
-            for &oid in cluster {
-                if !seen[oid as usize] {
-                    seen[oid as usize] = true;
-                    moved.push(oid);
-                }
-            }
-        }
-
-        let (source_pages, new_pages) = oman.relocate(base, &moved);
+        // Members move with their first occurrence.
+        let (source_pages, new_pages, moved) =
+            oman.relocate(base, outcome.clusters.iter().flatten().copied());
 
         let mut duration = 0.0;
         // Read source pages *through the buffer*: resident pages are free;
@@ -109,7 +99,7 @@ impl ClusteringManager {
             duration_ms: duration,
             cluster_count: outcome.cluster_count(),
             mean_cluster_size: outcome.mean_cluster_size(),
-            moved_objects: moved.len() as u64,
+            moved_objects: moved as u64,
         }
     }
 }

@@ -11,23 +11,66 @@
 //! source object within the target class. This gives the reference graph
 //! the locality real object bases exhibit — and gives clustering
 //! algorithms something to discover.
+//!
+//! The base stores the graph in compressed rows: every object's targets
+//! back to back in one array, with one offset per object
+//! ([`ObjectBase::refs`]). Its transpose
+//! ([`ObjectBase::referrers`]) is built the same way, once per base, on
+//! first use.
 
 use crate::params::{DatabaseParams, Selection};
 use crate::schema::{ClassId, RefType, Schema};
 use desp::{RandomStream, Zipf};
+use std::sync::OnceLock;
 
 /// Logical object identifier (dense, `0..NO`).
 pub type Oid = u32;
 
-/// One object of the base.
+/// One object of the base. Its references live in the base's rows
+/// ([`ObjectBase::refs`]).
 #[derive(Clone, Debug)]
 pub struct Object {
     /// The class this object instantiates.
     pub class: ClassId,
     /// Object size in bytes (the class's instance size).
     pub size: u32,
-    /// Reference targets, aligned with the class's [`crate::schema::ClassRef`]s.
-    pub refs: Box<[Oid]>,
+}
+
+/// Compressed rows: row `i` is `items[start[i]..start[i + 1]]`.
+#[derive(Clone, Debug)]
+struct Rows {
+    start: Vec<u32>,
+    items: Vec<Oid>,
+}
+
+impl Rows {
+    #[inline]
+    fn row(&self, i: Oid) -> &[Oid] {
+        let i = i as usize;
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// The transpose of `self` over `n` columns: row `t` lists every `i`
+    /// with `t` in row `i`, in increasing `i`, once per occurrence.
+    fn transpose(&self, n: usize) -> Rows {
+        let mut start = vec![0u32; n + 1];
+        for &t in &self.items {
+            start[t as usize + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut items = vec![0; self.items.len()];
+        for (i, pair) in (0..).zip(self.start.windows(2)) {
+            for &t in &self.items[pair[0] as usize..pair[1] as usize] {
+                let at = &mut next[t as usize];
+                items[*at as usize] = i;
+                *at += 1;
+            }
+        }
+        Rows { start, items }
+    }
 }
 
 /// A fully generated OCB object base: schema + instances + references.
@@ -35,6 +78,10 @@ pub struct Object {
 pub struct ObjectBase {
     schema: Schema,
     objects: Vec<Object>,
+    /// Reference targets by object, aligned with the class references.
+    refs: Rows,
+    /// Referrers by object: the transpose of `refs`, built on first use.
+    referrers: OnceLock<Rows>,
     by_class: Vec<Vec<Oid>>,
 }
 
@@ -94,10 +141,15 @@ impl ObjectBase {
         }
 
         let mut objects = Vec::with_capacity(no);
+        let total_refs = class_of.iter().map(|&c| schema.class(c).refs.len()).sum();
+        let mut refs = Rows {
+            start: Vec::with_capacity(no + 1),
+            items: Vec::with_capacity(total_refs),
+        };
+        refs.start.push(0);
         for oid in 0..no {
             let class_id = class_of[oid];
             let class = schema.class(class_id);
-            let mut refs = Vec::with_capacity(class.refs.len());
             for cref in &class.refs {
                 let targets = &by_class[cref.target as usize];
                 let target = pick_target(
@@ -109,18 +161,22 @@ impl ObjectBase {
                     ref_zipf.as_ref(),
                     &mut stream,
                 );
-                refs.push(target);
+                refs.items.push(target);
             }
+            refs.start.push(
+                u32::try_from(refs.items.len()).expect("at most u32::MAX references in a base"),
+            );
             objects.push(Object {
                 class: class_id,
                 size: class.instance_size,
-                refs: refs.into_boxed_slice(),
             });
         }
 
         ObjectBase {
             schema,
             objects,
+            refs,
+            referrers: OnceLock::new(),
             by_class,
         }
     }
@@ -148,6 +204,29 @@ impl ObjectBase {
         &self.objects[oid as usize]
     }
 
+    /// Reference targets of `oid`, aligned with its class's
+    /// [`crate::schema::ClassRef`]s.
+    ///
+    /// # Panics
+    /// Panics if `oid` is out of range.
+    #[inline]
+    pub fn refs(&self, oid: Oid) -> &[Oid] {
+        self.refs.row(oid)
+    }
+
+    /// Objects referencing `oid`, in increasing OID order, once per
+    /// reference (an object referencing `oid` twice is listed twice).
+    /// The reverse rows are built on the first call, for every object at
+    /// once, and kept with the base.
+    ///
+    /// # Panics
+    /// Panics if `oid` is out of range.
+    pub fn referrers(&self, oid: Oid) -> &[Oid] {
+        self.referrers
+            .get_or_init(|| self.refs.transpose(self.objects.len()))
+            .row(oid)
+    }
+
     /// Instances of a class, in generation rank order.
     pub fn class_instances(&self, class: ClassId) -> &[Oid] {
         &self.by_class[class as usize]
@@ -160,12 +239,11 @@ impl ObjectBase {
 
     /// References of `oid` restricted to one reference type.
     pub fn refs_of_type(&self, oid: Oid, rtype: RefType) -> impl Iterator<Item = Oid> + '_ {
-        let object = self.object(oid);
-        let class = self.schema.class(object.class);
+        let class = self.schema.class(self.object(oid).class);
         class
             .refs
             .iter()
-            .zip(object.refs.iter())
+            .zip(self.refs(oid))
             .filter(move |(cref, _)| cref.rtype == rtype)
             .map(|(_, &target)| target)
     }
@@ -245,8 +323,8 @@ mod tests {
         let base = small_base(4);
         for (oid, object) in base.iter() {
             let class = base.schema().class(object.class);
-            assert_eq!(object.refs.len(), class.refs.len());
-            for (cref, &target) in class.refs.iter().zip(object.refs.iter()) {
+            assert_eq!(base.refs(oid).len(), class.refs.len());
+            for (cref, &target) in class.refs.iter().zip(base.refs(oid)) {
                 assert!((target as usize) < base.len());
                 assert_eq!(
                     base.object(target).class,
@@ -262,8 +340,8 @@ mod tests {
         let base = small_base(5);
         let mut self_loops = 0usize;
         let mut total = 0usize;
-        for (oid, object) in base.iter() {
-            for &target in object.refs.iter() {
+        for (oid, _) in base.iter() {
+            for &target in base.refs(oid) {
                 total += 1;
                 if target == oid {
                     self_loops += 1;
@@ -292,15 +370,15 @@ mod tests {
     fn generation_is_deterministic() {
         let a = small_base(7);
         let b = small_base(7);
-        for ((_, oa), (_, ob)) in a.iter().zip(b.iter()) {
+        for ((oid, oa), (_, ob)) in a.iter().zip(b.iter()) {
             assert_eq!(oa.class, ob.class);
-            assert_eq!(oa.refs, ob.refs);
+            assert_eq!(a.refs(oid), b.refs(oid));
         }
         let c = small_base(8);
         let differs = a
             .iter()
             .zip(c.iter())
-            .any(|((_, oa), (_, oc))| oa.class != oc.class || oa.refs != oc.refs);
+            .any(|((oid, oa), (_, oc))| oa.class != oc.class || a.refs(oid) != c.refs(oid));
         assert!(differs, "different seeds should give different bases");
     }
 
@@ -313,7 +391,7 @@ mod tests {
                 let expected: Vec<Oid> = class
                     .refs
                     .iter()
-                    .zip(object.refs.iter())
+                    .zip(base.refs(oid))
                     .filter(|(cref, _)| cref.rtype == rtype)
                     .map(|(_, &t)| t)
                     .collect();

@@ -11,7 +11,11 @@
 //! * [`DatabaseParams`] / [`WorkloadParams`] — the tunable OCB parameter
 //!   set (Table 5 of the VOODB paper supplies the validation defaults);
 //! * [`Schema`] / [`ObjectBase`] — deterministic generation of the class
-//!   graph and the object/reference graph from a seed;
+//!   graph and the object/reference graph from a seed. The references
+//!   live in the base, not in each [`Object`]: one array of targets in
+//!   compressed rows ([`ObjectBase::refs`]), and its transpose
+//!   ([`ObjectBase::referrers`]), built once per base on first use, so a
+//!   run that never asks for referrers never pays for them;
 //! * [`WorkloadGenerator`] — a reproducible stream of [`Transaction`]s
 //!   mixing the four OCB access patterns (set-oriented access, simple
 //!   traversal, hierarchy traversal, stochastic traversal);

@@ -142,7 +142,7 @@ pub(crate) fn set_oriented_into(
     for _ in 0..depth {
         scratch.next.clear();
         for &oid in &frontier {
-            for &target in base.object(oid).refs.iter() {
+            for &target in base.refs(oid) {
                 if scratch.visit(target) {
                     scratch.steps.push((target, Some(oid)));
                     scratch.next.push(target);
@@ -188,10 +188,9 @@ pub(crate) fn simple_traversal_into(
             break;
         }
         if remaining > 0 {
-            let object = base.object(oid);
             // Push in reverse so references are visited in declaration
             // order (stack is LIFO).
-            for &target in object.refs.iter().rev() {
+            for &target in base.refs(oid).iter().rev() {
                 stack.push((target, Some(oid), remaining - 1));
             }
         }
@@ -265,7 +264,7 @@ pub(crate) fn stochastic_traversal_into(
     let mut current = root;
     scratch.steps.push((current, None));
     for _ in 0..depth {
-        let refs = &base.object(current).refs;
+        let refs = base.refs(current);
         if refs.is_empty() {
             break;
         }
@@ -496,7 +495,7 @@ mod tests {
             for &(oid, parent) in &steps[1..] {
                 let parent = parent.expect("non-root step has a parent");
                 assert!(
-                    base.object(parent).refs.contains(&oid),
+                    base.refs(parent).contains(&oid),
                     "{parent} does not reference {oid}"
                 );
             }
@@ -539,7 +538,7 @@ mod tests {
         // Each consecutive pair is connected by a reference.
         for w in oids.windows(2) {
             assert!(
-                base.object(w[0]).refs.contains(&w[1]),
+                base.refs(w[0]).contains(&w[1]),
                 "walk step {w:?} not a reference"
             );
         }

@@ -26,8 +26,56 @@ fn arb_db() -> impl Strategy<Value = DatabaseParams> {
     )
 }
 
+/// `(from, to)` reference pairs.
+type Pairs = Vec<(Oid, Oid)>;
+
+/// Every `(from, to)` reference pair of `base`, read from `refs` or,
+/// transposed back, from `referrers`, sorted.
+fn reference_pairs(base: &ObjectBase) -> (Pairs, Pairs) {
+    let mut forward = Vec::new();
+    let mut reverse = Vec::new();
+    for (oid, _) in base.iter() {
+        forward.extend(base.refs(oid).iter().map(|&to| (oid, to)));
+        let referrers = base.referrers(oid);
+        assert!(
+            referrers.windows(2).all(|w| w[0] <= w[1]),
+            "referrers of {oid} are not in OID order"
+        );
+        reverse.extend(referrers.iter().map(|&from| (from, oid)));
+    }
+    forward.sort_unstable();
+    reverse.sort_unstable();
+    (forward, reverse)
+}
+
+#[test]
+fn referrers_are_the_transpose_of_refs() {
+    for (params, seeds) in [
+        (DatabaseParams::small(), 0..6u64),
+        (DatabaseParams::default(), 40..42),
+    ] {
+        for seed in seeds {
+            let base = ObjectBase::generate(&params, seed);
+            let (forward, reverse) = reference_pairs(&base);
+            assert!(!forward.is_empty());
+            assert_eq!(
+                forward, reverse,
+                "{} objects, seed {seed}: the reverse rows are not the transpose",
+                params.objects
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn referrers_transpose_refs_on_any_base(db in arb_db(), seed in any::<u64>()) {
+        let base = ObjectBase::generate(&db, seed);
+        let (forward, reverse) = reference_pairs(&base);
+        prop_assert_eq!(forward, reverse);
+    }
 
     #[test]
     fn generation_is_total_and_consistent(db in arb_db(), seed in any::<u64>()) {
@@ -35,12 +83,12 @@ proptest! {
         prop_assert_eq!(base.len(), db.objects);
         prop_assert_eq!(base.schema().len(), db.classes);
         // Sizes respect both the configured range and the physical floor.
-        for (_, object) in base.iter() {
+        for (oid, object) in base.iter() {
             prop_assert!(object.size >= db.base_size.min(ocb::OBJECT_HEADER_BYTES));
             prop_assert!(
                 object.size
                     >= ocb::OBJECT_HEADER_BYTES
-                        + ocb::BYTES_PER_REF * object.refs.len() as u32
+                        + ocb::BYTES_PER_REF * base.refs(oid).len() as u32
             );
         }
     }

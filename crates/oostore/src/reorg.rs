@@ -25,12 +25,14 @@
 //! written while the reorganisation runs. Texas's patch scan reads every
 //! old page and writes back a page exactly when an unmoved object on it
 //! references a moved object (`ReorgPlan::stale_pages`, over the root
-//! map before the move). The byte edits — tombstones, cluster pages and,
-//! for physical OIDs, the reference patches — are logged on the disk as
-//! one `Reorganisation` and applied by `Reorganisation::apply` when
-//! the page image is rendered, or at once if it already is. That replay
-//! decodes every reference of every old page and asserts that the pages
-//! it patched are the pages the counted scan wrote.
+//! map before the move), which visits only the moved objects' referrers
+//! (`ObjectBase::referrers`), not the whole base. The byte edits —
+//! tombstones, cluster pages and, for physical OIDs, the reference
+//! patches — are logged on the disk as one `Reorganisation` and applied
+//! by `Reorganisation::apply` when the page image is rendered, or at
+//! once if it already is. That replay decodes every reference of every
+//! old page and asserts that the pages it patched are the pages the
+//! counted scan wrote.
 
 use crate::disk::{Image, VirtualDisk};
 use crate::engine::StorageEngine;
@@ -158,15 +160,31 @@ impl ReorgPlan {
 
     /// The pages of the physical-OID patch scan, by old page: `true` where
     /// an unmoved object (located by `phys_of`, the map before the move)
-    /// references a moved one.
+    /// references a moved one. Only the referrers of moved objects are
+    /// visited.
     pub(crate) fn stale_pages(&self, base: &ObjectBase, phys_of: &[PhysicalOid]) -> Vec<bool> {
         let mut stale = vec![false; self.first_page as usize];
-        for (((_, object), &phys), new) in base.iter().zip(phys_of).zip(&self.new_of) {
+        for &moved in &self.order {
+            for &referrer in base.referrers(moved) {
+                if self.new_of[referrer as usize].is_none() {
+                    stale[phys_of[referrer as usize].page as usize] = true;
+                }
+            }
+        }
+        stale
+    }
+
+    /// [`ReorgPlan::stale_pages`] by the walk it replaced: every object
+    /// of the base and all its references.
+    #[cfg(test)]
+    fn stale_pages_by_scan(&self, base: &ObjectBase, phys_of: &[PhysicalOid]) -> Vec<bool> {
+        let mut stale = vec![false; self.first_page as usize];
+        for ((oid, &phys), new) in (0..).zip(phys_of).zip(&self.new_of) {
             let page = phys.page as usize;
             if new.is_none()
                 && !stale[page]
-                && object
-                    .refs
+                && base
+                    .refs(oid)
                     .iter()
                     .any(|&t| self.new_of[t as usize].is_some())
             {
@@ -281,7 +299,7 @@ impl Reorganisation {
             let mut slotted = reserve_page(base, members, plan.page_size);
             for &oid in members {
                 let object = base.object(oid);
-                let refs = object.refs.iter().map(|&t| locations[t as usize]);
+                let refs = base.refs(oid).iter().map(|&t| locations[t as usize]);
                 let slot = insert_object(&mut slotted, oid, object.size, refs);
                 let new = plan.new_of[oid as usize].expect("a member moves");
                 debug_assert_eq!(slot, new.slot);
@@ -293,6 +311,12 @@ impl Reorganisation {
         if self.oids == Oids::Physical {
             let relocation = plan.relocation();
             let counted = plan.stale_pages(base, &self.roots);
+            #[cfg(test)]
+            assert_eq!(
+                counted,
+                plan.stale_pages_by_scan(base, &self.roots),
+                "the referrer walk and the full-base walk differ"
+            );
             for (page, counted) in (0..).zip(counted) {
                 let Some(slotted) = image.page_mut(page) else {
                     continue; // a held page stores no object
@@ -478,7 +502,7 @@ mod tests {
 
         // Every stored reference must point at a live slot holding the
         // right logical object.
-        for (oid, object) in base.iter() {
+        for (oid, _) in base.iter() {
             let phys = engine.physical_oid(oid);
             let payload = engine
                 .disk_ref()
@@ -487,7 +511,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("object {oid} lost its slot"));
             assert_eq!(crate::storage::payload_oid(payload), oid);
             let refs = crate::storage::payload_refs(payload);
-            for (stored, &logical) in refs.zip(object.refs.iter()) {
+            for (stored, &logical) in refs.zip(base.refs(oid)) {
                 let target_payload = engine
                     .disk_ref()
                     .peek(stored.page)
@@ -755,7 +779,11 @@ mod tests {
     fn rendered_patches_are_the_counted_patch_scan() {
         // Rendering replays each reorganisation's reference patches and
         // asserts that they change exactly the pages the counted scan
-        // wrote back; two reorganisations also patch appended pages.
+        // wrote back, and (in tests) that the counted scan, a walk of the
+        // moved objects' referrers, marks the pages a walk of the whole
+        // base marks, whether the edits apply as they are logged or
+        // replay at the first peek; two reorganisations also patch
+        // appended pages.
         let base = ObjectBase::generate(
             &DatabaseParams {
                 objects: 2_000,

@@ -73,7 +73,7 @@ fn stored_len(nrefs: usize) -> u32 {
 pub(crate) fn reserve_page(base: &ObjectBase, members: &[Oid], page_size: u32) -> SlottedPage {
     let stored: u32 = members
         .iter()
-        .map(|&oid| stored_len(base.object(oid).refs.len()))
+        .map(|&oid| stored_len(base.refs(oid).len()))
         .sum();
     SlottedPage::with_capacity(page_size, members.len(), stored as usize)
 }
@@ -170,7 +170,10 @@ pub fn serialize_pages(
         let mut slotted = reserve_page(base, members, placement.page_size());
         for &oid in members {
             let object = base.object(oid);
-            let refs = object.refs.iter().map(|&target| phys_of[target as usize]);
+            let refs = base
+                .refs(oid)
+                .iter()
+                .map(|&target| phys_of[target as usize]);
             let slot = insert_object(&mut slotted, oid, object.size, refs);
             debug_assert_eq!(slot, phys_of[oid as usize].slot);
         }
@@ -256,12 +259,12 @@ mod tests {
         let (base, placement) = setup();
         let phys_of = assign_physical_oids(&base, &placement);
         let pages = serialize_pages(&base, &placement, &phys_of);
-        for (oid, object) in base.iter().take(100) {
+        for (oid, _) in base.iter().take(100) {
             let phys = phys_of[oid as usize];
             let payload = pages[phys.page as usize].get(phys.slot).unwrap();
             let refs = payload_refs(payload);
-            assert_eq!(refs.len(), object.refs.len());
-            for (stored, &logical_target) in refs.zip(object.refs.iter()) {
+            assert_eq!(refs.len(), base.refs(oid).len());
+            for (stored, &logical_target) in refs.zip(base.refs(oid)) {
                 assert_eq!(stored, phys_of[logical_target as usize]);
                 // Follow the stored reference: the payload there must carry
                 // the target's logical OID.

@@ -28,12 +28,12 @@ proptest! {
     fn object_base_is_well_formed(db in arbitrary_db(), seed in 0u64..1000) {
         let base = ObjectBase::generate(&db, seed);
         prop_assert_eq!(base.len(), db.objects);
-        for (_, object) in base.iter() {
+        for (oid, object) in base.iter() {
             prop_assert!((object.class as usize) < db.classes);
             // References all resolve and point at the declared class.
             let class = base.schema().class(object.class);
-            prop_assert_eq!(object.refs.len(), class.refs.len());
-            for (cref, &target) in class.refs.iter().zip(object.refs.iter()) {
+            prop_assert_eq!(base.refs(oid).len(), class.refs.len());
+            for (cref, &target) in class.refs.iter().zip(base.refs(oid)) {
                 prop_assert!((target as usize) < base.len());
                 prop_assert_eq!(base.object(target).class, cref.target);
             }
@@ -87,7 +87,7 @@ proptest! {
                 prop_assert!((access.oid as usize) < base.len());
                 if let Some(parent) = access.parent {
                     prop_assert!(
-                        base.object(parent).refs.contains(&access.oid),
+                        base.refs(parent).contains(&access.oid),
                         "parent {} does not reference {}", parent, access.oid
                     );
                 }
@@ -157,7 +157,7 @@ proptest! {
         let _ = engine.reorganize();
         // Every object remains reachable at its (possibly new) location
         // and all stored references resolve to the right logical objects.
-        for (oid, object) in base.iter() {
+        for (oid, _) in base.iter() {
             let phys = engine.physical_oid(oid);
             let payload = engine
                 .disk_ref()
@@ -166,8 +166,8 @@ proptest! {
                 .expect("slot must be live");
             prop_assert_eq!(oostore::payload_oid(payload), oid);
             let refs = oostore::payload_refs(payload);
-            prop_assert_eq!(refs.len(), object.refs.len());
-            for (stored, &logical) in refs.zip(object.refs.iter()) {
+            prop_assert_eq!(refs.len(), base.refs(oid).len());
+            for (stored, &logical) in refs.zip(base.refs(oid)) {
                 let target = engine
                     .disk_ref()
                     .peek(stored.page)
