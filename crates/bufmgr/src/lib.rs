@@ -4,8 +4,10 @@
 //! memory buffer; if not, it requests the page from the I/O Subsystem"
 //! (knowledge model, Fig. 4), using "a page replacement policy (FIFO, LRU,
 //! LFU, etc.)". Table 3 makes the policy a first-class parameter:
-//! `PGREP ∈ {RANDOM | FIFO | LFU | LRU-K | CLOCK | GCLOCK | Other}`, and a
-//! prefetching slot `PREFETCH ∈ {None | Other}`.
+//! `PGREP ∈ {RANDOM | FIFO | LFU | LRU-K | CLOCK | GCLOCK | Other}`.
+//! Table 3's prefetching slot `PREFETCH ∈ {None | Other}` stays at
+//! `None`, as in every run of the paper (§5 leaves prefetching to future
+//! work), so this crate has no prefetching policy.
 //!
 //! This crate implements that whole substrate:
 //!
@@ -13,8 +15,6 @@
 //!   returns its [`AccessOutcome`] and the caller does the counting;
 //! * [`PolicyKind`] — factory for every Table 3 replacement policy, each a
 //!   standalone module implementing [`ReplacementPolicy`];
-//! * [`PrefetchKind`] — the `None` policy the paper uses plus a sequential
-//!   read-ahead exercising the extension point.
 //! * [`DiskTimings`] and [`IoCounts`] — the Table 3/4 disk timings and
 //!   the page read/write counters behind a miss, one type each for the
 //!   model and the engines.
@@ -42,12 +42,10 @@ pub mod lru;
 pub mod lruk;
 pub mod policy;
 pub mod pool;
-pub mod prefetch;
 pub mod random;
 
 pub use policy::{PageId, PolicyKind, ReplacementPolicy};
 pub use pool::{AccessOutcome, BufferPool};
-pub use prefetch::{NoPrefetch, PrefetchKind, PrefetchPolicy, SequentialPrefetch};
 
 /// O2 server-buffer frames per MB of cache.
 ///

@@ -24,8 +24,7 @@ use clustering::PageId;
 /// What an access to the buffer implies for the I/O Subsystem.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BufferDemand {
-    /// Pages that must be read from disk (the missed page, promotions of
-    /// reserved pages, prefetches).
+    /// Pages that must be read from disk: the missed page, if any.
     pub reads: Vec<PageId>,
     /// Dirty pages that must be written back before their frame is reused.
     pub writes: Vec<PageId>,
@@ -51,17 +50,12 @@ pub struct BmanStats {
     pub swizzled: u64,
 }
 
-/// The two buffering modes.
-enum Mode {
-    Standard(BufferPool),
-    /// Texas object loading: LRU pool where every miss dirties the loaded
-    /// page (pointer swizzling).
-    Swizzling(BufferPool),
-}
-
 /// The Buffering Manager component.
 pub struct BufferingManager {
-    mode: Mode,
+    pool: BufferPool,
+    /// Texas object loading: every miss dirties the loaded page (pointer
+    /// swizzling).
+    swizzle: bool,
     stats: BmanStats,
 }
 
@@ -69,7 +63,8 @@ impl BufferingManager {
     /// Standard buffer under `policy` with `frames` frames.
     pub fn standard(frames: usize, policy: PolicyKind) -> Self {
         BufferingManager {
-            mode: Mode::Standard(BufferPool::new(frames, policy)),
+            pool: BufferPool::new(frames, policy),
+            swizzle: false,
             stats: BmanStats::default(),
         }
     }
@@ -79,7 +74,8 @@ impl BufferingManager {
     pub fn swizzling(frames: usize) -> Self {
         assert!(frames >= 2, "need at least two VM frames");
         BufferingManager {
-            mode: Mode::Swizzling(BufferPool::new(frames, PolicyKind::Lru)),
+            pool: BufferPool::new(frames, PolicyKind::Lru),
+            swizzle: true,
             stats: BmanStats::default(),
         }
     }
@@ -92,9 +88,7 @@ impl BufferingManager {
     /// Pages currently occupying frames.
     #[cfg(test)]
     pub fn occupied(&self) -> usize {
-        match &self.mode {
-            Mode::Standard(pool) | Mode::Swizzling(pool) => pool.resident_count(),
-        }
+        self.pool.resident_count()
     }
 
     /// Accesses `page` (`write` dirties it). In swizzling mode, a miss
@@ -116,11 +110,7 @@ impl BufferingManager {
         writes: &mut Vec<PageId>,
         reads: &mut Vec<PageId>,
     ) -> bool {
-        let swizzle = matches!(self.mode, Mode::Swizzling(_));
-        let pool = match &mut self.mode {
-            Mode::Standard(pool) | Mode::Swizzling(pool) => pool,
-        };
-        match pool.access(page, write) {
+        match self.pool.access(page, write) {
             AccessOutcome::Hit => {
                 self.stats.hits += 1;
                 true
@@ -131,8 +121,8 @@ impl BufferingManager {
                     writes.push(victim);
                 }
                 reads.push(page);
-                if swizzle {
-                    pool.mark_dirty(page);
+                if self.swizzle {
+                    self.pool.mark_dirty(page);
                     self.stats.swizzled += 1;
                 }
                 false
@@ -140,27 +130,10 @@ impl BufferingManager {
         }
     }
 
-    /// Stages `page` without hit/miss accounting (prefetch), appending
-    /// the demand as [`Self::access_into`] does: a read for the page
-    /// unless already present, plus its dirty write-back.
-    pub fn prefetch(&mut self, page: PageId, writes: &mut Vec<PageId>, reads: &mut Vec<PageId>) {
-        let pool = match &mut self.mode {
-            Mode::Standard(pool) | Mode::Swizzling(pool) => pool,
-        };
-        if !pool.contains(page) {
-            if let Some((victim, true)) = pool.prefetch(page) {
-                writes.push(victim);
-            }
-            reads.push(page);
-        }
-    }
-
     /// Empties the buffer (cold restart), returning the dirty pages that
     /// need write-backs.
     pub fn flush_all(&mut self) -> Vec<PageId> {
-        match &mut self.mode {
-            Mode::Standard(pool) | Mode::Swizzling(pool) => pool.flush_all(),
-        }
+        self.pool.flush_all()
     }
 }
 
@@ -234,16 +207,6 @@ mod tests {
         assert!(d.hit);
         assert_eq!(bman.stats().hits, 1);
         assert_eq!(bman.stats().swizzled, 1, "swizzle once, not per access");
-    }
-
-    #[test]
-    fn prefetch_loads_without_accounting() {
-        let mut bman = BufferingManager::standard(4, PolicyKind::Lru);
-        let (mut writes, mut reads) = (Vec::new(), Vec::new());
-        bman.prefetch(9, &mut writes, &mut reads);
-        assert_eq!((writes, reads), (vec![], vec![9]));
-        assert_eq!(bman.stats().misses, 0);
-        assert!(bman.access(9, false).hit);
     }
 
     #[test]

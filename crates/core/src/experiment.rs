@@ -203,25 +203,18 @@ impl ExperimentConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.system.validate()?;
         self.database.validate()?;
-        self.workload.validate()?;
-        // The workload checked its own `users`; the population that runs
-        // may be the system's NUSERS instead.
-        self.workload
-            .check_wake_run(self.effective_system().users)
-            .map_err(|e| e.to_string())
+        self.workload.validate()
     }
 
-    /// The system parameters with the user population reconciled: a
-    /// workload `users > 1` overrides the system's `NUSERS` (so sweeps
-    /// over `workload.users` — up to the million-user scenarios — drive
-    /// the closed population without touching the system table), while
-    /// the historical default of 1 leaves `system.users` in charge.
+    /// The system parameters with `NUSERS` taken from the workload:
+    /// `workload.users` is the one setting of the closed population (up
+    /// to the million-user scenarios); the system table's own `users`
+    /// is overwritten.
     pub fn effective_system(&self) -> VoodbParams {
-        let mut system = self.system.clone();
-        if self.workload.users > 1 {
-            system.users = self.workload.users;
+        VoodbParams {
+            users: self.workload.users,
+            ..self.system.clone()
         }
-        system
     }
 }
 

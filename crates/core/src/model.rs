@@ -29,7 +29,7 @@
 //! transactions it executes. Two arrival regimes ([`ocb::Arrival`])
 //! drive submissions: the paper's **closed** think-time loop (`NUSERS`
 //! users cycling think → submit → wait-for-commit) and **open** arrivals
-//! (Poisson or deterministic interarrival, independent of completions).
+//! (Poisson interarrivals, independent of completions).
 //! Phases terminate either on a transaction **count** or on a simulated
 //! **time horizon** with a warm-up window ([`PhaseMode`]).
 //!
@@ -132,7 +132,6 @@ use crate::results::PhaseResult;
 use crate::txslab::{Tid, TxSlab};
 use crate::wakes::{CohortClock, ExpoWakes};
 use bufmgr::IoCounts;
-use bufmgr::PrefetchPolicy;
 use desp::{
     key_time, time_key, Context, Model, Probe, QueueKind, RandomStream, Resource, SeriesId,
     SimTime, SpanPoint, SpanStage, Welford,
@@ -272,7 +271,6 @@ pub struct VoodbModel<'a> {
     bman: Vec<BufferingManager>,
     cman: ClusteringManager,
     iosub: Vec<IoSubsystem>,
-    prefetcher: Box<dyn PrefetchPolicy>,
     // ----- passive resources (Table 1) -----
     scheduler: Resource<Event>,
     cpu: Resource<Event>,
@@ -295,8 +293,11 @@ pub struct VoodbModel<'a> {
     /// Submitted-but-unadmitted users (cohort user model): the O(1)
     /// FIFO standing in for the MPL scheduler's per-event wait queue.
     ring: AdmissionRing,
-    /// The open half of the arrival process, resolved at phase load.
-    open_arrival: Option<OpenArrival>,
+    /// Mean interarrival time (ms) of the current phase's Poisson
+    /// arrivals, resolved at phase load. `None` means a closed phase,
+    /// whose `Arrive` loop is never started — the open-arrival draw
+    /// cannot observe a closed phase by construction.
+    open_mean_ms: Option<f64>,
     // ----- bookkeeping -----
     slab: TxSlab,
     next_serial: usize,
@@ -339,23 +340,6 @@ impl Default for SeriesIds {
     }
 }
 
-/// The open half of [`Arrival`], resolved once at phase load. `None`
-/// means a closed phase, whose `Arrive` loop is never started — the
-/// open-arrival draw cannot observe a closed phase by construction.
-#[derive(Clone, Copy, Debug)]
-enum OpenArrival {
-    /// Poisson arrivals with the given mean interarrival time.
-    Poisson {
-        /// Mean interarrival time, ms.
-        mean_ms: f64,
-    },
-    /// A deterministic arrival pulse.
-    Deterministic {
-        /// Fixed interarrival time, ms.
-        interarrival_ms: f64,
-    },
-}
-
 impl<'a> VoodbModel<'a> {
     /// Builds the model over `base` with the Table 3 parameters and the
     /// users' think time (OCB `THINKTIME`).
@@ -386,7 +370,6 @@ impl<'a> VoodbModel<'a> {
             .map(|i| Resource::new(format!("disk-{i}"), 1))
             .collect();
         let cman = ClusteringManager::new(&params.clustering);
-        let prefetcher = params.prefetch.build();
         VoodbModel {
             base,
             scheduler: Resource::new("scheduler", params.multiprogramming_level),
@@ -397,7 +380,6 @@ impl<'a> VoodbModel<'a> {
             cman,
             iosub,
             disks,
-            prefetcher,
             think_stream: RandomStream::new(seed ^ THINK_SEED_SALT),
             think_time_ms,
             user_model: UserModel::default(),
@@ -409,7 +391,7 @@ impl<'a> VoodbModel<'a> {
             user_total: params.users,
             clocks: vec![CohortClock::default()],
             ring: AdmissionRing::new(),
-            open_arrival: None,
+            open_mean_ms: None,
             params,
             source: Box::new(MaterializedSource::new(Vec::new())),
             exhausted: false,
@@ -686,16 +668,9 @@ impl<'a> VoodbModel<'a> {
         self.exhausted = false;
         self.mode = mode;
         self.arrival = arrival;
-        // Resolve the open half once: closed phases carry `None`, so
-        // the open-arrival draw has no closed case to reach.
-        self.open_arrival = match arrival {
+        self.open_mean_ms = match arrival {
             Arrival::Closed => None,
-            Arrival::Poisson { rate_per_sec } => Some(OpenArrival::Poisson {
-                mean_ms: 1000.0 / rate_per_sec,
-            }),
-            Arrival::Deterministic { interarrival_ms } => {
-                Some(OpenArrival::Deterministic { interarrival_ms })
-            }
+            Arrival::Poisson { rate_per_sec } => Some(1000.0 / rate_per_sec),
         };
         self.ring.clear();
         for clock in &mut self.clocks {
@@ -799,15 +774,6 @@ impl<'a> VoodbModel<'a> {
     /// cohorts are contiguous user ranges).
     fn cohort_of_user(&self, user: usize) -> usize {
         self.cohort_starts.partition_point(|&start| start <= user) - 1
-    }
-
-    /// Delay until the next open-system arrival. Draws from the users'
-    /// stream (the arrival process *is* the open Users sub-model).
-    fn open_delay(&mut self, open: OpenArrival) -> f64 {
-        match open {
-            OpenArrival::Poisson { mean_ms } => self.think_stream.expo(mean_ms),
-            OpenArrival::Deterministic { interarrival_ms } => interarrival_ms,
-        }
     }
 
     /// Users activity: pull the next transaction from the source into a
@@ -1023,21 +989,10 @@ impl<'a> VoodbModel<'a> {
         let (oid, write) = (t.current().oid, t.current().write);
         let page = self.oman.page_of(oid);
         // A single server site needs no division on the per-access path.
-        let site_of = |page: u32| if sites == 1 { 0 } else { page as usize % sites };
-        let site = site_of(page);
+        let site = if sites == 1 { 0 } else { page as usize % sites };
         t.io_writes.clear();
         t.io_reads.clear();
-        let hit = self.bman[site].access_into(page, write, &mut t.io_writes, &mut t.io_reads);
-        // Prefetching (Table 3 PREFETCH) on a miss.
-        if !hit {
-            let staged = self.prefetcher.after_miss(page, self.oman.page_count());
-            for p in staged {
-                if site_of(p) == site {
-                    self.bman[site].prefetch(p, &mut t.io_writes, &mut t.io_reads);
-                }
-            }
-        }
-        if t.io_writes.is_empty() && t.io_reads.is_empty() {
+        if self.bman[site].access_into(page, write, &mut t.io_writes, &mut t.io_reads) {
             return self.leave_storage(tid, ctx);
         }
         t.pending_io = Some(site);
@@ -1453,9 +1408,10 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                 network_utilization: ctx.intern_series("network_utilization"),
             };
         }
-        if let Some(open) = self.open_arrival {
-            let delay = self.open_delay(open);
-            ctx.schedule(delay, Event::Arrive);
+        if let Some(mean_ms) = self.open_mean_ms {
+            // The open-system arrivals draw from the users' stream (the
+            // arrival process *is* the open Users sub-model).
+            ctx.schedule(self.think_stream.expo(mean_ms), Event::Arrive);
         } else {
             match self.user_model {
                 UserModel::PerUser => {
@@ -1516,9 +1472,8 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                 // Open system: this arrival, then schedule the next one —
                 // independent of commits, bounded only by the source.
                 if self.spawn_transaction(OPEN_USER, ctx) {
-                    if let Some(open) = self.open_arrival {
-                        let delay = self.open_delay(open);
-                        ctx.schedule(delay, Event::Arrive);
+                    if let Some(mean_ms) = self.open_mean_ms {
+                        ctx.schedule(self.think_stream.expo(mean_ms), Event::Arrive);
                     }
                 }
             }
@@ -2034,24 +1989,6 @@ mod tests {
         // An open system's elapsed time is governed by the arrival
         // process: 60 arrivals at 5/s span roughly 12 simulated seconds.
         assert!(a.sim_elapsed_ms > 6_000.0, "got {}", a.sim_elapsed_ms);
-    }
-
-    #[test]
-    fn deterministic_arrivals_pace_the_run() {
-        let base = base();
-        let (result, _) = run_streamed(
-            &base,
-            small_params(),
-            lazy_source(&base, 20, 37),
-            PhaseMode::Count { cold: 0 },
-            Arrival::Deterministic {
-                interarrival_ms: 500.0,
-            },
-        );
-        assert_eq!(result.transactions, 20);
-        // First arrival at 500 ms, last at 10 s; the last commit lands at
-        // or after the last arrival.
-        assert!(result.sim_elapsed_ms >= 10_000.0 - 500.0 - 1e-9);
     }
 
     #[test]

@@ -41,6 +41,7 @@ impl ObjectManager {
     }
 
     /// Number of data pages.
+    #[cfg(test)]
     pub fn page_count(&self) -> u32 {
         self.page_count
     }

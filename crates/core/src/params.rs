@@ -6,7 +6,7 @@
 //! active resource carries its parameter group; the `SYSCLASS` parameter
 //! controls how the components are wired together.
 
-use bufmgr::{DiskTimings, PolicyKind, PrefetchKind, O2_FRAMES_PER_MB, TEXAS_FRAMES_PER_MB};
+use bufmgr::{DiskTimings, PolicyKind, O2_FRAMES_PER_MB, TEXAS_FRAMES_PER_MB};
 use clustering::{ClusteringKind, InitialPlacement};
 
 /// `SYSCLASS` — the architecture the evaluation model instantiates
@@ -55,7 +55,8 @@ impl std::fmt::Display for SystemClass {
     }
 }
 
-/// The complete VOODB parameter set (Table 3).
+/// The complete VOODB parameter set (Table 3). `PREFETCH` has no field:
+/// it is `None` in every run of the paper, and here.
 #[derive(Clone, Debug)]
 pub struct VoodbParams {
     /// `SYSCLASS` — system class (default: Page Server).
@@ -69,8 +70,6 @@ pub struct VoodbParams {
     pub buffer_pages: usize,
     /// `PGREP` — buffer page replacement strategy (default LRU-1).
     pub page_replacement: PolicyKind,
-    /// `PREFETCH` — prefetching policy (default None).
-    pub prefetch: PrefetchKind,
     /// `CLUSTP` — object clustering policy (default None).
     pub clustering: ClusteringKind,
     /// `INITPL` — objects' initial placement (default Optimized
@@ -84,7 +83,9 @@ pub struct VoodbParams {
     pub get_lock_ms: f64,
     /// `RELLOCK` — lock release time in ms (default 0.5).
     pub release_lock_ms: f64,
-    /// `NUSERS` — number of users (default 1).
+    /// `NUSERS` — number of users (default 1). A scenario sets it
+    /// through `workload.users` (see
+    /// [`crate::ExperimentConfig::effective_system`]).
     pub users: usize,
     /// Texas's object-loading policy: loading a page swizzles its pointers,
     /// dirtying it — every eviction becomes a swap write, which doubles the
@@ -124,7 +125,6 @@ impl Default for VoodbParams {
             page_size: 4096,
             buffer_pages: 500,
             page_replacement: PolicyKind::Lru,
-            prefetch: PrefetchKind::None,
             clustering: ClusteringKind::None,
             initial_placement: InitialPlacement::OptimizedSequential,
             disk: DiskTimings::table3_default(),
@@ -148,7 +148,6 @@ impl VoodbParams {
             page_size: 4096,
             buffer_pages: (cache_mb * O2_FRAMES_PER_MB).max(8),
             page_replacement: PolicyKind::Lru,
-            prefetch: PrefetchKind::None,
             clustering: ClusteringKind::None,
             initial_placement: InitialPlacement::OptimizedSequential,
             disk: DiskTimings::o2(),
@@ -172,7 +171,6 @@ impl VoodbParams {
             page_size: 4096,
             buffer_pages: (memory_mb * TEXAS_FRAMES_PER_MB).max(8),
             page_replacement: PolicyKind::Lru,
-            prefetch: PrefetchKind::None,
             clustering: ClusteringKind::None,
             initial_placement: InitialPlacement::OptimizedSequential,
             disk: DiskTimings::texas(),
@@ -252,7 +250,6 @@ mod tests {
         assert_eq!(p.page_size, 4096);
         assert_eq!(p.buffer_pages, 500);
         assert_eq!(p.page_replacement, PolicyKind::Lru);
-        assert_eq!(p.prefetch, PrefetchKind::None);
         assert_eq!(p.clustering, ClusteringKind::None);
         assert_eq!(p.initial_placement, InitialPlacement::OptimizedSequential);
         assert_eq!(p.disk, DiskTimings::table3_default());

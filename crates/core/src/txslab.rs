@@ -22,7 +22,7 @@
 //!
 //! GETLOCK CPU time is charged when a transaction first touches an
 //! object (Table 3). Which accesses are first touches is fixed by the
-//! access vector alone, so [`TxSlab::commit`] marks them once, through
+//! access vector alone, so `TxSlab::commit` marks them once, through
 //! one epoch-stamped table indexed by oid that every slot shares; an
 //! access then reads its flag by position. That is exact under
 //! restarts: an access's lock is taken only after every earlier access

@@ -211,11 +211,12 @@ impl TransactionKind {
 ///
 /// The paper's Users sub-model is a **closed** system: `NUSERS` users
 /// each cycle think → submit → wait-for-commit, so the in-flight
-/// population is bounded by the user count. The open variants model an
-/// **open** system instead: transactions arrive on an external arrival
+/// population is bounded by the user count. The Poisson variant models
+/// an **open** system instead: transactions arrive on an external arrival
 /// process independent of completions (the classic open/closed queueing
 /// distinction), which is how arrival-rate-driven capacity studies are
-/// run.
+/// run. `NUSERS` is the workload's `users` (scenario key
+/// `workload.users`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Arrival {
     /// Closed system: `NUSERS` users with exponential think times.
@@ -225,11 +226,6 @@ pub enum Arrival {
     Poisson {
         /// Mean arrival rate, transactions per simulated second.
         rate_per_sec: f64,
-    },
-    /// Open system: one arrival every `interarrival_ms` simulated ms.
-    Deterministic {
-        /// Fixed interarrival time, ms.
-        interarrival_ms: f64,
     },
 }
 
@@ -252,16 +248,6 @@ impl Arrival {
                 } else {
                     Err(format!(
                         "Poisson arrival rate must be positive and finite, got {rate_per_sec}"
-                    ))
-                }
-            }
-            Arrival::Deterministic { interarrival_ms } => {
-                if interarrival_ms.is_finite() && *interarrival_ms > 0.0 {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "deterministic interarrival must be positive and finite, \
-                         got {interarrival_ms}"
                     ))
                 }
             }
@@ -608,7 +594,7 @@ impl WorkloadParams {
             return Err("too many cohorts".into());
         }
         self.check_open_arrivals().map_err(|e| e.to_string())?;
-        self.check_wake_run(self.users).map_err(|e| e.to_string())
+        self.check_wake_run().map_err(|e| e.to_string())
     }
 
     /// Pre-flight time bound of an open horizon phase (`duration_ms >
@@ -626,7 +612,6 @@ impl WorkloadParams {
         let expected = match self.arrival {
             Arrival::Closed => return Ok(()),
             Arrival::Poisson { rate_per_sec } => rate_per_sec * duration_ms / 1000.0,
-            Arrival::Deterministic { interarrival_ms } => duration_ms / interarrival_ms,
         };
         if expected > MAX_OPEN_ARRIVALS as f64 {
             return Err(TooManyArrivals {
@@ -638,18 +623,17 @@ impl WorkloadParams {
     }
 
     /// Pre-flight memory bound of a closed phase: the initial wakes of
-    /// its population (the cohort sizes' sum, else `users`, which the
-    /// caller resolves against the system's NUSERS) must fit
+    /// its population (the cohort sizes' sum, else `users`) must fit
     /// [`MAX_WAKE_RUN_BYTES`]. Open arrivals hold no users.
     ///
     /// # Errors
     /// The population and its estimated bytes, when over the bound.
-    pub fn check_wake_run(&self, users: usize) -> Result<(), PopulationTooLarge> {
+    pub fn check_wake_run(&self) -> Result<(), PopulationTooLarge> {
         if !self.arrival.is_closed() {
             return Ok(());
         }
         let users = if self.cohorts.is_empty() {
-            users as u128
+            self.users as u128
         } else {
             self.cohorts.iter().map(|c| c.size as u128).sum()
         };
@@ -699,7 +683,7 @@ mod tests {
             users: limit + 1,
             ..workload.clone()
         };
-        let err = over.check_wake_run(over.users).unwrap_err();
+        let err = over.check_wake_run().unwrap_err();
         assert_eq!(err.users, limit as u128 + 1);
         assert_eq!(err.bytes, u128::from(MAX_WAKE_RUN_BYTES + WAKE_KEY_BYTES));
         assert!(over.validate().unwrap_err().contains("4294967304 bytes"));
@@ -715,7 +699,7 @@ mod tests {
             ..workload.clone()
         };
         assert_eq!(
-            cohorts.check_wake_run(1).unwrap_err().users,
+            cohorts.check_wake_run().unwrap_err().users,
             2 * usize::MAX as u128
         );
         // Open arrivals hold no users.
@@ -744,17 +728,6 @@ mod tests {
         assert!(
             message.contains("100000 ms horizon expect 100000000000 transactions"),
             "{message}"
-        );
-        // Deterministic arrivals: duration / interarrival.
-        let pulse = |interarrival_ms: f64| WorkloadParams {
-            arrival: Arrival::Deterministic { interarrival_ms },
-            duration_ms: limit,
-            ..WorkloadParams::default()
-        };
-        pulse(1.0).validate().unwrap();
-        assert_eq!(
-            pulse(0.5).check_open_arrivals().unwrap_err().expected,
-            2.0 * limit
         );
         // A count-bounded open phase (no horizon) and a closed horizon
         // phase are not open horizon phases.
@@ -838,16 +811,6 @@ mod tests {
         assert!(Arrival::Poisson { rate_per_sec: 0.0 }.validate().is_err());
         assert!(Arrival::Poisson {
             rate_per_sec: f64::INFINITY
-        }
-        .validate()
-        .is_err());
-        assert!(Arrival::Deterministic {
-            interarrival_ms: 10.0
-        }
-        .validate()
-        .is_ok());
-        assert!(Arrival::Deterministic {
-            interarrival_ms: -1.0
         }
         .validate()
         .is_err());

@@ -13,9 +13,13 @@
 //!   Fig. 11 memory blow-up; the page reservations the paper also names
 //!   are not modelled), and **physical OIDs** (the mechanism behind the Table 6 clustering
 //!   overhead anomaly — see [`TexasEngine::reorganize`]);
-//! * [`PageServerEngine`] — an O2-like page server: server buffer under a
-//!   pluggable replacement policy, page shipping, **logical OIDs** whose
-//!   reorganisation needs no database scan;
+//! * [`PageServerEngine`] — an O2-like page server: an LRU server
+//!   buffer, page shipping, **logical OIDs** whose reorganisation needs
+//!   no database scan;
+//! * both engines fix Table 4's constants (4 KB pages, optimized-sequential
+//!   initial placement, their own disk timings); [`TexasConfig`] and
+//!   [`PageServerConfig`] set only the frames, the clustering and, on
+//!   Texas, the mechanisms its unit tests isolate;
 //! * [`VirtualDisk`] — slotted pages plus the Fig. 5 timing model
 //!   (search + latency + transfer, short-circuited for contiguous reads).
 //!   An engine's object pages are rendered in one pass on the first

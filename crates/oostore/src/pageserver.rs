@@ -13,46 +13,31 @@ use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
 use crate::reorg::{Oids, ReorgPlan, ReorgReport, Reorganisation};
-use crate::storage::{assign_physical_oids, payload_oid};
+use crate::storage::{assign_physical_oids, payload_oid, PAGE_SIZE};
 use bufmgr::{AccessOutcome, BufferPool, PolicyKind, O2_FRAMES_PER_MB};
 use bufmgr::{DiskTimings, IoCounts};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
 use clustering::{PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES};
 use ocb::{ObjectBase, Oid, Transaction};
 
-/// Configuration of the page-server engine.
+/// Configuration of the page-server engine. The Table 4 constants are
+/// not settable: 4 KB pages, optimized-sequential initial placement, an
+/// LRU server buffer and the O2 server disk ([`DiskTimings::o2`]).
 #[derive(Clone, Debug)]
 pub struct PageServerConfig {
-    /// Disk page size in bytes (Table 4: 4096).
-    pub page_size: u32,
     /// Server buffer frames.
     pub buffer_pages: usize,
-    /// Server buffer replacement policy (Table 4: LRU).
-    pub policy: PolicyKind,
-    /// Initial object placement (Table 4: Optimized Sequential).
-    pub initial_placement: InitialPlacement,
     /// Clustering policy (Table 4 O2 column: None).
     pub clustering: ClusteringKind,
-    /// Disk timing model (Table 4 O2 column).
-    pub timings: DiskTimings,
 }
 
 impl PageServerConfig {
     /// The Table 4 parameterisation for a server cache of `cache_mb` MB.
     pub fn with_cache_mb(cache_mb: usize) -> Self {
         PageServerConfig {
-            page_size: 4096,
             buffer_pages: (cache_mb * O2_FRAMES_PER_MB).max(8),
-            policy: PolicyKind::Lru,
-            initial_placement: InitialPlacement::OptimizedSequential,
             clustering: ClusteringKind::None,
-            timings: DiskTimings::o2(),
         }
-    }
-
-    /// The paper's default O2 server: 16 MB cache.
-    pub fn paper_default() -> Self {
-        Self::with_cache_mb(16)
     }
 }
 
@@ -80,19 +65,19 @@ impl<'a> PageServerEngine<'a> {
     /// built on first content access, then the persistent OID table) and
     /// allocates the buffer.
     pub fn new(base: &'a ObjectBase, config: PageServerConfig) -> Self {
-        let placement = config.initial_placement.build(base, config.page_size);
+        let placement = InitialPlacement::OptimizedSequential.build(base, PAGE_SIZE);
         let oid_table = assign_physical_oids(base, &placement);
         let oid_pages_start = placement.page_count();
-        let oid_entries_per_page = oid_entries_per_page(config.page_size);
-        let oid_pages = oid_table_pages(&oid_table, config.page_size);
+        let oid_entries_per_page = oid_entries_per_page(PAGE_SIZE);
+        let oid_pages = oid_table_pages(&oid_table, PAGE_SIZE);
         let disk = VirtualDisk::deferred(
             base,
             placement,
             oid_table.clone(),
             oid_pages,
-            config.timings,
+            DiskTimings::o2(),
         );
-        let buffer = BufferPool::new(config.buffer_pages, config.policy);
+        let buffer = BufferPool::new(config.buffer_pages, PolicyKind::Lru);
         let strategy = config.clustering.build();
         PageServerEngine {
             base,
@@ -173,11 +158,10 @@ impl<'a> PageServerEngine<'a> {
             };
         }
 
-        let page_size = self.config.page_size;
         let plan = ReorgPlan::new(
             self.base,
             &outcome.clusters,
-            page_size,
+            PAGE_SIZE,
             self.disk.page_count(),
             &self.oid_table,
         );
@@ -290,8 +274,7 @@ impl StorageEngine for PageServerEngine<'_> {
         for page in self.buffer.flush_all() {
             self.disk.write_back(page);
         }
-        // Rebuild an empty buffer with the same policy.
-        self.buffer = BufferPool::new(self.config.buffer_pages, self.config.policy);
+        self.buffer = BufferPool::new(self.config.buffer_pages, PolicyKind::Lru);
     }
 }
 
@@ -308,12 +291,8 @@ mod tests {
 
     fn config(buffer_pages: usize) -> PageServerConfig {
         PageServerConfig {
-            page_size: 4096,
             buffer_pages,
-            policy: PolicyKind::Lru,
-            initial_placement: InitialPlacement::OptimizedSequential,
             clustering: ClusteringKind::None,
-            timings: DiskTimings::o2(),
         }
     }
 
@@ -461,7 +440,7 @@ mod tests {
     #[test]
     fn frames_per_mb_matches_table4() {
         // 16 MB × 240 = 3840 pages, exactly Table 4.
-        let config = PageServerConfig::paper_default();
+        let config = PageServerConfig::with_cache_mb(16);
         assert_eq!(config.buffer_pages, 3840);
     }
 

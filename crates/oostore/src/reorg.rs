@@ -408,16 +408,13 @@ mod tests {
     use crate::pageserver::{PageServerConfig, PageServerEngine};
     use crate::storage::STORE_FULL;
     use crate::texas::TexasConfig;
-    use bufmgr::DiskTimings;
-    use clustering::{ClusteringKind, DstcParams, InitialPlacement};
+    use clustering::{ClusteringKind, DstcParams};
     use ocb::{DatabaseParams, ObjectBase, Transaction, WorkloadGenerator, WorkloadParams};
     use proptest::prelude::*;
 
     fn dstc_config() -> TexasConfig {
         TexasConfig {
-            page_size: 4096,
             memory_pages: 10_000,
-            initial_placement: InitialPlacement::OptimizedSequential,
             swizzle: true,
             os_readahead: false,
             fs_metadata: false,
@@ -430,7 +427,6 @@ mod tests {
                 max_unit_size: 32,
                 trigger_threshold: 100,
             }),
-            timings: DiskTimings::texas(),
         }
     }
 
@@ -620,7 +616,6 @@ mod tests {
         let o2_config = PageServerConfig {
             buffer_pages: 32,
             clustering: dstc,
-            ..PageServerConfig::with_cache_mb(1)
         };
         let mut o2 = PageServerEngine::new(&base, o2_config);
         run_workload(&mut o2, &txs);
@@ -651,7 +646,6 @@ mod tests {
             let o2_config = PageServerConfig {
                 buffer_pages: 32,
                 clustering: texas_config.clustering.clone(),
-                ..PageServerConfig::with_cache_mb(1)
             };
             let pages = |disk: &VirtualDisk<'_>| -> Vec<SlottedPage> {
                 (0..disk.page_count()).map(|page| disk.peek(page).clone()).collect()
@@ -718,7 +712,6 @@ mod tests {
         let o2_config = PageServerConfig {
             buffer_pages: 32,
             clustering: texas_config.clustering.clone(),
-            ..PageServerConfig::with_cache_mb(1)
         };
         let texas = |force: bool| {
             let mut engine = TexasEngine::new(&base, texas_config.clone());

@@ -30,6 +30,9 @@ use crate::page::{SlotId, SlottedPage, FILL};
 use clustering::Placement;
 use ocb::{ObjectBase, Oid, OBJECT_HEADER_BYTES};
 
+/// The disk page size of both engines: Table 4's 4 KB.
+pub(crate) const PAGE_SIZE: u32 = 4096;
+
 #[cfg(test)]
 thread_local! {
     /// Test switch: store every payload byte, attribute filler included,

@@ -29,7 +29,7 @@ use crate::disk::VirtualDisk;
 use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
 use crate::page::SlottedPage;
-use crate::storage::{assign_physical_oids, payload_oid};
+use crate::storage::{assign_physical_oids, payload_oid, PAGE_SIZE};
 use bufmgr::{AccessOutcome, BufferPool, PolicyKind, TEXAS_FRAMES_PER_MB};
 use bufmgr::{DiskTimings, IoCounts};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
@@ -42,15 +42,13 @@ use ocb::{ObjectBase, Transaction};
 /// the paper's bench-vs-sim gap.
 pub const EXT2_INDIRECT_COVERAGE: u32 = 1024;
 
-/// Configuration of the Texas-like engine.
+/// Configuration of the Texas-like engine. The Table 4 constants are
+/// not settable: 4 KB pages, optimized-sequential initial placement, an
+/// LRU VM frame table and the Texas host disk ([`DiskTimings::texas`]).
 #[derive(Clone, Debug)]
 pub struct TexasConfig {
-    /// Disk page size in bytes (Table 4: 4096).
-    pub page_size: u32,
     /// VM frames available to mapped data pages.
     pub memory_pages: usize,
-    /// Initial object placement (Table 4: Optimized Sequential).
-    pub initial_placement: InitialPlacement,
     /// Texas's object-loading policy: faulting a page swizzles the
     /// pointers it contains (dirtying it — evictions become swap writes).
     /// Disable for ablations.
@@ -65,22 +63,17 @@ pub struct TexasConfig {
     pub fs_metadata: bool,
     /// Clustering policy (Table 4: DSTC; `None` to disable).
     pub clustering: ClusteringKind,
-    /// Disk timing model (Table 4 Texas column).
-    pub timings: DiskTimings,
 }
 
 impl TexasConfig {
     /// The Table 4 parameterisation for a host with `memory_mb` MB of RAM.
     pub fn with_memory_mb(memory_mb: usize) -> Self {
         TexasConfig {
-            page_size: 4096,
             memory_pages: (memory_mb * TEXAS_FRAMES_PER_MB).max(8),
-            initial_placement: InitialPlacement::OptimizedSequential,
             swizzle: true,
             os_readahead: true,
             fs_metadata: true,
             clustering: ClusteringKind::None,
-            timings: DiskTimings::texas(),
         }
     }
 
@@ -125,7 +118,7 @@ impl<'a> TexasEngine<'a> {
     /// reorganisations count their I/Os without one).
     pub fn new(base: &'a ObjectBase, config: TexasConfig) -> Self {
         assert!(config.memory_pages >= 2, "need at least two VM frames");
-        let placement = config.initial_placement.build(base, config.page_size);
+        let placement = InitialPlacement::OptimizedSequential.build(base, PAGE_SIZE);
         let phys_of = assign_physical_oids(base, &placement);
         let meta_start = placement.page_count();
         // ext2 indirect blocks for the store file, after the data region.
@@ -135,10 +128,15 @@ impl<'a> TexasEngine<'a> {
             0
         };
         let meta_pages = (0..meta_count)
-            .map(|_| SlottedPage::new(config.page_size))
+            .map(|_| SlottedPage::new(PAGE_SIZE))
             .collect();
-        let disk =
-            VirtualDisk::deferred(base, placement, phys_of.clone(), meta_pages, config.timings);
+        let disk = VirtualDisk::deferred(
+            base,
+            placement,
+            phys_of.clone(),
+            meta_pages,
+            DiskTimings::texas(),
+        );
         let strategy = config.clustering.build();
         let vm = BufferPool::new(config.memory_pages, PolicyKind::Lru);
         TexasEngine {
@@ -327,14 +325,11 @@ mod tests {
 
     fn config(memory_pages: usize, swizzle: bool) -> TexasConfig {
         TexasConfig {
-            page_size: 4096,
             memory_pages,
-            initial_placement: InitialPlacement::OptimizedSequential,
             swizzle,
             os_readahead: false,
             fs_metadata: false,
             clustering: ClusteringKind::None,
-            timings: DiskTimings::texas(),
         }
     }
 

@@ -111,8 +111,7 @@ OPTIONS (run):
                   stays O(in-flight) however long the phase).
     --warmup MS   Override workload.warmup_ms (unmeasured warm-up prefix
                   of a time-horizon phase).
-    --arrival A   Override workload.arrival: closed | poisson-RATE (tx/s)
-                  | deterministic-MS (fixed interarrival).
+    --arrival A   Override workload.arrival: closed | poisson-RATE (tx/s).
 
 OPTIONS (compare):
     --threshold T Relative regression threshold (default 0.10 = 10%).

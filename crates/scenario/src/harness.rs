@@ -57,7 +57,6 @@ fn engine_twin<'a>(base: &'a ObjectBase, system: &VoodbParams) -> Box<dyn Storag
             PageServerConfig {
                 buffer_pages: system.buffer_pages,
                 clustering: system.clustering.clone(),
-                ..PageServerConfig::paper_default()
             },
         )),
         ref other => panic!("no engine twin for system class {other:?}"),

@@ -307,7 +307,10 @@ impl Note {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bufmgr::{DiskTimings, PolicyKind};
+    use clustering::InitialPlacement;
     use std::collections::BTreeSet;
+    use voodb::SystemClass;
 
     #[test]
     fn every_artifact_parses_validates_and_has_a_unique_stem() {
@@ -329,5 +332,47 @@ mod tests {
             }
         }
         assert_eq!(stems.len(), ARTIFACTS.len() + 6);
+    }
+
+    /// The engines hard-code Table 4 (4 KB pages, optimized-sequential
+    /// placement, LRU, the O2 or Texas disk, swizzling on Texas only),
+    /// so a twin artifact that set anything else would compare the model
+    /// against an engine that does not run its settings.
+    #[test]
+    fn every_twin_artifact_matches_the_engine_it_runs_on() {
+        let mut twins = 0;
+        for artifact in &ARTIFACTS {
+            if !matches!(artifact.job, JobKind::Figure | JobKind::DstcTable) {
+                continue;
+            }
+            twins += 1;
+            for (stem, scenario) in artifact.tables().unwrap() {
+                for point in scenario.grid() {
+                    let system = &point.config.system;
+                    let at = format!("{stem} [{}]", point.label());
+                    // DSTC tables run on Texas; figures on either engine.
+                    let centralized = match system.system_class {
+                        SystemClass::Centralized => true,
+                        SystemClass::PageServer if artifact.job == JobKind::Figure => false,
+                        other => panic!("{at}: no engine twin for {other}"),
+                    };
+                    let disk = if centralized {
+                        DiskTimings::texas()
+                    } else {
+                        DiskTimings::o2()
+                    };
+                    assert_eq!(system.page_size, 4096, "{at}");
+                    assert_eq!(
+                        system.initial_placement,
+                        InitialPlacement::OptimizedSequential,
+                        "{at}"
+                    );
+                    assert_eq!(system.page_replacement, PolicyKind::Lru, "{at}");
+                    assert_eq!(system.disk, disk, "{at}");
+                    assert_eq!(system.swizzle, centralized, "{at}");
+                }
+            }
+        }
+        assert_eq!(twins, 8);
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::toml::{self, format_float, Table, TomlError, Value};
 use bufmgr::DiskTimings;
-use bufmgr::{PolicyKind, PrefetchKind, O2_FRAMES_PER_MB, TEXAS_FRAMES_PER_MB};
+use bufmgr::{PolicyKind, O2_FRAMES_PER_MB, TEXAS_FRAMES_PER_MB};
 use clustering::{ClusteringKind, DstcParams, InitialPlacement};
 use ocb::{Arrival, Selection};
 use voodb::{ExperimentConfig, SystemClass, VoodbParams};
@@ -341,11 +341,6 @@ pub const PARAM_HELP: &[(&str, &str, &str)] = &[
         "PGREP: random-SEED | fifo | lru | lru-K | lfu | clock | gclock-W",
     ),
     (
-        "system.prefetch",
-        "string",
-        "PREFETCH: none | sequential-W (window of W pages)",
-    ),
-    (
         "system.clustering",
         "string",
         "CLUSTP: none | dstc | static-graph-N (max cluster size N)",
@@ -417,7 +412,6 @@ pub const PARAM_HELP: &[(&str, &str, &str)] = &[
         "float",
         "RELLOCK: lock release time, ms",
     ),
-    ("system.users", "integer", "NUSERS: simulated users"),
     (
         "system.swizzle",
         "boolean",
@@ -466,7 +460,7 @@ pub const PARAM_HELP: &[(&str, &str, &str)] = &[
     (
         "workload.users",
         "integer",
-        "concurrent users of the workload",
+        "NUSERS: users of the closed system",
     ),
     (
         "workload.user_model",
@@ -541,7 +535,7 @@ pub const PARAM_HELP: &[(&str, &str, &str)] = &[
     (
         "workload.arrival",
         "string",
-        "ARRIVAL: closed | poisson-RATE (tx/s, open system) | deterministic-MS (interarrival)",
+        "ARRIVAL: closed | poisson-RATE (tx/s, open system)",
     ),
     (
         "workload.duration_ms",
@@ -688,8 +682,8 @@ fn parse_selection(raw: &str) -> Result<Selection, String> {
     ))
 }
 
-/// Parses an arrival process: `closed`, `poisson-RATE` (transactions per
-/// simulated second) or `deterministic-MS` (fixed interarrival).
+/// Parses an arrival process: `closed` or `poisson-RATE` (transactions
+/// per simulated second).
 pub fn parse_arrival(raw: &str) -> Result<Arrival, String> {
     if raw == "closed" {
         return Ok(Arrival::Closed);
@@ -700,15 +694,7 @@ pub fn parse_arrival(raw: &str) -> Result<Arrival, String> {
             .map(|rate_per_sec| Arrival::Poisson { rate_per_sec })
             .map_err(|_| format!("invalid poisson rate in '{raw}'"));
     }
-    if let Some(interval) = raw.strip_prefix("deterministic-") {
-        return interval
-            .parse()
-            .map(|interarrival_ms| Arrival::Deterministic { interarrival_ms })
-            .map_err(|_| format!("invalid deterministic interarrival in '{raw}'"));
-    }
-    Err(format!(
-        "unknown arrival '{raw}' (closed | poisson-RATE | deterministic-MS)"
-    ))
+    Err(format!("unknown arrival '{raw}' (closed | poisson-RATE)"))
 }
 
 /// Mutable access to the scenario-tunable DSTC parameters, upgrading
@@ -732,16 +718,6 @@ fn apply_system(system: &mut VoodbParams, field: &str, v: &Value) -> Result<(), 
         "cache_mb" => system.buffer_pages = (usize_of(v)? * O2_FRAMES_PER_MB).max(8),
         "memory_mb" => system.buffer_pages = (usize_of(v)? * TEXAS_FRAMES_PER_MB).max(8),
         "page_replacement" => system.page_replacement = parse_policy(str_of(v)?)?,
-        "prefetch" => {
-            let raw = str_of(v)?;
-            system.prefetch = match raw {
-                "none" => PrefetchKind::None,
-                other if other.starts_with("sequential") => PrefetchKind::Sequential {
-                    window: suffix_of(other, "sequential")?,
-                },
-                other => return Err(format!("unknown prefetch '{other}' (none | sequential-W)")),
-            };
-        }
         "clustering" => {
             let raw = str_of(v)?;
             system.clustering = match raw {
@@ -802,7 +778,6 @@ fn apply_system(system: &mut VoodbParams, field: &str, v: &Value) -> Result<(), 
         "multiprogramming_level" => system.multiprogramming_level = usize_of(v)?,
         "get_lock_ms" => system.get_lock_ms = f64_of(v)?,
         "release_lock_ms" => system.release_lock_ms = f64_of(v)?,
-        "users" => system.users = usize_of(v)?,
         "swizzle" => system.swizzle = bool_of(v)?,
         other => return Err(format!("unknown [system] key '{other}'")),
     }
@@ -986,7 +961,7 @@ hot_transactions = 40
             "{MINIMAL}\n[workload]\narrival = \"poisson-25.5\"\nduration_ms = 30000.0\n\
              warmup_ms = 3000.0\n\n\
              [[sweep]]\nparam = \"workload.arrival\"\n\
-             values = [\"poisson-10\", \"poisson-40\", \"deterministic-12.5\", \"closed\"]\n"
+             values = [\"poisson-10\", \"poisson-40\", \"closed\"]\n"
         );
         let s = Scenario::parse(&text).unwrap();
         assert_eq!(
@@ -996,24 +971,13 @@ hot_transactions = 40
         assert_eq!(s.config.workload.duration_ms, 30000.0);
         assert_eq!(s.config.workload.warmup_ms, 3000.0);
         let grid = s.grid();
-        assert_eq!(grid.len(), 4);
-        assert_eq!(
-            grid[2].config.workload.arrival,
-            Arrival::Deterministic {
-                interarrival_ms: 12.5
-            }
-        );
-        assert_eq!(grid[3].config.workload.arrival, Arrival::Closed);
+        assert_eq!(grid.len(), 3);
+        assert_eq!(grid[2].config.workload.arrival, Arrival::Closed);
         // Each swept spelling comes back out verbatim in its point label.
         let labels: Vec<String> = grid.iter().map(SweepPoint::label).collect();
         assert_eq!(
             labels,
-            [
-                "arrival=poisson-10",
-                "arrival=poisson-40",
-                "arrival=deterministic-12.5",
-                "arrival=closed"
-            ]
+            ["arrival=poisson-10", "arrival=poisson-40", "arrival=closed"]
         );
         // Invalid values are rejected with the key named.
         let err = Scenario::parse(&format!("{MINIMAL}\n[workload]\narrival = \"sometimes\"\n"))
@@ -1024,5 +988,39 @@ hot_transactions = 40
         ))
         .unwrap_err();
         assert!(err.contains("warmup"), "{err}");
+    }
+
+    /// A valid value of each string key's own form.
+    fn string_sample(key: &str) -> &'static str {
+        match key {
+            "system.system_class" => "hybrid-2",
+            "system.page_replacement" => "gclock-3",
+            "system.clustering" => "static-graph-8",
+            "system.initial_placement" => "random-5",
+            "system.disk" => "o2",
+            "database.instance_dist" => "zipf-0.8",
+            "database.ref_dist" => "uniform",
+            "workload.user_model" => "cohort",
+            "workload.root_dist" => "hotset-0.1-0.9",
+            "workload.arrival" => "poisson-12.5",
+            other => panic!("string key {other} has no sample value"),
+        }
+    }
+
+    #[test]
+    fn every_listed_key_applies_a_sample_of_its_listed_shape() {
+        let base = Scenario::parse(MINIMAL).unwrap().config;
+        for &(key, shape, _) in PARAM_HELP {
+            let value = match shape {
+                "integer" => Value::Integer(2),
+                "float" => Value::Float(0.5),
+                "float|inf" => Value::Float(f64::INFINITY),
+                "boolean" => Value::Bool(true),
+                "string" => Value::String(string_sample(key).to_owned()),
+                other => panic!("{key}: unknown shape {other}"),
+            };
+            let mut config = base.clone();
+            apply_param(&mut config, key, &value).unwrap_or_else(|e| panic!("{key}: {e}"));
+        }
     }
 }

@@ -48,14 +48,12 @@ const EXPECTED_PARAMS: &str = concat!(
     "  system.network_throughput_mbps       float|inf  NETTHRU: network throughput in MB/s\n",
     "  system.page_replacement              string     PGREP: random-SEED | fifo | lru | lru-K | lfu | clock | gclock-W\n",
     "  system.page_size                     integer    PGSIZE: disk page size in bytes\n",
-    "  system.prefetch                      string     PREFETCH: none | sequential-W (window of W pages)\n",
     "  system.release_lock_ms               float      RELLOCK: lock release time, ms\n",
     "  system.swizzle                       boolean    Texas-style pointer-swizzling loading policy\n",
     "  system.system_class                  string     SYSCLASS: centralized | object-server | page-server | db-server | hybrid-N (N servers)\n",
-    "  system.users                         integer    NUSERS: simulated users\n",
     "\n",
     "[workload]\n",
-    "  workload.arrival                     string     ARRIVAL: closed | poisson-RATE (tx/s, open system) | deterministic-MS (interarrival)\n",
+    "  workload.arrival                     string     ARRIVAL: closed | poisson-RATE (tx/s, open system)\n",
     "  workload.cold_transactions           integer    COLDN: unmeasured cold-run transactions\n",
     "  workload.duration_ms                 float      DURATION: time-horizon phase length in simulated ms (0 = count-based COLDN/HOTN)\n",
     "  workload.hierarchy_depth             integer    HIEDEPTH: hierarchy traversal depth\n",
@@ -71,7 +69,7 @@ const EXPECTED_PARAMS: &str = concat!(
     "  workload.stochastic_depth            integer    STODEPTH: stochastic traversal depth\n",
     "  workload.think_time_ms               float      THINKTIME: mean think time, ms\n",
     "  workload.user_model                  string     USERREP: per-user (small-N oracle) | cohort (O(in-flight + cohorts) memory, scales to 1M users)\n",
-    "  workload.users                       integer    concurrent users of the workload\n",
+    "  workload.users                       integer    NUSERS: users of the closed system\n",
     "  workload.warmup_ms                   float      WARMUP: unmeasured warm-up prefix of a time-horizon phase, ms\n",
 );
 

@@ -5,7 +5,9 @@
 //! than the pre-flight bound, before running anything, and `run` and
 //! `repro` refuse a worker-thread count above the runner's limit before
 //! starting a worker. `run` refuses every bad override, and a warm-up on
-//! a count-based phase, before it prints its banner.
+//! a count-based phase, before it prints its banner. Both refuse the
+//! settings that are gone (`[system] prefetch`, `[system] users` and
+//! deterministic arrivals), naming the key or the form.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -143,4 +145,38 @@ fn run_refuses_a_warmup_on_a_count_based_phase() {
         &["--warmup", "1e9"],
         "warmup_ms (1000000000) needs a time horizon: set duration_ms",
     );
+}
+
+#[test]
+fn validate_and_run_refuse_removed_settings_by_name() {
+    for (stem, section, line, name) in [
+        (
+            "prefetch",
+            "system",
+            "prefetch = \"none\"",
+            "system.prefetch",
+        ),
+        ("system_users", "system", "users = 8", "system.users"),
+        (
+            "deterministic",
+            "workload",
+            "arrival = \"deterministic-5\"",
+            "deterministic-5",
+        ),
+    ] {
+        let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("removed_{stem}.toml"));
+        std::fs::write(
+            &path,
+            format!("[scenario]\nname = \"removed_{stem}\"\n\n[{section}]\n{line}\n"),
+        )
+        .expect("scenario file written");
+        let file = path.to_str().expect("UTF-8 path");
+        for command in ["validate", "run"] {
+            let out = voodb(&[command, file]);
+            assert_eq!(out.status.code(), Some(1), "{command} {line}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(name), "{command} {line}: {stderr}");
+        }
+    }
+    assert_run_refused(&["--arrival", "deterministic-5"], "deterministic-5");
 }
